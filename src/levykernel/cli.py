@@ -10,9 +10,9 @@ timestamps).
 Exit codes: 0 success, 2 usage error, 3 numeric failure (a JSON
 diagnostic goes to stdout in that case).
 
-An INI config file (section ``[levykernel]``) may set default ``tol``
-and ``threads``; the environment variable LEVYKERNEL_THREADS caps sweep
-parallelism regardless.
+An INI config file (section ``[levykernel]``) may set the default
+``tol``; other keys are ignored.  For a stable spec, the ``mb`` column of
+``sweep`` and ``compare`` is one batched contour call over the whole grid.
 """
 
 from __future__ import annotations
@@ -21,9 +21,7 @@ import argparse
 import configparser
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -35,7 +33,7 @@ from .radial_symbol import (general_kernel_mb, general_leading_term,
                             make_symbol, perturbed_leading_term,
                             symbol_registry)
 from .stable_kernel import (KernelSpec, envelope_ratio, evaluate,
-                            kernel_at_origin, leading_term,
+                            kernel_at_origin, leading_term, stable_mb,
                             sum_symbol_envelope_check)
 
 _METHODS = ("auto", "mb", "series", "small-r", "closed", "oracle")
@@ -50,7 +48,7 @@ def _json_dumps(obj) -> str:
 
 
 def _load_config(path):
-    cfg = {"tol": 1e-9, "threads": 1}
+    cfg = {"tol": 1e-9}
     if not path:
         return cfg
     parser = configparser.ConfigParser()
@@ -61,15 +59,7 @@ def _load_config(path):
         sec = parser["levykernel"]
         if "tol" in sec:
             cfg["tol"] = float(sec["tol"])
-        if "threads" in sec:
-            cfg["threads"] = int(sec["threads"])
     return cfg
-
-
-def _thread_cap(requested: int) -> int:
-    env = os.environ.get("LEVYKERNEL_THREADS")
-    cap = int(env) if env else requested
-    return max(1, min(requested, cap))
 
 
 def _parse_symbol(text):
@@ -99,12 +89,24 @@ def _single_value(args, method, spec, sym, tol):
     return evaluate(spec, args.r, method=method, tol=tol, contour=contour)
 
 
+def _grid_values(args, method, spec, sym, tol, grid):
+    """One result per grid point; a stable spec's mb column is a single
+    batched contour call."""
+    if sym is None and method == "mb":
+        return stable_mb(spec, grid, contour=_contour_from(args), tol=tol)
+    out = []
+    for r in grid:
+        ns = argparse.Namespace(**vars(args))
+        ns.r = float(r)
+        out.append(_single_value(ns, method, spec, sym, tol))
+    return out
+
+
 def _contour_from(args):
     c = getattr(args, "contour_c", None)
     if c is None:
         return None
-    return ContourSpec(abscissa=c, half_height=getattr(args, "contour_t", 0.0)
-                       or 1e-9, nodes=64)
+    return ContourSpec(abscissa=c)
 
 
 def _emit(args, text: str):
@@ -178,25 +180,16 @@ def cmd_sweep(args, cfg) -> int:
     if args.verify and "oracle" not in methods:
         methods = methods + ["oracle"]
     grid = _r_grid(args)
+    origin = (grid == 0.0) & (sym is None)
 
-    jobs = [(float(r), m) for r in grid for m in methods]
-
-    def run(job):
-        r, m = job
-        if r == 0.0 and sym is None:
+    pts = grid[~origin]
+    rows = []
+    for m in methods:
+        for _ in range(int(origin.sum())):
             v = kernel_at_origin(spec)
-            return r, "closed_form", v, abs(v) * 1e-15
-        ns = argparse.Namespace(**vars(args))
-        ns.r = r
-        a = _single_value(ns, m, spec, sym, tol)
-        return r, a.method, a.value, a.est_error
-
-    workers = _thread_cap(args.threads if args.threads else cfg["threads"])
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run, jobs))
-    else:
-        rows = [run(j) for j in jobs]
+            rows.append((0.0, "closed_form", v, abs(v) * 1e-15))
+        rows += [(float(r), a.method, a.value, a.est_error) for r, a in
+                 zip(pts, _grid_values(args, m, spec, sym, tol, pts))]
     rows.sort(key=lambda row: (row[0], row[1]))
 
     lines = [f"# spec={json.dumps(_spec_dict(args, sym), sort_keys=True)}"]
@@ -248,14 +241,9 @@ def cmd_compare(args, cfg) -> int:
         spec = KernelSpec(d=args.d, alpha=args.alpha, beta=args.beta, t=args.t)
     methods = args.method.split(",")
     grid = _r_grid(args)
-    values = {}
-    for m in methods:
-        col = []
-        for r in grid:
-            ns = argparse.Namespace(**vars(args))
-            ns.r = float(r)
-            col.append(_single_value(ns, m, spec, sym, tol).value)
-        values[m] = np.asarray(col)
+    values = {m: np.array([a.value for a in
+                           _grid_values(args, m, spec, sym, tol, grid)])
+              for m in methods}
 
     pairwise = {}
     for i, m1 in enumerate(methods):
@@ -379,9 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "{auto,mb,series,small-r,closed,oracle}")
     ps.add_argument("--verify", action="store_true",
                     help="add oracle rows and a max_rel_gap footer")
-    ps.add_argument("--threads", type=int, default=None,
-                    help="parallel grid evaluation (capped by "
-                         "LEVYKERNEL_THREADS)")
     ps.set_defaults(func=cmd_sweep)
 
     pc = sub.add_parser("compare", help="pairwise method differences and "

@@ -6,6 +6,10 @@ accurate for analytic integrands that decay along the line), or by
 panels of Gauss-Legendre nodes as a cross-check rule.  Integrands are
 expected vectorized: f maps a complex ndarray to a complex ndarray.
 
+``power_line_integral`` runs the same rules on a whole batch of
+integrands G(z) r^(z - s), one per r: G is sampled once per node set and
+each r refines until it converges, exactly as it would alone.
+
 Callers assemble integrands from combined log-gamma ratios and
 exponentiate once, so magnitudes stay representable on tall lines.
 
@@ -26,24 +30,33 @@ __all__ = [
     "ContourSpec",
     "LineIntegralResult",
     "vertical_line_integral",
+    "power_line_integral",
     "auto_truncation",
     "mellin_bessel_rhs",
 ]
 
 _RULES = ("trapezoid", "gauss_legendre_panels")
 
+# complex elements of one row block of a batched integrand; bounds the
+# working set whatever the number of rows
+_BLOCK_ELEMS = 1 << 15
+
 
 @dataclass(frozen=True)
 class ContourSpec:
-    """One vertical-line quadrature plan: Re z = abscissa, |Im z| <= half_height."""
+    """One vertical-line quadrature plan: Re z = abscissa, |Im z| <= half_height.
+
+    ``half_height=None`` overrides the abscissa only: the evaluators then
+    climb their decay ladder for the height.
+    """
 
     abscissa: float
-    half_height: float
+    half_height: float | None = None
     nodes: int = 64
     rule: str = "trapezoid"
 
     def __post_init__(self):
-        if not self.half_height > 0:
+        if self.half_height is not None and not self.half_height > 0:
             raise ValueError("half_height must be > 0")
         if self.nodes < 16:
             raise ValueError("nodes must be >= 16")
@@ -81,6 +94,123 @@ def _tail_estimate(m_half, m_top, half_height):
     return m_top * half_height / (p - 1.0) / math.pi
 
 
+def _checked_tail(f, contour: ContourSpec) -> float:
+    """Tail bound of ``f`` beyond the plan's height, after checking the
+    sampled decay precondition |f(c+iT)| < |f(c+iT/2)|."""
+    c, big_t = contour.abscissa, contour.half_height
+    if big_t is None:
+        raise ValueError("the contour plan has no half_height")
+    m_half = _sample_mag(f, c, 0.5 * big_t)
+    m_top = _sample_mag(f, c, big_t)
+    if m_top >= m_half and m_top > 0.0:
+        raise NoDecay(
+            f"|f| fails to decay along the contour: |f(c+i{big_t})| = "
+            f"{m_top:.3e} >= |f(c+i{big_t / 2})| = {m_half:.3e}")
+    return _tail_estimate(m_half, m_top, big_t)
+
+
+def _row_sums(shared, form, rows, n_nodes, weights=None, trim_ends=False):
+    """Per row: sum of f and sum of |f| over one node set of ``n_nodes``
+    (optionally weighted, or with the trapezoid's halved end nodes).
+
+    ``form(shared, rows)`` builds the integrand rows from the node set's
+    shared samples; they are formed a block of rows at a time.
+    """
+    step = max(1, _BLOCK_ELEMS // n_nodes)
+    totals, grosses = [], []
+    for lo in range(0, rows.size, step):
+        fv = form(shared, rows[lo:lo + step])
+        mag = np.abs(fv)
+        if weights is not None:
+            fv = fv * weights
+            mag = mag * weights
+        s = fv.sum(axis=1)
+        if trim_ends:
+            s -= 0.5 * (fv[:, 0] + fv[:, -1])
+        totals.append(s)
+        grosses.append(mag.sum(axis=1))
+    if len(totals) == 1:
+        return totals[0], grosses[0]
+    return np.concatenate(totals), np.concatenate(grosses)
+
+
+def _levels(contour: ContourSpec, max_refinements: int):
+    """Refinement levels of the plan's rule.  Each yields the node heights,
+    their weights (None: all equal), the factor on the level's sum, the
+    share of the previous estimate kept, and whether the end nodes count
+    half.  The trapezoid adds midpoints; the panel rule starts afresh."""
+    big_t = contour.half_height
+    if contour.rule == "trapezoid":
+        n = max(contour.nodes, 16)
+        h = big_t / n
+        yield np.arange(-n, n + 1, dtype=float) * h, None, h, 0.0, True
+        for _ in range(max_refinements):
+            mid = (np.arange(-n, n, dtype=float) + 0.5) * h
+            yield mid, None, 0.5 * h, 0.5, False
+            n *= 2
+            h *= 0.5
+        return
+    x_gl, w_gl = np.polynomial.legendre.leggauss(16)
+    n_panels = max(contour.nodes // 16, 8)
+    for _ in range(max_refinements + 1):
+        edges = np.linspace(-big_t, big_t, n_panels + 1)
+        mids = 0.5 * (edges[1:] + edges[:-1])
+        halfw = 0.5 * (edges[1:] - edges[:-1])
+        yield ((mids[:, None] + halfw[:, None] * x_gl[None, :]).ravel(),
+               (halfw[:, None] * w_gl[None, :]).ravel(), 1.0, 0.0, False)
+        n_panels *= 2
+
+
+def _refine(sample, form, n_rows, contour, tol, max_refinements):
+    """Run the plan's rule on ``n_rows`` integrands that share the samples
+    ``sample(z)`` of each node set.  A row stops refining once its change
+    is within tol, or below the rounding floor of its cancelling sum.
+    Returns per-row values, discretization estimates and node counts;
+    raises NonConvergent if any row fails to converge."""
+    value = np.empty(n_rows, dtype=np.complex128)
+    disc = np.empty(n_rows)
+    used = np.empty(n_rows, dtype=np.int64)
+    rows = np.arange(n_rows)  # rows still refining, with their estimates
+    est = gross = None
+    n_used = 0
+    last = math.inf
+    if not n_rows:
+        return value, disc, used
+    levels = _levels(contour, max_refinements)
+    for level, (v, weights, scale, keep, trim) in enumerate(levels):
+        s, a = _row_sums(sample(contour.abscissa + 1j * v), form, rows,
+                         v.size, weights, trim)
+        n_used += v.size
+        new = scale * s / (2.0 * math.pi)
+        g = scale * a / (2.0 * math.pi)
+        if keep:
+            new += keep * est
+            g += keep * gross
+        if level:
+            diff = np.abs(new - est)
+            floor = 5e-16 * g
+            done = diff <= np.maximum(np.maximum(tol * np.abs(new), floor),
+                                      1e-300)
+            if done.any():
+                out = rows[done]
+                value[out] = new[done]
+                disc[out] = np.maximum(diff, floor)[done]
+                used[out] = n_used
+                if out.size == rows.size:
+                    return value, disc, used
+                more = ~done
+                rows, new, g, diff = rows[more], new[more], g[more], diff[more]
+            last = diff.max()
+        est, gross = new, g
+    raise NonConvergent(
+        f"{contour.rule} refinement stalled after {n_used} nodes, "
+        f"last change {last:.3e}")
+
+
+def _one_row(fz, rows):
+    return fz[None, :]
+
+
 def vertical_line_integral(f, contour: ContourSpec, tol: float = 1e-10,
                            max_refinements: int = 6) -> LineIntegralResult:
     """(1/2*pi*i) * integral of f over the truncated vertical line.
@@ -89,83 +219,45 @@ def vertical_line_integral(f, contour: ContourSpec, tol: float = 1e-10,
     refines the node count (doubling) until the value changes by less
     than ``tol`` relatively, else raises NonConvergent.  For integrands
     with f(conj z) = conj f(z) the imaginary part of the result is at
-    the rounding level.
+    the rounding level.  The plan must carry a half_height.
     """
-    c = contour.abscissa
-    big_t = contour.half_height
-    m_half = _sample_mag(f, c, 0.5 * big_t)
-    m_top = _sample_mag(f, c, big_t)
-    if m_top >= m_half and m_top > 0.0:
-        raise NoDecay(
-            f"|f| fails to decay along the contour: |f(c+i{big_t})| = "
-            f"{m_top:.3e} >= |f(c+i{big_t / 2})| = {m_half:.3e}")
-    nodes_used = 2
+    tail = _checked_tail(f, contour)
+    value, disc, used = _refine(f, _one_row, 1, contour, tol, max_refinements)
+    return LineIntegralResult(value=complex(value[0]), tail_bound=tail,
+                              discretization_estimate=float(disc[0]),
+                              nodes_used=2 + int(used[0]))
 
-    if contour.rule == "trapezoid":
-        n = max(contour.nodes, 16)
-        h = big_t / n
-        v = np.arange(-n, n + 1, dtype=float) * h
-        fv = f(c + 1j * v)
-        nodes_used += fv.size
-        total = np.sum(fv) - 0.5 * (fv[0] + fv[-1])
-        gross = h * float(np.sum(np.abs(fv))) / (2.0 * math.pi)
-        current = h * total / (2.0 * math.pi)
-        prev_diff = math.inf
-        for _ in range(max_refinements):
-            mid = (np.arange(-n, n, dtype=float) + 0.5) * h
-            fm = f(c + 1j * mid)
-            nodes_used += fm.size
-            refined = 0.5 * current + (0.5 * h) * np.sum(fm) / (2.0 * math.pi)
-            gross = 0.5 * gross + (0.5 * h) * float(np.sum(np.abs(fm))) / (2.0 * math.pi)
-            diff = abs(refined - current)
-            current = refined
-            n *= 2
-            h *= 0.5
-            # rounding floor of the cancelling sum: cannot resolve below it
-            floor = 5e-16 * gross
-            if diff <= max(tol * abs(current), floor, 1e-300):
-                disc = max(diff, floor)
-                break
-            prev_diff = diff
-        else:
-            raise NonConvergent(
-                f"trapezoid refinement stalled at node count {n}, "
-                f"last change {prev_diff:.3e}")
-    else:  # gauss_legendre_panels
-        order = 16
-        x_gl, w_gl = np.polynomial.legendre.leggauss(order)
-        n_panels = max(contour.nodes // order, 8)
-        prev = None
-        current = 0.0 + 0.0j
-        prev_diff = math.inf
-        for _ in range(max_refinements + 1):
-            edges = np.linspace(-big_t, big_t, n_panels + 1)
-            mids = 0.5 * (edges[1:] + edges[:-1])
-            halfw = 0.5 * (edges[1:] - edges[:-1])
-            v = (mids[:, None] + halfw[:, None] * x_gl[None, :]).ravel()
-            fv = f(c + 1j * v).reshape(n_panels, order)
-            nodes_used += v.size
-            current = np.sum(fv * w_gl[None, :] * halfw[:, None]) / (2.0 * math.pi)
-            gross = float(np.sum(np.abs(fv) * w_gl[None, :] * halfw[:, None])) \
-                / (2.0 * math.pi)
-            if prev is not None:
-                diff = abs(current - prev)
-                floor = 5e-16 * gross
-                if diff <= max(tol * abs(current), floor, 1e-300):
-                    disc = max(diff, floor)
-                    break
-                prev_diff = diff
-            prev = current
-            n_panels *= 2
-        else:
-            raise NonConvergent(
-                f"panel refinement stalled at {n_panels} panels, "
-                f"last change {prev_diff:.3e}")
 
-    tail = _tail_estimate(m_half, m_top, big_t)
-    return LineIntegralResult(value=complex(current), tail_bound=tail,
-                              discretization_estimate=float(disc),
-                              nodes_used=nodes_used)
+def power_line_integral(log_g, ln_r, shift: float, contour: ContourSpec,
+                        tol: float = 1e-10,
+                        max_refinements: int = 6) -> list[LineIntegralResult]:
+    """``vertical_line_integral`` of exp(log_g(z) + (z - shift) ln r) for
+    every entry of ``ln_r``, sampling log_g once per node set.
+
+    On Re z = c the factor r^(z - shift) has modulus r^(c - shift) at
+    every height, so the decay check is made once on exp(log_g) and each
+    tail bound is that of exp(log_g) times r^(c - shift).  Each r keeps
+    its own convergence test, rounding floor and error estimate, and
+    stops refining when it converges: every result equals that of a
+    one-element ``ln_r``.
+    """
+    ln_r = np.asarray(ln_r, dtype=float).ravel()
+    tail = _checked_tail(lambda z: np.exp(log_g(z)), contour)
+
+    def sample(z):
+        return log_g(z), z - shift
+
+    def form(shared, rows):
+        lg, power = shared
+        return np.exp(lg + power * ln_r[rows, None])
+
+    value, disc, used = _refine(sample, form, ln_r.size, contour, tol,
+                                max_refinements)
+    tails = tail * np.exp((contour.abscissa - shift) * ln_r)
+    return [LineIntegralResult(value=complex(v), tail_bound=float(tb),
+                               discretization_estimate=float(e),
+                               nodes_used=2 + int(u))
+            for v, tb, e, u in zip(value, tails, disc, used)]
 
 
 def auto_truncation(f, c: float, tol: float, t_start: float = 16.0,

@@ -452,7 +452,7 @@ def general_kernel_mb(sym: RadialSymbol, d: int, beta: float, t: float,
 
         return f
 
-    if contour is None or contour.half_height <= 0:
+    if contour is None or contour.half_height is None:
         # decay ladder, with the inner-grid capability tracking the rung
         target = tol * 1e-2
         big_t = 16.0

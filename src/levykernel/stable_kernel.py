@@ -22,7 +22,7 @@ import numpy as np
 
 from . import oracle as _oracle
 from .errors import DomainError, StripViolation
-from .mellin import ContourSpec, auto_truncation, vertical_line_integral
+from .mellin import ContourSpec, auto_truncation, power_line_integral
 from .specfun import log_gamma, reciprocal_gamma
 
 __all__ = [
@@ -137,35 +137,55 @@ def admissible_strip(d: int, beta: float):
     return (0.5 * (d - 1) + beta, float(d) + beta)
 
 
-def _mb_integrand(d, alpha, beta, r_scaled):
-    lnr = math.log(r_scaled)
+def _mb_log_factor(d, alpha, beta):
+    """log of the r-independent part of the contour integrand:
+    Gamma(z/a) Gamma((d+b-z)/2) 2^(b-z) / Gamma((z-b)/2).
 
-    def f(z):
+    Single points are remembered: the decay check of the line integral
+    samples the heights T/2 and T that the truncation ladder sampled."""
+    points = {}
+
+    def log_g(z):
         z = np.asarray(z, dtype=np.complex128)
+        key = complex(z.flat[0]) if z.size == 1 else None
+        if key in points:
+            return points[key]
         lg = (log_gamma(z / alpha) + log_gamma(0.5 * (d + beta - z))
-              - log_gamma(0.5 * (z - beta))
-              + (beta - z) * _LN2 + (z - d - beta) * lnr)
-        return np.exp(lg)
+              - log_gamma(0.5 * (z - beta)) + (beta - z) * _LN2)
+        if key is not None:
+            points[key] = lg
+        return lg
 
-    return f
+    return log_g
 
 
-def stable_mb(spec: KernelSpec, r: float, contour: ContourSpec | None = None,
-              tol: float = 1e-9) -> Approximation:
+def stable_mb(spec: KernelSpec, r, contour: ContourSpec | None = None,
+              tol: float = 1e-9):
     """Kernel value by the vertical-line contour integral
 
         t^(-(d+b)/a)/(a pi^(d/2)) * (1/2 pi i) *
-        int_(c) Gamma(z/a) Gamma((d+b-z)/2) 2^(b-z) / Gamma((z-b)/2)
-                * (t^(-1/a) r)^(-d-b+z) dz
+        int_(c) G(z) (t^(-1/a) r)^(-d-b+z) dz,
+        G(z) = Gamma(z/a) Gamma((d+b-z)/2) 2^(b-z) / Gamma((z-b)/2),
 
     with c inside ((d-1)/2 + b, d + b).  Truncation height is chosen by
-    the decay ladder unless a full ContourSpec is supplied.
+    the decay ladder unless the ContourSpec carries a half_height.
+
+    ``r`` is a scalar (one Approximation back) or a 1-D array (a list of
+    Approximations, one per point).  G does not depend on r, and on the
+    line |r'^(z-d-b)| = r'^(c-d-b) at every height, so the truncation
+    height, the decay check, the pole-aware node floor and the tail
+    bound (up to that factor) are shared by the whole grid and G is
+    sampled once per node set.  Each r refines until it converges, as it
+    would alone: a grid returns the same values as point-by-point calls.
     """
     if not 0.0 < spec.alpha < 2.0:
         raise DomainError("contour evaluation requires 0 < alpha < 2")
-    if not r > 0.0:
+    rs = np.asarray(r, dtype=float)
+    if rs.ndim > 1:
+        raise ValueError("r must be a scalar or a 1-D array")
+    if not np.all(rs > 0.0):
         raise DomainError("r must be > 0 (use kernel_at_origin at r = 0)")
-    unit, rp, pref = scaling_reduce(spec, r)
+    unit, r_scale, pref = scaling_reduce(spec, 1.0)
     d, a, b = unit.d, unit.alpha, unit.beta
     lo, hi = admissible_strip(d, b)
     if contour is None:
@@ -175,9 +195,9 @@ def stable_mb(spec: KernelSpec, r: float, contour: ContourSpec | None = None,
         if not lo < c < hi:
             raise StripViolation(
                 f"abscissa {c} outside the admissible strip ({lo}, {hi})")
-    f = _mb_integrand(d, a, b, rp)
-    if contour is None or contour.half_height <= 0:
-        big_t = auto_truncation(f, c, tol * 1e-2)
+    log_g = _mb_log_factor(d, a, b)
+    if contour is None or contour.half_height is None:
+        big_t = auto_truncation(lambda z: np.exp(log_g(z)), c, tol * 1e-2)
         nodes = 64
     else:
         big_t = contour.half_height
@@ -188,16 +208,18 @@ def stable_mb(spec: KernelSpec, r: float, contour: ContourSpec | None = None,
     nodes = max(nodes, int(math.ceil(big_t / min(0.5, dist / 5.0))))
     contour = ContourSpec(abscissa=c, half_height=big_t, nodes=nodes,
                           rule=contour.rule if contour else "trapezoid")
-    res = vertical_line_integral(f, contour, tol=tol)
+    lines = power_line_integral(log_g, np.log(np.atleast_1d(rs) * r_scale),
+                                d + b, contour, tol=tol)
     scale = pref / (a * math.pi ** (0.5 * d))
-    value = scale * res.value.real
-    imag_ratio = abs(res.value.imag) / max(abs(res.value), 1e-300)
-    est = scale * (res.tail_bound + res.discretization_estimate)
-    return Approximation(
-        value=value, est_error=est, method="mb_contour",
-        diagnostics={"nodes_used": res.nodes_used,
-                     "truncation_height": contour.half_height,
-                     "abscissa": c, "imag_ratio": imag_ratio})
+    out = [Approximation(
+        value=scale * res.value.real,
+        est_error=scale * (res.tail_bound + res.discretization_estimate),
+        method="mb_contour",
+        diagnostics={"nodes_used": res.nodes_used, "truncation_height": big_t,
+                     "abscissa": c, "imag_ratio": abs(res.value.imag)
+                     / max(abs(res.value), 1e-300)})
+        for res in lines]
+    return out if rs.ndim else out[0]
 
 
 def _series_coefficient(d: int, alpha: float, beta: float, n: int):
@@ -344,10 +366,14 @@ def small_r_series(spec: KernelSpec, r: float, tol: float = 1e-16,
     term = None
     max_mag = 0.0
     for m in range(max_terms):
-        g = math.exp(log_gamma(complex((d + b + 2 * m) / a)).real)
         rg = reciprocal_gamma(0.5 * d + m)
         rg = rg.real if isinstance(rg, complex) else rg
-        term = (-1.0) ** m / math.factorial(m) * g * rg * x ** m
+        try:
+            g = math.exp(log_gamma(complex((d + b + 2 * m) / a)).real)
+            term = (-1.0) ** m / math.factorial(m) * g * rg * x ** m
+        except OverflowError as exc:
+            raise DomainError(f"small-r expansion overflows at r' = {rp} "
+                              "(use the contour route)") from exc
         total += term
         max_mag = max(max_mag, abs(term))
         if m >= 1 and abs(term) <= tol * max(abs(total), 1e-300):

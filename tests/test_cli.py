@@ -81,18 +81,6 @@ class TestSweep:
         _, out2 = run_cli(capsys, *args)
         assert out1 == out2
 
-    def test_threads_env_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("LEVYKERNEL_THREADS", "2")
-        args = ("sweep", "--d", "2", "--alpha", "1.2", "--r-min", "0.6",
-                "--r-max", "5", "--points", "4", "--threads", "8")
-        _, out_parallel = run_cli(capsys, *args)
-        monkeypatch.delenv("LEVYKERNEL_THREADS")
-        _, out_serial = run_cli(capsys, *args[:-2])
-        # identical rows regardless of the thread count
-        _, rows_p = parse_sweep_csv(out_parallel)
-        _, rows_s = parse_sweep_csv(out_serial)
-        assert rows_p == rows_s
-
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"
         code, _ = run_cli(capsys, "sweep", "--d", "2", "--alpha", "1.5",
@@ -100,6 +88,30 @@ class TestSweep:
                           "--out", str(target))
         assert code == 0
         assert target.read_text().startswith("#")
+
+
+class TestContourAbscissa:
+    def test_eval_contour_c(self, capsys):
+        base = ("eval", "--d", "2", "--alpha", "1.5", "--r", "2",
+                "--method", "mb")
+        code, out = run_cli(capsys, *base, "--contour-c", "1.2")
+        assert code == 0
+        moved = json.loads(out)
+        _, out = run_cli(capsys, *base)
+        default = json.loads(out)
+        assert moved["diagnostics"]["abscissa"] == 1.2
+        assert moved["value"] == pytest.approx(default["value"], rel=1e-8)
+
+    def test_sweep_contour_c(self, capsys):
+        base = ("sweep", "--d", "2", "--alpha", "1.5", "--r-min", "0.5",
+                "--r-max", "20", "--points", "5", "--log", "--method", "mb")
+        code, out = run_cli(capsys, *base, "--contour-c", "1.2")
+        assert code == 0
+        _, moved = parse_sweep_csv(out)
+        _, default = parse_sweep_csv(run_cli(capsys, *base)[1])
+        assert len(moved) == len(default) == 5
+        for a, b in zip(moved, default):
+            assert a[3] == pytest.approx(b[3], rel=1e-8)
 
 
 class TestCompare:

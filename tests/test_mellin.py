@@ -68,6 +68,10 @@ class TestVerticalLineIntegral:
         meaningful = [d for d in diffs if d > floor]
         assert all(b <= a for a, b in zip(meaningful, meaningful[1:]))
 
+    def test_plan_without_height_rejected(self):
+        with pytest.raises(ValueError):
+            lk.vertical_line_integral(_gamma_times_power(1.0), lk.ContourSpec(1.0))
+
     def test_invalid_contour_spec(self):
         with pytest.raises(ValueError):
             lk.ContourSpec(1.0, -1.0)
@@ -75,6 +79,30 @@ class TestVerticalLineIntegral:
             lk.ContourSpec(1.0, 16.0, nodes=4)
         with pytest.raises(ValueError):
             lk.ContourSpec(1.0, 16.0, rule="simpson")
+
+
+class TestPowerLineIntegral:
+    # (1/2 pi i) int Gamma(z) x^-z dz = e^-x, as a batch over x
+    X = np.array([0.5, 1.0, 1.3, 2.0, 7.0])
+
+    @pytest.mark.parametrize("rule", ["trapezoid", "gauss_legendre_panels"])
+    def test_rows_equal_single_integrals(self, rule):
+        plan = lk.ContourSpec(1.0, 32.0, nodes=128, rule=rule)
+        rows = lk.power_line_integral(lk.log_gamma, -np.log(self.X), 0.0, plan,
+                                      tol=1e-12)
+        for x, row in zip(self.X, rows):
+            one = lk.vertical_line_integral(_gamma_times_power(x), plan,
+                                            tol=1e-12)
+            assert row.value.real == pytest.approx(math.exp(-x), rel=1e-11)
+            assert row.nodes_used == one.nodes_used
+            assert row.value == pytest.approx(one.value, rel=1e-14)
+            assert row.tail_bound == pytest.approx(one.tail_bound, rel=1e-12)
+
+    def test_any_stalled_row_raises(self):
+        plan = lk.ContourSpec(1.0, 32.0)
+        with pytest.raises(lk.NonConvergent):
+            lk.power_line_integral(lk.log_gamma, -np.log(self.X), 0.0, plan,
+                                   tol=1e-30, max_refinements=1)
 
 
 class TestAutoTruncation:

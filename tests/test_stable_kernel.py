@@ -106,6 +106,38 @@ class TestStableMB:
         assert a.diagnostics["nodes_used"] > 0
 
 
+class TestStableMBGrid:
+    # a grid shares one gamma-ratio sampling and one line plan; every r
+    # must still refine exactly as a point-by-point call does
+    SPECS = [lk.KernelSpec(d=2, alpha=0.1),
+             lk.KernelSpec(d=10, alpha=1.5, beta=2.0),
+             lk.KernelSpec(d=3, alpha=1.0, beta=0.7, t=2.5),
+             lk.KernelSpec(d=2, alpha=1.99, beta=0.7),
+             lk.KernelSpec(d=10, alpha=0.5, t=0.4)]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=repr)
+    def test_grid_matches_pointwise(self, spec):
+        grid = np.geomspace(0.05, 30.0, 50)
+        batch = lk.stable_mb(spec, grid)
+        assert len(batch) == grid.size
+        for r, b in zip(grid, batch):
+            p = lk.stable_mb(spec, float(r))
+            for key in ("nodes_used", "truncation_height"):
+                assert b.diagnostics[key] == p.diagnostics[key]
+            assert abs(b.value - p.value) <= p.est_error + 1e-14 * abs(p.value)
+
+    def test_shapes(self):
+        spec = lk.KernelSpec(d=2, alpha=1.5)
+        one = lk.stable_mb(spec, 2.0)
+        assert isinstance(one, lk.Approximation)
+        (row,) = lk.stable_mb(spec, np.array([2.0]))
+        assert row.value == one.value and row.est_error == one.est_error
+        with pytest.raises(lk.DomainError):
+            lk.stable_mb(spec, np.array([1.0, 0.0]))
+        with pytest.raises(ValueError):
+            lk.stable_mb(spec, np.ones((2, 2)))
+
+
 class TestStableSeries:
     def test_coefficients_match_indicator_formula(self):
         # beta = 0 reduction: (1 - 1_Z(n a/2)) (-1)^n/n! G((d+na)/2) 2^(na) / G(-na/2)
@@ -210,6 +242,9 @@ class TestSmallRSeries:
             lk.small_r_series(lk.KernelSpec(d=2, alpha=0.8), 0.1)
         with pytest.raises(lk.DomainError):
             lk.small_r_series(lk.KernelSpec(d=2, alpha=1.0), 0.99)
+        # the terms overflow a float before the series converges
+        with pytest.raises(lk.DomainError):
+            lk.small_r_series(lk.KernelSpec(d=2, alpha=1.5), 6.0)
 
     def test_beta_positive_vs_oracle(self):
         spec = lk.KernelSpec(d=2, alpha=1.5, beta=0.7)
