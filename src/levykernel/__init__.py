@@ -9,7 +9,7 @@ oracle against which everything else is validated.
 from .errors import (DomainError, LevyKernelError, NoDecay, NonConvergent,
                      OrderExceeded, ParityError, PoleHit, StripViolation)
 from .mellin import (ContourSpec, LineIntegralResult, auto_truncation,
-                     mellin_bessel_rhs, power_line_integral,
+                     line_plan, mellin_bessel_rhs, power_line_integral,
                      vertical_line_integral)
 from .oracle import (OscillatoryPlan, bessel_zeros, hankel_oracle,
                      normalization_check, oscillatory_bessel_integral,

@@ -11,8 +11,9 @@ Exit codes: 0 success, 2 usage error, 3 numeric failure (a JSON
 diagnostic goes to stdout in that case).
 
 An INI config file (section ``[levykernel]``) may set the default
-``tol``; other keys are ignored.  For a stable spec, the ``mb`` column of
-``sweep`` and ``compare`` is one batched contour call over the whole grid.
+``tol``; other keys are ignored.  The contour columns of ``sweep`` and
+``compare`` (``mb``, and ``auto`` for a symbol) are one batched contour
+call over the whole grid.
 """
 
 from __future__ import annotations
@@ -71,35 +72,23 @@ def _parse_symbol(text):
     return make_symbol(kind, **obj)
 
 
-def _single_value(args, method, spec, sym, tol):
-    """One (value, est_error, method_tag) for either a stable spec or a
-    general symbol."""
+def _values(args, method, spec, sym, tol, rs):
+    """One result per r of ``rs``, for either a stable spec or a general
+    symbol.  The contour columns (``mb`` for a stable spec, ``mb`` and
+    ``auto`` for a symbol) are one batched call over the whole grid."""
+    contour = _contour_from(args)
     if sym is not None:
         if method in ("auto", "mb"):
-            a = general_kernel_mb(sym, args.d, args.beta, args.t, args.r,
-                                  k=args.k, tol=tol,
-                                  contour=_contour_from(args))
-        elif method == "oracle":
-            a = symbol_oracle(sym, args.d, args.beta, args.t, args.r)
-        else:
-            raise LevyKernelError(
-                f"method {method!r} applies to stable specs only")
-        return a
-    contour = _contour_from(args)
-    return evaluate(spec, args.r, method=method, tol=tol, contour=contour)
-
-
-def _grid_values(args, method, spec, sym, tol, grid):
-    """One result per grid point; a stable spec's mb column is a single
-    batched contour call."""
-    if sym is None and method == "mb":
-        return stable_mb(spec, grid, contour=_contour_from(args), tol=tol)
-    out = []
-    for r in grid:
-        ns = argparse.Namespace(**vars(args))
-        ns.r = float(r)
-        out.append(_single_value(ns, method, spec, sym, tol))
-    return out
+            return general_kernel_mb(sym, args.d, args.beta, args.t, rs,
+                                     k=args.k, tol=tol, contour=contour)
+        if method == "oracle":
+            return [symbol_oracle(sym, args.d, args.beta, args.t, float(r))
+                    for r in rs]
+        raise LevyKernelError(f"method {method!r} applies to stable specs only")
+    if method == "mb":
+        return stable_mb(spec, rs, contour=contour, tol=tol)
+    return [evaluate(spec, float(r), method=method, tol=tol, contour=contour)
+            for r in rs]
 
 
 def _contour_from(args):
@@ -130,7 +119,7 @@ def cmd_eval(args, cfg) -> int:
         payload = {"value": v, "est_error": abs(v) * 1e-15,
                    "method": "closed_form", "diagnostics": {"origin": True}}
     else:
-        a = _single_value(args, args.method, spec, sym, tol)
+        (a,) = _values(args, args.method, spec, sym, tol, np.array([args.r]))
         diags = {k: v for k, v in a.diagnostics.items()
                  if isinstance(v, (int, float, bool, str))}
         payload = {"value": a.value, "est_error": a.est_error,
@@ -189,7 +178,7 @@ def cmd_sweep(args, cfg) -> int:
             v = kernel_at_origin(spec)
             rows.append((0.0, "closed_form", v, abs(v) * 1e-15))
         rows += [(float(r), a.method, a.value, a.est_error) for r, a in
-                 zip(pts, _grid_values(args, m, spec, sym, tol, pts))]
+                 zip(pts, _values(args, m, spec, sym, tol, pts))]
     rows.sort(key=lambda row: (row[0], row[1]))
 
     lines = [f"# spec={json.dumps(_spec_dict(args, sym), sort_keys=True)}"]
@@ -242,7 +231,7 @@ def cmd_compare(args, cfg) -> int:
     methods = args.method.split(",")
     grid = _r_grid(args)
     values = {m: np.array([a.value for a in
-                           _grid_values(args, m, spec, sym, tol, grid)])
+                           _values(args, m, spec, sym, tol, grid)])
               for m in methods}
 
     pairwise = {}
@@ -331,8 +320,6 @@ def _add_common(p, with_alpha=True):
     p.add_argument("--out", type=str, default=None, help="write output here")
     p.add_argument("--config", type=str, default=None,
                    help="INI config file with [levykernel] defaults")
-    p.add_argument("--json", action="store_true",
-                   help="accepted for symmetry; single values are JSON anyway")
 
 
 def _add_grid(p):

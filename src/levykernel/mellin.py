@@ -1,14 +1,14 @@
 """Vertical-line (inverse-Mellin) contour quadrature.
 
-``vertical_line_integral`` computes (1/2*pi*i) * int_{c-iT}^{c+iT} f(z) dz
-by the trapezoid rule with successive node doubling (exponentially
-accurate for analytic integrands that decay along the line), or by
-panels of Gauss-Legendre nodes as a cross-check rule.  Integrands are
-expected vectorized: f maps a complex ndarray to a complex ndarray.
-
-``power_line_integral`` runs the same rules on a whole batch of
-integrands G(z) r^(z - s), one per r: G is sampled once per node set and
-each r refines until it converges, exactly as it would alone.
+Both kernels are integrals (1/2*pi*i) * int_(c) G(z) r^z dz with G
+independent of r (a gamma ratio, times M_t^k for a general symbol).
+``line_plan`` picks the line's abscissa, height and node count from G
+alone; ``power_line_integral``, the engine of both kernels, samples G
+once per node set and refines each r of a batch as it would alone.  The
+rule is the trapezoid with node doubling (exponentially accurate for
+analytic integrands that decay along the line), or Gauss-Legendre
+panels as a cross-check.  ``vertical_line_integral`` runs the same rules
+on one vectorized integrand f; it is the single-integrand reference.
 
 Callers assemble integrands from combined log-gamma ratios and
 exponentiate once, so magnitudes stay representable on tall lines.
@@ -31,6 +31,7 @@ __all__ = [
     "LineIntegralResult",
     "vertical_line_integral",
     "power_line_integral",
+    "line_plan",
     "auto_truncation",
     "mellin_bessel_rhs",
 ]
@@ -46,8 +47,8 @@ _BLOCK_ELEMS = 1 << 15
 class ContourSpec:
     """One vertical-line quadrature plan: Re z = abscissa, |Im z| <= half_height.
 
-    ``half_height=None`` overrides the abscissa only: the evaluators then
-    climb their decay ladder for the height.
+    ``half_height=None`` overrides the abscissa only: ``line_plan`` then
+    climbs the decay ladder for the height.
     """
 
     abscissa: float
@@ -258,6 +259,54 @@ def power_line_integral(log_g, ln_r, shift: float, contour: ContourSpec,
                                discretization_estimate=float(e),
                                nodes_used=2 + int(u))
             for v, tb, e, u in zip(value, tails, disc, used)]
+
+
+def remember_points(log_g):
+    """``log_g`` with its single-point values remembered: the decay check
+    of ``power_line_integral`` samples the heights T/2 and T that the
+    ``line_plan`` ladder sampled."""
+    points = {}
+
+    def remembered(z):
+        z = np.asarray(z, dtype=np.complex128)
+        if z.size != 1:
+            return log_g(z)
+        key = complex(z.flat[0])
+        if key not in points:
+            points[key] = log_g(z)
+        return points[key]
+
+    return remembered
+
+
+def line_plan(log_g, strip, contour: ContourSpec | None,
+              tol: float) -> ContourSpec:
+    """The full plan of a line integral of exp(log_g(z)) r^z over the
+    abscissa strip (lo, hi), for integrands with their nearest poles at
+    z = 0 and z = hi.  No ``contour`` means ``ContourSpec`` at the strip
+    midpoint.
+
+    The override's abscissa must lie inside the strip.  A plan without a
+    height gets the ``auto_truncation`` ladder's on exp(log_g), with
+    target tol * 1e-2.  The node count is raised to the pole-aware floor.
+    |r^z| is r^c at every height, so nothing here depends on r.
+    """
+    lo, hi = strip
+    if contour is None:
+        contour = ContourSpec(abscissa=0.5 * (lo + hi))
+    c = contour.abscissa
+    if not lo < c < hi:
+        raise StripViolation(
+            f"abscissa {c} outside the admissible strip ({lo}, {hi})")
+    big_t = contour.half_height
+    if big_t is None:
+        big_t = auto_truncation(lambda z: np.exp(log_g(z)), c, tol * 1e-2)
+    # near a strip edge the poles at z = 0 and z = hi sit min(c, hi - c)
+    # from the line; the trapezoid needs h below ~1/5 of that distance
+    dist = min(c, hi - c)
+    nodes = max(contour.nodes, int(math.ceil(big_t / min(0.5, dist / 5.0))))
+    return ContourSpec(abscissa=c, half_height=big_t, nodes=nodes,
+                       rule=contour.rule)
 
 
 def auto_truncation(f, c: float, tol: float, t_start: float = 16.0,

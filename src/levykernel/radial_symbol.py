@@ -26,7 +26,8 @@ import sympy as sp
 from . import oracle as _oracle
 from .errors import (DomainError, NonConvergent, OrderExceeded, ParityError,
                      StripViolation)
-from .mellin import ContourSpec, vertical_line_integral
+from .mellin import (ContourSpec, line_plan, power_line_integral,
+                     remember_points)
 from .specfun import log_gamma, reciprocal_gamma
 from .stable_kernel import Approximation
 
@@ -356,7 +357,9 @@ class _MellinGrid:
 
 def _grid_for(sym: RadialSymbol, t: float, k: int, abscissa: float,
               max_imag: float, tol: float) -> _MellinGrid:
-    cap = 2.0 ** math.ceil(math.log2(max(max_imag, 8.0)))
+    # caps are powers of two from 16, the first rung of the decay ladder,
+    # so the ladder's samples at Im z = 0 and 8 reuse that rung's grid
+    cap = 2.0 ** math.ceil(math.log2(max(max_imag, 16.0)))
     key = (t, k, round(abscissa, 12), cap, tol)
     with sym._lock:
         grid = sym._grids.get(key)
@@ -407,20 +410,28 @@ def default_derivative_order(d: int, beta: float) -> int:
 
 
 def general_kernel_mb(sym: RadialSymbol, d: int, beta: float, t: float,
-                      r: float, k: int | None = None,
+                      r, k: int | None = None,
                       contour: ContourSpec | None = None,
                       tol: float = 1e-7):
     """Kernel of a general radial symbol by the nested contour integral
 
-        (-1)^k/(pi^(d/2) r^(d+beta)) * (1/2 pi i) *
-        int_(c) Gamma(z) Gamma((d+beta-z)/2) 2^(beta-z)
-                / (Gamma(z+k) Gamma((z-beta)/2)) * M_t^k(z) r^z dz
+        (-1)^k/(pi^(d/2) r^(d+beta)) * (1/2 pi i) * int_(c) G(z) r^z dz,
+        G(z) = Gamma(z) Gamma((d+beta-z)/2) 2^(beta-z)
+               / (Gamma(z+k) Gamma((z-beta)/2)) * M_t^k(z),
 
-    with c in ((d+1)/2+beta, d+beta) and k > (d+3)/2 + beta.  The inner
-    transform values are taken from a frozen vectorized grid, so the
-    outer trapezoid refinement is cheap.
+    with c in ((d+1)/2+beta, d+beta) and k > (d+3)/2 + beta, planned by
+    ``mellin.line_plan``.  The inner transform values come from a frozen
+    vectorized grid sized to the largest |Im z| asked for.
+
+    ``r`` is a scalar or a 1-D array, as for ``stable_mb``: G, inner
+    transform included, does not depend on r, and |r^(z-d-beta)| is
+    r^(c-d-beta) at every height, so one plan and one sampling of G per
+    node set serve the whole grid, and each r refines as it would alone.
     """
-    if r <= 0:
+    rs = np.asarray(r, dtype=float)
+    if rs.ndim > 1:
+        raise ValueError("r must be a scalar or a 1-D array")
+    if not np.all(rs > 0.0):
         raise DomainError("r must be > 0")
     if k is None:
         k = default_derivative_order(d, beta)
@@ -429,77 +440,32 @@ def general_kernel_mb(sym: RadialSymbol, d: int, beta: float, t: float,
                          f"{0.5 * (d + 3) + beta}")
     if k > sym.k_max:
         raise OrderExceeded(f"k = {k} exceeds available derivatives {sym.k_max}")
-    lo, hi = general_strip(d, beta)
-    if contour is None:
-        c = 0.5 * (lo + hi)
-    else:
-        c = contour.abscissa
-        if not lo < c < hi:
-            raise StripViolation(
-                f"abscissa {c} outside the admissible strip ({lo}, {hi})")
-    lnr = math.log(r)
     inner_tol = min(1e-9, 0.1 * tol)
 
-    def make_f(max_imag):
-        grid = _grid_for(sym, t, k, c, max_imag, inner_tol)
+    @remember_points
+    def log_g(z):
+        z = np.asarray(z, dtype=np.complex128)
+        return (log_gamma(z) - log_gamma(z + k)
+                + log_gamma(0.5 * (d + beta - z)) - log_gamma(0.5 * (z - beta))
+                + (beta - z) * _LN2 + np.log(mellin_Mk(sym, t, z, k, inner_tol)))
 
-        def f(z):
-            z = np.asarray(z, dtype=np.complex128)
-            lg = (log_gamma(z) - log_gamma(z + k)
-                  + log_gamma(0.5 * (d + beta - z)) - log_gamma(0.5 * (z - beta))
-                  + (beta - z) * _LN2 + z * lnr)
-            return np.exp(lg) * grid.value(z.imag)
-
-        return f
-
-    if contour is None or contour.half_height is None:
-        # decay ladder, with the inner-grid capability tracking the rung
-        target = tol * 1e-2
-        big_t = 16.0
-        f = make_f(big_t)
-
-        def mag(fn, v):
-            return abs(complex(fn(np.array([complex(c, v)]))[0]))
-
-        base = mag(f, 0.0)
-        if not math.isfinite(base) or base == 0.0:
-            raise NonConvergent("integrand vanishes at the abscissa")
-        prev = mag(f, 0.5 * big_t)
-        while True:
-            f = make_f(big_t)
-            m = mag(f, big_t)
-            if m > prev:
-                raise NonConvergent(
-                    f"contour integrand grows between heights {big_t / 2} "
-                    f"and {big_t}")
-            if m * big_t < target * base:
-                break
-            prev = m
-            big_t *= 2.0
-            if big_t > 4096.0:
-                raise NonConvergent("no usable truncation height found "
-                                    "below the ladder cap")
-        contour = ContourSpec(abscissa=c, half_height=big_t,
-                              nodes=max(256, int(big_t)))
-    # pole-aware node floor: Gamma(z) and Gamma((d+beta-z)/2) put poles
-    # at z = 0 and z = d+beta, a sharp peak if c sits near a strip edge
-    dist = min(c, d + beta - c)
-    nodes = max(contour.nodes,
-                int(math.ceil(contour.half_height / min(0.5, dist / 5.0))))
-    contour = ContourSpec(abscissa=c, half_height=contour.half_height,
-                          nodes=nodes, rule=contour.rule)
-    f = make_f(contour.half_height)
-    res = vertical_line_integral(f, contour, tol=tol)
-    scale = (-1.0) ** k / (math.pi ** (0.5 * d) * r ** (d + beta))
-    value = scale * res.value.real
-    imag_ratio = abs(res.value.imag) / max(abs(res.value), 1e-300)
-    est = abs(scale) * (res.tail_bound + res.discretization_estimate) \
-        + abs(value) * inner_tol
-    return Approximation(value=value, est_error=est, method="mb_contour",
-                         diagnostics={"nodes_used": res.nodes_used,
-                                      "truncation_height": contour.half_height,
-                                      "abscissa": c, "k": k,
-                                      "imag_ratio": imag_ratio})
+    plan = line_plan(log_g, general_strip(d, beta), contour, tol)
+    lines = power_line_integral(log_g, np.log(np.atleast_1d(rs)), d + beta,
+                                plan, tol=tol)
+    scale = (-1.0) ** k / math.pi ** (0.5 * d)
+    out = []
+    for res in lines:
+        value = scale * res.value.real
+        est = abs(scale) * (res.tail_bound + res.discretization_estimate) \
+            + abs(value) * inner_tol
+        out.append(Approximation(
+            value=value, est_error=est, method="mb_contour",
+            diagnostics={"nodes_used": res.nodes_used,
+                         "truncation_height": plan.half_height,
+                         "abscissa": plan.abscissa, "k": k,
+                         "imag_ratio": abs(res.value.imag)
+                         / max(abs(res.value), 1e-300)}))
+    return out if rs.ndim else out[0]
 
 
 def _is_even_integer(beta: float, tol: float = 1e-9) -> bool:

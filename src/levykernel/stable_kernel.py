@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import oracle as _oracle
-from .errors import DomainError, StripViolation
-from .mellin import ContourSpec, auto_truncation, power_line_integral
+from .errors import DomainError
+from .mellin import (ContourSpec, line_plan, power_line_integral,
+                     remember_points)
 from .specfun import log_gamma, reciprocal_gamma
 
 __all__ = [
@@ -139,22 +140,13 @@ def admissible_strip(d: int, beta: float):
 
 def _mb_log_factor(d, alpha, beta):
     """log of the r-independent part of the contour integrand:
-    Gamma(z/a) Gamma((d+b-z)/2) 2^(b-z) / Gamma((z-b)/2).
+    Gamma(z/a) Gamma((d+b-z)/2) 2^(b-z) / Gamma((z-b)/2)."""
 
-    Single points are remembered: the decay check of the line integral
-    samples the heights T/2 and T that the truncation ladder sampled."""
-    points = {}
-
+    @remember_points
     def log_g(z):
         z = np.asarray(z, dtype=np.complex128)
-        key = complex(z.flat[0]) if z.size == 1 else None
-        if key in points:
-            return points[key]
-        lg = (log_gamma(z / alpha) + log_gamma(0.5 * (d + beta - z))
-              - log_gamma(0.5 * (z - beta)) + (beta - z) * _LN2)
-        if key is not None:
-            points[key] = lg
-        return lg
+        return (log_gamma(z / alpha) + log_gamma(0.5 * (d + beta - z))
+                - log_gamma(0.5 * (z - beta)) + (beta - z) * _LN2)
 
     return log_g
 
@@ -167,16 +159,16 @@ def stable_mb(spec: KernelSpec, r, contour: ContourSpec | None = None,
         int_(c) G(z) (t^(-1/a) r)^(-d-b+z) dz,
         G(z) = Gamma(z/a) Gamma((d+b-z)/2) 2^(b-z) / Gamma((z-b)/2),
 
-    with c inside ((d-1)/2 + b, d + b).  Truncation height is chosen by
-    the decay ladder unless the ContourSpec carries a half_height.
+    with c inside ((d-1)/2 + b, d + b).  ``mellin.line_plan`` picks the
+    abscissa, truncation height and node count.
 
     ``r`` is a scalar (one Approximation back) or a 1-D array (a list of
     Approximations, one per point).  G does not depend on r, and on the
     line |r'^(z-d-b)| = r'^(c-d-b) at every height, so the truncation
-    height, the decay check, the pole-aware node floor and the tail
-    bound (up to that factor) are shared by the whole grid and G is
-    sampled once per node set.  Each r refines until it converges, as it
-    would alone: a grid returns the same values as point-by-point calls.
+    height, the decay check, the node count and the tail bound (up to
+    that factor) are shared by the whole grid and G is sampled once per
+    node set.  Each r refines until it converges, as it would alone: a
+    grid returns the same values as point-by-point calls.
     """
     if not 0.0 < spec.alpha < 2.0:
         raise DomainError("contour evaluation requires 0 < alpha < 2")
@@ -187,36 +179,18 @@ def stable_mb(spec: KernelSpec, r, contour: ContourSpec | None = None,
         raise DomainError("r must be > 0 (use kernel_at_origin at r = 0)")
     unit, r_scale, pref = scaling_reduce(spec, 1.0)
     d, a, b = unit.d, unit.alpha, unit.beta
-    lo, hi = admissible_strip(d, b)
-    if contour is None:
-        c = 0.5 * (lo + hi)
-    else:
-        c = contour.abscissa
-        if not lo < c < hi:
-            raise StripViolation(
-                f"abscissa {c} outside the admissible strip ({lo}, {hi})")
     log_g = _mb_log_factor(d, a, b)
-    if contour is None or contour.half_height is None:
-        big_t = auto_truncation(lambda z: np.exp(log_g(z)), c, tol * 1e-2)
-        nodes = 64
-    else:
-        big_t = contour.half_height
-        nodes = contour.nodes
-    # near a strip edge the integrand has a pole at distance
-    # min(c, d+b-c) from the line; the trapezoid needs h below ~1/5 of it
-    dist = min(c, d + b - c)
-    nodes = max(nodes, int(math.ceil(big_t / min(0.5, dist / 5.0))))
-    contour = ContourSpec(abscissa=c, half_height=big_t, nodes=nodes,
-                          rule=contour.rule if contour else "trapezoid")
+    plan = line_plan(log_g, admissible_strip(d, b), contour, tol)
     lines = power_line_integral(log_g, np.log(np.atleast_1d(rs) * r_scale),
-                                d + b, contour, tol=tol)
+                                d + b, plan, tol=tol)
     scale = pref / (a * math.pi ** (0.5 * d))
     out = [Approximation(
         value=scale * res.value.real,
         est_error=scale * (res.tail_bound + res.discretization_estimate),
         method="mb_contour",
-        diagnostics={"nodes_used": res.nodes_used, "truncation_height": big_t,
-                     "abscissa": c, "imag_ratio": abs(res.value.imag)
+        diagnostics={"nodes_used": res.nodes_used,
+                     "truncation_height": plan.half_height,
+                     "abscissa": plan.abscissa, "imag_ratio": abs(res.value.imag)
                      / max(abs(res.value), 1e-300)})
         for res in lines]
     return out if rs.ndim else out[0]
@@ -340,8 +314,10 @@ def small_r_series(spec: KernelSpec, r: float, tol: float = 1e-16,
     diverges for alpha < 1 (DomainError; use the oracle there).  At
     alpha = 2 the sum is carried out in exponentially factored form, so
     no alternating cancellation occurs; for beta = 0 it collapses to
-    the Gaussian closed form.
+    the Gaussian closed form.  r must be finite and >= 0.
     """
+    if not 0.0 <= r < math.inf:
+        raise DomainError(f"the small-r expansion needs 0 <= r < inf, got {r}")
     if spec.alpha < 1.0:
         raise DomainError("the small-r expansion diverges for alpha < 1")
     unit, rp, pref = scaling_reduce(spec, r)
@@ -394,8 +370,11 @@ def evaluate(spec: KernelSpec, r: float, method: str = "auto",
 
     ``auto`` picks a closed form when one exists, the small-r expansion
     (or the oracle, when alpha < 1) for t^(-1/alpha) r < 1/2, and the
-    contour integral otherwise.
+    contour integral otherwise.  r must be >= 0; ``auto`` answers r = 0
+    with ``kernel_at_origin``.
     """
+    if not r >= 0.0:
+        raise DomainError(f"r must be >= 0, got {r}")
     d, a, b, t = spec.d, spec.alpha, spec.beta, spec.t
     if method == "closed":
         if a == 2.0 and b == 0.0:

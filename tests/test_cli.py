@@ -81,6 +81,23 @@ class TestSweep:
         _, out2 = run_cli(capsys, *args)
         assert out1 == out2
 
+    def test_symbol_mb_rows_equal_eval(self, capsys):
+        # a symbol's mb column is one contour call over the whole grid;
+        # each row must equal the single-point eval value exactly
+        sym = ("--symbol", '{"kind":"relativistic","alpha":1,"m":1}',
+               "--d", "2", "--beta", "0.5", "--method", "mb")
+        code, out = run_cli(capsys, "sweep", *sym, "--r-min", "0.5",
+                            "--r-max", "20", "--points", "4", "--log")
+        assert code == 0
+        _, rows = parse_sweep_csv(out)
+        assert len(rows) == 4
+        for r, _t, m, v, e in rows:
+            code, out = run_cli(capsys, "eval", *sym, "--r", repr(r))
+            assert code == 0
+            single = json.loads(out)
+            assert (m, v, e) == (single["method"], single["value"],
+                                 single["est_error"])
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"
         code, _ = run_cli(capsys, "sweep", "--d", "2", "--alpha", "1.5",

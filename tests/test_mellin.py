@@ -105,6 +105,46 @@ class TestPowerLineIntegral:
                                    tol=1e-30, max_refinements=1)
 
 
+class TestLinePlan:
+    # log Gamma(z) Gamma(3 - z): poles at z = 0 and z = 3, the strip's hi
+    STRIP = (1.0, 3.0)
+
+    @staticmethod
+    def log_g(z):
+        return lk.log_gamma(z) + lk.log_gamma(3.0 - np.asarray(z))
+
+    def test_default_plan(self):
+        plan = lk.line_plan(self.log_g, self.STRIP, None, 1e-9)
+        expected_t = lk.auto_truncation(lambda z: np.exp(self.log_g(z)),
+                                        2.0, 1e-11)
+        assert (plan.abscissa, plan.half_height) == (2.0, expected_t)
+        assert plan.nodes == max(64, math.ceil(expected_t / 0.2))
+        assert plan.rule == "trapezoid"
+
+    def test_override_and_pole_aware_floor(self):
+        plan = lk.line_plan(self.log_g, self.STRIP,
+                            lk.ContourSpec(2.9, 32.0, nodes=16,
+                                           rule="gauss_legendre_panels"), 1e-9)
+        # the pole at z = 3 sits 0.1 from the line: h <= 0.1 / 5
+        assert (plan.abscissa, plan.half_height) == (2.9, 32.0)
+        assert plan.nodes == math.ceil(32.0 / 0.02)
+        assert plan.rule == "gauss_legendre_panels"
+        wide = lk.line_plan(self.log_g, self.STRIP,
+                            lk.ContourSpec(2.0, 32.0, nodes=4096), 1e-9)
+        assert wide.nodes == 4096
+
+    def test_abscissa_only_override_climbs_the_ladder(self):
+        plan = lk.line_plan(self.log_g, self.STRIP, lk.ContourSpec(1.5), 1e-9)
+        assert plan.abscissa == 1.5
+        assert plan.half_height == lk.auto_truncation(
+            lambda z: np.exp(self.log_g(z)), 1.5, 1e-11)
+
+    def test_abscissa_outside_strip(self):
+        for c in (1.0, 3.5):
+            with pytest.raises(lk.StripViolation):
+                lk.line_plan(self.log_g, self.STRIP, lk.ContourSpec(c), 1e-9)
+
+
 class TestAutoTruncation:
     def test_ladder_for_quarter_pi_decay(self):
         # solve |f(c+iT)| T = tol |f(c)| for f decaying like e^(-pi v/4);

@@ -180,13 +180,45 @@ class TestGeneralKernel:
         with pytest.raises(lk.StripViolation):
             lk.general_kernel_mb(sym, 2, 0.7, 1.0, 3.0,
                                  contour=lk.ContourSpec(0.5, 32.0))
-        with pytest.raises(lk.DomainError):
-            lk.general_kernel_mb(sym, 2, 0.7, 1.0, 0.0)
+        for r in (0.0, -1.0, math.nan, np.array([1.0, math.nan])):
+            with pytest.raises(lk.DomainError):
+                lk.general_kernel_mb(sym, 2, 0.7, 1.0, r)
+        with pytest.raises(ValueError):
+            lk.general_kernel_mb(sym, 2, 0.7, 1.0, np.ones((2, 2)))
 
     def test_default_derivative_order(self):
         assert lk.default_derivative_order(2, 0.0) == 4
         assert lk.default_derivative_order(2, 0.5) == 5
         assert lk.default_derivative_order(3, 0.0) == 5
+
+
+class TestGeneralMBGrid:
+    # a grid shares one line plan and one sampling of the gamma ratio and
+    # inner transform; every r must still refine as a single-point call does
+    CASES = [("relativistic", {"alpha": 1.0, "m": 1.0}, 3, 0.0, 1.0),
+             ("stable", {"a": 1.2}, 2, 0.5, 0.5),
+             ("sum_stable", {"a": 0.8, "b": 1.2}, 2, 0.5, 2.0)]
+
+    @pytest.mark.parametrize("kind,params,d,beta,t", CASES,
+                             ids=[c[0] for c in CASES])
+    def test_grid_matches_pointwise(self, kind, params, d, beta, t):
+        sym = lk.make_symbol(kind, **params)
+        grid = np.geomspace(0.3, 40.0, 12)
+        batch = lk.general_kernel_mb(sym, d, beta, t, grid)
+        assert len(batch) == grid.size
+        for r, b in zip(grid, batch):
+            p = lk.general_kernel_mb(sym, d, beta, t, float(r))
+            assert b.value == p.value
+            assert b.est_error == p.est_error
+            for key in ("nodes_used", "truncation_height"):
+                assert b.diagnostics[key] == p.diagnostics[key]
+
+    def test_shapes(self):
+        sym = lk.make_symbol("stable", a=1.5)
+        one = lk.general_kernel_mb(sym, 2, 0.5, 1.0, 2.0)
+        assert isinstance(one, lk.Approximation)
+        (row,) = lk.general_kernel_mb(sym, 2, 0.5, 1.0, np.array([2.0]))
+        assert row.value == one.value and row.est_error == one.est_error
 
 
 class TestLeadingTerms:

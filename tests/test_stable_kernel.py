@@ -245,6 +245,20 @@ class TestSmallRSeries:
         # the terms overflow a float before the series converges
         with pytest.raises(lk.DomainError):
             lk.small_r_series(lk.KernelSpec(d=2, alpha=1.5), 6.0)
+        # negative, NaN and infinite r are rejected, not folded to |r|
+        for spec in (lk.KernelSpec(d=2, alpha=1.5),
+                     lk.KernelSpec(d=3, alpha=2.0, beta=0.7)):
+            for r in (-1.0, math.nan, math.inf):
+                with pytest.raises(lk.DomainError):
+                    lk.small_r_series(spec, r)
+        for spec in (lk.KernelSpec(d=2, alpha=1.5),
+                     lk.KernelSpec(d=2, alpha=1.0),
+                     lk.KernelSpec(d=2, alpha=2.0, beta=1.0)):
+            for r in (-1.0, -0.1, math.nan):
+                with pytest.raises(lk.DomainError):
+                    lk.evaluate(spec, r)
+        assert lk.evaluate(lk.KernelSpec(d=2, alpha=1.5), 0.0).value == \
+            lk.kernel_at_origin(lk.KernelSpec(d=2, alpha=1.5))
 
     def test_beta_positive_vs_oracle(self):
         spec = lk.KernelSpec(d=2, alpha=1.5, beta=0.7)
