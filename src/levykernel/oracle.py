@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate
 
-from .errors import NonConvergent
+from .errors import DomainError, NonConvergent
 from .specfun import bessel_j, bessel_j_derivative
 
 __all__ = [
@@ -279,6 +279,8 @@ def hankel_oracle(weight, d: int, r: float, tol: float = 1e-11) -> OracleResult:
     """
     if r <= 0:
         raise ValueError("r must be > 0 (use the origin formula at r = 0)")
+    if not math.isfinite(r):
+        raise DomainError("r must be finite")
     nu = 0.5 * d - 1.0
     val, err, plan = oscillatory_bessel_integral(weight, nu, r, tol=tol)
     pref = (2.0 * math.pi) ** (-0.5 * d) * r ** (1.0 - 0.5 * d)

@@ -242,13 +242,34 @@ def exp_eta_derivative(sym: RadialSymbol, t: float, r, m: int):
 # The continued Mellin transform M_t^k on vertical lines.
 # ---------------------------------------------------------------------------
 
+# a folded request takes the factorised phases from this many heights
+# on; below it the two exp tables save little over the dense matrix
+_MIN_FACTORED = 64
+# ... and only while its progression has at most this many slots per
+# height: a set symmetric about a non-zero centre folds into two
+# interleaved progressions whose common step can be arbitrarily fine
+_MAX_SLOTS_PER_HEIGHT = 4
+# heights per block of a phase matrix; bounds the working set
+_PHASE_ROWS = 256
+
+
 class _MellinGrid:
     """Frozen quadrature grid for M_t^k(c + iv), |v| <= max_imag.
 
-    Both half-lines are log-substituted (r = e^-u and r = e^u), the
+    Both half-lines are log-substituted (r = e^-u and r = e^u) and the
     scaled integrand G(u) = r^k D^k(e^{-t eta}) is precomputed on
-    Gauss-Legendre panels, and each transform value is a pure-phase
-    weighted sum, so evaluation over whole node arrays is one matmul.
+    Gauss-Legendre panels with real weights p0, p1, so each transform
+    value is the pure-phase sum sum_u p(u) e^{i w(u) v}.
+
+    ``value`` folds a request onto its distinct |v|, since real weights
+    give M(c - iv) = conj M(c + iv).  When the folded heights lie on a
+    progression a0 + m*step at most a few times longer than the request,
+    as every trapezoid level does, m = b*B + j with B ~ sqrt(m_max + 1)
+    splits each phase into a block head and an offset: two exp tables
+    of about sqrt(m_max) columns each and one matmul.  Every other set
+    (single points, the build probes, Gauss-Legendre panel nodes, short
+    or scattered sets) takes the dense phase matrix of ``_eval_arrays``.
+    Results are memoised per requested node set.
     """
 
     def __init__(self, sym, t, k, abscissa, max_imag, tol=1e-10):
@@ -296,7 +317,10 @@ class _MellinGrid:
         else:
             raise NonConvergent("inner Mellin quadrature did not stabilize")
         self.u0, self.p0, self.u1, self.p1 = u0, p0, u1, p1
-        self._memo: dict[float, complex] = {}
+        # both half-lines as one phase sum: sum p e^{i w v}
+        self._w = np.concatenate((-u0, u1))
+        self._p = np.concatenate((p0, p1))
+        self._memo: dict[bytes, np.ndarray] = {}
         self._lock = threading.Lock()
 
     @staticmethod
@@ -322,37 +346,67 @@ class _MellinGrid:
     def _eval_arrays(self, u0, p0, u1, p1, v):
         # M(c + iv) = sum p0 e^{-i u0 v} + sum p1 e^{+i u1 v}
         out = np.empty(v.shape, dtype=np.complex128)
-        chunk = 256
-        for i in range(0, v.size, chunk):
-            vv = v[i:i + chunk]
-            out[i:i + chunk] = (p0 @ np.exp(-1j * np.outer(u0, vv))
-                                + p1 @ np.exp(1j * np.outer(u1, vv)))
+        for i in range(0, v.size, _PHASE_ROWS):
+            vv = v[i:i + _PHASE_ROWS]
+            out[i:i + _PHASE_ROWS] = (p0 @ np.exp(-1j * np.outer(u0, vv))
+                                      + p1 @ np.exp(1j * np.outer(u1, vv)))
         return out
 
+    @staticmethod
+    def _progression(a):
+        """(a0, step, m) with a ~= a0 + m*step to a few ulps, for sorted
+        distinct heights a on a progression of at most
+        _MAX_SLOTS_PER_HEIGHT * a.size slots; None for any other set."""
+        if a.size < _MIN_FACTORED:
+            return None
+        span = a[-1] - a[0]
+        # the step is taken as the smallest gap; if a has no two adjacent
+        # slots filled, the reconstruction check fails and a goes dense
+        slots = span / np.diff(a).min()
+        if not slots < _MAX_SLOTS_PER_HEIGHT * a.size:
+            return None
+        step = span / round(slots)
+        m = np.rint((a - a[0]) / step)
+        ulps = 8 * np.finfo(float).eps * a[-1]
+        if np.max(np.abs(a[0] + m * step - a)) > ulps:
+            return None
+        return a[0], step, m.astype(np.int64)
+
+    def _factored(self, a0, step, m):
+        """M(c + i(a0 + m*step)) by blocked phases: with m = b*B + j the
+        phase e^{iwv} is e^{iw(a0 + bB step)} e^{iw j step}."""
+        n_slots = int(m[-1]) + 1
+        block = math.isqrt(n_slots - 1) + 1
+        n_heads = -(-n_slots // block)
+        offsets = np.exp(1j * np.outer(self._w, step * np.arange(block)))
+        heads = a0 + step * block * np.arange(n_heads)
+        table = np.empty((n_heads, block), dtype=np.complex128)
+        for i in range(0, n_heads, _PHASE_ROWS):
+            hh = heads[i:i + _PHASE_ROWS]
+            table[i:i + _PHASE_ROWS] = (self._p * np.exp(
+                1j * np.outer(hh, self._w))) @ offsets
+        return table.ravel()[m]
+
     def value(self, v):
-        """M_t^k(c + iv) for an array of imaginary parts, memoized with
-        conjugate-symmetry lookup."""
+        """M_t^k(c + iv) for an array of imaginary parts, memoised per
+        node set (a copy is returned)."""
         v = np.atleast_1d(np.asarray(v, dtype=float))
-        out = np.empty(v.shape, dtype=np.complex128)
-        missing = []
+        key = v.tobytes()
         with self._lock:
-            for i, vi in enumerate(v):
-                got = self._memo.get(vi)
-                if got is None:
-                    conj = self._memo.get(-vi)
-                    got = np.conj(conj) if conj is not None else None
-                if got is None:
-                    missing.append(i)
-                else:
-                    out[i] = got
-        if missing:
-            idx = np.asarray(missing)
-            vals = self._eval_arrays(self.u0, self.p0, self.u1, self.p1, v[idx])
-            out[idx] = vals
+            got = self._memo.get(key)
+        if got is None:
+            flat = v.ravel()
+            a, inverse = np.unique(np.abs(flat), return_inverse=True)
+            prog = self._progression(a)
+            if prog is None:
+                folded = self._eval_arrays(self.u0, self.p0, self.u1, self.p1, a)
+            else:
+                folded = self._factored(*prog)
+            got = folded[inverse]
+            np.conjugate(got, out=got, where=flat < 0)
             with self._lock:
-                for i, val in zip(idx, vals):
-                    self._memo[v[i]] = complex(val)
-        return out
+                self._memo[key] = got
+        return got.reshape(v.shape).copy()
 
 
 def _grid_for(sym: RadialSymbol, t: float, k: int, abscissa: float,
@@ -374,12 +428,12 @@ def mellin_Mk(sym: RadialSymbol, t: float, z, k: int, tol: float = 1e-10):
     """M_t^k(z) = int_0^inf D^k(e^{-t eta(r)}) r^(z+k-1) dr.
 
     Valid (and holomorphic) for Re z > -alpha_index.  Scalars or arrays
-    with a common real part are accepted; values at contour nodes are
-    memoized per (symbol, t, k, Re z).
+    with a common real part are accepted; values are memoised per node
+    set on the grid of (symbol, t, k, Re z).
     """
     zz = np.atleast_1d(np.asarray(z, dtype=np.complex128))
     c = float(zz.real[0])
-    if not np.allclose(zz.real, c):
+    if not np.all(zz.real == c):
         return np.array([complex(mellin_Mk(sym, t, zi, k, tol)) for zi in zz])
     grid = _grid_for(sym, t, k, c, float(np.max(np.abs(zz.imag))), tol)
     out = grid.value(zz.imag)
@@ -433,6 +487,8 @@ def general_kernel_mb(sym: RadialSymbol, d: int, beta: float, t: float,
         raise ValueError("r must be a scalar or a 1-D array")
     if not np.all(rs > 0.0):
         raise DomainError("r must be > 0")
+    if not np.all(np.isfinite(rs)):
+        raise DomainError("r must be finite")
     if k is None:
         k = default_derivative_order(d, beta)
     if k <= 0.5 * (d + 3) + beta:

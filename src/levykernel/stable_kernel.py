@@ -177,6 +177,8 @@ def stable_mb(spec: KernelSpec, r, contour: ContourSpec | None = None,
         raise ValueError("r must be a scalar or a 1-D array")
     if not np.all(rs > 0.0):
         raise DomainError("r must be > 0 (use kernel_at_origin at r = 0)")
+    if not np.all(np.isfinite(rs)):
+        raise DomainError("r must be finite")
     unit, r_scale, pref = scaling_reduce(spec, 1.0)
     d, a, b = unit.d, unit.alpha, unit.beta
     log_g = _mb_log_factor(d, a, b)
@@ -370,11 +372,11 @@ def evaluate(spec: KernelSpec, r: float, method: str = "auto",
 
     ``auto`` picks a closed form when one exists, the small-r expansion
     (or the oracle, when alpha < 1) for t^(-1/alpha) r < 1/2, and the
-    contour integral otherwise.  r must be >= 0; ``auto`` answers r = 0
-    with ``kernel_at_origin``.
+    contour integral otherwise.  r must be finite and >= 0; ``auto``
+    answers r = 0 with ``kernel_at_origin``.
     """
-    if not r >= 0.0:
-        raise DomainError(f"r must be >= 0, got {r}")
+    if not 0.0 <= r < math.inf:
+        raise DomainError(f"r must be finite and >= 0, got {r}")
     d, a, b, t = spec.d, spec.alpha, spec.beta, spec.t
     if method == "closed":
         if a == 2.0 and b == 0.0:

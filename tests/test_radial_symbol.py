@@ -5,7 +5,7 @@ import pytest
 import sympy as sp
 
 import levykernel as lk
-from levykernel.radial_symbol import RadialSymbol
+from levykernel.radial_symbol import RadialSymbol, _MellinGrid
 
 from _props import k_independence_err
 
@@ -180,7 +180,8 @@ class TestGeneralKernel:
         with pytest.raises(lk.StripViolation):
             lk.general_kernel_mb(sym, 2, 0.7, 1.0, 3.0,
                                  contour=lk.ContourSpec(0.5, 32.0))
-        for r in (0.0, -1.0, math.nan, np.array([1.0, math.nan])):
+        for r in (0.0, -1.0, math.nan, np.array([1.0, math.nan]), math.inf,
+                  np.array([1.0, math.inf])):
             with pytest.raises(lk.DomainError):
                 lk.general_kernel_mb(sym, 2, 0.7, 1.0, r)
         with pytest.raises(ValueError):
@@ -219,6 +220,66 @@ class TestGeneralMBGrid:
         assert isinstance(one, lk.Approximation)
         (row,) = lk.general_kernel_mb(sym, 2, 0.5, 1.0, np.array([2.0]))
         assert row.value == one.value and row.est_error == one.est_error
+
+
+class TestMellinGridPhases:
+    # the folded, factorised phase sums must reproduce the dense phase
+    # matrix on the node sets the contour levels request
+    GRIDS = [("relativistic", {"alpha": 1.0, "m": 1.0}),
+             ("sum_stable", {"a": 0.6, "b": 1.4})]
+    N, H = 160, 0.4  # a trapezoid plan with T = 64
+
+    @staticmethod
+    def _grid(kind, params):
+        sym = lk.make_symbol(kind, **params)
+        # the strip midpoint and default k of d = 2, beta = 0.5
+        return _MellinGrid(sym, 1.0, 5, 2.25, 64.0, tol=1e-9)
+
+    @staticmethod
+    def _dense(grid, v):
+        return grid._eval_arrays(grid.u0, grid.p0, grid.u1, grid.p1, v)
+
+    @pytest.mark.parametrize("kind,params", GRIDS, ids=[g[0] for g in GRIDS])
+    def test_factored_matches_dense(self, kind, params):
+        grid = self._grid(kind, params)
+        n, h = self.N, self.H
+        level0 = np.arange(-n, n + 1, dtype=float) * h
+        sets = {"level 0": level0,
+                "midpoints": (np.arange(-n, n, dtype=float) + 0.5) * h,
+                "strided": level0[::3],
+                "negative": np.arange(-40, 121, dtype=float) * h}
+        gross = np.sum(np.abs(grid.p0)) + np.sum(np.abs(grid.p1))
+        for name, v in sets.items():
+            assert grid._progression(np.unique(np.abs(v))) is not None, name
+            err = np.max(np.abs(grid.value(v) - self._dense(grid, v)))
+            assert err <= 1e-11 * gross, name
+
+    def test_offset_symmetric_set_is_dense(self):
+        import tracemalloc
+
+        grid = self._grid(*self.GRIDS[0])
+        # symmetric about 2^-21: folds onto two interleaved progressions
+        # whose common step 2^-20 would need ~1e8 slots
+        v = 2.0 ** -21 + np.arange(-self.N, self.N + 1, dtype=float) * 0.25
+        assert grid._progression(np.unique(np.abs(v))) is None
+        tracemalloc.start()
+        try:
+            got = grid.value(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+        gross = np.sum(np.abs(grid.p0)) + np.sum(np.abs(grid.p1))
+        assert np.max(np.abs(got - self._dense(grid, v))) <= 1e-11 * gross
+
+    def test_memo_returns_copies(self):
+        grid = self._grid(*self.GRIDS[1])
+        v = np.arange(-self.N, self.N + 1, dtype=float) * self.H
+        first = grid.value(v)
+        kept = first.copy()
+        assert np.array_equal(grid.value(v), kept)
+        first[:] = 0.0
+        assert np.array_equal(grid.value(v), kept)
 
 
 class TestLeadingTerms:

@@ -259,6 +259,19 @@ class TestSmallRSeries:
                     lk.evaluate(spec, r)
         assert lk.evaluate(lk.KernelSpec(d=2, alpha=1.5), 0.0).value == \
             lk.kernel_at_origin(lk.KernelSpec(d=2, alpha=1.5))
+        # r = inf is rejected by the contour and oracle routes, which
+        # would otherwise run into NaN intermediates
+        spec = lk.KernelSpec(d=2, alpha=1.5)
+        for r in (math.inf, np.array([1.0, math.inf])):
+            with pytest.raises(lk.DomainError):
+                lk.stable_mb(spec, r)
+        for method in ("auto", "mb"):
+            with pytest.raises(lk.DomainError):
+                lk.evaluate(spec, math.inf, method=method)
+        with pytest.raises(lk.DomainError):
+            lk.stable_oracle(spec, math.inf)
+        # the residue series keeps its exact limit
+        assert lk.stable_series(spec, math.inf).value == 0.0
 
     def test_beta_positive_vs_oracle(self):
         spec = lk.KernelSpec(d=2, alpha=1.5, beta=0.7)
