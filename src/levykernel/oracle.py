@@ -278,7 +278,7 @@ def hankel_oracle(weight, d: int, r: float, tol: float = 1e-11) -> OracleResult:
     i.e. w(s) = s^(d/2+beta) exp(-t eta(s)).
     """
     if r <= 0:
-        raise ValueError("r must be > 0 (use the origin formula at r = 0)")
+        raise DomainError("r must be > 0 (use the origin formula at r = 0)")
     if not math.isfinite(r):
         raise DomainError("r must be finite")
     nu = 0.5 * d - 1.0

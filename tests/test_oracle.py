@@ -70,7 +70,7 @@ class TestHankelOracle:
 
     def test_rejects_nonpositive_r(self):
         spec = lk.KernelSpec(d=2, alpha=1.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(lk.DomainError):
             lk.stable_oracle(spec, 0.0)
 
     def test_plan_invariants(self):

@@ -1,5 +1,10 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 import sympy as sp
@@ -16,6 +21,19 @@ ALL_SYMBOLS = [
     ("relativistic", dict(alpha=1.0, m=1.0)),
     ("perturbed", dict(a=0.8, c=1.0, delta=1.6)),
 ]
+
+
+def closed_form(kind, params, r, num):
+    """The registry symbol's eta(r) written out, with its constants made
+    by ``num`` (sp.Float for a sympy expression, mp.mpf for a value)."""
+    p = {k: num(v) for k, v in params.items()}
+    if kind == "stable":
+        return r ** p["a"]
+    if kind == "sum_stable":
+        return r ** p["a"] + r ** p["b"]
+    if kind == "perturbed":
+        return r ** p["a"] + p["c"] * r ** p["delta"]
+    return (r ** 2 + p["m"] ** 2) ** (p["alpha"] / 2) - p["m"] ** p["alpha"]
 
 
 class TestRegistry:
@@ -61,6 +79,26 @@ class TestRegistry:
         for kind, params in ALL_SYMBOLS:
             assert lk.make_symbol(kind, **params).eta_at_zero == 0.0
 
+    @pytest.mark.parametrize("kind,params", ALL_SYMBOLS + [
+        ("relativistic", dict(alpha=1.0, m=0.1)),
+        ("relativistic", dict(alpha=0.5, m=12.0))])
+    def test_power_recurrence_against_sympy(self, kind, params):
+        # r^m D^m eta from the power recurrence against 30-digit sp.diff,
+        # relative to the size m! sum |c| (r^2 + mass^2)^p of its terms
+        sym = lk.make_symbol(kind, **params)
+        r = np.geomspace(1e-4, 1e4, 33)
+        scale = sum(abs(c) * (r * r + mass * mass) ** p
+                    for c, mass, p in sym.terms)
+        rr = sp.Symbol("r", positive=True)
+        expr = closed_form(kind, params, rr, sp.Float)
+        for m in range(sym.k_max + 1):
+            f = sp.lambdify(rr, rr ** m * expr, "mpmath")
+            with mp.workdps(30):
+                ref = np.array([float(f(mp.mpf(x))) for x in r])
+            err = np.abs(sym.scaled_deriv(r, m) - ref)
+            assert np.all(err <= 1e-13 * math.factorial(m) * scale), m
+            expr = sp.diff(expr, rr)
+
 
 class TestExpEtaDerivative:
     def test_order_zero(self):
@@ -79,9 +117,8 @@ class TestExpEtaDerivative:
 
     def test_quadratic_symbol_closed_form(self):
         # D^2 e^{-r^2} = (4r^2 - 2) e^{-r^2}; build the symbol directly
-        rr = sp.Symbol("r", positive=True)
-        sym = RadialSymbol(name="quad", params={}, expr=rr ** 2,
-                           eta_at_zero=0.0, alpha_index=1.99, localized=True)
+        sym = RadialSymbol(name="quad", params={}, terms=((1.0, 0.0, 1.0),),
+                           alpha_index=1.99, localized=True)
         got = lk.exp_eta_derivative(sym, 1.0, np.array([1.0]), 2)[0]
         assert got == pytest.approx(2.0 * math.exp(-1.0), rel=1e-13)
 
@@ -98,6 +135,35 @@ class TestExpEtaDerivative:
                 rhs = sum(base ** j for j in range(1, m + 1)) \
                     * np.exp(-t * sym.eta(grid))
                 assert np.all(lhs <= 1.01 * rhs + 1e-300)
+
+    @pytest.mark.parametrize("kind,params", ALL_SYMBOLS + [
+        ("relativistic", dict(alpha=0.5, m=12.0))])
+    def test_against_mpmath(self, kind, params):
+        # r^m D^m e^{-t eta} against 50-digit mpmath differentiation of
+        # the closed form, relative to the largest |value| over r
+        sym = lk.make_symbol(kind, **params)
+        r = np.geomspace(1e-4, 1e4, 9)
+        for t in (0.5, 1.0, 2.0):
+            with mp.workdps(50):
+                def f(x):
+                    return mp.exp(-t * closed_form(kind, params, x, mp.mpf))
+
+                ref = np.array([[float(mp.mpf(x) ** m * dm) for m, dm in
+                                 enumerate(mp.diffs(f, mp.mpf(x), sym.k_max))]
+                                for x in r])
+            for m in range(sym.k_max + 1):
+                got = lk.scaled_exp_eta_derivative(sym, t, r, m)
+                err = np.max(np.abs(got - ref[:, m]))
+                assert err <= 1e-13 * np.max(np.abs(ref[:, m])), (t, m)
+
+    @pytest.mark.parametrize("kind,params", ALL_SYMBOLS + [
+        ("relativistic", dict(alpha=0.5, m=12.0))])
+    def test_finite_at_grid_ends(self, kind, params):
+        # the ends of the inner Mellin grid; a RuntimeWarning fails this
+        sym = lk.make_symbol(kind, **params)
+        r = np.array([math.exp(-100.0), 1e4])
+        for m in range(sym.k_max + 1):
+            assert np.all(np.isfinite(lk.scaled_exp_eta_derivative(sym, 1.0, r, m)))
 
     def test_order_exceeded(self):
         sym = lk.make_symbol("stable", a=1.3)
@@ -359,3 +425,13 @@ class TestCutoffAndTail:
         s2 = lk.decay_slope(sym, 2, 0.0, 1.0, grid, n_parts=2)
         s4 = lk.decay_slope(sym, 2, 0.0, 1.0, grid, n_parts=4)
         assert s4 < s2 <= -2.2
+
+
+def test_import_leaves_sympy_unloaded():
+    # sympy is a test-only reference; the package must not import it
+    src = pathlib.Path(lk.__file__).resolve().parents[1]
+    code = "import sys, levykernel, levykernel.cli; print('sympy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "False"

@@ -270,6 +270,9 @@ class TestSmallRSeries:
                 lk.evaluate(spec, math.inf, method=method)
         with pytest.raises(lk.DomainError):
             lk.stable_oracle(spec, math.inf)
+        # the oracle has no value at r = 0 (the origin formula covers it)
+        with pytest.raises(lk.DomainError):
+            lk.evaluate(spec, 0.0, method="oracle")
         # the residue series keeps its exact limit
         assert lk.stable_series(spec, math.inf).value == 0.0
 
