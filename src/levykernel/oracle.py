@@ -4,25 +4,23 @@ Every kernel in this package reduces, in polar coordinates, to
 
     K = (2 pi)^(-d/2) r^(1 - d/2) * int_0^inf J_{d/2-1}(r s) w(s) ds
 
-with a positive weight w.  This module evaluates that integral head-on:
-adaptive quadrature up to the first scaled Bessel zero, panel integrals
-between consecutive zeros, and iterated-averaging (Euler-transform)
-acceleration of the alternating panel sums.  It shares nothing with the
-contour-integral evaluators except the Bessel function itself, so it
-serves as the ground truth they are judged against.
+with a positive weight w.  This module evaluates it head-on, in numpy:
+graded Gauss-Legendre panels up to the first scaled Bessel zero, panel
+integrals between consecutive zeros, and iterated-averaging (Euler-
+transform) acceleration of the alternating panel sums.  It shares
+nothing with the contour-integral evaluators except the Bessel function
+itself, so it serves as the ground truth they are judged against.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DomainError, NonConvergent
-from .specfun import bessel_j, bessel_j_derivative
+from .specfun import bessel_j, bessel_j_derivative, bessel_switch_point
 
 __all__ = [
     "OscillatoryPlan",
@@ -87,13 +85,14 @@ def _gl(order: int):
 
 
 def _panel_integrals(weight, nu, scale, edges, order=12):
-    """Gauss-Legendre integral of J_nu(scale*s) * w(s) over each panel."""
+    """Gauss-Legendre integral of J_nu(scale*s) * w(s) per panel; int |w|."""
     x_gl, w_gl = _gl(order)
     mids = 0.5 * (edges[1:] + edges[:-1])
     halfw = 0.5 * (edges[1:] - edges[:-1])
     s = mids[:, None] + halfw[:, None] * x_gl[None, :]
-    vals = bessel_j(nu, scale * s.ravel()).reshape(s.shape) * weight(s)
-    return (vals * w_gl[None, :]).sum(axis=1) * halfw
+    ws = weight(s) * w_gl[None, :]
+    vals = bessel_j(nu, scale * s.ravel()).reshape(s.shape) * ws
+    return vals.sum(axis=1) * halfw, float(np.abs(ws).sum(axis=1) @ halfw)
 
 
 def _accelerate(partial_sums: np.ndarray, max_depth: int = 12):
@@ -141,15 +140,24 @@ def _support_radius(weight, s_start: float, rel_floor: float = 1e-21):
     return math.inf
 
 
-def _head_quad(weight, nu, scale, a, b):
-    def f(s):
-        return bessel_j(nu, scale * s) * float(weight(np.array([s]))[0])
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", category=integrate.IntegrationWarning)
-        val, err = integrate.quad(f, a, b, epsabs=1e-300, epsrel=1e-12,
-                                  limit=300)
-    return val, err
+def _graded_head(weight, nu, scale, a, b, tol):
+    """int_a^b J_nu(scale*s) w(s) ds on one Bessel arch (nu = scale = 0:
+    int_a^b w) by 16-point Gauss-Legendre panels with edges a + (b-a) 2^-k,
+    k <= 100, graded toward a, where s^p and s^(z-1) are not smooth.  All
+    panels are halved until the sum moves by under tol/100 (or 1e-15) of
+    itself; returns (value, last change, int |w|).
+    """
+    edges = np.unique(a + (b - a) * np.r_[0.0, 0.5 ** np.arange(100, -1, -1)])
+    value = math.nan
+    for _ in range(9):
+        panels, abs_w = _panel_integrals(weight, nu, scale, edges, order=16)
+        prev, value = value, float(panels.sum())
+        change = abs(value - prev)
+        if change <= max(1e-2 * tol, 1e-15) * abs(value):
+            return value, change, abs_w
+        edges = np.unique(np.r_[edges, 0.5 * (edges[1:] + edges[:-1])])
+    raise NonConvergent(f"graded head on [{a!r}, {b!r}] did not settle "
+                        f"(estimate {value!r}, last change {change:.3e})")
 
 
 def oscillatory_bessel_integral(weight, nu: float, scale: float,
@@ -158,20 +166,28 @@ def oscillatory_bessel_integral(weight, nu: float, scale: float,
     """int_{s_start}^inf J_nu(scale * s) w(s) ds with panel acceleration.
 
     Returns (value, error_estimate, plan).  Requires scale > 0 and a
-    weight that either decays (support detected) or leaves the panel
-    sums alternating so acceleration applies.
+    weight that takes and returns arrays and either decays (support
+    detected) or leaves the panel sums alternating so acceleration
+    applies.  The estimate, a bound, adds the head's last halving change,
+    the acceleration error, the change between the last two batch ends
+    and eps_J int |w|, eps_J bounding the absolute error of ``bessel_j``:
+    the rounding of its ascending series at the largest term, e^x /
+    sqrt(2 pi x) at the switch point x (5-20x above the errors measured
+    against mpmath for nu <= 4).
     """
     if scale <= 0:
         raise ValueError("scale must be > 0")
-    weight = _vectorize_weight(weight)
     s_sup = _support_radius(weight, s_start)
+    xs = bessel_switch_point(nu)
+    eps_j = 2.0 ** -52 * math.exp(xs) / math.sqrt(2.0 * math.pi * xs)
 
     # Non-oscillatory regime: the weight dies before the first Bessel arch.
     first_zero = bessel_zeros(nu, 1)[0]
     if np.isfinite(s_sup) and first_zero / scale >= s_sup:
-        val, err = _head_quad(weight, nu, scale, s_start, s_sup)
+        val, change, abs_w = _graded_head(weight, nu, scale, s_start, s_sup,
+                                          tol)
         plan = OscillatoryPlan(nu=nu, scale=scale)
-        return val, err, plan
+        return val, change + eps_j * abs_w, plan
 
     # Index of the first zero beyond scale * s_start.
     skip = 0
@@ -184,8 +200,8 @@ def oscillatory_bessel_integral(weight, nu: float, scale: float,
             skip = int(np.searchsorted(zs, scale * s_start, side="right"))
 
     head_end_zero = bessel_zeros(nu, 1, offset=skip)[0]
-    head_val, head_err = _head_quad(weight, nu, scale, s_start,
-                                    head_end_zero / scale)
+    head_val, head_err, abs_w = _graded_head(weight, nu, scale, s_start,
+                                             head_end_zero / scale, tol)
 
     batch = 64
     all_zeros = [np.array([head_end_zero])]
@@ -206,7 +222,8 @@ def oscillatory_bessel_integral(weight, nu: float, scale: float,
         all_zeros.append(zs)
         edges = np.concatenate([[left_edge], zs])
         left_edge = zs[-1]
-        b = _panel_integrals(weight, nu, scale, edges / scale, order=order)
+        b, b_abs = _panel_integrals(weight, nu, scale, edges / scale, order)
+        abs_w += b_abs
         panel_vals.append(b)
         csum = running + np.cumsum(b)
         running = float(csum[-1])
@@ -214,7 +231,8 @@ def oscillatory_bessel_integral(weight, nu: float, scale: float,
         n_panels += b.size
         acc, acc_err, depth = _accelerate(np.asarray(partial))
         value = head_val + acc
-        est = head_err + acc_err
+        est = head_err + acc_err + eps_j * abs_w + (
+            abs(value - prev_est) if prev_est is not None else 0.0)
         scale_ref = max(abs(value), 1e-300)
         if prev_est is not None and acc_err <= tol * scale_ref \
                 and abs(value - prev_est) <= 10 * tol * scale_ref:
@@ -253,14 +271,6 @@ def _check_alternation(panel_vals):
         raise NonConvergent(
             "between-zeros panel sums do not alternate; acceleration "
             "assumptions violated (is the weight nonnegative?)")
-
-
-def _vectorize_weight(weight):
-    probe = weight(np.array([0.5, 1.0]))
-    if np.shape(probe) != (2,):
-        return lambda s: np.asarray([weight(float(v)) for v in np.ravel(s)],
-                                    dtype=float).reshape(np.shape(s))
-    return weight
 
 
 @dataclass

@@ -287,9 +287,9 @@ def bessel_j(nu: float, x):
     ~1e-10 relative in an overlap window around the switch.
 
     The alternating series loses ~0.43 x digits to cancellation, so with
-    the switch at max(12, 2 nu^2) full accuracy holds for nu <= 3
-    (dimensions d <= 8 of the radial reduction); beyond that the
-    sub-switch region degrades gradually.
+    the switch at max(12, 2 nu^2) the absolute error against mpmath is at
+    most 9.5e-13 for nu <= 2.5, but 1.2e-10 at nu = 3, 6.3e-8 at nu = 3.5
+    and 7e-5 at nu = 4 (d = 10), each just below the switch point.
     """
     if nu < 0:
         raise ValueError("nu must be >= 0")

@@ -514,10 +514,10 @@ def sum_symbol_envelope_check(d: int, a: float, b: float, t: float, r_grid,
 
 def _sum_symbol_origin(d: int, a: float, b: float, t: float) -> float:
     """Kernel of r^a + r^b at the origin by radial quadrature."""
-    from scipy import integrate
+    def w(s):
+        return s ** (d - 1) * np.exp(-t * (s ** a + s ** b))
 
     omega = 2.0 * math.pi ** (0.5 * d) / math.gamma(0.5 * d)
-    val, _ = integrate.quad(
-        lambda s: s ** (d - 1) * math.exp(-t * (s ** a + s ** b)),
-        0.0, np.inf, limit=200)
+    s_sup = _oracle._support_radius(w, 0.0)
+    val, _, _ = _oracle._graded_head(w, 0.0, 0.0, 0.0, s_sup, 1e-13)
     return (2.0 * math.pi) ** (-d) * omega * val

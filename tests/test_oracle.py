@@ -1,10 +1,15 @@
+import json
 import math
+import pathlib
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import jn_zeros
 
 import levykernel as lk
+
+POOL = pathlib.Path(__file__).resolve().parents[1] / "bench" / "pool"
 
 
 class TestBesselZeros:
@@ -79,6 +84,63 @@ class TestHankelOracle:
         plan.validate()
         assert plan.depth >= 3
         assert np.all(np.diff(plan.zeros) > 0)
+
+
+class TestGradedHead:
+    @pytest.mark.parametrize("b", [0.05, 0.2, 3.0])
+    def test_gaussian_hankel_closed_form(self, b):
+        # int_0^inf J_0(b s) s e^(-s^2) ds = e^(-b^2/4) / 2; at b <= 0.2
+        # the weight dies before the first arch (non-oscillatory branch)
+        def w(s):
+            return s * np.exp(-s * s)
+
+        val, err, plan = lk.oscillatory_bessel_integral(w, 0.0, b, tol=1e-13)
+        ref = 0.5 * math.exp(-0.25 * b * b)
+        assert (plan.zeros.size == 0) == (b < 1.0)
+        assert abs(val - ref) <= 1e-13 * ref
+        assert abs(val - ref) <= err
+
+    @pytest.mark.parametrize("z", [0.5, 1.0, 1.4])
+    def test_mellin_bessel_identity(self, z):
+        # int_0^inf J_0(s) s^(z-1) ds = 2^(z-1) G(z/2) / G(1-z/2): the
+        # head carries an integrable singularity at z < 1, the weight
+        # grows at z > 1
+        def w(s):
+            out = np.zeros_like(s)
+            pos = s > 0
+            out[pos] = s[pos] ** (z - 1.0)
+            return out
+
+        val, err, _ = lk.oscillatory_bessel_integral(w, 0.0, 1.0, tol=1e-9)
+        rhs = lk.mellin_bessel_rhs(complex(z), 0.0).real
+        assert abs(val - rhs) <= 1e-9 * abs(rhs)
+        assert abs(val - rhs) <= err
+
+    @pytest.mark.parametrize("d,a,b,t", [(2, 0.6, 1.4, 1.0), (3, 0.5, 1.5, 0.3),
+                                         (1, 0.3, 1.9, 4.0)])
+    def test_sum_symbol_origin_against_mpmath(self, d, a, b, t):
+        # the r = 0 path of sum_symbol_envelope_check
+        check = lk.sum_symbol_envelope_check(d, a, b, t, [0.0])
+        k0 = check["max_ratio"] * lk.sum_symbol_envelope(d, a, b, t, 0.0)
+        with mp.workdps(30):
+            radial = mp.quad(lambda s: s ** (d - 1) * mp.exp(-t * (s ** a + s ** b)),
+                             [0, 1, 10, 100, mp.inf])
+            ref = float(2 * mp.pi ** (mp.mpf(d) / 2) / mp.gamma(mp.mpf(d) / 2)
+                        * radial / (2 * mp.pi) ** d)
+        assert abs(k0 - ref) <= 1e-13 * ref
+
+
+def test_est_error_bounds_frozen_references():
+    # every stable point of the benchmark's 30-digit reference pool (t = 1)
+    pool = json.loads((POOL / "oracle.json").read_text())
+    misses = []
+    for p in pool["stable"]:
+        spec = lk.KernelSpec(d=p["d"], alpha=p["alpha"], beta=p["beta"])
+        res = lk.stable_oracle(spec, p["r"])
+        if abs(res.value - p["ref"]) > res.est_error + 1e-15 * abs(p["ref"]):
+            misses.append((p["d"], p["alpha"], p["beta"], p["r"]))
+    assert len(pool["stable"]) == 20
+    assert misses == []
 
 
 class TestNormalization:

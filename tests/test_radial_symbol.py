@@ -428,10 +428,12 @@ class TestCutoffAndTail:
 
 
 def test_import_leaves_sympy_unloaded():
-    # sympy is a test-only reference; the package must not import it
+    # scipy and sympy are test-only references; the package must not
+    # import either
     src = pathlib.Path(lk.__file__).resolve().parents[1]
-    code = "import sys, levykernel, levykernel.cli; print('sympy' in sys.modules)"
+    code = ("import sys, levykernel, levykernel.cli; "
+            "print(sorted({'scipy', 'sympy'} & sys.modules.keys()))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(src)})
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
