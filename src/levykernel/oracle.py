@@ -51,12 +51,14 @@ class OscillatoryPlan:
             raise ValueError("acceleration depth must be >= 3")
 
 
-def bessel_zeros(nu: float, n: int, offset: int = 0) -> np.ndarray:
-    """First zeros of J_nu after index ``offset``, by McMahon's expansion
-    polished with Newton steps on the Bessel evaluation itself."""
-    if n <= 0:
-        return np.empty(0)
-    k = np.arange(offset + 1, offset + n + 1, dtype=float)
+_ZERO_BLOCK = 1024
+_ZERO_TABLES: dict[float, np.ndarray] = {}
+
+
+def _zero_block(nu: float, j: int) -> np.ndarray:
+    """Zeros j B + 1 .. (j + 1) B of J_nu (B = _ZERO_BLOCK) by McMahon's
+    expansion polished with Newton steps on the Bessel evaluation itself."""
+    k = np.arange(j * _ZERO_BLOCK + 1, (j + 1) * _ZERO_BLOCK + 1, dtype=float)
     mu = 4.0 * nu * nu
     b = (k + 0.5 * nu - 0.25) * math.pi
     e = 8.0 * b
@@ -64,15 +66,42 @@ def bessel_zeros(nu: float, n: int, offset: int = 0) -> np.ndarray:
          - 4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / (3.0 * e ** 3)
          - 32.0 * (mu - 1.0) * (83.0 * mu * mu - 982.0 * mu + 3779.0)
          / (15.0 * e ** 5))
-    # Newton polish; the McMahon start degrades for the first zeros of
-    # larger orders, so iterate to stationarity with a capped step
+    # Newton polish with a capped step, each zero to its own stationarity
+    # (the McMahon start degrades for the first zeros of larger orders)
+    live = np.arange(x.size)
     for _ in range(12):
-        step = bessel_j(nu, x) / bessel_j_derivative(nu, x)
-        step = np.clip(step, -1.0, 1.0)
-        x = x - step
-        if np.max(np.abs(step)) < 1e-13:
+        step = bessel_j(nu, x[live]) / bessel_j_derivative(nu, x[live])
+        x[live] -= np.clip(step, -1.0, 1.0)
+        live = live[np.abs(step) >= 1e-13]
+        if live.size == 0:
             break
     return x
+
+
+def _zero_table(nu: float, n: int) -> np.ndarray:
+    """Read-only table of at least the first n zeros of J_nu."""
+    table = _ZERO_TABLES.get(nu, np.empty(0))
+    if table.size >= n:
+        return table
+    parts = [table]
+    for j in range(table.size // _ZERO_BLOCK, -(-n // _ZERO_BLOCK)):
+        block = _zero_block(nu, j)
+        if not np.all(np.diff(np.r_[0.0, parts[-1][-1:], block]) > 0):
+            raise NonConvergent(f"zeros of J_{nu} not increasing in block {j}")
+        parts.append(block)
+    table = np.concatenate(parts)
+    table.flags.writeable = False
+    _ZERO_TABLES[nu] = table
+    return table
+
+
+def bessel_zeros(nu: float, n: int, offset: int = 0) -> np.ndarray:
+    """Zeros offset + 1 .. offset + n of J_nu, as a fresh array, read from
+    one table per nu grown on demand in fixed blocks; each zero's Newton
+    polish stops on its own, so its bits do not depend on request order."""
+    if n <= 0:
+        return np.empty(0)
+    return _zero_table(nu, offset + n)[offset:offset + n].copy()
 
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -132,12 +161,10 @@ def _support_radius(weight, s_start: float, rel_floor: float = 1e-21):
     wmax = float(np.max(np.abs(weight(grid))))
     if wmax == 0.0:
         return max(s_start, 1.0)
-    s = max(1.0, s_start)
-    for _ in range(60):
-        if abs(float(weight(np.array([s]))[0])) < rel_floor * wmax:
-            return s
-        s *= 1.5
-    return math.inf
+    # the 1.5x ladder from max(1, s_start), product by product
+    ladder = np.multiply.accumulate(np.r_[max(1.0, s_start), np.full(59, 1.5)])
+    below = np.abs(weight(ladder)) < rel_floor * wmax
+    return float(ladder[np.argmax(below)]) if below.any() else math.inf
 
 
 def _graded_head(weight, nu, scale, a, b, tol):
@@ -181,30 +208,23 @@ def oscillatory_bessel_integral(weight, nu: float, scale: float,
     xs = bessel_switch_point(nu)
     eps_j = 2.0 ** -52 * math.exp(xs) / math.sqrt(2.0 * math.pi * xs)
 
+    # Index of the first zero beyond scale * s_start.
+    zs = _zero_table(nu, 1)
+    while zs[-1] <= scale * s_start:
+        zs = _zero_table(nu, zs.size + 1)
+    skip = int(np.searchsorted(zs, scale * s_start, side="right"))
+
     # Non-oscillatory regime: the weight dies before the first Bessel arch.
-    first_zero = bessel_zeros(nu, 1)[0]
-    if np.isfinite(s_sup) and first_zero / scale >= s_sup:
+    if np.isfinite(s_sup) and zs[0] / scale >= s_sup:
         val, change, abs_w = _graded_head(weight, nu, scale, s_start, s_sup,
                                           tol)
         plan = OscillatoryPlan(nu=nu, scale=scale)
         return val, change + eps_j * abs_w, plan
 
-    # Index of the first zero beyond scale * s_start.
-    skip = 0
-    if s_start > 0:
-        approx = int(max(0.0, (scale * s_start / math.pi) - nu / 2 - 2))
-        zs = bessel_zeros(nu, approx + 8)
-        skip = int(np.searchsorted(zs, scale * s_start, side="right"))
-        while skip >= zs.size:
-            zs = np.concatenate([zs, bessel_zeros(nu, 64, offset=zs.size)])
-            skip = int(np.searchsorted(zs, scale * s_start, side="right"))
-
-    head_end_zero = bessel_zeros(nu, 1, offset=skip)[0]
     head_val, head_err, abs_w = _graded_head(weight, nu, scale, s_start,
-                                             head_end_zero / scale, tol)
+                                             zs[skip] / scale, tol)
 
     batch = 64
-    all_zeros = [np.array([head_end_zero])]
     panel_vals: list[np.ndarray] = []
     partial: list[float] = []
     running = 0.0
@@ -213,15 +233,11 @@ def oscillatory_bessel_integral(weight, nu: float, scale: float,
     value = head_val
     depth = 3
     n_panels = 0
-    offset = skip + 1  # index of the zero sitting at the current left edge
-    left_edge = head_end_zero
+    offset = skip  # index of the zero sitting at the current left edge
     converged = False
     while n_panels < max_panels:
-        zs = bessel_zeros(nu, batch, offset=offset)
+        edges = bessel_zeros(nu, batch + 1, offset=offset)
         offset += batch
-        all_zeros.append(zs)
-        edges = np.concatenate([[left_edge], zs])
-        left_edge = zs[-1]
         b, b_abs = _panel_integrals(weight, nu, scale, edges / scale, order)
         abs_w += b_abs
         panel_vals.append(b)
@@ -239,7 +255,7 @@ def oscillatory_bessel_integral(weight, nu: float, scale: float,
             converged = True
             break
         # Pure truncation exit: the remaining weight is negligible.
-        if np.isfinite(s_sup) and left_edge / scale >= s_sup \
+        if np.isfinite(s_sup) and edges[-1] / scale >= s_sup \
                 and abs(b[-1]) <= tol * scale_ref:
             converged = True
             break
@@ -252,9 +268,8 @@ def oscillatory_bessel_integral(weight, nu: float, scale: float,
 
     _check_alternation(panel_vals)
     plan = OscillatoryPlan(nu=nu, scale=scale,
-                           zeros=np.concatenate(all_zeros),
+                           zeros=_zero_table(nu, offset + 1)[skip:offset + 1],
                            depth=max(3, depth))
-    plan.validate()
     return value, est, plan
 
 

@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
+import threading
 
 import mpmath as mp
 import numpy as np
@@ -8,8 +12,46 @@ import pytest
 from scipy.special import jn_zeros
 
 import levykernel as lk
+from levykernel import oracle
+from levykernel.specfun import bessel_switch_point
 
 POOL = pathlib.Path(__file__).resolve().parents[1] / "bench" / "pool"
+
+# Runs in a fresh interpreter: reports whether importing the package left
+# the zero tables empty, then fills the nu = 0 table in one of two orders
+# and reports its bits and one oracle value.
+_ZERO_ORDER_SCRIPT = """
+import hashlib, json, sys
+import levykernel, levykernel.cli
+from levykernel import oracle
+empty_after_import = not oracle._ZERO_TABLES
+oracle_value = lambda: levykernel.stable_oracle(
+    levykernel.KernelSpec(2, 1.99), 50.0).value.hex()
+if sys.argv[1] == "far-first":
+    oracle.bessel_zeros(0.0, 1, offset=19999)
+    value = oracle_value()
+else:
+    value = oracle_value()
+    n = 1
+    while n < 20000:
+        oracle.bessel_zeros(0.0, n)
+        n *= 2
+    oracle.bessel_zeros(0.0, 20000)
+table = oracle._ZERO_TABLES[0.0]
+print(json.dumps({"empty_after_import": empty_after_import, "value": value,
+                  "size": table.size,
+                  "table": hashlib.sha256(table.tobytes()).hexdigest()}))
+"""
+
+
+@pytest.fixture(scope="module")
+def zero_orders():
+    src = pathlib.Path(lk.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return {order: json.loads(subprocess.run(
+        [sys.executable, "-c", _ZERO_ORDER_SCRIPT, order], capture_output=True,
+        text=True, check=True, env=env).stdout)
+        for order in ("far-first", "grow-from-1")}
 
 
 class TestBesselZeros:
@@ -29,6 +71,71 @@ class TestBesselZeros:
         a = lk.bessel_zeros(0.0, 10)
         b = lk.bessel_zeros(0.0, 5, offset=5)
         assert np.allclose(a[5:], b, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 1.5, 4.0])
+    def test_against_mpmath(self, nu):
+        idx = np.r_[1:65, 20001:20009]
+        ours = np.r_[lk.bessel_zeros(nu, 64),
+                     lk.bessel_zeros(nu, 8, offset=20000)]
+        with mp.workdps(30):
+            ref = np.array([float(mp.besseljzero(mp.mpf(nu), int(k)))
+                            for k in idx])
+        # At nu >= 3 bessel_j is inaccurate below its switch point (see
+        # its docstring), so the first zeros of J_4 are up to 5e-5 off,
+        # and zeros 11-14 up to 1e-7: the Newton derivative (4/x) J_4 -
+        # J_5 takes J_5 from its series up to bessel_switch_point(5) = 50.
+        # Only the zeros past both switch points are checked there.
+        keep = ref > (bessel_switch_point(nu + 1.0) if nu >= 3 else 0.0)
+        err = np.abs(ours - ref)[keep]
+        assert keep.sum() >= 8
+        assert np.all(err <= 1e-12 + 4 * np.spacing(ref[keep]))
+
+    def test_returns_fresh_array(self):
+        before = lk.bessel_zeros(0.0, 10, offset=3)
+        lk.bessel_zeros(0.0, 10, offset=3)[:] = -1.0
+        assert np.array_equal(lk.bessel_zeros(0.0, 10, offset=3), before)
+
+    def test_table_is_history_free(self, zero_orders):
+        far, grown = zero_orders["far-first"], zero_orders["grow-from-1"]
+        assert far["size"] == grown["size"] >= 20000
+        assert far["table"] == grown["table"]
+        assert far["value"] == grown["value"]
+
+    def test_import_computes_no_zeros(self, zero_orders):
+        assert all(run["empty_after_import"] for run in zero_orders.values())
+
+    def test_concurrent_growth(self, monkeypatch):
+        # the table takes no lock: racing threads may compute a block
+        # twice, with identical bits, and each reads correct zeros
+        ref = lk.bessel_zeros(0.5, 7000)
+        monkeypatch.setattr(oracle, "_ZERO_TABLES", {})
+        spans = [(700 * i, 300 + 500 * i) for i in range(6)]
+        got = {}
+
+        def work(i):
+            offset, n = spans[i]
+            got[i] = lk.bessel_zeros(0.5, n, offset=offset)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for i, (offset, n) in enumerate(spans):
+            assert np.array_equal(got[i], ref[offset:offset + n])
+
+    def test_non_increasing_block_is_typed(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_ZERO_TABLES", {})
+        monkeypatch.setattr(oracle, "_zero_block",
+                            lambda nu, j: np.full(oracle._ZERO_BLOCK, 3.0))
+        with pytest.raises(lk.NonConvergent):
+            lk.stable_oracle(lk.KernelSpec(d=2, alpha=1.5), 5.0)
 
 
 class TestHankelOracle:
@@ -84,6 +191,36 @@ class TestHankelOracle:
         plan.validate()
         assert plan.depth >= 3
         assert np.all(np.diff(plan.zeros) > 0)
+
+
+def _support_radius_loop(weight, s_start, rel_floor=1e-21):
+    """The scalar 1.5x ladder that oracle._support_radius vectorises."""
+    grid = np.geomspace(max(s_start, 1e-6) + 1e-12, 1e4, 200)
+    wmax = float(np.max(np.abs(weight(grid))))
+    if wmax == 0.0:
+        return max(s_start, 1.0)
+    s = max(1.0, s_start)
+    for _ in range(60):
+        if abs(float(weight(np.array([s]))[0])) < rel_floor * wmax:
+            return s
+        s *= 1.5
+    return math.inf
+
+
+@pytest.mark.parametrize("weight,s_start", [
+    (lk.stable_weight(2, 1.5, 0.0, 1.0), 0.0),
+    (lk.stable_weight(3, 0.3, 0.7, 1.0), 0.0),
+    (lk.stable_weight(2, 1.99, 0.0, 1.0), 1.0),
+    (lk.symbol_weight(lk.make_symbol("relativistic", alpha=0.8, m=2.0),
+                      3, 0.0, 1.0), 0.0),
+    (lk.symbol_weight(lk.make_symbol("sum_stable", a=0.8, b=1.2),
+                      2, 0.5, 1.0), 1.0),
+    (np.ones_like, 0.0),
+    (np.zeros_like, 0.0),
+])
+def test_support_radius_matches_scalar_ladder(weight, s_start):
+    assert oracle._support_radius(weight, s_start) \
+        == _support_radius_loop(weight, s_start)
 
 
 class TestGradedHead:
