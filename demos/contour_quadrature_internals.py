@@ -22,7 +22,7 @@ for r in (1.0, 2.0, 5.0):
     res = lk.vertical_line_integral(f, lk.ContourSpec(1.0, big_t), tol=1e-12)
     print(f"r = {r}: ladder height T = {big_t:4.0f}, "
           f"integral = {res.value.real:.12f}, e^-r = {math.exp(-r):.12f}, "
-          f"tail bound {res.tail_bound:.1e}")
+          f"tail bound {res.diagnostics['tail_bound']:.1e}")
 
 # why the ladder terminates: |Gamma| decays like e^(-pi |v|/2) up a line,
 # with the polynomial factor read off from the Stirling magnitude
@@ -44,13 +44,15 @@ f = lambda z: np.exp(lk.log_gamma(np.asarray(z, complex)) - np.asarray(z, comple
 for rule in ("trapezoid", "gauss_legendre_panels"):
     res = lk.vertical_line_integral(
         f, lk.ContourSpec(1.0, 32.0, nodes=64, rule=rule), tol=1e-11)
-    print(f"{rule:>22}: {res.value.real:.14f} with {res.nodes_used} evaluations")
+    print(f"{rule:>22}: {res.value.real:.14f} with "
+          f"{res.diagnostics['nodes_used']} evaluations")
 
 # the Bessel-Mellin identity closes the loop between the oscillatory
 # and contour worlds: int J_0(s) s^(z-1) ds = 2^(z-1) G(z/2)/G(1-z/2)
 z = 0.5
 w = lambda s: np.where(np.asarray(s) > 0, np.asarray(s, float) ** (z - 1.0), 0.0)
-val, err, plan = lk.oscillatory_bessel_integral(w, 0.0, 1.0, tol=1e-9)
-print(f"\nBessel transform of s^({z}-1): panels over {plan.zeros.size} zeros"
-      f" -> {val:.10f}; gamma-ratio closed form "
+res = lk.oscillatory_bessel_integral(w, 0.0, 1.0, tol=1e-9)
+print(f"\nBessel transform of s^({z}-1): panels over "
+      f"{res.diagnostics['panels']} zeros -> {res.value:.10f}; "
+      f"gamma-ratio closed form "
       f"{lk.mellin_bessel_rhs(complex(z), 0.0).real:.10f}")

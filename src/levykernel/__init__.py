@@ -6,15 +6,15 @@ Cauchy/Gaussian endpoints, and an independent oscillatory-quadrature
 oracle against which everything else is validated.
 """
 
-from .errors import (DomainError, LevyKernelError, NoDecay, NonConvergent,
-                     OrderExceeded, ParityError, PoleHit, StripViolation)
-from .mellin import (ContourSpec, LineIntegralResult, auto_truncation,
-                     line_plan, mellin_bessel_rhs, power_line_integral,
+from .errors import (Approximation, DomainError, LevyKernelError, NoDecay,
+                     NonConvergent, OrderExceeded, ParityError, PoleHit,
+                     StripViolation)
+from .mellin import (ContourSpec, auto_truncation, line_plan,
+                     mellin_bessel_rhs, power_line_integral,
                      vertical_line_integral)
-from .oracle import (OscillatoryPlan, bessel_zeros, hankel_oracle,
-                     normalization_check, oscillatory_bessel_integral,
-                     stable_oracle, stable_weight, symbol_oracle,
-                     symbol_weight)
+from .oracle import (bessel_zeros, hankel_oracle, normalization_check,
+                     oscillatory_bessel_integral, stable_oracle,
+                     stable_weight, symbol_oracle, symbol_weight)
 from .radial_symbol import (RadialSymbol, decay_slope, default_derivative_order,
                             exp_eta_derivative, general_kernel_mb,
                             general_leading_term, general_strip, make_symbol,
@@ -24,11 +24,11 @@ from .radial_symbol import (RadialSymbol, decay_slope, default_derivative_order,
 from .specfun import (GammaEval, bessel_j, bessel_j_derivative, gamma,
                       gamma_eval, gamma_residue, log_gamma, reciprocal_gamma,
                       stirling_magnitude)
-from .stable_kernel import (Approximation, KernelSpec, SeriesTerm,
-                            admissible_strip, envelope_ratio, evaluate,
-                            gaussian_kernel, kernel_at_origin, leading_term,
-                            poisson_kernel, scaling_reduce, small_r_series,
-                            stable_mb, stable_series, sum_symbol_envelope,
+from .stable_kernel import (KernelSpec, SeriesTerm, admissible_strip,
+                            envelope_ratio, evaluate, gaussian_kernel,
+                            kernel_at_origin, leading_term, poisson_kernel,
+                            scaling_reduce, small_r_series, stable_mb,
+                            stable_series, sum_symbol_envelope,
                             sum_symbol_envelope_check)
 
 __version__ = "0.1.0"

@@ -34,8 +34,7 @@ from .radial_symbol import (general_kernel_mb, general_leading_term,
                             make_symbol, perturbed_leading_term,
                             symbol_registry)
 from .stable_kernel import (KernelSpec, envelope_ratio, evaluate,
-                            kernel_at_origin, leading_term, stable_mb,
-                            sum_symbol_envelope_check)
+                            leading_term, stable_mb, sum_symbol_envelope_check)
 
 _METHODS = ("auto", "mb", "series", "small-r", "closed", "oracle")
 
@@ -115,15 +114,13 @@ def cmd_eval(args, cfg) -> int:
     if sym is None:
         spec = KernelSpec(d=args.d, alpha=args.alpha, beta=args.beta, t=args.t)
     if args.r == 0.0 and sym is None:
-        v = kernel_at_origin(spec)
-        payload = {"value": v, "est_error": abs(v) * 1e-15,
-                   "method": "closed_form", "diagnostics": {"origin": True}}
+        a = evaluate(spec, 0.0)
     else:
         (a,) = _values(args, args.method, spec, sym, tol, np.array([args.r]))
-        diags = {k: v for k, v in a.diagnostics.items()
-                 if isinstance(v, (int, float, bool, str))}
-        payload = {"value": a.value, "est_error": a.est_error,
-                   "method": a.method, "diagnostics": diags}
+    diags = {k: v for k, v in a.diagnostics.items()
+             if isinstance(v, (int, float, bool, str))}
+    payload = {"value": a.value, "est_error": a.est_error,
+               "method": a.method, "diagnostics": diags}
     payload["spec"] = _spec_dict(args, sym)
     if args.verify and args.r > 0:
         ref = (symbol_oracle(sym, args.d, args.beta, args.t, args.r)
@@ -172,11 +169,10 @@ def cmd_sweep(args, cfg) -> int:
     origin = (grid == 0.0) & (sym is None)
 
     pts = grid[~origin]
+    at_origin = [evaluate(spec, 0.0) for _ in range(int(origin.sum()))]
     rows = []
     for m in methods:
-        for _ in range(int(origin.sum())):
-            v = kernel_at_origin(spec)
-            rows.append((0.0, "closed_form", v, abs(v) * 1e-15))
+        rows += [(0.0, a.method, a.value, a.est_error) for a in at_origin]
         rows += [(float(r), a.method, a.value, a.est_error) for r, a in
                  zip(pts, _values(args, m, spec, sym, tol, pts))]
     rows.sort(key=lambda row: (row[0], row[1]))

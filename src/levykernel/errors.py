@@ -1,4 +1,22 @@
-"""Exception types shared across the package."""
+"""Exception and result types shared across the package."""
+
+from dataclasses import dataclass, field
+
+
+@dataclass
+class Approximation:
+    """A computed value with an a-posteriori error estimate.
+
+    Every route returns one: ``method`` names the route and
+    ``diagnostics`` holds its counters.  A kernel value is real; the
+    value of a raw line integral (``method="line_integral"``) is the
+    complex integral itself.
+    """
+
+    value: float | complex
+    est_error: float
+    method: str
+    diagnostics: dict = field(default_factory=dict)
 
 
 class LevyKernelError(Exception):

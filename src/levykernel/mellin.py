@@ -9,6 +9,9 @@ rule is the trapezoid with node doubling (exponentially accurate for
 analytic integrands that decay along the line), or Gauss-Legendre
 panels as a cross-check.  ``vertical_line_integral`` runs the same rules
 on one vectorized integrand f; it is the single-integrand reference.
+Both return ``Approximation``s with the complex integral as the value,
+``method="line_integral"`` and the ``nodes_used`` and ``tail_bound``
+diagnostics; ``_contour_route`` turns them into kernel values.
 
 Callers assemble integrands from combined log-gamma ratios and
 exponentiate once, so magnitudes stay representable on tall lines.
@@ -23,12 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoDecay, NonConvergent, StripViolation
+from .errors import (Approximation, DomainError, NoDecay, NonConvergent,
+                     StripViolation)
 from .specfun import log_gamma
 
 __all__ = [
     "ContourSpec",
-    "LineIntegralResult",
     "vertical_line_integral",
     "power_line_integral",
     "line_plan",
@@ -63,14 +66,6 @@ class ContourSpec:
             raise ValueError("nodes must be >= 16")
         if self.rule not in _RULES:
             raise ValueError(f"rule must be one of {_RULES}")
-
-
-@dataclass
-class LineIntegralResult:
-    value: complex
-    tail_bound: float
-    discretization_estimate: float
-    nodes_used: int = 0
 
 
 def _sample_mag(f, c, v):
@@ -212,26 +207,32 @@ def _one_row(fz, rows):
     return fz[None, :]
 
 
+def _line_result(value, tail, disc, used) -> Approximation:
+    return Approximation(value=complex(value), est_error=tail + float(disc),
+                         method="line_integral",
+                         diagnostics={"nodes_used": 2 + int(used),
+                                      "tail_bound": tail})
+
+
 def vertical_line_integral(f, contour: ContourSpec, tol: float = 1e-10,
-                           max_refinements: int = 6) -> LineIntegralResult:
+                           max_refinements: int = 6) -> Approximation:
     """(1/2*pi*i) * integral of f over the truncated vertical line.
 
     Checks the sampled decay precondition |f(c+iT)| <= |f(c+iT/2)| and
     refines the node count (doubling) until the value changes by less
     than ``tol`` relatively, else raises NonConvergent.  For integrands
     with f(conj z) = conj f(z) the imaginary part of the result is at
-    the rounding level.  The plan must carry a half_height.
+    the rounding level.  The plan must carry a half_height.  The
+    estimate is the tail bound plus the discretization estimate.
     """
     tail = _checked_tail(f, contour)
     value, disc, used = _refine(f, _one_row, 1, contour, tol, max_refinements)
-    return LineIntegralResult(value=complex(value[0]), tail_bound=tail,
-                              discretization_estimate=float(disc[0]),
-                              nodes_used=2 + int(used[0]))
+    return _line_result(value[0], tail, disc[0], used[0])
 
 
 def power_line_integral(log_g, ln_r, shift: float, contour: ContourSpec,
                         tol: float = 1e-10,
-                        max_refinements: int = 6) -> list[LineIntegralResult]:
+                        max_refinements: int = 6) -> list[Approximation]:
     """``vertical_line_integral`` of exp(log_g(z) + (z - shift) ln r) for
     every entry of ``ln_r``, sampling log_g once per node set.
 
@@ -255,9 +256,7 @@ def power_line_integral(log_g, ln_r, shift: float, contour: ContourSpec,
     value, disc, used = _refine(sample, form, ln_r.size, contour, tol,
                                 max_refinements)
     tails = tail * np.exp((contour.abscissa - shift) * ln_r)
-    return [LineIntegralResult(value=complex(v), tail_bound=float(tb),
-                               discretization_estimate=float(e),
-                               nodes_used=2 + int(u))
+    return [_line_result(v, float(tb), e, u)
             for v, tb, e, u in zip(value, tails, disc, used)]
 
 
@@ -307,6 +306,38 @@ def line_plan(log_g, strip, contour: ContourSpec | None,
     nodes = max(contour.nodes, int(math.ceil(big_t / min(0.5, dist / 5.0))))
     return ContourSpec(abscissa=c, half_height=big_t, nodes=nodes,
                        rule=contour.rule)
+
+
+def _contour_route(log_g, strip, shift: float, r, r_scale: float,
+                   scale: float, contour: ContourSpec | None, tol: float):
+    """Kernel values
+
+        scale * Re (1/2 pi i) int_(c) exp(log_g(z)) r'^(z - shift) dz,
+
+    r' = r_scale * r, for a scalar r (one Approximation back) or a 1-D
+    array (a list, one per point): one ``line_plan`` on the strip and one
+    ``power_line_integral`` for the whole grid.  The estimate is |scale|
+    times that of the line integral.
+    """
+    rs = np.asarray(r, dtype=float)
+    if rs.ndim > 1:
+        raise ValueError("r must be a scalar or a 1-D array")
+    if not np.all(rs > 0.0):
+        raise DomainError("r must be > 0")
+    if not np.all(np.isfinite(rs)):
+        raise DomainError("r must be finite")
+    plan = line_plan(log_g, strip, contour, tol)
+    lines = power_line_integral(log_g, np.log(np.atleast_1d(rs) * r_scale),
+                                shift, plan, tol=tol)
+    out = [Approximation(
+        value=scale * res.value.real, est_error=abs(scale) * res.est_error,
+        method="mb_contour",
+        diagnostics={"nodes_used": res.diagnostics["nodes_used"],
+                     "truncation_height": plan.half_height,
+                     "abscissa": plan.abscissa, "imag_ratio": abs(res.value.imag)
+                     / max(abs(res.value), 1e-300)})
+        for res in lines]
+    return out if rs.ndim else out[0]
 
 
 def auto_truncation(f, c: float, tol: float, t_start: float = 16.0,

@@ -15,15 +15,13 @@ itself, so it serves as the ground truth they are judged against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NonConvergent
+from .errors import Approximation, DomainError, NonConvergent
 from .specfun import bessel_j, bessel_j_derivative, bessel_switch_point
 
 __all__ = [
-    "OscillatoryPlan",
     "bessel_zeros",
     "oscillatory_bessel_integral",
     "hankel_oracle",
@@ -33,22 +31,6 @@ __all__ = [
     "symbol_oracle",
     "normalization_check",
 ]
-
-
-@dataclass
-class OscillatoryPlan:
-    """Between-zeros integration plan for one (nu, r) pair."""
-
-    nu: float
-    scale: float
-    zeros: np.ndarray = field(default_factory=lambda: np.empty(0))
-    depth: int = 3
-
-    def validate(self):
-        if self.zeros.size > 1 and not np.all(np.diff(self.zeros) > 0):
-            raise ValueError("Bessel zeros must be strictly increasing")
-        if self.depth < 3:
-            raise ValueError("acceleration depth must be >= 3")
 
 
 _ZERO_BLOCK = 1024
@@ -189,10 +171,14 @@ def _graded_head(weight, nu, scale, a, b, tol):
 
 def oscillatory_bessel_integral(weight, nu: float, scale: float,
                                 s_start: float = 0.0, tol: float = 1e-11,
-                                order: int = 12, max_panels: int = 300_000):
+                                order: int = 12,
+                                max_panels: int = 300_000) -> Approximation:
     """int_{s_start}^inf J_nu(scale * s) w(s) ds with panel acceleration.
 
-    Returns (value, error_estimate, plan).  Requires scale > 0 and a
+    Returns an ``Approximation`` with ``method="oracle"`` and two
+    diagnostics: ``panels``, the number of Bessel zeros used as panel
+    edges (0 when the weight dies before the first arch), and ``depth``,
+    the acceleration depth (at least 3).  Requires scale > 0 and a
     weight that takes and returns arrays and either decays (support
     detected) or leaves the panel sums alternating so acceleration
     applies.  The estimate, a bound, adds the head's last halving change,
@@ -218,8 +204,9 @@ def oscillatory_bessel_integral(weight, nu: float, scale: float,
     if np.isfinite(s_sup) and zs[0] / scale >= s_sup:
         val, change, abs_w = _graded_head(weight, nu, scale, s_start, s_sup,
                                           tol)
-        plan = OscillatoryPlan(nu=nu, scale=scale)
-        return val, change + eps_j * abs_w, plan
+        return Approximation(value=val, est_error=change + eps_j * abs_w,
+                             method="oracle",
+                             diagnostics={"panels": 0, "depth": 3})
 
     head_val, head_err, abs_w = _graded_head(weight, nu, scale, s_start,
                                              zs[skip] / scale, tol)
@@ -267,10 +254,9 @@ def oscillatory_bessel_integral(weight, nu: float, scale: float,
             f"(estimate {value!r}, residual {est:.3e})")
 
     _check_alternation(panel_vals)
-    plan = OscillatoryPlan(nu=nu, scale=scale,
-                           zeros=_zero_table(nu, offset + 1)[skip:offset + 1],
-                           depth=max(3, depth))
-    return value, est, plan
+    return Approximation(value=value, est_error=est, method="oracle",
+                         diagnostics={"panels": offset + 1 - skip,
+                                      "depth": max(3, depth)})
 
 
 def _check_alternation(panel_vals):
@@ -288,15 +274,7 @@ def _check_alternation(panel_vals):
             "assumptions violated (is the weight nonnegative?)")
 
 
-@dataclass
-class OracleResult:
-    value: float
-    est_error: float
-    method: str = "oracle"
-    diagnostics: dict = field(default_factory=dict)
-
-
-def hankel_oracle(weight, d: int, r: float, tol: float = 1e-11) -> OracleResult:
+def hankel_oracle(weight, d: int, r: float, tol: float = 1e-11) -> Approximation:
     """(2 pi)^(-d/2) r^(1-d/2) * int_0^inf J_{d/2-1}(r s) w(s) ds.
 
     ``weight`` must already include the s^{d/2+beta} surface factor,
@@ -307,11 +285,10 @@ def hankel_oracle(weight, d: int, r: float, tol: float = 1e-11) -> OracleResult:
     if not math.isfinite(r):
         raise DomainError("r must be finite")
     nu = 0.5 * d - 1.0
-    val, err, plan = oscillatory_bessel_integral(weight, nu, r, tol=tol)
+    res = oscillatory_bessel_integral(weight, nu, r, tol=tol)
     pref = (2.0 * math.pi) ** (-0.5 * d) * r ** (1.0 - 0.5 * d)
-    return OracleResult(value=pref * val, est_error=pref * err,
-                        diagnostics={"panels": int(plan.zeros.size),
-                                     "depth": plan.depth})
+    return Approximation(value=pref * res.value, est_error=pref * res.est_error,
+                         method="oracle", diagnostics=res.diagnostics)
 
 
 def stable_weight(d: int, alpha: float, beta: float, t: float):
@@ -348,14 +325,14 @@ def symbol_weight(sym, d: int, beta: float, t: float):
     return w
 
 
-def stable_oracle(spec, r: float, tol: float = 1e-11) -> OracleResult:
+def stable_oracle(spec, r: float, tol: float = 1e-11) -> Approximation:
     """Oracle value of the stable kernel (or its fractional derivative)."""
     return hankel_oracle(stable_weight(spec.d, spec.alpha, spec.beta, spec.t),
                          spec.d, r, tol=tol)
 
 
 def symbol_oracle(sym, d: int, beta: float, t: float, r: float,
-                  tol: float = 1e-11) -> OracleResult:
+                  tol: float = 1e-11) -> Approximation:
     """Oracle value of the kernel of a general radial symbol."""
     return hankel_oracle(symbol_weight(sym, d, beta, t), d, r, tol=tol)
 

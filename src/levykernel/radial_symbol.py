@@ -27,12 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import oracle as _oracle
-from .errors import (DomainError, NonConvergent, OrderExceeded, ParityError,
-                     StripViolation)
-from .mellin import (ContourSpec, line_plan, power_line_integral,
-                     remember_points)
+from .errors import NonConvergent, OrderExceeded, ParityError, StripViolation
+from .mellin import ContourSpec, _contour_route, remember_points
 from .specfun import log_gamma, reciprocal_gamma
-from .stable_kernel import Approximation
 
 __all__ = [
     "RadialSymbol",
@@ -82,7 +79,6 @@ class RadialSymbol:
     terms: tuple[tuple[float, float, float], ...]
     alpha_index: float
     localized: bool = False
-    delta: float | None = None
     M_growth: float | None = None
     A_bound: float = field(default=math.nan)
     k_max: int = K_MAX
@@ -142,10 +138,6 @@ class RadialSymbol:
         return max(float(np.max(np.abs(derivs[m]) * weight))
                    for m in range(first, k + 1))
 
-    @property
-    def key(self):
-        return (self.name, tuple(sorted(self.params.items())))
-
     def __repr__(self):
         p = ", ".join(f"{k}={v}" for k, v in sorted(self.params.items()))
         return f"RadialSymbol({self.name}({p}))"
@@ -164,8 +156,7 @@ def _registry():
             raise ValueError("need 0 < a < b < 2")
         return RadialSymbol(name="sum_stable", params={"a": a, "b": b},
                             terms=((1.0, 0.0, a / 2.0), (1.0, 0.0, b / 2.0)),
-                            alpha_index=a, localized=True, delta=b,
-                            M_growth=b)
+                            alpha_index=a, localized=True, M_growth=b)
 
     def relativistic(alpha: float, m: float) -> RadialSymbol:
         if not 0.0 < alpha < 2.0 or m <= 0.0:
@@ -185,7 +176,7 @@ def _registry():
         return RadialSymbol(name="perturbed",
                             params={"a": a, "c": c, "delta": delta},
                             terms=((1.0, 0.0, a / 2.0), (c, 0.0, delta / 2.0)),
-                            alpha_index=a, localized=True, delta=delta,
+                            alpha_index=a, localized=True,
                             M_growth=max(a, delta))
 
     return {"stable": stable, "sum_stable": sum_stable,
@@ -493,13 +484,6 @@ def general_kernel_mb(sym: RadialSymbol, d: int, beta: float, t: float,
     r^(c-d-beta) at every height, so one plan and one sampling of G per
     node set serve the whole grid, and each r refines as it would alone.
     """
-    rs = np.asarray(r, dtype=float)
-    if rs.ndim > 1:
-        raise ValueError("r must be a scalar or a 1-D array")
-    if not np.all(rs > 0.0):
-        raise DomainError("r must be > 0")
-    if not np.all(np.isfinite(rs)):
-        raise DomainError("r must be finite")
     if k is None:
         k = default_derivative_order(d, beta)
     if k <= 0.5 * (d + 3) + beta:
@@ -516,23 +500,12 @@ def general_kernel_mb(sym: RadialSymbol, d: int, beta: float, t: float,
                 + log_gamma(0.5 * (d + beta - z)) - log_gamma(0.5 * (z - beta))
                 + (beta - z) * _LN2 + np.log(mellin_Mk(sym, t, z, k, inner_tol)))
 
-    plan = line_plan(log_g, general_strip(d, beta), contour, tol)
-    lines = power_line_integral(log_g, np.log(np.atleast_1d(rs)), d + beta,
-                                plan, tol=tol)
-    scale = (-1.0) ** k / math.pi ** (0.5 * d)
-    out = []
-    for res in lines:
-        value = scale * res.value.real
-        est = abs(scale) * (res.tail_bound + res.discretization_estimate) \
-            + abs(value) * inner_tol
-        out.append(Approximation(
-            value=value, est_error=est, method="mb_contour",
-            diagnostics={"nodes_used": res.nodes_used,
-                         "truncation_height": plan.half_height,
-                         "abscissa": plan.abscissa, "k": k,
-                         "imag_ratio": abs(res.value.imag)
-                         / max(abs(res.value), 1e-300)}))
-    return out if rs.ndim else out[0]
+    out = _contour_route(log_g, general_strip(d, beta), d + beta, r, 1.0,
+                         (-1.0) ** k / math.pi ** (0.5 * d), contour, tol)
+    for res in out if isinstance(out, list) else [out]:
+        res.est_error += abs(res.value) * inner_tol
+        res.diagnostics["k"] = k
+    return out
 
 
 def _is_even_integer(beta: float, tol: float = 1e-9) -> bool:
@@ -631,9 +604,8 @@ def tail_integral(sym: RadialSymbol, d: int, beta: float, t: float, r: float,
         return out
 
     nu = 0.5 * d - 1.0
-    val, _, _ = _oracle.oscillatory_bessel_integral(w, nu, r, s_start=1.0,
-                                                    tol=tol)
-    return float(val)
+    return float(_oracle.oscillatory_bessel_integral(w, nu, r, s_start=1.0,
+                                                     tol=tol).value)
 
 
 def decay_slope(sym: RadialSymbol, d: int, beta: float, t: float, r_grid,

@@ -311,6 +311,10 @@ def bessel_j(nu: float, x):
 
 
 def bessel_j_derivative(nu: float, x):
-    """d/dx J_nu(x) via J_nu' = (nu/x) J_nu - J_{nu+1}; x > 0."""
+    """d/dx J_nu(x), x > 0: J_{nu-1} - (nu/x) J_nu for nu >= 1, so no
+    Bessel value comes from a series past J_nu's own switch point, else
+    (nu/x) J_nu - J_{nu+1} (``bessel_j`` needs order >= 0)."""
     xx = np.asarray(x, dtype=float)
+    if nu >= 1.0:
+        return bessel_j(nu - 1.0, xx) - (nu / xx) * bessel_j(nu, xx)
     return (nu / xx) * bessel_j(nu, xx) - bessel_j(nu + 1.0, xx)

@@ -16,14 +16,13 @@ kernel(t, r) = t^(-(d+beta)/alpha) * kernel(1, t^(-1/alpha) r).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import oracle as _oracle
-from .errors import DomainError
-from .mellin import (ContourSpec, line_plan, power_line_integral,
-                     remember_points)
+from .errors import Approximation, DomainError
+from .mellin import ContourSpec, _contour_route, remember_points
 from .specfun import log_gamma, reciprocal_gamma
 
 __all__ = [
@@ -66,16 +65,6 @@ class KernelSpec:
             raise ValueError("beta must be >= 0")
         if not self.t > 0.0:
             raise ValueError("t must be > 0")
-
-
-@dataclass
-class Approximation:
-    """A computed value with an a-posteriori error estimate."""
-
-    value: float
-    est_error: float
-    method: str
-    diagnostics: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -172,30 +161,11 @@ def stable_mb(spec: KernelSpec, r, contour: ContourSpec | None = None,
     """
     if not 0.0 < spec.alpha < 2.0:
         raise DomainError("contour evaluation requires 0 < alpha < 2")
-    rs = np.asarray(r, dtype=float)
-    if rs.ndim > 1:
-        raise ValueError("r must be a scalar or a 1-D array")
-    if not np.all(rs > 0.0):
-        raise DomainError("r must be > 0 (use kernel_at_origin at r = 0)")
-    if not np.all(np.isfinite(rs)):
-        raise DomainError("r must be finite")
     unit, r_scale, pref = scaling_reduce(spec, 1.0)
     d, a, b = unit.d, unit.alpha, unit.beta
-    log_g = _mb_log_factor(d, a, b)
-    plan = line_plan(log_g, admissible_strip(d, b), contour, tol)
-    lines = power_line_integral(log_g, np.log(np.atleast_1d(rs) * r_scale),
-                                d + b, plan, tol=tol)
-    scale = pref / (a * math.pi ** (0.5 * d))
-    out = [Approximation(
-        value=scale * res.value.real,
-        est_error=scale * (res.tail_bound + res.discretization_estimate),
-        method="mb_contour",
-        diagnostics={"nodes_used": res.nodes_used,
-                     "truncation_height": plan.half_height,
-                     "abscissa": plan.abscissa, "imag_ratio": abs(res.value.imag)
-                     / max(abs(res.value), 1e-300)})
-        for res in lines]
-    return out if rs.ndim else out[0]
+    return _contour_route(_mb_log_factor(d, a, b), admissible_strip(d, b),
+                          d + b, r, r_scale, pref / (a * math.pi ** (0.5 * d)),
+                          contour, tol)
 
 
 def _series_coefficient(d: int, alpha: float, beta: float, n: int):
@@ -366,6 +336,11 @@ def small_r_series(spec: KernelSpec, r: float, tol: float = 1e-16,
                      "cancellation": max_mag / max(abs(total), 1e-300)})
 
 
+def _closed(value: float, **diagnostics) -> Approximation:
+    return Approximation(value=value, est_error=abs(value) * 1e-15,
+                         method="closed_form", diagnostics=diagnostics)
+
+
 def evaluate(spec: KernelSpec, r: float, method: str = "auto",
              tol: float = 1e-9, contour: ContourSpec | None = None) -> Approximation:
     """Evaluate one kernel by the requested route.
@@ -380,14 +355,11 @@ def evaluate(spec: KernelSpec, r: float, method: str = "auto",
     d, a, b, t = spec.d, spec.alpha, spec.beta, spec.t
     if method == "closed":
         if a == 2.0 and b == 0.0:
-            v = gaussian_kernel(d, t, r)
-        elif a == 1.0 and b == 0.0:
-            v = poisson_kernel(d, t, r)
-        else:
-            raise DomainError("no closed form for this spec "
-                              "(need alpha in {1, 2} and beta = 0)")
-        return Approximation(value=v, est_error=abs(v) * 1e-15,
-                             method="closed_form", diagnostics={})
+            return _closed(gaussian_kernel(d, t, r))
+        if a == 1.0 and b == 0.0:
+            return _closed(poisson_kernel(d, t, r))
+        raise DomainError("no closed form for this spec "
+                          "(need alpha in {1, 2} and beta = 0)")
     if method == "mb":
         return stable_mb(spec, r, contour=contour, tol=tol)
     if method == "series":
@@ -395,33 +367,23 @@ def evaluate(spec: KernelSpec, r: float, method: str = "auto",
     if method == "small-r":
         return small_r_series(spec, r)
     if method == "oracle":
-        res = _oracle.stable_oracle(spec, r, tol=min(tol, 1e-10))
-        return Approximation(value=res.value, est_error=res.est_error,
-                             method="oracle", diagnostics=res.diagnostics)
+        return _oracle.stable_oracle(spec, r, tol=min(tol, 1e-10))
     if method != "auto":
         raise ValueError(f"unknown method {method!r}")
 
     if r == 0.0:
-        v = kernel_at_origin(spec)
-        return Approximation(value=v, est_error=abs(v) * 1e-15,
-                             method="closed_form", diagnostics={"origin": True})
+        return _closed(kernel_at_origin(spec), origin=True)
     if a == 2.0:
         if b == 0.0:
-            v = gaussian_kernel(d, t, r)
-            return Approximation(value=v, est_error=abs(v) * 1e-15,
-                                 method="closed_form", diagnostics={})
+            return _closed(gaussian_kernel(d, t, r))
         return small_r_series(spec, r)
     if a == 1.0 and b == 0.0:
-        v = poisson_kernel(d, t, r)
-        return Approximation(value=v, est_error=abs(v) * 1e-15,
-                             method="closed_form", diagnostics={})
+        return _closed(poisson_kernel(d, t, r))
     rp = spec.t ** (-1.0 / a) * r
     if rp < 0.5:
         if a >= 1.0:
             return small_r_series(spec, r)
-        res = _oracle.stable_oracle(spec, r, tol=min(tol, 1e-10))
-        return Approximation(value=res.value, est_error=res.est_error,
-                             method="oracle", diagnostics=res.diagnostics)
+        return _oracle.stable_oracle(spec, r, tol=min(tol, 1e-10))
     return stable_mb(spec, r, contour=contour, tol=tol)
 
 

@@ -48,7 +48,7 @@ def mellin_bessel_identity_err(z_values=(0.5, 1.0, 1.4)):
             out[pos] = s[pos] ** (zv - 1.0)
             return out
 
-        val, _, _ = lk.oscillatory_bessel_integral(w, 0.0, 1.0, tol=1e-9)
+        val = lk.oscillatory_bessel_integral(w, 0.0, 1.0, tol=1e-9).value
         rhs = lk.mellin_bessel_rhs(complex(zv), 0.0).real
         worst = max(worst, abs(val - rhs) / abs(rhs))
     return worst

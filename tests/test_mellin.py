@@ -94,9 +94,11 @@ class TestPowerLineIntegral:
             one = lk.vertical_line_integral(_gamma_times_power(x), plan,
                                             tol=1e-12)
             assert row.value.real == pytest.approx(math.exp(-x), rel=1e-11)
-            assert row.nodes_used == one.nodes_used
+            assert (row.diagnostics["nodes_used"]
+                    == one.diagnostics["nodes_used"])
             assert row.value == pytest.approx(one.value, rel=1e-14)
-            assert row.tail_bound == pytest.approx(one.tail_bound, rel=1e-12)
+            assert row.diagnostics["tail_bound"] == pytest.approx(
+                one.diagnostics["tail_bound"], rel=1e-12)
 
     def test_any_stalled_row_raises(self):
         plan = lk.ContourSpec(1.0, 32.0)
