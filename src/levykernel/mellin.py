@@ -11,10 +11,14 @@ panels as a cross-check.  ``vertical_line_integral`` runs the same rules
 on one vectorized integrand f; it is the single-integrand reference.
 Both return ``Approximation``s with the complex integral as the value,
 ``method="line_integral"`` and the ``nodes_used`` and ``tail_bound``
-diagnostics; ``_contour_route`` turns them into kernel values.
+diagnostics; ``_contour_route`` reads the engine's per-r arrays
+directly into kernel values.
 
-Callers assemble integrands from combined log-gamma ratios and
-exponentiate once, so magnitudes stay representable on tall lines.
+Callers assemble integrands from combined log-gamma ratios, so
+magnitudes stay representable on tall lines.  The engine exponentiates
+G once per node, scaled by its largest modulus; each r then costs one
+real scale r^(c - shift) and a sum of phases r^(i Im z), which the
+trapezoid's evenly spaced nodes let it take in sqrt(N) blocks.
 
 All reductions run in a fixed order, so results are bit-reproducible.
 """
@@ -41,7 +45,8 @@ __all__ = [
 
 _RULES = ("trapezoid", "gauss_legendre_panels")
 
-# complex elements of one row block of a batched integrand; bounds the
+# complex phases of one row block of ``power_line_integral`` (each r
+# takes ~2 sqrt(N) per trapezoid level, N on a panel level); bounds the
 # working set whatever the number of rows
 _BLOCK_ELEMS = 1 << 15
 
@@ -105,44 +110,20 @@ def _checked_tail(f, contour: ContourSpec) -> float:
     return _tail_estimate(m_half, m_top, big_t)
 
 
-def _row_sums(shared, form, rows, n_nodes, weights=None, trim_ends=False):
-    """Per row: sum of f and sum of |f| over one node set of ``n_nodes``
-    (optionally weighted, or with the trapezoid's halved end nodes).
-
-    ``form(shared, rows)`` builds the integrand rows from the node set's
-    shared samples; they are formed a block of rows at a time.
-    """
-    step = max(1, _BLOCK_ELEMS // n_nodes)
-    totals, grosses = [], []
-    for lo in range(0, rows.size, step):
-        fv = form(shared, rows[lo:lo + step])
-        mag = np.abs(fv)
-        if weights is not None:
-            fv = fv * weights
-            mag = mag * weights
-        s = fv.sum(axis=1)
-        if trim_ends:
-            s -= 0.5 * (fv[:, 0] + fv[:, -1])
-        totals.append(s)
-        grosses.append(mag.sum(axis=1))
-    if len(totals) == 1:
-        return totals[0], grosses[0]
-    return np.concatenate(totals), np.concatenate(grosses)
-
-
 def _levels(contour: ContourSpec, max_refinements: int):
     """Refinement levels of the plan's rule.  Each yields the node heights,
-    their weights (None: all equal), the factor on the level's sum, the
-    share of the previous estimate kept, and whether the end nodes count
-    half.  The trapezoid adds midpoints; the panel rule starts afresh."""
+    their spacing (None: not evenly spaced), their weights (None: all
+    equal), the factor on the level's sum, the share of the previous
+    estimate kept, and whether the end nodes count half.  The trapezoid
+    adds midpoints; the panel rule starts afresh."""
     big_t = contour.half_height
     if contour.rule == "trapezoid":
         n = max(contour.nodes, 16)
         h = big_t / n
-        yield np.arange(-n, n + 1, dtype=float) * h, None, h, 0.0, True
+        yield np.arange(-n, n + 1, dtype=float) * h, h, None, h, 0.0, True
         for _ in range(max_refinements):
             mid = (np.arange(-n, n, dtype=float) + 0.5) * h
-            yield mid, None, 0.5 * h, 0.5, False
+            yield mid, h, None, 0.5 * h, 0.5, False
             n *= 2
             h *= 0.5
         return
@@ -152,17 +133,19 @@ def _levels(contour: ContourSpec, max_refinements: int):
         edges = np.linspace(-big_t, big_t, n_panels + 1)
         mids = 0.5 * (edges[1:] + edges[:-1])
         halfw = 0.5 * (edges[1:] - edges[:-1])
-        yield ((mids[:, None] + halfw[:, None] * x_gl[None, :]).ravel(),
+        yield ((mids[:, None] + halfw[:, None] * x_gl[None, :]).ravel(), None,
                (halfw[:, None] * w_gl[None, :]).ravel(), 1.0, 0.0, False)
         n_panels *= 2
 
 
-def _refine(sample, form, n_rows, contour, tol, max_refinements):
-    """Run the plan's rule on ``n_rows`` integrands that share the samples
-    ``sample(z)`` of each node set.  A row stops refining once its change
-    is within tol, or below the rounding floor of its cancelling sum.
-    Returns per-row values, discretization estimates and node counts;
-    raises NonConvergent if any row fails to converge."""
+def _refine(sums, n_rows, contour, tol, max_refinements):
+    """Run the plan's rule on ``n_rows`` integrands whose per-level sums
+    come from ``sums(z, spacing, weights, trim, rows)``: per row of
+    ``rows``, the (weighted, end-trimmed) sum of f and the sum of |f| over
+    the node set z.  A row stops refining once its change is within tol,
+    or below the rounding floor of its cancelling sum.  Returns per-row
+    values, discretization estimates and node counts; raises
+    NonConvergent if any row fails to converge."""
     value = np.empty(n_rows, dtype=np.complex128)
     disc = np.empty(n_rows)
     used = np.empty(n_rows, dtype=np.int64)
@@ -173,9 +156,8 @@ def _refine(sample, form, n_rows, contour, tol, max_refinements):
     if not n_rows:
         return value, disc, used
     levels = _levels(contour, max_refinements)
-    for level, (v, weights, scale, keep, trim) in enumerate(levels):
-        s, a = _row_sums(sample(contour.abscissa + 1j * v), form, rows,
-                         v.size, weights, trim)
+    for level, (v, spacing, weights, scale, keep, trim) in enumerate(levels):
+        s, a = sums(contour.abscissa + 1j * v, spacing, weights, trim, rows)
         n_used += v.size
         new = scale * s / (2.0 * math.pi)
         g = scale * a / (2.0 * math.pi)
@@ -203,8 +185,62 @@ def _refine(sample, form, n_rows, contour, tol, max_refinements):
         f"last change {last:.3e}")
 
 
-def _one_row(fz, rows):
-    return fz[None, :]
+def _direct_sums(f):
+    """Level sums of one integrand ``f``, formed node by node."""
+
+    def sums(z, spacing, weights, trim, rows):
+        fv = f(z)
+        mag = np.abs(fv)
+        if weights is not None:
+            fv = fv * weights
+            mag = mag * weights
+        s = fv.sum()
+        if trim:
+            s -= 0.5 * (fv[0] + fv[-1])
+        return np.array([s]), np.array([mag.sum()])
+
+    return sums
+
+
+def _phase_sums(e, v, spacing, x):
+    """sum_k e_k exp(i v_k x) for every entry of ``x``.
+
+    Nodes evenly spaced by ``spacing`` are split, counted from the node
+    nearest v = 0, into heads of ``width`` ~ sqrt(N) nodes: node
+    b*width + q has the phase exp(i v_b x) exp(i q spacing x), so each x
+    takes width + N/width exps and one contraction with e laid out as a
+    (heads, width) matrix.  Centred blocks keep the large middle nodes'
+    phases as accurate as direct ones.  Other node sets take a dense
+    phase matrix.  Each x's sum is formed alone, in a fixed order.
+    """
+    n = e.size
+    if spacing is None:
+        heights = v
+
+        def contract(ph):
+            return np.einsum("rk,k->r", ph, e)
+    else:
+        k0 = n // 2
+        width = math.isqrt(n - 1) + 1
+        half = width // 2
+        b_lo = (half - k0) // width
+        heads = (n - 1 - k0 + half) // width - b_lo + 1
+        off = half - k0 - b_lo * width
+        mat = np.zeros(heads * width, dtype=np.complex128)
+        mat[off:off + n] = e
+        mat = mat.reshape(heads, width)
+        heights = np.concatenate((
+            v[k0] + (np.arange(b_lo, b_lo + heads) * width) * spacing,
+            (np.arange(width) - half) * spacing))
+
+        def contract(ph):
+            tails = np.einsum("rq,bq->rb", ph[:, heads:], mat)
+            return np.einsum("rb,rb->r", tails, ph[:, :heads])
+
+    step = max(1, _BLOCK_ELEMS // heights.size)
+    return np.concatenate([
+        contract(np.exp(1j * np.multiply.outer(x[lo:lo + step], heights)))
+        for lo in range(0, x.size, step)])
 
 
 def _line_result(value, tail, disc, used) -> Approximation:
@@ -226,50 +262,81 @@ def vertical_line_integral(f, contour: ContourSpec, tol: float = 1e-10,
     estimate is the tail bound plus the discretization estimate.
     """
     tail = _checked_tail(f, contour)
-    value, disc, used = _refine(f, _one_row, 1, contour, tol, max_refinements)
+    value, disc, used = _refine(_direct_sums(f), 1, contour, tol,
+                                max_refinements)
     return _line_result(value[0], tail, disc[0], used[0])
+
+
+def _power_line(log_g, ln_r, shift, contour, tol, max_refinements=6):
+    """Per-row arrays of ``power_line_integral``: values, tail bounds,
+    discretization estimates and node counts."""
+    ln_r = np.asarray(ln_r, dtype=float).ravel()
+    tail = _checked_tail(lambda z: np.exp(log_g(z)), contour)
+    slope = contour.abscissa - shift
+
+    def sums(z, spacing, weights, trim, rows):
+        lg = log_g(z)
+        top = lg.real.max()
+        e = np.exp(lg - top)
+        if weights is not None:
+            e *= weights
+        gross = np.abs(e).sum()
+        if trim:
+            e[0] *= 0.5
+            e[-1] *= 0.5
+        x = ln_r[rows]
+        rho = np.exp(top + slope * x)
+        return rho * _phase_sums(e, z.imag, spacing, x), rho * gross
+
+    value, disc, used = _refine(sums, ln_r.size, contour, tol,
+                                max_refinements)
+    return value, tail * np.exp(slope * ln_r), disc, used
 
 
 def power_line_integral(log_g, ln_r, shift: float, contour: ContourSpec,
                         tol: float = 1e-10,
                         max_refinements: int = 6) -> list[Approximation]:
     """``vertical_line_integral`` of exp(log_g(z) + (z - shift) ln r) for
-    every entry of ``ln_r``, sampling log_g once per node set.
+    every entry of ``ln_r``, exponentiating log_g once per node.
 
-    On Re z = c the factor r^(z - shift) has modulus r^(c - shift) at
+    On Re z = c = Re z_k the integrand at node k is E_k rho e^(i v_k ln r)
+    with E_k = exp(log_g(z_k) - L), L the largest Re log_g of the node
+    set, v_k = Im z_k, and rho = exp(L + (c - shift) ln r) one real scale
+    per r.  So each r's sum of |f| is rho * sum |E_k|, and its sum of f
+    needs only the phases, taken in sqrt(N) blocks on the trapezoid's
+    evenly spaced nodes.  log_g is sampled as given: no symmetry is
+    assumed.  The factor r^(z - shift) has modulus r^(c - shift) at
     every height, so the decay check is made once on exp(log_g) and each
     tail bound is that of exp(log_g) times r^(c - shift).  Each r keeps
     its own convergence test, rounding floor and error estimate, and
     stops refining when it converges: every result equals that of a
     one-element ``ln_r``.
     """
-    ln_r = np.asarray(ln_r, dtype=float).ravel()
-    tail = _checked_tail(lambda z: np.exp(log_g(z)), contour)
-
-    def sample(z):
-        return log_g(z), z - shift
-
-    def form(shared, rows):
-        lg, power = shared
-        return np.exp(lg + power * ln_r[rows, None])
-
-    value, disc, used = _refine(sample, form, ln_r.size, contour, tol,
-                                max_refinements)
-    tails = tail * np.exp((contour.abscissa - shift) * ln_r)
     return [_line_result(v, float(tb), e, u)
-            for v, tb, e, u in zip(value, tails, disc, used)]
+            for v, tb, e, u in zip(*_power_line(log_g, ln_r, shift, contour,
+                                                tol, max_refinements))]
 
 
 def remember_points(log_g):
-    """``log_g`` with its single-point values remembered: the decay check
-    of ``power_line_integral`` samples the heights T/2 and T that the
-    ``line_plan`` ladder sampled."""
+    """``log_g`` for a G with real coefficients, G(conj z) = conj G(z).
+
+    Single-point values are remembered: the decay check of
+    ``power_line_integral`` samples the heights T/2 and T that the
+    ``line_plan`` ladder sampled.  A node set symmetric about Im z = 0
+    (z[::-1] == conj z, as every level of both rules is) is sampled on
+    its upper half only and mirrored, log_g(conj z) = conj log_g(z):
+    half the gamma-function work on every contour call.
+    """
     points = {}
 
     def remembered(z):
         z = np.asarray(z, dtype=np.complex128)
         if z.size != 1:
-            return log_g(z)
+            n = z.size
+            if z.ndim != 1 or not np.array_equal(z[::-1], z.conj()):
+                return log_g(z)
+            upper = log_g(z[n // 2:].copy())
+            return np.concatenate((upper[::-1][:n // 2].conj(), upper))
         key = complex(z.flat[0])
         if key not in points:
             points[key] = log_g(z)
@@ -316,8 +383,8 @@ def _contour_route(log_g, strip, shift: float, r, r_scale: float,
 
     r' = r_scale * r, for a scalar r (one Approximation back) or a 1-D
     array (a list, one per point): one ``line_plan`` on the strip and one
-    ``power_line_integral`` for the whole grid.  The estimate is |scale|
-    times that of the line integral.
+    ``power_line_integral`` pass for the whole grid, read as arrays.  The
+    estimate is |scale| times that of the line integral.
     """
     rs = np.asarray(r, dtype=float)
     if rs.ndim > 1:
@@ -327,16 +394,16 @@ def _contour_route(log_g, strip, shift: float, r, r_scale: float,
     if not np.all(np.isfinite(rs)):
         raise DomainError("r must be finite")
     plan = line_plan(log_g, strip, contour, tol)
-    lines = power_line_integral(log_g, np.log(np.atleast_1d(rs) * r_scale),
-                                shift, plan, tol=tol)
+    rows = _power_line(log_g, np.log(np.atleast_1d(rs) * r_scale), shift,
+                       plan, tol)
     out = [Approximation(
-        value=scale * res.value.real, est_error=abs(scale) * res.est_error,
+        value=scale * value.real, est_error=abs(scale) * (tail + disc),
         method="mb_contour",
-        diagnostics={"nodes_used": res.diagnostics["nodes_used"],
+        diagnostics={"nodes_used": 2 + used,
                      "truncation_height": plan.half_height,
-                     "abscissa": plan.abscissa, "imag_ratio": abs(res.value.imag)
-                     / max(abs(res.value), 1e-300)})
-        for res in lines]
+                     "abscissa": plan.abscissa, "imag_ratio": abs(value.imag)
+                     / max(abs(value), 1e-300)})
+        for value, tail, disc, used in zip(*(a.tolist() for a in rows))]
     return out if rs.ndim else out[0]
 
 

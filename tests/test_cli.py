@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from levykernel.cli import main, parse_sweep_csv
+from levykernel.cli import build_parser, main, parse_sweep_csv
 
 
 def run_cli(capsys, *argv):
@@ -51,6 +51,26 @@ class TestEval:
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--d", "2", "--r", "1", "--method", "bogus"])
         assert exc.value.code == 2
+
+
+class TestSharedParser:
+    def test_invocations_stay_independent(self, capsys):
+        # main builds its parser once per process and reuses it
+        sweep = ["sweep", "--d", "3", "--alpha", "1.2", "--r-min", "0.5",
+                 "--r-max", "4", "--points", "5", "--log", "--method", "mb"]
+        runs = [sweep, ["eval", "--d", "2", "--beta", "0.7", "--r", "1.5"],
+                ["eval", "--d", "2", "--r", "1", "--method", "bogus"], sweep]
+        codes, outs = [], []
+        for argv in runs:
+            try:
+                codes.append(main(list(argv)))
+            except SystemExit as exc:
+                codes.append(exc.code)
+            outs.append(capsys.readouterr().out)
+        assert codes == [0, 0, 2, 0]
+        assert outs[0] and outs[3] == outs[0]
+        assert json.loads(outs[1])["value"] > 0
+        assert build_parser() is not build_parser()
 
 
 class TestSweep:

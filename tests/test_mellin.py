@@ -106,6 +106,100 @@ class TestPowerLineIntegral:
             lk.power_line_integral(lk.log_gamma, -np.log(self.X), 0.0, plan,
                                    tol=1e-30, max_refinements=1)
 
+    # (d, alpha, beta) of the stable-sweep benchmark grids
+    SWEEP_SPECS = [(2, 0.1, 0.0), (2, 1.5, 0.0), (2, 1.99, 0.7), (2, 0.8, 2.0),
+                   (3, 1.2, 0.0), (3, 1.0, 0.7), (3, 0.5, 2.0), (3, 1.5, 2.0),
+                   (10, 0.5, 0.0), (10, 1.2, 0.7), (10, 1.99, 0.7),
+                   (10, 1.5, 2.0)]
+
+    @staticmethod
+    def _stable_log_g(d, alpha, beta):
+        def log_g(z):
+            z = np.asarray(z, dtype=np.complex128)
+            return (lk.log_gamma(z / alpha) + lk.log_gamma(0.5 * (d + beta - z))
+                    - lk.log_gamma(0.5 * (z - beta)) + (beta - z) * math.log(2.0))
+
+        return log_g
+
+    @staticmethod
+    def _agrees(row, log_g, ln_r, shift, plan, tol):
+        def f(z):
+            return np.exp(log_g(z) + (z - shift) * ln_r)
+
+        one = lk.vertical_line_integral(f, plan, tol=tol)
+        return abs(row.value - one.value) <= (one.est_error
+                                              + 1e-14 * abs(one.value))
+
+    @pytest.mark.parametrize("d,alpha,beta", SWEEP_SPECS)
+    def test_kernel_lines_match_direct_integrals(self, d, alpha, beta):
+        # each r's phases are summed in blocks; the direct per-node
+        # integral of the same integrand is the reference
+        log_g = self._stable_log_g(d, alpha, beta)
+        plan = lk.line_plan(log_g, lk.admissible_strip(d, beta), None, 1e-9)
+        r = np.array([0.025, 0.05, 1.0, 60.0])
+        rows = lk.power_line_integral(log_g, np.log(r), d + beta, plan,
+                                      tol=1e-9)
+        for x, row in zip(np.log(r), rows):
+            assert self._agrees(row, log_g, x, d + beta, plan, 1e-9)
+
+    @pytest.mark.parametrize("rule", ["trapezoid", "gauss_legendre_panels"])
+    def test_no_symmetry_assumed(self, rule):
+        # exp(0.1 i z) breaks f(conj z) = conj f(z): an engine that
+        # mirrored the lower half of a node set would be off by O(1)
+        def log_g(z):
+            return lk.log_gamma(z) + 0.1j * np.asarray(z)
+
+        plan = lk.ContourSpec(1.0, 32.0, nodes=128, rule=rule)
+        rows = lk.power_line_integral(log_g, -np.log(self.X), 0.0, plan,
+                                      tol=1e-12)
+        for x, row in zip(self.X, rows):
+            assert self._agrees(row, log_g, -math.log(x), 0.0, plan, 1e-12)
+            assert abs(row.value.imag) > 1e-3 * abs(row.value)
+
+
+class TestRememberPoints:
+    def test_kernels_sample_half_of_each_level(self, monkeypatch):
+        # G has real coefficients, so both kernels evaluate log_gamma on
+        # the upper half of every symmetric node set: ceil(N/2) nodes
+        sizes = []
+        real = lk.log_gamma
+
+        def counting(z):
+            if np.size(z) > 1:
+                sizes.append(np.size(z))
+            return real(z)
+
+        sym = lk.make_symbol("stable", a=1.2)
+        calls = [("stable_kernel", lambda: lk.stable_mb(
+                     lk.KernelSpec(d=3, alpha=1.5, beta=2.0), 0.05)),
+                 ("radial_symbol", lambda: lk.general_kernel_mb(
+                     sym, 2, 0.5, 0.5, 1.3))]
+        for module, call in calls:
+            sizes.clear()
+            monkeypatch.setattr(f"levykernel.{module}.log_gamma", counting)
+            res = call()
+            # one log_g call makes several log_gamma calls of one size
+            levels = [n for i, n in enumerate(sizes)
+                      if not i or n != sizes[i - 1]]
+            assert len(levels) >= 2
+            # trapezoid levels hold 2n + 1, then 2n, 4n, 8n, ... nodes
+            n = levels[0] - 1
+            assert levels[1:] == [n * 2 ** i for i in range(len(levels) - 1)]
+            full = [2 * n + 1] + [2 * m for m in levels[1:]]
+            assert res.diagnostics["nodes_used"] == 2 + sum(full)
+
+    def test_folded_values_equal_direct_ones(self):
+        def log_g(z):
+            z = np.asarray(z)
+            return lk.log_gamma(z / 1.5) - lk.log_gamma(0.5 * z)
+
+        wrapped = lk.mellin.remember_points(log_g)
+        for v in (np.arange(-40, 41) * 0.3, (np.arange(-40, 40) + 0.5) * 0.3):
+            z = 1.7 + 1j * v
+            assert np.array_equal(wrapped(z), log_g(z))
+        lopsided = 1.7 + 1j * np.arange(-3.0, 9.0)
+        assert np.array_equal(wrapped(lopsided), log_g(lopsided))
+
 
 class TestLinePlan:
     # log Gamma(z) Gamma(3 - z): poles at z = 0 and z = 3, the strip's hi

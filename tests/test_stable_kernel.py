@@ -122,9 +122,29 @@ class TestStableMBGrid:
         assert len(batch) == grid.size
         for r, b in zip(grid, batch):
             p = lk.stable_mb(spec, float(r))
+            assert b.value == p.value
+            assert b.est_error == p.est_error
             for key in ("nodes_used", "truncation_height"):
                 assert b.diagnostics[key] == p.diagnostics[key]
-            assert abs(b.value - p.value) <= p.est_error + 1e-14 * abs(p.value)
+
+    @pytest.mark.parametrize("spec", SPECS[:3], ids=repr)
+    def test_grid_exponentiates_per_node_not_per_point(self, spec, monkeypatch):
+        # a timing-free guard on the engine's work: G is exponentiated once
+        # per node and each r takes only ~2 sqrt(N) phases per level, far
+        # fewer complex exps than the nodes all its points use
+        real_exp = np.exp
+        count = [0]
+
+        def counting(x, *args, **kwargs):
+            out = real_exp(x, *args, **kwargs)
+            if np.iscomplexobj(out):
+                count[0] += np.size(out)
+            return out
+
+        monkeypatch.setattr(np, "exp", counting)
+        batch = lk.stable_mb(spec, np.geomspace(0.05, 30.0, 400))
+        nodes = sum(b.diagnostics["nodes_used"] for b in batch)
+        assert count[0] <= 0.25 * nodes
 
     def test_shapes(self):
         spec = lk.KernelSpec(d=2, alpha=1.5)
