@@ -21,9 +21,8 @@ from .radial_symbol import (RadialSymbol, decay_slope, default_derivative_order,
                             mellin_M, mellin_Mk, perturbed_leading_term,
                             scaled_exp_eta_derivative, smoothstep_cutoff,
                             symbol_registry, tail_integral, validate_symbol)
-from .specfun import (GammaEval, bessel_j, bessel_j_derivative, gamma,
-                      gamma_eval, gamma_residue, log_gamma, reciprocal_gamma,
-                      stirling_magnitude)
+from .specfun import (bessel_j, bessel_j_derivative, gamma, gamma_residue,
+                      log_gamma, reciprocal_gamma, stirling_magnitude)
 from .stable_kernel import (KernelSpec, SeriesTerm, admissible_strip,
                             envelope_ratio, evaluate, gaussian_kernel,
                             kernel_at_origin, leading_term, poisson_kernel,

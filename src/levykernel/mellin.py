@@ -3,7 +3,8 @@
 Both kernels are integrals (1/2*pi*i) * int_(c) G(z) r^z dz with G
 independent of r (a gamma ratio, times M_t^k for a general symbol).
 ``line_plan`` picks the line's abscissa, height and node count from G
-alone; ``power_line_integral``, the engine of both kernels, samples G
+alone, climbing a decay ladder whose first rung {0, 8, 16} is one call
+of G; ``power_line_integral``, the engine of both kernels, samples G
 once per node set and refines each r of a batch as it would alone.  The
 rule is the trapezoid with node doubling (exponentially accurate for
 analytic integrands that decay along the line), or Gauss-Legendre
@@ -11,14 +12,15 @@ panels as a cross-check.  ``vertical_line_integral`` runs the same rules
 on one vectorized integrand f; it is the single-integrand reference.
 Both return ``Approximation``s with the complex integral as the value,
 ``method="line_integral"`` and the ``nodes_used`` and ``tail_bound``
-diagnostics; ``_contour_route`` reads the engine's per-r arrays
-directly into kernel values.
+diagnostics; ``_contour_route`` reads the engine's per-r arrays, and
+the ladder's samples for the tail, directly into kernel values.
 
 Callers assemble integrands from combined log-gamma ratios, so
 magnitudes stay representable on tall lines.  The engine exponentiates
 G once per node, scaled by its largest modulus; each r then costs one
 real scale r^(c - shift) and a sum of phases r^(i Im z), which the
-trapezoid's evenly spaced nodes let it take in sqrt(N) blocks.
+trapezoid's evenly spaced nodes let it take in sqrt(N) blocks.  Every
+set of samples, a ladder rung or a quadrature level, is one call of G.
 
 All reductions run in a fixed order, so results are bit-reproducible.
 """
@@ -73,16 +75,18 @@ class ContourSpec:
             raise ValueError(f"rule must be one of {_RULES}")
 
 
-def _sample_mag(f, c, v):
-    z = np.array([complex(c, v)])
-    return float(np.abs(f(z))[0])
+def _magnitudes(f, c, heights):
+    """|f(c + iv)| at each of ``heights``, from one call of f.  Overflow
+    reads as inf, without a warning: the callers test for it."""
+    with np.errstate(over="ignore"):
+        return np.abs(f(c + 1j * np.array(heights, dtype=float))).tolist()
 
 
 def _tail_estimate(m_half, m_top, half_height):
-    """Crude bound on the discarded |Im z| > T tails from two magnitude samples.
-
-    Fits a power law through (T/2, T); for exponentially decaying
-    integrands this overestimates, which is the safe direction.
+    """Estimate, not a bound, of the discarded |Im z| > T tails: a power
+    law fitted through the magnitudes at T/2 and T, integrated beyond T.
+    It overestimates exponentially decaying integrands; two samples
+    guarantee nothing between or beyond them.
     """
     if m_top == 0.0:
         return 0.0
@@ -96,13 +100,12 @@ def _tail_estimate(m_half, m_top, half_height):
 
 
 def _checked_tail(f, contour: ContourSpec) -> float:
-    """Tail bound of ``f`` beyond the plan's height, after checking the
+    """Tail estimate of ``f`` beyond the plan's height, after checking the
     sampled decay precondition |f(c+iT)| < |f(c+iT/2)|."""
     c, big_t = contour.abscissa, contour.half_height
     if big_t is None:
         raise ValueError("the contour plan has no half_height")
-    m_half = _sample_mag(f, c, 0.5 * big_t)
-    m_top = _sample_mag(f, c, big_t)
+    m_half, m_top = _magnitudes(f, c, (0.5 * big_t, big_t))
     if m_top >= m_half and m_top > 0.0:
         raise NoDecay(
             f"|f| fails to decay along the contour: |f(c+i{big_t})| = "
@@ -259,7 +262,7 @@ def vertical_line_integral(f, contour: ContourSpec, tol: float = 1e-10,
     than ``tol`` relatively, else raises NonConvergent.  For integrands
     with f(conj z) = conj f(z) the imaginary part of the result is at
     the rounding level.  The plan must carry a half_height.  The
-    estimate is the tail bound plus the discretization estimate.
+    estimate is the tail estimate plus the discretization estimate.
     """
     tail = _checked_tail(f, contour)
     value, disc, used = _refine(_direct_sums(f), 1, contour, tol,
@@ -267,11 +270,15 @@ def vertical_line_integral(f, contour: ContourSpec, tol: float = 1e-10,
     return _line_result(value[0], tail, disc[0], used[0])
 
 
-def _power_line(log_g, ln_r, shift, contour, tol, max_refinements=6):
-    """Per-row arrays of ``power_line_integral``: values, tail bounds,
-    discretization estimates and node counts."""
+def _power_line(log_g, ln_r, shift, contour, tol, max_refinements=6,
+                tail=None):
+    """Per-row arrays of ``power_line_integral``: values, tail estimates,
+    discretization estimates and node counts.  ``tail``, the tail
+    estimate of exp(log_g) that the plan's ladder read, spares the
+    decay check its samples."""
     ln_r = np.asarray(ln_r, dtype=float).ravel()
-    tail = _checked_tail(lambda z: np.exp(log_g(z)), contour)
+    if tail is None:
+        tail = _checked_tail(lambda z: np.exp(log_g(z)), contour)
     slope = contour.abscissa - shift
 
     def sums(z, spacing, weights, trim, rows):
@@ -307,7 +314,7 @@ def power_line_integral(log_g, ln_r, shift: float, contour: ContourSpec,
     evenly spaced nodes.  log_g is sampled as given: no symmetry is
     assumed.  The factor r^(z - shift) has modulus r^(c - shift) at
     every height, so the decay check is made once on exp(log_g) and each
-    tail bound is that of exp(log_g) times r^(c - shift).  Each r keeps
+    tail estimate is that of exp(log_g) times r^(c - shift).  Each r keeps
     its own convergence test, rounding floor and error estimate, and
     stops refining when it converges: every result equals that of a
     one-element ``ln_r``.
@@ -317,32 +324,48 @@ def power_line_integral(log_g, ln_r, shift: float, contour: ContourSpec,
                                                 tol, max_refinements))]
 
 
-def remember_points(log_g):
+def fold_conjugates(log_g):
     """``log_g`` for a G with real coefficients, G(conj z) = conj G(z).
 
-    Single-point values are remembered: the decay check of
-    ``power_line_integral`` samples the heights T/2 and T that the
-    ``line_plan`` ladder sampled.  A node set symmetric about Im z = 0
-    (z[::-1] == conj z, as every level of both rules is) is sampled on
-    its upper half only and mirrored, log_g(conj z) = conj log_g(z):
-    half the gamma-function work on every contour call.
+    A node set symmetric about Im z = 0 (z[::-1] == conj z, as every
+    level of both rules is) is sampled on its upper half only and
+    mirrored, log_g(conj z) = conj log_g(z): half the gamma-function
+    work on every contour call.  Any other set is sampled as given.
     """
-    points = {}
 
-    def remembered(z):
+    def folded(z):
         z = np.asarray(z, dtype=np.complex128)
-        if z.size != 1:
-            n = z.size
-            if z.ndim != 1 or not np.array_equal(z[::-1], z.conj()):
-                return log_g(z)
-            upper = log_g(z[n // 2:].copy())
-            return np.concatenate((upper[::-1][:n // 2].conj(), upper))
-        key = complex(z.flat[0])
-        if key not in points:
-            points[key] = log_g(z)
-        return points[key]
+        if z.ndim != 1 or not np.array_equal(z[::-1], z.conj()):
+            return log_g(z)
+        half = z.size // 2
+        upper = log_g(z[half:].copy())
+        return np.concatenate((upper[::-1][:half].conj(), upper))
 
-    return remembered
+    return folded
+
+
+def _plan(log_g, strip, contour: ContourSpec | None, tol: float):
+    """``line_plan``'s plan, and the tail estimate of exp(log_g) beyond
+    its height read from the ladder's samples at T/2 and T (None for a
+    plan given its height)."""
+    lo, hi = strip
+    if contour is None:
+        contour = ContourSpec(abscissa=0.5 * (lo + hi))
+    c = contour.abscissa
+    if not lo < c < hi:
+        raise StripViolation(
+            f"abscissa {c} outside the admissible strip ({lo}, {hi})")
+    big_t, tail = contour.half_height, None
+    if big_t is None:
+        big_t, m_half, m_top = _ladder(lambda z: np.exp(log_g(z)), c,
+                                       tol * 1e-2)
+        tail = _tail_estimate(m_half, m_top, big_t)
+    # near a strip edge the poles at z = 0 and z = hi sit min(c, hi - c)
+    # from the line; the trapezoid needs h below ~1/5 of that distance
+    dist = min(c, hi - c)
+    nodes = max(contour.nodes, int(math.ceil(big_t / min(0.5, dist / 5.0))))
+    return ContourSpec(abscissa=c, half_height=big_t, nodes=nodes,
+                       rule=contour.rule), tail
 
 
 def line_plan(log_g, strip, contour: ContourSpec | None,
@@ -353,26 +376,12 @@ def line_plan(log_g, strip, contour: ContourSpec | None,
     midpoint.
 
     The override's abscissa must lie inside the strip.  A plan without a
-    height gets the ``auto_truncation`` ladder's on exp(log_g), with
-    target tol * 1e-2.  The node count is raised to the pole-aware floor.
-    |r^z| is r^c at every height, so nothing here depends on r.
+    height gets the ``auto_truncation`` ladder's on exp(log_g) (target
+    tol * 1e-2), one log_g call per rung.  The node count is raised to
+    the pole-aware floor.  |r^z| is r^c at every height, so nothing here
+    depends on r.
     """
-    lo, hi = strip
-    if contour is None:
-        contour = ContourSpec(abscissa=0.5 * (lo + hi))
-    c = contour.abscissa
-    if not lo < c < hi:
-        raise StripViolation(
-            f"abscissa {c} outside the admissible strip ({lo}, {hi})")
-    big_t = contour.half_height
-    if big_t is None:
-        big_t = auto_truncation(lambda z: np.exp(log_g(z)), c, tol * 1e-2)
-    # near a strip edge the poles at z = 0 and z = hi sit min(c, hi - c)
-    # from the line; the trapezoid needs h below ~1/5 of that distance
-    dist = min(c, hi - c)
-    nodes = max(contour.nodes, int(math.ceil(big_t / min(0.5, dist / 5.0))))
-    return ContourSpec(abscissa=c, half_height=big_t, nodes=nodes,
-                       rule=contour.rule)
+    return _plan(log_g, strip, contour, tol)[0]
 
 
 def _contour_route(log_g, strip, shift: float, r, r_scale: float,
@@ -393,9 +402,9 @@ def _contour_route(log_g, strip, shift: float, r, r_scale: float,
         raise DomainError("r must be > 0")
     if not np.all(np.isfinite(rs)):
         raise DomainError("r must be finite")
-    plan = line_plan(log_g, strip, contour, tol)
+    plan, tail = _plan(log_g, strip, contour, tol)
     rows = _power_line(log_g, np.log(np.atleast_1d(rs) * r_scale), shift,
-                       plan, tol)
+                       plan, tol, tail=tail)
     out = [Approximation(
         value=scale * value.real, est_error=abs(scale) * (tail + disc),
         method="mb_contour",
@@ -412,24 +421,32 @@ def auto_truncation(f, c: float, tol: float, t_start: float = 16.0,
     """Smallest T from the doubling ladder {16, 32, ...} with
     |f(c + iT)| * T < tol * |f(c)|.
 
-    Raises NoDecay if the sampled magnitudes fail to decrease rung to
-    rung, or if the ladder cap is reached.
+    One f call samples the heights 0, T0/2 and T0 of the first rung;
+    each later rung is one more call.  Raises DomainError if |f(c)| is
+    zero or not finite (overflow included), and NoDecay if the sampled
+    magnitudes fail to decrease rung to rung, or if the ladder cap is
+    reached.
     """
-    f0 = _sample_mag(f, c, 0.0)
-    if not np.isfinite(f0) or f0 == 0.0:
-        raise ValueError("integrand vanishes or is not finite at the abscissa")
+    return _ladder(f, c, tol, t_start, t_cap)[0]
+
+
+def _ladder(f, c, tol, t_start=16.0, t_cap=4096.0):
+    """``auto_truncation``'s T, with |f| at T/2 and T."""
     t = t_start
-    prev = _sample_mag(f, c, 0.5 * t)
+    f0, prev, m = _magnitudes(f, c, (0.0, 0.5 * t, t))
+    if not (math.isfinite(f0) and f0 > 0.0):
+        raise DomainError("integrand vanishes or is not finite at the "
+                          f"abscissa: |f({c})| = {f0:.3e}")
     while t <= t_cap:
-        m = _sample_mag(f, c, t)
         if m >= prev and m > 0.0:
             raise NoDecay(
                 f"|f(c+i{t})| = {m:.3e} does not fall below "
                 f"|f(c+i{t / 2})| = {prev:.3e}")
         if m * t < tol * f0:
-            return t
-        prev = m
+            return t, prev, m
         t *= 2.0
+        if t <= t_cap:
+            prev, (m,) = m, _magnitudes(f, c, (t,))
     raise NoDecay(f"no ladder height up to {t_cap} met the decay target")
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import oracle as _oracle
 from .errors import NonConvergent, OrderExceeded, ParityError, StripViolation
-from .mellin import ContourSpec, _contour_route, remember_points
+from .mellin import ContourSpec, _contour_route, fold_conjugates
 from .specfun import log_gamma, reciprocal_gamma
 
 __all__ = [
@@ -253,6 +253,10 @@ _MIN_FACTORED = 64
 _MAX_SLOTS_PER_HEIGHT = 4
 # heights per block of a phase matrix; bounds the working set
 _PHASE_ROWS = 256
+# a request of at most this many heights (the decay ladder's first
+# probe) takes one product per height: BLAS rounds a one-column product
+# its own way, and the probe then reads the values of lone heights
+_LONE_HEIGHTS = 3
 
 
 class _MellinGrid:
@@ -345,13 +349,13 @@ class _MellinGrid:
         raise NonConvergent("symbol grows too slowly to truncate the "
                             "Mellin integral (eta must beat log r)")
 
-    def _eval_arrays(self, u0, p0, u1, p1, v):
+    def _eval_arrays(self, u0, p0, u1, p1, v, rows=_PHASE_ROWS):
         # M(c + iv) = sum p0 e^{-i u0 v} + sum p1 e^{+i u1 v}
         out = np.empty(v.shape, dtype=np.complex128)
-        for i in range(0, v.size, _PHASE_ROWS):
-            vv = v[i:i + _PHASE_ROWS]
-            out[i:i + _PHASE_ROWS] = (p0 @ np.exp(-1j * np.outer(u0, vv))
-                                      + p1 @ np.exp(1j * np.outer(u1, vv)))
+        for i in range(0, v.size, rows):
+            vv = v[i:i + rows]
+            out[i:i + rows] = (p0 @ np.exp(-1j * np.outer(u0, vv))
+                               + p1 @ np.exp(1j * np.outer(u1, vv)))
         return out
 
     @staticmethod
@@ -401,7 +405,9 @@ class _MellinGrid:
             a, inverse = np.unique(np.abs(flat), return_inverse=True)
             prog = self._progression(a)
             if prog is None:
-                folded = self._eval_arrays(self.u0, self.p0, self.u1, self.p1, a)
+                folded = self._eval_arrays(
+                    self.u0, self.p0, self.u1, self.p1, a,
+                    1 if a.size <= _LONE_HEIGHTS else _PHASE_ROWS)
             else:
                 folded = self._factored(*prog)
             got = folded[inverse]
@@ -414,7 +420,8 @@ class _MellinGrid:
 def _grid_for(sym: RadialSymbol, t: float, k: int, abscissa: float,
               max_imag: float, tol: float) -> _MellinGrid:
     # caps are powers of two from 16, the first rung of the decay ladder,
-    # so the ladder's samples at Im z = 0 and 8 reuse that rung's grid
+    # so the ladder's first probe {0, 8, 16} shares that rung's grid,
+    # which every call builds anyway
     cap = 2.0 ** math.ceil(math.log2(max(max_imag, 16.0)))
     key = (t, k, round(abscissa, 12), cap, tol)
     with sym._lock:
@@ -493,12 +500,14 @@ def general_kernel_mb(sym: RadialSymbol, d: int, beta: float, t: float,
         raise OrderExceeded(f"k = {k} exceeds available derivatives {sym.k_max}")
     inner_tol = min(1e-9, 0.1 * tol)
 
-    @remember_points
+    @fold_conjugates
     def log_g(z):
         z = np.asarray(z, dtype=np.complex128)
-        return (log_gamma(z) - log_gamma(z + k)
-                + log_gamma(0.5 * (d + beta - z)) - log_gamma(0.5 * (z - beta))
-                + (beta - z) * _LN2 + np.log(mellin_Mk(sym, t, z, k, inner_tol)))
+        # the four gamma factors from one log_gamma call
+        g, gk, down, over = log_gamma(np.stack(
+            (z, z + k, 0.5 * (d + beta - z), 0.5 * (z - beta))))
+        return (g - gk + down - over + (beta - z) * _LN2
+                + np.log(mellin_Mk(sym, t, z, k, inner_tol)))
 
     out = _contour_route(log_g, general_strip(d, beta), d + beta, r, 1.0,
                          (-1.0) ** k / math.pi ** (0.5 * d), contour, tol)

@@ -20,10 +20,8 @@ import numpy as np
 from .errors import PoleHit
 
 __all__ = [
-    "GammaEval",
     "log_gamma",
     "gamma",
-    "gamma_eval",
     "gamma_residue",
     "reciprocal_gamma",
     "stirling_magnitude",
@@ -124,33 +122,6 @@ def log_gamma(z):
     if scalar:
         return complex(out[0])
     return out.reshape(z.shape)
-
-
-class GammaEval:
-    """Log-space value of Gamma(z): modulus exponent plus phase.
-
-    ``exp(log_modulus)`` reproduces |Gamma(z)| whenever that magnitude is
-    representable; ``log_modulus`` itself stays finite far beyond that.
-    """
-
-    __slots__ = ("log_modulus", "phase")
-
-    def __init__(self, log_modulus: float, phase: float):
-        self.log_modulus = log_modulus
-        self.phase = phase
-
-    def value(self) -> complex:
-        return math.exp(self.log_modulus) * complex(math.cos(self.phase),
-                                                    math.sin(self.phase))
-
-    def __repr__(self):
-        return f"GammaEval(log_modulus={self.log_modulus!r}, phase={self.phase!r})"
-
-
-def gamma_eval(z) -> GammaEval:
-    """Gamma(z) in log space; see :class:`GammaEval`."""
-    lg = log_gamma(complex(z))
-    return GammaEval(lg.real, lg.imag)
 
 
 def gamma(z):

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import oracle as _oracle
 from .errors import Approximation, DomainError
-from .mellin import ContourSpec, _contour_route, remember_points
+from .mellin import ContourSpec, _contour_route, fold_conjugates
 from .specfun import log_gamma, reciprocal_gamma
 
 __all__ = [
@@ -129,13 +129,15 @@ def admissible_strip(d: int, beta: float):
 
 def _mb_log_factor(d, alpha, beta):
     """log of the r-independent part of the contour integrand:
-    Gamma(z/a) Gamma((d+b-z)/2) 2^(b-z) / Gamma((z-b)/2)."""
+    Gamma(z/a) Gamma((d+b-z)/2) 2^(b-z) / Gamma((z-b)/2), its three
+    gamma factors from one ``log_gamma`` call."""
 
-    @remember_points
+    @fold_conjugates
     def log_g(z):
         z = np.asarray(z, dtype=np.complex128)
-        return (log_gamma(z / alpha) + log_gamma(0.5 * (d + beta - z))
-                - log_gamma(0.5 * (z - beta)) + (beta - z) * _LN2)
+        up, down, over = log_gamma(np.stack(
+            (z / alpha, 0.5 * (d + beta - z), 0.5 * (z - beta))))
+        return up + down - over + (beta - z) * _LN2
 
     return log_g
 
@@ -154,7 +156,7 @@ def stable_mb(spec: KernelSpec, r, contour: ContourSpec | None = None,
     ``r`` is a scalar (one Approximation back) or a 1-D array (a list of
     Approximations, one per point).  G does not depend on r, and on the
     line |r'^(z-d-b)| = r'^(c-d-b) at every height, so the truncation
-    height, the decay check, the node count and the tail bound (up to
+    height, the decay check, the node count and the tail estimate (up to
     that factor) are shared by the whole grid and G is sampled once per
     node set.  Each r refines until it converges, as it would alone: a
     grid returns the same values as point-by-point calls.

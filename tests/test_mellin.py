@@ -157,35 +157,58 @@ class TestPowerLineIntegral:
             assert abs(row.value.imag) > 1e-3 * abs(row.value)
 
 
+def _count_log_gamma(monkeypatch, module):
+    """Sizes of the log_gamma calls ``module`` makes, in order."""
+    sizes = []
+    real = lk.log_gamma
+
+    def counting(z):
+        sizes.append(np.size(z))
+        return real(z)
+
+    monkeypatch.setattr(f"levykernel.{module}.log_gamma", counting)
+    return sizes
+
+
+_SYMBOL = lk.make_symbol("stable", a=1.2)
+
+# (module, gamma factors per node, scalar contour call)
+_KERNEL_CALLS = [
+    ("stable_kernel", 3, lambda: lk.stable_mb(
+        lk.KernelSpec(d=2, alpha=1.5, beta=0.7), 2.0)),
+    ("stable_kernel", 3, lambda: lk.stable_mb(
+        lk.KernelSpec(d=3, alpha=0.5, beta=0.0), 2.0)),
+    ("stable_kernel", 3, lambda: lk.stable_mb(
+        lk.KernelSpec(d=10, alpha=1.99, beta=2.0), 2.0)),
+    ("radial_symbol", 4, lambda: lk.general_kernel_mb(
+        _SYMBOL, 2, 0.5, 0.5, 1.3)),
+]
+
+
+def _ladder_calls(res):
+    """log_g calls of the decay ladder behind a contour result: the first
+    rung's heights {0, 8, 16} share one, each later rung takes one."""
+    return 1 + round(math.log2(res.diagnostics["truncation_height"] / 16.0))
+
+
 class TestRememberPoints:
     def test_kernels_sample_half_of_each_level(self, monkeypatch):
         # G has real coefficients, so both kernels evaluate log_gamma on
-        # the upper half of every symmetric node set: ceil(N/2) nodes
-        sizes = []
-        real = lk.log_gamma
-
-        def counting(z):
-            if np.size(z) > 1:
-                sizes.append(np.size(z))
-            return real(z)
-
-        sym = lk.make_symbol("stable", a=1.2)
-        calls = [("stable_kernel", lambda: lk.stable_mb(
+        # the upper half of every symmetric node set: per level one call
+        # of k * ceil(N/2) elements, k gamma factors per node
+        calls = [("stable_kernel", 3, lambda: lk.stable_mb(
                      lk.KernelSpec(d=3, alpha=1.5, beta=2.0), 0.05)),
-                 ("radial_symbol", lambda: lk.general_kernel_mb(
-                     sym, 2, 0.5, 0.5, 1.3))]
-        for module, call in calls:
-            sizes.clear()
-            monkeypatch.setattr(f"levykernel.{module}.log_gamma", counting)
+                 _KERNEL_CALLS[-1]]
+        for module, k, call in calls:
+            sizes = _count_log_gamma(monkeypatch, module)
             res = call()
-            # one log_g call makes several log_gamma calls of one size
-            levels = [n for i, n in enumerate(sizes)
-                      if not i or n != sizes[i - 1]]
+            levels = sizes[_ladder_calls(res):]
             assert len(levels) >= 2
             # trapezoid levels hold 2n + 1, then 2n, 4n, 8n, ... nodes
-            n = levels[0] - 1
-            assert levels[1:] == [n * 2 ** i for i in range(len(levels) - 1)]
-            full = [2 * n + 1] + [2 * m for m in levels[1:]]
+            n = levels[0] // k - 1
+            assert levels == [k * (n + 1)] + [k * n * 2 ** i
+                                               for i in range(len(levels) - 1)]
+            full = [2 * n + 1] + [2 * n * 2 ** i for i in range(len(levels) - 1)]
             assert res.diagnostics["nodes_used"] == 2 + sum(full)
 
     def test_folded_values_equal_direct_ones(self):
@@ -193,12 +216,32 @@ class TestRememberPoints:
             z = np.asarray(z)
             return lk.log_gamma(z / 1.5) - lk.log_gamma(0.5 * z)
 
-        wrapped = lk.mellin.remember_points(log_g)
+        wrapped = lk.mellin.fold_conjugates(log_g)
         for v in (np.arange(-40, 41) * 0.3, (np.arange(-40, 40) + 0.5) * 0.3):
             z = 1.7 + 1j * v
             assert np.array_equal(wrapped(z), log_g(z))
         lopsided = 1.7 + 1j * np.arange(-3.0, 9.0)
         assert np.array_equal(wrapped(lopsided), log_g(lopsided))
+
+
+class TestLogGammaCalls:
+    @pytest.mark.parametrize("module,k,call", _KERNEL_CALLS,
+                             ids=["stable-2-1.5-0.7", "stable-3-0.5-0",
+                                  "stable-10-1.99-2", "general-stable-1.2"])
+    def test_one_call_per_sample_set(self, monkeypatch, module, k, call):
+        # every set of log G samples costs one log_gamma call: the first
+        # rung of the ladder, each later rung, and each trapezoid level;
+        # the decay check reads the ladder's samples
+        sizes = _count_log_gamma(monkeypatch, module)
+        res = call()
+        rungs = _ladder_calls(res)
+        assert sizes[:rungs] == [3 * k] + [k] * (rungs - 1)
+        # the first level holds 2n + 1 nodes, of which n + 1 are sampled;
+        # each later one doubles the nodes used so far, less one
+        n = sizes[rungs] // k - 1
+        doublings = (res.diagnostics["nodes_used"] - 3) / (2 * n)
+        assert doublings == 2 ** round(math.log2(doublings))
+        assert len(sizes) == rungs + 1 + round(math.log2(doublings))
 
 
 class TestLinePlan:

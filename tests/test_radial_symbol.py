@@ -320,6 +320,16 @@ class TestMellinGridPhases:
             err = np.max(np.abs(grid.value(v) - self._dense(grid, v)))
             assert err <= 1e-11 * gross, name
 
+    @pytest.mark.parametrize("kind,params", GRIDS, ids=[g[0] for g in GRIDS])
+    def test_ladder_probe_reads_lone_heights(self, kind, params):
+        # the decay ladder asks for {0, 8, 16} in one request; each value
+        # equals that of its height asked alone, bit for bit, so the plan
+        # and tail estimate do not depend on how the probe is batched
+        grid = self._grid(kind, params)
+        probe = grid.value(np.array([0.0, 8.0, 16.0]))
+        lone = [grid.value(np.array([v]))[0] for v in (0.0, 8.0, 16.0)]
+        assert np.array_equal(probe, lone)
+
     def test_offset_symmetric_set_is_dense(self):
         import tracemalloc
 

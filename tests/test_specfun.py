@@ -39,15 +39,11 @@ class TestGamma:
         # finite and Stirling-consistent far beyond double-precision range
         # (|Gamma| itself underflows near Im z ~ 450, the log must not)
         for u, v in [(0.5, 100.0), (0.5, 500.0), (1.0, 1000.0)]:
-            ge = lk.gamma_eval(u + v * 1j)
-            assert math.isfinite(ge.log_modulus)
+            log_modulus = lk.log_gamma(u + v * 1j).real
+            assert math.isfinite(log_modulus)
             log_stirling = (0.5 * math.log(2.0 * math.pi)
                             + (u - 0.5) * math.log(v) - 0.5 * math.pi * v)
-            assert ge.log_modulus == pytest.approx(log_stirling, rel=1e-6)
-
-    def test_gamma_eval_value(self):
-        ge = lk.gamma_eval(2.3 + 1.1j)
-        assert ge.value() == pytest.approx(lk.gamma(2.3 + 1.1j), rel=1e-13)
+            assert log_modulus == pytest.approx(log_stirling, rel=1e-6)
 
 
 class TestGammaResidue:

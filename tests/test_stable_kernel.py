@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -98,6 +99,17 @@ class TestStableMB:
         with pytest.raises(lk.StripViolation):
             lk.stable_mb(lk.KernelSpec(d=2, alpha=1.5), 1.0,
                          contour=lk.ContourSpec(5.0, 32.0))
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.02])
+    def test_overflowing_gamma_ratio_is_a_domain_error(self, alpha):
+        # at d = 10, Gamma(d/alpha) > 1e308: |G(c)| overflows, and so
+        # does the kernel itself; the error is typed and warns nothing
+        spec = lk.KernelSpec(d=10, alpha=alpha)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for route in (lk.stable_mb, lk.evaluate):
+                with pytest.raises(lk.DomainError):
+                    route(spec, 1.0)
 
     def test_method_tag_and_diagnostics(self):
         a = lk.stable_mb(lk.KernelSpec(d=2, alpha=1.5), 2.0)
