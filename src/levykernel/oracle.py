@@ -10,10 +10,18 @@ integrals between consecutive zeros, and iterated-averaging (Euler-
 transform) acceleration of the alternating panel sums.  It shares
 nothing with the contour-integral evaluators except the Bessel function
 itself, so it serves as the ground truth they are judged against.
+
+No node depends on r in the argument x = r s (the 12-point nodes between
+zeros of J_nu, and j_{nu,1} u for the head's nodes u in [0, 1]), so one
+read-only table per nu, ``_ZERO_TABLES``, holds the zeros and J_nu at
+these nodes, grown lock-free in fixed units (1024 zeros or intervals, one
+head level) whose bits do not depend on the order of requests.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -34,7 +42,19 @@ __all__ = [
 
 
 _ZERO_BLOCK = 1024
-_ZERO_TABLES: dict[float, np.ndarray] = {}
+_PANEL_ORDER, _HEAD_ORDER = 12, 16
+_ZERO_TABLES: dict[float, dict[str, object]] = {}
+
+
+def _grow(nu: float, kind: str, n: int, make) -> tuple:
+    """Units 0 .. n - 1 of nu's ``kind`` table, missing ones made by make(j)."""
+    table = _ZERO_TABLES.setdefault(nu, {})
+    units = table.get(kind, ())
+    for j in range(len(units), n):
+        units += (make(j),)
+        units[-1].flags.writeable = False
+        table[kind] = units
+    return units
 
 
 def _zero_block(nu: float, j: int) -> np.ndarray:
@@ -62,7 +82,7 @@ def _zero_block(nu: float, j: int) -> np.ndarray:
 
 def _zero_table(nu: float, n: int) -> np.ndarray:
     """Read-only table of at least the first n zeros of J_nu."""
-    table = _ZERO_TABLES.get(nu, np.empty(0))
+    table = _ZERO_TABLES.get(nu, {}).get("zeros", np.empty(0))
     if table.size >= n:
         return table
     parts = [table]
@@ -73,37 +93,62 @@ def _zero_table(nu: float, n: int) -> np.ndarray:
         parts.append(block)
     table = np.concatenate(parts)
     table.flags.writeable = False
-    _ZERO_TABLES[nu] = table
+    _ZERO_TABLES.setdefault(nu, {})["zeros"] = table
     return table
 
 
 def bessel_zeros(nu: float, n: int, offset: int = 0) -> np.ndarray:
-    """Zeros offset + 1 .. offset + n of J_nu, as a fresh array, read from
-    one table per nu grown on demand in fixed blocks; each zero's Newton
-    polish stops on its own, so its bits do not depend on request order."""
+    """Zeros offset + 1 .. offset + n of J_nu, as a fresh array from nu's
+    table; each zero's Newton polish stops on its own (history-free bits)."""
     if n <= 0:
         return np.empty(0)
     return _zero_table(nu, offset + n)[offset:offset + n].copy()
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_gl = functools.cache(np.polynomial.legendre.leggauss)
 
 
-def _gl(order: int):
-    if order not in _GL_CACHE:
-        _GL_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _GL_CACHE[order]
+def _gl_nodes(edges, order):
+    """Gauss-Legendre nodes of each panel (one row each) and half widths."""
+    mids, halfw = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    return mids[:, None] + halfw[:, None] * _gl(order)[0][None, :], halfw
 
 
-def _panel_integrals(weight, nu, scale, edges, order=12):
-    """Gauss-Legendre integral of J_nu(scale*s) * w(s) per panel; int |w|."""
-    x_gl, w_gl = _gl(order)
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    halfw = 0.5 * (edges[1:] - edges[:-1])
-    s = mids[:, None] + halfw[:, None] * x_gl[None, :]
-    ws = weight(s) * w_gl[None, :]
-    vals = bessel_j(nu, scale * s.ravel()).reshape(s.shape) * ws
-    return vals.sum(axis=1) * halfw, float(np.abs(ws).sum(axis=1) @ halfw)
+def _panel_j(nu: float, start: int, stop: int) -> np.ndarray:
+    """J_nu at the 12-point nodes of the intervals between zeros k + 1 and
+    k + 2 of J_nu, k = start .. stop - 1, one row per interval."""
+    n = -(-stop // _ZERO_BLOCK)
+    zeros = _zero_table(nu, n * _ZERO_BLOCK + 1)
+    blocks = _grow(nu, "panels", n, lambda j: bessel_j(nu, _gl_nodes(
+        zeros[j * _ZERO_BLOCK:(j + 1) * _ZERO_BLOCK + 1], _PANEL_ORDER)[0]))
+    return np.concatenate([
+        blocks[j][max(start - j * _ZERO_BLOCK, 0):stop - j * _ZERO_BLOCK]
+        for j in range(start // _ZERO_BLOCK, n)])
+
+
+def _head_levels(a, b):
+    """Edges a + (b-a) 2^-k, k <= 100, of the graded head, halved per level."""
+    edges = np.unique(a + (b - a) * np.r_[0.0, 0.5 ** np.arange(100, -1, -1)])
+    for _ in range(9):
+        yield edges
+        edges = np.unique(np.r_[edges, 0.5 * (edges[1:] + edges[:-1])])
+
+
+def _head_j(nu: float, level: int) -> np.ndarray:
+    """J_nu(j_{nu,1} u) at the head's 16-point nodes u of level ``level``."""
+    z1 = _zero_table(nu, 1)[0]
+    return _grow(nu, "head", level + 1, lambda j: bessel_j(nu, z1 * _gl_nodes(
+        next(itertools.islice(_head_levels(0.0, 1.0), j, None)),
+        _HEAD_ORDER)[0]))[level]
+
+
+def _panel_integrals(weight, nu, scale, edges, order, jx=None):
+    """Gauss-Legendre integral of J_nu(scale*s) * w(s) per panel; int |w|.
+    ``jx`` holds J_nu at the nodes when they come from the table."""
+    s, halfw = _gl_nodes(edges, order)
+    ws = weight(s) * _gl(order)[1][None, :]
+    jx = bessel_j(nu, scale * s) if jx is None else jx
+    return (jx * ws).sum(axis=1) * halfw, float(np.abs(ws).sum(axis=1) @ halfw)
 
 
 def _accelerate(partial_sums: np.ndarray, max_depth: int = 12):
@@ -133,45 +178,51 @@ def _accelerate(partial_sums: np.ndarray, max_depth: int = 12):
     return float(best_val), float(best_err), depth_used
 
 
+def _probes(s_start: float):
+    """The weight's peak probe and 1.5x ladder (product by product)."""
+    return (np.geomspace(max(s_start, 1e-6) + 1e-12, 1e4, 200),
+            np.multiply.accumulate(np.r_[max(1.0, s_start), np.full(59, 1.5)]))
+
+
+_PROBES = _probes(0.0)  # those of the common start
+
+
 def _support_radius(weight, s_start: float, rel_floor: float = 1e-21):
     """Radius beyond which the weight is negligible relative to its peak.
 
     Returns inf when no decay is detected within the scan cap (the
     integral is then handled as conditionally convergent).
     """
-    grid = np.geomspace(max(s_start, 1e-6) + 1e-12, 1e4, 200)
+    grid, ladder = _PROBES if s_start == 0 else _probes(s_start)
     wmax = float(np.max(np.abs(weight(grid))))
     if wmax == 0.0:
         return max(s_start, 1.0)
-    # the 1.5x ladder from max(1, s_start), product by product
-    ladder = np.multiply.accumulate(np.r_[max(1.0, s_start), np.full(59, 1.5)])
     below = np.abs(weight(ladder)) < rel_floor * wmax
     return float(ladder[np.argmax(below)]) if below.any() else math.inf
 
 
-def _graded_head(weight, nu, scale, a, b, tol):
+def _graded_head(weight, nu, scale, a, b, tol, tabled=False):
     """int_a^b J_nu(scale*s) w(s) ds on one Bessel arch (nu = scale = 0:
     int_a^b w) by 16-point Gauss-Legendre panels with edges a + (b-a) 2^-k,
     k <= 100, graded toward a, where s^p and s^(z-1) are not smooth.  All
     panels are halved until the sum moves by under tol/100 (or 1e-15) of
-    itself; returns (value, last change, int |w|).
+    itself; returns (value, last change, int |w|).  ``tabled`` (a = 0,
+    b = j_{nu,1}/scale) reads the Bessel values from nu's table.
     """
-    edges = np.unique(a + (b - a) * np.r_[0.0, 0.5 ** np.arange(100, -1, -1)])
     value = math.nan
-    for _ in range(9):
-        panels, abs_w = _panel_integrals(weight, nu, scale, edges, order=16)
+    for level, edges in enumerate(_head_levels(a, b)):
+        panels, abs_w = _panel_integrals(weight, nu, scale, edges, _HEAD_ORDER,
+                                         _head_j(nu, level) if tabled else None)
         prev, value = value, float(panels.sum())
         change = abs(value - prev)
         if change <= max(1e-2 * tol, 1e-15) * abs(value):
             return value, change, abs_w
-        edges = np.unique(np.r_[edges, 0.5 * (edges[1:] + edges[:-1])])
     raise NonConvergent(f"graded head on [{a!r}, {b!r}] did not settle "
                         f"(estimate {value!r}, last change {change:.3e})")
 
 
 def oscillatory_bessel_integral(weight, nu: float, scale: float,
                                 s_start: float = 0.0, tol: float = 1e-11,
-                                order: int = 12,
                                 max_panels: int = 300_000) -> Approximation:
     """int_{s_start}^inf J_nu(scale * s) w(s) ds with panel acceleration.
 
@@ -181,7 +232,9 @@ def oscillatory_bessel_integral(weight, nu: float, scale: float,
     the acceleration depth (at least 3).  Requires scale > 0 and a
     weight that takes and returns arrays and either decays (support
     detected) or leaves the panel sums alternating so acceleration
-    applies.  The estimate, a bound, adds the head's last halving change,
+    applies.  Panels use the 12-point rule of nu's node table; from
+    s_start = 0 no ``bessel_j`` call is made once it has grown far enough.
+    The estimate, a bound, adds the head's last halving change,
     the acceleration error, the change between the last two batch ends
     and eps_J int |w|, eps_J bounding the absolute error of ``bessel_j``:
     the rounding of its ascending series at the largest term, e^x /
@@ -208,8 +261,8 @@ def oscillatory_bessel_integral(weight, nu: float, scale: float,
                              method="oracle",
                              diagnostics={"panels": 0, "depth": 3})
 
-    head_val, head_err, abs_w = _graded_head(weight, nu, scale, s_start,
-                                             zs[skip] / scale, tol)
+    head_val, head_err, abs_w = _graded_head(
+        weight, nu, scale, s_start, zs[skip] / scale, tol, tabled=s_start == 0)
 
     batch = 64
     panel_vals: list[np.ndarray] = []
@@ -224,8 +277,9 @@ def oscillatory_bessel_integral(weight, nu: float, scale: float,
     converged = False
     while n_panels < max_panels:
         edges = bessel_zeros(nu, batch + 1, offset=offset)
+        b, b_abs = _panel_integrals(weight, nu, scale, edges / scale, _PANEL_ORDER,
+                                    _panel_j(nu, offset, offset + batch))
         offset += batch
-        b, b_abs = _panel_integrals(weight, nu, scale, edges / scale, order)
         abs_w += b_abs
         panel_vals.append(b)
         csum = running + np.cumsum(b)
@@ -261,9 +315,8 @@ def oscillatory_bessel_integral(weight, nu: float, scale: float,
 
 def _check_alternation(panel_vals):
     """Panel integrals must alternate in sign beyond the first oscillation."""
-    b = np.concatenate(panel_vals) if panel_vals else np.empty(0)
-    big = np.abs(b) > 1e-280
-    b = b[big]
+    b = np.concatenate(panel_vals)
+    b = b[np.abs(b) > 1e-280]
     if b.size < 4:
         return
     signs = np.sign(b[2:])
@@ -346,7 +399,7 @@ def normalization_check(spec, r_split: float = 40.0) -> float:
     from the large-r residue expansion, whose term-by-term r-integral
     is elementary.
     """
-    from .stable_kernel import KernelSpec, kernel_at_origin, stable_series
+    from .stable_kernel import KernelSpec, stable_series
 
     if spec.beta != 0:
         raise ValueError("normalization applies to beta = 0 densities")
@@ -362,10 +415,7 @@ def normalization_check(spec, r_split: float = 40.0) -> float:
         mid, halfw = 0.5 * (a + b), 0.5 * (b - a)
         for xi, wi in zip(x_gl, w_gl):
             ri = mid + halfw * xi
-            if ri <= 0:
-                ki = kernel_at_origin(unit)
-            else:
-                ki = hankel_oracle(w, d, ri, tol=1e-10).value
+            ki = hankel_oracle(w, d, ri, tol=1e-10).value
             total += wi * halfw * omega * ki * ri ** (d - 1)
 
     # analytic tail of the residue expansion: each c_n r^(-d-n*alpha)

@@ -18,8 +18,9 @@ from levykernel.specfun import bessel_switch_point
 POOL = pathlib.Path(__file__).resolve().parents[1] / "bench" / "pool"
 
 # Runs in a fresh interpreter: reports whether importing the package left
-# the zero tables empty, then fills the nu = 0 table in one of two orders
-# and reports its bits and one oracle value.
+# the tables empty, then fills the nu = 0 table (zeros, panel and head
+# node values) in one of two orders and reports its bits and one oracle
+# value.
 _ZERO_ORDER_SCRIPT = """
 import hashlib, json, sys
 import levykernel, levykernel.cli
@@ -29,18 +30,26 @@ oracle_value = lambda: levykernel.stable_oracle(
     levykernel.KernelSpec(2, 1.99), 50.0).value.hex()
 if sys.argv[1] == "far-first":
     oracle.bessel_zeros(0.0, 1, offset=19999)
+    oracle._panel_j(0.0, 19990, 19999)
+    oracle._head_j(0.0, 4)
     value = oracle_value()
 else:
     value = oracle_value()
     n = 1
     while n < 20000:
         oracle.bessel_zeros(0.0, n)
+        oracle._panel_j(0.0, n // 2, n)
         n *= 2
     oracle.bessel_zeros(0.0, 20000)
+    oracle._panel_j(0.0, 19990, 19999)
+    for level in range(5):
+        oracle._head_j(0.0, level)
 table = oracle._ZERO_TABLES[0.0]
+digest = lambda arrays: [len(arrays), hashlib.sha256(
+    b"".join(a.tobytes() for a in arrays)).hexdigest()]
 print(json.dumps({"empty_after_import": empty_after_import, "value": value,
-                  "size": table.size,
-                  "table": hashlib.sha256(table.tobytes()).hexdigest()}))
+                  "size": table["zeros"].size, "table": digest([table["zeros"]]),
+                  "panels": digest(table["panels"]), "head": digest(table["head"])}))
 """
 
 
@@ -99,21 +108,28 @@ class TestBesselZeros:
         assert far["size"] == grown["size"] >= 20000
         assert far["table"] == grown["table"]
         assert far["value"] == grown["value"]
+        assert far["panels"] == grown["panels"] and far["panels"][0] >= 20
+        assert far["head"] == grown["head"] and far["head"][0] >= 5
 
     def test_import_computes_no_zeros(self, zero_orders):
         assert all(run["empty_after_import"] for run in zero_orders.values())
 
     def test_concurrent_growth(self, monkeypatch):
         # the table takes no lock: racing threads may compute a block
-        # twice, with identical bits, and each reads correct zeros
+        # twice, with identical bits, and each reads correct zeros and
+        # node values
         ref = lk.bessel_zeros(0.5, 7000)
+        ref_panels = oracle._panel_j(0.5, 0, 7000)
+        ref_head = [oracle._head_j(0.5, level) for level in range(3)]
         monkeypatch.setattr(oracle, "_ZERO_TABLES", {})
         spans = [(700 * i, 300 + 500 * i) for i in range(6)]
         got = {}
 
         def work(i):
             offset, n = spans[i]
-            got[i] = lk.bessel_zeros(0.5, n, offset=offset)
+            got[i] = (lk.bessel_zeros(0.5, n, offset=offset),
+                      oracle._panel_j(0.5, offset, offset + n),
+                      oracle._head_j(0.5, i % 3))
 
         threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
         interval = sys.getswitchinterval()
@@ -127,14 +143,59 @@ class TestBesselZeros:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         for i, (offset, n) in enumerate(spans):
-            assert np.array_equal(got[i], ref[offset:offset + n])
+            zeros, panels, head = got[i]
+            assert np.array_equal(zeros, ref[offset:offset + n])
+            assert np.array_equal(panels, ref_panels[offset:offset + n])
+            assert np.array_equal(head, ref_head[i % 3])
 
     def test_non_increasing_block_is_typed(self, monkeypatch):
+        # resetting the zero tables resets the node values with them
         monkeypatch.setattr(oracle, "_ZERO_TABLES", {})
         monkeypatch.setattr(oracle, "_zero_block",
                             lambda nu, j: np.full(oracle._ZERO_BLOCK, 3.0))
         with pytest.raises(lk.NonConvergent):
             lk.stable_oracle(lk.KernelSpec(d=2, alpha=1.5), 5.0)
+
+
+def _nodes(edges, order):
+    x_gl = np.polynomial.legendre.leggauss(order)[0]
+    return (0.5 * (edges[1:] + edges[:-1])[:, None]
+            + 0.5 * (edges[1:] - edges[:-1])[:, None] * x_gl[None, :])
+
+
+class TestNodeTable:
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 4.0])
+    def test_values_are_bessel_j_at_the_nodes(self, nu):
+        n = 2 * oracle._ZERO_BLOCK + 100
+        zeros = lk.bessel_zeros(nu, n + 1)
+        panels = oracle._panel_j(nu, 0, n)
+        assert np.array_equal(panels, lk.bessel_j(nu, _nodes(zeros, 12)))
+        assert np.array_equal(oracle._panel_j(nu, 1000, 2100), panels[1000:2100])
+        # the head's unit grid 2^-k, k <= 100, every panel halved per level
+        edges = np.unique(np.r_[0.0, 0.5 ** np.arange(100, -1, -1)])
+        for level in range(3):
+            assert np.array_equal(oracle._head_j(nu, level),
+                                  lk.bessel_j(nu, zeros[0] * _nodes(edges, 16)))
+            edges = np.unique(np.r_[edges, 0.5 * (edges[1:] + edges[:-1])])
+
+    def test_warm_oscillatory_call_makes_no_bessel_call(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_ZERO_TABLES", {})
+        calls = []
+
+        def counted(nu, x):
+            calls.append(np.size(x))
+            return lk.bessel_j(nu, x)
+
+        monkeypatch.setattr(oracle, "bessel_j", counted)
+        spec = lk.KernelSpec(d=3, alpha=1.5)
+        lk.stable_oracle(spec, 2.0)
+        assert calls  # the first call fills the table
+        calls.clear()
+        res = lk.stable_oracle(spec, 2.7)
+        assert res.diagnostics["panels"] > 0 and calls == []
+        # the weight dies before the first arch: the head is not tabled
+        res = lk.stable_oracle(spec, 0.01)
+        assert res.diagnostics["panels"] == 0 and calls
 
 
 class TestHankelOracle:
@@ -210,6 +271,7 @@ def _support_radius_loop(weight, s_start, rel_floor=1e-21):
     (lk.stable_weight(2, 1.5, 0.0, 1.0), 0.0),
     (lk.stable_weight(3, 0.3, 0.7, 1.0), 0.0),
     (lk.stable_weight(2, 1.99, 0.0, 1.0), 1.0),
+    (lk.stable_weight(2, 1.5, 0.0, 1.0), 3.0),
     (lk.symbol_weight(lk.make_symbol("relativistic", alpha=0.8, m=2.0),
                       3, 0.0, 1.0), 0.0),
     (lk.symbol_weight(lk.make_symbol("sum_stable", a=0.8, b=1.2),
