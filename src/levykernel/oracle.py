@@ -42,7 +42,7 @@ __all__ = [
 
 
 _ZERO_BLOCK = 1024
-_PANEL_ORDER, _HEAD_ORDER = 12, 16
+_PANEL_ORDER, _HEAD_ORDER, _HEAD_LEVELS = 12, 16, 9
 _ZERO_TABLES: dict[float, dict[str, object]] = {}
 
 
@@ -129,17 +129,24 @@ def _panel_j(nu: float, start: int, stop: int) -> np.ndarray:
 def _head_levels(a, b):
     """Edges a + (b-a) 2^-k, k <= 100, of the graded head, halved per level."""
     edges = np.unique(a + (b - a) * np.r_[0.0, 0.5 ** np.arange(100, -1, -1)])
-    for _ in range(9):
+    for _ in range(_HEAD_LEVELS):
         yield edges
         edges = np.unique(np.r_[edges, 0.5 * (edges[1:] + edges[:-1])])
+
+
+@functools.cache
+def _unit_edges(level: int) -> np.ndarray:
+    """The head's edges on [0, 1] at level ``level`` (read-only)."""
+    edges = next(itertools.islice(_head_levels(0.0, 1.0), level, None))
+    edges.flags.writeable = False
+    return edges
 
 
 def _head_j(nu: float, level: int) -> np.ndarray:
     """J_nu(j_{nu,1} u) at the head's 16-point nodes u of level ``level``."""
     z1 = _zero_table(nu, 1)[0]
-    return _grow(nu, "head", level + 1, lambda j: bessel_j(nu, z1 * _gl_nodes(
-        next(itertools.islice(_head_levels(0.0, 1.0), j, None)),
-        _HEAD_ORDER)[0]))[level]
+    return _grow(nu, "head", level + 1, lambda j: bessel_j(
+        nu, z1 * _gl_nodes(_unit_edges(j), _HEAD_ORDER)[0]))[level]
 
 
 def _panel_integrals(weight, nu, scale, edges, order, jx=None):
@@ -210,7 +217,11 @@ def _graded_head(weight, nu, scale, a, b, tol, tabled=False):
     b = j_{nu,1}/scale) reads the Bessel values from nu's table.
     """
     value = math.nan
-    for level, edges in enumerate(_head_levels(a, b)):
+    # from a = 0 the edges are b times the unit ones; from a != 0,
+    # a + (b-a) 2^-k rounds to a for large k and np.unique drops those
+    levels = (_head_levels(a, b) if a != 0
+              else (b * _unit_edges(k) for k in range(_HEAD_LEVELS)))
+    for level, edges in enumerate(levels):
         panels, abs_w = _panel_integrals(weight, nu, scale, edges, _HEAD_ORDER,
                                          _head_j(nu, level) if tabled else None)
         prev, value = value, float(panels.sum())

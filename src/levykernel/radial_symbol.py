@@ -245,7 +245,7 @@ def exp_eta_derivative(sym: RadialSymbol, t: float, r, m: int):
 # ---------------------------------------------------------------------------
 
 # a folded request takes the factorised phases from this many heights
-# on; below it the two exp tables save little over the dense matrix
+# on; below it the running products save little over the dense matrix
 _MIN_FACTORED = 64
 # ... and only while its progression has at most this many slots per
 # height: a set symmetric about a non-zero centre folds into two
@@ -253,10 +253,6 @@ _MIN_FACTORED = 64
 _MAX_SLOTS_PER_HEIGHT = 4
 # heights per block of a phase matrix; bounds the working set
 _PHASE_ROWS = 256
-# a request of at most this many heights (the decay ladder's first
-# probe) takes one product per height: BLAS rounds a one-column product
-# its own way, and the probe then reads the values of lone heights
-_LONE_HEIGHTS = 3
 
 
 class _MellinGrid:
@@ -264,17 +260,21 @@ class _MellinGrid:
 
     Both half-lines are log-substituted (r = e^-u and r = e^u) and the
     scaled integrand G(u) = r^k D^k(e^{-t eta}) is precomputed on
-    Gauss-Legendre panels with real weights p0, p1, so each transform
-    value is the pure-phase sum sum_u p(u) e^{i w(u) v}.
+    Gauss-Legendre panels as one node set w (w = -u, then +u) with real
+    weights p, so each transform value is the pure-phase sum
+    sum_w p e^{i w v}.
 
     ``value`` folds a request onto its distinct |v|, since real weights
     give M(c - iv) = conj M(c + iv).  When the folded heights lie on a
     progression a0 + m*step at most a few times longer than the request,
     as every trapezoid level does, m = b*B + j with B ~ sqrt(m_max + 1)
-    splits each phase into a block head and an offset: two exp tables
-    of about sqrt(m_max) columns each and one matmul.  Every other set
-    (single points, the build probes, Gauss-Legendre panel nodes, short
-    or scattered sets) takes the dense phase matrix of ``_eval_arrays``.
+    splits each phase into a block head and an offset.  Both factors are
+    running products of one exp per node, e^{iw step} for the offsets
+    and e^{iwB step} for the heads: three exps per node and one matmul.
+    Every other set (single points, the build probes, Gauss-Legendre
+    panel nodes, short or scattered sets) takes the dense phase matrix of
+    ``_eval_arrays``, where each height's sum is formed alone, in a fixed
+    order, so its bits do not depend on the rest of the request.
     Results are memoised per requested node set.
     """
 
@@ -304,28 +304,26 @@ class _MellinGrid:
                 grow = np.exp(u1 * self.c)
             p1 = w1 * g1 * grow
             p1[~np.isfinite(p1)] = 0.0
-            return u0, p0, u1, p1
+            # both half-lines as one phase sum: sum p e^{i w v}
+            return np.concatenate((-u0, u1)), np.concatenate((p0, p1))
 
         n0 = max(8, int(math.ceil(u0_end / delta)))
         n1 = max(8, int(math.ceil(u1_end / delta)))
-        u0, p0, u1, p1 = build(n0, n1)
+        w, p = build(n0, n1)
         probes = np.array([0.0, 0.5 * self.max_imag, self.max_imag])
-        prev = self._eval_arrays(u0, p0, u1, p1, probes)
+        prev = self._eval_arrays(w, p, probes)
         for _ in range(8):
             n0 *= 2
             n1 *= 2
-            u0, p0, u1, p1 = build(n0, n1)
-            cur = self._eval_arrays(u0, p0, u1, p1, probes)
+            w, p = build(n0, n1)
+            cur = self._eval_arrays(w, p, probes)
             scale = np.max(np.abs(cur)) + 1e-300
             if np.max(np.abs(cur - prev)) <= tol * scale:
                 break
             prev = cur
         else:
             raise NonConvergent("inner Mellin quadrature did not stabilize")
-        self.u0, self.p0, self.u1, self.p1 = u0, p0, u1, p1
-        # both half-lines as one phase sum: sum p e^{i w v}
-        self._w = np.concatenate((-u0, u1))
-        self._p = np.concatenate((p0, p1))
+        self._w, self._p = w, p
         self._memo: dict[bytes, np.ndarray] = {}
         self._lock = threading.Lock()
 
@@ -349,13 +347,13 @@ class _MellinGrid:
         raise NonConvergent("symbol grows too slowly to truncate the "
                             "Mellin integral (eta must beat log r)")
 
-    def _eval_arrays(self, u0, p0, u1, p1, v, rows=_PHASE_ROWS):
-        # M(c + iv) = sum p0 e^{-i u0 v} + sum p1 e^{+i u1 v}
+    @staticmethod
+    def _eval_arrays(w, p, v):
+        # each height's sum alone, in a fixed order: sum p e^{i w v}
         out = np.empty(v.shape, dtype=np.complex128)
-        for i in range(0, v.size, rows):
-            vv = v[i:i + rows]
-            out[i:i + rows] = (p0 @ np.exp(-1j * np.outer(u0, vv))
-                               + p1 @ np.exp(1j * np.outer(u1, vv)))
+        for i in range(0, v.size, _PHASE_ROWS):
+            out[i:i + _PHASE_ROWS] = np.einsum("rk,k->r", np.exp(
+                1j * np.multiply.outer(v[i:i + _PHASE_ROWS], w)), p)
         return out
 
     @staticmethod
@@ -380,18 +378,21 @@ class _MellinGrid:
 
     def _factored(self, a0, step, m):
         """M(c + i(a0 + m*step)) by blocked phases: with m = b*B + j the
-        phase e^{iwv} is e^{iw(a0 + bB step)} e^{iw j step}."""
+        phase e^{iwv} is e^{iw(a0 + bB step)} e^{iw j step}.  Row j of
+        the offsets is (e^{iw step})^j and head b is p e^{iw a0}
+        (e^{iwB step})^b, each row the last one times its rotation."""
         n_slots = int(m[-1]) + 1
         block = math.isqrt(n_slots - 1) + 1
-        n_heads = -(-n_slots // block)
-        offsets = np.exp(1j * np.outer(self._w, step * np.arange(block)))
-        heads = a0 + step * block * np.arange(n_heads)
-        table = np.empty((n_heads, block), dtype=np.complex128)
-        for i in range(0, n_heads, _PHASE_ROWS):
-            hh = heads[i:i + _PHASE_ROWS]
-            table[i:i + _PHASE_ROWS] = (self._p * np.exp(
-                1j * np.outer(hh, self._w))) @ offsets
-        return table.ravel()[m]
+        w = self._w
+        offsets = np.empty((block, w.size), dtype=np.complex128)
+        heads = np.empty((-(-n_slots // block), w.size), dtype=np.complex128)
+        offsets[0] = 1.0
+        heads[0] = self._p * np.exp(1j * a0 * w)
+        for table, turn in ((offsets, step), (heads, block * step)):
+            rot = np.exp(1j * turn * w)
+            for prev, row in zip(table, table[1:]):
+                np.multiply(prev, rot, out=row)
+        return (heads @ offsets.T).ravel()[m]
 
     def value(self, v):
         """M_t^k(c + iv) for an array of imaginary parts, memoised per
@@ -405,9 +406,7 @@ class _MellinGrid:
             a, inverse = np.unique(np.abs(flat), return_inverse=True)
             prog = self._progression(a)
             if prog is None:
-                folded = self._eval_arrays(
-                    self.u0, self.p0, self.u1, self.p1, a,
-                    1 if a.size <= _LONE_HEIGHTS else _PHASE_ROWS)
+                folded = self._eval_arrays(self._w, self._p, a)
             else:
                 folded = self._factored(*prog)
             got = folded[inverse]

@@ -303,7 +303,7 @@ class TestMellinGridPhases:
 
     @staticmethod
     def _dense(grid, v):
-        return grid._eval_arrays(grid.u0, grid.p0, grid.u1, grid.p1, v)
+        return grid._eval_arrays(grid._w, grid._p, v)
 
     @pytest.mark.parametrize("kind,params", GRIDS, ids=[g[0] for g in GRIDS])
     def test_factored_matches_dense(self, kind, params):
@@ -314,7 +314,7 @@ class TestMellinGridPhases:
                 "midpoints": (np.arange(-n, n, dtype=float) + 0.5) * h,
                 "strided": level0[::3],
                 "negative": np.arange(-40, 121, dtype=float) * h}
-        gross = np.sum(np.abs(grid.p0)) + np.sum(np.abs(grid.p1))
+        gross = np.sum(np.abs(grid._p))
         for name, v in sets.items():
             assert grid._progression(np.unique(np.abs(v))) is not None, name
             err = np.max(np.abs(grid.value(v) - self._dense(grid, v)))
@@ -329,6 +329,71 @@ class TestMellinGridPhases:
         probe = grid.value(np.array([0.0, 8.0, 16.0]))
         lone = [grid.value(np.array([v]))[0] for v in (0.0, 8.0, 16.0)]
         assert np.array_equal(probe, lone)
+        # nor on the rest of a dense request or on its layout
+        rng = np.random.default_rng(7)
+        scattered = np.r_[rng.uniform(-64.0, 64.0, 299), 8.0]
+        assert grid._progression(np.unique(np.abs(scattered))) is None
+        assert grid.value(scattered)[-1] == lone[1]
+        strided = np.array([[16.0, 3.0], [8.0, 5.0]])[:, 0]
+        assert not strided.flags.contiguous
+        assert grid.value(strided)[1] == lone[1]
+
+    @staticmethod
+    def _level(grid):
+        # a trapezoid level of 641 heights up to 64, folded
+        a = np.unique(np.abs(np.arange(-640, 641, dtype=float) * 0.1))
+        return a, grid._progression(a)
+
+    def test_factored_makes_three_exps_per_node(self, monkeypatch):
+        # a timing-free guard on the work: each factor is a running
+        # product of one exp per node, not a table of exps
+        grid = self._grid(*self.GRIDS[0])
+        _, prog = self._level(grid)
+        real_exp = np.exp
+        count = [0]
+
+        def counting(x, *args, **kwargs):
+            out = real_exp(x, *args, **kwargs)
+            if np.iscomplexobj(out):
+                count[0] += np.size(out)
+            return out
+
+        monkeypatch.setattr(np, "exp", counting)
+        grid._factored(*prog)
+        assert 0 < count[0] <= 3 * grid._w.size
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-16,
+                        reason="long double is no wider than double")
+    @pytest.mark.parametrize("kind,params", GRIDS, ids=[g[0] for g in GRIDS])
+    def test_factored_accuracy_against_long_double(self, kind, params):
+        # the running products' rounding grows with the power taken, yet
+        # stays within that of the argument rounding of direct exps
+        grid = self._grid(kind, params)
+        a, prog = self._level(grid)
+        phase = np.multiply.outer(a.astype(np.longdouble),
+                                  grid._w.astype(np.longdouble))
+        weights = grid._p.astype(np.longdouble)
+        ref = np.cos(phase) @ weights + 1j * (np.sin(phase) @ weights)
+        gross = np.sum(np.abs(grid._p))
+        err = float(np.max(np.abs(grid._factored(*prog) - ref)))
+        dense = float(np.max(np.abs(self._dense(grid, a) - ref)))
+        assert err <= 2e-15 * gross
+        assert err <= 1.5 * dense
+
+    def test_factored_peak_memory(self):
+        import tracemalloc
+
+        # the traced peak of one call when each factor was a table of
+        # exps: 7029992 bytes at 5696 nodes
+        grid = self._grid(*self.GRIDS[0])
+        _, prog = self._level(grid)
+        tracemalloc.start()
+        try:
+            grid._factored(*prog)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7029992 * grid._w.size / 5696
 
     def test_offset_symmetric_set_is_dense(self):
         import tracemalloc
@@ -345,7 +410,7 @@ class TestMellinGridPhases:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
-        gross = np.sum(np.abs(grid.p0)) + np.sum(np.abs(grid.p1))
+        gross = np.sum(np.abs(grid._p))
         assert np.max(np.abs(got - self._dense(grid, v))) <= 1e-11 * gross
 
     def test_memo_returns_copies(self):
