@@ -18,8 +18,9 @@ the ladder's samples for the tail, directly into kernel values.
 Callers assemble integrands from combined log-gamma ratios, so
 magnitudes stay representable on tall lines.  The engine exponentiates
 G once per node, scaled by its largest modulus; each r then costs one
-real scale r^(c - shift) and a sum of phases r^(i Im z), which the
-trapezoid's evenly spaced nodes let it take in sqrt(N) blocks.  Every
+real scale r^(c - shift) and a sum of phases r^(i Im z).  Such sums,
+here and in M_t^k, come from ``_phase_sums`` in sqrt(N) blocks of the
+evenly spaced side: the trapezoid's nodes, or M_t^k's heights.  Every
 set of samples, a ladder rung or a quadrature level, is one call of G.
 
 All reductions run in a fixed order, so results are bit-reproducible.
@@ -27,6 +28,7 @@ All reductions run in a fixed order, so results are bit-reproducible.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -47,10 +49,17 @@ __all__ = [
 
 _RULES = ("trapezoid", "gauss_legendre_panels")
 
-# complex phases of one row block of ``power_line_integral`` (each r
-# takes ~2 sqrt(N) per trapezoid level, N on a panel level); bounds the
-# working set whatever the number of rows
+# complex phases per row block of ``_phase_sums``: bounds the working set
+# whatever the number of rows
 _BLOCK_ELEMS = 1 << 15
+
+_gl = functools.cache(np.polynomial.legendre.leggauss)
+
+
+def _gl_nodes(edges, order):
+    """Gauss-Legendre nodes of each panel (one row each) and half widths."""
+    mids, halfw = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    return mids[:, None] + halfw[:, None] * _gl(order)[0][None, :], halfw
 
 
 @dataclass(frozen=True)
@@ -130,14 +139,11 @@ def _levels(contour: ContourSpec, max_refinements: int):
             n *= 2
             h *= 0.5
         return
-    x_gl, w_gl = np.polynomial.legendre.leggauss(16)
     n_panels = max(contour.nodes // 16, 8)
     for _ in range(max_refinements + 1):
-        edges = np.linspace(-big_t, big_t, n_panels + 1)
-        mids = 0.5 * (edges[1:] + edges[:-1])
-        halfw = 0.5 * (edges[1:] - edges[:-1])
-        yield ((mids[:, None] + halfw[:, None] * x_gl[None, :]).ravel(), None,
-               (halfw[:, None] * w_gl[None, :]).ravel(), 1.0, 0.0, False)
+        nodes, halfw = _gl_nodes(np.linspace(-big_t, big_t, n_panels + 1), 16)
+        yield (nodes.ravel(), None, (halfw[:, None] * _gl(16)[1]).ravel(), 1.0,
+               0.0, False)
         n_panels *= 2
 
 
@@ -205,45 +211,87 @@ def _direct_sums(f):
     return sums
 
 
-def _phase_sums(e, v, spacing, x):
-    """sum_k e_k exp(i v_k x) for every entry of ``x``.
+def _progression(v):
+    """(v_0, dv, m) with v ~= v_0 + m*dv to a few ulps and dv the smallest
+    gap, for 64 or more increasing v on under 4 slots each (shorter sets
+    cost less dense, sparser ones need larger tables); else None."""
+    if v.size < 64 or not (gap := np.diff(v).min()) > 0.0:
+        return None
+    span = v[-1] - v[0]
+    if not (slots := span / gap) < 4 * v.size:
+        return None
+    dv = span / round(slots)
+    m = np.rint((v - v[0]) / dv)
+    ulps = 8 * np.finfo(float).eps * max(abs(v[0]), abs(v[-1]))
+    ok = np.max(np.abs(v[0] + m * dv - v)) <= ulps
+    return (v[0], dv, m.astype(np.int64)) if ok else None
 
-    Nodes evenly spaced by ``spacing`` are split, counted from the node
-    nearest v = 0, into heads of ``width`` ~ sqrt(N) nodes: node
-    b*width + q has the phase exp(i v_b x) exp(i q spacing x), so each x
-    takes width + N/width exps and one contraction with e laid out as a
-    (heads, width) matrix.  Centred blocks keep the large middle nodes'
-    phases as accurate as direct ones.  Other node sets take a dense
-    phase matrix.  Each x's sum is formed alone, in a fixed order.
+
+def _row_blocks(v, heights, contract):
+    """``contract`` of the phases exp(i v_j heights), by row blocks of v."""
+    rows = max(1, _BLOCK_ELEMS // heights.size)
+    return np.concatenate([contract(np.exp(1j * np.multiply.outer(
+        v[lo:lo + rows], heights))) for lo in range(0, v.size, rows)])
+
+
+def _dense(p, w, v):
+    """sum_k p_k exp(i w_k v_j), each v_j's sum formed alone, in order."""
+    return _row_blocks(v, w, lambda ph: np.einsum("rk,k->r", ph, p))
+
+
+def _blocks(first, last, centred):
+    """B, half, lo and the head count of the slots first..last."""
+    width = math.isqrt(last - first) + 1
+    half = width // 2 if centred else 0
+    lo = (first + half) // width
+    return width, half, lo, (last + half) // width - lo + 1
+
+
+def _phase_sums(p, w, v, step=None):
+    """sum_k p_k exp(i w_k v_j) for every v_j, in ~sqrt(N) blocks of the
+    evenly spaced side (nonequispaced DFTs of type 2 and 1, Dutt and
+    Rokhlin): entry m = b*B + q, -half <= q < B - half, sits in slot
+    m + half - lo*B (``_blocks``), its phase head b's times offset q's.
+
+    - Node split, nodes spaced by ``step`` (the engine's trapezoid
+      levels): m counts from the node nearest w = 0 and the offsets are
+      centred, keeping the large middle nodes' phases accurate.  Each v_j
+      takes heads + B exps of one outer product, alone.
+    - Query split, v on a progression v_0 + m*dv (``_progression``; the
+      inner transform's trapezoid levels): per-node running products,
+      offset q (e^{i w dv})^q and head b p e^{i w v_0} (e^{i w B dv})^b,
+      three exps per node, then one matmul.
+    - Dense, every other set (``_dense``).
     """
-    n = e.size
-    if spacing is None:
-        heights = v
+    if step is None:
+        prog = _progression(v)
+        if prog is None:
+            return _dense(p, w, v)
+        v0, dv, m = prog
+        width, _, _, heads = _blocks(0, int(m[-1]), False)
+        offsets = np.empty((width, w.size), dtype=np.complex128)
+        table = np.empty((heads, w.size), dtype=np.complex128)
+        offsets[0] = 1.0
+        table[0] = p * np.exp(1j * v0 * w)
+        for rows, turn in ((offsets, dv), (table, width * dv)):
+            rot = np.exp(1j * turn * w)
+            for prev, row in zip(rows, rows[1:]):
+                np.multiply(prev, rot, out=row)
+        return (table @ offsets.T).ravel()[m]
+    k0 = w.size // 2
+    width, half, lo, heads = _blocks(-k0, w.size - 1 - k0, True)
+    mat = np.zeros((heads, width), dtype=np.complex128)
+    off = half - k0 - lo * width
+    mat.reshape(-1)[off:off + w.size] = p
+    heights = np.concatenate((
+        w[k0] + (np.arange(lo, lo + heads) * width) * step,
+        (np.arange(width) - half) * step))
 
-        def contract(ph):
-            return np.einsum("rk,k->r", ph, e)
-    else:
-        k0 = n // 2
-        width = math.isqrt(n - 1) + 1
-        half = width // 2
-        b_lo = (half - k0) // width
-        heads = (n - 1 - k0 + half) // width - b_lo + 1
-        off = half - k0 - b_lo * width
-        mat = np.zeros(heads * width, dtype=np.complex128)
-        mat[off:off + n] = e
-        mat = mat.reshape(heads, width)
-        heights = np.concatenate((
-            v[k0] + (np.arange(b_lo, b_lo + heads) * width) * spacing,
-            (np.arange(width) - half) * spacing))
+    def contract(ph):
+        tails = np.einsum("rq,bq->rb", ph[:, heads:], mat)
+        return np.einsum("rb,rb->r", tails, ph[:, :heads])
 
-        def contract(ph):
-            tails = np.einsum("rq,bq->rb", ph[:, heads:], mat)
-            return np.einsum("rb,rb->r", tails, ph[:, :heads])
-
-    step = max(1, _BLOCK_ELEMS // heights.size)
-    return np.concatenate([
-        contract(np.exp(1j * np.multiply.outer(x[lo:lo + step], heights)))
-        for lo in range(0, x.size, step)])
+    return _row_blocks(v, heights, contract)
 
 
 def _line_result(value, tail, disc, used) -> Approximation:
@@ -293,7 +341,10 @@ def _power_line(log_g, ln_r, shift, contour, tol, max_refinements=6,
             e[-1] *= 0.5
         x = ln_r[rows]
         rho = np.exp(top + slope * x)
-        return rho * _phase_sums(e, z.imag, spacing, x), rho * gross
+        # panel levels go dense: a query split would tie each r to its grid
+        phases = (_dense(e, z.imag, x) if spacing is None
+                  else _phase_sums(e, z.imag, x, spacing))
+        return rho * phases, rho * gross
 
     value, disc, used = _refine(sums, ln_r.size, contour, tol,
                                 max_refinements)
@@ -329,8 +380,8 @@ def fold_conjugates(log_g):
 
     A node set symmetric about Im z = 0 (z[::-1] == conj z, as every
     level of both rules is) is sampled on its upper half only and
-    mirrored, log_g(conj z) = conj log_g(z): half the gamma-function
-    work on every contour call.  Any other set is sampled as given.
+    mirrored, log_g(conj z) = conj log_g(z): half the gamma work, and
+    M_t^k sees increasing Im z >= 0.  Other sets are sampled as given.
     """
 
     def folded(z):

@@ -9,7 +9,8 @@ graded Gauss-Legendre panels up to the first scaled Bessel zero, panel
 integrals between consecutive zeros, and iterated-averaging (Euler-
 transform) acceleration of the alternating panel sums.  It shares
 nothing with the contour-integral evaluators except the Bessel function
-itself, so it serves as the ground truth they are judged against.
+and the Gauss-Legendre rule, so it serves as the ground truth they are
+judged against.
 
 No node depends on r in the argument x = r s (the 12-point nodes between
 zeros of J_nu, and j_{nu,1} u for the head's nodes u in [0, 1]), so one
@@ -27,6 +28,7 @@ import math
 import numpy as np
 
 from .errors import Approximation, DomainError, NonConvergent
+from .mellin import _gl, _gl_nodes
 from .specfun import bessel_j, bessel_j_derivative, bessel_switch_point
 
 __all__ = [
@@ -103,15 +105,6 @@ def bessel_zeros(nu: float, n: int, offset: int = 0) -> np.ndarray:
     if n <= 0:
         return np.empty(0)
     return _zero_table(nu, offset + n)[offset:offset + n].copy()
-
-
-_gl = functools.cache(np.polynomial.legendre.leggauss)
-
-
-def _gl_nodes(edges, order):
-    """Gauss-Legendre nodes of each panel (one row each) and half widths."""
-    mids, halfw = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
-    return mids[:, None] + halfw[:, None] * _gl(order)[0][None, :], halfw
 
 
 def _panel_j(nu: float, start: int, stop: int) -> np.ndarray:
@@ -419,15 +412,12 @@ def normalization_check(spec, r_split: float = 40.0) -> float:
     omega = 2.0 * math.pi ** (0.5 * d) / math.gamma(0.5 * d)
     w = stable_weight(d, unit.alpha, 0.0, 1.0)
 
-    x_gl, w_gl = _gl(24)
+    nodes, halfw = _gl_nodes(np.array([0.0, 1.0, 5.0, 15.0, r_split]), 24)
     total = 0.0
-    edges = [0.0, 1.0, 5.0, 15.0, r_split]
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, halfw = 0.5 * (a + b), 0.5 * (b - a)
-        for xi, wi in zip(x_gl, w_gl):
-            ri = mid + halfw * xi
+    for row, hw in zip(nodes, halfw):
+        for ri, wi in zip(row, _gl(24)[1]):
             ki = hankel_oracle(w, d, ri, tol=1e-10).value
-            total += wi * halfw * omega * ki * ri ** (d - 1)
+            total += wi * hw * omega * ki * ri ** (d - 1)
 
     # analytic tail of the residue expansion: each c_n r^(-d-n*alpha)
     # integrates against omega r^(d-1) to omega c_n R^(-n alpha)/(n alpha).

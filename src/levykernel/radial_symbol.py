@@ -28,7 +28,8 @@ import numpy as np
 
 from . import oracle as _oracle
 from .errors import NonConvergent, OrderExceeded, ParityError, StripViolation
-from .mellin import ContourSpec, _contour_route, fold_conjugates
+from .mellin import (ContourSpec, _contour_route, _gl, _gl_nodes, _phase_sums,
+                     fold_conjugates)
 from .specfun import log_gamma, reciprocal_gamma
 
 __all__ = [
@@ -244,38 +245,14 @@ def exp_eta_derivative(sym: RadialSymbol, t: float, r, m: int):
 # The continued Mellin transform M_t^k on vertical lines.
 # ---------------------------------------------------------------------------
 
-# a folded request takes the factorised phases from this many heights
-# on; below it the running products save little over the dense matrix
-_MIN_FACTORED = 64
-# ... and only while its progression has at most this many slots per
-# height: a set symmetric about a non-zero centre folds into two
-# interleaved progressions whose common step can be arbitrarily fine
-_MAX_SLOTS_PER_HEIGHT = 4
-# heights per block of a phase matrix; bounds the working set
-_PHASE_ROWS = 256
-
-
 class _MellinGrid:
     """Frozen quadrature grid for M_t^k(c + iv), |v| <= max_imag.
 
     Both half-lines are log-substituted (r = e^-u and r = e^u) and the
     scaled integrand G(u) = r^k D^k(e^{-t eta}) is precomputed on
     Gauss-Legendre panels as one node set w (w = -u, then +u) with real
-    weights p, so each transform value is the pure-phase sum
-    sum_w p e^{i w v}.
-
-    ``value`` folds a request onto its distinct |v|, since real weights
-    give M(c - iv) = conj M(c + iv).  When the folded heights lie on a
-    progression a0 + m*step at most a few times longer than the request,
-    as every trapezoid level does, m = b*B + j with B ~ sqrt(m_max + 1)
-    splits each phase into a block head and an offset.  Both factors are
-    running products of one exp per node, e^{iw step} for the offsets
-    and e^{iwB step} for the heads: three exps per node and one matmul.
-    Every other set (single points, the build probes, Gauss-Legendre
-    panel nodes, short or scattered sets) takes the dense phase matrix of
-    ``_eval_arrays``, where each height's sum is formed alone, in a fixed
-    order, so its bits do not depend on the rest of the request.
-    Results are memoised per requested node set.
+    weights p, so each value, memoised per requested node set, is the
+    pure-phase sum sum_w p e^{i w v} of ``mellin._phase_sums``.
     """
 
     def __init__(self, sym, t, k, abscissa, max_imag, tol=1e-10):
@@ -292,17 +269,18 @@ class _MellinGrid:
         # extent of the r > 1 side: killed by e^{-t eta(e^u)}
         u1_end = self._find_u1(sym, t, k)
         delta = min(0.5, 8.0 / max(self.max_imag, 1.0))
-        x_gl, w_gl = np.polynomial.legendre.leggauss(16)
+        w_gl = _gl(16)[1]
 
         def build(n0, n1):
-            u0, w0 = self._panel_nodes(u0_end, n0, x_gl, w_gl)
-            u1, w1 = self._panel_nodes(u1_end, n1, x_gl, w_gl)
+            u0, h0 = _gl_nodes(np.linspace(0.0, u0_end, n0 + 1), 16)
+            u1, h1 = _gl_nodes(np.linspace(0.0, u1_end, n1 + 1), 16)
+            u0, u1 = u0.ravel(), u1.ravel()
             g0 = scaled_exp_eta_derivative(sym, t, np.exp(-u0), k)
             g1 = scaled_exp_eta_derivative(sym, t, np.exp(u1), k)
-            p0 = w0 * g0 * np.exp(-u0 * self.c)
+            p0 = (h0[:, None] * w_gl).ravel() * g0 * np.exp(-u0 * self.c)
             with np.errstate(over="ignore"):
                 grow = np.exp(u1 * self.c)
-            p1 = w1 * g1 * grow
+            p1 = (h1[:, None] * w_gl).ravel() * g1 * grow
             p1[~np.isfinite(p1)] = 0.0
             # both half-lines as one phase sum: sum p e^{i w v}
             return np.concatenate((-u0, u1)), np.concatenate((p0, p1))
@@ -311,12 +289,12 @@ class _MellinGrid:
         n1 = max(8, int(math.ceil(u1_end / delta)))
         w, p = build(n0, n1)
         probes = np.array([0.0, 0.5 * self.max_imag, self.max_imag])
-        prev = self._eval_arrays(w, p, probes)
+        prev = _phase_sums(p, w, probes)
         for _ in range(8):
             n0 *= 2
             n1 *= 2
             w, p = build(n0, n1)
-            cur = self._eval_arrays(w, p, probes)
+            cur = _phase_sums(p, w, probes)
             scale = np.max(np.abs(cur)) + 1e-300
             if np.max(np.abs(cur - prev)) <= tol * scale:
                 break
@@ -326,15 +304,6 @@ class _MellinGrid:
         self._w, self._p = w, p
         self._memo: dict[bytes, np.ndarray] = {}
         self._lock = threading.Lock()
-
-    @staticmethod
-    def _panel_nodes(end, n_panels, x_gl, w_gl):
-        edges = np.linspace(0.0, end, n_panels + 1)
-        mids = 0.5 * (edges[1:] + edges[:-1])
-        halfw = 0.5 * (edges[1:] - edges[:-1])
-        u = (mids[:, None] + halfw[:, None] * x_gl[None, :]).ravel()
-        w = (halfw[:, None] * w_gl[None, :]).ravel()
-        return u, w
 
     @staticmethod
     def _find_u1(sym, t, k):
@@ -347,53 +316,6 @@ class _MellinGrid:
         raise NonConvergent("symbol grows too slowly to truncate the "
                             "Mellin integral (eta must beat log r)")
 
-    @staticmethod
-    def _eval_arrays(w, p, v):
-        # each height's sum alone, in a fixed order: sum p e^{i w v}
-        out = np.empty(v.shape, dtype=np.complex128)
-        for i in range(0, v.size, _PHASE_ROWS):
-            out[i:i + _PHASE_ROWS] = np.einsum("rk,k->r", np.exp(
-                1j * np.multiply.outer(v[i:i + _PHASE_ROWS], w)), p)
-        return out
-
-    @staticmethod
-    def _progression(a):
-        """(a0, step, m) with a ~= a0 + m*step to a few ulps, for sorted
-        distinct heights a on a progression of at most
-        _MAX_SLOTS_PER_HEIGHT * a.size slots; None for any other set."""
-        if a.size < _MIN_FACTORED:
-            return None
-        span = a[-1] - a[0]
-        # the step is taken as the smallest gap; if a has no two adjacent
-        # slots filled, the reconstruction check fails and a goes dense
-        slots = span / np.diff(a).min()
-        if not slots < _MAX_SLOTS_PER_HEIGHT * a.size:
-            return None
-        step = span / round(slots)
-        m = np.rint((a - a[0]) / step)
-        ulps = 8 * np.finfo(float).eps * a[-1]
-        if np.max(np.abs(a[0] + m * step - a)) > ulps:
-            return None
-        return a[0], step, m.astype(np.int64)
-
-    def _factored(self, a0, step, m):
-        """M(c + i(a0 + m*step)) by blocked phases: with m = b*B + j the
-        phase e^{iwv} is e^{iw(a0 + bB step)} e^{iw j step}.  Row j of
-        the offsets is (e^{iw step})^j and head b is p e^{iw a0}
-        (e^{iwB step})^b, each row the last one times its rotation."""
-        n_slots = int(m[-1]) + 1
-        block = math.isqrt(n_slots - 1) + 1
-        w = self._w
-        offsets = np.empty((block, w.size), dtype=np.complex128)
-        heads = np.empty((-(-n_slots // block), w.size), dtype=np.complex128)
-        offsets[0] = 1.0
-        heads[0] = self._p * np.exp(1j * a0 * w)
-        for table, turn in ((offsets, step), (heads, block * step)):
-            rot = np.exp(1j * turn * w)
-            for prev, row in zip(table, table[1:]):
-                np.multiply(prev, rot, out=row)
-        return (heads @ offsets.T).ravel()[m]
-
     def value(self, v):
         """M_t^k(c + iv) for an array of imaginary parts, memoised per
         node set (a copy is returned)."""
@@ -402,15 +324,7 @@ class _MellinGrid:
         with self._lock:
             got = self._memo.get(key)
         if got is None:
-            flat = v.ravel()
-            a, inverse = np.unique(np.abs(flat), return_inverse=True)
-            prog = self._progression(a)
-            if prog is None:
-                folded = self._eval_arrays(self._w, self._p, a)
-            else:
-                folded = self._factored(*prog)
-            got = folded[inverse]
-            np.conjugate(got, out=got, where=flat < 0)
+            got = _phase_sums(self._p, self._w, v.ravel())
             with self._lock:
                 self._memo[key] = got
         return got.reshape(v.shape).copy()

@@ -84,3 +84,38 @@ def k_independence_err(r=3.0):
     g5 = lk.general_kernel_mb(sym, 2, 0.7, 1.0, r, k=5).value
     g6 = lk.general_kernel_mb(sym, 2, 0.7, 1.0, r, k=6).value
     return abs(g5 - g6) / abs(g6)
+
+
+def row_block_mismatches(call, grid, every=61):
+    """Indices i at which ``call(grid)[i]`` differs from ``call(grid[i])``
+    in value or est_error, checked on both sides of each row-block edge
+    of the engine's node-split phase sums and at every ``every``-th point;
+    returned with the number of edge points seen."""
+    mellin = lk.mellin
+    real = mellin._phase_sums
+    calls = []
+
+    def recording(p, w, v, step=None):
+        if step is not None:
+            k0 = w.size // 2
+            width, _, _, heads = mellin._blocks(-k0, w.size - 1 - k0, True)
+            calls.append((v.copy(), mellin._BLOCK_ELEMS // (width + heads)))
+        return real(p, w, v, step)
+
+    mellin._phase_sums = recording
+    try:
+        batch = call(grid)
+    finally:
+        mellin._phase_sums = real
+    # the first level refines every r, in the grid's (increasing) order
+    x_all = calls[0][0]
+    edges = set()
+    for v, rows in calls:
+        for lo in range(rows, v.size, rows):
+            edges.update(np.searchsorted(x_all, v[lo - 1:lo + 1]).tolist())
+    bad = []
+    for i in sorted(edges | set(range(0, grid.size, every))):
+        one = call(float(grid[i]))
+        if (batch[i].value, batch[i].est_error) != (one.value, one.est_error):
+            bad.append(i)
+    return bad, len(edges)

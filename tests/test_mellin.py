@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -242,6 +243,99 @@ class TestLogGammaCalls:
         doublings = (res.diagnostics["nodes_used"] - 3) / (2 * n)
         assert doublings == 2 ** round(math.log2(doublings))
         assert len(sizes) == rungs + 1 + round(math.log2(doublings))
+
+
+class TestPhaseSums:
+    # sum_k p_k exp(i w_k v_j), the phase sum of the engine (node split on
+    # trapezoid levels) and of the inner transform (query split on its
+    # trapezoid levels), against a dense einsum reference
+    RNG = np.random.default_rng(14)
+
+    @staticmethod
+    def _check(p, w, v, step=None):
+        ref = np.einsum("jk,k->j", np.exp(1j * np.multiply.outer(v, w)), p)
+        got = lk.mellin._phase_sums(p, w, v, step)
+        assert got.shape == v.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.sum(np.abs(p))
+        return got
+
+    def _weights(self, n):
+        return self.RNG.normal(size=n) + 1j * self.RNG.normal(size=n)
+
+    @pytest.mark.parametrize("n", [1, 40, 41, 333])
+    def test_node_split(self, n):
+        h = 25.0 / n
+        x = np.r_[self.RNG.uniform(-6.0, 6.0, 37), 0.0, -4.5]
+        # a level of 2n + 1 nodes (odd, one at v = 0), then its 2n
+        # midpoints, which have no node at v = 0
+        for w in (np.arange(-n, n + 1, dtype=float) * h,
+                  (np.arange(-n, n, dtype=float) + 0.5) * h):
+            p = self._weights(w.size)
+            full = self._check(p, w, x, h)
+            # each query's sum is formed alone: its bits are batch-free
+            for j in (0, 17, x.size - 1):
+                assert full[j] == lk.mellin._phase_sums(p, w, x[j:j + 1], h)[0]
+
+    def test_query_split_on_strided_subset_with_gaps(self):
+        w = np.sort(self.RNG.uniform(-30.0, 30.0, 700))
+        level = np.arange(0, 400, dtype=float) * 0.16
+        v = np.delete(level[::2], [3, 4, 5, 50, 120, 121])
+        assert lk.mellin._progression(v) is not None
+        self._check(self.RNG.normal(size=w.size), w, v)
+
+    def test_dense_on_scattered_set(self):
+        w = np.sort(self.RNG.uniform(-30.0, 30.0, 700))
+        v = np.sort(self.RNG.uniform(0.0, 64.0, 300))
+        assert lk.mellin._progression(v) is None
+        self._check(self.RNG.normal(size=w.size), w, v)
+
+    def test_sets_the_fold_used_to_normalise(self):
+        # M_t^k no longer folds its requests onto sorted distinct |v|: an
+        # unsorted set, repeats, an all-negative set and two points must
+        # each give the right sums, without a RuntimeWarning
+        w = np.sort(self.RNG.uniform(-30.0, 30.0, 500))
+        p = self.RNG.normal(size=w.size)
+        level = np.arange(0, 161, dtype=float) * 0.4
+        sets = {"unsorted": self.RNG.permutation(level),
+                "repeats": np.repeat(level, 2),
+                "all negative": -level[::-1] - 3.0,
+                "two points": np.array([8.0, 16.0])}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name, v in sets.items():
+                self._check(p, w, v)
+            # the ulp tolerance scales with the largest |v|, not with v[-1]
+            assert lk.mellin._progression(sets["all negative"]) is not None
+            for name in ("unsorted", "repeats", "two points"):
+                assert lk.mellin._progression(sets[name]) is None, name
+
+    def test_engine_passes_its_step(self, monkeypatch):
+        # a timing-free guard: the engine hands its trapezoid step to the
+        # node split, so neither a scalar call nor a grid searches its
+        # node or query sets for a progression
+        real = lk.mellin._progression
+        calls = [0]
+
+        def counting(v):
+            calls[0] += 1
+            return real(v)
+
+        monkeypatch.setattr(lk.mellin, "_progression", counting)
+        spec = lk.KernelSpec(d=2, alpha=1.5, beta=0.7)
+        lk.stable_mb(spec, 2.0)
+        lk.stable_mb(spec, np.geomspace(0.05, 30.0, 400))
+        assert calls[0] == 0
+        # while the inner transform's trapezoid levels take the query split
+        found = []
+
+        def recording(v):
+            found.append(real(v))
+            return found[-1]
+
+        monkeypatch.setattr(lk.mellin, "_progression", recording)
+        lk.general_kernel_mb(lk.make_symbol("stable", a=1.2), 2, 0.5, 0.5,
+                             1.3)
+        assert sum(prog is not None for prog in found) >= 2
 
 
 class TestLinePlan:

@@ -10,9 +10,10 @@ import pytest
 import sympy as sp
 
 import levykernel as lk
+from levykernel.mellin import _phase_sums, _progression
 from levykernel.radial_symbol import RadialSymbol, _MellinGrid
 
-from _props import k_independence_err
+from _props import k_independence_err, row_block_mismatches
 
 
 ALL_SYMBOLS = [
@@ -280,6 +281,14 @@ class TestGeneralMBGrid:
             for key in ("nodes_used", "truncation_height"):
                 assert b.diagnostics[key] == p.diagnostics[key]
 
+    def test_grid_matches_pointwise_across_row_blocks(self):
+        # the same across the row blocks of a 1500-point grid
+        sym = lk.make_symbol("stable", a=1.2)
+        bad, edges = row_block_mismatches(
+            lambda r: lk.general_kernel_mb(sym, 2, 0.5, 0.5, r),
+            np.geomspace(0.3, 40.0, 1500))
+        assert edges and not bad
+
     def test_shapes(self):
         sym = lk.make_symbol("stable", a=1.5)
         one = lk.general_kernel_mb(sym, 2, 0.5, 1.0, 2.0)
@@ -303,7 +312,7 @@ class TestMellinGridPhases:
 
     @staticmethod
     def _dense(grid, v):
-        return grid._eval_arrays(grid._w, grid._p, v)
+        return lk.mellin._dense(grid._p, grid._w, v)
 
     @pytest.mark.parametrize("kind,params", GRIDS, ids=[g[0] for g in GRIDS])
     def test_factored_matches_dense(self, kind, params):
@@ -316,7 +325,7 @@ class TestMellinGridPhases:
                 "negative": np.arange(-40, 121, dtype=float) * h}
         gross = np.sum(np.abs(grid._p))
         for name, v in sets.items():
-            assert grid._progression(np.unique(np.abs(v))) is not None, name
+            assert _progression(np.unique(np.abs(v))) is not None, name
             err = np.max(np.abs(grid.value(v) - self._dense(grid, v)))
             assert err <= 1e-11 * gross, name
 
@@ -332,7 +341,7 @@ class TestMellinGridPhases:
         # nor on the rest of a dense request or on its layout
         rng = np.random.default_rng(7)
         scattered = np.r_[rng.uniform(-64.0, 64.0, 299), 8.0]
-        assert grid._progression(np.unique(np.abs(scattered))) is None
+        assert _progression(np.unique(np.abs(scattered))) is None
         assert grid.value(scattered)[-1] == lone[1]
         strided = np.array([[16.0, 3.0], [8.0, 5.0]])[:, 0]
         assert not strided.flags.contiguous
@@ -342,13 +351,13 @@ class TestMellinGridPhases:
     def _level(grid):
         # a trapezoid level of 641 heights up to 64, folded
         a = np.unique(np.abs(np.arange(-640, 641, dtype=float) * 0.1))
-        return a, grid._progression(a)
+        return a, _progression(a)
 
     def test_factored_makes_three_exps_per_node(self, monkeypatch):
         # a timing-free guard on the work: each factor is a running
         # product of one exp per node, not a table of exps
         grid = self._grid(*self.GRIDS[0])
-        _, prog = self._level(grid)
+        a, _ = self._level(grid)
         real_exp = np.exp
         count = [0]
 
@@ -359,7 +368,7 @@ class TestMellinGridPhases:
             return out
 
         monkeypatch.setattr(np, "exp", counting)
-        grid._factored(*prog)
+        _phase_sums(grid._p, grid._w, a)
         assert 0 < count[0] <= 3 * grid._w.size
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-16,
@@ -375,7 +384,7 @@ class TestMellinGridPhases:
         weights = grid._p.astype(np.longdouble)
         ref = np.cos(phase) @ weights + 1j * (np.sin(phase) @ weights)
         gross = np.sum(np.abs(grid._p))
-        err = float(np.max(np.abs(grid._factored(*prog) - ref)))
+        err = float(np.max(np.abs(_phase_sums(grid._p, grid._w, a) - ref)))
         dense = float(np.max(np.abs(self._dense(grid, a) - ref)))
         assert err <= 2e-15 * gross
         assert err <= 1.5 * dense
@@ -386,10 +395,10 @@ class TestMellinGridPhases:
         # the traced peak of one call when each factor was a table of
         # exps: 7029992 bytes at 5696 nodes
         grid = self._grid(*self.GRIDS[0])
-        _, prog = self._level(grid)
+        a, _ = self._level(grid)
         tracemalloc.start()
         try:
-            grid._factored(*prog)
+            _phase_sums(grid._p, grid._w, a)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -402,7 +411,7 @@ class TestMellinGridPhases:
         # symmetric about 2^-21: folds onto two interleaved progressions
         # whose common step 2^-20 would need ~1e8 slots
         v = 2.0 ** -21 + np.arange(-self.N, self.N + 1, dtype=float) * 0.25
-        assert grid._progression(np.unique(np.abs(v))) is None
+        assert _progression(np.unique(np.abs(v))) is None
         tracemalloc.start()
         try:
             got = grid.value(v)

@@ -6,7 +6,7 @@ import pytest
 
 import levykernel as lk
 
-from _props import scaling_exactness_err
+from _props import row_block_mismatches, scaling_exactness_err
 
 
 class TestScalingReduce:
@@ -139,11 +139,21 @@ class TestStableMBGrid:
             for key in ("nodes_used", "truncation_height"):
                 assert b.diagnostics[key] == p.diagnostics[key]
 
+    def test_grid_matches_pointwise_across_row_blocks(self):
+        # 1500 points span two row blocks of the phase sums; the points on
+        # both sides of each block edge, and a sample of the rest, must
+        # still equal scalar calls bit for bit
+        bad, edges = row_block_mismatches(
+            lambda r: lk.stable_mb(self.SPECS[0], r),
+            np.geomspace(0.05, 30.0, 1500))
+        assert edges and not bad
+
     @pytest.mark.parametrize("spec", SPECS[:3], ids=repr)
     def test_grid_exponentiates_per_node_not_per_point(self, spec, monkeypatch):
         # a timing-free guard on the engine's work: G is exponentiated once
-        # per node and each r takes only ~2 sqrt(N) phases per level, far
-        # fewer complex exps than the nodes all its points use
+        # per node and each r takes only ~2 sqrt(N) phases per level in the
+        # node split of ``mellin._phase_sums``, far fewer complex exps than
+        # the nodes all its points use
         real_exp = np.exp
         count = [0]
 
