@@ -30,7 +30,8 @@ from . import oracle as _oracle
 from .errors import NonConvergent, OrderExceeded, ParityError, StripViolation
 from .mellin import (ContourSpec, _contour_route, _gl, _gl_nodes, _phase_sums,
                      fold_conjugates)
-from .specfun import log_gamma, reciprocal_gamma
+from .specfun import log_gamma
+from .stable_kernel import _is_even_integer, _residues
 
 __all__ = [
     "RadialSymbol",
@@ -258,7 +259,6 @@ class _MellinGrid:
     def __init__(self, sym, t, k, abscissa, max_imag, tol=1e-10):
         self.c = float(abscissa)
         self.max_imag = float(max_imag)
-        self.tol = tol
         alpha = sym.alpha_index
         if self.c <= -alpha:
             raise StripViolation(
@@ -430,10 +430,6 @@ def general_kernel_mb(sym: RadialSymbol, d: int, beta: float, t: float,
     return out
 
 
-def _is_even_integer(beta: float, tol: float = 1e-9) -> bool:
-    return abs(0.5 * beta - round(0.5 * beta)) < tol
-
-
 def general_leading_term(sym: RadialSymbol, d: int, beta: float, t: float) -> dict:
     """Far-field law of the kernel for beta not an even integer:
 
@@ -450,11 +446,10 @@ def general_leading_term(sym: RadialSymbol, d: int, beta: float, t: float) -> di
     if _is_even_integer(beta):
         raise ParityError("beta in {0, 2, 4, ...}: the first residue "
                           "vanishes; use perturbed_leading_term")
-    rg = reciprocal_gamma(-0.5 * beta)
-    rg = rg.real if isinstance(rg, complex) else rg
-    coef = (2.0 ** beta * math.gamma(0.5 * (d + beta)) * rg
-            * math.exp(-t * sym.eta_at_zero) / math.pi ** (0.5 * d))
-    return {"coefficient": coef, "exponent": float(d) + beta}
+    # the n = 0 left residue of the stable integrand; alpha does not enter
+    lead = next(_residues(d, sym.alpha_index, beta, "left", 1))
+    return {"coefficient": lead.coefficient * math.exp(-t * sym.eta_at_zero),
+            "exponent": lead.exponent}
 
 
 def perturbed_leading_term(alpha: float, eta1_at_zero: float, d: int,
@@ -467,11 +462,10 @@ def perturbed_leading_term(alpha: float, eta1_at_zero: float, d: int,
     """
     if not _is_even_integer(beta):
         raise ParityError("beta not an even integer: use general_leading_term")
-    rg = reciprocal_gamma(-0.5 * (beta + alpha))
-    rg = rg.real if isinstance(rg, complex) else rg
-    coef = (-(2.0 ** (beta + alpha)) * math.gamma(0.5 * (d + beta + alpha))
-            * rg * t * math.exp(-t * eta1_at_zero) / math.pi ** (0.5 * d))
-    return {"coefficient": coef, "exponent": float(d) + beta + alpha}
+    # the n = 1 left residue of the stable integrand, from the -t r^alpha term
+    _, lead = _residues(d, alpha, beta, "left", 2)
+    return {"coefficient": lead.coefficient * (t * math.exp(-t * eta1_at_zero)),
+            "exponent": lead.exponent}
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,10 @@ order beta >= 0 is the radial function whose Fourier transform is
 * ``small_r_series``  -- small-r expansion from right-shifted residues;
 * closed forms at alpha = 1 (Cauchy/Poisson) and alpha = 2 (Gaussian).
 
+Both series, ``leading_term`` and the far-field laws of ``radial_symbol``
+read one residue generator, ``_residues``: large-r terms from the poles
+z = -n*alpha of the contour integrand, small-r terms from z = d+beta+2m.
+
 Everything is reduced to t = 1 first through the exact self-similarity
 kernel(t, r) = t^(-(d+beta)/alpha) * kernel(1, t^(-1/alpha) r).
 """
@@ -45,6 +49,9 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+_SERIES_MAX_TERMS = 40  # stable_series reads the poles n = 0 .. 40
+# small_r_series stops at a term this small against its sum, or fails
+_SMALL_R_TOL, _SMALL_R_MAX_TERMS = 1e-16, 400
 
 
 @dataclass(frozen=True)
@@ -69,17 +76,20 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class SeriesTerm:
-    """One term of the large-r residue expansion at t = 1.
-
-    ``coefficient`` multiplies r^(-exponent) and already contains the
-    pi^(-d/2) normalization; ``vanished`` marks indices where the
-    reciprocal gamma factor has a zero and the residue drops out.
+    """One residue term of a series at t = 1, normalised as ``_residues``
+    says: coefficient * r^-exponent for a large-r term.  ``vanished`` marks
+    indices where the reciprocal gamma factor has a zero and the residue
+    drops out.
     """
 
     n: int
     exponent: float
     coefficient: float
     vanished: bool
+
+
+def _is_even_integer(beta: float, tol: float = 1e-9) -> bool:
+    return abs(0.5 * beta - round(0.5 * beta)) < tol
 
 
 def scaling_reduce(spec: KernelSpec, r: float):
@@ -170,25 +180,42 @@ def stable_mb(spec: KernelSpec, r, contour: ContourSpec | None = None,
                           contour, tol)
 
 
-def _series_coefficient(d: int, alpha: float, beta: float, n: int):
-    """Full coefficient of r^-(d+beta+n*alpha) at t = 1 (includes pi^(-d/2)).
+def _residues(d: int, alpha: float, beta: float, family: str, limit: int):
+    """One ``SeriesTerm`` per pole of G, the first ``limit`` poles of one
+    family.  ``"left"``, z = -n*alpha: the large-r term at t = 1, pi^(-d/2)
+    included, zero where (n*alpha + beta)/2 is a nonnegative integer.
+    ``"right"``, z = d+beta+2m: coefficient * (r/2)^(2m), exponent -2m,
+    without the factor 2^(1-d) pi^(-d/2) / alpha.  Blocks of 32, 64, ...
+    poles take one ``log_gamma`` and one ``reciprocal_gamma`` call each,
+    built when their first pole is reached; a coefficient past the float
+    range raises OverflowError there."""
+    left = family == "left"
+    lo, size = 0, 32
+    while lo < limit:
+        ns = range(lo, min(lo + size, limit))
+        if left:
+            up = [0.5 * (d + beta + n * alpha) for n in ns]
+            down = [-(n * alpha + beta) / 2.0 for n in ns]
+        else:
+            up = [(d + beta + 2 * m) / alpha for m in ns]
+            down = [0.5 * d + m for m in ns]
+        lg = log_gamma(np.array(up, dtype=np.complex128)).real.tolist()
+        rg = reciprocal_gamma(np.array(down)).real.tolist()
+        for n, lgn, rgn in zip(ns, lg, rg):
+            if not left:
+                c = (-1.0) ** n / math.factorial(n) * math.exp(lgn) * rgn
+                yield SeriesTerm(n, -2.0 * n, c, False)
+            elif rgn == 0.0:
+                yield SeriesTerm(n, d + beta + n * alpha, 0.0, True)
+            else:
+                c = ((-1.0) ** n / math.factorial(n) * math.exp(lgn)
+                     * 2.0 ** (beta + n * alpha) * rgn * math.pi ** (-0.5 * d))
+                yield SeriesTerm(n, d + beta + n * alpha, c, False)
+        lo, size = lo + size, 2 * size
 
-    This is the residue of the contour integrand at z = -n*alpha; the
-    reciprocal-gamma factor zeroes it exactly when (n*alpha + beta)/2 is
-    a nonnegative integer.
-    """
-    rg = reciprocal_gamma(-(n * alpha + beta) / 2.0)
-    rg = rg.real if isinstance(rg, complex) else rg
-    if rg == 0.0:
-        return 0.0, True
-    g = math.exp(log_gamma(complex(0.5 * (d + beta + n * alpha))).real)
-    c = ((-1.0) ** n / math.factorial(n) * g * 2.0 ** (beta + n * alpha)
-         * rg * math.pi ** (-0.5 * d))
-    return c, False
 
-
-def stable_series(spec: KernelSpec, r: float, n_terms: int | None = None,
-                  max_terms: int = 40) -> Approximation:
+def stable_series(spec: KernelSpec, r: float,
+                  n_terms: int | None = None) -> Approximation:
     """Large-r residue expansion.  Terms decay like r^(-d-beta-n*alpha).
 
     With ``n_terms`` given, keeps that many non-vanished terms (and sets
@@ -208,33 +235,20 @@ def stable_series(spec: KernelSpec, r: float, n_terms: int | None = None,
     kept_values: list[float] = []
     value = 0.0
     divergence = False
-    next_term_value = None
-    n = 0
-    while n <= max_terms:
-        coef, vanished = _series_coefficient(d, a, b, n)
-        exponent = d + b + n * a
-        term = SeriesTerm(n=n, exponent=exponent, coefficient=coef,
-                          vanished=vanished)
-        if vanished:
+    for term in _residues(d, a, b, "left", _SERIES_MAX_TERMS + 1):
+        if term.vanished:
             terms.append(term)
-            n += 1
             continue
-        tv = coef * rp ** (-exponent)
-        if n_terms is None:
-            if kept_values and abs(tv) >= abs(kept_values[-1]):
-                next_term_value = tv
-                break
-        else:
-            if len(kept_values) == n_terms:
-                next_term_value = tv
-                break
-            if kept_values and abs(tv) >= abs(kept_values[-1]):
-                divergence = True
+        tv = term.coefficient * rp ** (-term.exponent)
+        grew = bool(kept_values) and abs(tv) >= abs(kept_values[-1])
+        if grew if n_terms is None else len(kept_values) == n_terms:
+            next_term_value = tv
+            break
+        divergence |= grew
         terms.append(term)
         kept_values.append(tv)
         value += tv
-        n += 1
-    if next_term_value is None:
+    else:
         next_term_value = kept_values[-1] if kept_values else 0.0
     return Approximation(
         value=pref * value, est_error=abs(pref * next_term_value),
@@ -252,12 +266,9 @@ def leading_term(spec: KernelSpec) -> SeriesTerm:
     """
     if not 0.0 < spec.alpha < 2.0:
         raise DomainError("leading term requires 0 < alpha < 2")
-    d, a, b = spec.d, spec.alpha, spec.beta
-    for n in range(0, 64):
-        coef, vanished = _series_coefficient(d, a, b, n)
-        if not vanished:
-            return SeriesTerm(n=n, exponent=d + b + n * a, coefficient=coef,
-                              vanished=False)
+    for term in _residues(spec.d, spec.alpha, spec.beta, "left", 64):
+        if not term.vanished:
+            return term
     raise DomainError("no non-vanished residue found (is alpha = 2?)")
 
 
@@ -277,8 +288,7 @@ def _kummer_series(a0: float, b0: float, x: float, tol: float = 1e-17,
     return total
 
 
-def small_r_series(spec: KernelSpec, r: float, tol: float = 1e-16,
-                   max_terms: int = 400) -> Approximation:
+def small_r_series(spec: KernelSpec, r: float) -> Approximation:
     """Small-r expansion from right-shifted residues:
 
         2^(1-d) pi^(-d/2) / alpha *
@@ -312,29 +322,24 @@ def small_r_series(spec: KernelSpec, r: float, tol: float = 1e-16,
             method="small_r_series",
             diagnostics={"terms_used": -1, "factored": True, "r_scaled": rp})
 
-    total = 0.0
-    term = None
-    max_mag = 0.0
-    for m in range(max_terms):
-        rg = reciprocal_gamma(0.5 * d + m)
-        rg = rg.real if isinstance(rg, complex) else rg
-        try:
-            g = math.exp(log_gamma(complex((d + b + 2 * m) / a)).real)
-            term = (-1.0) ** m / math.factorial(m) * g * rg * x ** m
-        except OverflowError as exc:
-            raise DomainError(f"small-r expansion overflows at r' = {rp} "
-                              "(use the contour route)") from exc
-        total += term
-        max_mag = max(max_mag, abs(term))
-        if m >= 1 and abs(term) <= tol * max(abs(total), 1e-300):
-            break
-    else:
-        raise DomainError("small-r expansion did not converge "
-                          f"within {max_terms} terms (r' = {rp})")
+    total = max_mag = 0.0
+    try:
+        for res in _residues(d, a, b, "right", _SMALL_R_MAX_TERMS):
+            term = res.coefficient * x ** res.n
+            total += term
+            max_mag = max(max_mag, abs(term))
+            if res.n >= 1 and abs(term) <= _SMALL_R_TOL * max(abs(total), 1e-300):
+                break
+        else:
+            raise DomainError("small-r expansion did not converge within "
+                              f"{_SMALL_R_MAX_TERMS} terms (r' = {rp})")
+    except OverflowError as exc:
+        raise DomainError(f"small-r expansion overflows at r' = {rp} "
+                          "(use the contour route)") from exc
     est = (abs(term) + max_mag * 1e-16) * base * pref
     return Approximation(
         value=pref * base * total, est_error=est, method="small_r_series",
-        diagnostics={"terms_used": m + 1, "factored": False, "r_scaled": rp,
+        diagnostics={"terms_used": res.n + 1, "factored": False, "r_scaled": rp,
                      "cancellation": max_mag / max(abs(total), 1e-300)})
 
 
@@ -402,7 +407,7 @@ def _fractional_envelope(spec: KernelSpec, r):
         return t ** (-d / a) * (1.0 + t ** (-1.0 / a) * r) ** (-(d + a))
     peak = t ** (-(d + b) / a)
     with np.errstate(divide="ignore"):
-        if abs(b / 2.0 - round(b / 2.0)) < 1e-9:
+        if _is_even_integer(b):
             tail = t * r ** (-(d + b + a))
         else:
             tail = r ** (-(d + b))

@@ -298,8 +298,8 @@ class TestGeneralMBGrid:
 
 
 class TestMellinGridPhases:
-    # the folded, factorised phase sums must reproduce the dense phase
-    # matrix on the node sets the contour levels request
+    # the factorised phase sums must reproduce the dense phase matrix on
+    # the node sets the contour levels request
     GRIDS = [("relativistic", {"alpha": 1.0, "m": 1.0}),
              ("sum_stable", {"a": 0.6, "b": 1.4})]
     N, H = 160, 0.4  # a trapezoid plan with T = 64
@@ -325,7 +325,7 @@ class TestMellinGridPhases:
                 "negative": np.arange(-40, 121, dtype=float) * h}
         gross = np.sum(np.abs(grid._p))
         for name, v in sets.items():
-            assert _progression(np.unique(np.abs(v))) is not None, name
+            assert _progression(v) is not None, name
             err = np.max(np.abs(grid.value(v) - self._dense(grid, v)))
             assert err <= 1e-11 * gross, name
 
@@ -341,7 +341,7 @@ class TestMellinGridPhases:
         # nor on the rest of a dense request or on its layout
         rng = np.random.default_rng(7)
         scattered = np.r_[rng.uniform(-64.0, 64.0, 299), 8.0]
-        assert _progression(np.unique(np.abs(scattered))) is None
+        assert _progression(scattered) is None
         assert grid.value(scattered)[-1] == lone[1]
         strided = np.array([[16.0, 3.0], [8.0, 5.0]])[:, 0]
         assert not strided.flags.contiguous
@@ -349,15 +349,19 @@ class TestMellinGridPhases:
 
     @staticmethod
     def _level(grid):
-        # a trapezoid level of 641 heights up to 64, folded
-        a = np.unique(np.abs(np.arange(-640, 641, dtype=float) * 0.1))
-        return a, _progression(a)
+        # a trapezoid level of 1281 heights up to 64: ``fold_conjugates``
+        # hands ``grid.value`` its upper half, 641 heights from 0, a
+        # progression that takes the query split
+        level = np.arange(-640, 641, dtype=float) * 0.1
+        a = level[level.size // 2:]
+        assert _progression(a) is not None
+        return a
 
     def test_factored_makes_three_exps_per_node(self, monkeypatch):
         # a timing-free guard on the work: each factor is a running
         # product of one exp per node, not a table of exps
         grid = self._grid(*self.GRIDS[0])
-        a, _ = self._level(grid)
+        a = self._level(grid)
         real_exp = np.exp
         count = [0]
 
@@ -378,7 +382,7 @@ class TestMellinGridPhases:
         # the running products' rounding grows with the power taken, yet
         # stays within that of the argument rounding of direct exps
         grid = self._grid(kind, params)
-        a, prog = self._level(grid)
+        a = self._level(grid)
         phase = np.multiply.outer(a.astype(np.longdouble),
                                   grid._w.astype(np.longdouble))
         weights = grid._p.astype(np.longdouble)
@@ -395,7 +399,7 @@ class TestMellinGridPhases:
         # the traced peak of one call when each factor was a table of
         # exps: 7029992 bytes at 5696 nodes
         grid = self._grid(*self.GRIDS[0])
-        a, _ = self._level(grid)
+        a = self._level(grid)
         tracemalloc.start()
         try:
             _phase_sums(grid._p, grid._w, a)
@@ -404,14 +408,15 @@ class TestMellinGridPhases:
             tracemalloc.stop()
         assert peak <= 7029992 * grid._w.size / 5696
 
-    def test_offset_symmetric_set_is_dense(self):
+    def test_offset_symmetric_set_takes_query_split(self):
         import tracemalloc
 
         grid = self._grid(*self.GRIDS[0])
-        # symmetric about 2^-21: folds onto two interleaved progressions
-        # whose common step 2^-20 would need ~1e8 slots
+        # 321 heights spaced 0.25, offset by 2^-21: not symmetric about 0,
+        # so ``grid.value`` gets the set whole, and a progression, so it
+        # takes the query split
         v = 2.0 ** -21 + np.arange(-self.N, self.N + 1, dtype=float) * 0.25
-        assert _progression(np.unique(np.abs(v))) is None
+        assert _progression(v) is not None
         tracemalloc.start()
         try:
             got = grid.value(v)
@@ -452,7 +457,15 @@ class TestLeadingTerms:
         lt4 = lk.general_leading_term(sym, 2, 0.7, 1.0)
         lt3 = lk.leading_term(lk.KernelSpec(d=2, alpha=1.2, beta=0.7))
         assert lt4["exponent"] == lt3.exponent
-        assert lt4["coefficient"] == pytest.approx(lt3.coefficient, rel=1e-12)
+        # both read the one residue generator: the n = 0 residue times
+        # e^(-t eta(0)), bit for bit, here also with eta(0) = 0.3
+        shifted = lk.RadialSymbol(name="shifted", params={},
+                                  terms=sym.terms + ((0.3, 0.0, 0.0),),
+                                  alpha_index=1.2)
+        assert shifted.eta_at_zero == 0.3
+        for s, t in ((sym, 1.0), (shifted, 0.5)):
+            got = lk.general_leading_term(s, 2, 0.7, t)["coefficient"]
+            assert got == lt3.coefficient * math.exp(-t * s.eta_at_zero)
 
     def test_parity_errors(self):
         sym = lk.make_symbol("stable", a=1.2)
@@ -466,11 +479,14 @@ class TestLeadingTerms:
         lt = lk.perturbed_leading_term(1.0, 0.0, 2, 0.0, 1.0)
         assert lt["coefficient"] == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-13)
         assert lt["exponent"] == 3.0
-        # and matches the t-scaled stable leading term for general alpha
+        # and is the stable leading term (the n = 1 residue of the one
+        # generator) times t e^(-t eta1(0)), bit for bit
+        t, eta1 = 2.0, 0.4
         for a in (0.7, 1.5):
-            got = lk.perturbed_leading_term(a, 0.0, 2, 0.0, 1.0)
+            got = lk.perturbed_leading_term(a, eta1, 2, 0.0, t)
             ref = lk.leading_term(lk.KernelSpec(d=2, alpha=a))
-            assert got["coefficient"] == pytest.approx(ref.coefficient, rel=1e-12)
+            assert ref.n == 1
+            assert got["coefficient"] == ref.coefficient * (t * math.exp(-t * eta1))
 
     def test_sign_positive_for_density(self):
         for a in (0.5, 1.0, 1.9):

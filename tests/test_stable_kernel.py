@@ -252,6 +252,35 @@ class TestLeadingTerm:
             lk.KernelSpec(d=2, alpha=1.5, beta=2.0)).exponent == 5.5
 
 
+class TestResidueCalls:
+    # both series read one residue generator: each block of poles (32,
+    # then 64, 128, ...) costs one log_gamma and one reciprocal_gamma
+    # call, not one of each per term
+    @pytest.mark.parametrize("call,blocks", [
+        (lambda: lk.small_r_series(lk.KernelSpec(d=2, alpha=1.5), 0.3), 1),
+        (lambda: lk.stable_series(lk.KernelSpec(d=2, alpha=1.5), 5.0), 1),
+        (lambda: lk.leading_term(lk.KernelSpec(d=2, alpha=1.5)), 1),
+        # 52 terms: the poles 0..31, then 32..95
+        (lambda: lk.small_r_series(lk.KernelSpec(d=2, alpha=1.5), 3.0), 2),
+    ], ids=["small_r_series", "stable_series", "leading_term",
+            "small_r_series-52-terms"])
+    def test_one_call_of_each_per_block(self, monkeypatch, call, blocks):
+        counts = {"log_gamma": 0, "reciprocal_gamma": 0}
+
+        def counting(name):
+            real = getattr(lk.stable_kernel, name)
+
+            def wrapped(z):
+                counts[name] += 1
+                return real(z)
+            return wrapped
+
+        for name in counts:
+            monkeypatch.setattr(lk.stable_kernel, name, counting(name))
+        call()
+        assert counts == {"log_gamma": blocks, "reciprocal_gamma": blocks}
+
+
 class TestSmallRSeries:
     def test_gaussian_identity_spot(self):
         spec = lk.KernelSpec(d=2, alpha=2.0)
