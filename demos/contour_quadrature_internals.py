@@ -39,14 +39,6 @@ for c in (0.6, 1.0, 1.4, 1.9):
     v = lk.stable_mb(spec, 3.0, contour=lk.ContourSpec(c, 64.0)).value
     print(f"  c = {c}: {v:.15e}")
 
-# both quadrature rules agree; the trapezoid needs fewer nodes
-f = lambda z: np.exp(lk.log_gamma(np.asarray(z, complex)) - np.asarray(z, complex))
-for rule in ("trapezoid", "gauss_legendre_panels"):
-    res = lk.vertical_line_integral(
-        f, lk.ContourSpec(1.0, 32.0, nodes=64, rule=rule), tol=1e-11)
-    print(f"{rule:>22}: {res.value.real:.14f} with "
-          f"{res.diagnostics['nodes_used']} evaluations")
-
 # the Bessel-Mellin identity closes the loop between the oscillatory
 # and contour worlds: int J_0(s) s^(z-1) ds = 2^(z-1) G(z/2)/G(1-z/2)
 z = 0.5

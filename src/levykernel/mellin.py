@@ -6,21 +6,23 @@ independent of r (a gamma ratio, times M_t^k for a general symbol).
 alone, climbing a decay ladder whose first rung {0, 8, 16} is one call
 of G; ``power_line_integral``, the engine of both kernels, samples G
 once per node set and refines each r of a batch as it would alone.  The
-rule is the trapezoid with node doubling (exponentially accurate for
-analytic integrands that decay along the line), or Gauss-Legendre
-panels as a cross-check.  ``vertical_line_integral`` runs the same rules
-on one vectorized integrand f; it is the single-integrand reference.
-Both return ``Approximation``s with the complex integral as the value,
-``method="line_integral"`` and the ``nodes_used`` and ``tail_bound``
-diagnostics; ``_contour_route`` reads the engine's per-r arrays, and
-the ladder's samples for the tail, directly into kernel values.
+one rule is the trapezoid with node doubling, exponentially accurate
+for analytic integrands that decay along the line (Trefethen and
+Weideman, SIAM Review 56, 2014); M_t^k uses it too, on the log-line.
+``vertical_line_integral`` runs the same levels on one vectorized
+integrand f, node by node; it is the single-integrand reference that
+the engine is tested against.  Both return ``Approximation``s with the
+complex integral as the value, ``method="line_integral"`` and the
+``nodes_used`` and ``tail_bound`` diagnostics; ``_contour_route`` reads
+the engine's per-r arrays, and the ladder's samples for the tail,
+directly into kernel values.
 
 Callers assemble integrands from combined log-gamma ratios, so
 magnitudes stay representable on tall lines.  The engine exponentiates
 G once per node, scaled by its largest modulus; each r then costs one
 real scale r^(c - shift) and a sum of phases r^(i Im z).  Such sums,
-here and in M_t^k, come from ``_phase_sums`` in sqrt(N) blocks of the
-evenly spaced side: the trapezoid's nodes, or M_t^k's heights.  Every
+here and in M_t^k, come from ``_phase_sums``, in sqrt(N) blocks of the
+evenly spaced nodes: the line's heights, or M_t^k's log-radii.  Every
 set of samples, a ladder rung or a quadrature level, is one call of G.
 
 All reductions run in a fixed order, so results are bit-reproducible.
@@ -28,7 +30,6 @@ All reductions run in a fixed order, so results are bit-reproducible.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -47,19 +48,9 @@ __all__ = [
     "mellin_bessel_rhs",
 ]
 
-_RULES = ("trapezoid", "gauss_legendre_panels")
-
 # complex phases per row block of ``_phase_sums``: bounds the working set
 # whatever the number of rows
 _BLOCK_ELEMS = 1 << 15
-
-_gl = functools.cache(np.polynomial.legendre.leggauss)
-
-
-def _gl_nodes(edges, order):
-    """Gauss-Legendre nodes of each panel (one row each) and half widths."""
-    mids, halfw = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
-    return mids[:, None] + halfw[:, None] * _gl(order)[0][None, :], halfw
 
 
 @dataclass(frozen=True)
@@ -73,15 +64,12 @@ class ContourSpec:
     abscissa: float
     half_height: float | None = None
     nodes: int = 64
-    rule: str = "trapezoid"
 
     def __post_init__(self):
         if self.half_height is not None and not self.half_height > 0:
             raise ValueError("half_height must be > 0")
         if self.nodes < 16:
             raise ValueError("nodes must be >= 16")
-        if self.rule not in _RULES:
-            raise ValueError(f"rule must be one of {_RULES}")
 
 
 def _magnitudes(f, c, heights):
@@ -123,37 +111,25 @@ def _checked_tail(f, contour: ContourSpec) -> float:
 
 
 def _levels(contour: ContourSpec, max_refinements: int):
-    """Refinement levels of the plan's rule.  Each yields the node heights,
-    their spacing (None: not evenly spaced), their weights (None: all
-    equal), the factor on the level's sum, the share of the previous
-    estimate kept, and whether the end nodes count half.  The trapezoid
-    adds midpoints; the panel rule starts afresh."""
-    big_t = contour.half_height
-    if contour.rule == "trapezoid":
-        n = max(contour.nodes, 16)
-        h = big_t / n
-        yield np.arange(-n, n + 1, dtype=float) * h, h, None, h, 0.0, True
-        for _ in range(max_refinements):
-            mid = (np.arange(-n, n, dtype=float) + 0.5) * h
-            yield mid, h, None, 0.5 * h, 0.5, False
-            n *= 2
-            h *= 0.5
-        return
-    n_panels = max(contour.nodes // 16, 8)
-    for _ in range(max_refinements + 1):
-        nodes, halfw = _gl_nodes(np.linspace(-big_t, big_t, n_panels + 1), 16)
-        yield (nodes.ravel(), None, (halfw[:, None] * _gl(16)[1]).ravel(), 1.0,
-               0.0, False)
-        n_panels *= 2
+    """The plan's trapezoid levels: node heights and their spacing.  The
+    first holds 2n + 1 nodes, its ends counting half; each later one
+    holds the midpoints of the nodes so far."""
+    n = contour.nodes
+    h = contour.half_height / n
+    yield np.arange(-n, n + 1, dtype=float) * h, h
+    for _ in range(max_refinements):
+        yield (np.arange(-n, n, dtype=float) + 0.5) * h, h
+        n *= 2
+        h *= 0.5
 
 
 def _refine(sums, n_rows, contour, tol, max_refinements):
-    """Run the plan's rule on ``n_rows`` integrands whose per-level sums
-    come from ``sums(z, spacing, weights, trim, rows)``: per row of
-    ``rows``, the (weighted, end-trimmed) sum of f and the sum of |f| over
-    the node set z.  A row stops refining once its change is within tol,
-    or below the rounding floor of its cancelling sum.  Returns per-row
-    values, discretization estimates and node counts; raises
+    """Run the plan's trapezoid on ``n_rows`` integrands whose per-level
+    sums come from ``sums(z, step, trim, rows)``: per row of ``rows``,
+    the (end-trimmed) sum of f and the sum of |f| over the node set z,
+    spaced by ``step``.  A row stops refining once its change is within
+    tol, or below the rounding floor of its cancelling sum.  Returns
+    per-row values, discretization estimates and node counts; raises
     NonConvergent if any row fails to converge."""
     value = np.empty(n_rows, dtype=np.complex128)
     disc = np.empty(n_rows)
@@ -164,16 +140,16 @@ def _refine(sums, n_rows, contour, tol, max_refinements):
     last = math.inf
     if not n_rows:
         return value, disc, used
-    levels = _levels(contour, max_refinements)
-    for level, (v, spacing, weights, scale, keep, trim) in enumerate(levels):
-        s, a = sums(contour.abscissa + 1j * v, spacing, weights, trim, rows)
+    for level, (v, h) in enumerate(_levels(contour, max_refinements)):
+        s, a = sums(contour.abscissa + 1j * v, h, not level, rows)
         n_used += v.size
+        # a midpoint level halves the step and keeps half the estimate
+        scale = 0.5 * h if level else h
         new = scale * s / (2.0 * math.pi)
         g = scale * a / (2.0 * math.pi)
-        if keep:
-            new += keep * est
-            g += keep * gross
         if level:
+            new += 0.5 * est
+            g += 0.5 * gross
             diff = np.abs(new - est)
             floor = 5e-16 * g
             done = diff <= np.maximum(np.maximum(tol * np.abs(new), floor),
@@ -190,41 +166,21 @@ def _refine(sums, n_rows, contour, tol, max_refinements):
             last = diff.max()
         est, gross = new, g
     raise NonConvergent(
-        f"{contour.rule} refinement stalled after {n_used} nodes, "
+        f"trapezoid refinement stalled after {n_used} nodes, "
         f"last change {last:.3e}")
 
 
 def _direct_sums(f):
     """Level sums of one integrand ``f``, formed node by node."""
 
-    def sums(z, spacing, weights, trim, rows):
+    def sums(z, step, trim, rows):
         fv = f(z)
-        mag = np.abs(fv)
-        if weights is not None:
-            fv = fv * weights
-            mag = mag * weights
         s = fv.sum()
         if trim:
             s -= 0.5 * (fv[0] + fv[-1])
-        return np.array([s]), np.array([mag.sum()])
+        return np.array([s]), np.array([np.abs(fv).sum()])
 
     return sums
-
-
-def _progression(v):
-    """(v_0, dv, m) with v ~= v_0 + m*dv to a few ulps and dv the smallest
-    gap, for 64 or more increasing v on under 4 slots each (shorter sets
-    cost less dense, sparser ones need larger tables); else None."""
-    if v.size < 64 or not (gap := np.diff(v).min()) > 0.0:
-        return None
-    span = v[-1] - v[0]
-    if not (slots := span / gap) < 4 * v.size:
-        return None
-    dv = span / round(slots)
-    m = np.rint((v - v[0]) / dv)
-    ulps = 8 * np.finfo(float).eps * max(abs(v[0]), abs(v[-1]))
-    ok = np.max(np.abs(v[0] + m * dv - v)) <= ulps
-    return (v[0], dv, m.astype(np.int64)) if ok else None
 
 
 def _row_blocks(v, heights, contract):
@@ -234,52 +190,28 @@ def _row_blocks(v, heights, contract):
         v[lo:lo + rows], heights))) for lo in range(0, v.size, rows)])
 
 
-def _dense(p, w, v):
-    """sum_k p_k exp(i w_k v_j), each v_j's sum formed alone, in order."""
-    return _row_blocks(v, w, lambda ph: np.einsum("rk,k->r", ph, p))
-
-
-def _blocks(first, last, centred):
+def _blocks(first, last):
     """B, half, lo and the head count of the slots first..last."""
     width = math.isqrt(last - first) + 1
-    half = width // 2 if centred else 0
+    half = width // 2
     lo = (first + half) // width
     return width, half, lo, (last + half) // width - lo + 1
 
 
-def _phase_sums(p, w, v, step=None):
-    """sum_k p_k exp(i w_k v_j) for every v_j, in ~sqrt(N) blocks of the
-    evenly spaced side (nonequispaced DFTs of type 2 and 1, Dutt and
-    Rokhlin): entry m = b*B + q, -half <= q < B - half, sits in slot
-    m + half - lo*B (``_blocks``), its phase head b's times offset q's.
-
-    - Node split, nodes spaced by ``step`` (the engine's trapezoid
-      levels): m counts from the node nearest w = 0 and the offsets are
-      centred, keeping the large middle nodes' phases accurate.  Each v_j
-      takes heads + B exps of one outer product, alone.
-    - Query split, v on a progression v_0 + m*dv (``_progression``; the
-      inner transform's trapezoid levels): per-node running products,
-      offset q (e^{i w dv})^q and head b p e^{i w v_0} (e^{i w B dv})^b,
-      three exps per node, then one matmul.
-    - Dense, every other set (``_dense``).
+def _phase_sums(p, w, v, step):
+    """sum_k p_k exp(i w_k v_j) for every v_j, the nodes w increasing,
+    spaced by ``step`` and reaching w >= 0: the node split of a
+    nonequispaced DFT (Dutt and Rokhlin) in ~sqrt(N) blocks.  Counting
+    from k0, the first node at or above w = 0, node k0 + m is
+    m = b*B + q with centred offsets -half <= q < B - half, and sits in
+    slot m + half - lo*B of a (heads, B) table (``_blocks``).  Its phase
+    is head b's, at height w_k0 + b*B*step, times offset q's, so the
+    rounding of a height grows with its distance from w = 0, as in a
+    direct exp.  Each v_j takes heads + B exps of one outer product, and
+    its sum is formed alone: its bits do not depend on the rest of v.
     """
-    if step is None:
-        prog = _progression(v)
-        if prog is None:
-            return _dense(p, w, v)
-        v0, dv, m = prog
-        width, _, _, heads = _blocks(0, int(m[-1]), False)
-        offsets = np.empty((width, w.size), dtype=np.complex128)
-        table = np.empty((heads, w.size), dtype=np.complex128)
-        offsets[0] = 1.0
-        table[0] = p * np.exp(1j * v0 * w)
-        for rows, turn in ((offsets, dv), (table, width * dv)):
-            rot = np.exp(1j * turn * w)
-            for prev, row in zip(rows, rows[1:]):
-                np.multiply(prev, rot, out=row)
-        return (table @ offsets.T).ravel()[m]
-    k0 = w.size // 2
-    width, half, lo, heads = _blocks(-k0, w.size - 1 - k0, True)
+    k0 = int(np.searchsorted(w, 0.0))
+    width, half, lo, heads = _blocks(-k0, w.size - 1 - k0)
     mat = np.zeros((heads, width), dtype=np.complex128)
     off = half - k0 - lo * width
     mat.reshape(-1)[off:off + w.size] = p
@@ -329,22 +261,17 @@ def _power_line(log_g, ln_r, shift, contour, tol, max_refinements=6,
         tail = _checked_tail(lambda z: np.exp(log_g(z)), contour)
     slope = contour.abscissa - shift
 
-    def sums(z, spacing, weights, trim, rows):
+    def sums(z, step, trim, rows):
         lg = log_g(z)
         top = lg.real.max()
         e = np.exp(lg - top)
-        if weights is not None:
-            e *= weights
         gross = np.abs(e).sum()
         if trim:
             e[0] *= 0.5
             e[-1] *= 0.5
         x = ln_r[rows]
         rho = np.exp(top + slope * x)
-        # panel levels go dense: a query split would tie each r to its grid
-        phases = (_dense(e, z.imag, x) if spacing is None
-                  else _phase_sums(e, z.imag, x, spacing))
-        return rho * phases, rho * gross
+        return rho * _phase_sums(e, z.imag, x, step), rho * gross
 
     value, disc, used = _refine(sums, ln_r.size, contour, tol,
                                 max_refinements)
@@ -379,9 +306,9 @@ def fold_conjugates(log_g):
     """``log_g`` for a G with real coefficients, G(conj z) = conj G(z).
 
     A node set symmetric about Im z = 0 (z[::-1] == conj z, as every
-    level of both rules is) is sampled on its upper half only and
-    mirrored, log_g(conj z) = conj log_g(z): half the gamma work, and
-    M_t^k sees increasing Im z >= 0.  Other sets are sampled as given.
+    trapezoid level is) is sampled on its upper half only and mirrored,
+    log_g(conj z) = conj log_g(z): half the gamma work, M_t^k's phase
+    sums included.  Other sets are sampled as given.
     """
 
     def folded(z):
@@ -415,8 +342,7 @@ def _plan(log_g, strip, contour: ContourSpec | None, tol: float):
     # from the line; the trapezoid needs h below ~1/5 of that distance
     dist = min(c, hi - c)
     nodes = max(contour.nodes, int(math.ceil(big_t / min(0.5, dist / 5.0))))
-    return ContourSpec(abscissa=c, half_height=big_t, nodes=nodes,
-                       rule=contour.rule), tail
+    return ContourSpec(abscissa=c, half_height=big_t, nodes=nodes), tail
 
 
 def line_plan(log_g, strip, contour: ContourSpec | None,

@@ -8,9 +8,8 @@ with a positive weight w.  This module evaluates it head-on, in numpy:
 graded Gauss-Legendre panels up to the first scaled Bessel zero, panel
 integrals between consecutive zeros, and iterated-averaging (Euler-
 transform) acceleration of the alternating panel sums.  It shares
-nothing with the contour-integral evaluators except the Bessel function
-and the Gauss-Legendre rule, so it serves as the ground truth they are
-judged against.
+nothing with the contour-integral evaluators except the Bessel function,
+so it serves as the ground truth they are judged against.
 
 No node depends on r in the argument x = r s (the 12-point nodes between
 zeros of J_nu, and j_{nu,1} u for the head's nodes u in [0, 1]), so one
@@ -28,7 +27,6 @@ import math
 import numpy as np
 
 from .errors import Approximation, DomainError, NonConvergent
-from .mellin import _gl, _gl_nodes
 from .specfun import bessel_j, bessel_j_derivative, bessel_switch_point
 
 __all__ = [
@@ -44,8 +42,15 @@ __all__ = [
 
 
 _ZERO_BLOCK = 1024
+_gl = functools.cache(np.polynomial.legendre.leggauss)
 _PANEL_ORDER, _HEAD_ORDER, _HEAD_LEVELS = 12, 16, 9
 _ZERO_TABLES: dict[float, dict[str, object]] = {}
+
+
+def _gl_nodes(edges, order):
+    """Gauss-Legendre nodes of each panel (one row each) and half widths."""
+    mids, halfw = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    return mids[:, None] + halfw[:, None] * _gl(order)[0][None, :], halfw
 
 
 def _grow(nu: float, kind: str, n: int, make) -> tuple:

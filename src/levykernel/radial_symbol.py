@@ -28,8 +28,7 @@ import numpy as np
 
 from . import oracle as _oracle
 from .errors import NonConvergent, OrderExceeded, ParityError, StripViolation
-from .mellin import (ContourSpec, _contour_route, _gl, _gl_nodes, _phase_sums,
-                     fold_conjugates)
+from .mellin import ContourSpec, _contour_route, _phase_sums, fold_conjugates
 from .specfun import log_gamma
 from .stable_kernel import _is_even_integer, _residues
 
@@ -249,11 +248,15 @@ def exp_eta_derivative(sym: RadialSymbol, t: float, r, m: int):
 class _MellinGrid:
     """Frozen quadrature grid for M_t^k(c + iv), |v| <= max_imag.
 
-    Both half-lines are log-substituted (r = e^-u and r = e^u) and the
-    scaled integrand G(u) = r^k D^k(e^{-t eta}) is precomputed on
-    Gauss-Legendre panels as one node set w (w = -u, then +u) with real
-    weights p, so each value, memoised per requested node set, is the
-    pure-phase sum sum_w p e^{i w v} of ``mellin._phase_sums``.
+    With r = e^w, M_t^k(c + iv) = int G(e^w) e^{cw} e^{iwv} dw over the
+    whole line, G(r) = r^k D^k(e^{-t eta}).  The integrand is analytic
+    across w = 0 and decays at both ends, so the trapezoid rule on
+    [-u0_end, u1_end] converges geometrically (Trefethen and Weideman,
+    SIAM Review 56, 2014).  Its step starts at pi/max_imag and halves,
+    each level adding only the midpoints, until three probe heights
+    settle.  Each value, memoised per requested node set, is the phase
+    sum sum_w p e^{i w v} of ``mellin._phase_sums`` with the weights
+    p = h G(e^w) e^{cw}.
     """
 
     def __init__(self, sym, t, k, abscissa, max_imag, tol=1e-10):
@@ -263,45 +266,39 @@ class _MellinGrid:
         if self.c <= -alpha:
             raise StripViolation(
                 f"Re z = {self.c} outside the holomorphy region Re z > {-alpha}")
-        # extent of the r < 1 side: integrand ~ e^(-u (c + alpha))
-        u0_rate = max(self.c + alpha, 0.05)
-        u0_end = min(48.0 / u0_rate, 400.0)
-        # extent of the r > 1 side: killed by e^{-t eta(e^u)}
+        # extent of the r < 1 side: integrand ~ e^(w (c + alpha))
+        u0_end = min(48.0 / max(self.c + alpha, 0.05), 400.0)
+        # extent of the r > 1 side: killed by e^{-t eta(e^w)}
         u1_end = self._find_u1(sym, t, k)
-        delta = min(0.5, 8.0 / max(self.max_imag, 1.0))
-        w_gl = _gl(16)[1]
 
-        def build(n0, n1):
-            u0, h0 = _gl_nodes(np.linspace(0.0, u0_end, n0 + 1), 16)
-            u1, h1 = _gl_nodes(np.linspace(0.0, u1_end, n1 + 1), 16)
-            u0, u1 = u0.ravel(), u1.ravel()
-            g0 = scaled_exp_eta_derivative(sym, t, np.exp(-u0), k)
-            g1 = scaled_exp_eta_derivative(sym, t, np.exp(u1), k)
-            p0 = (h0[:, None] * w_gl).ravel() * g0 * np.exp(-u0 * self.c)
+        def integrand(w):
+            g = scaled_exp_eta_derivative(sym, t, np.exp(w), k)
             with np.errstate(over="ignore"):
-                grow = np.exp(u1 * self.c)
-            p1 = (h1[:, None] * w_gl).ravel() * g1 * grow
-            p1[~np.isfinite(p1)] = 0.0
-            # both half-lines as one phase sum: sum p e^{i w v}
-            return np.concatenate((-u0, u1)), np.concatenate((p0, p1))
+                f = g * np.exp(self.c * w)
+            f[~np.isfinite(f)] = 0.0
+            return f
 
-        n0 = max(8, int(math.ceil(u0_end / delta)))
-        n1 = max(8, int(math.ceil(u1_end / delta)))
-        w, p = build(n0, n1)
+        h = math.pi / self.max_imag
+        n0, n1 = math.ceil(u0_end / h), math.ceil(u1_end / h)
+        w = np.arange(-n0, n1 + 1, dtype=float) * h
+        f = integrand(w)
         probes = np.array([0.0, 0.5 * self.max_imag, self.max_imag])
-        prev = _phase_sums(p, w, probes)
+        prev = _phase_sums(h * f, w, probes, h)
         for _ in range(8):
+            # the levels nest: only the midpoints are new
+            h *= 0.5
             n0 *= 2
             n1 *= 2
-            w, p = build(n0, n1)
-            cur = _phase_sums(p, w, probes)
+            w = np.arange(-n0, n1 + 1, dtype=float) * h
+            f = np.insert(f, np.arange(1, f.size), integrand(w[1::2]))
+            cur = _phase_sums(h * f, w, probes, h)
             scale = np.max(np.abs(cur)) + 1e-300
             if np.max(np.abs(cur - prev)) <= tol * scale:
                 break
             prev = cur
         else:
             raise NonConvergent("inner Mellin quadrature did not stabilize")
-        self._w, self._p = w, p
+        self._w, self._p, self._h = w, h * f, h
         self._memo: dict[bytes, np.ndarray] = {}
         self._lock = threading.Lock()
 
@@ -324,7 +321,7 @@ class _MellinGrid:
         with self._lock:
             got = self._memo.get(key)
         if got is None:
-            got = _phase_sums(self._p, self._w, v.ravel())
+            got = _phase_sums(self._p, self._w, v.ravel(), self._h)
             with self._lock:
                 self._memo[key] = got
         return got.reshape(v.shape).copy()

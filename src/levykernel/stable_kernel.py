@@ -122,14 +122,14 @@ def poisson_kernel(d: int, t: float, r):
 
 
 def kernel_at_origin(spec: KernelSpec) -> float:
-    """Kernel value at r = 0 from the radial Fourier integral:
+    """Kernel value at r = 0, the m = 0 term of ``small_r_series`` (read
+    from the same right residue, for any alpha):
 
         (2 pi)^-d * omega_{d-1} * Gamma((d+beta)/alpha)/alpha * t^(-(d+beta)/alpha)
     """
-    d, a, b = spec.d, spec.alpha, spec.beta
-    omega = 2.0 * math.pi ** (0.5 * d) / math.gamma(0.5 * d)
-    return ((2.0 * math.pi) ** (-d) * omega * math.gamma((d + b) / a) / a
-            * spec.t ** (-(d + b) / a))
+    unit, _, pref = scaling_reduce(spec, 0.0)
+    (lead,) = _residues(unit.d, unit.alpha, unit.beta, "right", 1)
+    return pref * _right_base(unit.d, unit.alpha) * lead.coefficient
 
 
 def admissible_strip(d: int, beta: float):
@@ -288,6 +288,12 @@ def _kummer_series(a0: float, b0: float, x: float, tol: float = 1e-17,
     return total
 
 
+def _right_base(d: int, alpha: float) -> float:
+    """2^(1-d) pi^(-d/2) / alpha, the factor ``_residues`` leaves off the
+    right residues."""
+    return 2.0 ** (1 - d) * math.pi ** (-0.5 * d) / alpha
+
+
 def small_r_series(spec: KernelSpec, r: float) -> Approximation:
     """Small-r expansion from right-shifted residues:
 
@@ -309,7 +315,7 @@ def small_r_series(spec: KernelSpec, r: float) -> Approximation:
     if a == 1.0 and rp >= 0.95:
         raise DomainError(
             "small-r expansion at alpha = 1 only converges for t^(-1/alpha) r < 1")
-    base = 2.0 ** (1 - d) * math.pi ** (-0.5 * d) / a
+    base = _right_base(d, a)
     x = (0.5 * rp) ** 2
     if a == 2.0:
         # sum_m (-1)^m/m! G((d+b)/2+m)/G(d/2+m) x^m
@@ -343,8 +349,8 @@ def small_r_series(spec: KernelSpec, r: float) -> Approximation:
                      "cancellation": max_mag / max(abs(total), 1e-300)})
 
 
-def _closed(value: float, **diagnostics) -> Approximation:
-    return Approximation(value=value, est_error=abs(value) * 1e-15,
+def _closed(value: float, rel: float = 1e-15, **diagnostics) -> Approximation:
+    return Approximation(value=value, est_error=abs(value) * rel,
                          method="closed_form", diagnostics=diagnostics)
 
 
@@ -379,7 +385,8 @@ def evaluate(spec: KernelSpec, r: float, method: str = "auto",
         raise ValueError(f"unknown method {method!r}")
 
     if r == 0.0:
-        return _closed(kernel_at_origin(spec), origin=True)
+        # two gamma factors, each good to ~1e-14 relative (specfun)
+        return _closed(kernel_at_origin(spec), 2e-14, origin=True)
     if a == 2.0:
         if b == 0.0:
             return _closed(gaussian_kernel(d, t, r))

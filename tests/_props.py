@@ -86,6 +86,12 @@ def k_independence_err(r=3.0):
     return abs(g5 - g6) / abs(g6)
 
 
+def dense_phase_sums(p, w, v):
+    """sum_k p_k exp(i w_k v_j), one exp per node and height, each v_j's
+    sum formed alone, in order: the reference for ``mellin._phase_sums``."""
+    return lk.mellin._row_blocks(v, w, lambda ph: np.einsum("rk,k->r", ph, p))
+
+
 def row_block_mismatches(call, grid, every=61):
     """Indices i at which ``call(grid)[i]`` differs from ``call(grid[i])``
     in value or est_error, checked on both sides of each row-block edge
@@ -95,11 +101,11 @@ def row_block_mismatches(call, grid, every=61):
     real = mellin._phase_sums
     calls = []
 
-    def recording(p, w, v, step=None):
-        if step is not None:
-            k0 = w.size // 2
-            width, _, _, heads = mellin._blocks(-k0, w.size - 1 - k0, True)
-            calls.append((v.copy(), mellin._BLOCK_ELEMS // (width + heads)))
+    # only the engine's calls: radial_symbol binds the helper by name
+    def recording(p, w, v, step):
+        k0 = int(np.searchsorted(w, 0.0))
+        width, _, _, heads = mellin._blocks(-k0, w.size - 1 - k0)
+        calls.append((v.copy(), mellin._BLOCK_ELEMS // (width + heads)))
         return real(p, w, v, step)
 
     mellin._phase_sums = recording

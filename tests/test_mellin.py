@@ -7,7 +7,7 @@ from scipy import optimize
 
 import levykernel as lk
 
-from _props import contour_independence_spread
+from _props import contour_independence_spread, dense_phase_sums
 
 
 def _gamma_times_power(r):
@@ -40,14 +40,6 @@ class TestVerticalLineIntegral:
         with pytest.raises(lk.NoDecay):
             lk.vertical_line_integral(f, lk.ContourSpec(1.0, 32.0))
 
-    def test_gauss_panels_cross_check(self):
-        f = _gamma_times_power(1.3)
-        r1 = lk.vertical_line_integral(f, lk.ContourSpec(1.0, 32.0), tol=1e-11)
-        r2 = lk.vertical_line_integral(
-            f, lk.ContourSpec(1.0, 32.0, nodes=128, rule="gauss_legendre_panels"),
-            tol=1e-11)
-        assert r1.value.real == pytest.approx(r2.value.real, rel=1e-10)
-
     def test_refinement_differences_shrink_monotonically(self):
         # trapezoid on an analytic decaying integrand: successive
         # refinement differences shrink until the rounding floor
@@ -78,17 +70,14 @@ class TestVerticalLineIntegral:
             lk.ContourSpec(1.0, -1.0)
         with pytest.raises(ValueError):
             lk.ContourSpec(1.0, 16.0, nodes=4)
-        with pytest.raises(ValueError):
-            lk.ContourSpec(1.0, 16.0, rule="simpson")
 
 
 class TestPowerLineIntegral:
     # (1/2 pi i) int Gamma(z) x^-z dz = e^-x, as a batch over x
     X = np.array([0.5, 1.0, 1.3, 2.0, 7.0])
 
-    @pytest.mark.parametrize("rule", ["trapezoid", "gauss_legendre_panels"])
-    def test_rows_equal_single_integrals(self, rule):
-        plan = lk.ContourSpec(1.0, 32.0, nodes=128, rule=rule)
+    def test_rows_equal_single_integrals(self):
+        plan = lk.ContourSpec(1.0, 32.0, nodes=128)
         rows = lk.power_line_integral(lk.log_gamma, -np.log(self.X), 0.0, plan,
                                       tol=1e-12)
         for x, row in zip(self.X, rows):
@@ -143,14 +132,13 @@ class TestPowerLineIntegral:
         for x, row in zip(np.log(r), rows):
             assert self._agrees(row, log_g, x, d + beta, plan, 1e-9)
 
-    @pytest.mark.parametrize("rule", ["trapezoid", "gauss_legendre_panels"])
-    def test_no_symmetry_assumed(self, rule):
+    def test_no_symmetry_assumed(self):
         # exp(0.1 i z) breaks f(conj z) = conj f(z): an engine that
         # mirrored the lower half of a node set would be off by O(1)
         def log_g(z):
             return lk.log_gamma(z) + 0.1j * np.asarray(z)
 
-        plan = lk.ContourSpec(1.0, 32.0, nodes=128, rule=rule)
+        plan = lk.ContourSpec(1.0, 32.0, nodes=128)
         rows = lk.power_line_integral(log_g, -np.log(self.X), 0.0, plan,
                                       tol=1e-12)
         for x, row in zip(self.X, rows):
@@ -246,17 +234,17 @@ class TestLogGammaCalls:
 
 
 class TestPhaseSums:
-    # sum_k p_k exp(i w_k v_j), the phase sum of the engine (node split on
-    # trapezoid levels) and of the inner transform (query split on its
-    # trapezoid levels), against a dense einsum reference
+    # sum_k p_k exp(i w_k v_j) by the node split, on the engine's
+    # symmetric trapezoid levels and on M_t^k's one-sided grid, against
+    # the dense reference
     RNG = np.random.default_rng(14)
 
     @staticmethod
-    def _check(p, w, v, step=None):
-        ref = np.einsum("jk,k->j", np.exp(1j * np.multiply.outer(v, w)), p)
+    def _check(p, w, v, step):
         got = lk.mellin._phase_sums(p, w, v, step)
         assert got.shape == v.shape
-        assert np.max(np.abs(got - ref)) <= 1e-13 * np.sum(np.abs(p))
+        err = np.max(np.abs(got - dense_phase_sums(p, w, v)))
+        assert err <= 1e-13 * np.sum(np.abs(p))
         return got
 
     def _weights(self, n):
@@ -267,75 +255,58 @@ class TestPhaseSums:
         h = 25.0 / n
         x = np.r_[self.RNG.uniform(-6.0, 6.0, 37), 0.0, -4.5]
         # a level of 2n + 1 nodes (odd, one at v = 0), then its 2n
-        # midpoints, which have no node at v = 0
+        # midpoints, which have no node at v = 0, then a one-sided set
+        # from -3nh to nh, as M_t^k's grid
         for w in (np.arange(-n, n + 1, dtype=float) * h,
-                  (np.arange(-n, n, dtype=float) + 0.5) * h):
+                  (np.arange(-n, n, dtype=float) + 0.5) * h,
+                  np.arange(-3 * n, n + 1, dtype=float) * h):
             p = self._weights(w.size)
             full = self._check(p, w, x, h)
             # each query's sum is formed alone: its bits are batch-free
             for j in (0, 17, x.size - 1):
                 assert full[j] == lk.mellin._phase_sums(p, w, x[j:j + 1], h)[0]
 
-    def test_query_split_on_strided_subset_with_gaps(self):
-        w = np.sort(self.RNG.uniform(-30.0, 30.0, 700))
-        level = np.arange(0, 400, dtype=float) * 0.16
-        v = np.delete(level[::2], [3, 4, 5, 50, 120, 121])
-        assert lk.mellin._progression(v) is not None
-        self._check(self.RNG.normal(size=w.size), w, v)
-
-    def test_dense_on_scattered_set(self):
-        w = np.sort(self.RNG.uniform(-30.0, 30.0, 700))
-        v = np.sort(self.RNG.uniform(0.0, 64.0, 300))
-        assert lk.mellin._progression(v) is None
-        self._check(self.RNG.normal(size=w.size), w, v)
-
     def test_sets_the_fold_used_to_normalise(self):
         # M_t^k no longer folds its requests onto sorted distinct |v|: an
-        # unsorted set, repeats, an all-negative set and two points must
-        # each give the right sums, without a RuntimeWarning
-        w = np.sort(self.RNG.uniform(-30.0, 30.0, 500))
+        # unsorted set, repeats, an all-negative set, two points, a
+        # strided subset with gaps and scattered heights must each give
+        # the right sums, without a RuntimeWarning
+        h = 0.06
+        w = np.arange(-500, 201, dtype=float) * h
         p = self.RNG.normal(size=w.size)
         level = np.arange(0, 161, dtype=float) * 0.4
         sets = {"unsorted": self.RNG.permutation(level),
                 "repeats": np.repeat(level, 2),
                 "all negative": -level[::-1] - 3.0,
-                "two points": np.array([8.0, 16.0])}
+                "two points": np.array([8.0, 16.0]),
+                "strided with gaps": np.delete(level[::2], [3, 4, 5, 50]),
+                "scattered": np.sort(self.RNG.uniform(0.0, 64.0, 300))}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for name, v in sets.items():
-                self._check(p, w, v)
-            # the ulp tolerance scales with the largest |v|, not with v[-1]
-            assert lk.mellin._progression(sets["all negative"]) is not None
-            for name in ("unsorted", "repeats", "two points"):
-                assert lk.mellin._progression(sets[name]) is None, name
+            for v in sets.values():
+                self._check(p, w, v, h)
 
     def test_engine_passes_its_step(self, monkeypatch):
-        # a timing-free guard: the engine hands its trapezoid step to the
-        # node split, so neither a scalar call nor a grid searches its
-        # node or query sets for a progression
-        real = lk.mellin._progression
-        calls = [0]
+        # the node split trusts its step: both callers, the engine's
+        # levels and M_t^k's grid, hand it the spacing of their nodes,
+        # which have a node within half a step of w = 0
+        seen = {"mellin": 0, "radial_symbol": 0}
+        for module in seen:
+            real = getattr(lk, module)._phase_sums
 
-        def counting(v):
-            calls[0] += 1
-            return real(v)
+            def checking(p, w, v, step, module=module, real=real):
+                seen[module] += 1
+                assert np.allclose(np.diff(w), step, rtol=1e-12, atol=0.0)
+                assert np.min(np.abs(w)) <= 0.5 * step
+                return real(p, w, v, step)
 
-        monkeypatch.setattr(lk.mellin, "_progression", counting)
+            monkeypatch.setattr(getattr(lk, module), "_phase_sums", checking)
         spec = lk.KernelSpec(d=2, alpha=1.5, beta=0.7)
         lk.stable_mb(spec, 2.0)
         lk.stable_mb(spec, np.geomspace(0.05, 30.0, 400))
-        assert calls[0] == 0
-        # while the inner transform's trapezoid levels take the query split
-        found = []
-
-        def recording(v):
-            found.append(real(v))
-            return found[-1]
-
-        monkeypatch.setattr(lk.mellin, "_progression", recording)
         lk.general_kernel_mb(lk.make_symbol("stable", a=1.2), 2, 0.5, 0.5,
                              1.3)
-        assert sum(prog is not None for prog in found) >= 2
+        assert min(seen.values()) >= 2
 
 
 class TestLinePlan:
@@ -352,16 +323,13 @@ class TestLinePlan:
                                         2.0, 1e-11)
         assert (plan.abscissa, plan.half_height) == (2.0, expected_t)
         assert plan.nodes == max(64, math.ceil(expected_t / 0.2))
-        assert plan.rule == "trapezoid"
 
     def test_override_and_pole_aware_floor(self):
         plan = lk.line_plan(self.log_g, self.STRIP,
-                            lk.ContourSpec(2.9, 32.0, nodes=16,
-                                           rule="gauss_legendre_panels"), 1e-9)
+                            lk.ContourSpec(2.9, 32.0, nodes=16), 1e-9)
         # the pole at z = 3 sits 0.1 from the line: h <= 0.1 / 5
         assert (plan.abscissa, plan.half_height) == (2.9, 32.0)
         assert plan.nodes == math.ceil(32.0 / 0.02)
-        assert plan.rule == "gauss_legendre_panels"
         wide = lk.line_plan(self.log_g, self.STRIP,
                             lk.ContourSpec(2.0, 32.0, nodes=4096), 1e-9)
         assert wide.nodes == 4096

@@ -10,10 +10,10 @@ import pytest
 import sympy as sp
 
 import levykernel as lk
-from levykernel.mellin import _phase_sums, _progression
+from levykernel.mellin import _BLOCK_ELEMS, _phase_sums
 from levykernel.radial_symbol import RadialSymbol, _MellinGrid
 
-from _props import k_independence_err, row_block_mismatches
+from _props import dense_phase_sums, k_independence_err, row_block_mismatches
 
 
 ALL_SYMBOLS = [
@@ -298,8 +298,9 @@ class TestGeneralMBGrid:
 
 
 class TestMellinGridPhases:
-    # the factorised phase sums must reproduce the dense phase matrix on
-    # the node sets the contour levels request
+    # the factorised phase sums (the node split of ``mellin._phase_sums``
+    # on the grid's trapezoid nodes) must reproduce the dense phase matrix
+    # on the node sets the contour levels request
     GRIDS = [("relativistic", {"alpha": 1.0, "m": 1.0}),
              ("sum_stable", {"a": 0.6, "b": 1.4})]
     N, H = 160, 0.4  # a trapezoid plan with T = 64
@@ -312,20 +313,22 @@ class TestMellinGridPhases:
 
     @staticmethod
     def _dense(grid, v):
-        return lk.mellin._dense(grid._p, grid._w, v)
+        return dense_phase_sums(grid._p, grid._w, v)
 
     @pytest.mark.parametrize("kind,params", GRIDS, ids=[g[0] for g in GRIDS])
     def test_factored_matches_dense(self, kind, params):
         grid = self._grid(kind, params)
         n, h = self.N, self.H
         level0 = np.arange(-n, n + 1, dtype=float) * h
+        # "offset": 321 heights spaced 0.25, shifted by 2^-21, so not
+        # symmetric about 0 and handed over whole by ``fold_conjugates``
         sets = {"level 0": level0,
                 "midpoints": (np.arange(-n, n, dtype=float) + 0.5) * h,
                 "strided": level0[::3],
-                "negative": np.arange(-40, 121, dtype=float) * h}
+                "negative": np.arange(-40, 121, dtype=float) * h,
+                "offset": 2.0 ** -21 + np.arange(-n, n + 1, dtype=float) * 0.25}
         gross = np.sum(np.abs(grid._p))
         for name, v in sets.items():
-            assert _progression(v) is not None, name
             err = np.max(np.abs(grid.value(v) - self._dense(grid, v)))
             assert err <= 1e-11 * gross, name
 
@@ -338,30 +341,27 @@ class TestMellinGridPhases:
         probe = grid.value(np.array([0.0, 8.0, 16.0]))
         lone = [grid.value(np.array([v]))[0] for v in (0.0, 8.0, 16.0)]
         assert np.array_equal(probe, lone)
-        # nor on the rest of a dense request or on its layout
+        # nor on the rest of a request or on its layout
         rng = np.random.default_rng(7)
         scattered = np.r_[rng.uniform(-64.0, 64.0, 299), 8.0]
-        assert _progression(scattered) is None
         assert grid.value(scattered)[-1] == lone[1]
         strided = np.array([[16.0, 3.0], [8.0, 5.0]])[:, 0]
         assert not strided.flags.contiguous
         assert grid.value(strided)[1] == lone[1]
 
     @staticmethod
-    def _level(grid):
-        # a trapezoid level of 1281 heights up to 64: ``fold_conjugates``
-        # hands ``grid.value`` its upper half, 641 heights from 0, a
-        # progression that takes the query split
+    def _levels():
+        # a trapezoid level of 1281 heights up to 64, as a direct
+        # ``mellin_Mk`` call hands it over, and its upper half, 641
+        # heights from 0, as ``fold_conjugates`` does
         level = np.arange(-640, 641, dtype=float) * 0.1
-        a = level[level.size // 2:]
-        assert _progression(a) is not None
-        return a
+        return {"full": level, "upper half": level[level.size // 2:]}
 
-    def test_factored_makes_three_exps_per_node(self, monkeypatch):
-        # a timing-free guard on the work: each factor is a running
-        # product of one exp per node, not a table of exps
+    def test_factored_exps_per_height(self, monkeypatch):
+        # a timing-free guard on the work: each height takes heads + B
+        # complex exps, B ~ sqrt(N), not one per node
         grid = self._grid(*self.GRIDS[0])
-        a = self._level(grid)
+        a = self._levels()["upper half"]
         real_exp = np.exp
         count = [0]
 
@@ -372,60 +372,61 @@ class TestMellinGridPhases:
             return out
 
         monkeypatch.setattr(np, "exp", counting)
-        _phase_sums(grid._p, grid._w, a)
-        assert 0 < count[0] <= 3 * grid._w.size
+        _phase_sums(grid._p, grid._w, a, grid._h)
+        assert 0 < count[0] <= a.size * (2 * math.isqrt(grid._w.size) + 3)
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-16,
                         reason="long double is no wider than double")
     @pytest.mark.parametrize("kind,params", GRIDS, ids=[g[0] for g in GRIDS])
     def test_factored_accuracy_against_long_double(self, kind, params):
-        # the running products' rounding grows with the power taken, yet
-        # stays within that of the argument rounding of direct exps
+        # the split phases round no worse than direct exps, whose
+        # arguments w*v are themselves rounded, on the full level and on
+        # its upper half alike
         grid = self._grid(kind, params)
-        a = self._level(grid)
+        weights = grid._p.astype(np.longdouble)
+        for name, a in self._levels().items():
+            phase = np.multiply.outer(a.astype(np.longdouble),
+                                      grid._w.astype(np.longdouble))
+            ref = np.cos(phase) @ weights + 1j * (np.sin(phase) @ weights)
+            got = _phase_sums(grid._p, grid._w, a, grid._h)
+            err = float(np.max(np.abs(got - ref)))
+            dense = float(np.max(np.abs(self._dense(grid, a) - ref)))
+            assert err <= 1.5 * dense, name
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-16,
+                        reason="long double is no wider than double")
+    def test_one_sided_grid_counts_from_zero(self):
+        # near the strip edge Re z = -alpha the grid runs from w = -400 to
+        # w = 6; heads counted from its middle node, near w = -197, would
+        # round the heights of the large nodes near w = 0 some 5x worse
+        # than direct exps
+        grid = _MellinGrid(lk.make_symbol("stable", a=1.3), 1.0, 5, -1.2,
+                           64.0, tol=1e-9)
+        assert grid._w[0] < -390.0 < 0.0 < grid._w[-1] < 10.0
+        a = np.arange(0.0, 65.0)
         phase = np.multiply.outer(a.astype(np.longdouble),
                                   grid._w.astype(np.longdouble))
         weights = grid._p.astype(np.longdouble)
         ref = np.cos(phase) @ weights + 1j * (np.sin(phase) @ weights)
-        gross = np.sum(np.abs(grid._p))
-        err = float(np.max(np.abs(_phase_sums(grid._p, grid._w, a) - ref)))
-        dense = float(np.max(np.abs(self._dense(grid, a) - ref)))
-        assert err <= 2e-15 * gross
-        assert err <= 1.5 * dense
+        got = _phase_sums(grid._p, grid._w, a, grid._h)
+        err = float(np.max(np.abs(got - ref)))
+        assert err <= 1.5 * float(np.max(np.abs(self._dense(grid, a) - ref)))
 
     def test_factored_peak_memory(self):
         import tracemalloc
 
-        # the traced peak of one call when each factor was a table of
-        # exps: 7029992 bytes at 5696 nodes
+        # the phases go by row blocks of _BLOCK_ELEMS complex entries, so
+        # the working set is a few blocks whatever the number of heights;
+        # only the result grows with it
         grid = self._grid(*self.GRIDS[0])
-        a = self._level(grid)
-        tracemalloc.start()
-        try:
-            _phase_sums(grid._p, grid._w, a)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 7029992 * grid._w.size / 5696
-
-    def test_offset_symmetric_set_takes_query_split(self):
-        import tracemalloc
-
-        grid = self._grid(*self.GRIDS[0])
-        # 321 heights spaced 0.25, offset by 2^-21: not symmetric about 0,
-        # so ``grid.value`` gets the set whole, and a progression, so it
-        # takes the query split
-        v = 2.0 ** -21 + np.arange(-self.N, self.N + 1, dtype=float) * 0.25
-        assert _progression(v) is not None
-        tracemalloc.start()
-        try:
-            got = grid.value(v)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 2 ** 20
-        gross = np.sum(np.abs(grid._p))
-        assert np.max(np.abs(got - self._dense(grid, v))) <= 1e-11 * gross
+        for a in (self._levels()["full"], np.linspace(-64.0, 64.0, 20001)):
+            tracemalloc.start()
+            try:
+                _phase_sums(grid._p, grid._w, a, grid._h)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3 * 16 * _BLOCK_ELEMS + 32 * a.size
 
     def test_memo_returns_copies(self):
         grid = self._grid(*self.GRIDS[1])
@@ -435,6 +436,45 @@ class TestMellinGridPhases:
         assert np.array_equal(grid.value(v), kept)
         first[:] = 0.0
         assert np.array_equal(grid.value(v), kept)
+
+
+class TestMellinGridTrapezoid:
+    # M_t^k by one nested trapezoid on the whole log-line w = ln r
+
+    @pytest.mark.parametrize("a", [0.6, 1.3])
+    @pytest.mark.parametrize("cap", [64.0, 256.0])
+    def test_stable_closed_form_up_to_the_cap(self, a, cap):
+        # eta = r^a: M_t^k(z) = (-1)^k Gamma(z+k)/Gamma(z) Gamma(z/a)/a
+        # at t = 1.  The rule aliases first at the top of its cap, so
+        # every height of a level and its midpoints up to the cap is
+        # checked
+        sym = lk.make_symbol("stable", a=a)
+        k, c, n = 5, 2.25, int(4 * cap)
+        for v in (np.arange(-n, n + 1, dtype=float) * 0.25,
+                  (np.arange(-n, n, dtype=float) + 0.5) * 0.25):
+            z = c + 1j * v
+            got = lk.mellin_Mk(sym, 1.0, z, k)
+            ref = (-1.0) ** k * np.exp(lk.log_gamma(z + k) - lk.log_gamma(z)
+                                       + lk.log_gamma(z / a)) / a
+            assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("kind,params", TestMellinGridPhases.GRIDS,
+                             ids=[g[0] for g in TestMellinGridPhases.GRIDS])
+    def test_levels_nest(self, monkeypatch, kind, params):
+        # each halving evaluates the integrand at the new midpoints only:
+        # the samples taken over one build are the final nodes
+        real = lk.scaled_exp_eta_derivative
+        sizes = []
+
+        def counting(sym, t, r, m):
+            sizes.append(np.size(r))
+            return real(sym, t, r, m)
+
+        monkeypatch.setattr("levykernel.radial_symbol."
+                            "scaled_exp_eta_derivative", counting)
+        grid = TestMellinGridPhases._grid(kind, params)
+        assert len(sizes) >= 2
+        assert sum(sizes) == grid._w.size
 
 
 class TestLeadingTerms:

@@ -298,10 +298,13 @@ class TestSmallRSeries:
                 assert got == pytest.approx(ref, rel=1e-8)
 
     def test_origin_equals_origin_formula(self):
-        for spec in (lk.KernelSpec(d=2, alpha=1.5),
-                     lk.KernelSpec(d=3, alpha=1.2, beta=0.7)):
-            assert lk.small_r_series(spec, 0.0).value == pytest.approx(
-                lk.kernel_at_origin(spec), rel=1e-12)
+        # both read the m = 0 right residue, so they agree bit for bit
+        for d, alpha, beta in ((2, 1.5, 0.0), (3, 1.2, 0.7), (2, 1.01, 0.3),
+                               (5, 1.9, 2.0), (10, 1.3, 1.0)):
+            for t in (1.0, 0.7):
+                spec = lk.KernelSpec(d=d, alpha=alpha, beta=beta, t=t)
+                assert (lk.small_r_series(spec, 0.0).value
+                        == lk.kernel_at_origin(spec))
 
     def test_poisson_agreement(self):
         spec = lk.KernelSpec(d=2, alpha=1.0)
