@@ -20,6 +20,7 @@ from .radial_symbol import (RadialSymbol, decay_slope, default_derivative_order,
                             general_leading_term, general_strip, make_symbol,
                             mellin_M, mellin_Mk, perturbed_leading_term,
                             scaled_exp_eta_derivative, smoothstep_cutoff,
+                            sum_symbol_envelope, sum_symbol_envelope_check,
                             symbol_registry, tail_integral, validate_symbol)
 from .specfun import (bessel_j, bessel_j_derivative, gamma, gamma_residue,
                       log_gamma, reciprocal_gamma, stirling_magnitude)
@@ -27,7 +28,6 @@ from .stable_kernel import (KernelSpec, SeriesTerm, admissible_strip,
                             envelope_ratio, evaluate, gaussian_kernel,
                             kernel_at_origin, leading_term, poisson_kernel,
                             scaling_reduce, small_r_series, stable_mb,
-                            stable_series, sum_symbol_envelope,
-                            sum_symbol_envelope_check)
+                            stable_series)
 
 __version__ = "0.1.0"

@@ -33,9 +33,9 @@ from .mellin import ContourSpec
 from .oracle import stable_oracle, symbol_oracle
 from .radial_symbol import (general_kernel_mb, general_leading_term,
                             make_symbol, perturbed_leading_term,
-                            symbol_registry)
+                            sum_symbol_envelope_check, symbol_registry)
 from .stable_kernel import (KernelSpec, envelope_ratio, evaluate,
-                            leading_term, stable_mb, sum_symbol_envelope_check)
+                            leading_term, stable_mb)
 
 _METHODS = ("auto", "mb", "series", "small-r", "closed", "oracle")
 

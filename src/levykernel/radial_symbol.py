@@ -43,6 +43,8 @@ __all__ = [
     "general_kernel_mb",
     "general_leading_term",
     "perturbed_leading_term",
+    "sum_symbol_envelope",
+    "sum_symbol_envelope_check",
     "general_strip",
     "default_derivative_order",
     "smoothstep_cutoff",
@@ -363,11 +365,13 @@ def mellin_Mk(sym: RadialSymbol, t: float, z, k: int, tol: float = 1e-10):
 
 def mellin_M(sym: RadialSymbol, t: float, z, k: int, tol: float = 1e-10):
     """The continued Mellin transform of e^{-t eta}:
-    M_t(z) = (-1)^k Gamma(z)/Gamma(z+k) M_t^k(z)."""
+    M_t(z) = (-1)^k Gamma(z)/Gamma(z+k) M_t^k(z), the gamma ratio taken
+    as 1/(z)_k, (z)_k = z (z+1) ... (z+k-1), by k complex multiplies."""
     zz = np.asarray(z, dtype=np.complex128)
-    mk = mellin_Mk(sym, t, z, k, tol=tol)
-    ratio = np.exp(log_gamma(zz) - log_gamma(zz + k))
-    return (-1.0) ** k * ratio * mk
+    rising = np.ones_like(zz)
+    for j in range(k):
+        rising = rising * (zz + j)
+    return (-1.0) ** k * mellin_Mk(sym, t, z, k, tol=tol) / rising
 
 
 def general_strip(d: int, beta: float):
@@ -388,9 +392,9 @@ def general_kernel_mb(sym: RadialSymbol, d: int, beta: float, t: float,
                       tol: float = 1e-7):
     """Kernel of a general radial symbol by the nested contour integral
 
-        (-1)^k/(pi^(d/2) r^(d+beta)) * (1/2 pi i) * int_(c) G(z) r^z dz,
-        G(z) = Gamma(z) Gamma((d+beta-z)/2) 2^(beta-z)
-               / (Gamma(z+k) Gamma((z-beta)/2)) * M_t^k(z),
+        1/(pi^(d/2) r^(d+beta)) * (1/2 pi i) * int_(c) G(z) r^z dz,
+        G(z) = Gamma((d+beta-z)/2) 2^(beta-z) / Gamma((z-beta)/2) * M_t(z),
+        M_t(z) = (-1)^k Gamma(z)/Gamma(z+k) M_t^k(z)  (``mellin_M``),
 
     with c in ((d+1)/2+beta, d+beta) and k > (d+3)/2 + beta, planned by
     ``mellin.line_plan``.  The inner transform values come from a frozen
@@ -413,14 +417,14 @@ def general_kernel_mb(sym: RadialSymbol, d: int, beta: float, t: float,
     @fold_conjugates
     def log_g(z):
         z = np.asarray(z, dtype=np.complex128)
-        # the four gamma factors from one log_gamma call
-        g, gk, down, over = log_gamma(np.stack(
-            (z, z + k, 0.5 * (d + beta - z), 0.5 * (z - beta))))
-        return (g - gk + down - over + (beta - z) * _LN2
-                + np.log(mellin_Mk(sym, t, z, k, inner_tol)))
+        # M_t carries Gamma(z)/Gamma(z+k); the stable factor's two gamma
+        # factors come from one log_gamma call
+        down, over = log_gamma(np.stack((0.5 * (d + beta - z), 0.5 * (z - beta))))
+        return (down - over + (beta - z) * _LN2
+                + np.log(mellin_M(sym, t, z, k, inner_tol)))
 
     out = _contour_route(log_g, general_strip(d, beta), d + beta, r, 1.0,
-                         (-1.0) ** k / math.pi ** (0.5 * d), contour, tol)
+                         math.pi ** (-0.5 * d), contour, tol)
     for res in out if isinstance(out, list) else [out]:
         res.est_error += abs(res.value) * inner_tol
         res.diagnostics["k"] = k
@@ -463,6 +467,59 @@ def perturbed_leading_term(alpha: float, eta1_at_zero: float, d: int,
     _, lead = _residues(d, alpha, beta, "left", 2)
     return {"coefficient": lead.coefficient * (t * math.exp(-t * eta1_at_zero)),
             "exponent": lead.exponent}
+
+
+# ---------------------------------------------------------------------------
+# Upper envelope of the two-power symbol r^a + r^b.
+# ---------------------------------------------------------------------------
+
+def sum_symbol_envelope(d: int, a: float, b: float, t: float, r):
+    """Upper envelope for the kernel of the two-power symbol r^a + r^b:
+    the time scale follows the upper exponent for t <= 1 and the lower
+    one for t >= 1, the spatial decay always follows the lower one."""
+    idx = b if t <= 1.0 else a
+    r = np.asarray(r, dtype=float)
+    return t ** (-d / idx) * (1.0 + t ** (-1.0 / idx) * r) ** (-(d + a))
+
+
+def sum_symbol_envelope_check(d: int, a: float, b: float, t: float, r_grid,
+                              kernel_values=None, tol: float = 1e-9) -> dict:
+    """Upper-bound check for the kernel of the two-power symbol r^a + r^b
+    (0 < a < b < 2, beta = 0):
+
+        K_t(r) <= C t^(-d/b) (1 + t^(-1/b) r)^(-(d+a))   for t <= 1,
+        K_t(r) <= C t^(-d/a) (1 + t^(-1/a) r)^(-(d+a))   for t >= 1.
+
+    Returns the empirical constant (max ratio) over the grid.  Kernel
+    values default to ``symbol_oracle`` on ``sum_stable(a, b)``, and to a
+    radial quadrature at r = 0.
+    """
+    if not 0.0 < a < b < 2.0:
+        raise ValueError("need 0 < a < b < 2")
+    r_grid = np.asarray(r_grid, dtype=float)
+    if kernel_values is None:
+        sym = make_symbol("sum_stable", a=a, b=b)
+        kernel_values = np.array(
+            [_oracle.symbol_oracle(sym, d, 0.0, t, float(r), tol=tol).value
+             if r > 0 else _sum_symbol_origin(d, a, b, t)
+             for r in r_grid])
+    env = sum_symbol_envelope(d, a, b, t, r_grid)
+    ratios = np.asarray(kernel_values) / env
+    finite = np.all(np.isfinite(ratios))
+    return {"holds": bool(finite and np.all(np.asarray(kernel_values) > 0)),
+            "max_ratio": float(np.max(ratios)),
+            "min_ratio": float(np.min(ratios))}
+
+
+def _sum_symbol_origin(d: int, a: float, b: float, t: float) -> float:
+    """Kernel of r^a + r^b at the origin by radial quadrature."""
+    def w(s):
+        return s ** (d - 1) * np.exp(-t * (s ** a + s ** b))
+
+    omega = 2.0 * math.pi ** (0.5 * d) / math.gamma(0.5 * d)
+    s_sup = _oracle._support_radius(w, 0.0)
+    val, _, _ = _oracle._graded_head(w, 0.0, 0.0, 0.0, s_sup, 1e-13)
+    return (2.0 * math.pi) ** (-d) * omega * val
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,12 @@ depend only on the arguments.  Functions accept scalars or numpy arrays
 and follow numpy broadcasting; scalar input gives scalar output.
 
 The gamma evaluation uses a fixed-coefficient rational (Lanczos-type)
-approximation on Re z >= 1/2 and the reflection formula elsewhere.  All
-ratio work elsewhere in the package goes through ``log_gamma`` so that
-quotients like Gamma(z/a)/Gamma(z/2) stay finite on tall vertical lines
-where the individual factors under/overflow.
+approximation on Re z >= 1/2 and the reflection formula elsewhere.  The
+package calls it at the complex points of contour lines, where log space
+keeps quotients like Gamma(z/a)/Gamma(z/2) finite though the factors
+under/overflow, and in J_nu's series (whose bits feed the oracle's tables).
+Residues at real arguments use ``math.gamma``, and Gamma(z)/Gamma(z+k) is
+the rational 1/(z)_k.
 """
 
 from __future__ import annotations

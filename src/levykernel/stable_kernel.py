@@ -27,7 +27,7 @@ import numpy as np
 from . import oracle as _oracle
 from .errors import Approximation, DomainError
 from .mellin import ContourSpec, _contour_route, fold_conjugates
-from .specfun import log_gamma, reciprocal_gamma
+from .specfun import POLE_TOL, log_gamma
 
 __all__ = [
     "KernelSpec",
@@ -42,8 +42,6 @@ __all__ = [
     "leading_term",
     "small_r_series",
     "envelope_ratio",
-    "sum_symbol_envelope",
-    "sum_symbol_envelope_check",
     "evaluate",
     "admissible_strip",
 ]
@@ -52,6 +50,9 @@ _LN2 = math.log(2.0)
 _SERIES_MAX_TERMS = 40  # stable_series reads the poles n = 0 .. 40
 # small_r_series stops at a term this small against its sum, or fails
 _SMALL_R_TOL, _SMALL_R_MAX_TERMS = 1e-16, 400
+# rounding of a series, per unit of sum |term|: each coefficient is good to
+# ~4.5 eps (``_residues``), plus the power and the running sum
+_SERIES_ROUNDING = 16.0 * 2.0 ** -52
 
 
 @dataclass(frozen=True)
@@ -182,36 +183,28 @@ def stable_mb(spec: KernelSpec, r, contour: ContourSpec | None = None,
 
 def _residues(d: int, alpha: float, beta: float, family: str, limit: int):
     """One ``SeriesTerm`` per pole of G, the first ``limit`` poles of one
-    family.  ``"left"``, z = -n*alpha: the large-r term at t = 1, pi^(-d/2)
-    included, zero where (n*alpha + beta)/2 is a nonnegative integer.
-    ``"right"``, z = d+beta+2m: coefficient * (r/2)^(2m), exponent -2m,
-    without the factor 2^(1-d) pi^(-d/2) / alpha.  Blocks of 32, 64, ...
-    poles take one ``log_gamma`` and one ``reciprocal_gamma`` call each,
-    built when their first pole is reached; a coefficient past the float
-    range raises OverflowError there."""
+    family, each (-1)^n/n! Gamma(up)/Gamma(down) at real arguments by
+    ``math.gamma``.  ``"left"``, z = -n*alpha: the large-r term at t = 1,
+    2^(beta+n*alpha) pi^(-d/2) included, zero where down = -(n*alpha+beta)/2
+    is within ``POLE_TOL`` of an integer.  ``"right"``, z = d+beta+2m:
+    coefficient * (r/2)^(2m), exponent -2m, without the factor
+    2^(1-d) pi^(-d/2) / alpha.  up >= down, so Gamma(up) leaves the float
+    range first and raises OverflowError."""
     left = family == "left"
-    lo, size = 0, 32
-    while lo < limit:
-        ns = range(lo, min(lo + size, limit))
+    for n in range(limit):
         if left:
-            up = [0.5 * (d + beta + n * alpha) for n in ns]
-            down = [-(n * alpha + beta) / 2.0 for n in ns]
-        else:
-            up = [(d + beta + 2 * m) / alpha for m in ns]
-            down = [0.5 * d + m for m in ns]
-        lg = log_gamma(np.array(up, dtype=np.complex128)).real.tolist()
-        rg = reciprocal_gamma(np.array(down)).real.tolist()
-        for n, lgn, rgn in zip(ns, lg, rg):
-            if not left:
-                c = (-1.0) ** n / math.factorial(n) * math.exp(lgn) * rgn
-                yield SeriesTerm(n, -2.0 * n, c, False)
-            elif rgn == 0.0:
+            up, down = 0.5 * (d + beta + n * alpha), -(n * alpha + beta) / 2.0
+            if abs(down - round(down)) <= POLE_TOL:
                 yield SeriesTerm(n, d + beta + n * alpha, 0.0, True)
-            else:
-                c = ((-1.0) ** n / math.factorial(n) * math.exp(lgn)
-                     * 2.0 ** (beta + n * alpha) * rgn * math.pi ** (-0.5 * d))
-                yield SeriesTerm(n, d + beta + n * alpha, c, False)
-        lo, size = lo + size, 2 * size
+                continue
+        else:
+            up, down = (d + beta + 2 * n) / alpha, 0.5 * d + n
+        c = (-1) ** n / math.factorial(n) * math.gamma(up) / math.gamma(down)
+        if left:
+            yield SeriesTerm(n, d + beta + n * alpha, c * 2.0 ** (beta + n * alpha)
+                             * math.pi ** (-0.5 * d), False)
+        else:
+            yield SeriesTerm(n, -2.0 * n, c, False)
 
 
 def stable_series(spec: KernelSpec, r: float,
@@ -222,7 +215,8 @@ def stable_series(spec: KernelSpec, r: float,
     a divergence flag if they grow before the count is reached);
     otherwise stops at the optimal truncation point, just before the
     first term whose magnitude exceeds its predecessor.  The error
-    estimate is the magnitude of the first omitted non-vanished term.
+    estimate is the magnitude of the first omitted non-vanished term plus
+    16 eps times the sum of the kept terms' magnitudes (rounding).
     """
     if not 0.0 < spec.alpha < 2.0:
         raise DomainError("the residue expansion requires 0 < alpha < 2")
@@ -250,8 +244,10 @@ def stable_series(spec: KernelSpec, r: float,
         value += tv
     else:
         next_term_value = kept_values[-1] if kept_values else 0.0
+    rounding = _SERIES_ROUNDING * sum(map(abs, kept_values))
     return Approximation(
-        value=pref * value, est_error=abs(pref * next_term_value),
+        value=pref * value,
+        est_error=pref * (abs(next_term_value) + rounding),
         method="residue_series",
         diagnostics={"terms": terms, "terms_used": len(kept_values),
                      "divergence_warning": divergence,
@@ -320,20 +316,19 @@ def small_r_series(spec: KernelSpec, r: float) -> Approximation:
     if a == 2.0:
         # sum_m (-1)^m/m! G((d+b)/2+m)/G(d/2+m) x^m
         #   = G((d+b)/2)/G(d/2) e^-x 1F1(-b/2; d/2; x)
-        front = math.exp(log_gamma(complex(0.5 * (d + b))).real
-                         - log_gamma(complex(0.5 * d)).real)
+        front = math.exp(math.lgamma(0.5 * (d + b)) - math.lgamma(0.5 * d))
         total = front * math.exp(-x) * _kummer_series(-0.5 * b, 0.5 * d, x)
         return Approximation(
             value=pref * base * total, est_error=abs(pref * base * total) * 1e-15,
             method="small_r_series",
             diagnostics={"terms_used": -1, "factored": True, "r_scaled": rp})
 
-    total = max_mag = 0.0
+    total = abs_sum = 0.0
     try:
         for res in _residues(d, a, b, "right", _SMALL_R_MAX_TERMS):
             term = res.coefficient * x ** res.n
             total += term
-            max_mag = max(max_mag, abs(term))
+            abs_sum += abs(term)
             if res.n >= 1 and abs(term) <= _SMALL_R_TOL * max(abs(total), 1e-300):
                 break
         else:
@@ -342,15 +337,15 @@ def small_r_series(spec: KernelSpec, r: float) -> Approximation:
     except OverflowError as exc:
         raise DomainError(f"small-r expansion overflows at r' = {rp} "
                           "(use the contour route)") from exc
-    est = (abs(term) + max_mag * 1e-16) * base * pref
+    est = (abs(term) + _SERIES_ROUNDING * abs_sum) * base * pref
     return Approximation(
         value=pref * base * total, est_error=est, method="small_r_series",
         diagnostics={"terms_used": res.n + 1, "factored": False, "r_scaled": rp,
-                     "cancellation": max_mag / max(abs(total), 1e-300)})
+                     "cancellation": abs_sum / max(abs(total), 1e-300)})
 
 
-def _closed(value: float, rel: float = 1e-15, **diagnostics) -> Approximation:
-    return Approximation(value=value, est_error=abs(value) * rel,
+def _closed(value: float, **diagnostics) -> Approximation:
+    return Approximation(value=value, est_error=abs(value) * 1e-15,
                          method="closed_form", diagnostics=diagnostics)
 
 
@@ -385,8 +380,7 @@ def evaluate(spec: KernelSpec, r: float, method: str = "auto",
         raise ValueError(f"unknown method {method!r}")
 
     if r == 0.0:
-        # two gamma factors, each good to ~1e-14 relative (specfun)
-        return _closed(kernel_at_origin(spec), 2e-14, origin=True)
+        return _closed(kernel_at_origin(spec), origin=True)
     if a == 2.0:
         if b == 0.0:
             return _closed(gaussian_kernel(d, t, r))
@@ -441,59 +435,3 @@ def envelope_ratio(spec: KernelSpec, r_grid, values=None) -> dict:
     return {"min_ratio": float(np.min(ratios)),
             "max_ratio": float(np.max(ratios)),
             "positive": bool(np.all(values > 0))}
-
-
-def sum_symbol_envelope(d: int, a: float, b: float, t: float, r):
-    """Upper envelope for the kernel of the two-power symbol r^a + r^b:
-    the time scale follows the upper exponent for t <= 1 and the lower
-    one for t >= 1, the spatial decay always follows the lower one."""
-    idx = b if t <= 1.0 else a
-    r = np.asarray(r, dtype=float)
-    return t ** (-d / idx) * (1.0 + t ** (-1.0 / idx) * r) ** (-(d + a))
-
-
-def sum_symbol_envelope_check(d: int, a: float, b: float, t: float, r_grid,
-                              kernel_values=None, tol: float = 1e-9) -> dict:
-    """Upper-bound check for the kernel of the two-power symbol r^a + r^b
-    (0 < a < b < 2, beta = 0):
-
-        K_t(r) <= C t^(-d/b) (1 + t^(-1/b) r)^(-(d+a))   for t <= 1,
-        K_t(r) <= C t^(-d/a) (1 + t^(-1/a) r)^(-(d+a))   for t >= 1.
-
-    Returns the empirical constant (max ratio) over the grid.
-    """
-    if not 0.0 < a < b < 2.0:
-        raise ValueError("need 0 < a < b < 2")
-    r_grid = np.asarray(r_grid, dtype=float)
-    if kernel_values is None:
-        p = 0.5 * d
-
-        def w(s):
-            s = np.asarray(s, dtype=float)
-            out = np.zeros_like(s)
-            pos = s > 0
-            sp = s[pos]
-            out[pos] = sp ** p * np.exp(-t * (sp ** a + sp ** b))
-            return out
-
-        kernel_values = np.array(
-            [_oracle.hankel_oracle(w, d, float(r), tol=tol).value
-             if r > 0 else _sum_symbol_origin(d, a, b, t)
-             for r in r_grid])
-    env = sum_symbol_envelope(d, a, b, t, r_grid)
-    ratios = np.asarray(kernel_values) / env
-    finite = np.all(np.isfinite(ratios))
-    return {"holds": bool(finite and np.all(np.asarray(kernel_values) > 0)),
-            "max_ratio": float(np.max(ratios)),
-            "min_ratio": float(np.min(ratios))}
-
-
-def _sum_symbol_origin(d: int, a: float, b: float, t: float) -> float:
-    """Kernel of r^a + r^b at the origin by radial quadrature."""
-    def w(s):
-        return s ** (d - 1) * np.exp(-t * (s ** a + s ** b))
-
-    omega = 2.0 * math.pi ** (0.5 * d) / math.gamma(0.5 * d)
-    s_sup = _oracle._support_radius(w, 0.0)
-    val, _, _ = _oracle._graded_head(w, 0.0, 0.0, 0.0, s_sup, 1e-13)
-    return (2.0 * math.pi) ** (-d) * omega * val

@@ -169,7 +169,8 @@ _KERNEL_CALLS = [
         lk.KernelSpec(d=3, alpha=0.5, beta=0.0), 2.0)),
     ("stable_kernel", 3, lambda: lk.stable_mb(
         lk.KernelSpec(d=10, alpha=1.99, beta=2.0), 2.0)),
-    ("radial_symbol", 4, lambda: lk.general_kernel_mb(
+    # Gamma(z)/Gamma(z+k) is taken inside mellin_M, as 1/(z)_k
+    ("radial_symbol", 2, lambda: lk.general_kernel_mb(
         _SYMBOL, 2, 0.5, 0.5, 1.3)),
 ]
 

@@ -190,6 +190,14 @@ class TestMellinTransform:
             got = lk.mellin_M(sym, t, z, 2)
             expected = complex(np.exp(lk.log_gamma(z) - z * math.log(t)))
             assert got == pytest.approx(expected, rel=1e-9)
+        # at Im z = 100, M_t ~ 1e-67 lies below the inner grid's rounding,
+        # but the gamma ratio Gamma(z)/Gamma(z+2) = 1/(z)_2 is still exact
+        # to a few ulp (the log_gamma route: 1e-13)
+        z = 1.2 + 100j
+        ratio = lk.mellin_M(sym, t, z, 2) / lk.mellin_Mk(sym, t, z, 2)
+        with mp.workdps(30):
+            expected = complex(mp.gamma(z) / mp.gamma(z + 2))
+        assert abs(ratio - expected) <= 10 * 2.0 ** -52 * abs(expected)
 
     def test_square_root_symbol_value(self):
         # eta = sqrt(r): int e^{-sqrt r} dr = 2

@@ -1,6 +1,9 @@
 import math
+import sys
 import warnings
+from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -252,33 +255,54 @@ class TestLeadingTerm:
             lk.KernelSpec(d=2, alpha=1.5, beta=2.0)).exponent == 5.5
 
 
-class TestResidueCalls:
-    # both series read one residue generator: each block of poles (32,
-    # then 64, 128, ...) costs one log_gamma and one reciprocal_gamma
-    # call, not one of each per term
-    @pytest.mark.parametrize("call,blocks", [
-        (lambda: lk.small_r_series(lk.KernelSpec(d=2, alpha=1.5), 0.3), 1),
-        (lambda: lk.stable_series(lk.KernelSpec(d=2, alpha=1.5), 5.0), 1),
-        (lambda: lk.leading_term(lk.KernelSpec(d=2, alpha=1.5)), 1),
-        # 52 terms: the poles 0..31, then 32..95
-        (lambda: lk.small_r_series(lk.KernelSpec(d=2, alpha=1.5), 3.0), 2),
-    ], ids=["small_r_series", "stable_series", "leading_term",
-            "small_r_series-52-terms"])
-    def test_one_call_of_each_per_block(self, monkeypatch, call, blocks):
-        counts = {"log_gamma": 0, "reciprocal_gamma": 0}
+# d, alpha, beta
+_RESIDUE_SPECS = [(2, 1.5, 0.0), (3, 1.2, 0.7), (2, 1.01, 0.3), (5, 1.9, 2.0),
+                  (10, 1.3, 1.0), (3, 0.5, 0.0), (2, 0.1, 0.0), (10, 1.99, 2.0)]
 
-        def counting(name):
-            real = getattr(lk.stable_kernel, name)
 
-            def wrapped(z):
-                counts[name] += 1
-                return real(z)
-            return wrapped
+# (d, alpha, beta, t) where the origin value misses 1e-15 relative, by
+# 3.2e-15 to 3.7e-15 at alpha = 0.1 and 1.04e-15 at d = 10, alpha = 1.3
+_ORIGIN_MISSES = {(2, 0.1, 0.0, 1.0), (2, 0.1, 0.0, 0.7), (10, 1.3, 1.0, 0.7)}
 
-        for name in counts:
-            monkeypatch.setattr(lk.stable_kernel, name, counting(name))
-        call()
-        assert counts == {"log_gamma": blocks, "reciprocal_gamma": blocks}
+
+class TestResidueCoefficients:
+    # each pole is (-1)^n/n! Gamma(up)/Gamma(down) by math.gamma at real
+    # arguments; against 40-digit mpmath at the same float arguments
+    EPS = 2.0 ** -52
+
+    @pytest.mark.parametrize("d,alpha,beta", _RESIDUE_SPECS)
+    def test_within_8_eps_of_mpmath(self, d, alpha, beta):
+        with mp.workdps(40):
+            for term in lk.stable_kernel._residues(d, alpha, beta, "left", 41):
+                n = term.n
+                if term.vanished:
+                    continue
+                up, down = 0.5 * (d + beta + n * alpha), -(n * alpha + beta) / 2.0
+                ref = ((-1) ** n / mp.factorial(n) * mp.gamma(up) / mp.gamma(down)
+                       * mp.mpf(2) ** (beta + n * alpha) * mp.pi ** (-mp.mpf(d) / 2))
+                assert abs(term.coefficient - ref) <= 8 * self.EPS * abs(ref), n
+            right = lk.stable_kernel._residues(d, alpha, beta, "right", 60)
+            for m in range(60):
+                up, down = (d + beta + 2 * m) / alpha, 0.5 * d + m
+                if mp.gamma(up) > sys.float_info.max:
+                    # Gamma(up) is the first factor past the float range
+                    with pytest.raises(OverflowError):
+                        next(right)
+                    break
+                term = next(right)
+                ref = (-1) ** m / mp.factorial(m) * mp.gamma(up) / mp.gamma(down)
+                assert term.n == m and not term.vanished
+                assert abs(term.coefficient - ref) <= 8 * self.EPS * abs(ref), m
+
+    @pytest.mark.parametrize("d,alpha,beta", _RESIDUE_SPECS)
+    def test_vanished_where_half_order_is_an_integer(self, d, alpha, beta):
+        # a left pole drops out exactly where (n alpha + beta)/2 is a
+        # nonnegative integer: the zeros of 1/Gamma(-(n alpha + beta)/2)
+        a, b = Fraction(repr(alpha)), Fraction(repr(beta))
+        for term in lk.stable_kernel._residues(d, alpha, beta, "left", 41):
+            half = (term.n * a + b) / 2
+            assert term.vanished == (half.denominator == 1), term.n
+            assert term.vanished == (term.coefficient == 0.0)
 
 
 class TestSmallRSeries:
@@ -305,6 +329,23 @@ class TestSmallRSeries:
                 spec = lk.KernelSpec(d=d, alpha=alpha, beta=beta, t=t)
                 assert (lk.small_r_series(spec, 0.0).value
                         == lk.kernel_at_origin(spec))
+
+    @pytest.mark.parametrize("d,alpha,beta,t", [
+        pytest.param(*case, marks=pytest.mark.xfail(strict=True, reason=(
+            "the rounding of (d+beta)/alpha moves Gamma((d+beta)/alpha) by "
+            "up to eps/2 * (d+beta)/alpha * psi((d+beta)/alpha)")))
+        if case in _ORIGIN_MISSES else case
+        for case in [spec + (t,) for spec in _RESIDUE_SPECS for t in (1.0, 0.7)]])
+    def test_origin_error_within_closed_form_estimate(self, d, alpha, beta, t):
+        # evaluate answers r = 0 with 1e-15 |value|, and that bounds the
+        # error against the exact origin value
+        res = lk.evaluate(lk.KernelSpec(d=d, alpha=alpha, beta=beta, t=t), 0.0)
+        assert res.est_error == 1e-15 * abs(res.value)
+        with mp.workdps(40):
+            p, q = mp.mpf(d) / 2, (d + mp.mpf(beta)) / alpha
+            ref = (2 * mp.pi ** p / mp.gamma(p) / (2 * mp.pi) ** d
+                   * mp.gamma(q) / alpha * mp.mpf(t) ** -q)
+        assert abs(res.value - ref) <= res.est_error
 
     def test_poisson_agreement(self):
         spec = lk.KernelSpec(d=2, alpha=1.0)
