@@ -403,35 +403,34 @@ def normalization_check(spec, r_split: float = 40.0) -> float:
     """Total mass omega_{d-1} int_0^inf K(r) r^(d-1) dr of a density.
 
     Only meaningful for beta = 0 (the kernel is then a probability
-    density and the result should be 1).  Oracle values are integrated
-    on [0, r_split] by composite Gauss-Legendre; the far tail is added
-    from the large-r residue expansion, whose term-by-term r-integral
-    is elementary.
+    density and the result should be 1).  Inside R = r_split the r- and
+    s-integrals swap, int_0^R r^(nu+1) J_nu(r s) dr = R^(nu+1) J_(nu+1)(R s)/s,
+    and one integration by parts back to nu = d/2 - 1 (DLMF 10.6) leaves
+
+        omega_{d-1} R^(d-2) [delta_{d,2}/(2 pi) + (d-2) H_-2 - alpha H_(alpha-2)]
+
+    with H_b the ``hankel_oracle`` value at R of ``stable_weight(d, alpha,
+    b, 1)``.  The far tail comes from the large-r residue expansion.
     """
     from .stable_kernel import KernelSpec, stable_series
 
     if spec.beta != 0:
         raise ValueError("normalization applies to beta = 0 densities")
-    unit = KernelSpec(d=spec.d, alpha=spec.alpha, beta=0.0, t=1.0)
-    d = spec.d
+    d, alpha = spec.d, spec.alpha
     omega = 2.0 * math.pi ** (0.5 * d) / math.gamma(0.5 * d)
-    w = stable_weight(d, unit.alpha, 0.0, 1.0)
 
-    nodes, halfw = _gl_nodes(np.array([0.0, 1.0, 5.0, 15.0, r_split]), 24)
-    total = 0.0
-    for row, hw in zip(nodes, halfw):
-        for ri, wi in zip(row, _gl(24)[1]):
-            ki = hankel_oracle(w, d, ri, tol=1e-10).value
-            total += wi * hw * omega * ki * ri ** (d - 1)
+    def h(b):
+        weight = stable_weight(d, alpha, b, 1.0)
+        return hankel_oracle(weight, d, r_split, tol=1e-10).value
 
-    # analytic tail of the residue expansion: each c_n r^(-d-n*alpha)
-    # integrates against omega r^(d-1) to omega c_n R^(-n alpha)/(n alpha).
-    # At alpha = 2 the tail is Gaussian, ~e^(-R^2/4): nothing to add.
-    if unit.alpha < 2.0:
-        approx = stable_series(unit, r_split)
-        for term in approx.diagnostics["terms"]:
-            if term.vanished or term.n == 0:
-                continue
-            na = term.n * unit.alpha
-            total += omega * term.coefficient * r_split ** (-na) / na
+    # the boundary term at s = 0 is nonzero only at d = 2 (nu = 0)
+    inner = 1.0 / (2.0 * math.pi) if d == 2 else (d - 2) * h(-2.0)
+    total = omega * r_split ** (d - 2) * (inner - alpha * h(alpha - 2.0))
+    # each kept residue term c_n r^(-d-n*alpha) past the vanished n = 0 one
+    # integrates against omega r^(d-1) to omega c_n R^(-n alpha)/(n alpha);
+    # at alpha = 2 the tail is Gaussian, ~e^(-R^2/4): nothing to add
+    if alpha < 2.0:
+        terms = stable_series(KernelSpec(d, alpha), r_split).diagnostics["terms"]
+        total += omega * sum(c.coefficient * r_split ** -(c.n * alpha)
+                             / (c.n * alpha) for c in terms[1:])
     return total

@@ -344,8 +344,8 @@ def small_r_series(spec: KernelSpec, r: float) -> Approximation:
                      "cancellation": abs_sum / max(abs(total), 1e-300)})
 
 
-def _closed(value: float, **diagnostics) -> Approximation:
-    return Approximation(value=value, est_error=abs(value) * 1e-15,
+def _closed(value: float, rel: float = 1e-15, **diagnostics) -> Approximation:
+    return Approximation(value=value, est_error=abs(value) * rel,
                          method="closed_form", diagnostics=diagnostics)
 
 
@@ -361,11 +361,16 @@ def evaluate(spec: KernelSpec, r: float, method: str = "auto",
     if not 0.0 <= r < math.inf:
         raise DomainError(f"r must be finite and >= 0, got {r}")
     d, a, b, t = spec.d, spec.alpha, spec.beta, spec.t
+    if method == "auto" and r == 0.0:
+        # 12 eps of rounding (gamma ratio 8, pi^(-d/2)/alpha 2, t's power and
+        # products 2), plus eps up |psi(up)| <= eps up (|ln up| + 1/up) from
+        # the rounding of up = (d+b)/a inside Gamma(up)
+        up = (d + b) / a
+        return _closed(kernel_at_origin(spec), 2.0 ** -52 * (
+            12.0 + up * (abs(math.log(up)) + 1.0 / up)), origin=True)
+    if method in ("closed", "auto") and b == 0.0 and a in (1.0, 2.0):
+        return _closed((gaussian_kernel if a == 2.0 else poisson_kernel)(d, t, r))
     if method == "closed":
-        if a == 2.0 and b == 0.0:
-            return _closed(gaussian_kernel(d, t, r))
-        if a == 1.0 and b == 0.0:
-            return _closed(poisson_kernel(d, t, r))
         raise DomainError("no closed form for this spec "
                           "(need alpha in {1, 2} and beta = 0)")
     if method == "mb":
@@ -378,15 +383,8 @@ def evaluate(spec: KernelSpec, r: float, method: str = "auto",
         return _oracle.stable_oracle(spec, r, tol=min(tol, 1e-10))
     if method != "auto":
         raise ValueError(f"unknown method {method!r}")
-
-    if r == 0.0:
-        return _closed(kernel_at_origin(spec), origin=True)
     if a == 2.0:
-        if b == 0.0:
-            return _closed(gaussian_kernel(d, t, r))
         return small_r_series(spec, r)
-    if a == 1.0 and b == 0.0:
-        return _closed(poisson_kernel(d, t, r))
     rp = spec.t ** (-1.0 / a) * r
     if rp < 0.5:
         if a >= 1.0:

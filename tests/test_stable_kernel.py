@@ -260,11 +260,6 @@ _RESIDUE_SPECS = [(2, 1.5, 0.0), (3, 1.2, 0.7), (2, 1.01, 0.3), (5, 1.9, 2.0),
                   (10, 1.3, 1.0), (3, 0.5, 0.0), (2, 0.1, 0.0), (10, 1.99, 2.0)]
 
 
-# (d, alpha, beta, t) where the origin value misses 1e-15 relative, by
-# 3.2e-15 to 3.7e-15 at alpha = 0.1 and 1.04e-15 at d = 10, alpha = 1.3
-_ORIGIN_MISSES = {(2, 0.1, 0.0, 1.0), (2, 0.1, 0.0, 0.7), (10, 1.3, 1.0, 0.7)}
-
-
 class TestResidueCoefficients:
     # each pole is (-1)^n/n! Gamma(up)/Gamma(down) by math.gamma at real
     # arguments; against 40-digit mpmath at the same float arguments
@@ -331,16 +326,17 @@ class TestSmallRSeries:
                         == lk.kernel_at_origin(spec))
 
     @pytest.mark.parametrize("d,alpha,beta,t", [
-        pytest.param(*case, marks=pytest.mark.xfail(strict=True, reason=(
-            "the rounding of (d+beta)/alpha moves Gamma((d+beta)/alpha) by "
-            "up to eps/2 * (d+beta)/alpha * psi((d+beta)/alpha)")))
-        if case in _ORIGIN_MISSES else case
-        for case in [spec + (t,) for spec in _RESIDUE_SPECS for t in (1.0, 0.7)]])
+        spec + (t,) for spec in _RESIDUE_SPECS for t in (1.0, 0.7)])
     def test_origin_error_within_closed_form_estimate(self, d, alpha, beta, t):
-        # evaluate answers r = 0 with 1e-15 |value|, and that bounds the
-        # error against the exact origin value
+        # evaluate answers r = 0 with eps (12 + up (|ln up| + 1/up)) |value|,
+        # up = (d+beta)/alpha: 12 eps of rounding plus the rounding of up
+        # carried by Gamma(up), up |psi(up)| <= up |ln up| + 1.  That bounds
+        # the error against the exact origin value, 3.2e-15 relative at
+        # alpha = 0.1 (up = 20), where 1e-15 |value| did not
         res = lk.evaluate(lk.KernelSpec(d=d, alpha=alpha, beta=beta, t=t), 0.0)
-        assert res.est_error == 1e-15 * abs(res.value)
+        up = (d + beta) / alpha
+        assert res.est_error == abs(res.value) * (
+            2.0 ** -52 * (12.0 + up * (abs(math.log(up)) + 1.0 / up)))
         with mp.workdps(40):
             p, q = mp.mpf(d) / 2, (d + mp.mpf(beta)) / alpha
             ref = (2 * mp.pi ** p / mp.gamma(p) / (2 * mp.pi) ** d
