@@ -25,12 +25,20 @@ here and in M_t^k, come from ``_phase_sums``, in sqrt(N) blocks of the
 evenly spaced nodes: the line's heights, or M_t^k's log-radii.  Every
 set of samples, a ladder rung or a quadrature level, is one call of G.
 
+G depends on the kernel alone, never on r or, after the scaling to unit
+time, on t, so each kernel keeps its line in a store, ``_Line``: the
+plan, the tail estimate and each trapezoid level's scaled samples, grown
+on demand.  G is sampled once per unit spec or symbol, and a later call
+pays only its own phase sums.  Each r still refines as it would alone,
+so a value does not depend on what the store held before.
+
 All reductions run in a fixed order, so results are bit-reproducible.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,12 +133,12 @@ def _levels(contour: ContourSpec, max_refinements: int):
 
 def _refine(sums, n_rows, contour, tol, max_refinements):
     """Run the plan's trapezoid on ``n_rows`` integrands whose per-level
-    sums come from ``sums(z, step, trim, rows)``: per row of ``rows``,
-    the (end-trimmed) sum of f and the sum of |f| over the node set z,
-    spaced by ``step``.  A row stops refining once its change is within
-    tol, or below the rounding floor of its cancelling sum.  Returns
-    per-row values, discretization estimates and node counts; raises
-    NonConvergent if any row fails to converge."""
+    sums come from ``sums(level, z, step, rows)``: per row of ``rows``,
+    the sum of f (ends halved on level 0) and the sum of |f| over the
+    node set z, spaced by ``step``.  A row stops refining once its change
+    is within tol, or below the rounding floor of its cancelling sum.
+    Returns per-row values, discretization estimates and node counts;
+    raises NonConvergent if any row fails to converge."""
     value = np.empty(n_rows, dtype=np.complex128)
     disc = np.empty(n_rows)
     used = np.empty(n_rows, dtype=np.int64)
@@ -141,7 +149,7 @@ def _refine(sums, n_rows, contour, tol, max_refinements):
     if not n_rows:
         return value, disc, used
     for level, (v, h) in enumerate(_levels(contour, max_refinements)):
-        s, a = sums(contour.abscissa + 1j * v, h, not level, rows)
+        s, a = sums(level, contour.abscissa + 1j * v, h, rows)
         n_used += v.size
         # a midpoint level halves the step and keeps half the estimate
         scale = 0.5 * h if level else h
@@ -173,10 +181,10 @@ def _refine(sums, n_rows, contour, tol, max_refinements):
 def _direct_sums(f):
     """Level sums of one integrand ``f``, formed node by node."""
 
-    def sums(z, step, trim, rows):
+    def sums(level, z, step, rows):
         fv = f(z)
         s = fv.sum()
-        if trim:
+        if not level:
             s -= 0.5 * (fv[0] + fv[-1])
         return np.array([s]), np.array([np.abs(fv).sum()])
 
@@ -250,32 +258,61 @@ def vertical_line_integral(f, contour: ContourSpec, tol: float = 1e-10,
     return _line_result(value[0], tail, disc[0], used[0])
 
 
-def _power_line(log_g, ln_r, shift, contour, tol, max_refinements=6,
-                tail=None):
-    """Per-row arrays of ``power_line_integral``: values, tail estimates,
-    discretization estimates and node counts.  ``tail``, the tail
-    estimate of exp(log_g) that the plan's ladder read, spares the
-    decay check its samples."""
-    ln_r = np.asarray(ln_r, dtype=float).ravel()
-    if tail is None:
-        tail = _checked_tail(lambda z: np.exp(log_g(z)), contour)
-    slope = contour.abscissa - shift
+class _Line:
+    """The r-free samples of one contour: its plan, the tail estimate of
+    exp(log_g) beyond the plan's height (from the decay check unless the
+    ladder read it), and per trapezoid level the largest Re log_g of the
+    node set, ``top``, the scaled samples e = exp(log_g - top), ends
+    halved on level 0, and the gross sum of |e| before halving.  Levels
+    are sampled on demand, in order, outside the lock, and kept
+    read-only in an append-only tuple.  The store does not keep log_g:
+    its owner hands the same one to every read.
+    """
 
-    def sums(z, step, trim, rows):
+    def __init__(self, log_g, plan: ContourSpec, tail: float | None = None):
+        if tail is None:
+            tail = _checked_tail(lambda z: np.exp(log_g(z)), plan)
+        self.plan, self.tail = plan, tail
+        self._levels = ()
+        self._lock = threading.Lock()
+
+    def level(self, log_g, i, z):
+        """(top, e, gross) of level ``i``, whose nodes are z; log_g is
+        called only for a level the store does not hold yet."""
+        levels = self._levels
+        if i < len(levels):
+            return levels[i]
         lg = log_g(z)
         top = lg.real.max()
         e = np.exp(lg - top)
         gross = np.abs(e).sum()
-        if trim:
+        if not i:
             e[0] *= 0.5
             e[-1] *= 0.5
+        e.flags.writeable = False
+        with self._lock:
+            # a racing call may have stored level i first, with these bits
+            if len(self._levels) == i:
+                self._levels += ((top, e, gross),)
+        return top, e, gross
+
+
+def _power_line(line: _Line, log_g, ln_r, shift, tol, max_refinements=6):
+    """Per-row arrays of ``power_line_integral`` on the store ``line`` of
+    log_g: values, tail estimates, discretization estimates and node
+    counts."""
+    ln_r = np.asarray(ln_r, dtype=float).ravel()
+    slope = line.plan.abscissa - shift
+
+    def sums(level, z, step, rows):
+        top, e, gross = line.level(log_g, level, z)
         x = ln_r[rows]
         rho = np.exp(top + slope * x)
         return rho * _phase_sums(e, z.imag, x, step), rho * gross
 
-    value, disc, used = _refine(sums, ln_r.size, contour, tol,
+    value, disc, used = _refine(sums, ln_r.size, line.plan, tol,
                                 max_refinements)
-    return value, tail * np.exp(slope * ln_r), disc, used
+    return value, line.tail * np.exp(slope * ln_r), disc, used
 
 
 def power_line_integral(log_g, ln_r, shift: float, contour: ContourSpec,
@@ -298,8 +335,9 @@ def power_line_integral(log_g, ln_r, shift: float, contour: ContourSpec,
     one-element ``ln_r``.
     """
     return [_line_result(v, float(tb), e, u)
-            for v, tb, e, u in zip(*_power_line(log_g, ln_r, shift, contour,
-                                                tol, max_refinements))]
+            for v, tb, e, u in zip(*_power_line(
+                _Line(log_g, contour), log_g, ln_r, shift, tol,
+                max_refinements))]
 
 
 def fold_conjugates(log_g):
@@ -361,17 +399,9 @@ def line_plan(log_g, strip, contour: ContourSpec | None,
     return _plan(log_g, strip, contour, tol)[0]
 
 
-def _contour_route(log_g, strip, shift: float, r, r_scale: float,
-                   scale: float, contour: ContourSpec | None, tol: float):
-    """Kernel values
-
-        scale * Re (1/2 pi i) int_(c) exp(log_g(z)) r'^(z - shift) dz,
-
-    r' = r_scale * r, for a scalar r (one Approximation back) or a 1-D
-    array (a list, one per point): one ``line_plan`` on the strip and one
-    ``power_line_integral`` pass for the whole grid, read as arrays.  The
-    estimate is |scale| times that of the line integral.
-    """
+def _radii(r):
+    """``r`` as a float array, 0-d or 1-d, after checking it is > 0 and
+    finite."""
     rs = np.asarray(r, dtype=float)
     if rs.ndim > 1:
         raise ValueError("r must be a scalar or a 1-D array")
@@ -379,9 +409,23 @@ def _contour_route(log_g, strip, shift: float, r, r_scale: float,
         raise DomainError("r must be > 0")
     if not np.all(np.isfinite(rs)):
         raise DomainError("r must be finite")
-    plan, tail = _plan(log_g, strip, contour, tol)
-    rows = _power_line(log_g, np.log(np.atleast_1d(rs) * r_scale), shift,
-                       plan, tol, tail=tail)
+    return rs
+
+
+def _contour_route(line: _Line, log_g, shift: float, rs, r_scale: float,
+                   scale: float, tol: float):
+    """Kernel values
+
+        scale * Re (1/2 pi i) int_(c) exp(log_g(z)) r'^(z - shift) dz,
+
+    r' = r_scale * r, on the store ``line`` of log_g, for ``rs`` from
+    ``_radii``: 0-d (one Approximation back) or 1-D (a list, one per
+    point), one ``power_line_integral`` pass for the whole grid, read as
+    arrays.  The estimate is |scale| times that of the line integral.
+    """
+    plan = line.plan
+    rows = _power_line(line, log_g, np.log(np.atleast_1d(rs) * r_scale),
+                       shift, tol)
     out = [Approximation(
         value=scale * value.real, est_error=abs(scale) * (tail + disc),
         method="mb_contour",

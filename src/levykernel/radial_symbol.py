@@ -28,7 +28,8 @@ import numpy as np
 
 from . import oracle as _oracle
 from .errors import NonConvergent, OrderExceeded, ParityError, StripViolation
-from .mellin import ContourSpec, _contour_route, _phase_sums, fold_conjugates
+from .mellin import (ContourSpec, _contour_route, _Line, _phase_sums, _plan,
+                     _radii, fold_conjugates)
 from .specfun import log_gamma
 from .stable_kernel import _is_even_integer, _residues
 
@@ -90,6 +91,7 @@ class RadialSymbol:
         self.eta_at_zero = float(self.eta(0.0))
         self._lock = threading.Lock()
         self._grids: dict = {}
+        self._lines: dict = {}
         if math.isnan(self.A_bound):
             self.A_bound = self._sample_A_bound()
 
@@ -329,20 +331,26 @@ class _MellinGrid:
         return got.reshape(v.shape).copy()
 
 
+def _kept(sym: RadialSymbol, table: dict, key, make):
+    """The entry ``key`` of one of the symbol's tables, made by make()
+    and kept there on a miss."""
+    with sym._lock:
+        got = table.get(key)
+    if got is None:
+        got = make()
+        with sym._lock:
+            got = table.setdefault(key, got)
+    return got
+
+
 def _grid_for(sym: RadialSymbol, t: float, k: int, abscissa: float,
               max_imag: float, tol: float) -> _MellinGrid:
     # caps are powers of two from 16, the first rung of the decay ladder,
     # so the ladder's first probe {0, 8, 16} shares that rung's grid,
     # which every call builds anyway
     cap = 2.0 ** math.ceil(math.log2(max(max_imag, 16.0)))
-    key = (t, k, round(abscissa, 12), cap, tol)
-    with sym._lock:
-        grid = sym._grids.get(key)
-    if grid is None:
-        grid = _MellinGrid(sym, t, k, abscissa, cap, tol=tol)
-        with sym._lock:
-            sym._grids[key] = grid
-    return grid
+    return _kept(sym, sym._grids, (t, k, round(abscissa, 12), cap, tol),
+                 lambda: _MellinGrid(sym, t, k, abscissa, cap, tol=tol))
 
 
 def mellin_Mk(sym: RadialSymbol, t: float, z, k: int, tol: float = 1e-10):
@@ -404,6 +412,9 @@ def general_kernel_mb(sym: RadialSymbol, d: int, beta: float, t: float,
     transform included, does not depend on r, and |r^(z-d-beta)| is
     r^(c-d-beta) at every height, so one plan and one sampling of G per
     node set serve the whole grid, and each r refines as it would alone.
+    The samples are kept on the symbol, per (d, beta, t, k, tol,
+    contour), beside its inner grids: G is sampled once per symbol and
+    t, and a later call at any r takes no inner transform value.
     """
     if k is None:
         k = default_derivative_order(d, beta)
@@ -423,8 +434,12 @@ def general_kernel_mb(sym: RadialSymbol, d: int, beta: float, t: float,
         return (down - over + (beta - z) * _LN2
                 + np.log(mellin_M(sym, t, z, k, inner_tol)))
 
-    out = _contour_route(log_g, general_strip(d, beta), d + beta, r, 1.0,
-                         math.pi ** (-0.5 * d), contour, tol)
+    rs = _radii(r)
+    line = _kept(sym, sym._lines, (d, beta, t, k, tol, contour),
+                 lambda: _Line(log_g, *_plan(log_g, general_strip(d, beta),
+                                             contour, tol)))
+    out = _contour_route(line, log_g, d + beta, rs, 1.0, math.pi ** (-0.5 * d),
+                         tol)
     for res in out if isinstance(out, list) else [out]:
         res.est_error += abs(res.value) * inner_tol
         res.diagnostics["k"] = k

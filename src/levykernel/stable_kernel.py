@@ -19,6 +19,7 @@ kernel(t, r) = t^(-(d+beta)/alpha) * kernel(1, t^(-1/alpha) r).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,7 +27,8 @@ import numpy as np
 
 from . import oracle as _oracle
 from .errors import Approximation, DomainError
-from .mellin import ContourSpec, _contour_route, fold_conjugates
+from .mellin import (ContourSpec, _contour_route, _Line, _plan, _radii,
+                     fold_conjugates)
 from .specfun import POLE_TOL, log_gamma
 
 __all__ = [
@@ -53,6 +55,8 @@ _SMALL_R_TOL, _SMALL_R_MAX_TERMS = 1e-16, 400
 # rounding of a series, per unit of sum |term|: each coefficient is good to
 # ~4.5 eps (``_residues``), plus the power and the running sum
 _SERIES_ROUNDING = 16.0 * 2.0 ** -52
+# unit kernels (d, alpha, beta, tol, contour) whose contour samples are kept
+_LINES_KEPT = 64
 
 
 @dataclass(frozen=True)
@@ -98,11 +102,16 @@ def scaling_reduce(spec: KernelSpec, r: float):
 
     Returns (unit_spec, r_scaled, prefactor) with
     r' = t^(-1/alpha) r and prefactor = t^(-(d+beta)/alpha); exact.
+    Raises DomainError where either power overflows a float.
     """
     if spec.t == 1.0:
         return spec, float(r), 1.0
-    s = spec.t ** (-1.0 / spec.alpha)
-    pref = spec.t ** (-(spec.d + spec.beta) / spec.alpha)
+    try:
+        s = spec.t ** (-1.0 / spec.alpha)
+        pref = spec.t ** (-(spec.d + spec.beta) / spec.alpha)
+    except OverflowError as exc:
+        raise DomainError(f"t = {spec.t} is too small: t^(-1/alpha) or "
+                          "t^(-(d+beta)/alpha) overflows a float") from exc
     unit = KernelSpec(d=spec.d, alpha=spec.alpha, beta=spec.beta, t=1.0)
     return unit, float(r) * s, pref
 
@@ -169,16 +178,31 @@ def stable_mb(spec: KernelSpec, r, contour: ContourSpec | None = None,
     line |r'^(z-d-b)| = r'^(c-d-b) at every height, so the truncation
     height, the decay check, the node count and the tail estimate (up to
     that factor) are shared by the whole grid and G is sampled once per
-    node set.  Each r refines until it converges, as it would alone: a
-    grid returns the same values as point-by-point calls.
+    node set.  G does not depend on t either: the samples are kept per
+    unit spec (d, a, b), with tol and contour, for the last
+    ``_LINES_KEPT`` of them, so G is sampled once per unit spec, not per
+    call.  Each r refines until it converges, as it would alone: a grid
+    returns the same values as point-by-point calls, whatever the store
+    held before.
     """
     if not 0.0 < spec.alpha < 2.0:
         raise DomainError("contour evaluation requires 0 < alpha < 2")
+    rs = _radii(r)
     unit, r_scale, pref = scaling_reduce(spec, 1.0)
     d, a, b = unit.d, unit.alpha, unit.beta
-    return _contour_route(_mb_log_factor(d, a, b), admissible_strip(d, b),
-                          d + b, r, r_scale, pref / (a * math.pi ** (0.5 * d)),
-                          contour, tol)
+    log_g, line = _stable_line(d, a, b, tol, contour)
+    return _contour_route(line, log_g, d + b, rs, r_scale,
+                          pref / (a * math.pi ** (0.5 * d)), tol)
+
+
+@functools.lru_cache(maxsize=_LINES_KEPT)
+def _stable_line(d, alpha, beta, tol, contour):
+    """log G of the unit kernel (d, alpha, beta) and the store of its
+    line (``mellin._Line``), shared by every t and r: G is sampled once
+    per node set of the plan, whatever the calls that read it."""
+    log_g = _mb_log_factor(d, alpha, beta)
+    return log_g, _Line(log_g, *_plan(log_g, admissible_strip(d, beta),
+                                      contour, tol))
 
 
 def _residues(d: int, alpha: float, beta: float, family: str, limit: int):
@@ -364,10 +388,12 @@ def evaluate(spec: KernelSpec, r: float, method: str = "auto",
     if method == "auto" and r == 0.0:
         # 12 eps of rounding (gamma ratio 8, pi^(-d/2)/alpha 2, t's power and
         # products 2), plus eps up |psi(up)| <= eps up (|ln up| + 1/up) from
-        # the rounding of up = (d+b)/a inside Gamma(up)
+        # the rounding of up = (d+b)/a inside Gamma(up), plus eps up |ln t|
+        # from its rounding in the exponent of t^(-up)
         up = (d + b) / a
         return _closed(kernel_at_origin(spec), 2.0 ** -52 * (
-            12.0 + up * (abs(math.log(up)) + 1.0 / up)), origin=True)
+            12.0 + up * (abs(math.log(up)) + 1.0 / up + abs(math.log(t)))),
+            origin=True)
     if method in ("closed", "auto") and b == 0.0 and a in (1.0, 2.0):
         return _closed((gaussian_kernel if a == 2.0 else poisson_kernel)(d, t, r))
     if method == "closed":
@@ -385,8 +411,7 @@ def evaluate(spec: KernelSpec, r: float, method: str = "auto",
         raise ValueError(f"unknown method {method!r}")
     if a == 2.0:
         return small_r_series(spec, r)
-    rp = spec.t ** (-1.0 / a) * r
-    if rp < 0.5:
+    if scaling_reduce(spec, r)[1] < 0.5:
         if a >= 1.0:
             return small_r_series(spec, r)
         return _oracle.stable_oracle(spec, r, tol=min(tol, 1e-10))

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -175,6 +177,14 @@ _KERNEL_CALLS = [
 ]
 
 
+@pytest.fixture
+def cold_lines():
+    """Empty line stores, so that a call samples every set of its line
+    whatever ran before it."""
+    lk.stable_kernel._stable_line.cache_clear()
+    _SYMBOL._lines.clear()
+
+
 def _ladder_calls(res):
     """log_g calls of the decay ladder behind a contour result: the first
     rung's heights {0, 8, 16} share one, each later rung takes one."""
@@ -182,6 +192,7 @@ def _ladder_calls(res):
 
 
 class TestRememberPoints:
+    @pytest.mark.usefixtures("cold_lines")
     def test_kernels_sample_half_of_each_level(self, monkeypatch):
         # G has real coefficients, so both kernels evaluate log_gamma on
         # the upper half of every symmetric node set: per level one call
@@ -215,6 +226,7 @@ class TestRememberPoints:
 
 
 class TestLogGammaCalls:
+    @pytest.mark.usefixtures("cold_lines")
     @pytest.mark.parametrize("module,k,call", _KERNEL_CALLS,
                              ids=["stable-2-1.5-0.7", "stable-3-0.5-0",
                                   "stable-10-1.99-2", "general-stable-1.2"])
@@ -232,6 +244,103 @@ class TestLogGammaCalls:
         doublings = (res.diagnostics["nodes_used"] - 3) / (2 * n)
         assert doublings == 2 ** round(math.log2(doublings))
         assert len(sizes) == rungs + 1 + round(math.log2(doublings))
+
+
+class TestLineStore:
+    # G does not depend on r or t: a kernel's line keeps its samples, and
+    # a later call reads them instead of calling log_gamma again
+    SPEC = lk.KernelSpec(d=3, alpha=1.2, beta=0.7, t=0.8)
+    OTHER = lk.KernelSpec(d=3, alpha=1.2, beta=0.7, t=2.5)
+
+    @staticmethod
+    def _bits(res):
+        return (res.value, res.est_error, res.diagnostics)
+
+    @pytest.mark.usefixtures("cold_lines")
+    def test_warm_stable_call_samples_nothing(self, monkeypatch):
+        cold = lk.stable_mb(self.OTHER, 4.0)
+        lk.stable_kernel._stable_line.cache_clear()
+        first = lk.stable_mb(self.SPEC, 1.3)
+        assert (first.diagnostics["nodes_used"]
+                >= cold.diagnostics["nodes_used"])
+        sizes = _count_log_gamma(monkeypatch, "stable_kernel")
+        warm = lk.stable_mb(self.OTHER, 4.0)
+        assert sizes == []
+        assert self._bits(warm) == self._bits(cold)
+
+    def test_warm_general_call_takes_no_inner_transform(self, monkeypatch):
+        sym = lk.make_symbol("stable", a=1.2)
+        first = lk.general_kernel_mb(sym, 2, 0.5, 0.5, 1.3)
+        calls = []
+        real = lk.radial_symbol.mellin_M
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(lk.radial_symbol, "mellin_M", counting)
+        warm = lk.general_kernel_mb(sym, 2, 0.5, 0.5, 0.7)
+        assert calls == []
+        assert (warm.diagnostics["nodes_used"]
+                <= first.diagnostics["nodes_used"])
+        # and the warm value is the cold one, bit for bit
+        assert self._bits(warm) == self._bits(lk.general_kernel_mb(
+            lk.make_symbol("stable", a=1.2), 2, 0.5, 0.5, 0.7))
+
+    @pytest.mark.usefixtures("cold_lines")
+    def test_concurrent_growth(self):
+        # racing calls on one cold store may each sample a level; one is
+        # kept, with the same bits, and every call returns the bits of a
+        # call made alone
+        radii = [0.05, 0.3, 1.3, 4.0, 20.0, 60.0]
+        alone = {}
+        for r in radii:
+            lk.stable_kernel._stable_line.cache_clear()
+            alone[r] = self._bits(lk.stable_mb(self.SPEC, r))
+        # one store, planned but holding no level, shared by every thread
+        lk.stable_kernel._stable_line.cache_clear()
+        _, line = lk.stable_kernel._stable_line(3, 1.2, 0.7, 1e-9, None)
+        assert line._levels == ()
+        got = {}
+
+        def work(r):
+            got[r] = self._bits(lk.stable_mb(self.SPEC, r))
+
+        threads = [threading.Thread(target=work, args=(r,)) for r in radii]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == alone
+        # the store holds each level once, as a serial run builds it
+        lk.stable_kernel._stable_line.cache_clear()
+        for r in radii:
+            lk.stable_mb(self.SPEC, r)
+        _, serial = lk.stable_kernel._stable_line(3, 1.2, 0.7, 1e-9, None)
+        assert len(line._levels) == len(serial._levels)
+        for (top, e, gross), (top1, e1, gross1) in zip(line._levels,
+                                                       serial._levels):
+            assert (top, gross) == (top1, gross1) and np.array_equal(e, e1)
+
+    def test_public_integrals_sample_every_call(self):
+        # a caller's own log_g has no store: each call samples it afresh
+        calls = []
+
+        def log_g(z):
+            calls.append(np.size(z))
+            return lk.log_gamma(z)
+
+        plan = lk.ContourSpec(1.0, 32.0, nodes=128)
+        one = lk.power_line_integral(log_g, [0.0], 0.0, plan)
+        n = len(calls)
+        two = lk.power_line_integral(log_g, [0.0], 0.0, plan)
+        assert len(calls) == 2 * n and one[0].value == two[0].value
 
 
 class TestPhaseSums:

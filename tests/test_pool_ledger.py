@@ -164,6 +164,27 @@ def test_ledger_names_pool_points():
     assert set(LEDGER) <= set(_INDEX)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1.7])
+def test_point_mix_warm_equals_cold(scale):
+    # the contour route reads G's samples from a store shared by every t
+    # and r of a unit kernel: each point-mix point, at t = scale**alpha,
+    # r = scale * r, gives the same bits on a cleared store, on one that
+    # the points after it have grown, and on one that all have warmed
+    def run(p):
+        spec = lk.KernelSpec(p["d"], p["alpha"], p["beta"], scale ** p["alpha"])
+        res = lk.evaluate(spec, scale * p["r"])
+        return res.value, res.est_error, res.diagnostics.get("nodes_used")
+
+    points = _pool("point_mix.json")["points"]
+    cold = []
+    for p in points:
+        lk.stable_kernel._stable_line.cache_clear()
+        cold.append(run(p))
+    lk.stable_kernel._stable_line.cache_clear()
+    assert [run(p) for p in points[::-1]][::-1] == cold
+    assert [run(p) for p in points] == cold
+
+
 if __name__ == "__main__":
     found = {key: miss for key in _INDEX if (miss := defect(key))}
     with open(LEDGER_PATH, "w", encoding="utf-8") as fh:

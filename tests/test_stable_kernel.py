@@ -114,6 +114,15 @@ class TestStableMB:
                 with pytest.raises(lk.DomainError):
                     route(spec, 1.0)
 
+    @pytest.mark.parametrize("method", ["auto", "mb", "series"])
+    @pytest.mark.parametrize("r", [0.0, 0.5, 5.0])
+    def test_overflowing_time_power_is_typed(self, method, r):
+        # t^(-(d+beta)/alpha) = 1e600 at t = 1e-30, alpha = 0.1: past the
+        # float range, so every route raises a LevyKernelError
+        with pytest.raises(lk.LevyKernelError):
+            lk.evaluate(lk.KernelSpec(d=2, alpha=0.1, t=1e-30), r,
+                        method=method)
+
     def test_method_tag_and_diagnostics(self):
         a = lk.stable_mb(lk.KernelSpec(d=2, alpha=1.5), 2.0)
         assert a.method == "mb_contour"
@@ -170,6 +179,30 @@ class TestStableMBGrid:
         batch = lk.stable_mb(spec, np.geomspace(0.05, 30.0, 400))
         nodes = sum(b.diagnostics["nodes_used"] for b in batch)
         assert count[0] <= 0.25 * nodes
+
+    def test_grid_matches_pointwise_cold_and_warm(self):
+        # the line store holds G's samples: a grid on a cold store, scalar
+        # calls that grow it in the reverse r order, and the grid again on
+        # the warm store all return the same bits
+        spec = lk.KernelSpec(d=3, alpha=1.2, beta=0.7, t=0.8)
+        grid = np.geomspace(0.05, 30.0, 400)
+        lk.stable_kernel._stable_line.cache_clear()
+        cold = lk.stable_mb(spec, grid)
+        lk.stable_kernel._stable_line.cache_clear()
+        scalar = [lk.stable_mb(spec, float(r)) for r in grid[::-1]][::-1]
+        warm = lk.stable_mb(spec, grid)
+        for runs in zip(cold, scalar, warm):
+            assert len({(b.value, b.est_error, b.diagnostics["nodes_used"])
+                        for b in runs}) == 1
+
+    def test_line_store_is_bounded(self):
+        kept = lk.stable_kernel._LINES_KEPT
+        lk.stable_kernel._stable_line.cache_clear()
+        for alpha in np.linspace(1.1, 1.9, kept + 5):
+            lk.stable_mb(lk.KernelSpec(d=2, alpha=float(alpha)), 2.0)
+        info = lk.stable_kernel._stable_line.cache_info()
+        assert info.misses == kept + 5
+        assert info.currsize <= info.maxsize == kept
 
     def test_shapes(self):
         spec = lk.KernelSpec(d=2, alpha=1.5)
@@ -326,17 +359,20 @@ class TestSmallRSeries:
                         == lk.kernel_at_origin(spec))
 
     @pytest.mark.parametrize("d,alpha,beta,t", [
-        spec + (t,) for spec in _RESIDUE_SPECS for t in (1.0, 0.7)])
+        spec + (t,) for spec in _RESIDUE_SPECS
+        for t in (1.0, 0.7, 1e-10, 1e-3, 1e3)])
     def test_origin_error_within_closed_form_estimate(self, d, alpha, beta, t):
-        # evaluate answers r = 0 with eps (12 + up (|ln up| + 1/up)) |value|,
-        # up = (d+beta)/alpha: 12 eps of rounding plus the rounding of up
-        # carried by Gamma(up), up |psi(up)| <= up |ln up| + 1.  That bounds
-        # the error against the exact origin value, 3.2e-15 relative at
-        # alpha = 0.1 (up = 20), where 1e-15 |value| did not
+        # evaluate answers r = 0 with
+        # eps (12 + up (|ln up| + 1/up + |ln t|)) |value|, up = (d+beta)/alpha:
+        # 12 eps of rounding, the rounding of up carried by Gamma(up),
+        # up |psi(up)| <= up |ln up| + 1, and by t^(-up), up |ln t|.  That
+        # bounds the error against the exact origin value, 3.2e-15 relative
+        # at alpha = 0.1 (up = 20), where 1e-15 |value| did not, and 130 eps
+        # at t = 1e-10 there, where the estimate without t's term was 73 eps
         res = lk.evaluate(lk.KernelSpec(d=d, alpha=alpha, beta=beta, t=t), 0.0)
         up = (d + beta) / alpha
-        assert res.est_error == abs(res.value) * (
-            2.0 ** -52 * (12.0 + up * (abs(math.log(up)) + 1.0 / up)))
+        assert res.est_error == abs(res.value) * (2.0 ** -52 * (
+            12.0 + up * (abs(math.log(up)) + 1.0 / up + abs(math.log(t)))))
         with mp.workdps(40):
             p, q = mp.mpf(d) / 2, (d + mp.mpf(beta)) / alpha
             ref = (2 * mp.pi ** p / mp.gamma(p) / (2 * mp.pi) ** d
