@@ -7,8 +7,9 @@ parsed sweep reproduces the in-memory table exactly.  Identical
 invocations produce byte-identical output (fixed summation orders, no
 timestamps).
 
-Exit codes: 0 success, 2 usage error, 3 numeric failure (a JSON
-diagnostic goes to stdout in that case).
+Exit codes: 0 success, 2 usage error (a malformed ``--symbol`` or a
+missing config file included), 3 numeric failure (a JSON diagnostic
+goes to stdout in that case).
 
 An INI config file (section ``[levykernel]``) may set the default
 ``tol``; other keys are ignored.  The contour columns of ``sweep`` and
@@ -19,7 +20,6 @@ call over the whole grid.
 from __future__ import annotations
 
 import argparse
-import configparser
 import functools
 import json
 import math
@@ -52,6 +52,8 @@ def _load_config(path):
     cfg = {"tol": 1e-9}
     if not path:
         return cfg
+    import configparser
+
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
@@ -68,6 +70,8 @@ def _parse_symbol(text):
         with open(text[1:], encoding="utf-8") as fh:
             text = fh.read()
     obj = json.loads(text)
+    if not isinstance(obj, dict) or "kind" not in obj:
+        raise ValueError('expected a JSON object with a "kind"')
     kind = obj.pop("kind")
     return make_symbol(kind, **obj)
 
@@ -110,7 +114,7 @@ def _emit(args, text: str):
 
 def cmd_eval(args, cfg) -> int:
     tol = args.tol if args.tol is not None else cfg["tol"]
-    sym = _parse_symbol(args.symbol) if args.symbol else None
+    sym = args.symbol
     spec = None
     if sym is None:
         spec = KernelSpec(d=args.d, alpha=args.alpha, beta=args.beta, t=args.t)
@@ -156,7 +160,7 @@ def _r_grid(args):
 
 def cmd_sweep(args, cfg) -> int:
     tol = args.tol if args.tol is not None else cfg["tol"]
-    sym = _parse_symbol(args.symbol) if args.symbol else None
+    sym = args.symbol
     spec = None
     if sym is None:
         spec = KernelSpec(d=args.d, alpha=args.alpha, beta=args.beta, t=args.t)
@@ -221,7 +225,7 @@ def parse_sweep_csv(text: str):
 
 def cmd_compare(args, cfg) -> int:
     tol = args.tol if args.tol is not None else cfg["tol"]
-    sym = _parse_symbol(args.symbol) if args.symbol else None
+    sym = args.symbol
     spec = None
     if sym is None:
         spec = KernelSpec(d=args.d, alpha=args.alpha, beta=args.beta, t=args.t)
@@ -391,6 +395,11 @@ def main(argv=None) -> int:
         cfg = _load_config(getattr(args, "config", None))
     except (FileNotFoundError, ValueError) as exc:
         ap.exit(2, f"config error: {exc}\n")
+    try:
+        text = getattr(args, "symbol", None)
+        args.symbol = _parse_symbol(text) if text else None
+    except (OSError, ValueError, TypeError) as exc:
+        ap.exit(2, f"symbol error: {exc}\n")
     try:
         return args.func(args, cfg)
     except (LevyKernelError, ValueError, ZeroDivisionError, OverflowError) as exc:

@@ -28,8 +28,8 @@ set of samples, a ladder rung or a quadrature level, is one call of G.
 G depends on the kernel alone, never on r or, after the scaling to unit
 time, on t, so each kernel keeps its line in a store, ``_Line``: the
 plan, the tail estimate and each trapezoid level's scaled samples, grown
-on demand.  G is sampled once per unit spec or symbol, and a later call
-pays only its own phase sums.  Each r still refines as it would alone,
+on demand.  G is sampled once per unit spec or symbol value, and a later
+call pays only its own phase sums.  Each r still refines as it would alone,
 so a value does not depend on what the store held before.
 
 All reductions run in a fixed order, so results are bit-reproducible.

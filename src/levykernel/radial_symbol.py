@@ -20,8 +20,8 @@ those coefficients, bounded for all r, so r -> 0 cannot overflow.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +31,7 @@ from .errors import NonConvergent, OrderExceeded, ParityError, StripViolation
 from .mellin import (ContourSpec, _contour_route, _Line, _phase_sums, _plan,
                      _radii, fold_conjugates)
 from .specfun import log_gamma
-from .stable_kernel import _is_even_integer, _residues
+from .stable_kernel import _LINES_KEPT, _is_even_integer, _residues
 
 __all__ = [
     "RadialSymbol",
@@ -89,11 +89,12 @@ class RadialSymbol:
 
     def __post_init__(self):
         self.eta_at_zero = float(self.eta(0.0))
-        self._lock = threading.Lock()
-        self._grids: dict = {}
-        self._lines: dict = {}
         if math.isnan(self.A_bound):
             self.A_bound = self._sample_A_bound()
+
+    def __hash__(self):
+        # the fields G reads: equal symbols share one line store
+        return hash((self.terms, self.alpha_index))
 
     # -- core evaluations -------------------------------------------------
     def eta(self, r):
@@ -258,9 +259,8 @@ class _MellinGrid:
     [-u0_end, u1_end] converges geometrically (Trefethen and Weideman,
     SIAM Review 56, 2014).  Its step starts at pi/max_imag and halves,
     each level adding only the midpoints, until three probe heights
-    settle.  Each value, memoised per requested node set, is the phase
-    sum sum_w p e^{i w v} of ``mellin._phase_sums`` with the weights
-    p = h G(e^w) e^{cw}.
+    settle.  Each value is the phase sum sum_w p e^{i w v} of
+    ``mellin._phase_sums`` with the weights p = h G(e^w) e^{cw}.
     """
 
     def __init__(self, sym, t, k, abscissa, max_imag, tol=1e-10):
@@ -303,8 +303,6 @@ class _MellinGrid:
         else:
             raise NonConvergent("inner Mellin quadrature did not stabilize")
         self._w, self._p, self._h = w, h * f, h
-        self._memo: dict[bytes, np.ndarray] = {}
-        self._lock = threading.Lock()
 
     @staticmethod
     def _find_u1(sym, t, k):
@@ -318,54 +316,35 @@ class _MellinGrid:
                             "Mellin integral (eta must beat log r)")
 
     def value(self, v):
-        """M_t^k(c + iv) for an array of imaginary parts, memoised per
-        node set (a copy is returned)."""
-        v = np.atleast_1d(np.asarray(v, dtype=float))
-        key = v.tobytes()
-        with self._lock:
-            got = self._memo.get(key)
-        if got is None:
-            got = _phase_sums(self._p, self._w, v.ravel(), self._h)
-            with self._lock:
-                self._memo[key] = got
-        return got.reshape(v.shape).copy()
+        """M_t^k(c + iv) for a 1-D array of imaginary parts."""
+        return _phase_sums(self._p, self._w, np.asarray(v, float), self._h)
 
 
-def _kept(sym: RadialSymbol, table: dict, key, make):
-    """The entry ``key`` of one of the symbol's tables, made by make()
-    and kept there on a miss."""
-    with sym._lock:
-        got = table.get(key)
-    if got is None:
-        got = make()
-        with sym._lock:
-            got = table.setdefault(key, got)
-    return got
+# a line of ``general_kernel_mb`` reads about two grids
+_GRIDS_KEPT = 2 * _LINES_KEPT
 
 
-def _grid_for(sym: RadialSymbol, t: float, k: int, abscissa: float,
-              max_imag: float, tol: float) -> _MellinGrid:
-    # caps are powers of two from 16, the first rung of the decay ladder,
-    # so the ladder's first probe {0, 8, 16} shares that rung's grid,
-    # which every call builds anyway
-    cap = 2.0 ** math.ceil(math.log2(max(max_imag, 16.0)))
-    return _kept(sym, sym._grids, (t, k, round(abscissa, 12), cap, tol),
-                 lambda: _MellinGrid(sym, t, k, abscissa, cap, tol=tol))
+@functools.lru_cache(maxsize=_GRIDS_KEPT)
+def _grid_for(sym, t, k, c, cap, tol):
+    return _MellinGrid(sym, t, k, c, cap, tol=tol)
 
 
 def mellin_Mk(sym: RadialSymbol, t: float, z, k: int, tol: float = 1e-10):
     """M_t^k(z) = int_0^inf D^k(e^{-t eta(r)}) r^(z+k-1) dr.
 
     Valid (and holomorphic) for Re z > -alpha_index.  Scalars or arrays
-    with a common real part are accepted; values are memoised per node
-    set on the grid of (symbol, t, k, Re z).
+    with a common real part are accepted; they are read off the grid of
+    (symbol, t, k, Re z), kept in a bounded cache.
     """
     zz = np.atleast_1d(np.asarray(z, dtype=np.complex128))
     c = float(zz.real[0])
     if not np.all(zz.real == c):
         return np.array([complex(mellin_Mk(sym, t, zi, k, tol)) for zi in zz])
-    grid = _grid_for(sym, t, k, c, float(np.max(np.abs(zz.imag))), tol)
-    out = grid.value(zz.imag)
+    # caps are powers of two from 16, the first rung of the decay ladder,
+    # so the ladder's first probe {0, 8, 16} shares that rung's grid,
+    # which every call builds anyway
+    cap = 2.0 ** math.ceil(math.log2(max(np.max(np.abs(zz.imag)), 16.0)))
+    out = _grid_for(sym, t, k, c, cap, tol).value(zz.imag)
     if np.isscalar(z) or getattr(z, "ndim", 0) == 0:
         return complex(out[0])
     return out.reshape(np.shape(z))
@@ -412,9 +391,9 @@ def general_kernel_mb(sym: RadialSymbol, d: int, beta: float, t: float,
     transform included, does not depend on r, and |r^(z-d-beta)| is
     r^(c-d-beta) at every height, so one plan and one sampling of G per
     node set serve the whole grid, and each r refines as it would alone.
-    The samples are kept on the symbol, per (d, beta, t, k, tol,
-    contour), beside its inner grids: G is sampled once per symbol and
-    t, and a later call at any r takes no inner transform value.
+    The samples are kept by ``_symbol_line``, per symbol value and
+    (d, beta, t, k, tol, contour): G is sampled once per symbol and t,
+    and a later call at any r takes no inner transform value.
     """
     if k is None:
         k = default_derivative_order(d, beta)
@@ -423,7 +402,27 @@ def general_kernel_mb(sym: RadialSymbol, d: int, beta: float, t: float,
                          f"{0.5 * (d + 3) + beta}")
     if k > sym.k_max:
         raise OrderExceeded(f"k = {k} exceeds available derivatives {sym.k_max}")
-    inner_tol = min(1e-9, 0.1 * tol)
+    rs = _radii(r)
+    log_g, line = _symbol_line(sym, d, beta, t, k, tol, contour)
+    out = _contour_route(line, log_g, d + beta, rs, 1.0, math.pi ** (-0.5 * d),
+                         tol)
+    for res in out if isinstance(out, list) else [out]:
+        res.est_error += abs(res.value) * _inner_tol(tol)
+        res.diagnostics["k"] = k
+    return out
+
+
+def _inner_tol(tol):
+    """Tolerance of the inner transform M_t^k behind a kernel's tol."""
+    return min(1e-9, 0.1 * tol)
+
+
+@functools.lru_cache(maxsize=_LINES_KEPT)
+def _symbol_line(sym, d, beta, t, k, tol, contour):
+    """log G of ``general_kernel_mb`` and the store of its line
+    (``mellin._Line``), shared by every r and by equal symbols, as
+    ``stable_kernel._stable_line`` is by equal unit specs."""
+    inner_tol = _inner_tol(tol)
 
     @fold_conjugates
     def log_g(z):
@@ -434,16 +433,8 @@ def general_kernel_mb(sym: RadialSymbol, d: int, beta: float, t: float,
         return (down - over + (beta - z) * _LN2
                 + np.log(mellin_M(sym, t, z, k, inner_tol)))
 
-    rs = _radii(r)
-    line = _kept(sym, sym._lines, (d, beta, t, k, tol, contour),
-                 lambda: _Line(log_g, *_plan(log_g, general_strip(d, beta),
-                                             contour, tol)))
-    out = _contour_route(line, log_g, d + beta, rs, 1.0, math.pi ** (-0.5 * d),
-                         tol)
-    for res in out if isinstance(out, list) else [out]:
-        res.est_error += abs(res.value) * inner_tol
-        res.diagnostics["k"] = k
-    return out
+    return log_g, _Line(log_g, *_plan(log_g, general_strip(d, beta), contour,
+                                      tol))
 
 
 def general_leading_term(sym: RadialSymbol, d: int, beta: float, t: float) -> dict:

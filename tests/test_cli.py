@@ -52,6 +52,17 @@ class TestEval:
             main(["eval", "--d", "2", "--r", "1", "--method", "bogus"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("text", [
+        '{"alpha":1}', '{"kind":"stable","x":1}', '[1]',
+        '@/nonexistent.json', '{"kind":"nope"}'])
+    def test_malformed_symbol_is_a_usage_error(self, capsys, text):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--r", "1", "--symbol", text])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("symbol error: ")
+
 
 class TestSharedParser:
     def test_invocations_stay_independent(self, capsys):

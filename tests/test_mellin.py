@@ -177,12 +177,17 @@ _KERNEL_CALLS = [
 ]
 
 
+def _clear_symbol_stores():
+    lk.radial_symbol._symbol_line.cache_clear()
+    lk.radial_symbol._grid_for.cache_clear()
+
+
 @pytest.fixture
 def cold_lines():
     """Empty line stores, so that a call samples every set of its line
     whatever ran before it."""
     lk.stable_kernel._stable_line.cache_clear()
-    _SYMBOL._lines.clear()
+    _clear_symbol_stores()
 
 
 def _ladder_calls(res):
@@ -268,9 +273,10 @@ class TestLineStore:
         assert sizes == []
         assert self._bits(warm) == self._bits(cold)
 
-    def test_warm_general_call_takes_no_inner_transform(self, monkeypatch):
-        sym = lk.make_symbol("stable", a=1.2)
-        first = lk.general_kernel_mb(sym, 2, 0.5, 0.5, 1.3)
+    @staticmethod
+    def _count_mellin_M(monkeypatch):
+        """The calls of the inner transform that ``general_kernel_mb``
+        makes, in order."""
         calls = []
         real = lk.radial_symbol.mellin_M
 
@@ -279,13 +285,79 @@ class TestLineStore:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(lk.radial_symbol, "mellin_M", counting)
+        return calls
+
+    def test_warm_general_call_takes_no_inner_transform(self, monkeypatch):
+        sym = lk.make_symbol("stable", a=1.2)
+        first = lk.general_kernel_mb(sym, 2, 0.5, 0.5, 1.3)
+        calls = self._count_mellin_M(monkeypatch)
         warm = lk.general_kernel_mb(sym, 2, 0.5, 0.5, 0.7)
         assert calls == []
         assert (warm.diagnostics["nodes_used"]
                 <= first.diagnostics["nodes_used"])
         # and the warm value is the cold one, bit for bit
+        _clear_symbol_stores()
         assert self._bits(warm) == self._bits(lk.general_kernel_mb(
             lk.make_symbol("stable", a=1.2), 2, 0.5, 0.5, 0.7))
+
+    @pytest.mark.usefixtures("cold_lines")
+    def test_equal_symbols_share_a_store(self, monkeypatch):
+        # the store is keyed by the symbol's value, not by the object
+        first = lk.general_kernel_mb(
+            lk.make_symbol("relativistic", alpha=1, m=1), 2, 0.5, 1.0, 1.5)
+        calls = self._count_mellin_M(monkeypatch)
+        again = lk.general_kernel_mb(
+            lk.make_symbol("relativistic", alpha=1, m=1), 2, 0.5, 1.0, 1.5)
+        assert calls == []
+        assert self._bits(again) == self._bits(first)
+        lk.general_kernel_mb(
+            lk.make_symbol("relativistic", alpha=1, m=2), 2, 0.5, 1.0, 1.5)
+        assert calls
+
+    @pytest.mark.usefixtures("cold_lines")
+    def test_concurrent_equal_symbols(self):
+        # threads with their own equal symbols race on one cold store and
+        # its grids; each returns the bits of a call made alone
+        radii = [0.05, 0.3, 1.3, 4.0, 20.0, 60.0]
+
+        def call(r):
+            sym = lk.make_symbol("relativistic", alpha=1, m=1)
+            return self._bits(lk.general_kernel_mb(sym, 2, 0.5, 1.0, r))
+
+        alone = {}
+        for r in radii:
+            _clear_symbol_stores()
+            alone[r] = call(r)
+        _clear_symbol_stores()
+        got = {}
+
+        def work(r):
+            got[r] = call(r)
+
+        threads = [threading.Thread(target=work, args=(r,)) for r in radii]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == alone
+
+    @pytest.mark.usefixtures("cold_lines")
+    def test_symbol_stores_are_bounded(self):
+        kept = lk.stable_kernel._LINES_KEPT
+        sym = lk.make_symbol("relativistic", alpha=1, m=1)
+        for t in np.linspace(0.5, 2.0, kept + 5):
+            lk.general_kernel_mb(sym, 2, 0.5, float(t), 1.5)
+        lines = lk.radial_symbol._symbol_line.cache_info()
+        grids = lk.radial_symbol._grid_for.cache_info()
+        assert lines.misses == kept + 5
+        assert lines.currsize <= lines.maxsize == kept
+        assert grids.misses > grids.maxsize == 2 * kept >= grids.currsize
 
     @pytest.mark.usefixtures("cold_lines")
     def test_concurrent_growth(self):

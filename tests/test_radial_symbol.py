@@ -436,7 +436,7 @@ class TestMellinGridPhases:
                 tracemalloc.stop()
             assert peak <= 3 * 16 * _BLOCK_ELEMS + 32 * a.size
 
-    def test_memo_returns_copies(self):
+    def test_value_returns_fresh_arrays(self):
         grid = self._grid(*self.GRIDS[1])
         v = np.arange(-self.N, self.N + 1, dtype=float) * self.H
         first = grid.value(v)
@@ -577,10 +577,11 @@ class TestCutoffAndTail:
 
 def test_import_leaves_sympy_unloaded():
     # scipy and sympy are test-only references; the package must not
-    # import either
+    # import either, nor configparser, which only --config needs
     src = pathlib.Path(lk.__file__).resolve().parents[1]
     code = ("import sys, levykernel, levykernel.cli; "
-            "print(sorted({'scipy', 'sympy'} & sys.modules.keys()))")
+            "print(sorted({'scipy', 'sympy', 'configparser'} "
+            "& sys.modules.keys()))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(src)})
