@@ -48,21 +48,16 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
-def _load_config(path):
-    cfg = {"tol": 1e-9}
+def _config_tol(path) -> float:
+    """The default ``tol``: 1e-9, or the config file's."""
     if not path:
-        return cfg
+        return 1e-9
     import configparser
 
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise FileNotFoundError(f"config file {path!r} not found")
-    if parser.has_section("levykernel"):
-        sec = parser["levykernel"]
-        if "tol" in sec:
-            cfg["tol"] = float(sec["tol"])
-    return cfg
+    return parser.getfloat("levykernel", "tol", fallback=1e-9)
 
 
 def _parse_symbol(text):
@@ -76,7 +71,7 @@ def _parse_symbol(text):
     return make_symbol(kind, **obj)
 
 
-def _values(args, method, spec, sym, tol, rs):
+def _values(args, method, spec, sym, rs):
     """One result per r of ``rs``, for either a stable spec or a general
     symbol.  The contour columns (``mb`` for a stable spec, ``mb`` and
     ``auto`` for a symbol) are one batched call over the whole grid."""
@@ -84,14 +79,15 @@ def _values(args, method, spec, sym, tol, rs):
     if sym is not None:
         if method in ("auto", "mb"):
             return general_kernel_mb(sym, args.d, args.beta, args.t, rs,
-                                     k=args.k, tol=tol, contour=contour)
+                                     k=args.k, tol=args.tol, contour=contour)
         if method == "oracle":
             return [symbol_oracle(sym, args.d, args.beta, args.t, float(r))
                     for r in rs]
         raise LevyKernelError(f"method {method!r} applies to stable specs only")
     if method == "mb":
-        return stable_mb(spec, rs, contour=contour, tol=tol)
-    return [evaluate(spec, float(r), method=method, tol=tol, contour=contour)
+        return stable_mb(spec, rs, contour=contour, tol=args.tol)
+    return [evaluate(spec, float(r), method=method, tol=args.tol,
+                     contour=contour)
             for r in rs]
 
 
@@ -112,8 +108,7 @@ def _emit(args, text: str):
             sys.stdout.write("\n")
 
 
-def cmd_eval(args, cfg) -> int:
-    tol = args.tol if args.tol is not None else cfg["tol"]
+def cmd_eval(args) -> int:
     sym = args.symbol
     spec = None
     if sym is None:
@@ -121,7 +116,7 @@ def cmd_eval(args, cfg) -> int:
     if args.r == 0.0 and sym is None:
         a = evaluate(spec, 0.0)
     else:
-        (a,) = _values(args, args.method, spec, sym, tol, np.array([args.r]))
+        (a,) = _values(args, args.method, spec, sym, np.array([args.r]))
     diags = {k: v for k, v in a.diagnostics.items()
              if isinstance(v, (int, float, bool, str))}
     payload = {"value": a.value, "est_error": a.est_error,
@@ -158,8 +153,7 @@ def _r_grid(args):
     return np.linspace(args.r_min, args.r_max, args.points)
 
 
-def cmd_sweep(args, cfg) -> int:
-    tol = args.tol if args.tol is not None else cfg["tol"]
+def cmd_sweep(args) -> int:
     sym = args.symbol
     spec = None
     if sym is None:
@@ -179,7 +173,7 @@ def cmd_sweep(args, cfg) -> int:
     for m in methods:
         rows += [(0.0, a.method, a.value, a.est_error) for a in at_origin]
         rows += [(float(r), a.method, a.value, a.est_error) for r, a in
-                 zip(pts, _values(args, m, spec, sym, tol, pts))]
+                 zip(pts, _values(args, m, spec, sym, pts))]
     rows.sort(key=lambda row: (row[0], row[1]))
 
     lines = [f"# spec={json.dumps(_spec_dict(args, sym), sort_keys=True)}"]
@@ -223,8 +217,7 @@ def parse_sweep_csv(text: str):
     return meta, rows
 
 
-def cmd_compare(args, cfg) -> int:
-    tol = args.tol if args.tol is not None else cfg["tol"]
+def cmd_compare(args) -> int:
     sym = args.symbol
     spec = None
     if sym is None:
@@ -232,7 +225,7 @@ def cmd_compare(args, cfg) -> int:
     methods = args.method.split(",")
     grid = _r_grid(args)
     values = {m: np.array([a.value for a in
-                           _values(args, m, spec, sym, tol, grid)])
+                           _values(args, m, spec, sym, grid)])
               for m in methods}
 
     pairwise = {}
@@ -281,7 +274,7 @@ def cmd_compare(args, cfg) -> int:
     return 0
 
 
-def cmd_envelope(args, cfg) -> int:
+def cmd_envelope(args) -> int:
     grid = _r_grid(args)
     if args.family == "stable":
         spec = KernelSpec(d=args.d, alpha=args.alpha, beta=args.beta, t=args.t)
@@ -295,7 +288,7 @@ def cmd_envelope(args, cfg) -> int:
     return 0
 
 
-def cmd_symbols(args, cfg) -> int:
+def cmd_symbols(args) -> int:
     reg = symbol_registry()
     out = [{"kind": name, "params": params} for name, params in sorted(reg.items())]
     _emit(args, _json_dumps(out))
@@ -392,16 +385,18 @@ def main(argv=None) -> int:
     ap = _shared_parser()
     args = ap.parse_args(argv)
     try:
-        cfg = _load_config(getattr(args, "config", None))
+        tol = _config_tol(getattr(args, "config", None))
     except (FileNotFoundError, ValueError) as exc:
         ap.exit(2, f"config error: {exc}\n")
+    if getattr(args, "tol", None) is None:
+        args.tol = tol
     try:
         text = getattr(args, "symbol", None)
         args.symbol = _parse_symbol(text) if text else None
     except (OSError, ValueError, TypeError) as exc:
         ap.exit(2, f"symbol error: {exc}\n")
     try:
-        return args.func(args, cfg)
+        return args.func(args)
     except (LevyKernelError, ValueError, ZeroDivisionError, OverflowError) as exc:
         sys.stdout.write(_json_dumps(
             {"error": type(exc).__name__, "message": str(exc)}) + "\n")

@@ -2,20 +2,21 @@
 
 Both kernels are integrals (1/2*pi*i) * int_(c) G(z) r^z dz with G
 independent of r (a gamma ratio, times M_t^k for a general symbol).
-``line_plan`` picks the line's abscissa, height and node count from G
-alone, climbing a decay ladder whose first rung {0, 8, 16} is one call
-of G; ``power_line_integral``, the engine of both kernels, samples G
-once per node set and refines each r of a batch as it would alone.  The
-one rule is the trapezoid with node doubling, exponentially accurate
-for analytic integrands that decay along the line (Trefethen and
-Weideman, SIAM Review 56, 2014); M_t^k uses it too, on the log-line.
-``vertical_line_integral`` runs the same levels on one vectorized
-integrand f, node by node; it is the single-integrand reference that
-the engine is tested against.  Both return ``Approximation``s with the
-complex integral as the value, ``method="line_integral"`` and the
-``nodes_used`` and ``tail_bound`` diagnostics; ``_contour_route`` reads
-the engine's per-r arrays, and the ladder's samples for the tail,
-directly into kernel values.
+``_plan`` picks the line's abscissa, height and node count from G alone,
+climbing a decay ladder whose first rung {0, 8, 16} is one call of G.
+The line's samples live in a store, ``_Line``, and ``_contour_route``,
+the engine of both kernels, reads them into kernel values for a whole
+grid of r, refining each r as it would alone.  The one rule is the
+trapezoid with node doubling, exponentially accurate for analytic
+integrands that decay along the line (Trefethen and Weideman, SIAM
+Review 56, 2014); M_t^k uses it too, on the log-line.  Two entry points
+return ``Approximation``s with the complex integral as the value,
+``method="line_integral"`` and the ``nodes_used`` and ``tail_bound``
+diagnostics: ``power_line_integral`` runs the engine on a fresh store
+per call, and ``vertical_line_integral`` runs the same levels on one
+vectorized integrand f, node by node, the reference the engine is
+tested against.  The limits are fixed, not options: a ladder from
+T = 16 to 4096, and at most six node doublings after a plan's first level.
 
 Callers assemble integrands from combined log-gamma ratios, so
 magnitudes stay representable on tall lines.  The engine exponentiates
@@ -25,8 +26,7 @@ here and in M_t^k, come from ``_phase_sums``, in sqrt(N) blocks of the
 evenly spaced nodes: the line's heights, or M_t^k's log-radii.  Every
 set of samples, a ladder rung or a quadrature level, is one call of G.
 
-G depends on the kernel alone, never on r or, after the scaling to unit
-time, on t, so each kernel keeps its line in a store, ``_Line``: the
+G never depends on r, so each kernel keeps its line in a store: the
 plan, the tail estimate and each trapezoid level's scaled samples, grown
 on demand.  G is sampled once per unit spec or symbol value, and a later
 call pays only its own phase sums.  Each r still refines as it would alone,
@@ -59,6 +59,8 @@ __all__ = [
 # complex phases per row block of ``_phase_sums``: bounds the working set
 # whatever the number of rows
 _BLOCK_ELEMS = 1 << 15
+_REFINEMENTS = 6  # node doublings after a plan's first trapezoid level
+_LADDER_START, _LADDER_CAP = 16.0, 4096.0  # first and last rung of the ladder
 
 
 @dataclass(frozen=True)
@@ -118,20 +120,20 @@ def _checked_tail(f, contour: ContourSpec) -> float:
     return _tail_estimate(m_half, m_top, big_t)
 
 
-def _levels(contour: ContourSpec, max_refinements: int):
+def _levels(contour: ContourSpec):
     """The plan's trapezoid levels: node heights and their spacing.  The
     first holds 2n + 1 nodes, its ends counting half; each later one
     holds the midpoints of the nodes so far."""
     n = contour.nodes
     h = contour.half_height / n
     yield np.arange(-n, n + 1, dtype=float) * h, h
-    for _ in range(max_refinements):
+    for _ in range(_REFINEMENTS):
         yield (np.arange(-n, n, dtype=float) + 0.5) * h, h
         n *= 2
         h *= 0.5
 
 
-def _refine(sums, n_rows, contour, tol, max_refinements):
+def _refine(sums, n_rows, contour, tol):
     """Run the plan's trapezoid on ``n_rows`` integrands whose per-level
     sums come from ``sums(level, z, step, rows)``: per row of ``rows``,
     the sum of f (ends halved on level 0) and the sum of |f| over the
@@ -148,7 +150,7 @@ def _refine(sums, n_rows, contour, tol, max_refinements):
     last = math.inf
     if not n_rows:
         return value, disc, used
-    for level, (v, h) in enumerate(_levels(contour, max_refinements)):
+    for level, (v, h) in enumerate(_levels(contour)):
         s, a = sums(level, contour.abscissa + 1j * v, h, rows)
         n_used += v.size
         # a midpoint level halves the step and keeps half the estimate
@@ -241,20 +243,19 @@ def _line_result(value, tail, disc, used) -> Approximation:
                                       "tail_bound": tail})
 
 
-def vertical_line_integral(f, contour: ContourSpec, tol: float = 1e-10,
-                           max_refinements: int = 6) -> Approximation:
+def vertical_line_integral(f, contour: ContourSpec,
+                           tol: float = 1e-10) -> Approximation:
     """(1/2*pi*i) * integral of f over the truncated vertical line.
 
     Checks the sampled decay precondition |f(c+iT)| <= |f(c+iT/2)| and
-    refines the node count (doubling) until the value changes by less
-    than ``tol`` relatively, else raises NonConvergent.  For integrands
-    with f(conj z) = conj f(z) the imaginary part of the result is at
-    the rounding level.  The plan must carry a half_height.  The
-    estimate is the tail estimate plus the discretization estimate.
+    refines the node count (doubling, at most six times) until the value
+    changes by less than ``tol`` relatively, else raises NonConvergent.
+    For integrands with f(conj z) = conj f(z) the imaginary part of the
+    result is at the rounding level.  The plan must carry a half_height.
+    The estimate is the tail estimate plus the discretization estimate.
     """
     tail = _checked_tail(f, contour)
-    value, disc, used = _refine(_direct_sums(f), 1, contour, tol,
-                                max_refinements)
+    value, disc, used = _refine(_direct_sums(f), 1, contour, tol)
     return _line_result(value[0], tail, disc[0], used[0])
 
 
@@ -297,7 +298,7 @@ class _Line:
         return top, e, gross
 
 
-def _power_line(line: _Line, log_g, ln_r, shift, tol, max_refinements=6):
+def _power_line(line: _Line, log_g, ln_r, shift, tol):
     """Per-row arrays of ``power_line_integral`` on the store ``line`` of
     log_g: values, tail estimates, discretization estimates and node
     counts."""
@@ -310,14 +311,12 @@ def _power_line(line: _Line, log_g, ln_r, shift, tol, max_refinements=6):
         rho = np.exp(top + slope * x)
         return rho * _phase_sums(e, z.imag, x, step), rho * gross
 
-    value, disc, used = _refine(sums, ln_r.size, line.plan, tol,
-                                max_refinements)
+    value, disc, used = _refine(sums, ln_r.size, line.plan, tol)
     return value, line.tail * np.exp(slope * ln_r), disc, used
 
 
 def power_line_integral(log_g, ln_r, shift: float, contour: ContourSpec,
-                        tol: float = 1e-10,
-                        max_refinements: int = 6) -> list[Approximation]:
+                        tol: float = 1e-10) -> list[Approximation]:
     """``vertical_line_integral`` of exp(log_g(z) + (z - shift) ln r) for
     every entry of ``ln_r``, exponentiating log_g once per node.
 
@@ -336,8 +335,7 @@ def power_line_integral(log_g, ln_r, shift: float, contour: ContourSpec,
     """
     return [_line_result(v, float(tb), e, u)
             for v, tb, e, u in zip(*_power_line(
-                _Line(log_g, contour), log_g, ln_r, shift, tol,
-                max_refinements))]
+                _Line(log_g, contour), log_g, ln_r, shift, tol))]
 
 
 def fold_conjugates(log_g):
@@ -437,9 +435,8 @@ def _contour_route(line: _Line, log_g, shift: float, rs, r_scale: float,
     return out if rs.ndim else out[0]
 
 
-def auto_truncation(f, c: float, tol: float, t_start: float = 16.0,
-                    t_cap: float = 4096.0) -> float:
-    """Smallest T from the doubling ladder {16, 32, ...} with
+def auto_truncation(f, c: float, tol: float) -> float:
+    """Smallest T from the doubling ladder {16, 32, ..., 4096} with
     |f(c + iT)| * T < tol * |f(c)|.
 
     One f call samples the heights 0, T0/2 and T0 of the first rung;
@@ -448,17 +445,17 @@ def auto_truncation(f, c: float, tol: float, t_start: float = 16.0,
     magnitudes fail to decrease rung to rung, or if the ladder cap is
     reached.
     """
-    return _ladder(f, c, tol, t_start, t_cap)[0]
+    return _ladder(f, c, tol)[0]
 
 
-def _ladder(f, c, tol, t_start=16.0, t_cap=4096.0):
+def _ladder(f, c, tol):
     """``auto_truncation``'s T, with |f| at T/2 and T."""
-    t = t_start
+    t = _LADDER_START
     f0, prev, m = _magnitudes(f, c, (0.0, 0.5 * t, t))
     if not (math.isfinite(f0) and f0 > 0.0):
         raise DomainError("integrand vanishes or is not finite at the "
                           f"abscissa: |f({c})| = {f0:.3e}")
-    while t <= t_cap:
+    while t <= _LADDER_CAP:
         if m >= prev and m > 0.0:
             raise NoDecay(
                 f"|f(c+i{t})| = {m:.3e} does not fall below "
@@ -466,9 +463,10 @@ def _ladder(f, c, tol, t_start=16.0, t_cap=4096.0):
         if m * t < tol * f0:
             return t, prev, m
         t *= 2.0
-        if t <= t_cap:
+        if t <= _LADDER_CAP:
             prev, (m,) = m, _magnitudes(f, c, (t,))
-    raise NoDecay(f"no ladder height up to {t_cap} met the decay target")
+    raise NoDecay(f"no ladder height up to {_LADDER_CAP} met the decay "
+                  "target")
 
 
 def mellin_bessel_rhs(z, nu: float):

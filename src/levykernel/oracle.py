@@ -44,6 +44,7 @@ __all__ = [
 _ZERO_BLOCK = 1024
 _gl = functools.cache(np.polynomial.legendre.leggauss)
 _PANEL_ORDER, _HEAD_ORDER, _HEAD_LEVELS = 12, 16, 9
+_MAX_PANELS = 300_000  # panels between zeros before acceleration gives up
 _ZERO_TABLES: dict[float, dict[str, object]] = {}
 
 
@@ -231,8 +232,8 @@ def _graded_head(weight, nu, scale, a, b, tol, tabled=False):
 
 
 def oscillatory_bessel_integral(weight, nu: float, scale: float,
-                                s_start: float = 0.0, tol: float = 1e-11,
-                                max_panels: int = 300_000) -> Approximation:
+                                s_start: float = 0.0,
+                                tol: float = 1e-11) -> Approximation:
     """int_{s_start}^inf J_nu(scale * s) w(s) ds with panel acceleration.
 
     Returns an ``Approximation`` with ``method="oracle"`` and two
@@ -284,7 +285,7 @@ def oscillatory_bessel_integral(weight, nu: float, scale: float,
     n_panels = 0
     offset = skip  # index of the zero sitting at the current left edge
     converged = False
-    while n_panels < max_panels:
+    while n_panels < _MAX_PANELS:
         edges = bessel_zeros(nu, batch + 1, offset=offset)
         b, b_abs = _panel_integrals(weight, nu, scale, edges / scale, _PANEL_ORDER,
                                     _panel_j(nu, offset, offset + batch))

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -56,6 +57,7 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 K_MAX = 12  # highest derivative order provided for any symbol
+_ENVELOPE_WINDOW = 3  # samples of |E| per point of ``decay_slope``'s grid
 
 
 def _shifted_power(r, mass, p):
@@ -66,11 +68,12 @@ def _shifted_power(r, mass, p):
     return (r * r + mass * mass) ** p
 
 
-@dataclass
+@dataclass(frozen=True)
 class RadialSymbol:
     """A radial Levy symbol eta(r) = sum c (r^2 + mass^2)^p over its
-    ``terms``, given as (c, mass, p) triples; ``eta_at_zero`` is derived
-    from them.
+    ``terms``, given as (c, mass, p) triples; ``eta_at_zero`` and the
+    sampled symbol-class constant ``A_bound`` are derived from them, the
+    latter on first read.  A symbol is a value: it cannot be changed.
 
     ``localized`` marks symbols whose symbol-class bound holds near the
     origin only (with polynomial growth of all derivatives at infinity);
@@ -84,17 +87,19 @@ class RadialSymbol:
     alpha_index: float
     localized: bool = False
     M_growth: float | None = None
-    A_bound: float = field(default=math.nan)
-    k_max: int = K_MAX
-
-    def __post_init__(self):
-        self.eta_at_zero = float(self.eta(0.0))
-        if math.isnan(self.A_bound):
-            self.A_bound = self._sample_A_bound()
+    k_max: ClassVar[int] = K_MAX
 
     def __hash__(self):
         # the fields G reads: equal symbols share one line store
         return hash((self.terms, self.alpha_index))
+
+    @property
+    def eta_at_zero(self) -> float:
+        return float(self.eta(0.0))
+
+    @functools.cached_property
+    def A_bound(self) -> float:
+        return self._sample_A_bound()
 
     # -- core evaluations -------------------------------------------------
     def eta(self, r):
@@ -585,16 +590,16 @@ def tail_integral(sym: RadialSymbol, d: int, beta: float, t: float, r: float,
 
 
 def decay_slope(sym: RadialSymbol, d: int, beta: float, t: float, r_grid,
-                n_parts: int = 4, psi=None, dense: int = 3) -> float:
+                n_parts: int = 4, psi=None) -> float:
     """Least-squares slope of log|E| against log r, fitted through the
-    local envelope (window maxima) so oscillation nulls of E do not
-    poison the fit."""
+    local envelope (window maxima of three samples per grid point) so
+    oscillation nulls of E do not poison the fit."""
     r_grid = np.asarray(r_grid, dtype=float)
-    rr = np.geomspace(r_grid.min(), r_grid.max(), dense * r_grid.size)
+    k = _ENVELOPE_WINDOW
+    rr = np.geomspace(r_grid.min(), r_grid.max(), k * r_grid.size)
     vals = np.array([abs(tail_integral(sym, d, beta, t, float(r),
                                        n_parts=n_parts, psi=psi))
                      for r in rr])
-    k = dense
     n_win = vals.size // k
     env_r = np.empty(n_win)
     env_v = np.empty(n_win)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import pathlib
@@ -99,6 +100,41 @@ class TestRegistry:
             err = np.abs(sym.scaled_deriv(r, m) - ref)
             assert np.all(err <= 1e-13 * math.factorial(m) * scale), m
             expr = sp.diff(expr, rr)
+
+
+class TestSymbolValue:
+    @staticmethod
+    def _count_samples(monkeypatch):
+        calls = []
+        sample = RadialSymbol._sample_A_bound
+
+        def counted(self, *args):
+            calls.append(self)
+            return sample(self, *args)
+
+        monkeypatch.setattr(RadialSymbol, "_sample_A_bound", counted)
+        return calls
+
+    @pytest.mark.parametrize("kind,params", ALL_SYMBOLS)
+    def test_make_symbol_samples_nothing(self, monkeypatch, kind, params):
+        calls = self._count_samples(monkeypatch)
+        lk.make_symbol(kind, **params)
+        assert calls == []
+
+    def test_A_bound_is_sampled_on_first_read_only(self, monkeypatch):
+        calls = self._count_samples(monkeypatch)
+        sym = lk.make_symbol("relativistic", alpha=1.0, m=1.0)
+        assert calls == []
+        first = sym.A_bound
+        assert len(calls) == 1
+        assert sym.A_bound == first
+        assert len(calls) == 1
+
+    def test_symbol_is_frozen(self):
+        sym = lk.make_symbol("stable", a=1.3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sym.terms = ((2.0, 0.0, 0.65),)
+        assert sym.terms == ((1.0, 0.0, 0.65),)
 
 
 class TestExpEtaDerivative:
