@@ -36,7 +36,7 @@ spec = lk.KernelSpec(d=2, alpha=1.5)
 lo, hi = lk.admissible_strip(2, 0.0)
 print(f"\ncontour independence inside the strip ({lo}, {hi}), r = 3:")
 for c in (0.6, 1.0, 1.4, 1.9):
-    v = lk.stable_mb(spec, 3.0, contour=lk.ContourSpec(c, 64.0)).value
+    v = lk.stable_mb(spec, 3.0, abscissa=c).value
     print(f"  c = {c}: {v:.15e}")
 
 # the Bessel-Mellin identity closes the loop between the oscillatory

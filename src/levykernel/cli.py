@@ -7,9 +7,9 @@ parsed sweep reproduces the in-memory table exactly.  Identical
 invocations produce byte-identical output (fixed summation orders, no
 timestamps).
 
-Exit codes: 0 success, 2 usage error (a malformed ``--symbol`` or a
-missing config file included), 3 numeric failure (a JSON diagnostic
-goes to stdout in that case).
+Exit codes: 0 success, 2 usage error (a malformed ``--symbol``, a kernel
+parameter out of range or a missing config file included), 3 numeric
+failure (a JSON diagnostic goes to stdout in that case).
 
 An INI config file (section ``[levykernel]``) may set the default
 ``tol``; other keys are ignored.  The contour columns of ``sweep`` and
@@ -29,7 +29,6 @@ import numpy as np
 
 from . import __version__
 from .errors import LevyKernelError
-from .mellin import ContourSpec
 from .oracle import stable_oracle, symbol_oracle
 from .radial_symbol import (general_kernel_mb, general_leading_term,
                             make_symbol, perturbed_leading_term,
@@ -71,31 +70,37 @@ def _parse_symbol(text):
     return make_symbol(kind, **obj)
 
 
-def _values(args, method, spec, sym, rs):
+def _stable_spec(args):
+    """The ``KernelSpec`` of a stable run (eval, sweep and compare without
+    ``--symbol``, envelope --family stable), else None.  Raises
+    ValueError for a parameter out of range."""
+    if args.command == "envelope":
+        stable = args.family == "stable"
+    else:
+        stable = args.command != "symbols" and args.symbol is None
+    if not stable:
+        return None
+    return KernelSpec(d=args.d, alpha=args.alpha, beta=args.beta, t=args.t)
+
+
+def _values(args, method, rs):
     """One result per r of ``rs``, for either a stable spec or a general
     symbol.  The contour columns (``mb`` for a stable spec, ``mb`` and
     ``auto`` for a symbol) are one batched call over the whole grid."""
-    contour = _contour_from(args)
+    sym, c = args.symbol, args.contour_c
     if sym is not None:
         if method in ("auto", "mb"):
             return general_kernel_mb(sym, args.d, args.beta, args.t, rs,
-                                     k=args.k, tol=args.tol, contour=contour)
+                                     k=args.k, tol=args.tol, abscissa=c)
         if method == "oracle":
             return [symbol_oracle(sym, args.d, args.beta, args.t, float(r))
                     for r in rs]
         raise LevyKernelError(f"method {method!r} applies to stable specs only")
     if method == "mb":
-        return stable_mb(spec, rs, contour=contour, tol=args.tol)
-    return [evaluate(spec, float(r), method=method, tol=args.tol,
-                     contour=contour)
+        return stable_mb(args.spec, rs, abscissa=c, tol=args.tol)
+    return [evaluate(args.spec, float(r), method=method, tol=args.tol,
+                     abscissa=c)
             for r in rs]
-
-
-def _contour_from(args):
-    c = getattr(args, "contour_c", None)
-    if c is None:
-        return None
-    return ContourSpec(abscissa=c)
 
 
 def _emit(args, text: str):
@@ -109,14 +114,11 @@ def _emit(args, text: str):
 
 
 def cmd_eval(args) -> int:
-    sym = args.symbol
-    spec = None
-    if sym is None:
-        spec = KernelSpec(d=args.d, alpha=args.alpha, beta=args.beta, t=args.t)
+    sym, spec = args.symbol, args.spec
     if args.r == 0.0 and sym is None:
         a = evaluate(spec, 0.0)
     else:
-        (a,) = _values(args, args.method, spec, sym, np.array([args.r]))
+        (a,) = _values(args, args.method, np.array([args.r]))
     diags = {k: v for k, v in a.diagnostics.items()
              if isinstance(v, (int, float, bool, str))}
     payload = {"value": a.value, "est_error": a.est_error,
@@ -155,9 +157,6 @@ def _r_grid(args):
 
 def cmd_sweep(args) -> int:
     sym = args.symbol
-    spec = None
-    if sym is None:
-        spec = KernelSpec(d=args.d, alpha=args.alpha, beta=args.beta, t=args.t)
     methods = args.method.split(",")
     for m in methods:
         if m not in _METHODS:
@@ -168,12 +167,12 @@ def cmd_sweep(args) -> int:
     origin = (grid == 0.0) & (sym is None)
 
     pts = grid[~origin]
-    at_origin = [evaluate(spec, 0.0) for _ in range(int(origin.sum()))]
+    at_origin = [evaluate(args.spec, 0.0) for _ in range(int(origin.sum()))]
     rows = []
     for m in methods:
         rows += [(0.0, a.method, a.value, a.est_error) for a in at_origin]
         rows += [(float(r), a.method, a.value, a.est_error) for r, a in
-                 zip(pts, _values(args, m, spec, sym, pts))]
+                 zip(pts, _values(args, m, pts))]
     rows.sort(key=lambda row: (row[0], row[1]))
 
     lines = [f"# spec={json.dumps(_spec_dict(args, sym), sort_keys=True)}"]
@@ -218,14 +217,10 @@ def parse_sweep_csv(text: str):
 
 
 def cmd_compare(args) -> int:
-    sym = args.symbol
-    spec = None
-    if sym is None:
-        spec = KernelSpec(d=args.d, alpha=args.alpha, beta=args.beta, t=args.t)
+    sym, spec = args.symbol, args.spec
     methods = args.method.split(",")
     grid = _r_grid(args)
-    values = {m: np.array([a.value for a in
-                           _values(args, m, spec, sym, grid)])
+    values = {m: np.array([a.value for a in _values(args, m, grid)])
               for m in methods}
 
     pairwise = {}
@@ -277,8 +272,7 @@ def cmd_compare(args) -> int:
 def cmd_envelope(args) -> int:
     grid = _r_grid(args)
     if args.family == "stable":
-        spec = KernelSpec(d=args.d, alpha=args.alpha, beta=args.beta, t=args.t)
-        out = envelope_ratio(spec, grid)
+        out = envelope_ratio(args.spec, grid)
         out["holds"] = bool(np.isfinite(out["min_ratio"])
                             and np.isfinite(out["max_ratio"])
                             and out["max_ratio"] > 0)
@@ -395,6 +389,10 @@ def main(argv=None) -> int:
         args.symbol = _parse_symbol(text) if text else None
     except (OSError, ValueError, TypeError) as exc:
         ap.exit(2, f"symbol error: {exc}\n")
+    try:
+        args.spec = _stable_spec(args)
+    except ValueError as exc:
+        ap.exit(2, f"spec error: {exc}\n")
     try:
         return args.func(args)
     except (LevyKernelError, ValueError, ZeroDivisionError, OverflowError) as exc:

@@ -2,21 +2,24 @@
 
 Both kernels are integrals (1/2*pi*i) * int_(c) G(z) r^z dz with G
 independent of r (a gamma ratio, times M_t^k for a general symbol).
-``_plan`` picks the line's abscissa, height and node count from G alone,
-climbing a decay ladder whose first rung {0, 8, 16} is one call of G.
-The line's samples live in a store, ``_Line``, and ``_contour_route``,
-the engine of both kernels, reads them into kernel values for a whole
-grid of r, refining each r as it would alone.  The one rule is the
-trapezoid with node doubling, exponentially accurate for analytic
-integrands that decay along the line (Trefethen and Weideman, SIAM
-Review 56, 2014); M_t^k uses it too, on the log-line.  Two entry points
-return ``Approximation``s with the complex integral as the value,
-``method="line_integral"`` and the ``nodes_used`` and ``tail_bound``
-diagnostics: ``power_line_integral`` runs the engine on a fresh store
-per call, and ``vertical_line_integral`` runs the same levels on one
-vectorized integrand f, node by node, the reference the engine is
-tested against.  The limits are fixed, not options: a ladder from
-T = 16 to 4096, and at most six node doublings after a plan's first level.
+A kernel's caller chooses at most the line's abscissa, the strip
+midpoint by default; ``_plan`` derives the height and node count from G
+alone, climbing a decay ladder whose first rung {0, 8, 16} is one call
+of G.  The line's samples live in a store, ``_Line``, and
+``_contour_route``, the engine of both kernels, reads them into kernel
+values for a whole grid of r, refining each r as it would alone.  The
+one rule is the trapezoid with node doubling, exponentially accurate
+for analytic integrands that decay along the line (Trefethen and
+Weideman, SIAM Review 56, 2014); M_t^k uses it too, on the log-line.
+Two entry points return ``Approximation``s with the complex integral as
+the value, ``method="line_integral"`` and the ``nodes_used`` and
+``tail_bound`` diagnostics.  They take a whole ``ContourSpec``
+(abscissa, height and node count): ``power_line_integral`` runs the
+engine on a fresh store per call, and ``vertical_line_integral`` runs
+the same levels on one vectorized integrand f, node by node, the
+reference the engine is tested against.  The limits are fixed, not
+options: a ladder from T = 16 to 4096, at least 2 * 64 + 1 nodes on a
+planned line's first level, and at most six node doublings after it.
 
 Callers assemble integrands from combined log-gamma ratios, so
 magnitudes stay representable on tall lines.  The engine exponentiates
@@ -26,11 +29,12 @@ here and in M_t^k, come from ``_phase_sums``, in sqrt(N) blocks of the
 evenly spaced nodes: the line's heights, or M_t^k's log-radii.  Every
 set of samples, a ladder rung or a quadrature level, is one call of G.
 
-G never depends on r, so each kernel keeps its line in a store: the
-plan, the tail estimate and each trapezoid level's scaled samples, grown
-on demand.  G is sampled once per unit spec or symbol value, and a later
-call pays only its own phase sums.  Each r still refines as it would alone,
-so a value does not depend on what the store held before.
+G never depends on r, so each kernel keeps its line in a store: log G
+itself, the plan, the tail estimate and each trapezoid level's scaled
+samples, grown on demand.  G is sampled once per unit spec or symbol
+value, and a later call pays only its own phase sums.  Each r still
+refines as it would alone, so a value does not depend on what the store
+held before.
 
 All reductions run in a fixed order, so results are bit-reproducible.
 """
@@ -61,22 +65,20 @@ __all__ = [
 _BLOCK_ELEMS = 1 << 15
 _REFINEMENTS = 6  # node doublings after a plan's first trapezoid level
 _LADDER_START, _LADDER_CAP = 16.0, 4096.0  # first and last rung of the ladder
+_MIN_NODES = 64  # least ``nodes`` of a planned line (``ContourSpec``)
 
 
 @dataclass(frozen=True)
 class ContourSpec:
-    """One vertical-line quadrature plan: Re z = abscissa, |Im z| <= half_height.
-
-    ``half_height=None`` overrides the abscissa only: ``line_plan`` then
-    climbs the decay ladder for the height.
-    """
+    """One vertical-line quadrature plan: Re z = abscissa, |Im z| <=
+    half_height, with 2 * nodes + 1 nodes on its first trapezoid level."""
 
     abscissa: float
-    half_height: float | None = None
+    half_height: float
     nodes: int = 64
 
     def __post_init__(self):
-        if self.half_height is not None and not self.half_height > 0:
+        if not self.half_height > 0:
             raise ValueError("half_height must be > 0")
         if self.nodes < 16:
             raise ValueError("nodes must be >= 16")
@@ -110,8 +112,6 @@ def _checked_tail(f, contour: ContourSpec) -> float:
     """Tail estimate of ``f`` beyond the plan's height, after checking the
     sampled decay precondition |f(c+iT)| < |f(c+iT/2)|."""
     c, big_t = contour.abscissa, contour.half_height
-    if big_t is None:
-        raise ValueError("the contour plan has no half_height")
     m_half, m_top = _magnitudes(f, c, (0.5 * big_t, big_t))
     if m_top >= m_half and m_top > 0.0:
         raise NoDecay(
@@ -251,8 +251,8 @@ def vertical_line_integral(f, contour: ContourSpec,
     refines the node count (doubling, at most six times) until the value
     changes by less than ``tol`` relatively, else raises NonConvergent.
     For integrands with f(conj z) = conj f(z) the imaginary part of the
-    result is at the rounding level.  The plan must carry a half_height.
-    The estimate is the tail estimate plus the discretization estimate.
+    result is at the rounding level.  The estimate is the tail estimate
+    plus the discretization estimate.
     """
     tail = _checked_tail(f, contour)
     value, disc, used = _refine(_direct_sums(f), 1, contour, tol)
@@ -260,30 +260,26 @@ def vertical_line_integral(f, contour: ContourSpec,
 
 
 class _Line:
-    """The r-free samples of one contour: its plan, the tail estimate of
-    exp(log_g) beyond the plan's height (from the decay check unless the
-    ladder read it), and per trapezoid level the largest Re log_g of the
-    node set, ``top``, the scaled samples e = exp(log_g - top), ends
-    halved on level 0, and the gross sum of |e| before halving.  Levels
-    are sampled on demand, in order, outside the lock, and kept
-    read-only in an append-only tuple.  The store does not keep log_g:
-    its owner hands the same one to every read.
+    """The r-free samples of one contour: its log_g, its plan, the tail
+    estimate of exp(log_g) beyond the plan's height, and per trapezoid
+    level the largest Re log_g of the node set, ``top``, the scaled
+    samples e = exp(log_g - top), ends halved on level 0, and the gross
+    sum of |e| before halving.  Levels are sampled on demand, in order,
+    outside the lock, and kept read-only in an append-only tuple.
     """
 
-    def __init__(self, log_g, plan: ContourSpec, tail: float | None = None):
-        if tail is None:
-            tail = _checked_tail(lambda z: np.exp(log_g(z)), plan)
-        self.plan, self.tail = plan, tail
+    def __init__(self, log_g, plan: ContourSpec, tail: float):
+        self.log_g, self.plan, self.tail = log_g, plan, tail
         self._levels = ()
         self._lock = threading.Lock()
 
-    def level(self, log_g, i, z):
+    def level(self, i, z):
         """(top, e, gross) of level ``i``, whose nodes are z; log_g is
         called only for a level the store does not hold yet."""
         levels = self._levels
         if i < len(levels):
             return levels[i]
-        lg = log_g(z)
+        lg = self.log_g(z)
         top = lg.real.max()
         e = np.exp(lg - top)
         gross = np.abs(e).sum()
@@ -298,15 +294,15 @@ class _Line:
         return top, e, gross
 
 
-def _power_line(line: _Line, log_g, ln_r, shift, tol):
-    """Per-row arrays of ``power_line_integral`` on the store ``line`` of
-    log_g: values, tail estimates, discretization estimates and node
+def _power_line(line: _Line, ln_r, shift, tol):
+    """Per-row arrays of ``power_line_integral`` on the store ``line``:
+    values, tail estimates, discretization estimates and node
     counts."""
     ln_r = np.asarray(ln_r, dtype=float).ravel()
     slope = line.plan.abscissa - shift
 
     def sums(level, z, step, rows):
-        top, e, gross = line.level(log_g, level, z)
+        top, e, gross = line.level(level, z)
         x = ln_r[rows]
         rho = np.exp(top + slope * x)
         return rho * _phase_sums(e, z.imag, x, step), rho * gross
@@ -333,9 +329,10 @@ def power_line_integral(log_g, ln_r, shift: float, contour: ContourSpec,
     stops refining when it converges: every result equals that of a
     one-element ``ln_r``.
     """
+    tail = _checked_tail(lambda z: np.exp(log_g(z)), contour)
     return [_line_result(v, float(tb), e, u)
             for v, tb, e, u in zip(*_power_line(
-                _Line(log_g, contour), log_g, ln_r, shift, tol))]
+                _Line(log_g, contour, tail), ln_r, shift, tol))]
 
 
 def fold_conjugates(log_g):
@@ -358,43 +355,36 @@ def fold_conjugates(log_g):
     return folded
 
 
-def _plan(log_g, strip, contour: ContourSpec | None, tol: float):
+def _plan(log_g, strip, abscissa: float | None, tol: float):
     """``line_plan``'s plan, and the tail estimate of exp(log_g) beyond
-    its height read from the ladder's samples at T/2 and T (None for a
-    plan given its height)."""
+    its height, read from the ladder's samples at T/2 and T."""
     lo, hi = strip
-    if contour is None:
-        contour = ContourSpec(abscissa=0.5 * (lo + hi))
-    c = contour.abscissa
+    c = 0.5 * (lo + hi) if abscissa is None else abscissa
     if not lo < c < hi:
         raise StripViolation(
             f"abscissa {c} outside the admissible strip ({lo}, {hi})")
-    big_t, tail = contour.half_height, None
-    if big_t is None:
-        big_t, m_half, m_top = _ladder(lambda z: np.exp(log_g(z)), c,
-                                       tol * 1e-2)
-        tail = _tail_estimate(m_half, m_top, big_t)
+    big_t, m_half, m_top = _ladder(lambda z: np.exp(log_g(z)), c, tol * 1e-2)
     # near a strip edge the poles at z = 0 and z = hi sit min(c, hi - c)
     # from the line; the trapezoid needs h below ~1/5 of that distance
     dist = min(c, hi - c)
-    nodes = max(contour.nodes, int(math.ceil(big_t / min(0.5, dist / 5.0))))
-    return ContourSpec(abscissa=c, half_height=big_t, nodes=nodes), tail
+    nodes = max(_MIN_NODES, int(math.ceil(big_t / min(0.5, dist / 5.0))))
+    return (ContourSpec(abscissa=c, half_height=big_t, nodes=nodes),
+            _tail_estimate(m_half, m_top, big_t))
 
 
-def line_plan(log_g, strip, contour: ContourSpec | None,
+def line_plan(log_g, strip, abscissa: float | None,
               tol: float) -> ContourSpec:
     """The full plan of a line integral of exp(log_g(z)) r^z over the
     abscissa strip (lo, hi), for integrands with their nearest poles at
-    z = 0 and z = hi.  No ``contour`` means ``ContourSpec`` at the strip
-    midpoint.
+    z = 0 and z = hi.  No ``abscissa`` means the strip midpoint; a given
+    one must lie inside the strip.
 
-    The override's abscissa must lie inside the strip.  A plan without a
-    height gets the ``auto_truncation`` ladder's on exp(log_g) (target
-    tol * 1e-2), one log_g call per rung.  The node count is raised to
-    the pole-aware floor.  |r^z| is r^c at every height, so nothing here
-    depends on r.
+    The height is the ``auto_truncation`` ladder's on exp(log_g) (target
+    tol * 1e-2), one log_g call per rung.  The node count is the larger
+    of 64 and the pole-aware floor.  |r^z| is r^c at every height, so
+    nothing here depends on r.
     """
-    return _plan(log_g, strip, contour, tol)[0]
+    return _plan(log_g, strip, abscissa, tol)[0]
 
 
 def _radii(r):
@@ -410,7 +400,7 @@ def _radii(r):
     return rs
 
 
-def _contour_route(line: _Line, log_g, shift: float, rs, r_scale: float,
+def _contour_route(line: _Line, shift: float, rs, r_scale: float,
                    scale: float, tol: float):
     """Kernel values
 
@@ -422,8 +412,7 @@ def _contour_route(line: _Line, log_g, shift: float, rs, r_scale: float,
     arrays.  The estimate is |scale| times that of the line integral.
     """
     plan = line.plan
-    rows = _power_line(line, log_g, np.log(np.atleast_1d(rs) * r_scale),
-                       shift, tol)
+    rows = _power_line(line, np.log(np.atleast_1d(rs) * r_scale), shift, tol)
     out = [Approximation(
         value=scale * value.real, est_error=abs(scale) * (tail + disc),
         method="mb_contour",

@@ -45,6 +45,8 @@ _ZERO_BLOCK = 1024
 _gl = functools.cache(np.polynomial.legendre.leggauss)
 _PANEL_ORDER, _HEAD_ORDER, _HEAD_LEVELS = 12, 16, 9
 _MAX_PANELS = 300_000  # panels between zeros before acceleration gives up
+_ACCEL_DEPTH = 12  # averaging columns ``_accelerate`` tries at most
+_SUPPORT_FLOOR = 1e-21  # |weight| beyond the support radius, against its peak
 _ZERO_TABLES: dict[float, dict[str, object]] = {}
 
 
@@ -157,7 +159,7 @@ def _panel_integrals(weight, nu, scale, edges, order, jx=None):
     return (jx * ws).sum(axis=1) * halfw, float(np.abs(ws).sum(axis=1) @ halfw)
 
 
-def _accelerate(partial_sums: np.ndarray, max_depth: int = 12):
+def _accelerate(partial_sums: np.ndarray):
     """Iterated averaging of a tail of the partial-sum sequence.
 
     Returns (value, error_estimate, depth_used).  The averaging column
@@ -167,13 +169,13 @@ def _accelerate(partial_sums: np.ndarray, max_depth: int = 12):
     s = np.asarray(partial_sums, dtype=float)
     if s.size == 1:
         return float(s[-1]), math.inf, 0
-    tail = s[-min(s.size, 2 * max_depth + 6):]
+    tail = s[-min(s.size, 2 * _ACCEL_DEPTH + 6):]
     best_val = tail[-1]
     best_err = abs(tail[-1] - tail[-2])
     cur = tail
     depth_used = 0
     prev_last = tail[-1]
-    for depth in range(1, min(max_depth, tail.size - 1) + 1):
+    for depth in range(1, min(_ACCEL_DEPTH, tail.size - 1) + 1):
         cur = 0.5 * (cur[1:] + cur[:-1])
         diff = abs(cur[-1] - prev_last)
         if diff < best_err:
@@ -193,7 +195,7 @@ def _probes(s_start: float):
 _PROBES = _probes(0.0)  # those of the common start
 
 
-def _support_radius(weight, s_start: float, rel_floor: float = 1e-21):
+def _support_radius(weight, s_start: float):
     """Radius beyond which the weight is negligible relative to its peak.
 
     Returns inf when no decay is detected within the scan cap (the
@@ -203,7 +205,7 @@ def _support_radius(weight, s_start: float, rel_floor: float = 1e-21):
     wmax = float(np.max(np.abs(weight(grid))))
     if wmax == 0.0:
         return max(s_start, 1.0)
-    below = np.abs(weight(ladder)) < rel_floor * wmax
+    below = np.abs(weight(ladder)) < _SUPPORT_FLOOR * wmax
     return float(ladder[np.argmax(below)]) if below.any() else math.inf
 
 

@@ -29,8 +29,8 @@ import numpy as np
 
 from . import oracle as _oracle
 from .errors import NonConvergent, OrderExceeded, ParityError, StripViolation
-from .mellin import (ContourSpec, _contour_route, _Line, _phase_sums, _plan,
-                     _radii, fold_conjugates)
+from .mellin import (_contour_route, _Line, _phase_sums, _plan, _radii,
+                     fold_conjugates)
 from .specfun import log_gamma
 from .stable_kernel import _LINES_KEPT, _is_even_integer, _residues
 
@@ -380,7 +380,7 @@ def default_derivative_order(d: int, beta: float) -> int:
 
 def general_kernel_mb(sym: RadialSymbol, d: int, beta: float, t: float,
                       r, k: int | None = None,
-                      contour: ContourSpec | None = None,
+                      abscissa: float | None = None,
                       tol: float = 1e-7):
     """Kernel of a general radial symbol by the nested contour integral
 
@@ -388,8 +388,9 @@ def general_kernel_mb(sym: RadialSymbol, d: int, beta: float, t: float,
         G(z) = Gamma((d+beta-z)/2) 2^(beta-z) / Gamma((z-beta)/2) * M_t(z),
         M_t(z) = (-1)^k Gamma(z)/Gamma(z+k) M_t^k(z)  (``mellin_M``),
 
-    with c in ((d+1)/2+beta, d+beta) and k > (d+3)/2 + beta, planned by
-    ``mellin.line_plan``.  The inner transform values come from a frozen
+    with c in ((d+1)/2+beta, d+beta), ``abscissa`` or the strip midpoint,
+    and k > (d+3)/2 + beta; ``mellin.line_plan`` picks the height and
+    node count.  The inner transform values come from a frozen
     vectorized grid sized to the largest |Im z| asked for.
 
     ``r`` is a scalar or a 1-D array, as for ``stable_mb``: G, inner
@@ -397,7 +398,7 @@ def general_kernel_mb(sym: RadialSymbol, d: int, beta: float, t: float,
     r^(c-d-beta) at every height, so one plan and one sampling of G per
     node set serve the whole grid, and each r refines as it would alone.
     The samples are kept by ``_symbol_line``, per symbol value and
-    (d, beta, t, k, tol, contour): G is sampled once per symbol and t,
+    (d, beta, t, k, tol, abscissa): G is sampled once per symbol and t,
     and a later call at any r takes no inner transform value.
     """
     if k is None:
@@ -408,9 +409,8 @@ def general_kernel_mb(sym: RadialSymbol, d: int, beta: float, t: float,
     if k > sym.k_max:
         raise OrderExceeded(f"k = {k} exceeds available derivatives {sym.k_max}")
     rs = _radii(r)
-    log_g, line = _symbol_line(sym, d, beta, t, k, tol, contour)
-    out = _contour_route(line, log_g, d + beta, rs, 1.0, math.pi ** (-0.5 * d),
-                         tol)
+    out = _contour_route(_symbol_line(sym, d, beta, t, k, tol, abscissa),
+                         d + beta, rs, 1.0, math.pi ** (-0.5 * d), tol)
     for res in out if isinstance(out, list) else [out]:
         res.est_error += abs(res.value) * _inner_tol(tol)
         res.diagnostics["k"] = k
@@ -423,9 +423,9 @@ def _inner_tol(tol):
 
 
 @functools.lru_cache(maxsize=_LINES_KEPT)
-def _symbol_line(sym, d, beta, t, k, tol, contour):
-    """log G of ``general_kernel_mb`` and the store of its line
-    (``mellin._Line``), shared by every r and by equal symbols, as
+def _symbol_line(sym, d, beta, t, k, tol, abscissa):
+    """The store of ``general_kernel_mb``'s line (``mellin._Line``), with
+    its log G, shared by every r and by equal symbols, as
     ``stable_kernel._stable_line`` is by equal unit specs."""
     inner_tol = _inner_tol(tol)
 
@@ -438,8 +438,7 @@ def _symbol_line(sym, d, beta, t, k, tol, contour):
         return (down - over + (beta - z) * _LN2
                 + np.log(mellin_M(sym, t, z, k, inner_tol)))
 
-    return log_g, _Line(log_g, *_plan(log_g, general_strip(d, beta), contour,
-                                      tol))
+    return _Line(log_g, *_plan(log_g, general_strip(d, beta), abscissa, tol))
 
 
 def general_leading_term(sym: RadialSymbol, d: int, beta: float, t: float) -> dict:

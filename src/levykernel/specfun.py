@@ -51,17 +51,19 @@ _LANCZOS_C = (
 )
 
 POLE_TOL = 1e-12  # absolute distance to a nonpositive integer
+# terms of J_nu's ascending series and of its asymptotic expansion, at most
+_BESSEL_SERIES_TERMS, _BESSEL_ASYMPTOTIC_TERMS = 220, 34
 
 
 def _as_complex(z):
     return np.asarray(z, dtype=np.complex128)
 
 
-def _near_nonpositive_integer(z, tol=POLE_TOL):
-    """Boolean mask: z within tol of one of 0, -1, -2, ..."""
+def _near_nonpositive_integer(z):
+    """Boolean mask: z within ``POLE_TOL`` of one of 0, -1, -2, ..."""
     z = _as_complex(z)
     n = np.round(z.real)
-    return (n <= 0.5) & (np.abs(z - n) <= tol)
+    return (n <= 0.5) & (np.abs(z - n) <= POLE_TOL)
 
 
 def _log_sin_pi(z):
@@ -201,7 +203,7 @@ def bessel_switch_point(nu: float) -> float:
     return max(12.0, 2.0 * nu * nu)
 
 
-def _bessel_series(nu, x, max_terms=220):
+def _bessel_series(nu, x):
     """Ascending power series; intended for x <= the switch point."""
     x = np.asarray(x, dtype=float)
     half = 0.5 * x
@@ -216,7 +218,7 @@ def _bessel_series(nu, x, max_terms=220):
     term = np.exp(nu * np.log(xp) - lg)
     total = term.copy()
     q = xp * xp
-    for k in range(1, max_terms):
+    for k in range(1, _BESSEL_SERIES_TERMS):
         term = -term * q / (k * (nu + k))
         total += term
         if np.all(np.abs(term) <= 1e-17 * (np.abs(total) + 1e-300)):
@@ -225,7 +227,7 @@ def _bessel_series(nu, x, max_terms=220):
     return out
 
 
-def _bessel_asymptotic(nu, x, max_terms=34):
+def _bessel_asymptotic(nu, x):
     """Large-argument expansion with stop-at-smallest-term truncation."""
     x = np.asarray(x, dtype=float)
     mu = 4.0 * nu * nu
@@ -234,7 +236,7 @@ def _bessel_asymptotic(nu, x, max_terms=34):
     q = np.zeros_like(x)
     c = np.ones_like(x)
     active = np.ones(x.shape, dtype=bool)
-    for j in range(1, max_terms):
+    for j in range(1, _BESSEL_ASYMPTOTIC_TERMS):
         c_next = c * (mu - (2.0 * j - 1.0) ** 2) / j * inv8x
         # freeze elements where the terms stopped shrinking
         grow = np.abs(c_next) >= np.abs(c)

@@ -27,8 +27,7 @@ import numpy as np
 
 from . import oracle as _oracle
 from .errors import Approximation, DomainError
-from .mellin import (ContourSpec, _contour_route, _Line, _plan, _radii,
-                     fold_conjugates)
+from .mellin import _contour_route, _Line, _plan, _radii, fold_conjugates
 from .specfun import POLE_TOL, log_gamma
 
 __all__ = [
@@ -55,7 +54,10 @@ _SMALL_R_TOL, _SMALL_R_MAX_TERMS = 1e-16, 400
 # rounding of a series, per unit of sum |term|: each coefficient is good to
 # ~4.5 eps (``_residues``), plus the power and the running sum
 _SERIES_ROUNDING = 16.0 * 2.0 ** -52
-# unit kernels (d, alpha, beta, tol, contour) whose contour samples are kept
+# ``_kummer_series`` stops at a term this small against its sum, or here
+_KUMMER_TOL, _KUMMER_MAX_TERMS = 1e-17, 600
+_EVEN_TOL = 1e-9  # distance of beta/2 from an integer read as even beta
+# unit kernels (d, alpha, beta, tol, abscissa) whose contour samples are kept
 _LINES_KEPT = 64
 
 
@@ -93,8 +95,8 @@ class SeriesTerm:
     vanished: bool
 
 
-def _is_even_integer(beta: float, tol: float = 1e-9) -> bool:
-    return abs(0.5 * beta - round(0.5 * beta)) < tol
+def _is_even_integer(beta: float) -> bool:
+    return abs(0.5 * beta - round(0.5 * beta)) < _EVEN_TOL
 
 
 def scaling_reduce(spec: KernelSpec, r: float):
@@ -162,7 +164,7 @@ def _mb_log_factor(d, alpha, beta):
     return log_g
 
 
-def stable_mb(spec: KernelSpec, r, contour: ContourSpec | None = None,
+def stable_mb(spec: KernelSpec, r, abscissa: float | None = None,
               tol: float = 1e-9):
     """Kernel value by the vertical-line contour integral
 
@@ -170,8 +172,9 @@ def stable_mb(spec: KernelSpec, r, contour: ContourSpec | None = None,
         int_(c) G(z) (t^(-1/a) r)^(-d-b+z) dz,
         G(z) = Gamma(z/a) Gamma((d+b-z)/2) 2^(b-z) / Gamma((z-b)/2),
 
-    with c inside ((d-1)/2 + b, d + b).  ``mellin.line_plan`` picks the
-    abscissa, truncation height and node count.
+    with c inside ((d-1)/2 + b, d + b): ``abscissa``, or the strip
+    midpoint.  ``mellin.line_plan`` picks the truncation height and node
+    count from G.
 
     ``r`` is a scalar (one Approximation back) or a 1-D array (a list of
     Approximations, one per point).  G does not depend on r, and on the
@@ -179,7 +182,7 @@ def stable_mb(spec: KernelSpec, r, contour: ContourSpec | None = None,
     height, the decay check, the node count and the tail estimate (up to
     that factor) are shared by the whole grid and G is sampled once per
     node set.  G does not depend on t either: the samples are kept per
-    unit spec (d, a, b), with tol and contour, for the last
+    unit spec (d, a, b), with tol and abscissa, for the last
     ``_LINES_KEPT`` of them, so G is sampled once per unit spec, not per
     call.  Each r refines until it converges, as it would alone: a grid
     returns the same values as point-by-point calls, whatever the store
@@ -190,19 +193,19 @@ def stable_mb(spec: KernelSpec, r, contour: ContourSpec | None = None,
     rs = _radii(r)
     unit, r_scale, pref = scaling_reduce(spec, 1.0)
     d, a, b = unit.d, unit.alpha, unit.beta
-    log_g, line = _stable_line(d, a, b, tol, contour)
-    return _contour_route(line, log_g, d + b, rs, r_scale,
-                          pref / (a * math.pi ** (0.5 * d)), tol)
+    return _contour_route(_stable_line(d, a, b, tol, abscissa), d + b, rs,
+                          r_scale, pref / (a * math.pi ** (0.5 * d)), tol)
 
 
 @functools.lru_cache(maxsize=_LINES_KEPT)
-def _stable_line(d, alpha, beta, tol, contour):
-    """log G of the unit kernel (d, alpha, beta) and the store of its
-    line (``mellin._Line``), shared by every t and r: G is sampled once
-    per node set of the plan, whatever the calls that read it."""
+def _stable_line(d, alpha, beta, tol, abscissa):
+    """The store of the unit kernel (d, alpha, beta)'s line
+    (``mellin._Line``), with its log G, shared by every t and r: G is
+    sampled once per node set of the plan, whatever the calls that read
+    it."""
     log_g = _mb_log_factor(d, alpha, beta)
-    return log_g, _Line(log_g, *_plan(log_g, admissible_strip(d, beta),
-                                      contour, tol))
+    return _Line(log_g, *_plan(log_g, admissible_strip(d, beta), abscissa,
+                               tol))
 
 
 def _residues(d: int, alpha: float, beta: float, family: str, limit: int):
@@ -292,18 +295,17 @@ def leading_term(spec: KernelSpec) -> SeriesTerm:
     raise DomainError("no non-vanished residue found (is alpha = 2?)")
 
 
-def _kummer_series(a0: float, b0: float, x: float, tol: float = 1e-17,
-                   max_terms: int = 600) -> float:
+def _kummer_series(a0: float, b0: float, x: float) -> float:
     """1F1(a0; b0; x) by direct summation; terminates when a0 is a
     nonpositive integer (the cases used here)."""
     term = 1.0
     total = 1.0
-    for m in range(max_terms):
+    for m in range(_KUMMER_MAX_TERMS):
         term *= (a0 + m) * x / ((b0 + m) * (m + 1.0))
         if term == 0.0:
             break
         total += term
-        if abs(term) <= tol * abs(total):
+        if abs(term) <= _KUMMER_TOL * abs(total):
             break
     return total
 
@@ -374,12 +376,13 @@ def _closed(value: float, rel: float = 1e-15, **diagnostics) -> Approximation:
 
 
 def evaluate(spec: KernelSpec, r: float, method: str = "auto",
-             tol: float = 1e-9, contour: ContourSpec | None = None) -> Approximation:
+             tol: float = 1e-9, abscissa: float | None = None) -> Approximation:
     """Evaluate one kernel by the requested route.
 
     ``auto`` picks a closed form when one exists, the small-r expansion
     (or the oracle, when alpha < 1) for t^(-1/alpha) r < 1/2, and the
-    contour integral otherwise.  r must be finite and >= 0; ``auto``
+    contour integral otherwise.  ``abscissa`` moves the contour's line
+    (``stable_mb``); the other routes ignore it.  r must be finite and >= 0; ``auto``
     answers r = 0 with ``kernel_at_origin``.
     """
     if not 0.0 <= r < math.inf:
@@ -400,7 +403,7 @@ def evaluate(spec: KernelSpec, r: float, method: str = "auto",
         raise DomainError("no closed form for this spec "
                           "(need alpha in {1, 2} and beta = 0)")
     if method == "mb":
-        return stable_mb(spec, r, contour=contour, tol=tol)
+        return stable_mb(spec, r, abscissa=abscissa, tol=tol)
     if method == "series":
         return stable_series(spec, r)
     if method == "small-r":
@@ -415,7 +418,7 @@ def evaluate(spec: KernelSpec, r: float, method: str = "auto",
         if a >= 1.0:
             return small_r_series(spec, r)
         return _oracle.stable_oracle(spec, r, tol=min(tol, 1e-10))
-    return stable_mb(spec, r, contour=contour, tol=tol)
+    return stable_mb(spec, r, abscissa=abscissa, tol=tol)
 
 
 def _fractional_envelope(spec: KernelSpec, r):

@@ -60,8 +60,7 @@ def contour_independence_spread(abscissas=(0.6, 1.0, 1.4, 1.9)):
     spec = lk.KernelSpec(d=2, alpha=1.5)
     vals = []
     for c in abscissas:
-        contour = lk.ContourSpec(abscissa=c, half_height=64.0, nodes=64)
-        vals.append(lk.stable_mb(spec, 3.0, contour=contour, tol=1e-11).value)
+        vals.append(lk.stable_mb(spec, 3.0, abscissa=c, tol=1e-11).value)
     vals = np.asarray(vals)
     return float((vals.max() - vals.min()) / np.max(np.abs(vals)))
 

@@ -1,8 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+import levykernel as lk
 from levykernel.cli import build_parser, main, parse_sweep_csv
 
 
@@ -42,10 +44,22 @@ class TestEval:
         assert payload["verify"]["rel_gap"] < 1e-6
 
     def test_numeric_failure_exit_code(self, capsys):
-        code, out = run_cli(capsys, "eval", "--d", "2", "--alpha", "3.0",
-                            "--r", "1")
+        # Gamma(d/alpha) overflows on the line: a DomainError, not a usage
+        # error
+        code, out = run_cli(capsys, "eval", "--d", "10", "--alpha", "0.01",
+                            "--r", "1", "--method", "mb")
         assert code == 3
-        assert "error" in json.loads(out)
+        assert json.loads(out)["error"] == "DomainError"
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--alpha", "3.0"), ("--d", "1"), ("--t", "0"), ("--beta", "-1")])
+    def test_spec_out_of_range_is_a_usage_error(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--r", "1", flag, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("spec error: ")
 
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -160,6 +174,11 @@ class TestContourAbscissa:
         assert len(moved) == len(default) == 5
         for a, b in zip(moved, default):
             assert a[3] == pytest.approx(b[3], rel=1e-8)
+        # the rows are the library's own values on the moved line
+        direct = lk.stable_mb(lk.KernelSpec(d=2, alpha=1.5),
+                              np.geomspace(0.5, 20.0, 5), abscissa=1.2)
+        assert [(a[3], a[4]) for a in moved] == [
+            (b.value, b.est_error) for b in direct]
 
 
 class TestCompare:

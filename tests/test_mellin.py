@@ -64,8 +64,9 @@ class TestVerticalLineIntegral:
         assert all(b <= a for a, b in zip(meaningful, meaningful[1:]))
 
     def test_plan_without_height_rejected(self):
-        with pytest.raises(ValueError):
-            lk.vertical_line_integral(_gamma_times_power(1.0), lk.ContourSpec(1.0))
+        # a plan is a whole line: only a kernel derives the height itself
+        with pytest.raises(TypeError):
+            lk.ContourSpec(1.0)
 
     def test_invalid_contour_spec(self):
         with pytest.raises(ValueError):
@@ -373,7 +374,7 @@ class TestLineStore:
             alone[r] = self._bits(lk.stable_mb(self.SPEC, r))
         # one store, planned but holding no level, shared by every thread
         lk.stable_kernel._stable_line.cache_clear()
-        _, line = lk.stable_kernel._stable_line(3, 1.2, 0.7, 1e-9, None)
+        line = lk.stable_kernel._stable_line(3, 1.2, 0.7, 1e-9, None)
         assert line._levels == ()
         got = {}
 
@@ -396,7 +397,7 @@ class TestLineStore:
         lk.stable_kernel._stable_line.cache_clear()
         for r in radii:
             lk.stable_mb(self.SPEC, r)
-        _, serial = lk.stable_kernel._stable_line(3, 1.2, 0.7, 1e-9, None)
+        serial = lk.stable_kernel._stable_line(3, 1.2, 0.7, 1e-9, None)
         assert len(line._levels) == len(serial._levels)
         for (top, e, gross), (top1, e1, gross1) in zip(line._levels,
                                                        serial._levels):
@@ -509,17 +510,15 @@ class TestLinePlan:
         assert plan.nodes == max(64, math.ceil(expected_t / 0.2))
 
     def test_override_and_pole_aware_floor(self):
-        plan = lk.line_plan(self.log_g, self.STRIP,
-                            lk.ContourSpec(2.9, 32.0, nodes=16), 1e-9)
+        plan = lk.line_plan(self.log_g, self.STRIP, 2.9, 1e-9)
+        big_t = lk.auto_truncation(lambda z: np.exp(self.log_g(z)), 2.9,
+                                   1e-11)
         # the pole at z = 3 sits 0.1 from the line: h <= 0.1 / 5
-        assert (plan.abscissa, plan.half_height) == (2.9, 32.0)
-        assert plan.nodes == math.ceil(32.0 / 0.02)
-        wide = lk.line_plan(self.log_g, self.STRIP,
-                            lk.ContourSpec(2.0, 32.0, nodes=4096), 1e-9)
-        assert wide.nodes == 4096
+        assert (plan.abscissa, plan.half_height) == (2.9, big_t)
+        assert plan.nodes == math.ceil(big_t / 0.02) > 64
 
     def test_abscissa_only_override_climbs_the_ladder(self):
-        plan = lk.line_plan(self.log_g, self.STRIP, lk.ContourSpec(1.5), 1e-9)
+        plan = lk.line_plan(self.log_g, self.STRIP, 1.5, 1e-9)
         assert plan.abscissa == 1.5
         assert plan.half_height == lk.auto_truncation(
             lambda z: np.exp(self.log_g(z)), 1.5, 1e-11)
@@ -527,7 +526,7 @@ class TestLinePlan:
     def test_abscissa_outside_strip(self):
         for c in (1.0, 3.5):
             with pytest.raises(lk.StripViolation):
-                lk.line_plan(self.log_g, self.STRIP, lk.ContourSpec(c), 1e-9)
+                lk.line_plan(self.log_g, self.STRIP, c, 1e-9)
 
 
 class TestAutoTruncation:

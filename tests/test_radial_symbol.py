@@ -289,8 +289,7 @@ class TestGeneralKernel:
         with pytest.raises(lk.OrderExceeded):
             lk.general_kernel_mb(sym, 2, 0.7, 1.0, 3.0, k=14)
         with pytest.raises(lk.StripViolation):
-            lk.general_kernel_mb(sym, 2, 0.7, 1.0, 3.0,
-                                 contour=lk.ContourSpec(0.5, 32.0))
+            lk.general_kernel_mb(sym, 2, 0.7, 1.0, 3.0, abscissa=0.5)
         for r in (0.0, -1.0, math.nan, np.array([1.0, math.nan]), math.inf,
                   np.array([1.0, math.inf])):
             with pytest.raises(lk.DomainError):

@@ -100,8 +100,7 @@ class TestStableMB:
         with pytest.raises(lk.DomainError):
             lk.stable_mb(lk.KernelSpec(d=2, alpha=1.5), 0.0)
         with pytest.raises(lk.StripViolation):
-            lk.stable_mb(lk.KernelSpec(d=2, alpha=1.5), 1.0,
-                         contour=lk.ContourSpec(5.0, 32.0))
+            lk.stable_mb(lk.KernelSpec(d=2, alpha=1.5), 1.0, abscissa=5.0)
 
     @pytest.mark.parametrize("alpha", [0.01, 0.02])
     def test_overflowing_gamma_ratio_is_a_domain_error(self, alpha):
@@ -183,17 +182,21 @@ class TestStableMBGrid:
     def test_grid_matches_pointwise_cold_and_warm(self):
         # the line store holds G's samples: a grid on a cold store, scalar
         # calls that grow it in the reverse r order, and the grid again on
-        # the warm store all return the same bits
+        # the warm store all return the same bits, on the default line
+        # (c = 2.7, the strip midpoint) and on a moved one
         spec = lk.KernelSpec(d=3, alpha=1.2, beta=0.7, t=0.8)
         grid = np.geomspace(0.05, 30.0, 400)
-        lk.stable_kernel._stable_line.cache_clear()
-        cold = lk.stable_mb(spec, grid)
-        lk.stable_kernel._stable_line.cache_clear()
-        scalar = [lk.stable_mb(spec, float(r)) for r in grid[::-1]][::-1]
-        warm = lk.stable_mb(spec, grid)
-        for runs in zip(cold, scalar, warm):
-            assert len({(b.value, b.est_error, b.diagnostics["nodes_used"])
-                        for b in runs}) == 1
+        for c in (None, 3.2):
+            lk.stable_kernel._stable_line.cache_clear()
+            cold = lk.stable_mb(spec, grid, abscissa=c)
+            lk.stable_kernel._stable_line.cache_clear()
+            scalar = [lk.stable_mb(spec, float(r), abscissa=c)
+                      for r in grid[::-1]][::-1]
+            warm = lk.stable_mb(spec, grid, abscissa=c)
+            assert cold[0].diagnostics["abscissa"] == (2.7 if c is None else c)
+            for runs in zip(cold, scalar, warm):
+                assert len({(b.value, b.est_error, b.diagnostics["nodes_used"])
+                            for b in runs}) == 1
 
     def test_line_store_is_bounded(self):
         kept = lk.stable_kernel._LINES_KEPT
