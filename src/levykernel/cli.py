@@ -1,20 +1,22 @@
-"""Command-line front end.
+"""Command-line front end: eval | sweep | compare | envelope | symbols.
 
-Subcommands: eval | sweep | compare | envelope | symbols.  Single values
-and reports come out as JSON, grid sweeps as CSV with a fixed header
+Values and reports are JSON, sweeps CSV with header
 ``r,t,method,value,est_error`` and 17-significant-digit floats, so a
-parsed sweep reproduces the in-memory table exactly.  Identical
-invocations produce byte-identical output (fixed summation orders, no
-timestamps).
+parsed sweep reproduces the table exactly; identical invocations give
+byte-identical output.
 
-Exit codes: 0 success, 2 usage error (a malformed ``--symbol``, a kernel
-parameter out of range or a missing config file included), 3 numeric
-failure (a JSON diagnostic goes to stdout in that case).
+Kernel flags (--d --alpha --beta --t --out) go on eval, sweep, compare
+and envelope, route flags (--symbol --k --contour-c --tol) on eval,
+sweep and compare; symbols takes --out alone.  eval, sweep and compare
+share one value path, on which r = 0 of a stable spec is the exact
+origin value for every method and the contour columns (``mb``, and
+``auto`` for a symbol) are one batched call over the whole grid.
 
-An INI config file (section ``[levykernel]``) may set the default
-``tol``; other keys are ignored.  The contour columns of ``sweep`` and
-``compare`` (``mb``, and ``auto`` for a symbol) are one batched contour
-call over the whole grid.
+Exit codes: 0 success, 3 numeric failure (a JSON diagnostic on stdout),
+2 usage error, before any computation and with stdout empty: an unknown
+flag or method, --points below 1, --log with --r-min <= 0, --tol not a
+finite number > 0, a stable-only method (series, small-r, closed) with
+--symbol, a malformed --symbol, a kernel parameter out of range.
 """
 
 from __future__ import annotations
@@ -47,16 +49,28 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
-def _config_tol(path) -> float:
-    """The default ``tol``: 1e-9, or the config file's."""
-    if not path:
-        return 1e-9
-    import configparser
+def _points(text):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
+    return n
 
-    parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise FileNotFoundError(f"config file {path!r} not found")
-    return parser.getfloat("levykernel", "tol", fallback=1e-9)
+
+def _tolerance(text):
+    tol = float(text)
+    if not 0.0 < tol < math.inf:
+        raise argparse.ArgumentTypeError(f"{text!r} is not finite and > 0")
+    return tol
+
+
+def _method_list(text):
+    """argparse ``type=`` of a comma-separated method list."""
+    methods = text.split(",")
+    for m in methods:
+        if m not in _METHODS:
+            raise argparse.ArgumentTypeError(
+                f"unknown method {m!r}; choose from {', '.join(_METHODS)}")
+    return methods
 
 
 def _parse_symbol(text):
@@ -70,41 +84,55 @@ def _parse_symbol(text):
     return make_symbol(kind, **obj)
 
 
-def _stable_spec(args):
-    """The ``KernelSpec`` of a stable run (eval, sweep and compare without
-    ``--symbol``, envelope --family stable), else None.  Raises
-    ValueError for a parameter out of range."""
-    if args.command == "envelope":
-        stable = args.family == "stable"
-    else:
-        stable = args.command != "symbols" and args.symbol is None
-    if not stable:
-        return None
-    return KernelSpec(d=args.d, alpha=args.alpha, beta=args.beta, t=args.t)
+def _usage_error(args):
+    """Resolve ``args.symbol`` and ``args.spec`` (a stable run's
+    ``KernelSpec``, else None); return the usage error found, or None."""
+    text = getattr(args, "symbol", None)
+    try:
+        args.symbol = _parse_symbol(text) if text else None
+    except (OSError, ValueError, TypeError) as exc:
+        return f"symbol error: {exc}"
+    stable = (args.command != "symbols" and args.symbol is None
+              and getattr(args, "family", "stable") == "stable")
+    try:
+        args.spec = (KernelSpec(d=args.d, alpha=args.alpha, beta=args.beta,
+                                t=args.t) if stable else None)
+    except ValueError as exc:
+        return f"spec error: {exc}"
+    if getattr(args, "log", False) and args.r_min <= 0:
+        return "usage error: --log needs --r-min > 0"
+    methods = getattr(args, "method", [])
+    named = {methods} if isinstance(methods, str) else set(methods)
+    if args.symbol is not None and named & {"series", "small-r", "closed"}:
+        return "usage error: series, small-r and closed take no --symbol"
+    return None
 
 
 def _values(args, method, rs):
-    """One result per r of ``rs``, for either a stable spec or a general
-    symbol.  The contour columns (``mb`` for a stable spec, ``mb`` and
-    ``auto`` for a symbol) are one batched call over the whole grid."""
+    """One result per r of ``rs``, of a stable spec or a general symbol.
+    A stable spec's r = 0 is the exact origin value for every method; the
+    contour columns are one batched call over the whole grid."""
     sym, c = args.symbol, args.contour_c
     if sym is not None:
-        if method in ("auto", "mb"):
-            return general_kernel_mb(sym, args.d, args.beta, args.t, rs,
-                                     k=args.k, tol=args.tol, abscissa=c)
         if method == "oracle":
             return [symbol_oracle(sym, args.d, args.beta, args.t, float(r))
                     for r in rs]
-        raise LevyKernelError(f"method {method!r} applies to stable specs only")
+        return general_kernel_mb(sym, args.d, args.beta, args.t, rs,
+                                 k=args.k, tol=args.tol, abscissa=c)
+    origin = np.flatnonzero(rs == 0.0)
+    pts = np.delete(rs, origin)
     if method == "mb":
-        return stable_mb(args.spec, rs, abscissa=c, tol=args.tol)
-    return [evaluate(args.spec, float(r), method=method, tol=args.tol,
-                     abscissa=c)
-            for r in rs]
+        out = stable_mb(args.spec, pts, abscissa=c, tol=args.tol)
+    else:
+        out = [evaluate(args.spec, float(r), method=method, tol=args.tol,
+                        abscissa=c) for r in pts]
+    for i in origin:
+        out.insert(i, evaluate(args.spec, 0.0))
+    return out
 
 
 def _emit(args, text: str):
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -114,68 +142,50 @@ def _emit(args, text: str):
 
 
 def cmd_eval(args) -> int:
-    sym, spec = args.symbol, args.spec
-    if args.r == 0.0 and sym is None:
-        a = evaluate(spec, 0.0)
-    else:
-        (a,) = _values(args, args.method, np.array([args.r]))
+    sym = args.symbol
+    (a,) = _values(args, args.method, np.array([args.r]))
     diags = {k: v for k, v in a.diagnostics.items()
              if isinstance(v, (int, float, bool, str))}
     payload = {"value": a.value, "est_error": a.est_error,
-               "method": a.method, "diagnostics": diags}
-    payload["spec"] = _spec_dict(args, sym)
+               "method": a.method, "diagnostics": diags,
+               "spec": _spec_dict(args)}
     if args.verify and args.r > 0:
         ref = (symbol_oracle(sym, args.d, args.beta, args.t, args.r)
-               if sym is not None else stable_oracle(spec, args.r))
+               if sym is not None else stable_oracle(args.spec, args.r))
         gap = abs(payload["value"] - ref.value) / max(abs(ref.value), 1e-300)
         payload["verify"] = {"oracle_value": ref.value, "rel_gap": gap}
     _emit(args, _json_dumps(payload))
     return 0
 
 
-def _spec_dict(args, sym):
-    base = {"d": args.d, "beta": args.beta, "t": args.t,
-            "version": __version__}
-    if sym is not None:
-        base["symbol"] = {"kind": sym.name, **sym.params}
-    else:
-        base["alpha"] = args.alpha
-    return base
+def _spec_dict(args):
+    sym = args.symbol
+    kind = ({"alpha": args.alpha} if sym is None
+            else {"symbol": {"kind": sym.name, **sym.params}})
+    return {"d": args.d, "beta": args.beta, "t": args.t,
+            "version": __version__, **kind}
 
 
 def _r_grid(args):
-    if args.points < 1:
-        raise LevyKernelError("need at least one grid point")
     if args.points == 1:
         return np.array([args.r_min])
     if args.log:
-        if args.r_min <= 0:
-            raise LevyKernelError("log spacing needs r_min > 0")
         return np.geomspace(args.r_min, args.r_max, args.points)
     return np.linspace(args.r_min, args.r_max, args.points)
 
 
 def cmd_sweep(args) -> int:
-    sym = args.symbol
-    methods = args.method.split(",")
-    for m in methods:
-        if m not in _METHODS:
-            raise LevyKernelError(f"unknown method {m!r}")
+    methods = args.method
     if args.verify and "oracle" not in methods:
         methods = methods + ["oracle"]
     grid = _r_grid(args)
-    origin = (grid == 0.0) & (sym is None)
-
-    pts = grid[~origin]
-    at_origin = [evaluate(args.spec, 0.0) for _ in range(int(origin.sum()))]
     rows = []
     for m in methods:
-        rows += [(0.0, a.method, a.value, a.est_error) for a in at_origin]
         rows += [(float(r), a.method, a.value, a.est_error) for r, a in
-                 zip(pts, _values(args, m, pts))]
+                 zip(grid, _values(args, m, grid))]
     rows.sort(key=lambda row: (row[0], row[1]))
 
-    lines = [f"# spec={json.dumps(_spec_dict(args, sym), sort_keys=True)}"]
+    lines = [f"# spec={json.dumps(_spec_dict(args), sort_keys=True)}"]
     lines.append("r,t,method,value,est_error")
     for r, m, v, e in rows:
         lines.append(f"{_fmt(r)},{_fmt(args.t)},{m},{_fmt(v)},{_fmt(e)}")
@@ -216,9 +226,30 @@ def parse_sweep_csv(text: str):
     return meta, rows
 
 
-def cmd_compare(args) -> int:
+def _tail_law(args):
+    """The run's first-order far-field law {coefficient, exponent}, or
+    None where there is none (alpha = 2, relativistic at even beta)."""
     sym, spec = args.symbol, args.spec
-    methods = args.method.split(",")
+    if sym is None:
+        try:
+            term = leading_term(spec)
+        except LevyKernelError:
+            return None
+        pref = spec.t ** (-(spec.d + spec.beta) / spec.alpha)
+        sc = spec.t ** (-1.0 / spec.alpha)
+        coef = term.coefficient * pref * sc ** (-term.exponent)
+        return {"coefficient": coef, "exponent": term.exponent}
+    try:
+        return general_leading_term(sym, args.d, args.beta, args.t)
+    except LevyKernelError:
+        if sym.name not in ("stable", "perturbed", "sum_stable"):
+            return None
+        return perturbed_leading_term(sym.alpha_index, 0.0, args.d,
+                                      args.beta, args.t)
+
+
+def cmd_compare(args) -> int:
+    methods = args.method
     grid = _r_grid(args)
     values = {m: np.array([a.value for a in _values(args, m, grid)])
               for m in methods}
@@ -236,20 +267,7 @@ def cmd_compare(args) -> int:
     report = {"pairwise_max_rel_diff": pairwise, "r_grid": grid.tolist()}
 
     # tail behavior against the applicable first-order law
-    if sym is not None:
-        try:
-            lt = general_leading_term(sym, args.d, args.beta, args.t)
-        except LevyKernelError:
-            lt = None
-            if sym.name in ("stable", "perturbed", "sum_stable"):
-                a = sym.params.get("a", sym.params.get("alpha"))
-                lt = perturbed_leading_term(a, 0.0, args.d, args.beta, args.t)
-    else:
-        term = leading_term(spec)
-        pref = spec.t ** (-(spec.d + spec.beta) / spec.alpha)
-        sc = spec.t ** (-1.0 / spec.alpha)
-        lt = {"coefficient": term.coefficient * pref * sc ** (-term.exponent),
-              "exponent": term.exponent}
+    lt = _tail_law(args)
     if lt is not None and grid.size >= 3 and np.all(grid > 0):
         ref = values[methods[0]]
         mask = np.abs(ref) > 0
@@ -289,35 +307,32 @@ def cmd_symbols(args) -> int:
     return 0
 
 
-def _add_common(p, with_alpha=True):
-    p.add_argument("--d", type=int, default=2, help="dimension (>= 2)")
-    if with_alpha:
-        p.add_argument("--alpha", type=float, default=1.5,
-                       help="stability index in (0, 2]")
-    p.add_argument("--beta", type=float, default=0.0,
-                   help="fractional derivative order (>= 0)")
-    p.add_argument("--t", type=float, default=1.0, help="time (> 0)")
-    p.add_argument("--symbol", type=str, default=None,
-                   help='radial symbol as inline JSON or @file, e.g. '
-                        '\'{"kind":"relativistic","alpha":1,"m":1}\'')
-    p.add_argument("--k", type=int, default=None,
-                   help="derivative order for the general-symbol contour")
-    p.add_argument("--contour-c", dest="contour_c", type=float, default=None,
-                   help="contour abscissa override")
-    p.add_argument("--tol", type=float, default=None, help="target tolerance")
-    p.add_argument("--out", type=str, default=None, help="write output here")
-    p.add_argument("--config", type=str, default=None,
-                   help="INI config file with [levykernel] defaults")
-
-
-def _add_grid(p):
-    p.add_argument("--r-min", dest="r_min", type=float, default=0.1)
-    p.add_argument("--r-max", dest="r_max", type=float, default=10.0)
-    p.add_argument("--points", type=int, default=20)
-    p.add_argument("--log", action="store_true", help="log-spaced grid")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    kernel = argparse.ArgumentParser(add_help=False)
+    kernel.add_argument("--d", type=int, default=2, help="dimension (>= 2)")
+    kernel.add_argument("--alpha", type=float, default=1.5,
+                        help="stability index in (0, 2]")
+    kernel.add_argument("--beta", type=float, default=0.0,
+                        help="fractional derivative order (>= 0)")
+    kernel.add_argument("--t", type=float, default=1.0, help="time (> 0)")
+    kernel.add_argument("--out", help="write output here")
+
+    route = argparse.ArgumentParser(add_help=False)
+    route.add_argument("--symbol", help="radial symbol as inline JSON or "
+                       "@file, e.g. '{\"kind\":\"stable\",\"a\":1.2}'")
+    route.add_argument("--k", type=int,
+                       help="derivative order for the general-symbol contour")
+    route.add_argument("--contour-c", dest="contour_c", type=float,
+                       help="contour abscissa override")
+    route.add_argument("--tol", type=_tolerance, default=1e-9,
+                       help="target tolerance, a finite number > 0")
+
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--r-min", dest="r_min", type=float, default=0.1)
+    grid.add_argument("--r-max", dest="r_max", type=float, default=10.0)
+    grid.add_argument("--points", type=_points, default=20)
+    grid.add_argument("--log", action="store_true", help="log-spaced grid")
+
     ap = argparse.ArgumentParser(
         prog="levykernel",
         description="Heat kernels of stable and radial Levy processes: "
@@ -326,34 +341,31 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    pe = sub.add_parser("eval", help="evaluate one kernel value")
-    _add_common(pe)
+    pe = sub.add_parser("eval", parents=[kernel, route],
+                        help="evaluate one kernel value")
     pe.add_argument("--r", type=float, required=True)
     pe.add_argument("--method", choices=_METHODS, default="auto")
     pe.add_argument("--verify", action="store_true",
                     help="run the oracle alongside and embed the gap")
     pe.set_defaults(func=cmd_eval)
 
-    ps = sub.add_parser("sweep", help="evaluate over an r grid, emit CSV")
-    _add_common(ps)
-    _add_grid(ps)
-    ps.add_argument("--method", type=str, default="auto",
-                    help="comma-separated list from "
-                         "{auto,mb,series,small-r,closed,oracle}")
+    ps = sub.add_parser("sweep", parents=[kernel, route, grid],
+                        help="evaluate over an r grid, emit CSV")
+    ps.add_argument("--method", type=_method_list, default="auto",
+                    help="comma-separated list of " + ",".join(_METHODS))
     ps.add_argument("--verify", action="store_true",
                     help="add oracle rows and a max_rel_gap footer")
     ps.set_defaults(func=cmd_sweep)
 
-    pc = sub.add_parser("compare", help="pairwise method differences and "
-                                        "tail fits, as JSON")
-    _add_common(pc)
-    _add_grid(pc)
-    pc.add_argument("--method", type=str, default="mb,oracle")
+    pc = sub.add_parser("compare", parents=[kernel, route, grid],
+                        help="pairwise method differences and tail fits, "
+                             "as JSON")
+    pc.add_argument("--method", type=_method_list, default="mb,oracle",
+                    help="comma-separated list, as for sweep")
     pc.set_defaults(func=cmd_compare)
 
-    pv = sub.add_parser("envelope", help="two-sided comparison ratios")
-    _add_common(pv)
-    _add_grid(pv)
+    pv = sub.add_parser("envelope", parents=[kernel, grid],
+                        help="two-sided comparison ratios")
     pv.add_argument("--family", choices=("stable", "sum"), default="stable")
     pv.add_argument("--a", type=float, default=0.5,
                     help="lower exponent of the two-power symbol")
@@ -362,8 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.set_defaults(func=cmd_envelope)
 
     pl = sub.add_parser("symbols", help="list the built-in radial symbols")
-    pl.add_argument("--out", type=str, default=None)
-    pl.add_argument("--config", type=str, default=None)
+    pl.add_argument("--out", help="write output here")
     pl.set_defaults(func=cmd_symbols)
 
     return ap
@@ -378,21 +389,9 @@ def _shared_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = _shared_parser()
     args = ap.parse_args(argv)
-    try:
-        tol = _config_tol(getattr(args, "config", None))
-    except (FileNotFoundError, ValueError) as exc:
-        ap.exit(2, f"config error: {exc}\n")
-    if getattr(args, "tol", None) is None:
-        args.tol = tol
-    try:
-        text = getattr(args, "symbol", None)
-        args.symbol = _parse_symbol(text) if text else None
-    except (OSError, ValueError, TypeError) as exc:
-        ap.exit(2, f"symbol error: {exc}\n")
-    try:
-        args.spec = _stable_spec(args)
-    except ValueError as exc:
-        ap.exit(2, f"spec error: {exc}\n")
+    problem = _usage_error(args)
+    if problem:
+        ap.exit(2, problem + "\n")
     try:
         return args.func(args)
     except (LevyKernelError, ValueError, ZeroDivisionError, OverflowError) as exc:

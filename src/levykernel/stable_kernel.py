@@ -75,10 +75,10 @@ class KernelSpec:
             raise ValueError("dimension d must be >= 2")
         if not 0.0 < self.alpha <= 2.0:
             raise ValueError("alpha must lie in (0, 2]")
-        if self.beta < 0.0:
-            raise ValueError("beta must be >= 0")
-        if not self.t > 0.0:
-            raise ValueError("t must be > 0")
+        if not 0.0 <= self.beta < math.inf:
+            raise ValueError("beta must be finite and >= 0")
+        if not 0.0 < self.t < math.inf:
+            raise ValueError("t must be finite and > 0")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,7 +54,8 @@ class TestEval:
         assert json.loads(out)["error"] == "DomainError"
 
     @pytest.mark.parametrize("flag,value", [
-        ("--alpha", "3.0"), ("--d", "1"), ("--t", "0"), ("--beta", "-1")])
+        ("--alpha", "3.0"), ("--d", "1"), ("--t", "0"), ("--beta", "-1"),
+        ("--beta", "nan"), ("--beta", "inf"), ("--t", "inf")])
     def test_spec_out_of_range_is_a_usage_error(self, capsys, flag, value):
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--r", "1", flag, value])
@@ -143,6 +146,24 @@ class TestSweep:
             assert (m, v, e) == (single["method"], single["value"],
                                  single["est_error"])
 
+    def test_symbol_mb_against_oracle(self, capsys):
+        code, out = run_cli(capsys, "sweep", "--symbol", RELATIVISTIC,
+                            "--r-min", "0.5", "--r-max", "8", "--points", "3",
+                            "--log", "--method", "mb,oracle")
+        assert code == 0
+        meta, rows = parse_sweep_csv(out)
+        assert {m for _r, _t, m, _v, _e in rows} == {"mb_contour", "oracle"}
+        assert meta["max_rel_gap"] <= 1e-6
+
+    def test_origin_is_exact_for_every_method(self, capsys):
+        code, out = run_cli(capsys, "sweep", "--r-min", "0", "--r-max", "2",
+                            "--points", "3", "--method", "auto,mb,series")
+        assert code == 0
+        at_origin = [row for row in parse_sweep_csv(out)[1] if row[0] == 0.0]
+        exact = lk.evaluate(lk.KernelSpec(d=2, alpha=1.5), 0.0)
+        assert [(m, v, e) for _r, _t, m, v, e in at_origin] == [
+            (exact.method, exact.value, exact.est_error)] * 3
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"
         code, _ = run_cli(capsys, "sweep", "--d", "2", "--alpha", "1.5",
@@ -218,6 +239,34 @@ class TestCompare:
         assert fit["fitted_slope"] == pytest.approx(-5.5, rel=0.02)
 
 
+    def test_symbol_even_beta_slope(self, capsys):
+        # no general law at even beta: the perturbed law of index a applies
+        code, out = run_cli(capsys, "compare", "--symbol",
+                            '{"kind":"sum_stable","a":0.6,"b":1.4}',
+                            "--beta", "2", "--r-min", "20", "--r-max", "200",
+                            "--points", "5", "--log", "--method", "mb")
+        assert code == 0
+        fit = json.loads(out)["tail_fit"]
+        assert fit["theory_slope"] == pytest.approx(-4.6, rel=1e-15)
+        assert fit["fitted_slope"] == pytest.approx(-4.6, rel=0.02)
+
+    def test_no_far_field_law_no_tail_fit(self, capsys):
+        code, out = run_cli(capsys, "compare", "--alpha", "2",
+                            "--method", "closed,small-r", "--points", "3")
+        assert code == 0
+        rep = json.loads(out)
+        assert "tail_fit" not in rep
+        assert rep["pairwise_max_rel_diff"]["closed|small-r"] <= 1e-12
+
+    def test_origin_accepted(self, capsys):
+        code, out = run_cli(capsys, "compare", "--r-min", "0", "--r-max", "2",
+                            "--points", "3", "--method", "mb,oracle")
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["r_grid"][0] == 0.0
+        assert rep["pairwise_max_rel_diff"]["mb|oracle"] <= 1e-8
+
+
 class TestEnvelopeAndSymbols:
     def test_envelope_stable(self, capsys):
         code, out = run_cli(capsys, "envelope", "--family", "stable", "--d", "2",
@@ -246,17 +295,69 @@ class TestEnvelopeAndSymbols:
                                 "perturbed"}
 
 
-class TestConfig:
-    def test_config_file_tolerance(self, capsys, tmp_path):
-        cfg = tmp_path / "lk.ini"
-        cfg.write_text("[levykernel]\ntol = 1e-6\nthreads = 1\n")
-        code, out = run_cli(capsys, "eval", "--d", "2", "--alpha", "1.5",
-                            "--r", "2", "--config", str(cfg))
-        assert code == 0
-        assert math.isfinite(json.loads(out)["value"])
+RELATIVISTIC = '{"kind":"relativistic","alpha":1,"m":1}'
 
-    def test_missing_config_is_usage_error(self, capsys):
+
+class TestUsage:
+    def test_each_command_takes_only_the_flags_it_reads(self):
+        sub = next(a for a in build_parser()._actions if a.choices)
+        flags = {name: {a.option_strings[0] for a in p._actions
+                        if a.option_strings and a.dest != "help"}
+                 for name, p in sub.choices.items()}
+        kernel = {"--d", "--alpha", "--beta", "--t", "--out"}
+        route = {"--symbol", "--k", "--contour-c", "--tol"}
+        grid = {"--r-min", "--r-max", "--points", "--log"}
+        assert flags == {
+            "eval": kernel | route | {"--r", "--method", "--verify"},
+            "sweep": kernel | route | grid | {"--method", "--verify"},
+            "compare": kernel | route | grid | {"--method"},
+            "envelope": kernel | grid | {"--family", "--a", "--b"},
+            "symbols": {"--out"},
+        }
+        assert sum(map(len, flags.values())) == 54
+
+    @pytest.mark.parametrize("argv", [
+        "sweep --method mb,bogus",
+        "compare --method mb,bogus",
+        "sweep --points 0",
+        "compare --points -1",
+        "envelope --points 0",
+        "sweep --log --r-min 0",
+        "compare --log --r-min -1",
+        "envelope --log --r-min 0",
+        f"eval --r 1 --symbol '{RELATIVISTIC}' --method series",
+        f"sweep --symbol '{RELATIVISTIC}' --method mb,small-r",
+        f"compare --symbol '{RELATIVISTIC}' --method closed",
+        "eval --r 1 --tol 0",
+        "sweep --tol -1",
+        "compare --tol nan",
+        "eval --r 1 --tol inf",
+        f"envelope --symbol '{RELATIVISTIC}'",
+        "envelope --tol 1e-6",
+        "envelope --k 8",
+        "envelope --contour-c 1.2",
+        "symbols --config x",
+        "symbols --d 3",
+        "eval --r 1 --config x",
+    ])
+    def test_usage_error_exits_two_before_computing(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
-            main(["eval", "--d", "2", "--alpha", "1.5", "--r", "2",
-                  "--config", "/nonexistent.ini"])
+            main(shlex.split(argv))
         assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "symbol error" not in captured.err
+
+    def test_readme_examples_run(self, capsys, tmp_path, monkeypatch):
+        # every command under "## Command line" runs as written
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1]
+        block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+        commands = [shlex.split(line, comments=True)
+                    for line in block.replace("\\\n", " ").splitlines()]
+        assert len(commands) == 7
+        monkeypatch.chdir(tmp_path)
+        for argv in commands:
+            assert argv[0] == "levykernel"
+            assert main(argv[1:]) == 0, argv
+            capsys.readouterr()

@@ -235,6 +235,14 @@ class TestMellinTransform:
             expected = complex(mp.gamma(z) / mp.gamma(z + 2))
         assert abs(ratio - expected) <= 10 * 2.0 ** -52 * abs(expected)
 
+    def test_array_with_two_real_parts(self):
+        # an array whose real parts differ is read off one grid per point
+        sym = lk.make_symbol("sum_stable", a=0.6, b=1.4)
+        z = np.array([1.2 + 3j, 2.5 - 7j])
+        got = lk.mellin_Mk(sym, 0.8, z, 4)
+        assert got.shape == (2,)
+        assert got.tolist() == [lk.mellin_Mk(sym, 0.8, zi, 4) for zi in z]
+
     def test_square_root_symbol_value(self):
         # eta = sqrt(r): int e^{-sqrt r} dr = 2
         sym = lk.make_symbol("stable", a=0.5)
@@ -612,7 +620,7 @@ class TestCutoffAndTail:
 
 def test_import_leaves_sympy_unloaded():
     # scipy and sympy are test-only references; the package must not
-    # import either, nor configparser, which only --config needs
+    # import either, nor configparser (the CLI reads no config file)
     src = pathlib.Path(lk.__file__).resolve().parents[1]
     code = ("import sys, levykernel, levykernel.cli; "
             "print(sorted({'scipy', 'sympy', 'configparser'} "
