@@ -14,9 +14,10 @@ origin value for every method and the contour columns (``mb``, and
 
 Exit codes: 0 success, 3 numeric failure (a JSON diagnostic on stdout),
 2 usage error, before any computation and with stdout empty: an unknown
-flag or method, --points below 1, --log with --r-min <= 0, --tol not a
-finite number > 0, a stable-only method (series, small-r, closed) with
---symbol, a malformed --symbol, a kernel parameter out of range.
+flag or method, --r, --r-min or --r-max negative or not finite, --points
+below 1, --log with --r-min <= 0, --tol not a finite number > 0, a
+stable-only method (series, small-r, closed) with --symbol, a malformed
+--symbol, a kernel parameter out of range.
 """
 
 from __future__ import annotations
@@ -61,6 +62,13 @@ def _tolerance(text):
     if not 0.0 < tol < math.inf:
         raise argparse.ArgumentTypeError(f"{text!r} is not finite and > 0")
     return tol
+
+
+def _radius(text):
+    r = float(text)
+    if not 0.0 <= r < math.inf:
+        raise argparse.ArgumentTypeError(f"{text!r} is not finite and >= 0")
+    return r
 
 
 def _method_list(text):
@@ -187,8 +195,8 @@ def cmd_sweep(args) -> int:
 
     lines = [f"# spec={json.dumps(_spec_dict(args), sort_keys=True)}"]
     lines.append("r,t,method,value,est_error")
-    for r, m, v, e in rows:
-        lines.append(f"{_fmt(r)},{_fmt(args.t)},{m},{_fmt(v)},{_fmt(e)}")
+    row = f"%.17g,{_fmt(args.t)},%s,%.17g,%.17g"  # %.17g is _fmt
+    lines += [row % r for r in rows]
     if len(methods) > 1:
         gap = _max_rel_gap(rows)
         lines.append(f"# max_rel_gap={_fmt(gap)}")
@@ -328,8 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="target tolerance, a finite number > 0")
 
     grid = argparse.ArgumentParser(add_help=False)
-    grid.add_argument("--r-min", dest="r_min", type=float, default=0.1)
-    grid.add_argument("--r-max", dest="r_max", type=float, default=10.0)
+    grid.add_argument("--r-min", dest="r_min", type=_radius, default=0.1)
+    grid.add_argument("--r-max", dest="r_max", type=_radius, default=10.0)
     grid.add_argument("--points", type=_points, default=20)
     grid.add_argument("--log", action="store_true", help="log-spaced grid")
 
@@ -343,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("eval", parents=[kernel, route],
                         help="evaluate one kernel value")
-    pe.add_argument("--r", type=float, required=True)
+    pe.add_argument("--r", type=_radius, required=True)
     pe.add_argument("--method", choices=_METHODS, default="auto")
     pe.add_argument("--verify", action="store_true",
                     help="run the oracle alongside and embed the gap")

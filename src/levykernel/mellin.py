@@ -30,11 +30,11 @@ evenly spaced nodes: the line's heights, or M_t^k's log-radii.  Every
 set of samples, a ladder rung or a quadrature level, is one call of G.
 
 G never depends on r, so each kernel keeps its line in a store: log G
-itself, the plan, the tail estimate and each trapezoid level's scaled
-samples, grown on demand.  G is sampled once per unit spec or symbol
-value, and a later call pays only its own phase sums.  Each r still
-refines as it would alone, so a value does not depend on what the store
-held before.
+itself, the plan, the tail estimate and per trapezoid level top, gross
+and the ``_phase_table`` of its scaled samples, grown on demand.  G is
+sampled and each table built once per unit spec or symbol value; a
+later call pays only its phases (``_phase_apply``).  Each r refines as
+alone, so a value does not depend on what the store held before.
 
 All reductions run in a fixed order, so results are bit-reproducible.
 """
@@ -120,25 +120,26 @@ def _checked_tail(f, contour: ContourSpec) -> float:
     return _tail_estimate(m_half, m_top, big_t)
 
 
-def _levels(contour: ContourSpec):
-    """The plan's trapezoid levels: node heights and their spacing.  The
-    first holds 2n + 1 nodes, its ends counting half; each later one
-    holds the midpoints of the nodes so far."""
-    n = contour.nodes
-    h = contour.half_height / n
-    yield np.arange(-n, n + 1, dtype=float) * h, h
-    for _ in range(_REFINEMENTS):
-        yield (np.arange(-n, n, dtype=float) + 0.5) * h, h
-        n *= 2
-        h *= 0.5
+def _level_grid(plan: ContourSpec, i):
+    """Half count m and step H/m of trapezoid level i: 2m + 1 nodes on
+    level 0, m = n, then the 2m new midpoints on level i, m = n 2^(i-1)."""
+    m = plan.nodes << max(i - 1, 0)
+    return m, plan.half_height / m
+
+
+def _heights(plan: ContourSpec, i):
+    """Node heights of the plan's trapezoid level i."""
+    m, h = _level_grid(plan, i)
+    return (np.arange(-m, m, dtype=float) + 0.5) * h if i else (
+        np.arange(-m, m + 1, dtype=float) * h)
 
 
 def _refine(sums, n_rows, contour, tol):
     """Run the plan's trapezoid on ``n_rows`` integrands whose per-level
-    sums come from ``sums(level, z, step, rows)``: per row of ``rows``,
-    the sum of f (ends halved on level 0) and the sum of |f| over the
-    node set z, spaced by ``step``.  A row stops refining once its change
-    is within tol, or below the rounding floor of its cancelling sum.
+    sums come from ``sums(level, rows)``: per row of ``rows``, the sum of
+    f (ends halved on level 0) and the sum of |f| over the nodes of that
+    level (``_heights``).  A row stops refining once its change is within
+    tol, or below the rounding floor of its cancelling sum.
     Returns per-row values, discretization estimates and node counts;
     raises NonConvergent if any row fails to converge."""
     value = np.empty(n_rows, dtype=np.complex128)
@@ -150,9 +151,10 @@ def _refine(sums, n_rows, contour, tol):
     last = math.inf
     if not n_rows:
         return value, disc, used
-    for level, (v, h) in enumerate(_levels(contour)):
-        s, a = sums(level, contour.abscissa + 1j * v, h, rows)
-        n_used += v.size
+    for level in range(_REFINEMENTS + 1):
+        m, h = _level_grid(contour, level)
+        s, a = sums(level, rows)
+        n_used += 2 * m + (level == 0)
         # a midpoint level halves the step and keeps half the estimate
         scale = 0.5 * h if level else h
         new = scale * s / (2.0 * math.pi)
@@ -180,11 +182,11 @@ def _refine(sums, n_rows, contour, tol):
         f"last change {last:.3e}")
 
 
-def _direct_sums(f):
+def _direct_sums(f, contour):
     """Level sums of one integrand ``f``, formed node by node."""
 
-    def sums(level, z, step, rows):
-        fv = f(z)
+    def sums(level, rows):
+        fv = f(contour.abscissa + 1j * _heights(contour, level))
         s = fv.sum()
         if not level:
             s -= 0.5 * (fv[0] + fv[-1])
@@ -200,12 +202,32 @@ def _row_blocks(v, heights, contract):
         v[lo:lo + rows], heights))) for lo in range(0, v.size, rows)])
 
 
-def _blocks(first, last):
-    """B, half, lo and the head count of the slots first..last."""
-    width = math.isqrt(last - first) + 1
+def _phase_table(p, w, step):
+    """``_phase_sums``' v-free part, read-only: (heights, table, heads)."""
+    k0 = int(np.searchsorted(w, 0.0))
+    width = math.isqrt(w.size - 1) + 1
     half = width // 2
-    lo = (first + half) // width
-    return width, half, lo, (last + half) // width - lo + 1
+    lo = (half - k0) // width
+    heads = (w.size - 1 - k0 + half) // width - lo + 1
+    mat = np.zeros((heads, width), dtype=np.complex128)
+    off = half - k0 - lo * width
+    mat.reshape(-1)[off:off + w.size] = p
+    heights = np.concatenate((
+        w[k0] + (np.arange(lo, lo + heads) * width) * step,
+        (np.arange(width) - half) * step))
+    mat.flags.writeable = heights.flags.writeable = False
+    return heights, mat, heads
+
+
+def _phase_apply(table, v):
+    """``_phase_sums``' per-v part, on a ``_phase_table``."""
+    heights, mat, heads = table
+
+    def contract(ph):
+        tails = np.einsum("rq,bq->rb", ph[:, heads:], mat)
+        return np.einsum("rb,rb->r", tails, ph[:, :heads])
+
+    return _row_blocks(v, heights, contract)
 
 
 def _phase_sums(p, w, v, step):
@@ -214,26 +236,13 @@ def _phase_sums(p, w, v, step):
     nonequispaced DFT (Dutt and Rokhlin) in ~sqrt(N) blocks.  Counting
     from k0, the first node at or above w = 0, node k0 + m is
     m = b*B + q with centred offsets -half <= q < B - half, and sits in
-    slot m + half - lo*B of a (heads, B) table (``_blocks``).  Its phase
-    is head b's, at height w_k0 + b*B*step, times offset q's, so the
-    rounding of a height grows with its distance from w = 0, as in a
-    direct exp.  Each v_j takes heads + B exps of one outer product, and
-    its sum is formed alone: its bits do not depend on the rest of v.
+    slot m + half - lo*B of a (heads, B) table, B = isqrt(N - 1) + 1.
+    Its phase is head b's, at height w_k0 + b*B*step, times offset q's,
+    so the rounding of a height grows with its distance from w = 0, as in
+    a direct exp.  Each v_j takes heads + B exps of one outer product,
+    and its sum is formed alone: its bits do not depend on the rest of v.
     """
-    k0 = int(np.searchsorted(w, 0.0))
-    width, half, lo, heads = _blocks(-k0, w.size - 1 - k0)
-    mat = np.zeros((heads, width), dtype=np.complex128)
-    off = half - k0 - lo * width
-    mat.reshape(-1)[off:off + w.size] = p
-    heights = np.concatenate((
-        w[k0] + (np.arange(lo, lo + heads) * width) * step,
-        (np.arange(width) - half) * step))
-
-    def contract(ph):
-        tails = np.einsum("rq,bq->rb", ph[:, heads:], mat)
-        return np.einsum("rb,rb->r", tails, ph[:, :heads])
-
-    return _row_blocks(v, heights, contract)
+    return _phase_apply(_phase_table(p, w, step), v)
 
 
 def _line_result(value, tail, disc, used) -> Approximation:
@@ -255,17 +264,17 @@ def vertical_line_integral(f, contour: ContourSpec,
     plus the discretization estimate.
     """
     tail = _checked_tail(f, contour)
-    value, disc, used = _refine(_direct_sums(f), 1, contour, tol)
+    value, disc, used = _refine(_direct_sums(f, contour), 1, contour, tol)
     return _line_result(value[0], tail, disc[0], used[0])
 
 
 class _Line:
     """The r-free samples of one contour: its log_g, its plan, the tail
     estimate of exp(log_g) beyond the plan's height, and per trapezoid
-    level the largest Re log_g of the node set, ``top``, the scaled
-    samples e = exp(log_g - top), ends halved on level 0, and the gross
-    sum of |e| before halving.  Levels are sampled on demand, in order,
-    outside the lock, and kept read-only in an append-only tuple.
+    level the largest Re log_g of the node set, ``top``, the gross sum of
+    the scaled samples |e| = |exp(log_g - top)|, and the ``_phase_table``
+    of e, ends halved on level 0.  Levels are sampled on demand, in
+    order, outside the lock, and kept read-only in an append-only tuple.
     """
 
     def __init__(self, log_g, plan: ContourSpec, tail: float):
@@ -273,25 +282,26 @@ class _Line:
         self._levels = ()
         self._lock = threading.Lock()
 
-    def level(self, i, z):
-        """(top, e, gross) of level ``i``, whose nodes are z; log_g is
-        called only for a level the store does not hold yet."""
+    def level(self, i):
+        """(top, gross, table) of level ``i``; its nodes are formed and
+        log_g called only for a level the store does not hold yet."""
         levels = self._levels
         if i < len(levels):
             return levels[i]
-        lg = self.log_g(z)
+        v = _heights(self.plan, i)
+        lg = self.log_g(self.plan.abscissa + 1j * v)
         top = lg.real.max()
         e = np.exp(lg - top)
         gross = np.abs(e).sum()
         if not i:
             e[0] *= 0.5
             e[-1] *= 0.5
-        e.flags.writeable = False
+        stored = top, gross, _phase_table(e, v, _level_grid(self.plan, i)[1])
         with self._lock:
             # a racing call may have stored level i first, with these bits
             if len(self._levels) == i:
-                self._levels += ((top, e, gross),)
-        return top, e, gross
+                self._levels += (stored,)
+        return stored
 
 
 def _power_line(line: _Line, ln_r, shift, tol):
@@ -301,11 +311,11 @@ def _power_line(line: _Line, ln_r, shift, tol):
     ln_r = np.asarray(ln_r, dtype=float).ravel()
     slope = line.plan.abscissa - shift
 
-    def sums(level, z, step, rows):
-        top, e, gross = line.level(level, z)
+    def sums(level, rows):
+        top, gross, table = line.level(level)
         x = ln_r[rows]
         rho = np.exp(top + slope * x)
-        return rho * _phase_sums(e, z.imag, x, step), rho * gross
+        return rho * _phase_apply(table, x), rho * gross
 
     value, disc, used = _refine(sums, ln_r.size, line.plan, tol)
     return value, line.tail * np.exp(slope * ln_r), disc, used
@@ -393,9 +403,9 @@ def _radii(r):
     rs = np.asarray(r, dtype=float)
     if rs.ndim > 1:
         raise ValueError("r must be a scalar or a 1-D array")
-    if not np.all(rs > 0.0):
+    if not (rs > 0.0).all():
         raise DomainError("r must be > 0")
-    if not np.all(np.isfinite(rs)):
+    if not np.isfinite(rs).all():
         raise DomainError("r must be finite")
     return rs
 
@@ -412,15 +422,16 @@ def _contour_route(line: _Line, shift: float, rs, r_scale: float,
     arrays.  The estimate is |scale| times that of the line integral.
     """
     plan = line.plan
-    rows = _power_line(line, np.log(np.atleast_1d(rs) * r_scale), shift, tol)
+    value, tail, disc, used = _power_line(
+        line, np.log(np.atleast_1d(rs) * r_scale), shift, tol)
+    mod = np.maximum(np.hypot(value.real, value.imag), 1e-300)
+    cols = (scale * value.real, abs(scale) * (tail + disc), 2 + used,
+            np.abs(value.imag) / mod)
     out = [Approximation(
-        value=scale * value.real, est_error=abs(scale) * (tail + disc),
-        method="mb_contour",
-        diagnostics={"nodes_used": 2 + used,
-                     "truncation_height": plan.half_height,
-                     "abscissa": plan.abscissa, "imag_ratio": abs(value.imag)
-                     / max(abs(value), 1e-300)})
-        for value, tail, disc, used in zip(*(a.tolist() for a in rows))]
+        value=v, est_error=e, method="mb_contour",
+        diagnostics={"nodes_used": n, "truncation_height": plan.half_height,
+                     "abscissa": plan.abscissa, "imag_ratio": q})
+        for v, e, n, q in zip(*(a.tolist() for a in cols))]
     return out if rs.ndim else out[0]
 
 

@@ -29,8 +29,8 @@ import numpy as np
 
 from . import oracle as _oracle
 from .errors import NonConvergent, OrderExceeded, ParityError, StripViolation
-from .mellin import (_contour_route, _Line, _phase_sums, _plan, _radii,
-                     fold_conjugates)
+from .mellin import (_contour_route, _Line, _phase_apply, _phase_sums,
+                     _phase_table, _plan, _radii, fold_conjugates)
 from .specfun import log_gamma
 from .stable_kernel import _LINES_KEPT, _is_even_integer, _residues
 
@@ -265,7 +265,7 @@ class _MellinGrid:
     SIAM Review 56, 2014).  Its step starts at pi/max_imag and halves,
     each level adding only the midpoints, until three probe heights
     settle.  Each value is the phase sum sum_w p e^{i w v} of
-    ``mellin._phase_sums`` with the weights p = h G(e^w) e^{cw}.
+    ``mellin._phase_sums``, p = h G(e^w) e^{cw}, from one table.
     """
 
     def __init__(self, sym, t, k, abscissa, max_imag, tol=1e-10):
@@ -308,6 +308,7 @@ class _MellinGrid:
         else:
             raise NonConvergent("inner Mellin quadrature did not stabilize")
         self._w, self._p, self._h = w, h * f, h
+        self._table = _phase_table(self._p, w, h)
 
     @staticmethod
     def _find_u1(sym, t, k):
@@ -322,7 +323,7 @@ class _MellinGrid:
 
     def value(self, v):
         """M_t^k(c + iv) for a 1-D array of imaginary parts."""
-        return _phase_sums(self._p, self._w, np.asarray(v, float), self._h)
+        return _phase_apply(self._table, np.asarray(v, float))
 
 
 # a line of ``general_kernel_mb`` reads about two grids

@@ -382,8 +382,8 @@ def evaluate(spec: KernelSpec, r: float, method: str = "auto",
     ``auto`` picks a closed form when one exists, the small-r expansion
     (or the oracle, when alpha < 1) for t^(-1/alpha) r < 1/2, and the
     contour integral otherwise.  ``abscissa`` moves the contour's line
-    (``stable_mb``); the other routes ignore it.  r must be finite and >= 0; ``auto``
-    answers r = 0 with ``kernel_at_origin``.
+    (``stable_mb``); the other routes ignore it.  r must be finite and
+    >= 0; ``auto`` answers r = 0 with ``kernel_at_origin``.
     """
     if not 0.0 <= r < math.inf:
         raise DomainError(f"r must be finite and >= 0, got {r}")

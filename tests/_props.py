@@ -97,21 +97,22 @@ def row_block_mismatches(call, grid, every=61):
     of the engine's node-split phase sums and at every ``every``-th point;
     returned with the number of edge points seen."""
     mellin = lk.mellin
-    real = mellin._phase_sums
+    real = mellin._phase_apply
     calls = []
 
-    # only the engine's calls: radial_symbol binds the helper by name
-    def recording(p, w, v, step):
-        k0 = int(np.searchsorted(w, 0.0))
-        width, _, _, heads = mellin._blocks(-k0, w.size - 1 - k0)
-        calls.append((v.copy(), mellin._BLOCK_ELEMS // (width + heads)))
-        return real(p, w, v, step)
+    # the engine's calls only: radial_symbol binds the helper by name, and
+    # a warm grid builds no inner transform grid, whose convergence loop
+    # would reach it through ``_phase_sums``
+    def recording(table, v):
+        calls.append((v.copy(), mellin._BLOCK_ELEMS // table[0].size))
+        return real(table, v)
 
-    mellin._phase_sums = recording
+    call(grid)
+    mellin._phase_apply = recording
     try:
         batch = call(grid)
     finally:
-        mellin._phase_sums = real
+        mellin._phase_apply = real
     # the first level refines every r, in the grid's (increasing) order
     x_all = calls[0][0]
     edges = set()

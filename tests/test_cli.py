@@ -339,6 +339,13 @@ class TestUsage:
         "symbols --config x",
         "symbols --d 3",
         "eval --r 1 --config x",
+        "eval --r -1",
+        "eval --r nan",
+        "eval --r inf",
+        "sweep --r-min -1",
+        "sweep --r-max nan",
+        "compare --r-min -1",
+        "envelope --r-max inf",
     ])
     def test_usage_error_exits_two_before_computing(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

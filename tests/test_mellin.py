@@ -178,6 +178,8 @@ _KERNEL_CALLS = [
     ("radial_symbol", 2, lambda: lk.general_kernel_mb(
         _SYMBOL, 2, 0.5, 0.5, 1.3)),
 ]
+_KERNEL_IDS = ["stable-2-1.5-0.7", "stable-3-0.5-0", "stable-10-1.99-2",
+               "general-stable-1.2"]
 
 
 def _clear_symbol_stores():
@@ -236,8 +238,7 @@ class TestRememberPoints:
 class TestLogGammaCalls:
     @pytest.mark.usefixtures("cold_lines")
     @pytest.mark.parametrize("module,k,call", _KERNEL_CALLS,
-                             ids=["stable-2-1.5-0.7", "stable-3-0.5-0",
-                                  "stable-10-1.99-2", "general-stable-1.2"])
+                             ids=_KERNEL_IDS)
     def test_one_call_per_sample_set(self, monkeypatch, module, k, call):
         # every set of log G samples costs one log_gamma call: the first
         # rung of the ladder, each later rung, and each trapezoid level;
@@ -363,6 +364,39 @@ class TestLineStore:
         assert grids.misses > grids.maxsize == 2 * kept >= grids.currsize
 
     @pytest.mark.usefixtures("cold_lines")
+    @pytest.mark.parametrize("module,k,call", _KERNEL_CALLS,
+                             ids=_KERNEL_IDS)
+    def test_phase_tables_are_built_once_per_level(self, monkeypatch,
+                                                    module, k, call):
+        # a level's phase table does not depend on r: a cold line builds
+        # one per level it samples, and a warm call builds none and calls
+        # no log G.  The inner transform's grids are warmed first, so
+        # that only the line's tables are counted.
+        call()
+        lk.stable_kernel._stable_line.cache_clear()
+        lk.radial_symbol._symbol_line.cache_clear()
+        tables = []
+        for mod in (lk.mellin, lk.radial_symbol):
+            def counting(p, w, step, real=mod._phase_table):
+                tables.append(w.size)
+                return real(p, w, step)
+
+            monkeypatch.setattr(mod, "_phase_table", counting)
+        sizes = _count_log_gamma(monkeypatch, module)
+        cold = call()
+        # levels of 2n + 1, then 2n, 4n, ... nodes, one log G call each
+        n = (tables[0] - 1) // 2
+        assert tables == [2 * n + 1] + [n * 2 ** i
+                                        for i in range(1, len(tables))]
+        assert sum(tables) == cold.diagnostics["nodes_used"] - 2
+        assert len(tables) == len(sizes) - _ladder_calls(cold) >= 2
+        tables.clear()
+        sizes.clear()
+        warm = call()
+        assert tables == [] and sizes == []
+        assert self._bits(warm) == self._bits(cold)
+
+    @pytest.mark.usefixtures("cold_lines")
     def test_concurrent_growth(self):
         # racing calls on one cold store may each sample a level; one is
         # kept, with the same bits, and every call returns the bits of a
@@ -399,9 +433,11 @@ class TestLineStore:
             lk.stable_mb(self.SPEC, r)
         serial = lk.stable_kernel._stable_line(3, 1.2, 0.7, 1e-9, None)
         assert len(line._levels) == len(serial._levels)
-        for (top, e, gross), (top1, e1, gross1) in zip(line._levels,
-                                                       serial._levels):
-            assert (top, gross) == (top1, gross1) and np.array_equal(e, e1)
+        for (top, gross, table), (top1, gross1, table1) in zip(
+                line._levels, serial._levels):
+            assert (top, gross, table[2]) == (top1, gross1, table1[2])
+            assert all(np.array_equal(a, b) for a, b in zip(table[:2],
+                                                            table1[:2]))
 
     def test_public_integrals_sample_every_call(self):
         # a caller's own log_g has no store: each call samples it afresh
@@ -471,21 +507,22 @@ class TestPhaseSums:
             for v in sets.values():
                 self._check(p, w, v, h)
 
+    @pytest.mark.usefixtures("cold_lines")
     def test_engine_passes_its_step(self, monkeypatch):
         # the node split trusts its step: both callers, the engine's
         # levels and M_t^k's grid, hand it the spacing of their nodes,
         # which have a node within half a step of w = 0
         seen = {"mellin": 0, "radial_symbol": 0}
         for module in seen:
-            real = getattr(lk, module)._phase_sums
+            real = getattr(lk, module)._phase_table
 
-            def checking(p, w, v, step, module=module, real=real):
+            def checking(p, w, step, module=module, real=real):
                 seen[module] += 1
                 assert np.allclose(np.diff(w), step, rtol=1e-12, atol=0.0)
                 assert np.min(np.abs(w)) <= 0.5 * step
-                return real(p, w, v, step)
+                return real(p, w, step)
 
-            monkeypatch.setattr(getattr(lk, module), "_phase_sums", checking)
+            monkeypatch.setattr(getattr(lk, module), "_phase_table", checking)
         spec = lk.KernelSpec(d=2, alpha=1.5, beta=0.7)
         lk.stable_mb(spec, 2.0)
         lk.stable_mb(spec, np.geomspace(0.05, 30.0, 400))

@@ -368,7 +368,7 @@ class TestNormalization:
 
     @pytest.mark.xfail(strict=True, reason=(
         "bessel_j cancels below its switch point for nu >= 3; at nu = 4 the "
-        "mass is 6e-3 off (ROADMAP item 7)"))
+        "mass is 6e-3 off (ROADMAP items 1 and 10)"))
     def test_unit_mass_at_d10(self):
         mass = lk.normalization_check(lk.KernelSpec(d=10, alpha=1.5))
         assert abs(mass - 1.0) <= 1e-5
