@@ -4,12 +4,19 @@ Every kernel in this package reduces, in polar coordinates, to
 
     K = (2 pi)^(-d/2) r^(1 - d/2) * int_0^inf J_{d/2-1}(r s) w(s) ds
 
-with a positive weight w.  This module evaluates it head-on, in numpy:
-graded Gauss-Legendre panels up to the first scaled Bessel zero, panel
-integrals between consecutive zeros, and iterated-averaging (Euler-
-transform) acceleration of the alternating panel sums.  It shares
-nothing with the contour-integral evaluators except the Bessel function,
-so it serves as the ground truth they are judged against.
+with a positive weight w.  This module evaluates it head-on, in numpy,
+and shares nothing with the contour-integral evaluators, so it serves as
+the ground truth they are judged against.  Two methods:
+
+* even d, and ``hankel_oracle`` for any caller-supplied weight: graded
+  Gauss-Legendre panels up to the first scaled Bessel zero, panel
+  integrals between consecutive zeros, and iterated-averaging (Euler-
+  transform) acceleration of the alternating panel sums;
+* odd d in ``stable_oracle`` and ``symbol_oracle``: J_{d/2-1} is
+  elementary, and the weight continues analytically off the real axis,
+  so the integral is taken on a rotated ray where nothing oscillates
+  (``_ray``), by an exponential-type trapezoid rule; where the terms of
+  J_{d/2-1} cancel beyond tol (d >= 5 at small r) the panels answer.
 
 No node depends on r in the argument x = r s (the 12-point nodes between
 zeros of J_nu, and j_{nu,1} u for the head's nodes u in [0, 1]), so one
@@ -48,6 +55,14 @@ _MAX_PANELS = 300_000  # panels between zeros before acceleration gives up
 _ACCEL_DEPTH = 12  # averaging columns ``_accelerate`` tries at most
 _SUPPORT_FLOOR = 1e-21  # |weight| beyond the support radius, against its peak
 _ZERO_TABLES: dict[float, dict[str, object]] = {}
+# the odd-d ray: its angle as a fraction of the widest, the first step,
+# the halvings at most, the first node and the farthest last one in tau,
+# the decay that ends its first pass, and its rounding per unit of
+# h sum |term| (the package's budget for a sum, as for the series)
+_RAY_ANGLE, _RAY_STEP, _RAY_LEVELS = 0.55, 0.125, 6
+_RAY_START, _RAY_END, _RAY_DECAY = -4.0, 64.0, 40.0
+_EPS = 2.0 ** -52
+_RAY_ROUNDING = 16.0 * _EPS
 
 
 def _gl_nodes(edges, order):
@@ -280,6 +295,7 @@ def oscillatory_bessel_integral(weight, nu: float, scale: float,
     panel_vals: list[np.ndarray] = []
     partial: list[float] = []
     running = 0.0
+    gross = abs(head_val)
     est = math.inf
     prev_est = None
     value = head_val
@@ -293,6 +309,7 @@ def oscillatory_bessel_integral(weight, nu: float, scale: float,
                                     _panel_j(nu, offset, offset + batch))
         offset += batch
         abs_w += b_abs
+        gross += float(np.abs(b).sum())
         panel_vals.append(b)
         csum = running + np.cumsum(b)
         running = float(csum[-1])
@@ -303,8 +320,10 @@ def oscillatory_bessel_integral(weight, nu: float, scale: float,
         est = head_err + acc_err + eps_j * abs_w + (
             abs(value - prev_est) if prev_est is not None else 0.0)
         scale_ref = max(abs(value), 1e-300)
-        if prev_est is not None and acc_err <= tol * scale_ref \
-                and abs(value - prev_est) <= 10 * tol * scale_ref:
+        # below eps sum |panel| the sums move by rounding alone
+        floor = _EPS * gross
+        if prev_est is not None and acc_err <= max(tol * scale_ref, floor) \
+                and abs(value - prev_est) <= max(10 * tol * scale_ref, floor):
             converged = True
             break
         # Pure truncation exit: the remaining weight is negligible.
@@ -345,10 +364,7 @@ def hankel_oracle(weight, d: int, r: float, tol: float = 1e-11) -> Approximation
     ``weight`` must already include the s^{d/2+beta} surface factor,
     i.e. w(s) = s^(d/2+beta) exp(-t eta(s)).
     """
-    if r <= 0:
-        raise DomainError("r must be > 0 (use the origin formula at r = 0)")
-    if not math.isfinite(r):
-        raise DomainError("r must be finite")
+    _check_radius(r)
     nu = 0.5 * d - 1.0
     res = oscillatory_bessel_integral(weight, nu, r, tol=tol)
     pref = (2.0 * math.pi) ** (-0.5 * d) * r ** (1.0 - 0.5 * d)
@@ -390,16 +406,211 @@ def symbol_weight(sym, d: int, beta: float, t: float):
     return w
 
 
+def _check_radius(r: float):
+    if r <= 0:
+        raise DomainError("r must be > 0 (use the origin formula at r = 0)")
+    if not math.isfinite(r):
+        raise DomainError("r must be finite")
+
+
+@functools.cache
+def _hankel_poly(n: int) -> tuple:
+    """(c, q): J_(n+1/2)(z) = sqrt(2/(pi z)) z^-n Re[c Q(z) e^(iz)] with
+    c Q(z) = sum_k i^(k-n-1) a_k z^(n-k), a_k = (n+k)!/(2^k k! (n-k)!)
+    (DLMF 10.49.6); c = i^(-n-1) and q holds the coefficients of the
+    monic Q below its leading one, highest power first."""
+    return ((1, 1j, -1, -1j)[(-n - 1) % 4],
+            tuple((1, 1j, -1, -1j)[k % 4] * math.factorial(n + k)
+                  / (2 ** k * math.factorial(k) * math.factorial(n - k))
+                  for k in range(1, n + 1)))
+
+
+def _ray(d: int, beta: float, r: float, growth: float, scale: float, weight,
+         tol: float, fallback, offset: float = 0.0) -> Approximation:
+    """offset + (2 pi)^(-d/2) r^(1-d/2) int_0^inf J_(d/2-1)(r s) s^(d/2+beta)
+    W(s) ds for odd d on the ray s = x e^(i theta), where nothing
+    oscillates.
+
+    J_(d/2-1) is elementary (``_hankel_poly``), so the integral is the real
+    part of int s^(1+beta) Q(r s) e^(irs) W(s) ds, taken on a ray where
+    e^(irs) and W decay (Zolotarev, One-dimensional Stable Distributions,
+    ch. 2): theta is _RAY_ANGLE of the widest angle pi/(2 max(g, 1)) at
+    which e^(irs) and e^(-s^g), g = ``growth``, both still decay.
+    ``weight(s, lead)`` returns e^lead W(s) at complex s and the size at
+    which it rounds (None: its modulus).  With x = x0 e^(tau - e^-tau), x0
+    a quarter of the smaller of the decay length 1/(r sin theta) of
+    e^(irs) and the ``scale`` of W, the integrand dies double-
+    exponentially as tau falls and exponentially as it rises (Takahasi
+    and Mori, Publ. RIMS 9, 1974).  The trapezoid rule halves its step
+    from _RAY_STEP, evaluating only the midpoints within a step of the
+    terms above eps times the largest, until two levels agree within
+    tol.  The estimate adds the last change and _RAY_ROUNDING (pref h
+    sum size + |offset|), the rounding of the sum, which carries any
+    cancellation of its real part.  Where that rounding exceeds tol (odd
+    d >= 5 at small r, where Q's terms cancel), ``fallback()``, the
+    Bessel-zero panels, answers instead.  Diagnostics: ``nodes``
+    evaluated, trapezoid ``levels``.
+    """
+    lead, poly = _hankel_poly((d - 3) // 2)
+    theta = _RAY_ANGLE * 0.5 * math.pi / max(growth, 1.0)
+    sin_t = math.sin(theta)
+    x0 = 0.25 * min(1.0 / (r * sin_t), scale)
+    p = 2.0 + beta  # s^(1+beta) ds = s^(2+beta) (1 + e^-tau) dtau
+    pref = (2.0 * math.pi) ** (-0.5 * d) * math.sqrt(2.0 / math.pi) * (
+        r ** (2 - d) * x0 ** p)
+    s0 = x0 * complex(math.cos(theta), sin_t)
+    phase = 1j * p * theta
+
+    def terms(tau):
+        e = np.exp(-tau)
+        u = tau - e
+        s = s0 * np.exp(u)
+        rs = r * s
+        g, size = weight(s, p * u + (1j * rs + phase))
+        g *= 1.0 + e
+        size = np.abs(g) if size is None else size * (1.0 + e)
+        if poly:
+            live = size != 0
+            z = rs[live]
+            q = z + poly[0]
+            for c in poly[1:]:
+                q = q * z + c
+            g[live] *= q
+            size[live] *= np.abs(q)
+        return g, size
+
+    # the first pass, of step _RAY_STEP / 2 (its even nodes are the first
+    # level), runs from tau = _RAY_START to where e^(irs) or W, taken as
+    # e^(-(x/scale)^g), has fallen by e^-_RAY_DECAY, and doubles its
+    # length until its last term is below eps times the largest
+    h = 0.5 * _RAY_STEP
+    log_end = min(math.log(_RAY_DECAY / (r * sin_t)), math.log(scale) + (
+        math.log(_RAY_DECAY / math.cos(growth * theta)) / growth))
+    tau = h * np.arange(_RAY_START / h,
+                        max(log_end - math.log(x0), 1.0) / h + 1)
+    g, mag = terms(tau)
+    while mag[-1] > _EPS * mag.max():
+        if tau[-1] > _RAY_END:
+            raise NonConvergent(f"ray integrand not negligible at tau = "
+                                f"{tau[-1]} (r = {r!r})")
+        more = tau[-1] + h * np.arange(1.0, tau.size + 1.0)
+        g_more, mag_more = terms(more)
+        tau, g = np.concatenate((tau, more)), np.concatenate((g, g_more))
+        mag = np.concatenate((mag, mag_more))
+    total = complex(g.sum())
+    prev = offset + pref * (lead * 2.0 * h * complex(g[::2].sum())).real
+    for level in range(2, _RAY_LEVELS + 2):
+        value = offset + pref * (lead * h * total).real
+        change = abs(value - prev)
+        rounding = _RAY_ROUNDING * (abs(pref) * h * float(mag.sum())
+                                    + abs(offset))
+        if rounding > tol * abs(value):
+            return fallback()
+        if change <= tol * abs(value):
+            return Approximation(value=value, est_error=change + rounding,
+                                 method="oracle",
+                                 diagnostics={"nodes": tau.size, "levels": level})
+        # halve the step: the midpoints within a step of the kept terms
+        kept = tau[mag > _EPS * mag.max()]
+        h *= 0.5
+        new = h * np.arange(kept[0] / h - 1.0, kept[-1] / h + 2.0, 2.0)
+        gn, mag_new = terms(new)
+        tau, mag = np.concatenate((tau, new)), np.concatenate((mag, mag_new))
+        total += complex(gn.sum())
+        prev = value
+    raise NonConvergent(f"ray quadrature did not settle (estimate {value!r}, "
+                        f"last change {change:.3e})")
+
+
+def _gaussian_kernel(d: int, j: int, r: float) -> float:
+    """Kernel of |xi|^(2j) e^(-|xi|^2): (4 pi)^(-d/2) e^(-r^2/4) j!
+    L_j^(d/2-1)(r^2/4), the Laguerre polynomial by its recurrence."""
+    a, x = 0.5 * d - 1.0, 0.25 * r * r
+    prev, lag = 0.0, 1.0
+    for k in range(j):
+        prev, lag = lag, ((2 * k + 1 + a - x) * lag - (k + a) * prev) / (k + 1)
+    return (4.0 * math.pi) ** (-0.5 * d) * math.exp(-x) * math.factorial(j) * lag
+
+
 def stable_oracle(spec, r: float, tol: float = 1e-11) -> Approximation:
-    """Oracle value of the stable kernel (or its fractional derivative)."""
-    return hankel_oracle(stable_weight(spec.d, spec.alpha, spec.beta, spec.t),
-                         spec.d, r, tol=tol)
+    """Oracle value of the stable kernel (or its fractional derivative).
+
+    Even d: ``hankel_oracle``'s Bessel-zero panels.  Odd d: the unit-time
+    kernel (``scaling_reduce``) on a rotated ray (``_ray``), with
+    diagnostics ``nodes`` and ``levels`` in place of ``panels``/``depth``.
+    At even beta the large-r value is a cancellation of the s^beta term
+    of e^(-s^alpha), so s^beta e^(-s^2), whose kernel is closed
+    (``_gaussian_kernel``), leaves the weight, by expm1 where
+    |s^2 - s^alpha| < 1.
+    """
+    from .stable_kernel import scaling_reduce
+
+    d, beta = spec.d, spec.beta
+    if d % 2 == 0:
+        return hankel_oracle(stable_weight(d, spec.alpha, beta, spec.t), d, r,
+                             tol=tol)
+    _check_radius(r)
+    unit, r_unit, pref = scaling_reduce(spec, r)
+    alpha = unit.alpha
+
+    def panels():
+        return hankel_oracle(stable_weight(d, alpha, beta, 1.0), d, r_unit,
+                             tol=tol)
+
+    if beta % 2.0:
+        def weight(s, lead):
+            return np.exp(lead - s ** alpha), None
+
+        res = _ray(d, beta, r_unit, alpha, 1.0, weight, tol, panels)
+    else:
+        def weight(s, lead):
+            # s^2 - s^alpha = -s^2 expm1((alpha - 2) log s) keeps its
+            # relative accuracy as alpha nears 2; the difference of the
+            # two exps rounds at the size of each
+            s2, sa = s * s, s ** alpha
+            gap = -s2 * np.expm1((alpha - 2.0) * np.log(s))
+            near = np.abs(gap) < 1.0
+            gauss, stable = np.exp(lead - s2), np.exp(lead - sa)
+            g = np.where(near, gauss * np.expm1(np.where(near, gap, 0.0)),
+                         stable - gauss)
+            return g, np.where(near, np.abs(g), np.abs(stable) + np.abs(gauss))
+
+        res = _ray(d, beta, r_unit, 2.0, 1.0, weight, tol, panels,
+                   _gaussian_kernel(d, int(beta) // 2, r_unit))
+    res.value *= pref
+    res.est_error *= pref
+    return res
+
+
+@functools.lru_cache(maxsize=64)
+def _symbol_scale(sym, t: float) -> float:
+    """The smallest x = 2^k, |k| <= 40, where t (eta(x) - eta(0)) >= 1,
+    kept per symbol value and t."""
+    ladder = 2.0 ** np.arange(-40.0, 41.0)
+    rise = t * (sym.eta(ladder) - sym.eta_at_zero) >= 1.0
+    return float(ladder[np.argmax(rise)] if rise.any() else ladder[-1])
 
 
 def symbol_oracle(sym, d: int, beta: float, t: float, r: float,
                   tol: float = 1e-11) -> Approximation:
-    """Oracle value of the kernel of a general radial symbol."""
-    return hankel_oracle(symbol_weight(sym, d, beta, t), d, r, tol=tol)
+    """Oracle value of the kernel of a general radial symbol.
+
+    Even d: ``hankel_oracle``'s Bessel-zero panels.  Odd d: a rotated ray
+    (``_ray``) at an angle set by the largest growth exponent 2p of the
+    symbol's terms c (s^2 + m^2)^p, which stay analytic off the imaginary
+    axis.
+    """
+    if d % 2 == 0:
+        return hankel_oracle(symbol_weight(sym, d, beta, t), d, r, tol=tol)
+    _check_radius(r)
+
+    def weight(s, lead):
+        return np.exp(lead - t * sym.eta(s)), None
+
+    return _ray(d, beta, r, max(2.0 * p for _, _, p in sym.terms),
+                _symbol_scale(sym, t), weight, tol,
+                lambda: hankel_oracle(symbol_weight(sym, d, beta, t), d, r,
+                                      tol=tol))
 
 
 def normalization_check(spec, r_split: float = 40.0) -> float:

@@ -103,8 +103,11 @@ class RadialSymbol:
 
     # -- core evaluations -------------------------------------------------
     def eta(self, r):
-        r = np.asarray(r, dtype=float)
-        out = np.zeros(r.shape)
+        """eta at real r, or at complex r off the imaginary axis, where
+        each term's principal power continues it analytically."""
+        r = np.asarray(r)
+        r = r.astype(complex if np.iscomplexobj(r) else float)
+        out = np.zeros(r.shape, dtype=r.dtype)
         for c, mass, p in self.terms:
             out += c * _shifted_power(r, mass, p)
         return out
@@ -300,15 +303,17 @@ class _MellinGrid:
             n1 *= 2
             w = np.arange(-n0, n1 + 1, dtype=float) * h
             f = np.insert(f, np.arange(1, f.size), integrand(w[1::2]))
-            cur = _phase_sums(h * f, w, probes, h)
+            # the level's table serves its probes and, once it has
+            # settled, every later value
+            table = _phase_table(h * f, w, h)
+            cur = _phase_apply(table, probes)
             scale = np.max(np.abs(cur)) + 1e-300
             if np.max(np.abs(cur - prev)) <= tol * scale:
                 break
             prev = cur
         else:
             raise NonConvergent("inner Mellin quadrature did not stabilize")
-        self._w, self._p, self._h = w, h * f, h
-        self._table = _phase_table(self._p, w, h)
+        self._h, self._table = h, table
 
     @staticmethod
     def _find_u1(sym, t, k):

@@ -85,6 +85,18 @@ def k_independence_err(r=3.0):
     return abs(g5 - g6) / abs(g6)
 
 
+def grid_nodes(grid):
+    """(p, w), the weights and nodes of a ``_MellinGrid`` read back from
+    its phase table (``mellin._phase_table``): slot j of the flattened
+    (heads, B) table holds node heights[0] + (j - B//2) step.  The table's
+    zero padding, and any zero weights at either end, are left out."""
+    heights, mat, _ = grid._table
+    p = mat.reshape(-1).real
+    live = np.flatnonzero(p)
+    j = np.arange(live[0], live[-1] + 1)
+    return p[j], (j - mat.shape[1] // 2 + round(heights[0] / grid._h)) * grid._h
+
+
 def dense_phase_sums(p, w, v):
     """sum_k p_k exp(i w_k v_j), one exp per node and height, each v_j's
     sum formed alone, in order: the reference for ``mellin._phase_sums``."""

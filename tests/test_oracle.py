@@ -5,6 +5,7 @@ import pathlib
 import subprocess
 import sys
 import threading
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -187,14 +188,15 @@ class TestNodeTable:
             return lk.bessel_j(nu, x)
 
         monkeypatch.setattr(oracle, "bessel_j", counted)
-        spec = lk.KernelSpec(d=3, alpha=1.5)
-        lk.stable_oracle(spec, 2.0)
+        # the panels of d = 3 (odd-d kernels take the ray, not the panels)
+        weight = lk.stable_weight(3, 1.5, 0.0, 1.0)
+        lk.hankel_oracle(weight, 3, 2.0)
         assert calls  # the first call fills the table
         calls.clear()
-        res = lk.stable_oracle(spec, 2.7)
+        res = lk.hankel_oracle(weight, 3, 2.7)
         assert res.diagnostics["panels"] > 0 and calls == []
         # the weight dies before the first arch: the head is not tabled
-        res = lk.stable_oracle(spec, 0.01)
+        res = lk.hankel_oracle(weight, 3, 0.01)
         assert res.diagnostics["panels"] == 0 and calls
 
 
@@ -410,3 +412,154 @@ class TestNormalization:
         monkeypatch.setattr(oracle, "hankel_oracle", counted)
         lk.normalization_check(lk.KernelSpec(d=d, alpha=alpha))
         assert 1 <= len(calls) <= 2
+
+
+def _mp_kernel(d, beta, r, eta):
+    """(2 pi)^(-d/2) r^(1-d/2) int_0^inf J_(d/2-1)(r s) s^(d/2+beta)
+    e^(-eta(s)) ds on the real axis, at 30 digits, split every 0.5 in s
+    up to the first integer ``top`` where the weight is below e^-80."""
+    with mp.workdps(30):
+        r, beta, nu = mp.mpf(r), mp.mpf(beta), mp.mpf(d) / 2 - 1
+        top = 1
+        while (nu + 1 + beta) * mp.log(top) - eta(mp.mpf(top)) > -80:
+            top += 1
+        val = mp.quad(lambda s: mp.besselj(nu, r * s) * s ** (nu + 1 + beta)
+                      * mp.exp(-eta(s)), mp.linspace(0, top, 2 * top + 1))
+        return float((2 * mp.pi) ** (-nu - 1) * r ** -nu * val)
+
+
+def _odd_pool():
+    """{id: (call, ref)} for the odd-d points of the oracle-verify
+    workload: the stable points of ``oracle.json`` and the t = 1 symbol
+    points."""
+    out = {}
+    for i, p in enumerate(json.loads((POOL / "oracle.json").read_text())["stable"]):
+        if p["d"] % 2:
+            spec = lk.KernelSpec(p["d"], p["alpha"], p["beta"])
+            out[f"stable-{i}"] = (lambda spec=spec, r=p["r"]:
+                                  lk.stable_oracle(spec, r), p["ref"])
+    for sy in json.loads((POOL / "symbols.json").read_text())["symbols"]:
+        if sy["d"] % 2 == 0:
+            continue
+        sym = lk.make_symbol(sy["kind"], **sy["params"])
+        for j, p in enumerate(sy["points"]):
+            if p["t"] == 1.0:
+                key = f"{sy['kind']}{tuple(sy['params'].values())}-{j}"
+                out[key] = (lambda sym=sym, sy=sy, r=p["r"]: lk.symbol_oracle(
+                    sym, sy["d"], sy["beta"], 1.0, r), p["ref"])
+    return out
+
+
+_ODD_POOL = _odd_pool()
+# two symbol references that 30-digit quadrature on the real axis puts
+# 2.3e-14 and 5.5e-14 off: (beta, r, eta) of each
+_OFF_REFERENCES = {
+    "sum_stable(1.0, 1.9)-3": (0.5, 0.7, lambda s: s + s ** mp.mpf("1.9")),
+    "perturbed(1.2, 2.0, 1.8)-3": (0.5, 0.7, lambda s: s ** mp.mpf("1.2")
+                                   + 2 * s ** mp.mpf("1.8")),
+}
+
+
+class TestRay:
+    """Odd d: the oracle on the rotated ray (``oracle._ray``)."""
+
+    def test_pool_covers_the_odd_points(self):
+        assert len(_ODD_POOL) == 31
+
+    @pytest.mark.parametrize("key", _ODD_POOL)
+    def test_frozen_references(self, key):
+        call, ref = _ODD_POOL[key]
+        res = call()
+        assert abs(res.value - ref) <= 1e-13 * abs(ref)
+        if key not in _OFF_REFERENCES:
+            assert abs(res.value - ref) <= res.est_error + 1e-15 * abs(ref)
+
+    @pytest.mark.parametrize("key", sorted(_OFF_REFERENCES))
+    def test_est_error_bounds_where_references_are_off(self, key):
+        call, ref = _ODD_POOL[key]
+        beta, r, eta = _OFF_REFERENCES[key]
+        exact = _mp_kernel(3, beta, r, eta)
+        res = call()
+        assert abs(res.value - exact) <= res.est_error
+        assert abs(ref - exact) > res.est_error + 1e-15 * abs(ref)
+
+    @pytest.mark.parametrize("key", _ODD_POOL)
+    def test_node_count(self, key):
+        # a timing-free guard on the cost of every odd-d pool point
+        assert _ODD_POOL[key][0]().diagnostics["nodes"] <= 600
+
+    @pytest.mark.parametrize("d,alpha,beta,r", [
+        (5, 1.5, 0.5, 0.7), (7, 1.2, 2.0, 1.0), (9, 1.8, 1.3, 2.0),
+        (5, 1.5, 4.0, 1.0), (3, 1.5, 4.0, 1.0)])
+    def test_against_mpmath(self, d, alpha, beta, r):
+        # the n >= 1 terms of the Hankel polynomial, and beta = 4, whose
+        # Gaussian part is the Laguerre closed form
+        res = lk.stable_oracle(lk.KernelSpec(d, alpha, beta), r)
+        ref = _mp_kernel(d, beta, r, lambda s: s ** mp.mpf(alpha))
+        assert abs(res.value - ref) <= 1e-13 * abs(ref)
+        assert abs(res.value - ref) <= res.est_error
+
+    @pytest.mark.parametrize("alpha,beta", [(1.5, 0.0), (0.7, 0.5), (1.2, 2.0)])
+    def test_large_r_against_series(self, alpha, beta):
+        spec = lk.KernelSpec(3, alpha, beta)
+        res, ser = lk.stable_oracle(spec, 1e6), lk.stable_series(spec, 1e6)
+        gap = abs(res.value - ser.value)
+        assert gap <= 1e-13 * abs(ser.value)
+        assert gap <= res.est_error + ser.est_error
+
+    @pytest.mark.parametrize("alpha,beta", [(1.5, 0.0), (1.2, 2.0), (0.7, 0.5)])
+    def test_small_r_against_origin(self, alpha, beta):
+        spec = lk.KernelSpec(3, alpha, beta)
+        res = lk.stable_oracle(spec, 1e-3)
+        assert "nodes" in res.diagnostics
+        origin = lk.kernel_at_origin(spec)
+        assert abs(res.value - origin) <= 1e-4 * origin
+        if alpha >= 1.0:
+            ser = lk.small_r_series(spec, 1e-3)
+            assert abs(res.value - ser.value) <= res.est_error + ser.est_error
+
+    @pytest.mark.parametrize("beta,closed", [
+        (0.0, lambda r: lk.gaussian_kernel(3, 1.0, r)),
+        (2.0, lambda r: lk.gaussian_kernel(3, 1.0, r) * (1.5 - 0.25 * r * r))])
+    def test_gaussian(self, beta, closed):
+        # alpha = 2, even beta: nothing is left on the ray
+        for r in (0.3, 2.0, 9.0):
+            res = lk.stable_oracle(lk.KernelSpec(3, 2.0, beta), r)
+            assert abs(res.value - closed(r)) <= res.est_error + 1e-15 * abs(closed(r))
+
+    def test_scaling(self):
+        # t != 1 goes through scaling_reduce: the value and its estimate
+        # scale alike
+        spec = lk.KernelSpec(3, 1.2, 0.5, t=2.5)
+        unit, r_unit, pref = lk.scaling_reduce(spec, 1.7)
+        res, one = lk.stable_oracle(spec, 1.7), lk.stable_oracle(unit, r_unit)
+        assert res.value == pref * one.value
+        assert res.est_error == pref * one.est_error
+
+    def test_symbol_time(self):
+        sym = lk.make_symbol("sum_stable", a=0.6, b=1.4)
+        res = lk.symbol_oracle(sym, 3, 0.0, 0.4, 1.1)
+        ref = _mp_kernel(3, 0.0, 1.1, lambda s: 0.4 * (
+            s ** mp.mpf("0.6") + s ** mp.mpf("1.4")))
+        assert abs(res.value - ref) <= 1e-13 * abs(ref)
+        assert abs(res.value - ref) <= res.est_error
+
+    def test_cancelling_terms_take_the_panels(self):
+        # at d = 5 and r = 1e-3 the Hankel terms cancel to ~1e-9 of their
+        # size, beyond tol: the Bessel-zero panels answer instead
+        spec = lk.KernelSpec(5, 1.5, 0.0)
+        res = lk.stable_oracle(spec, 1e-3)
+        assert "panels" in res.diagnostics
+        assert abs(res.value - lk.kernel_at_origin(spec)) <= 1e-5 * res.value
+
+    @pytest.mark.parametrize("d,alpha,beta,r", [
+        (3, 0.05, 0.0, 1e-2), (3, 1.999, 2.0, 1e4), (3, 0.5, 10.0, 30.0),
+        (21, 1.5, 0.0, 50.0), (3, 1.0, 0.0, 1e-9), (9, 0.3, 0.5, 1e3)])
+    def test_no_floating_point_warnings(self, d, alpha, beta, r):
+        with np.errstate(all="raise", under="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                res = lk.stable_oracle(lk.KernelSpec(d, alpha, beta), r)
+            except lk.LevyKernelError:
+                return
+        assert math.isfinite(res.value) and res.est_error >= 0.0

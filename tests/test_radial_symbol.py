@@ -14,7 +14,8 @@ import levykernel as lk
 from levykernel.mellin import _BLOCK_ELEMS, _phase_sums
 from levykernel.radial_symbol import RadialSymbol, _MellinGrid
 
-from _props import dense_phase_sums, k_independence_err, row_block_mismatches
+from _props import (dense_phase_sums, grid_nodes, k_independence_err,
+                    row_block_mismatches)
 
 
 ALL_SYMBOLS = [
@@ -364,7 +365,7 @@ class TestMellinGridPhases:
 
     @staticmethod
     def _dense(grid, v):
-        return dense_phase_sums(grid._p, grid._w, v)
+        return dense_phase_sums(*grid_nodes(grid), v)
 
     @pytest.mark.parametrize("kind,params", GRIDS, ids=[g[0] for g in GRIDS])
     def test_factored_matches_dense(self, kind, params):
@@ -378,7 +379,7 @@ class TestMellinGridPhases:
                 "strided": level0[::3],
                 "negative": np.arange(-40, 121, dtype=float) * h,
                 "offset": 2.0 ** -21 + np.arange(-n, n + 1, dtype=float) * 0.25}
-        gross = np.sum(np.abs(grid._p))
+        gross = np.sum(np.abs(grid_nodes(grid)[0]))
         for name, v in sets.items():
             err = np.max(np.abs(grid.value(v) - self._dense(grid, v)))
             assert err <= 1e-11 * gross, name
@@ -423,8 +424,9 @@ class TestMellinGridPhases:
             return out
 
         monkeypatch.setattr(np, "exp", counting)
-        _phase_sums(grid._p, grid._w, a, grid._h)
-        assert 0 < count[0] <= a.size * (2 * math.isqrt(grid._w.size) + 3)
+        p, w = grid_nodes(grid)
+        _phase_sums(p, w, a, grid._h)
+        assert 0 < count[0] <= a.size * (2 * math.isqrt(w.size) + 3)
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-16,
                         reason="long double is no wider than double")
@@ -434,12 +436,13 @@ class TestMellinGridPhases:
         # arguments w*v are themselves rounded, on the full level and on
         # its upper half alike
         grid = self._grid(kind, params)
-        weights = grid._p.astype(np.longdouble)
+        p, w = grid_nodes(grid)
+        weights = p.astype(np.longdouble)
         for name, a in self._levels().items():
             phase = np.multiply.outer(a.astype(np.longdouble),
-                                      grid._w.astype(np.longdouble))
+                                      w.astype(np.longdouble))
             ref = np.cos(phase) @ weights + 1j * (np.sin(phase) @ weights)
-            got = _phase_sums(grid._p, grid._w, a, grid._h)
+            got = _phase_sums(p, w, a, grid._h)
             err = float(np.max(np.abs(got - ref)))
             dense = float(np.max(np.abs(self._dense(grid, a) - ref)))
             assert err <= 1.5 * dense, name
@@ -453,13 +456,14 @@ class TestMellinGridPhases:
         # than direct exps
         grid = _MellinGrid(lk.make_symbol("stable", a=1.3), 1.0, 5, -1.2,
                            64.0, tol=1e-9)
-        assert grid._w[0] < -390.0 < 0.0 < grid._w[-1] < 10.0
+        p, w = grid_nodes(grid)
+        assert w[0] < -390.0 < 0.0 < w[-1] < 10.0
         a = np.arange(0.0, 65.0)
         phase = np.multiply.outer(a.astype(np.longdouble),
-                                  grid._w.astype(np.longdouble))
-        weights = grid._p.astype(np.longdouble)
+                                  w.astype(np.longdouble))
+        weights = p.astype(np.longdouble)
         ref = np.cos(phase) @ weights + 1j * (np.sin(phase) @ weights)
-        got = _phase_sums(grid._p, grid._w, a, grid._h)
+        got = _phase_sums(p, w, a, grid._h)
         err = float(np.max(np.abs(got - ref)))
         assert err <= 1.5 * float(np.max(np.abs(self._dense(grid, a) - ref)))
 
@@ -470,10 +474,11 @@ class TestMellinGridPhases:
         # the working set is a few blocks whatever the number of heights;
         # only the result grows with it
         grid = self._grid(*self.GRIDS[0])
+        p, w = grid_nodes(grid)
         for a in (self._levels()["full"], np.linspace(-64.0, 64.0, 20001)):
             tracemalloc.start()
             try:
-                _phase_sums(grid._p, grid._w, a, grid._h)
+                _phase_sums(p, w, a, grid._h)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -515,17 +520,19 @@ class TestMellinGridTrapezoid:
         # each halving evaluates the integrand at the new midpoints only:
         # the samples taken over one build are the final nodes
         real = lk.scaled_exp_eta_derivative
-        sizes = []
+        samples = []
 
         def counting(sym, t, r, m):
-            sizes.append(np.size(r))
+            samples.append(np.log(r))
             return real(sym, t, r, m)
 
         monkeypatch.setattr("levykernel.radial_symbol."
                             "scaled_exp_eta_derivative", counting)
         grid = TestMellinGridPhases._grid(kind, params)
-        assert len(sizes) >= 2
-        assert sum(sizes) == grid._w.size
+        assert len(samples) >= 2
+        # no node twice, and together the one grid of the final step
+        w = np.sort(np.concatenate(samples))
+        assert np.allclose(np.diff(w), grid._h, rtol=1e-6, atol=0.0)
 
 
 class TestLeadingTerms:
