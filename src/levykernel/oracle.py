@@ -12,11 +12,12 @@ the ground truth they are judged against.  Two methods:
   Gauss-Legendre panels up to the first scaled Bessel zero, panel
   integrals between consecutive zeros, and iterated-averaging (Euler-
   transform) acceleration of the alternating panel sums;
-* odd d in ``stable_oracle`` and ``symbol_oracle``: J_{d/2-1} is
-  elementary, and the weight continues analytically off the real axis,
-  so the integral is taken on a rotated ray where nothing oscillates
-  (``_ray``), by an exponential-type trapezoid rule; where the terms of
-  J_{d/2-1} cancel beyond tol (d >= 5 at small r) the panels answer.
+* odd d in ``stable_oracle``: J_{d/2-1} is elementary, and the weight
+  continues analytically off the real axis, so the integral is taken on
+  a rotated ray where nothing oscillates (``_ray``), by an exponential-
+  type trapezoid rule; where the terms of J_{d/2-1} cancel beyond tol
+  (d >= 5 at small r) the panels answer.  ``symbol_oracle`` takes the
+  panels at every d.
 
 No node depends on r in the argument x = r s (the 12-point nodes between
 zeros of J_nu, and j_{nu,1} u for the head's nodes u in [0, 1]), so one
@@ -57,12 +58,10 @@ _SUPPORT_FLOOR = 1e-21  # |weight| beyond the support radius, against its peak
 _ZERO_TABLES: dict[float, dict[str, object]] = {}
 # the odd-d ray: its angle as a fraction of the widest, the first step,
 # the halvings at most, the first node and the farthest last one in tau,
-# the decay that ends its first pass, and its rounding per unit of
-# h sum |term| (the package's budget for a sum, as for the series)
+# and the decay that ends its first pass
 _RAY_ANGLE, _RAY_STEP, _RAY_LEVELS = 0.55, 0.125, 6
 _RAY_START, _RAY_END, _RAY_DECAY = -4.0, 64.0, 40.0
 _EPS = 2.0 ** -52
-_RAY_ROUNDING = 16.0 * _EPS
 
 
 def _gl_nodes(edges, order):
@@ -425,8 +424,8 @@ def _hankel_poly(n: int) -> tuple:
                   for k in range(1, n + 1)))
 
 
-def _ray(d: int, beta: float, r: float, growth: float, scale: float, weight,
-         tol: float, fallback, offset: float = 0.0) -> Approximation:
+def _ray(d: int, beta: float, r: float, growth: float, weight, tol: float,
+         fallback, offset: float = 0.0) -> Approximation:
     """offset + (2 pi)^(-d/2) r^(1-d/2) int_0^inf J_(d/2-1)(r s) s^(d/2+beta)
     W(s) ds for odd d on the ray s = x e^(i theta), where nothing
     oscillates.
@@ -437,27 +436,33 @@ def _ray(d: int, beta: float, r: float, growth: float, scale: float, weight,
     ch. 2): theta is _RAY_ANGLE of the widest angle pi/(2 max(g, 1)) at
     which e^(irs) and e^(-s^g), g = ``growth``, both still decay.
     ``weight(s, lead)`` returns e^lead W(s) at complex s and the size at
-    which it rounds (None: its modulus).  With x = x0 e^(tau - e^-tau), x0
-    a quarter of the smaller of the decay length 1/(r sin theta) of
-    e^(irs) and the ``scale`` of W, the integrand dies double-
-    exponentially as tau falls and exponentially as it rises (Takahasi
-    and Mori, Publ. RIMS 9, 1974).  The trapezoid rule halves its step
-    from _RAY_STEP, evaluating only the midpoints within a step of the
-    terms above eps times the largest, until two levels agree within
-    tol.  The estimate adds the last change and _RAY_ROUNDING (pref h
-    sum size + |offset|), the rounding of the sum, which carries any
-    cancellation of its real part.  Where that rounding exceeds tol (odd
-    d >= 5 at small r, where Q's terms cancel), ``fallback()``, the
-    Bessel-zero panels, answers instead.  Diagnostics: ``nodes``
-    evaluated, trapezoid ``levels``.
+    which it rounds (None: its modulus); W falls off on the unit scale, as
+    a unit-time kernel's does.  With x = x0 e^(tau - e^-tau), x0 a quarter
+    of the smaller of 1 and the decay length 1/(r sin theta) of e^(irs),
+    the integrand dies double-exponentially as tau falls and
+    exponentially as it rises (Takahasi and Mori, Publ. RIMS 9, 1974).
+    The trapezoid rule halves its step from _RAY_STEP, evaluating only
+    the midpoints within a step of the terms above eps times the largest,
+    until two levels agree within tol.  The estimate adds the last change
+    and the rounding of the sum, _SERIES_ROUNDING (pref h sum size +
+    |offset|), which carries any cancellation of its real part.  Where
+    that rounding exceeds tol (odd d >= 5 at small r, where Q's terms
+    cancel), or the prefactor overflows, ``fallback()``, the Bessel-zero
+    panels, answers instead.  Diagnostics: ``nodes`` evaluated, trapezoid
+    ``levels``.
     """
+    from .stable_kernel import _SERIES_ROUNDING
+
     lead, poly = _hankel_poly((d - 3) // 2)
     theta = _RAY_ANGLE * 0.5 * math.pi / max(growth, 1.0)
     sin_t = math.sin(theta)
-    x0 = 0.25 * min(1.0 / (r * sin_t), scale)
+    x0 = 0.25 * min(1.0 / (r * sin_t), 1.0)
     p = 2.0 + beta  # s^(1+beta) ds = s^(2+beta) (1 + e^-tau) dtau
-    pref = (2.0 * math.pi) ** (-0.5 * d) * math.sqrt(2.0 / math.pi) * (
-        r ** (2 - d) * x0 ** p)
+    try:  # r^(2-d) overflows at large d and small r; x0^p <= 1/16
+        pref = (2.0 * math.pi) ** (-0.5 * d) * math.sqrt(2.0 / math.pi) * (
+            r ** (2 - d) * x0 ** p)
+    except OverflowError:
+        return fallback()
     s0 = x0 * complex(math.cos(theta), sin_t)
     phase = 1j * p * theta
 
@@ -481,11 +486,11 @@ def _ray(d: int, beta: float, r: float, growth: float, scale: float, weight,
 
     # the first pass, of step _RAY_STEP / 2 (its even nodes are the first
     # level), runs from tau = _RAY_START to where e^(irs) or W, taken as
-    # e^(-(x/scale)^g), has fallen by e^-_RAY_DECAY, and doubles its
-    # length until its last term is below eps times the largest
+    # e^(-x^g), has fallen by e^-_RAY_DECAY, and doubles its length until
+    # its last term is below eps times the largest
     h = 0.5 * _RAY_STEP
-    log_end = min(math.log(_RAY_DECAY / (r * sin_t)), math.log(scale) + (
-        math.log(_RAY_DECAY / math.cos(growth * theta)) / growth))
+    log_end = min(math.log(_RAY_DECAY / (r * sin_t)),
+                  math.log(_RAY_DECAY / math.cos(growth * theta)) / growth)
     tau = h * np.arange(_RAY_START / h,
                         max(log_end - math.log(x0), 1.0) / h + 1)
     g, mag = terms(tau)
@@ -502,8 +507,8 @@ def _ray(d: int, beta: float, r: float, growth: float, scale: float, weight,
     for level in range(2, _RAY_LEVELS + 2):
         value = offset + pref * (lead * h * total).real
         change = abs(value - prev)
-        rounding = _RAY_ROUNDING * (abs(pref) * h * float(mag.sum())
-                                    + abs(offset))
+        rounding = _SERIES_ROUNDING * (pref * h * float(mag.sum())
+                                       + abs(offset))
         if rounding > tol * abs(value):
             return fallback()
         if change <= tol * abs(value):
@@ -523,13 +528,15 @@ def _ray(d: int, beta: float, r: float, growth: float, scale: float, weight,
 
 
 def _gaussian_kernel(d: int, j: int, r: float) -> float:
-    """Kernel of |xi|^(2j) e^(-|xi|^2): (4 pi)^(-d/2) e^(-r^2/4) j!
+    """Kernel of |xi|^(2j) e^(-|xi|^2): the Gaussian's times j!
     L_j^(d/2-1)(r^2/4), the Laguerre polynomial by its recurrence."""
+    from .stable_kernel import gaussian_kernel
+
     a, x = 0.5 * d - 1.0, 0.25 * r * r
     prev, lag = 0.0, 1.0
     for k in range(j):
         prev, lag = lag, ((2 * k + 1 + a - x) * lag - (k + a) * prev) / (k + 1)
-    return (4.0 * math.pi) ** (-0.5 * d) * math.exp(-x) * math.factorial(j) * lag
+    return gaussian_kernel(d, 1.0, r) * math.factorial(j) * lag
 
 
 def stable_oracle(spec, r: float, tol: float = 1e-11) -> Approximation:
@@ -561,7 +568,7 @@ def stable_oracle(spec, r: float, tol: float = 1e-11) -> Approximation:
         def weight(s, lead):
             return np.exp(lead - s ** alpha), None
 
-        res = _ray(d, beta, r_unit, alpha, 1.0, weight, tol, panels)
+        res = _ray(d, beta, r_unit, alpha, weight, tol, panels)
     else:
         def weight(s, lead):
             # s^2 - s^alpha = -s^2 expm1((alpha - 2) log s) keeps its
@@ -575,42 +582,18 @@ def stable_oracle(spec, r: float, tol: float = 1e-11) -> Approximation:
                          stable - gauss)
             return g, np.where(near, np.abs(g), np.abs(stable) + np.abs(gauss))
 
-        res = _ray(d, beta, r_unit, 2.0, 1.0, weight, tol, panels,
+        res = _ray(d, beta, r_unit, 2.0, weight, tol, panels,
                    _gaussian_kernel(d, int(beta) // 2, r_unit))
     res.value *= pref
     res.est_error *= pref
     return res
 
 
-@functools.lru_cache(maxsize=64)
-def _symbol_scale(sym, t: float) -> float:
-    """The smallest x = 2^k, |k| <= 40, where t (eta(x) - eta(0)) >= 1,
-    kept per symbol value and t."""
-    ladder = 2.0 ** np.arange(-40.0, 41.0)
-    rise = t * (sym.eta(ladder) - sym.eta_at_zero) >= 1.0
-    return float(ladder[np.argmax(rise)] if rise.any() else ladder[-1])
-
-
 def symbol_oracle(sym, d: int, beta: float, t: float, r: float,
                   tol: float = 1e-11) -> Approximation:
-    """Oracle value of the kernel of a general radial symbol.
-
-    Even d: ``hankel_oracle``'s Bessel-zero panels.  Odd d: a rotated ray
-    (``_ray``) at an angle set by the largest growth exponent 2p of the
-    symbol's terms c (s^2 + m^2)^p, which stay analytic off the imaginary
-    axis.
-    """
-    if d % 2 == 0:
-        return hankel_oracle(symbol_weight(sym, d, beta, t), d, r, tol=tol)
-    _check_radius(r)
-
-    def weight(s, lead):
-        return np.exp(lead - t * sym.eta(s)), None
-
-    return _ray(d, beta, r, max(2.0 * p for _, _, p in sym.terms),
-                _symbol_scale(sym, t), weight, tol,
-                lambda: hankel_oracle(symbol_weight(sym, d, beta, t), d, r,
-                                      tol=tol))
+    """Oracle value of the kernel of a general radial symbol, by
+    ``hankel_oracle``'s Bessel-zero panels at every d."""
+    return hankel_oracle(symbol_weight(sym, d, beta, t), d, r, tol=tol)
 
 
 def normalization_check(spec, r_split: float = 40.0) -> float:

@@ -103,11 +103,8 @@ class RadialSymbol:
 
     # -- core evaluations -------------------------------------------------
     def eta(self, r):
-        """eta at real r, or at complex r off the imaginary axis, where
-        each term's principal power continues it analytically."""
-        r = np.asarray(r)
-        r = r.astype(complex if np.iscomplexobj(r) else float)
-        out = np.zeros(r.shape, dtype=r.dtype)
+        r = np.asarray(r, dtype=float)
+        out = np.zeros(r.shape)
         for c, mass, p in self.terms:
             out += c * _shifted_power(r, mass, p)
         return out

@@ -428,65 +428,26 @@ def _mp_kernel(d, beta, r, eta):
         return float((2 * mp.pi) ** (-nu - 1) * r ** -nu * val)
 
 
-def _odd_pool():
-    """{id: (call, ref)} for the odd-d points of the oracle-verify
-    workload: the stable points of ``oracle.json`` and the t = 1 symbol
-    points."""
-    out = {}
-    for i, p in enumerate(json.loads((POOL / "oracle.json").read_text())["stable"]):
-        if p["d"] % 2:
-            spec = lk.KernelSpec(p["d"], p["alpha"], p["beta"])
-            out[f"stable-{i}"] = (lambda spec=spec, r=p["r"]:
-                                  lk.stable_oracle(spec, r), p["ref"])
-    for sy in json.loads((POOL / "symbols.json").read_text())["symbols"]:
-        if sy["d"] % 2 == 0:
-            continue
-        sym = lk.make_symbol(sy["kind"], **sy["params"])
-        for j, p in enumerate(sy["points"]):
-            if p["t"] == 1.0:
-                key = f"{sy['kind']}{tuple(sy['params'].values())}-{j}"
-                out[key] = (lambda sym=sym, sy=sy, r=p["r"]: lk.symbol_oracle(
-                    sym, sy["d"], sy["beta"], 1.0, r), p["ref"])
-    return out
-
-
-_ODD_POOL = _odd_pool()
-# two symbol references that 30-digit quadrature on the real axis puts
-# 2.3e-14 and 5.5e-14 off: (beta, r, eta) of each
-_OFF_REFERENCES = {
-    "sum_stable(1.0, 1.9)-3": (0.5, 0.7, lambda s: s + s ** mp.mpf("1.9")),
-    "perturbed(1.2, 2.0, 1.8)-3": (0.5, 0.7, lambda s: s ** mp.mpf("1.2")
-                                   + 2 * s ** mp.mpf("1.8")),
-}
+# {index: (spec, r, ref)} for the odd-d stable points of ``oracle.json``
+_ODD_POOL = {i: (lk.KernelSpec(p["d"], p["alpha"], p["beta"]), p["r"], p["ref"])
+             for i, p in enumerate(json.loads(
+                 (POOL / "oracle.json").read_text())["stable"]) if p["d"] % 2}
 
 
 class TestRay:
     """Odd d: the oracle on the rotated ray (``oracle._ray``)."""
 
     def test_pool_covers_the_odd_points(self):
-        assert len(_ODD_POOL) == 31
+        assert len(_ODD_POOL) == 7
 
     @pytest.mark.parametrize("key", _ODD_POOL)
     def test_frozen_references(self, key):
-        call, ref = _ODD_POOL[key]
-        res = call()
+        spec, r, ref = _ODD_POOL[key]
+        res = lk.stable_oracle(spec, r)
         assert abs(res.value - ref) <= 1e-13 * abs(ref)
-        if key not in _OFF_REFERENCES:
-            assert abs(res.value - ref) <= res.est_error + 1e-15 * abs(ref)
-
-    @pytest.mark.parametrize("key", sorted(_OFF_REFERENCES))
-    def test_est_error_bounds_where_references_are_off(self, key):
-        call, ref = _ODD_POOL[key]
-        beta, r, eta = _OFF_REFERENCES[key]
-        exact = _mp_kernel(3, beta, r, eta)
-        res = call()
-        assert abs(res.value - exact) <= res.est_error
-        assert abs(ref - exact) > res.est_error + 1e-15 * abs(ref)
-
-    @pytest.mark.parametrize("key", _ODD_POOL)
-    def test_node_count(self, key):
-        # a timing-free guard on the cost of every odd-d pool point
-        assert _ODD_POOL[key][0]().diagnostics["nodes"] <= 600
+        assert abs(res.value - ref) <= res.est_error + 1e-15 * abs(ref)
+        # a timing-free guard on the cost
+        assert res.diagnostics["nodes"] <= 600
 
     @pytest.mark.parametrize("d,alpha,beta,r", [
         (5, 1.5, 0.5, 0.7), (7, 1.2, 2.0, 1.0), (9, 1.8, 1.3, 2.0),
@@ -536,14 +497,6 @@ class TestRay:
         assert res.value == pref * one.value
         assert res.est_error == pref * one.est_error
 
-    def test_symbol_time(self):
-        sym = lk.make_symbol("sum_stable", a=0.6, b=1.4)
-        res = lk.symbol_oracle(sym, 3, 0.0, 0.4, 1.1)
-        ref = _mp_kernel(3, 0.0, 1.1, lambda s: 0.4 * (
-            s ** mp.mpf("0.6") + s ** mp.mpf("1.4")))
-        assert abs(res.value - ref) <= 1e-13 * abs(ref)
-        assert abs(res.value - ref) <= res.est_error
-
     def test_cancelling_terms_take_the_panels(self):
         # at d = 5 and r = 1e-3 the Hankel terms cancel to ~1e-9 of their
         # size, beyond tol: the Bessel-zero panels answer instead
@@ -554,7 +507,8 @@ class TestRay:
 
     @pytest.mark.parametrize("d,alpha,beta,r", [
         (3, 0.05, 0.0, 1e-2), (3, 1.999, 2.0, 1e4), (3, 0.5, 10.0, 30.0),
-        (21, 1.5, 0.0, 50.0), (3, 1.0, 0.0, 1e-9), (9, 0.3, 0.5, 1e3)])
+        (21, 1.5, 0.0, 50.0), (3, 1.0, 0.0, 1e-9), (9, 0.3, 0.5, 1e3),
+        (9, 1.5, 0.0, 1e-60), (5, 1.5, 0.0, 1e-110)])
     def test_no_floating_point_warnings(self, d, alpha, beta, r):
         with np.errstate(all="raise", under="ignore"), warnings.catch_warnings():
             warnings.simplefilter("error")
