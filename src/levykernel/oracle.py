@@ -8,34 +8,38 @@ with a positive weight w.  This module evaluates it head-on, in numpy,
 and shares nothing with the contour-integral evaluators, so it serves as
 the ground truth they are judged against.  Two methods:
 
-* even d, and ``hankel_oracle`` for any caller-supplied weight: graded
-  Gauss-Legendre panels up to the first scaled Bessel zero, panel
+* even d, ``symbol_oracle``, and ``hankel_oracle`` for any
+  caller-supplied weight: graded Gauss-Legendre panels up to the first
+  scaled Bessel zero, refined only where they carry mass, panel
   integrals between consecutive zeros, and iterated-averaging (Euler-
   transform) acceleration of the alternating panel sums;
 * odd d in ``stable_oracle``: J_{d/2-1} is elementary, and the weight
   continues analytically off the real axis, so the integral is taken on
   a rotated ray where nothing oscillates (``_ray``), by an exponential-
   type trapezoid rule; where the terms of J_{d/2-1} cancel beyond tol
-  (d >= 5 at small r) the panels answer.  ``symbol_oracle`` takes the
-  panels at every d.
+  (d >= 5 at small r) the panels answer.
 
 No node depends on r in the argument x = r s (the 12-point nodes between
 zeros of J_nu, and j_{nu,1} u for the head's nodes u in [0, 1]), so one
-read-only table per nu, ``_ZERO_TABLES``, holds the zeros and J_nu at
-these nodes, grown lock-free in fixed units (1024 zeros or intervals, one
-head level) whose bits do not depend on the order of requests.
+read-only table per nu, ``_ZERO_TABLES``, holds the zeros and, per
+interval, the nodes x, their weights and J_nu(x), and J_nu at the head's
+nodes, grown lock-free in fixed units (1024 zeros or intervals, one head
+level) whose bits do not depend on the order of requests.  The head's
+unit nodes and weights per level are one more r-free table, shared by
+every nu.  A call then pays per node, not per numpy call: a batch of
+panels is one weight call at x / r, and a weight that ``stable_weight``
+or ``symbol_weight`` made carries its support radius, probed once.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 
 import numpy as np
 
 from .errors import Approximation, DomainError, NonConvergent
-from .specfun import bessel_j, bessel_j_derivative, bessel_switch_point
+from .specfun import bessel_j, bessel_j_derivative, bessel_series_end
 
 __all__ = [
     "bessel_zeros",
@@ -54,7 +58,13 @@ _gl = functools.cache(np.polynomial.legendre.leggauss)
 _PANEL_ORDER, _HEAD_ORDER, _HEAD_LEVELS = 12, 16, 9
 _MAX_PANELS = 300_000  # panels between zeros before acceleration gives up
 _ACCEL_DEPTH = 12  # averaging columns ``_accelerate`` tries at most
+# row k: the weights C(k, j) / 2^k that give the last entry of averaging
+# column k from the last k + 1 partial sums, newest first
+_ACCEL_WEIGHTS = np.array([[math.comb(k, j) / 2.0 ** k
+                            for j in range(_ACCEL_DEPTH + 1)]
+                           for k in range(_ACCEL_DEPTH + 1)])
 _SUPPORT_FLOOR = 1e-21  # |weight| beyond the support radius, against its peak
+_WEIGHTS_KEPT = 64  # stable and symbol weights kept, with their support radii
 _ZERO_TABLES: dict[float, dict[str, object]] = {}
 # the odd-d ray: its angle as a fraction of the widest, the first step,
 # the halvings at most, the first node and the farthest last one in tau,
@@ -62,6 +72,7 @@ _ZERO_TABLES: dict[float, dict[str, object]] = {}
 _RAY_ANGLE, _RAY_STEP, _RAY_LEVELS = 0.55, 0.125, 6
 _RAY_START, _RAY_END, _RAY_DECAY = -4.0, 64.0, 40.0
 _EPS = 2.0 ** -52
+_CHILDREN = np.arange(2)  # panel i of a head level has children 2i, 2i + 1
 
 
 def _gl_nodes(edges, order):
@@ -70,13 +81,18 @@ def _gl_nodes(edges, order):
     return mids[:, None] + halfw[:, None] * _gl(order)[0][None, :], halfw
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def _grow(nu: float, kind: str, n: int, make) -> tuple:
     """Units 0 .. n - 1 of nu's ``kind`` table, missing ones made by make(j)."""
     table = _ZERO_TABLES.setdefault(nu, {})
     units = table.get(kind, ())
     for j in range(len(units), n):
-        units += (make(j),)
-        units[-1].flags.writeable = False
+        units += _read_only(make(j))
         table[kind] = units
     return units
 
@@ -129,122 +145,144 @@ def bessel_zeros(nu: float, n: int, offset: int = 0) -> np.ndarray:
     return _zero_table(nu, offset + n)[offset:offset + n].copy()
 
 
-def _panel_j(nu: float, start: int, stop: int) -> np.ndarray:
-    """J_nu at the 12-point nodes of the intervals between zeros k + 1 and
-    k + 2 of J_nu, k = start .. stop - 1, one row per interval."""
+def _panel_block(nu: float, j: int) -> np.ndarray:
+    """(x, weights, J_nu(x)) of the 12-point rule on the intervals between
+    zeros k + 1 and k + 2 of J_nu, k = j B .. (j + 1) B - 1, one row per
+    interval; the weights are the rule's times the half widths in x."""
+    zeros = _zero_table(nu, (j + 1) * _ZERO_BLOCK + 1)
+    x, halfw = _gl_nodes(zeros[j * _ZERO_BLOCK:(j + 1) * _ZERO_BLOCK + 1],
+                         _PANEL_ORDER)
+    return np.stack((x, halfw[:, None] * _gl(_PANEL_ORDER)[1], bessel_j(nu, x)))
+
+
+def _panel_rows(nu: float, start: int, stop: int) -> np.ndarray:
+    """Rows start .. stop - 1 of nu's panel table, as (x, weights, J)."""
     n = -(-stop // _ZERO_BLOCK)
-    zeros = _zero_table(nu, n * _ZERO_BLOCK + 1)
-    blocks = _grow(nu, "panels", n, lambda j: bessel_j(nu, _gl_nodes(
-        zeros[j * _ZERO_BLOCK:(j + 1) * _ZERO_BLOCK + 1], _PANEL_ORDER)[0]))
-    return np.concatenate([
-        blocks[j][max(start - j * _ZERO_BLOCK, 0):stop - j * _ZERO_BLOCK]
-        for j in range(start // _ZERO_BLOCK, n)])
-
-
-def _head_levels(a, b):
-    """Edges a + (b-a) 2^-k, k <= 100, of the graded head, halved per level."""
-    edges = np.unique(a + (b - a) * np.r_[0.0, 0.5 ** np.arange(100, -1, -1)])
-    for _ in range(_HEAD_LEVELS):
-        yield edges
-        edges = np.unique(np.r_[edges, 0.5 * (edges[1:] + edges[:-1])])
+    blocks = _grow(nu, "panels", n, functools.partial(_panel_block, nu))
+    first = start // _ZERO_BLOCK
+    parts = [blocks[j][:, max(start - j * _ZERO_BLOCK, 0):stop - j * _ZERO_BLOCK]
+             for j in range(first, n)]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
 @functools.cache
 def _unit_edges(level: int) -> np.ndarray:
-    """The head's edges on [0, 1] at level ``level`` (read-only)."""
-    edges = next(itertools.islice(_head_levels(0.0, 1.0), level, None))
-    edges.flags.writeable = False
-    return edges
+    """The head's edges on [0, 1] at level ``level``: 2^-k, k <= 100, at
+    level 0, and every panel of a level halved at the next, so panel i
+    has children 2i and 2i + 1 (read-only)."""
+    if level == 0:
+        edges = np.r_[0.0, 0.5 ** np.arange(100, -1, -1)]
+    else:
+        prev = _unit_edges(level - 1)
+        edges = np.empty(2 * prev.size - 1)
+        edges[::2], edges[1::2] = prev, 0.5 * (prev[1:] + prev[:-1])
+    return _read_only(edges)[0]
+
+
+@functools.cache
+def _head_nodes(level: int) -> tuple:
+    """The head's 16-point nodes u on [0, 1] at level ``level``, one row
+    per panel, and their weights (the rule's times the half widths)."""
+    u, halfw = _gl_nodes(_unit_edges(level), _HEAD_ORDER)
+    return _read_only(u, halfw[:, None] * _gl(_HEAD_ORDER)[1])
 
 
 def _head_j(nu: float, level: int) -> np.ndarray:
     """J_nu(j_{nu,1} u) at the head's 16-point nodes u of level ``level``."""
     z1 = _zero_table(nu, 1)[0]
     return _grow(nu, "head", level + 1, lambda j: bessel_j(
-        nu, z1 * _gl_nodes(_unit_edges(j), _HEAD_ORDER)[0]))[level]
-
-
-def _panel_integrals(weight, nu, scale, edges, order, jx=None):
-    """Gauss-Legendre integral of J_nu(scale*s) * w(s) per panel; int |w|.
-    ``jx`` holds J_nu at the nodes when they come from the table."""
-    s, halfw = _gl_nodes(edges, order)
-    ws = weight(s) * _gl(order)[1][None, :]
-    jx = bessel_j(nu, scale * s) if jx is None else jx
-    return (jx * ws).sum(axis=1) * halfw, float(np.abs(ws).sum(axis=1) @ halfw)
+        nu, z1 * _head_nodes(j)[0]))[level]
 
 
 def _accelerate(partial_sums: np.ndarray):
     """Iterated averaging of a tail of the partial-sum sequence.
 
     Returns (value, error_estimate, depth_used).  The averaging column
-    with the smallest last difference wins; for alternating sequences
-    this upgrades linear convergence to near-exponential.
+    with the smallest last difference wins (the first, on a tie); for
+    alternating sequences this upgrades linear convergence to
+    near-exponential.  Column k's last entry is the binomial mean
+    2^-k sum_j C(k, j) s_(n-j), so all come from one product.
     """
     s = np.asarray(partial_sums, dtype=float)
     if s.size == 1:
         return float(s[-1]), math.inf, 0
-    tail = s[-min(s.size, 2 * _ACCEL_DEPTH + 6):]
-    best_val = tail[-1]
-    best_err = abs(tail[-1] - tail[-2])
-    cur = tail
-    depth_used = 0
-    prev_last = tail[-1]
-    for depth in range(1, min(_ACCEL_DEPTH, tail.size - 1) + 1):
-        cur = 0.5 * (cur[1:] + cur[:-1])
-        diff = abs(cur[-1] - prev_last)
-        if diff < best_err:
-            best_err = diff
-            best_val = cur[-1]
-            depth_used = depth
-        prev_last = cur[-1]
-    return float(best_val), float(best_err), depth_used
+    depth = min(_ACCEL_DEPTH, s.size - 1)
+    lasts = _ACCEL_WEIGHTS[:depth + 1, :depth + 1] @ s[:-depth - 2:-1]
+    diffs = np.abs(lasts[1:] - lasts[:-1])
+    k = int(np.argmin(diffs))
+    last_step = abs(s[-1] - s[-2])
+    if diffs[k] < last_step:
+        return float(lasts[k + 1]), float(diffs[k]), k + 1
+    return float(s[-1]), float(last_step), 0
 
 
 def _probes(s_start: float):
-    """The weight's peak probe and 1.5x ladder (product by product)."""
-    return (np.geomspace(max(s_start, 1e-6) + 1e-12, 1e4, 200),
-            np.multiply.accumulate(np.r_[max(1.0, s_start), np.full(59, 1.5)]))
+    """The weight's peak probe and 1.5x ladder (product by product), as
+    one array, and the size of the probe."""
+    grid = np.geomspace(max(s_start, 1e-6) + 1e-12, 1e4, 200)
+    ladder = np.multiply.accumulate(np.r_[max(1.0, s_start), np.full(59, 1.5)])
+    return np.concatenate((grid, ladder)), grid.size
 
 
 _PROBES = _probes(0.0)  # those of the common start
 
 
 def _support_radius(weight, s_start: float):
-    """Radius beyond which the weight is negligible relative to its peak.
+    """Radius beyond which the weight is negligible relative to its peak,
+    from one weight call.
 
     Returns inf when no decay is detected within the scan cap (the
     integral is then handled as conditionally convergent).
     """
-    grid, ladder = _PROBES if s_start == 0 else _probes(s_start)
-    wmax = float(np.max(np.abs(weight(grid))))
+    probes, n = _PROBES if s_start == 0 else _probes(s_start)
+    w = np.abs(weight(probes))
+    wmax = float(np.max(w[:n]))
     if wmax == 0.0:
         return max(s_start, 1.0)
-    below = np.abs(weight(ladder)) < _SUPPORT_FLOOR * wmax
-    return float(ladder[np.argmax(below)]) if below.any() else math.inf
+    below = w[n:] < _SUPPORT_FLOOR * wmax
+    return float(probes[n + np.argmax(below)]) if below.any() else math.inf
 
 
 def _graded_head(weight, nu, scale, a, b, tol, tabled=False):
     """int_a^b J_nu(scale*s) w(s) ds on one Bessel arch (nu = scale = 0:
     int_a^b w) by 16-point Gauss-Legendre panels with edges a + (b-a) 2^-k,
-    k <= 100, graded toward a, where s^p and s^(z-1) are not smooth.  All
-    panels are halved until the sum moves by under tol/100 (or 1e-15) of
-    itself; returns (value, last change, int |w|).  ``tabled`` (a = 0,
-    b = j_{nu,1}/scale) reads the Bessel values from nu's table.
+    k <= 100, graded toward a, where s^p and s^(z-1) are not smooth.
+
+    From level 1 on only the live panels are halved: those whose mass,
+    the rule's sum of |J w|, exceeded eps |head| / n at the level before
+    (n its panel count).  A frozen panel keeps its sum, and twice its
+    mass joins the halving change, so the change still bounds what the
+    frozen panels miss.  Stops once the change is under tol/100 (or
+    1e-15) of the sum; returns (value, change, int |w|), the last from
+    level 0.  ``tabled`` (a = 0, b = j_{nu,1}/scale) reads the Bessel
+    values from nu's table.
     """
+    span = b - a
     value = math.nan
-    # from a = 0 the edges are b times the unit ones; from a != 0,
-    # a + (b-a) 2^-k rounds to a for large k and np.unique drops those
-    levels = (_head_levels(a, b) if a != 0
-              else (b * _unit_edges(k) for k in range(_HEAD_LEVELS)))
-    for level, edges in enumerate(levels):
-        panels, abs_w = _panel_integrals(weight, nu, scale, edges, _HEAD_ORDER,
-                                         _head_j(nu, level) if tabled else None)
-        prev, value = value, float(panels.sum())
-        change = abs(value - prev)
-        if change <= max(1e-2 * tol, 1e-15) * abs(value):
-            return value, change, abs_w
+    frozen_sum = frozen_mass = 0.0
+    rows = slice(None)
+    for level in range(_HEAD_LEVELS):
+        u, wu = _head_nodes(level)
+        s = a + span * u[rows]
+        wv = weight(s) * wu[rows]
+        jw = (_head_j(nu, level)[rows] if tabled else bessel_j(nu, scale * s)) * wv
+        sums = jw.sum(axis=1)
+        prev, value = value, frozen_sum + float(sums.sum())
+        change = abs(value - prev) + 2.0 * frozen_mass
+        if level == 0:
+            abs_w = float(np.abs(wv).sum())
+        elif change <= max(1e-2 * tol, 1e-15) * abs(value):
+            return span * value, span * change, span * abs_w
+        mass = np.abs(jw).sum(axis=1)
+        live = mass > _EPS * abs(value) / u.shape[0]
+        dead = ~live
+        frozen_sum += float(sums[dead].sum())
+        frozen_mass += float(mass[dead].sum())
+        idx = np.flatnonzero(live) if level == 0 else rows[live]
+        rows = (2 * idx[:, None] + _CHILDREN).ravel()
     raise NonConvergent(f"graded head on [{a!r}, {b!r}] did not settle "
-                        f"(estimate {value!r}, last change {change:.3e})")
+                        f"(estimate {span * value!r}, last change "
+                        f"{span * change:.3e})")
 
 
 def oscillatory_bessel_integral(weight, nu: float, scale: float,
@@ -258,20 +296,26 @@ def oscillatory_bessel_integral(weight, nu: float, scale: float,
     the acceleration depth (at least 3).  Requires scale > 0 and a
     weight that takes and returns arrays and either decays (support
     detected) or leaves the panel sums alternating so acceleration
-    applies.  Panels use the 12-point rule of nu's node table; from
-    s_start = 0 no ``bessel_j`` call is made once it has grown far enough.
+    applies.  The support radius is probed by one weight call, or read
+    from the weight when ``stable_weight`` or ``symbol_weight`` made it
+    and s_start = 0.  Panels use the 12-point rule of nu's node table,
+    whose nodes, weights and Bessel values are stored in x = scale * s,
+    so a batch is one weight call at x / scale; from s_start = 0 no
+    ``bessel_j`` call is made once the table has grown far enough.
     The estimate, a bound, adds the head's last halving change,
     the acceleration error, the change between the last two batch ends
     and eps_J int |w|, eps_J bounding the absolute error of ``bessel_j``:
     the rounding of its ascending series at the largest term, e^x /
-    sqrt(2 pi x) at the switch point x (5-20x above the errors measured
+    sqrt(2 pi x) at the series' end x (5-20x above the errors measured
     against mpmath for nu <= 4).
     """
     if scale <= 0:
         raise ValueError("scale must be > 0")
-    s_sup = _support_radius(weight, s_start)
-    xs = bessel_switch_point(nu)
-    eps_j = 2.0 ** -52 * math.exp(xs) / math.sqrt(2.0 * math.pi * xs)
+    s_sup = getattr(weight, "_support", None) if s_start == 0 else None
+    if s_sup is None:
+        s_sup = _support_radius(weight, s_start)
+    xe = bessel_series_end(nu)
+    eps_j = _EPS * math.exp(xe) / math.sqrt(2.0 * math.pi * xe)
 
     # Index of the first zero beyond scale * s_start.
     zs = _zero_table(nu, 1)
@@ -292,7 +336,6 @@ def oscillatory_bessel_integral(weight, nu: float, scale: float,
 
     batch = 64
     panel_vals: list[np.ndarray] = []
-    partial: list[float] = []
     running = 0.0
     gross = abs(head_val)
     est = math.inf
@@ -303,18 +346,19 @@ def oscillatory_bessel_integral(weight, nu: float, scale: float,
     offset = skip  # index of the zero sitting at the current left edge
     converged = False
     while n_panels < _MAX_PANELS:
-        edges = bessel_zeros(nu, batch + 1, offset=offset)
-        b, b_abs = _panel_integrals(weight, nu, scale, edges / scale, _PANEL_ORDER,
-                                    _panel_j(nu, offset, offset + batch))
+        x, wx, jx = _panel_rows(nu, offset, offset + batch)
+        wv = weight(x / scale) * wx
+        b = (jx * wv).sum(axis=1) / scale
         offset += batch
-        abs_w += b_abs
+        edge = bessel_zeros(nu, 1, offset=offset)[0]
+        abs_w += float(np.abs(wv).sum()) / scale
         gross += float(np.abs(b).sum())
         panel_vals.append(b)
         csum = running + np.cumsum(b)
         running = float(csum[-1])
-        partial.extend(csum.tolist())
         n_panels += b.size
-        acc, acc_err, depth = _accelerate(np.asarray(partial))
+        # a batch holds more than the _ACCEL_DEPTH + 1 sums averaging reads
+        acc, acc_err, depth = _accelerate(csum)
         value = head_val + acc
         est = head_err + acc_err + eps_j * abs_w + (
             abs(value - prev_est) if prev_est is not None else 0.0)
@@ -326,7 +370,7 @@ def oscillatory_bessel_integral(weight, nu: float, scale: float,
             converged = True
             break
         # Pure truncation exit: the remaining weight is negligible.
-        if np.isfinite(s_sup) and edges[-1] / scale >= s_sup \
+        if np.isfinite(s_sup) and edge / scale >= s_sup \
                 and abs(b[-1]) <= tol * scale_ref:
             converged = True
             break
@@ -371,12 +415,23 @@ def hankel_oracle(weight, d: int, r: float, tol: float = 1e-11) -> Approximation
                          method="oracle", diagnostics=res.diagnostics)
 
 
+def _with_support(w):
+    """w, carrying its support radius from s = 0 as ``w._support``, which
+    ``oscillatory_bessel_integral`` reads in place of probing again."""
+    w._support = _support_radius(w, 0.0)
+    return w
+
+
+@functools.lru_cache(maxsize=_WEIGHTS_KEPT)
 def stable_weight(d: int, alpha: float, beta: float, t: float):
-    """Weight s^(d/2+beta) exp(-t s^alpha) of the stable kernel."""
+    """Weight s^(d/2+beta) exp(-t s^alpha) of the stable kernel.  Equal
+    arguments share one weight, whose support radius is probed once."""
     p = 0.5 * d + beta
 
     def w(s):
         s = np.asarray(s, dtype=float)
+        if s.min(initial=math.inf) > 0:
+            return np.exp(p * np.log(s) - t * s ** alpha)
         out = np.zeros_like(s)
         pos = s > 0
         sp = s[pos]
@@ -385,15 +440,20 @@ def stable_weight(d: int, alpha: float, beta: float, t: float):
             out[~pos] = 1.0
         return out
 
-    return w
+    return _with_support(w)
 
 
+@functools.lru_cache(maxsize=_WEIGHTS_KEPT)
 def symbol_weight(sym, d: int, beta: float, t: float):
-    """Weight s^(d/2+beta) exp(-t eta(s)) for a radial symbol object."""
+    """Weight s^(d/2+beta) exp(-t eta(s)) for a radial symbol object.
+    Equal arguments share one weight, whose support radius is probed
+    once."""
     p = 0.5 * d + beta
 
     def w(s):
         s = np.asarray(s, dtype=float)
+        if s.min(initial=math.inf) > 0:
+            return s ** p * np.exp(-t * sym.eta(s))
         out = np.zeros_like(s)
         pos = s > 0
         sp = s[pos]
@@ -402,7 +462,7 @@ def symbol_weight(sym, d: int, beta: float, t: float):
             out[~pos] = math.exp(-t * sym.eta_at_zero)
         return out
 
-    return w
+    return _with_support(w)
 
 
 def _check_radius(r: float):
@@ -542,8 +602,9 @@ def _gaussian_kernel(d: int, j: int, r: float) -> float:
 def stable_oracle(spec, r: float, tol: float = 1e-11) -> Approximation:
     """Oracle value of the stable kernel (or its fractional derivative).
 
-    Even d: ``hankel_oracle``'s Bessel-zero panels.  Odd d: the unit-time
-    kernel (``scaling_reduce``) on a rotated ray (``_ray``), with
+    The unit-time kernel (``scaling_reduce``), so that the weight and its
+    support radius are shared by every t: at even d by ``hankel_oracle``'s
+    Bessel-zero panels, at odd d on a rotated ray (``_ray``), with
     diagnostics ``nodes`` and ``levels`` in place of ``panels``/``depth``.
     At even beta the large-r value is a cancellation of the s^beta term
     of e^(-s^alpha), so s^beta e^(-s^2), whose kernel is closed
@@ -552,11 +613,8 @@ def stable_oracle(spec, r: float, tol: float = 1e-11) -> Approximation:
     """
     from .stable_kernel import scaling_reduce
 
-    d, beta = spec.d, spec.beta
-    if d % 2 == 0:
-        return hankel_oracle(stable_weight(d, spec.alpha, beta, spec.t), d, r,
-                             tol=tol)
     _check_radius(r)
+    d, beta = spec.d, spec.beta
     unit, r_unit, pref = scaling_reduce(spec, r)
     alpha = unit.alpha
 
@@ -564,7 +622,9 @@ def stable_oracle(spec, r: float, tol: float = 1e-11) -> Approximation:
         return hankel_oracle(stable_weight(d, alpha, beta, 1.0), d, r_unit,
                              tol=tol)
 
-    if beta % 2.0:
+    if d % 2 == 0:
+        res = panels()
+    elif beta % 2.0:
         def weight(s, lead):
             return np.exp(lead - s ** alpha), None
 

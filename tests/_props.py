@@ -2,6 +2,8 @@
 acceptance suite.  Each returns the measured worst-case error so the
 callers can assert against the documented tolerances."""
 
+import contextlib
+import functools
 import math
 
 import numpy as np
@@ -137,3 +139,38 @@ def row_block_mismatches(call, grid, every=61):
         if (batch[i].value, batch[i].est_error) != (one.value, one.est_error):
             bad.append(i)
     return bad, len(edges)
+
+
+@contextlib.contextmanager
+def weight_calls():
+    """Counts, while active, the calls of every weight that
+    ``oracle.stable_weight`` and ``oracle.symbol_weight`` hand out
+    (``counts["calls"]``, probes included) and the support probes that
+    ``oracle._support_radius`` makes (``counts["probes"]``)."""
+    oracle = lk.oracle
+    counts = {"calls": 0, "probes": 0}
+    real = oracle.stable_weight, oracle.symbol_weight, oracle._support_radius
+
+    def counting(make):
+        def make_counted(*args):
+            w = make(*args)
+
+            @functools.wraps(w)  # keeps the weight's attributes
+            def counted(s):
+                counts["calls"] += 1
+                return w(s)
+
+            return counted
+
+        return make_counted
+
+    def probe(weight, s_start):
+        counts["probes"] += 1
+        return real[2](weight, s_start)
+
+    oracle.stable_weight, oracle.symbol_weight = counting(real[0]), counting(real[1])
+    oracle._support_radius = probe
+    try:
+        yield counts
+    finally:
+        oracle.stable_weight, oracle.symbol_weight, oracle._support_radius = real

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -13,8 +14,8 @@ import pytest
 from scipy.special import jn_zeros
 
 import levykernel as lk
+from _props import weight_calls
 from levykernel import oracle
-from levykernel.specfun import bessel_switch_point
 
 POOL = pathlib.Path(__file__).resolve().parents[1] / "bench" / "pool"
 
@@ -31,7 +32,7 @@ oracle_value = lambda: levykernel.stable_oracle(
     levykernel.KernelSpec(2, 1.99), 50.0).value.hex()
 if sys.argv[1] == "far-first":
     oracle.bessel_zeros(0.0, 1, offset=19999)
-    oracle._panel_j(0.0, 19990, 19999)
+    oracle._panel_rows(0.0, 19990, 19999)[2]
     oracle._head_j(0.0, 4)
     value = oracle_value()
 else:
@@ -39,10 +40,10 @@ else:
     n = 1
     while n < 20000:
         oracle.bessel_zeros(0.0, n)
-        oracle._panel_j(0.0, n // 2, n)
+        oracle._panel_rows(0.0, n // 2, n)[2]
         n *= 2
     oracle.bessel_zeros(0.0, 20000)
-    oracle._panel_j(0.0, 19990, 19999)
+    oracle._panel_rows(0.0, 19990, 19999)[2]
     for level in range(5):
         oracle._head_j(0.0, level)
 table = oracle._ZERO_TABLES[0.0]
@@ -90,14 +91,10 @@ class TestBesselZeros:
         with mp.workdps(30):
             ref = np.array([float(mp.besseljzero(mp.mpf(nu), int(k)))
                             for k in idx])
-        # At nu >= 3 bessel_j is inaccurate below its switch point (see
-        # its docstring), so the first zeros of J_4 are up to 5e-5 off.
-        # Only the zeros past bessel_switch_point(4) = 32 are checked
-        # there; the Newton derivative J_3 - (4/x) J_4 stays below it.
-        keep = ref > (bessel_switch_point(nu) if nu >= 3 else 0.0)
-        err = np.abs(ours - ref)[keep]
-        assert keep.sum() >= 8
-        assert np.all(err <= 1e-12 + 4 * np.spacing(ref[keep]))
+        # the first zeros of J_4 lie where bessel_j recurs from lower
+        # orders (between x = 12 and its switch point 32)
+        err = np.abs(ours - ref)
+        assert np.all(err <= 1e-12 + 4 * np.spacing(ref))
 
     def test_returns_fresh_array(self):
         before = lk.bessel_zeros(0.0, 10, offset=3)
@@ -120,7 +117,7 @@ class TestBesselZeros:
         # twice, with identical bits, and each reads correct zeros and
         # node values
         ref = lk.bessel_zeros(0.5, 7000)
-        ref_panels = oracle._panel_j(0.5, 0, 7000)
+        ref_panels = oracle._panel_rows(0.5, 0, 7000)[2]
         ref_head = [oracle._head_j(0.5, level) for level in range(3)]
         monkeypatch.setattr(oracle, "_ZERO_TABLES", {})
         spans = [(700 * i, 300 + 500 * i) for i in range(6)]
@@ -129,7 +126,7 @@ class TestBesselZeros:
         def work(i):
             offset, n = spans[i]
             got[i] = (lk.bessel_zeros(0.5, n, offset=offset),
-                      oracle._panel_j(0.5, offset, offset + n),
+                      oracle._panel_rows(0.5, offset, offset + n)[2],
                       oracle._head_j(0.5, i % 3))
 
         threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
@@ -169,9 +166,10 @@ class TestNodeTable:
     def test_values_are_bessel_j_at_the_nodes(self, nu):
         n = 2 * oracle._ZERO_BLOCK + 100
         zeros = lk.bessel_zeros(nu, n + 1)
-        panels = oracle._panel_j(nu, 0, n)
+        panels = oracle._panel_rows(nu, 0, n)[2]
         assert np.array_equal(panels, lk.bessel_j(nu, _nodes(zeros, 12)))
-        assert np.array_equal(oracle._panel_j(nu, 1000, 2100), panels[1000:2100])
+        assert np.array_equal(oracle._panel_rows(nu, 1000, 2100)[2],
+                              panels[1000:2100])
         # the head's unit grid 2^-k, k <= 100, every panel halved per level
         edges = np.unique(np.r_[0.0, 0.5 ** np.arange(100, -1, -1)])
         for level in range(3):
@@ -255,6 +253,47 @@ class TestHankelOracle:
             np.diff(lk.bessel_zeros(0.0, res.diagnostics["panels"])) > 0)
 
 
+def _accelerate_loop(partial_sums):
+    """The iterated-averaging loop that oracle._accelerate takes in closed
+    form: each column the mean of neighbours in the one before."""
+    s = np.asarray(partial_sums, dtype=float)
+    if s.size == 1:
+        return float(s[-1]), math.inf, 0
+    tail = s[-min(s.size, 2 * oracle._ACCEL_DEPTH + 6):]
+    best_val, best_err = tail[-1], abs(tail[-1] - tail[-2])
+    cur, depth_used, prev_last = tail, 0, tail[-1]
+    for depth in range(1, min(oracle._ACCEL_DEPTH, tail.size - 1) + 1):
+        cur = 0.5 * (cur[1:] + cur[:-1])
+        diff = abs(cur[-1] - prev_last)
+        if diff < best_err:
+            best_err, best_val, depth_used = diff, cur[-1], depth
+        prev_last = cur[-1]
+    return float(best_val), float(best_err), depth_used
+
+
+_J0_PANELS = oracle._panel_rows(0.0, 0, 64)
+
+
+@pytest.mark.parametrize("terms", [
+    (-1.0) ** np.arange(40) / np.arange(1, 41),  # alternating, to ln 2
+    (-1.0) ** np.arange(7) / np.arange(1, 8) ** 0.5,
+    (_J0_PANELS[2] * np.exp(-(_J0_PANELS[0] / 7.0) ** 1.5)
+     * _J0_PANELS[1]).sum(axis=1),  # Bessel-zero panels of a weight
+    1.0 / np.arange(1, 50) ** 2,  # monotone
+    0.5 ** np.arange(30),
+    np.r_[1.0, np.zeros(20)],  # constant partial sums
+    np.array([3.0]), np.array([1.0, -0.5]),
+])
+def test_accelerate_matches_iterated_averaging(terms):
+    partial = np.cumsum(terms)
+    value, err, depth = oracle._accelerate(partial)
+    ref_value, ref_err, ref_depth = _accelerate_loop(partial)
+    rounding = 16 * np.finfo(float).eps * np.max(np.abs(partial))
+    assert depth == ref_depth
+    assert abs(value - ref_value) <= rounding
+    assert abs(err - ref_err) <= rounding or err == ref_err
+
+
 def _support_radius_loop(weight, s_start, rel_floor=1e-21):
     """The scalar 1.5x ladder that oracle._support_radius vectorises."""
     grid = np.geomspace(max(s_start, 1e-6) + 1e-12, 1e4, 200)
@@ -287,6 +326,34 @@ def test_support_radius_matches_scalar_ladder(weight, s_start):
 
 
 class TestGradedHead:
+    @pytest.mark.parametrize("b", [3.0, 100.0])
+    def test_refines_only_live_panels(self, b):
+        # nu = scale = 0: int_0^b s^(-1/2) e^(-s) ds = sqrt(pi) erf(sqrt(b))
+        calls = []
+
+        def w(s):
+            calls.append((s, np.exp(-s) / np.sqrt(s)))
+            return calls[-1][1]
+
+        val, change, _ = oracle._graded_head(w, 0.0, 0.0, 0.0, b, 1e-13)
+        ref = math.sqrt(math.pi) * math.erf(math.sqrt(b))
+        assert abs(val - ref) <= change + 2 * np.spacing(ref)
+        # each call evaluates whole panels of its level; from level 1 on
+        # exactly the children of the panels whose mass exceeded
+        # eps |head| / n at the level before
+        live = np.arange(101)
+        for level, (s, wv) in enumerate(calls):
+            u, wu = oracle._head_nodes(level)
+            rows = np.searchsorted(b * u[:, 0], s[:, 0])
+            assert np.array_equal(s, b * u[rows])
+            if level:
+                assert np.array_equal(rows, (2 * live[:, None] + [0, 1]).ravel())
+            mass = b * np.abs(wv * wu[rows]).sum(axis=1)
+            live = rows[mass > np.finfo(float).eps * abs(val) / u.shape[0]]
+        assert len(calls) >= 2
+        # past s = 50 the weight is below eps: that panel freezes
+        assert (calls[1][0].shape[0] < 202) == (b > 50.0)
+
     @pytest.mark.parametrize("b", [0.05, 0.2, 3.0])
     def test_gaussian_hankel_closed_form(self, b):
         # int_0^inf J_0(b s) s e^(-s^2) ds = e^(-b^2/4) / 2; at b <= 0.2
@@ -332,6 +399,46 @@ class TestGradedHead:
         assert abs(k0 - ref) <= 1e-13 * ref
 
 
+def _one_batch_pool_calls():
+    """Oracle calls of the even-d stable and the t = 1 symbol points of
+    the benchmark's pool, keyed by name."""
+    calls = {}
+    for p in json.loads((POOL / "oracle.json").read_text())["stable"]:
+        if p["d"] % 2 == 0:
+            spec = lk.KernelSpec(p["d"], p["alpha"], p["beta"])
+            calls[f"stable {spec} r={p['r']}"] = functools.partial(
+                lk.stable_oracle, spec, p["r"])
+    for sy in json.loads((POOL / "symbols.json").read_text())["symbols"]:
+        sym = lk.make_symbol(sy["kind"], **sy["params"])
+        for p in sy["points"]:
+            if p["t"] == 1.0:
+                name = f"{sym.name}{sy['params']} d={sy['d']} r={p['r']}"
+                calls[name] = functools.partial(
+                    lk.symbol_oracle, sym, sy["d"], sy["beta"], 1.0, p["r"])
+    return calls
+
+
+def test_warm_one_batch_calls_make_three_weight_calls():
+    # head level 0, the live half of level 1, one batch of 64 panels; the
+    # support radius is the weight's own, probed when it was first made
+    seen = {}
+    for name, call in _one_batch_pool_calls().items():
+        if call().diagnostics["panels"] != 65:
+            continue
+        with weight_calls() as counts:
+            call()
+        seen[name] = counts
+    assert len(seen) >= 30
+    assert {name: c for name, c in seen.items()
+            if c["calls"] > 3 or c["probes"]} == {}
+    # a weight of the caller's own is probed on every call
+    weight = lk.stable_weight(2, 1.5, 0.0, 1.0)
+    with weight_calls() as counts:
+        for _ in range(2):
+            lk.hankel_oracle(lambda s: weight(s), 2, 3.0)
+    assert counts["probes"] == 2
+
+
 def test_est_error_bounds_frozen_references():
     # every stable point of the benchmark's 30-digit reference pool (t = 1)
     pool = json.loads((POOL / "oracle.json").read_text())
@@ -368,12 +475,12 @@ class TestNormalization:
                   for r_split in (20.0, 40.0, 80.0)]
         assert max(masses) - min(masses) <= 1e-12
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "bessel_j cancels below its switch point for nu >= 3; at nu = 4 the "
-        "mass is 6e-3 off (ROADMAP items 1 and 10)"))
     def test_unit_mass_at_d10(self):
-        mass = lk.normalization_check(lk.KernelSpec(d=10, alpha=1.5))
-        assert abs(mass - 1.0) <= 1e-5
+        # nu = 3.5 and 4: between x = 12 and its switch point bessel_j
+        # recurs from lower orders, where its series would cancel
+        for d in (9, 10):
+            mass = lk.normalization_check(lk.KernelSpec(d=d, alpha=1.5))
+            assert abs(mass - 1.0) <= 2e-11, d
 
     @pytest.mark.parametrize("d,alpha", [(2, 1.5), (3, 1.2)])
     def test_inner_mass_equals_composite_rule(self, d, alpha):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
@@ -153,6 +154,15 @@ class TestBesselJ:
             ours = lk.bessel_j(nu, x)
             ref = scipy_jv(nu, x)
             assert np.max(np.abs(ours - ref)) < 2e-10
+
+    @pytest.mark.parametrize("nu", [3.0, 3.5, 4.0, 9.5])
+    def test_against_mpmath_between_the_branches(self, nu):
+        # between x = 12 and the switch point 2 nu^2 the series alone
+        # cancelled to 1.2e-10 (nu = 3), 6.3e-8 (3.5) and 7e-5 (4)
+        x = np.linspace(0.0, max(40.0, 1.2 * bessel_switch_point(nu)), 401)
+        with mp.workdps(30):
+            ref = np.array([float(mp.besselj(nu, mp.mpf(float(v)))) for v in x])
+        assert np.max(np.abs(lk.bessel_j(nu, x) - ref)) <= 1e-12
 
     def test_rejects_bad_domain(self):
         with pytest.raises(ValueError):
