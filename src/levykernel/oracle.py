@@ -27,8 +27,7 @@ nodes, grown lock-free in fixed units (1024 zeros or intervals, one head
 level) whose bits do not depend on the order of requests.  The head's
 unit nodes and weights per level are one more r-free table, shared by
 every nu.  A call then pays per node, not per numpy call: a batch of
-panels is one weight call at x / r, and a weight that ``stable_weight``
-or ``symbol_weight`` made carries its support radius, probed once.
+panels is one weight call at x / r, and the support radius one more.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ import math
 import numpy as np
 
 from .errors import Approximation, DomainError, NonConvergent
-from .specfun import bessel_j, bessel_j_derivative, bessel_series_end
+from .specfun import _bessel_series_end, bessel_j, bessel_j_derivative
 
 __all__ = [
     "bessel_zeros",
@@ -64,7 +63,6 @@ _ACCEL_WEIGHTS = np.array([[math.comb(k, j) / 2.0 ** k
                             for j in range(_ACCEL_DEPTH + 1)]
                            for k in range(_ACCEL_DEPTH + 1)])
 _SUPPORT_FLOOR = 1e-21  # |weight| beyond the support radius, against its peak
-_WEIGHTS_KEPT = 64  # stable and symbol weights kept, with their support radii
 _ZERO_TABLES: dict[float, dict[str, object]] = {}
 # the odd-d ray: its angle as a fraction of the widest, the first step,
 # the halvings at most, the first node and the farthest last one in tau,
@@ -296,10 +294,9 @@ def oscillatory_bessel_integral(weight, nu: float, scale: float,
     the acceleration depth (at least 3).  Requires scale > 0 and a
     weight that takes and returns arrays and either decays (support
     detected) or leaves the panel sums alternating so acceleration
-    applies.  The support radius is probed by one weight call, or read
-    from the weight when ``stable_weight`` or ``symbol_weight`` made it
-    and s_start = 0.  Panels use the 12-point rule of nu's node table,
-    whose nodes, weights and Bessel values are stored in x = scale * s,
+    applies.  The support radius is probed by one weight call.  Panels
+    use the 12-point rule of nu's node table, whose nodes, weights and
+    Bessel values are stored in x = scale * s,
     so a batch is one weight call at x / scale; from s_start = 0 no
     ``bessel_j`` call is made once the table has grown far enough.
     The estimate, a bound, adds the head's last halving change,
@@ -311,10 +308,8 @@ def oscillatory_bessel_integral(weight, nu: float, scale: float,
     """
     if scale <= 0:
         raise ValueError("scale must be > 0")
-    s_sup = getattr(weight, "_support", None) if s_start == 0 else None
-    if s_sup is None:
-        s_sup = _support_radius(weight, s_start)
-    xe = bessel_series_end(nu)
+    s_sup = _support_radius(weight, s_start)
+    xe = _bessel_series_end(nu)
     eps_j = _EPS * math.exp(xe) / math.sqrt(2.0 * math.pi * xe)
 
     # Index of the first zero beyond scale * s_start.
@@ -415,17 +410,8 @@ def hankel_oracle(weight, d: int, r: float, tol: float = 1e-11) -> Approximation
                          method="oracle", diagnostics=res.diagnostics)
 
 
-def _with_support(w):
-    """w, carrying its support radius from s = 0 as ``w._support``, which
-    ``oscillatory_bessel_integral`` reads in place of probing again."""
-    w._support = _support_radius(w, 0.0)
-    return w
-
-
-@functools.lru_cache(maxsize=_WEIGHTS_KEPT)
 def stable_weight(d: int, alpha: float, beta: float, t: float):
-    """Weight s^(d/2+beta) exp(-t s^alpha) of the stable kernel.  Equal
-    arguments share one weight, whose support radius is probed once."""
+    """Weight s^(d/2+beta) exp(-t s^alpha) of the stable kernel."""
     p = 0.5 * d + beta
 
     def w(s):
@@ -440,14 +426,11 @@ def stable_weight(d: int, alpha: float, beta: float, t: float):
             out[~pos] = 1.0
         return out
 
-    return _with_support(w)
+    return w
 
 
-@functools.lru_cache(maxsize=_WEIGHTS_KEPT)
 def symbol_weight(sym, d: int, beta: float, t: float):
-    """Weight s^(d/2+beta) exp(-t eta(s)) for a radial symbol object.
-    Equal arguments share one weight, whose support radius is probed
-    once."""
+    """Weight s^(d/2+beta) exp(-t eta(s)) for a radial symbol object."""
     p = 0.5 * d + beta
 
     def w(s):
@@ -462,7 +445,7 @@ def symbol_weight(sym, d: int, beta: float, t: float):
             out[~pos] = math.exp(-t * sym.eta_at_zero)
         return out
 
-    return _with_support(w)
+    return w
 
 
 def _check_radius(r: float):
@@ -602,9 +585,8 @@ def _gaussian_kernel(d: int, j: int, r: float) -> float:
 def stable_oracle(spec, r: float, tol: float = 1e-11) -> Approximation:
     """Oracle value of the stable kernel (or its fractional derivative).
 
-    The unit-time kernel (``scaling_reduce``), so that the weight and its
-    support radius are shared by every t: at even d by ``hankel_oracle``'s
-    Bessel-zero panels, at odd d on a rotated ray (``_ray``), with
+    Even d: ``hankel_oracle``'s Bessel-zero panels.  Odd d: the unit-time
+    kernel (``scaling_reduce``) on a rotated ray (``_ray``), with
     diagnostics ``nodes`` and ``levels`` in place of ``panels``/``depth``.
     At even beta the large-r value is a cancellation of the s^beta term
     of e^(-s^alpha), so s^beta e^(-s^2), whose kernel is closed
@@ -613,8 +595,11 @@ def stable_oracle(spec, r: float, tol: float = 1e-11) -> Approximation:
     """
     from .stable_kernel import scaling_reduce
 
-    _check_radius(r)
     d, beta = spec.d, spec.beta
+    if d % 2 == 0:
+        return hankel_oracle(stable_weight(d, spec.alpha, beta, spec.t), d, r,
+                             tol=tol)
+    _check_radius(r)
     unit, r_unit, pref = scaling_reduce(spec, r)
     alpha = unit.alpha
 
@@ -622,9 +607,7 @@ def stable_oracle(spec, r: float, tol: float = 1e-11) -> Approximation:
         return hankel_oracle(stable_weight(d, alpha, beta, 1.0), d, r_unit,
                              tol=tol)
 
-    if d % 2 == 0:
-        res = panels()
-    elif beta % 2.0:
+    if beta % 2.0:
         def weight(s, lead):
             return np.exp(lead - s ** alpha), None
 

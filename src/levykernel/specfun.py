@@ -30,7 +30,6 @@ __all__ = [
     "bessel_j",
     "bessel_j_derivative",
     "bessel_switch_point",
-    "bessel_series_end",
 ]
 
 _LOG_PI = math.log(math.pi)
@@ -207,7 +206,7 @@ def bessel_switch_point(nu: float) -> float:
     return max(_BESSEL_SERIES_END, 2.0 * nu * nu)
 
 
-def bessel_series_end(nu: float) -> float:
+def _bessel_series_end(nu: float) -> float:
     """End of the ascending-series branch of ``bessel_j``: the switch
     point for nu <= 2.5, else x = 12, or x = nu for nu > 12, below which
     forward recurrence would grow with Y_nu."""
@@ -273,19 +272,36 @@ def _bessel_recurrence(nu, x):
     where x exceeds the orders it passes."""
     m = math.ceil(nu - _BESSEL_RECURRENCE_BASE)
     mu = nu - m
-    prev, cur = bessel_j(mu - 1.0, x), bessel_j(mu, x)
+    prev, cur = _bessel_branches(mu - 1.0, x), _bessel_branches(mu, x)
     for k in range(m):
         prev, cur = cur, (2.0 * (mu + k) / x) * cur - prev
     return cur
 
 
+def _bessel_branches(nu, x):
+    """J_nu on a float array x >= 0, unchecked: the branch of each x."""
+    xe, xs = _bessel_series_end(nu), bessel_switch_point(nu)
+    out = np.empty(x.shape, dtype=float)
+    lo = x <= xe
+    if np.any(lo):
+        out[lo] = _bessel_series(nu, x[lo])
+    mid = ~lo & (x <= xs)
+    if np.any(mid):
+        out[mid] = _bessel_recurrence(nu, x[mid])
+    hi = x > xs
+    if np.any(hi):
+        out[hi] = _bessel_asymptotic(nu, x[hi])
+    return out
+
+
 def bessel_j(nu: float, x):
     """J_nu(x) for nu >= 0, x >= 0.
 
-    Ascending series up to ``bessel_series_end(nu)``, the standard
-    cosine/sine asymptotic expansion above ``bessel_switch_point(nu)``
-    and, between the two (nu > 2.5), forward recurrence from two orders
-    <= 2.5 (``_bessel_recurrence``).
+    Ascending series up to the series' end (the switch point for
+    nu <= 2.5, else x = 12, or x = nu past 12), the standard cosine/sine
+    asymptotic expansion above ``bessel_switch_point(nu)`` and, between
+    the two (nu > 2.5), forward recurrence from two orders <= 2.5
+    (``_bessel_recurrence``).
 
     The alternating series loses ~0.43 x digits to cancellation; its
     rounding is at most eps e^x / sqrt(2 pi x) absolute, 4.2e-12 at its
@@ -300,17 +316,7 @@ def bessel_j(nu: float, x):
     xx = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(xx < 0):
         raise ValueError("x must be >= 0")
-    xe, xs = bessel_series_end(nu), bessel_switch_point(nu)
-    out = np.empty(xx.shape, dtype=float)
-    lo = xx <= xe
-    if np.any(lo):
-        out[lo] = _bessel_series(nu, xx[lo])
-    mid = ~lo & (xx <= xs)
-    if np.any(mid):
-        out[mid] = _bessel_recurrence(nu, xx[mid])
-    hi = xx > xs
-    if np.any(hi):
-        out[hi] = _bessel_asymptotic(nu, xx[hi])
+    out = _bessel_branches(nu, xx)
     if scalar:
         return float(out[0])
     return out.reshape(np.shape(x))

@@ -3,7 +3,6 @@ acceptance suite.  Each returns the measured worst-case error so the
 callers can assert against the documented tolerances."""
 
 import contextlib
-import functools
 import math
 
 import numpy as np
@@ -155,7 +154,6 @@ def weight_calls():
         def make_counted(*args):
             w = make(*args)
 
-            @functools.wraps(w)  # keeps the weight's attributes
             def counted(s):
                 counts["calls"] += 1
                 return w(s)

@@ -325,6 +325,26 @@ def test_support_radius_matches_scalar_ladder(weight, s_start):
         == _support_radius_loop(weight, s_start)
 
 
+_RELATIVISTIC = lk.make_symbol("relativistic", alpha=0.8, m=2.0)
+
+
+@pytest.mark.parametrize("weight, at_zero", [
+    (lk.stable_weight(2, 1.5, 0.0, 1.0), 0.0),
+    (lk.stable_weight(2, 1.5, -1.0, 2.0), 1.0),  # s^0 e^(-t 0)
+    (lk.symbol_weight(_RELATIVISTIC, 3, 0.5, 1.0), 0.0),
+    (lk.symbol_weight(_RELATIVISTIC, 2, -1.0, 2.0),
+     math.exp(-2.0 * _RELATIVISTIC.eta_at_zero)),
+])
+def test_weights_at_zero(weight, at_zero):
+    # the library's nodes are all > 0; at s = 0 the weights mask and
+    # scatter, and agree with their all-positive path elsewhere
+    s = np.array([0.3, 0.0, 2.0, 7.5])
+    got = weight(s)
+    assert got[1] == at_zero
+    np.testing.assert_allclose(got[[0, 2, 3]], weight(s[[0, 2, 3]]),
+                               rtol=1e-15, atol=0.0)
+
+
 class TestGradedHead:
     @pytest.mark.parametrize("b", [3.0, 100.0])
     def test_refines_only_live_panels(self, b):
@@ -418,9 +438,9 @@ def _one_batch_pool_calls():
     return calls
 
 
-def test_warm_one_batch_calls_make_three_weight_calls():
-    # head level 0, the live half of level 1, one batch of 64 panels; the
-    # support radius is the weight's own, probed when it was first made
+def test_warm_one_batch_calls_make_four_weight_calls():
+    # one support probe (a 260-node weight call), head level 0, the live
+    # half of level 1 and one batch of 64 panels
     seen = {}
     for name, call in _one_batch_pool_calls().items():
         if call().diagnostics["panels"] != 65:
@@ -430,13 +450,7 @@ def test_warm_one_batch_calls_make_three_weight_calls():
         seen[name] = counts
     assert len(seen) >= 30
     assert {name: c for name, c in seen.items()
-            if c["calls"] > 3 or c["probes"]} == {}
-    # a weight of the caller's own is probed on every call
-    weight = lk.stable_weight(2, 1.5, 0.0, 1.0)
-    with weight_calls() as counts:
-        for _ in range(2):
-            lk.hankel_oracle(lambda s: weight(s), 2, 3.0)
-    assert counts["probes"] == 2
+            if c["calls"] > 4 or c["probes"] != 1} == {}
 
 
 def test_est_error_bounds_frozen_references():
