@@ -6,11 +6,12 @@ parsed sweep reproduces the table exactly; identical invocations give
 byte-identical output.
 
 Kernel flags (--d --alpha --beta --t --out) go on eval, sweep, compare
-and envelope, route flags (--symbol --k --contour-c --tol) on eval,
-sweep and compare; symbols takes --out alone.  eval, sweep and compare
-share one value path, on which r = 0 of a stable spec is the exact
-origin value for every method and the contour columns (``mb``, and
-``auto`` for a symbol) are one batched call over the whole grid.
+and envelope, route flags (--symbol --contour-c --tol) on eval, sweep
+and compare; symbols takes --out alone.  eval, sweep and compare share
+one value path, on which r = 0 is the origin value for every method
+(exact for a stable spec, one Mellin moment for a symbol) and the
+contour columns (``mb``, and ``auto`` for a symbol) are one batched call
+over the whole grid.
 
 Exit codes: 0 success, 3 numeric failure (a JSON diagnostic on stdout),
 2 usage error, before any computation and with stdout empty: an unknown
@@ -33,9 +34,10 @@ import numpy as np
 from . import __version__
 from .errors import LevyKernelError
 from .oracle import stable_oracle, symbol_oracle
-from .radial_symbol import (general_kernel_mb, general_leading_term,
-                            make_symbol, perturbed_leading_term,
-                            sum_symbol_envelope_check, symbol_registry)
+from .radial_symbol import (general_kernel_at_origin, general_kernel_mb,
+                            general_leading_term, make_symbol,
+                            perturbed_leading_term, sum_symbol_envelope_check,
+                            symbol_registry)
 from .stable_kernel import (KernelSpec, envelope_ratio, evaluate,
                             leading_term, stable_mb)
 
@@ -118,24 +120,30 @@ def _usage_error(args):
 
 def _values(args, method, rs):
     """One result per r of ``rs``, of a stable spec or a general symbol.
-    A stable spec's r = 0 is the exact origin value for every method; the
-    contour columns are one batched call over the whole grid."""
+    r = 0 is the origin value for every method, exact for a stable spec;
+    the contour columns are one batched call over the whole grid."""
     sym, c = args.symbol, args.contour_c
-    if sym is not None:
-        if method == "oracle":
-            return [symbol_oracle(sym, args.d, args.beta, args.t, float(r))
-                    for r in rs]
-        return general_kernel_mb(sym, args.d, args.beta, args.t, rs,
-                                 k=args.k, tol=args.tol, abscissa=c)
     origin = np.flatnonzero(rs == 0.0)
     pts = np.delete(rs, origin)
-    if method == "mb":
+    if not pts.size:
+        out = []
+    elif sym is not None and method == "oracle":
+        out = [symbol_oracle(sym, args.d, args.beta, args.t, float(r))
+               for r in pts]
+    elif sym is not None:
+        out = general_kernel_mb(sym, args.d, args.beta, args.t, pts,
+                                tol=args.tol, abscissa=c)
+    elif method == "mb":
         out = stable_mb(args.spec, pts, abscissa=c, tol=args.tol)
     else:
         out = [evaluate(args.spec, float(r), method=method, tol=args.tol,
                         abscissa=c) for r in pts]
-    for i in origin:
-        out.insert(i, evaluate(args.spec, 0.0))
+    if origin.size:
+        at_origin = (evaluate(args.spec, 0.0) if sym is None else
+                     general_kernel_at_origin(sym, args.d, args.beta, args.t,
+                                              tol=args.tol))
+        for i in origin:
+            out.insert(i, at_origin)
     return out
 
 
@@ -328,8 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     route = argparse.ArgumentParser(add_help=False)
     route.add_argument("--symbol", help="radial symbol as inline JSON or "
                        "@file, e.g. '{\"kind\":\"stable\",\"a\":1.2}'")
-    route.add_argument("--k", type=int,
-                       help="derivative order for the general-symbol contour")
     route.add_argument("--contour-c", dest="contour_c", type=float,
                        help="contour abscissa override")
     route.add_argument("--tol", type=_tolerance, default=1e-9,

@@ -39,10 +39,6 @@ class NonConvergent(LevyKernelError):
     """Successive refinements did not reach the requested tolerance."""
 
 
-class OrderExceeded(LevyKernelError):
-    """A derivative order beyond what the symbol provides was requested."""
-
-
 class ParityError(LevyKernelError):
     """Leading-term formula requested in the wrong parity regime of beta."""
 

@@ -1,7 +1,7 @@
 """Vertical-line (inverse-Mellin) contour quadrature.
 
 Both kernels are integrals (1/2*pi*i) * int_(c) G(z) r^z dz with G
-independent of r (a gamma ratio, times M_t^k for a general symbol).
+independent of r (a gamma ratio, times M_t for a general symbol).
 A kernel's caller chooses at most the line's abscissa, the strip
 midpoint by default; ``_plan`` derives the height and node count from G
 alone, climbing a decay ladder whose first rung {0, 8, 16} is one call
@@ -10,7 +10,7 @@ of G.  The line's samples live in a store, ``_Line``, and
 values for a whole grid of r, refining each r as it would alone.  The
 one rule is the trapezoid with node doubling, exponentially accurate
 for analytic integrands that decay along the line (Trefethen and
-Weideman, SIAM Review 56, 2014); M_t^k uses it too, on the log-line.
+Weideman, SIAM Review 56, 2014); M_t^1 uses it too, on the log-line.
 Two entry points return ``Approximation``s with the complex integral as
 the value, ``method="line_integral"`` and the ``nodes_used`` and
 ``tail_bound`` diagnostics.  They take a whole ``ContourSpec``
@@ -25,8 +25,8 @@ Callers assemble integrands from combined log-gamma ratios, so
 magnitudes stay representable on tall lines.  The engine exponentiates
 G once per node, scaled by its largest modulus; each r then costs one
 real scale r^(c - shift) and a sum of phases r^(i Im z).  Such sums,
-here and in M_t^k, come from ``_phase_sums``, in sqrt(N) blocks of the
-evenly spaced nodes: the line's heights, or M_t^k's log-radii.  Every
+here and in M_t^1, come from ``_phase_sums``, in sqrt(N) blocks of the
+evenly spaced nodes: the line's heights, or M_t^1's log-radii.  Every
 set of samples, a ladder rung or a quadrature level, is one call of G.
 
 G never depends on r, so each kernel keeps its line in a store: log G
@@ -350,7 +350,7 @@ def fold_conjugates(log_g):
 
     A node set symmetric about Im z = 0 (z[::-1] == conj z, as every
     trapezoid level is) is sampled on its upper half only and mirrored,
-    log_g(conj z) = conj log_g(z): half the gamma work, M_t^k's phase
+    log_g(conj z) = conj log_g(z): half the gamma work, M_t^1's phase
     sums included.  Other sets are sampled as given.
     """
 

@@ -1,21 +1,21 @@
 """Kernels of general radial Levy symbols eta(|xi|).
 
-For a symbol eta with super-logarithmic growth and symbol-class bounds
-r^(-alpha+m) |D^m eta(r)| <= A, the Mellin transform of exp(-t eta) is
-continued meromorphically by k-fold integration by parts,
+For a symbol eta with super-logarithmic growth and r D eta(r) = O(r^alpha)
+at the origin, the Mellin transform of exp(-t eta) is continued
+meromorphically to Re z > -alpha by one integration by parts,
 
-    M_t(z) = (-1)^k Gamma(z)/Gamma(z+k) * M_t^k(z),
-    M_t^k(z) = int_0^inf D^k(exp(-t eta(r))) r^(z+k-1) dr,
+    M_t(z) = -M_t^1(z)/z,
+    M_t^1(z) = int_0^inf D(exp(-t eta(r))) r^z dr,
 
 and the kernel K^beta(t, x) (Fourier transform of |xi|^beta e^{-t eta})
 gets a vertical-line representation whose leftmost residues give the
-far-field behavior.  Every symbol is a sum of shifted powers
-c (r^2 + m^2)^p.  With q = r^2/(r^2 + m^2) in [0, 1],
+far-field behavior.  The paper integrates by parts k > (d+3)/2 + beta
+times, as its proofs rest on the symbol-class bounds alone; the numbers
+need one.  Every symbol is a sum of shifted powers c (r^2 + m^2)^p, and
 
-    r^j D^j (r^2 + m^2)^p = (r^2 + m^2)^p j! [s^j] (1 + q(2s + s^2))^p,
+    r D (r^2 + m^2)^p = 2p q (r^2 + m^2)^p,   q = r^2/(r^2 + m^2) in [0, 1],
 
-and J. C. P. Miller's power recurrence (Knuth, TAOCP vol. 2, 4.7) gives
-those coefficients, bounded for all r, so r -> 0 cannot overflow.
+so r -> 0 cannot overflow.
 """
 
 from __future__ import annotations
@@ -23,12 +23,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
 from . import oracle as _oracle
-from .errors import NonConvergent, OrderExceeded, ParityError, StripViolation
+from .errors import Approximation, NonConvergent, ParityError, StripViolation
 from .mellin import (_contour_route, _Line, _phase_apply, _phase_sums,
                      _phase_table, _plan, _radii, fold_conjugates)
 from .specfun import log_gamma
@@ -38,25 +37,22 @@ __all__ = [
     "RadialSymbol",
     "make_symbol",
     "symbol_registry",
-    "exp_eta_derivative",
     "scaled_exp_eta_derivative",
     "mellin_Mk",
     "mellin_M",
     "general_kernel_mb",
+    "general_kernel_at_origin",
     "general_leading_term",
     "perturbed_leading_term",
     "sum_symbol_envelope",
     "sum_symbol_envelope_check",
     "general_strip",
-    "default_derivative_order",
     "smoothstep_cutoff",
     "tail_integral",
     "decay_slope",
-    "validate_symbol",
 ]
 
 _LN2 = math.log(2.0)
-K_MAX = 12  # highest derivative order provided for any symbol
 _ENVELOPE_WINDOW = 3  # samples of |E| per point of ``decay_slope``'s grid
 
 
@@ -71,23 +67,15 @@ def _shifted_power(r, mass, p):
 @dataclass(frozen=True)
 class RadialSymbol:
     """A radial Levy symbol eta(r) = sum c (r^2 + mass^2)^p over its
-    ``terms``, given as (c, mass, p) triples; ``eta_at_zero`` and the
-    sampled symbol-class constant ``A_bound`` are derived from them, the
-    latter on first read.  A symbol is a value: it cannot be changed.
-
-    ``localized`` marks symbols whose symbol-class bound holds near the
-    origin only (with polynomial growth of all derivatives at infinity);
-    the kernel representation is identical, only the sampled condition
-    checks differ.
+    ``terms``, given as (c, mass, p) triples, with index ``alpha_index``
+    (r D eta = O(r^alpha_index) at the origin); ``eta_at_zero`` is derived
+    from them.  A symbol is a value: it cannot be changed.
     """
 
     name: str
     params: dict
     terms: tuple[tuple[float, float, float], ...]
     alpha_index: float
-    localized: bool = False
-    M_growth: float | None = None
-    k_max: ClassVar[int] = K_MAX
 
     def __hash__(self):
         # the fields G reads: equal symbols share one line store
@@ -97,11 +85,6 @@ class RadialSymbol:
     def eta_at_zero(self) -> float:
         return float(self.eta(0.0))
 
-    @functools.cached_property
-    def A_bound(self) -> float:
-        return self._sample_A_bound()
-
-    # -- core evaluations -------------------------------------------------
     def eta(self, r):
         r = np.asarray(r, dtype=float)
         out = np.zeros(r.shape)
@@ -109,45 +92,14 @@ class RadialSymbol:
             out += c * _shifted_power(r, mass, p)
         return out
 
-    def _scaled_derivs(self, r, m: int):
-        """[r^j D^j eta(r) for j = 0..m], vectorized."""
-        if m > self.k_max:
-            raise OrderExceeded(f"symbol provides derivatives up to {self.k_max}")
+    def scaled_deriv(self, r):
+        """r * D eta(r), vectorized: 2p q c (r^2 + mass^2)^p per term."""
         r = np.asarray(r, dtype=float)
-        out = [np.zeros(r.shape) for _ in range(m + 1)]
+        out = np.zeros(r.shape)
         for c, mass, p in self.terms:
-            power = c * _shifted_power(r, mass, p)
-            out[0] += power
             q = 1.0 if mass == 0.0 else r * r / (r * r + mass * mass)
-            a_prev, a = 0.0, 1.0  # a_n = [s^n] (1 + 2q s + q s^2)^p
-            for n in range(1, m + 1):
-                a_prev, a = a, ((p + 1.0 - n) * 2.0 * q * a
-                                + (2.0 * p + 2.0 - n) * q * a_prev) / n
-                out[n] += math.factorial(n) * a * power
+            out += 2.0 * p * q * c * _shifted_power(r, mass, p)
         return out
-
-    def scaled_deriv(self, r, m: int):
-        """r^m * D^m eta(r), vectorized; bounded by A r^alpha in the
-        symbol class."""
-        return self._scaled_derivs(r, m)[m]
-
-    def eta_deriv(self, r, m: int):
-        """m-th derivative of eta at r > 0."""
-        r = np.asarray(r, dtype=float)
-        return self.scaled_deriv(r, m) / r ** m
-
-    def _sample_A_bound(self, k: int = 8):
-        """Largest sampled r^(m - alpha)|D^m eta| over the orders m <= k:
-        near the origin and from m = 1 for localized symbols, on a wide
-        grid and from m = 0 otherwise."""
-        if self.localized:
-            grid, first = np.geomspace(1e-4, 1.0, 81), 1
-        else:
-            grid, first = np.geomspace(1e-4, 1e4, 161), 0
-        derivs = self._scaled_derivs(grid, k)
-        weight = grid ** (-self.alpha_index)
-        return max(float(np.max(np.abs(derivs[m]) * weight))
-                   for m in range(first, k + 1))
 
     def __repr__(self):
         p = ", ".join(f"{k}={v}" for k, v in sorted(self.params.items()))
@@ -159,15 +111,14 @@ def _registry():
         if not 0.0 < a < 2.0:
             raise ValueError("stable index must lie in (0, 2)")
         return RadialSymbol(name="stable", params={"a": a},
-                            terms=((1.0, 0.0, a / 2.0),), alpha_index=a,
-                            localized=False)
+                            terms=((1.0, 0.0, a / 2.0),), alpha_index=a)
 
     def sum_stable(a: float, b: float) -> RadialSymbol:
         if not 0.0 < a < b < 2.0:
             raise ValueError("need 0 < a < b < 2")
         return RadialSymbol(name="sum_stable", params={"a": a, "b": b},
                             terms=((1.0, 0.0, a / 2.0), (1.0, 0.0, b / 2.0)),
-                            alpha_index=a, localized=True, M_growth=b)
+                            alpha_index=a)
 
     def relativistic(alpha: float, m: float) -> RadialSymbol:
         if not 0.0 < alpha < 2.0 or m <= 0.0:
@@ -179,7 +130,7 @@ def _registry():
                             params={"alpha": alpha, "m": m},
                             terms=((1.0, m, alpha / 2.0),
                                    (-at_zero, 0.0, 0.0)),
-                            alpha_index=alpha, localized=False)
+                            alpha_index=alpha)
 
     def perturbed(a: float, c: float, delta: float) -> RadialSymbol:
         if not 0.0 < a < 2.0 or delta <= a or c < 0.0:
@@ -187,8 +138,7 @@ def _registry():
         return RadialSymbol(name="perturbed",
                             params={"a": a, "c": c, "delta": delta},
                             terms=((1.0, 0.0, a / 2.0), (c, 0.0, delta / 2.0)),
-                            alpha_index=a, localized=True,
-                            M_growth=max(a, delta))
+                            alpha_index=a)
 
     return {"stable": stable, "sum_stable": sum_stable,
             "relativistic": relativistic, "perturbed": perturbed}
@@ -216,50 +166,21 @@ def make_symbol(kind: str, **params) -> RadialSymbol:
 
 
 # ---------------------------------------------------------------------------
-# Derivatives of exp(-t eta) via complete Bell polynomials.
+# The continued Mellin transform M_t^1 on vertical lines.
 # ---------------------------------------------------------------------------
 
-def scaled_exp_eta_derivative(sym: RadialSymbol, t: float, r, m: int):
-    """r^m * D^m(exp(-t eta(r))), vectorized and overflow-safe.
-
-    Uses the Bell recurrence on the scaled derivatives h_j = -t r^j D^j eta,
-    which the symbol class keeps O(t A r^alpha); no intermediate blows up
-    even at r = e^(-100).
-    """
-    if m > sym.k_max:
-        raise OrderExceeded(f"m = {m} exceeds available order {sym.k_max}")
+def scaled_exp_eta_derivative(sym: RadialSymbol, t: float, r):
+    """r * D(exp(-t eta(r))) = -t (r D eta) exp(-t eta), vectorized;
+    r D eta = O(r^alpha) keeps it finite even at r = e^(-400)."""
     r = np.asarray(r, dtype=float)
-    h = [-t * d for d in sym._scaled_derivs(r, m)]
-    base = np.exp(h[0])
-    if m == 0:
-        return base
-    bell = [np.ones_like(r)]
-    for i in range(m):
-        acc = np.zeros_like(r)
-        for j in range(i + 1):
-            acc += math.comb(i, j) * bell[i - j] * h[j + 1]
-        bell.append(acc)
-    return base * bell[m]
+    return -t * sym.scaled_deriv(r) * np.exp(-t * sym.eta(r))
 
-
-def exp_eta_derivative(sym: RadialSymbol, t: float, r, m: int):
-    """D^m(exp(-t eta(r))) for r > 0."""
-    r = np.asarray(r, dtype=float)
-    out = scaled_exp_eta_derivative(sym, t, r, m)
-    if m:
-        out = out / r ** m
-    return float(out) if out.ndim == 0 else out
-
-
-# ---------------------------------------------------------------------------
-# The continued Mellin transform M_t^k on vertical lines.
-# ---------------------------------------------------------------------------
 
 class _MellinGrid:
-    """Frozen quadrature grid for M_t^k(c + iv), |v| <= max_imag.
+    """Frozen quadrature grid for M_t^1(c + iv), |v| <= max_imag.
 
-    With r = e^w, M_t^k(c + iv) = int G(e^w) e^{cw} e^{iwv} dw over the
-    whole line, G(r) = r^k D^k(e^{-t eta}).  The integrand is analytic
+    With r = e^w, M_t^1(c + iv) = int G(e^w) e^{cw} e^{iwv} dw over the
+    whole line, G(r) = r D(e^{-t eta}).  The integrand is analytic
     across w = 0 and decays at both ends, so the trapezoid rule on
     [-u0_end, u1_end] converges geometrically (Trefethen and Weideman,
     SIAM Review 56, 2014).  Its step starts at pi/max_imag and halves,
@@ -268,7 +189,7 @@ class _MellinGrid:
     ``mellin._phase_sums``, p = h G(e^w) e^{cw}, from one table.
     """
 
-    def __init__(self, sym, t, k, abscissa, max_imag, tol=1e-10):
+    def __init__(self, sym, t, abscissa, max_imag, tol=1e-10):
         self.c = float(abscissa)
         self.max_imag = float(max_imag)
         alpha = sym.alpha_index
@@ -278,10 +199,10 @@ class _MellinGrid:
         # extent of the r < 1 side: integrand ~ e^(w (c + alpha))
         u0_end = min(48.0 / max(self.c + alpha, 0.05), 400.0)
         # extent of the r > 1 side: killed by e^{-t eta(e^w)}
-        u1_end = self._find_u1(sym, t, k)
+        u1_end = self._find_u1(sym, t)
 
         def integrand(w):
-            g = scaled_exp_eta_derivative(sym, t, np.exp(w), k)
+            g = scaled_exp_eta_derivative(sym, t, np.exp(w))
             with np.errstate(over="ignore"):
                 f = g * np.exp(self.c * w)
             f[~np.isfinite(f)] = 0.0
@@ -313,7 +234,7 @@ class _MellinGrid:
         self._h, self._table = h, table
 
     @staticmethod
-    def _find_u1(sym, t, k):
+    def _find_u1(sym, t):
         u = 0.5
         while u < 200.0:
             r = math.exp(u)
@@ -324,7 +245,7 @@ class _MellinGrid:
                             "Mellin integral (eta must beat log r)")
 
     def value(self, v):
-        """M_t^k(c + iv) for a 1-D array of imaginary parts."""
+        """M_t^1(c + iv) for a 1-D array of imaginary parts."""
         return _phase_apply(self._table, np.asarray(v, float))
 
 
@@ -333,40 +254,34 @@ _GRIDS_KEPT = 2 * _LINES_KEPT
 
 
 @functools.lru_cache(maxsize=_GRIDS_KEPT)
-def _grid_for(sym, t, k, c, cap, tol):
-    return _MellinGrid(sym, t, k, c, cap, tol=tol)
+def _grid_for(sym, t, c, cap, tol):
+    return _MellinGrid(sym, t, c, cap, tol=tol)
 
 
-def mellin_Mk(sym: RadialSymbol, t: float, z, k: int, tol: float = 1e-10):
-    """M_t^k(z) = int_0^inf D^k(e^{-t eta(r)}) r^(z+k-1) dr.
+def mellin_Mk(sym: RadialSymbol, t: float, z, tol: float = 1e-10):
+    """M_t^1(z) = int_0^inf D(e^{-t eta(r)}) r^z dr.
 
     Valid (and holomorphic) for Re z > -alpha_index.  Scalars or arrays
     with a common real part are accepted; they are read off the grid of
-    (symbol, t, k, Re z), kept in a bounded cache.
+    (symbol, t, Re z), kept in a bounded cache.
     """
     zz = np.atleast_1d(np.asarray(z, dtype=np.complex128))
     c = float(zz.real[0])
     if not np.all(zz.real == c):
-        return np.array([complex(mellin_Mk(sym, t, zi, k, tol)) for zi in zz])
+        return np.array([complex(mellin_Mk(sym, t, zi, tol)) for zi in zz])
     # caps are powers of two from 16, the first rung of the decay ladder,
     # so the ladder's first probe {0, 8, 16} shares that rung's grid,
     # which every call builds anyway
     cap = 2.0 ** math.ceil(math.log2(max(np.max(np.abs(zz.imag)), 16.0)))
-    out = _grid_for(sym, t, k, c, cap, tol).value(zz.imag)
+    out = _grid_for(sym, t, c, cap, tol).value(zz.imag)
     if np.isscalar(z) or getattr(z, "ndim", 0) == 0:
         return complex(out[0])
     return out.reshape(np.shape(z))
 
 
-def mellin_M(sym: RadialSymbol, t: float, z, k: int, tol: float = 1e-10):
-    """The continued Mellin transform of e^{-t eta}:
-    M_t(z) = (-1)^k Gamma(z)/Gamma(z+k) M_t^k(z), the gamma ratio taken
-    as 1/(z)_k, (z)_k = z (z+1) ... (z+k-1), by k complex multiplies."""
-    zz = np.asarray(z, dtype=np.complex128)
-    rising = np.ones_like(zz)
-    for j in range(k):
-        rising = rising * (zz + j)
-    return (-1.0) ** k * mellin_Mk(sym, t, z, k, tol=tol) / rising
+def mellin_M(sym: RadialSymbol, t: float, z, tol: float = 1e-10):
+    """The continued Mellin transform of e^{-t eta}, M_t(z) = -M_t^1(z)/z."""
+    return -mellin_Mk(sym, t, z, tol=tol) / np.asarray(z, dtype=np.complex128)
 
 
 def general_strip(d: int, beta: float):
@@ -375,58 +290,42 @@ def general_strip(d: int, beta: float):
     return (0.5 * (d + 1) + beta, float(d) + beta)
 
 
-def default_derivative_order(d: int, beta: float) -> int:
-    """Smallest integer exceeding (d+3)/2 + beta + 1 (one unit of slack
-    beyond the integration-by-parts requirement)."""
-    return math.floor(0.5 * (d + 3) + beta + 1.0) + 1
-
-
 def general_kernel_mb(sym: RadialSymbol, d: int, beta: float, t: float,
-                      r, k: int | None = None,
-                      abscissa: float | None = None,
-                      tol: float = 1e-7):
+                      r, abscissa: float | None = None, tol: float = 1e-7):
     """Kernel of a general radial symbol by the nested contour integral
 
         1/(pi^(d/2) r^(d+beta)) * (1/2 pi i) * int_(c) G(z) r^z dz,
         G(z) = Gamma((d+beta-z)/2) 2^(beta-z) / Gamma((z-beta)/2) * M_t(z),
-        M_t(z) = (-1)^k Gamma(z)/Gamma(z+k) M_t^k(z)  (``mellin_M``),
+        M_t(z) = -M_t^1(z)/z  (``mellin_M``),
 
-    with c in ((d+1)/2+beta, d+beta), ``abscissa`` or the strip midpoint,
-    and k > (d+3)/2 + beta; ``mellin.line_plan`` picks the height and
-    node count.  The inner transform values come from a frozen
-    vectorized grid sized to the largest |Im z| asked for.
+    with c in ((d+1)/2+beta, d+beta), ``abscissa`` or the strip midpoint;
+    ``mellin.line_plan`` picks the height and node count.  The inner
+    transform values come from a frozen vectorized grid sized to the
+    largest |Im z| asked for.
 
     ``r`` is a scalar or a 1-D array, as for ``stable_mb``: G, inner
     transform included, does not depend on r, and |r^(z-d-beta)| is
     r^(c-d-beta) at every height, so one plan and one sampling of G per
     node set serve the whole grid, and each r refines as it would alone.
     The samples are kept by ``_symbol_line``, per symbol value and
-    (d, beta, t, k, tol, abscissa): G is sampled once per symbol and t,
+    (d, beta, t, tol, abscissa): G is sampled once per symbol and t,
     and a later call at any r takes no inner transform value.
     """
-    if k is None:
-        k = default_derivative_order(d, beta)
-    if k <= 0.5 * (d + 3) + beta:
-        raise ValueError(f"k = {k} must exceed (d+3)/2 + beta = "
-                         f"{0.5 * (d + 3) + beta}")
-    if k > sym.k_max:
-        raise OrderExceeded(f"k = {k} exceeds available derivatives {sym.k_max}")
     rs = _radii(r)
-    out = _contour_route(_symbol_line(sym, d, beta, t, k, tol, abscissa),
+    out = _contour_route(_symbol_line(sym, d, beta, t, tol, abscissa),
                          d + beta, rs, 1.0, math.pi ** (-0.5 * d), tol)
     for res in out if isinstance(out, list) else [out]:
         res.est_error += abs(res.value) * _inner_tol(tol)
-        res.diagnostics["k"] = k
     return out
 
 
 def _inner_tol(tol):
-    """Tolerance of the inner transform M_t^k behind a kernel's tol."""
+    """Tolerance of the inner transform M_t^1 behind a kernel's tol."""
     return min(1e-9, 0.1 * tol)
 
 
 @functools.lru_cache(maxsize=_LINES_KEPT)
-def _symbol_line(sym, d, beta, t, k, tol, abscissa):
+def _symbol_line(sym, d, beta, t, tol, abscissa):
     """The store of ``general_kernel_mb``'s line (``mellin._Line``), with
     its log G, shared by every r and by equal symbols, as
     ``stable_kernel._stable_line`` is by equal unit specs."""
@@ -435,13 +334,29 @@ def _symbol_line(sym, d, beta, t, k, tol, abscissa):
     @fold_conjugates
     def log_g(z):
         z = np.asarray(z, dtype=np.complex128)
-        # M_t carries Gamma(z)/Gamma(z+k); the stable factor's two gamma
-        # factors come from one log_gamma call
+        # the stable factor's two gamma factors come from one log_gamma call
         down, over = log_gamma(np.stack((0.5 * (d + beta - z), 0.5 * (z - beta))))
         return (down - over + (beta - z) * _LN2
-                + np.log(mellin_M(sym, t, z, k, inner_tol)))
+                + np.log(mellin_M(sym, t, z, inner_tol)))
 
     return _Line(log_g, *_plan(log_g, general_strip(d, beta), abscissa, tol))
+
+
+def general_kernel_at_origin(sym: RadialSymbol, d: int, beta: float,
+                             t: float, tol: float = 1e-7) -> Approximation:
+    """Kernel of a general radial symbol at r = 0,
+
+        (2 pi)^-d * omega_{d-1} * M_t(d + beta),
+
+    omega_{d-1} the area of the unit sphere: the m = 0 term of the right
+    residue series, one ``mellin_M`` read at the kernel's inner tolerance.
+    """
+    inner_tol = _inner_tol(tol)
+    omega = 2.0 * math.pi ** (0.5 * d) / math.gamma(0.5 * d)
+    value = (2.0 * math.pi) ** (-d) * omega * float(
+        mellin_M(sym, t, d + beta, inner_tol).real)
+    return Approximation(value=value, est_error=abs(value) * inner_tol,
+                         method="mellin_origin", diagnostics={"origin": True})
 
 
 def general_leading_term(sym: RadialSymbol, d: int, beta: float, t: float) -> dict:
@@ -504,8 +419,8 @@ def sum_symbol_envelope_check(d: int, a: float, b: float, t: float, r_grid,
         K_t(r) <= C t^(-d/a) (1 + t^(-1/a) r)^(-(d+a))   for t >= 1.
 
     Returns the empirical constant (max ratio) over the grid.  Kernel
-    values default to ``symbol_oracle`` on ``sum_stable(a, b)``, and to a
-    radial quadrature at r = 0.
+    values default to ``symbol_oracle`` on ``sum_stable(a, b)``, and to
+    ``general_kernel_at_origin`` at r = 0.
     """
     if not 0.0 < a < b < 2.0:
         raise ValueError("need 0 < a < b < 2")
@@ -514,7 +429,7 @@ def sum_symbol_envelope_check(d: int, a: float, b: float, t: float, r_grid,
         sym = make_symbol("sum_stable", a=a, b=b)
         kernel_values = np.array(
             [_oracle.symbol_oracle(sym, d, 0.0, t, float(r), tol=tol).value
-             if r > 0 else _sum_symbol_origin(d, a, b, t)
+             if r > 0 else general_kernel_at_origin(sym, d, 0.0, t, tol).value
              for r in r_grid])
     env = sum_symbol_envelope(d, a, b, t, r_grid)
     ratios = np.asarray(kernel_values) / env
@@ -522,17 +437,6 @@ def sum_symbol_envelope_check(d: int, a: float, b: float, t: float, r_grid,
     return {"holds": bool(finite and np.all(np.asarray(kernel_values) > 0)),
             "max_ratio": float(np.max(ratios)),
             "min_ratio": float(np.min(ratios))}
-
-
-def _sum_symbol_origin(d: int, a: float, b: float, t: float) -> float:
-    """Kernel of r^a + r^b at the origin by radial quadrature."""
-    def w(s):
-        return s ** (d - 1) * np.exp(-t * (s ** a + s ** b))
-
-    omega = 2.0 * math.pi ** (0.5 * d) / math.gamma(0.5 * d)
-    s_sup = _oracle._support_radius(w, 0.0)
-    val, _, _ = _oracle._graded_head(w, 0.0, 0.0, 0.0, s_sup, 1e-13)
-    return (2.0 * math.pi) ** (-d) * omega * val
 
 
 # ---------------------------------------------------------------------------
@@ -616,26 +520,3 @@ def decay_slope(sym: RadialSymbol, d: int, beta: float, t: float, r_grid,
     slope = float(np.polyfit(x, y, 1)[0])
     return slope
 
-
-def validate_symbol(sym: RadialSymbol, k: int = 8) -> dict:
-    """Sampled regularity checks.
-
-    Global symbols: r^(-alpha+m)|D^m eta| <= 1.01 A on a wide log grid
-    for all m <= k.  Localized symbols: the same near the origin, plus
-    polynomial growth |D^m eta| <= C r^M for r > 1.  Both: eta(r)/log r
-    increasing through r = 1e2, 1e4, 1e6.
-    """
-    worst = sym._sample_A_bound(k)
-    out = {"class_bound_ok": worst <= 1.01 * sym.A_bound}
-    if sym.localized:
-        big = np.geomspace(1.0, 1e4, 81)
-        m_exp = sym.M_growth if sym.M_growth is not None else 2.0
-        growth = max(float(np.max(np.abs(dm) / big ** m / big ** m_exp))
-                     for m, dm in enumerate(sym._scaled_derivs(big, k)))
-        out["poly_growth_constant"] = growth
-        out["poly_growth_ok"] = math.isfinite(growth)
-    out["A_sampled"] = worst
-    probes = np.array([1e2, 1e4, 1e6])
-    ratios = sym.eta(probes) / np.log(probes)
-    out["superlog_growth_ok"] = bool(np.all(np.diff(ratios) > 0))
-    return out

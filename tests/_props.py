@@ -78,12 +78,12 @@ def scaling_exactness_err(times=(0.1, 1.0, 10.0), r=3.0):
     return worst
 
 
-def k_independence_err(r=3.0):
-    """general_kernel_mb at consecutive derivative orders."""
-    sym = lk.make_symbol("stable", a=1.2)
-    g5 = lk.general_kernel_mb(sym, 2, 0.7, 1.0, r, k=5).value
-    g6 = lk.general_kernel_mb(sym, 2, 0.7, 1.0, r, k=6).value
-    return abs(g5 - g6) / abs(g6)
+def symbol_route_err(r=3.0):
+    """general_kernel_mb of the stable(1.2) symbol against stable_mb of
+    its spec (d = 2, beta = 0.7, t = 1)."""
+    g = lk.general_kernel_mb(lk.make_symbol("stable", a=1.2), 2, 0.7, 1.0, r)
+    s = lk.stable_mb(lk.KernelSpec(d=2, alpha=1.2, beta=0.7), r)
+    return abs(g.value - s.value) / abs(s.value)
 
 
 def grid_nodes(grid):

@@ -22,8 +22,8 @@ import pytest
 import levykernel as lk
 
 from _props import (contour_independence_spread, gamma_functional_equation_err,
-                    gamma_reflection_err, k_independence_err,
-                    mellin_bessel_identity_err, scaling_exactness_err)
+                    gamma_reflection_err, mellin_bessel_identity_err,
+                    scaling_exactness_err, symbol_route_err)
 
 
 def _verdict(num, ok, detail, elapsed=None):
@@ -305,7 +305,7 @@ def test_criterion_11_property_suites():
         "Bessel-Mellin identity (1e-6)": (mellin_bessel_identity_err(), 1e-6),
         "contour independence (1e-8)": (contour_independence_spread(), 1e-8),
         "scaling exactness (1e-10)": (scaling_exactness_err(), 1e-10),
-        "k-independence (1e-5)": (k_independence_err(), 1e-5),
+        "symbol route = stable route (1e-10)": (symbol_route_err(), 1e-10),
     }
     ok = all(err <= tol for err, tol in checks.values())
     elapsed = time.monotonic() - t0

@@ -3,6 +3,7 @@ import math
 import shlex
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -44,6 +45,18 @@ class TestEval:
         assert math.isfinite(payload["value"])
         assert payload["est_error"] >= 0
         assert payload["verify"]["rel_gap"] < 1e-6
+
+    @pytest.mark.parametrize("method", ["mb", "oracle"])
+    def test_symbol_origin(self, capsys, method):
+        # relativistic(1, 1) at d = 2, beta = 0, t = 1:
+        # (1/2 pi) int_0^inf s e^{1 - sqrt(s^2+1)} ds = 1/pi
+        code, out = run_cli(capsys, "eval", "--symbol", RELATIVISTIC,
+                            "--r", "0", "--method", method)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["method"] == "mellin_origin"
+        assert payload["value"] == pytest.approx(1.0 / math.pi, rel=1e-14)
+        assert abs(payload["value"] - 1.0 / math.pi) <= payload["est_error"]
 
     def test_numeric_failure_exit_code(self, capsys):
         # Gamma(d/alpha) overflows on the line: a DomainError, not a usage
@@ -154,6 +167,22 @@ class TestSweep:
         meta, rows = parse_sweep_csv(out)
         assert {m for _r, _t, m, _v, _e in rows} == {"mb_contour", "oracle"}
         assert meta["max_rel_gap"] <= 1e-6
+
+    def test_symbol_origin_for_every_method(self, capsys):
+        # a symbol's r = 0 row is (2 pi)^-d omega_{d-1} M_t(d + beta) for
+        # every method; here (1/2 pi) int_0^inf s e^{-(sqrt(s^2+1) - 1)} ds
+        code, out = run_cli(capsys, "sweep", "--symbol", RELATIVISTIC,
+                            "--r-min", "0", "--r-max", "2", "--points", "3",
+                            "--method", "mb,oracle")
+        assert code == 0
+        at_origin = [row for row in parse_sweep_csv(out)[1] if row[0] == 0.0]
+        assert len(at_origin) == 2 and at_origin[0] == at_origin[1]
+        with mp.workdps(30):
+            ref = float(mp.quad(lambda s: s * mp.exp(1 - mp.sqrt(s * s + 1)),
+                                [0, 1, 10, mp.inf]) / (2 * mp.pi))
+        _r, _t, _m, value, est = at_origin[0]
+        assert abs(value - ref) <= 1e-12 * ref
+        assert abs(value - ref) <= est
 
     def test_origin_is_exact_for_every_method(self, capsys):
         code, out = run_cli(capsys, "sweep", "--r-min", "0", "--r-max", "2",
@@ -305,7 +334,7 @@ class TestUsage:
                         if a.option_strings and a.dest != "help"}
                  for name, p in sub.choices.items()}
         kernel = {"--d", "--alpha", "--beta", "--t", "--out"}
-        route = {"--symbol", "--k", "--contour-c", "--tol"}
+        route = {"--symbol", "--contour-c", "--tol"}
         grid = {"--r-min", "--r-max", "--points", "--log"}
         assert flags == {
             "eval": kernel | route | {"--r", "--method", "--verify"},
@@ -314,7 +343,7 @@ class TestUsage:
             "envelope": kernel | grid | {"--family", "--a", "--b"},
             "symbols": {"--out"},
         }
-        assert sum(map(len, flags.values())) == 54
+        assert sum(map(len, flags.values())) == 51
 
     @pytest.mark.parametrize("argv", [
         "sweep --method mb,bogus",
@@ -328,6 +357,7 @@ class TestUsage:
         f"eval --r 1 --symbol '{RELATIVISTIC}' --method series",
         f"sweep --symbol '{RELATIVISTIC}' --method mb,small-r",
         f"compare --symbol '{RELATIVISTIC}' --method closed",
+        f"eval --r 1 --symbol '{RELATIVISTIC}' --k 5",
         "eval --r 1 --tol 0",
         "sweep --tol -1",
         "compare --tol nan",

@@ -174,7 +174,7 @@ _KERNEL_CALLS = [
         lk.KernelSpec(d=3, alpha=0.5, beta=0.0), 2.0)),
     ("stable_kernel", 3, lambda: lk.stable_mb(
         lk.KernelSpec(d=10, alpha=1.99, beta=2.0), 2.0)),
-    # Gamma(z)/Gamma(z+k) is taken inside mellin_M, as 1/(z)_k
+    # M_t's factor -1/z is taken inside mellin_M
     ("radial_symbol", 2, lambda: lk.general_kernel_mb(
         _SYMBOL, 2, 0.5, 0.5, 1.3)),
 ]
@@ -456,7 +456,7 @@ class TestLineStore:
 
 class TestPhaseSums:
     # sum_k p_k exp(i w_k v_j) by the node split, on the engine's
-    # symmetric trapezoid levels and on M_t^k's one-sided grid, against
+    # symmetric trapezoid levels and on M_t^1's one-sided grid, against
     # the dense reference
     RNG = np.random.default_rng(14)
 
@@ -477,7 +477,7 @@ class TestPhaseSums:
         x = np.r_[self.RNG.uniform(-6.0, 6.0, 37), 0.0, -4.5]
         # a level of 2n + 1 nodes (odd, one at v = 0), then its 2n
         # midpoints, which have no node at v = 0, then a one-sided set
-        # from -3nh to nh, as M_t^k's grid
+        # from -3nh to nh, as M_t^1's grid
         for w in (np.arange(-n, n + 1, dtype=float) * h,
                   (np.arange(-n, n, dtype=float) + 0.5) * h,
                   np.arange(-3 * n, n + 1, dtype=float) * h):
@@ -488,7 +488,7 @@ class TestPhaseSums:
                 assert full[j] == lk.mellin._phase_sums(p, w, x[j:j + 1], h)[0]
 
     def test_sets_the_fold_used_to_normalise(self):
-        # M_t^k no longer folds its requests onto sorted distinct |v|: an
+        # M_t^1 no longer folds its requests onto sorted distinct |v|: an
         # unsorted set, repeats, an all-negative set, two points, a
         # strided subset with gaps and scattered heights must each give
         # the right sums, without a RuntimeWarning
@@ -510,7 +510,7 @@ class TestPhaseSums:
     @pytest.mark.usefixtures("cold_lines")
     def test_engine_passes_its_step(self, monkeypatch):
         # the node split trusts its step: both callers, the engine's
-        # levels and M_t^k's grid, hand it the spacing of their nodes,
+        # levels and M_t^1's grid, hand it the spacing of their nodes,
         # which have a node within half a step of w = 0
         seen = {"mellin": 0, "radial_symbol": 0}
         for module in seen:

@@ -14,8 +14,8 @@ import levykernel as lk
 from levykernel.mellin import _BLOCK_ELEMS, _phase_sums
 from levykernel.radial_symbol import RadialSymbol, _MellinGrid
 
-from _props import (dense_phase_sums, grid_nodes, k_independence_err,
-                    row_block_mismatches)
+from _props import (dense_phase_sums, grid_nodes, row_block_mismatches,
+                    symbol_route_err)
 
 
 ALL_SYMBOLS = [
@@ -61,22 +61,10 @@ class TestRegistry:
         sym = lk.make_symbol(kind, **params)
         rng = np.random.default_rng(7)
         pts = rng.uniform(0.3, 5.0, 20)
-        for m in (1, 2, 3):
-            h = 1e-4
-            vals = sym.eta_deriv(pts, m)
-            lo = sym.eta_deriv(pts - h, m - 1) if m > 1 else sym.eta(pts - h)
-            hi = sym.eta_deriv(pts + h, m - 1) if m > 1 else sym.eta(pts + h)
-            fd = (hi - lo) / (2.0 * h)
-            assert np.max(np.abs(vals - fd) / np.maximum(np.abs(vals), 1e-8)) < 1e-6
-
-    @pytest.mark.parametrize("kind,params", ALL_SYMBOLS)
-    def test_sampled_regularity_conditions(self, kind, params):
-        sym = lk.make_symbol(kind, **params)
-        out = lk.validate_symbol(sym)
-        assert out["class_bound_ok"]
-        assert out["superlog_growth_ok"]
-        if sym.localized:
-            assert out["poly_growth_ok"]
+        h = 1e-4
+        vals = sym.scaled_deriv(pts) / pts
+        fd = (sym.eta(pts + h) - sym.eta(pts - h)) / (2.0 * h)
+        assert np.max(np.abs(vals - fd) / np.maximum(np.abs(vals), 1e-8)) < 1e-6
 
     def test_eta_at_zero(self):
         for kind, params in ALL_SYMBOLS:
@@ -86,51 +74,22 @@ class TestRegistry:
         ("relativistic", dict(alpha=1.0, m=0.1)),
         ("relativistic", dict(alpha=0.5, m=12.0))])
     def test_power_recurrence_against_sympy(self, kind, params):
-        # r^m D^m eta from the power recurrence against 30-digit sp.diff,
-        # relative to the size m! sum |c| (r^2 + mass^2)^p of its terms
+        # eta and r D eta from the power rule against 30-digit sp.diff,
+        # relative to the size sum |c| (r^2 + mass^2)^p of its terms
         sym = lk.make_symbol(kind, **params)
         r = np.geomspace(1e-4, 1e4, 33)
         scale = sum(abs(c) * (r * r + mass * mass) ** p
                     for c, mass, p in sym.terms)
         rr = sp.Symbol("r", positive=True)
         expr = closed_form(kind, params, rr, sp.Float)
-        for m in range(sym.k_max + 1):
-            f = sp.lambdify(rr, rr ** m * expr, "mpmath")
+        for m, got in enumerate((sym.eta(r), sym.scaled_deriv(r))):
+            f = sp.lambdify(rr, rr ** m * sp.diff(expr, rr, m), "mpmath")
             with mp.workdps(30):
                 ref = np.array([float(f(mp.mpf(x))) for x in r])
-            err = np.abs(sym.scaled_deriv(r, m) - ref)
-            assert np.all(err <= 1e-13 * math.factorial(m) * scale), m
-            expr = sp.diff(expr, rr)
+            assert np.all(np.abs(got - ref) <= 1e-13 * scale), m
 
 
 class TestSymbolValue:
-    @staticmethod
-    def _count_samples(monkeypatch):
-        calls = []
-        sample = RadialSymbol._sample_A_bound
-
-        def counted(self, *args):
-            calls.append(self)
-            return sample(self, *args)
-
-        monkeypatch.setattr(RadialSymbol, "_sample_A_bound", counted)
-        return calls
-
-    @pytest.mark.parametrize("kind,params", ALL_SYMBOLS)
-    def test_make_symbol_samples_nothing(self, monkeypatch, kind, params):
-        calls = self._count_samples(monkeypatch)
-        lk.make_symbol(kind, **params)
-        assert calls == []
-
-    def test_A_bound_is_sampled_on_first_read_only(self, monkeypatch):
-        calls = self._count_samples(monkeypatch)
-        sym = lk.make_symbol("relativistic", alpha=1.0, m=1.0)
-        assert calls == []
-        first = sym.A_bound
-        assert len(calls) == 1
-        assert sym.A_bound == first
-        assert len(calls) == 1
-
     def test_symbol_is_frozen(self):
         sym = lk.make_symbol("stable", a=1.3)
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -139,46 +98,35 @@ class TestSymbolValue:
 
 
 class TestExpEtaDerivative:
-    def test_order_zero(self):
+    def test_stable_closed_form(self):
+        # r D e^{-t r^a} = -t a r^a e^{-t r^a}
         sym = lk.make_symbol("stable", a=1.3)
         r = np.array([0.7, 2.0])
-        got = lk.exp_eta_derivative(sym, 2.0, r, 0)
-        assert np.allclose(got, np.exp(-2.0 * r ** 1.3), rtol=1e-14)
+        got = lk.scaled_exp_eta_derivative(sym, 2.0, r)
+        expected = -2.0 * 1.3 * r ** 1.3 * np.exp(-2.0 * r ** 1.3)
+        assert np.allclose(got, expected, rtol=1e-14, atol=0.0)
 
     def test_order_one_structure(self):
         sym = lk.make_symbol("sum_stable", a=0.6, b=1.4)
         r = np.array([1.7])
         t = 0.9
-        got = lk.exp_eta_derivative(sym, t, r, 1)[0]
-        expected = -t * sym.eta_deriv(r, 1)[0] * math.exp(-t * sym.eta(r)[0])
+        got = lk.scaled_exp_eta_derivative(sym, t, r)[0]
+        expected = -t * sym.scaled_deriv(r)[0] * math.exp(-t * sym.eta(r)[0])
         assert got == pytest.approx(expected, rel=1e-13)
 
     def test_quadratic_symbol_closed_form(self):
-        # D^2 e^{-r^2} = (4r^2 - 2) e^{-r^2}; build the symbol directly
+        # D e^{-r^2} = -2r e^{-r^2}; build the symbol directly
         sym = RadialSymbol(name="quad", params={}, terms=((1.0, 0.0, 1.0),),
-                           alpha_index=1.99, localized=True)
-        got = lk.exp_eta_derivative(sym, 1.0, np.array([1.0]), 2)[0]
-        assert got == pytest.approx(2.0 * math.exp(-1.0), rel=1e-13)
-
-    def test_symbol_class_bound(self):
-        # |r^m D^m e^{-t eta}| <= 1.01 (A t r^a + ... + (A t r^a)^m) e^{-t eta}
-        t = 1.3
-        for kind, params in ALL_SYMBOLS:
-            sym = lk.make_symbol(kind, **params)
-            grid = np.geomspace(1e-3, 1.0, 41) if sym.localized \
-                else np.geomspace(1e-3, 1e3, 81)
-            for m in (1, 2, 4, 6):
-                lhs = np.abs(lk.scaled_exp_eta_derivative(sym, t, grid, m))
-                base = sym.A_bound * t * grid ** sym.alpha_index
-                rhs = sum(base ** j for j in range(1, m + 1)) \
-                    * np.exp(-t * sym.eta(grid))
-                assert np.all(lhs <= 1.01 * rhs + 1e-300)
+                           alpha_index=1.99)
+        r = np.array([0.5, 1.0, 3.0])
+        got = lk.scaled_exp_eta_derivative(sym, 1.0, r) / r
+        assert np.allclose(got, -2.0 * r * np.exp(-r * r), rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("kind,params", ALL_SYMBOLS + [
         ("relativistic", dict(alpha=0.5, m=12.0))])
     def test_against_mpmath(self, kind, params):
-        # r^m D^m e^{-t eta} against 50-digit mpmath differentiation of
-        # the closed form, relative to the largest |value| over r
+        # r D e^{-t eta} against 50-digit mpmath differentiation of the
+        # closed form, relative to the largest |value| over r
         sym = lk.make_symbol(kind, **params)
         r = np.geomspace(1e-4, 1e4, 9)
         for t in (0.5, 1.0, 2.0):
@@ -186,100 +134,100 @@ class TestExpEtaDerivative:
                 def f(x):
                     return mp.exp(-t * closed_form(kind, params, x, mp.mpf))
 
-                ref = np.array([[float(mp.mpf(x) ** m * dm) for m, dm in
-                                 enumerate(mp.diffs(f, mp.mpf(x), sym.k_max))]
+                ref = np.array([float(mp.mpf(x) * mp.diff(f, mp.mpf(x)))
                                 for x in r])
-            for m in range(sym.k_max + 1):
-                got = lk.scaled_exp_eta_derivative(sym, t, r, m)
-                err = np.max(np.abs(got - ref[:, m]))
-                assert err <= 1e-13 * np.max(np.abs(ref[:, m])), (t, m)
+            got = lk.scaled_exp_eta_derivative(sym, t, r)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), t
 
     @pytest.mark.parametrize("kind,params", ALL_SYMBOLS + [
         ("relativistic", dict(alpha=0.5, m=12.0))])
     def test_finite_at_grid_ends(self, kind, params):
         # the ends of the inner Mellin grid; a RuntimeWarning fails this
         sym = lk.make_symbol(kind, **params)
-        r = np.array([math.exp(-100.0), 1e4])
-        for m in range(sym.k_max + 1):
-            assert np.all(np.isfinite(lk.scaled_exp_eta_derivative(sym, 1.0, r, m)))
-
-    def test_order_exceeded(self):
-        sym = lk.make_symbol("stable", a=1.3)
-        with pytest.raises(lk.OrderExceeded):
-            lk.exp_eta_derivative(sym, 1.0, np.array([1.0]), sym.k_max + 1)
+        r = np.array([math.exp(-400.0), math.exp(-100.0), 1e4])
+        assert np.all(np.isfinite(lk.scaled_exp_eta_derivative(sym, 1.0, r)))
 
 
 class TestMellinTransform:
     def test_value_at_zero(self):
-        # M_t^k(0) = (-1)^k Gamma(k) e^{-t eta(0)}
+        # M_t^1(0) = int D e^{-t eta} dr = -e^{-t eta(0)}
         sym = lk.make_symbol("stable", a=1.3)
-        for k in (4, 5):
-            got = lk.mellin_Mk(sym, 1.0, 0.0 + 0j, k)
-            assert got.real == pytest.approx((-1.0) ** k * math.gamma(k),
-                                             rel=1e-9)
-            assert abs(got.imag) < 1e-12 * abs(got.real)
+        got = lk.mellin_Mk(sym, 1.0, 0.0 + 0j)
+        assert got.real == pytest.approx(-1.0, rel=1e-9)
+        assert abs(got.imag) < 1e-12 * abs(got.real)
 
     def test_exponential_symbol_closed_form(self):
-        # eta = r: M_t(z) = Gamma(z) t^-z, recovered through k = 2 parts
+        # eta = r: M_t(z) = Gamma(z) t^-z, recovered through one part
         sym = lk.make_symbol("stable", a=1.0)
         t = 0.7
         for z in (1.2 + 3j, 2.0 - 5j, 0.8 + 0j):
-            got = lk.mellin_M(sym, t, z, 2)
+            got = lk.mellin_M(sym, t, z)
             expected = complex(np.exp(lk.log_gamma(z) - z * math.log(t)))
             assert got == pytest.approx(expected, rel=1e-9)
         # at Im z = 100, M_t ~ 1e-67 lies below the inner grid's rounding,
-        # but the gamma ratio Gamma(z)/Gamma(z+2) = 1/(z)_2 is still exact
-        # to a few ulp (the log_gamma route: 1e-13)
+        # but the factor -Gamma(z)/Gamma(z+1) = -1/z is still exact to a
+        # few ulp
         z = 1.2 + 100j
-        ratio = lk.mellin_M(sym, t, z, 2) / lk.mellin_Mk(sym, t, z, 2)
+        ratio = lk.mellin_M(sym, t, z) / lk.mellin_Mk(sym, t, z)
         with mp.workdps(30):
-            expected = complex(mp.gamma(z) / mp.gamma(z + 2))
+            expected = complex(-mp.gamma(z) / mp.gamma(z + 1))
         assert abs(ratio - expected) <= 10 * 2.0 ** -52 * abs(expected)
 
     def test_array_with_two_real_parts(self):
         # an array whose real parts differ is read off one grid per point
         sym = lk.make_symbol("sum_stable", a=0.6, b=1.4)
         z = np.array([1.2 + 3j, 2.5 - 7j])
-        got = lk.mellin_Mk(sym, 0.8, z, 4)
+        got = lk.mellin_Mk(sym, 0.8, z)
         assert got.shape == (2,)
-        assert got.tolist() == [lk.mellin_Mk(sym, 0.8, zi, 4) for zi in z]
+        assert got.tolist() == [lk.mellin_Mk(sym, 0.8, zi) for zi in z]
 
     def test_square_root_symbol_value(self):
         # eta = sqrt(r): int e^{-sqrt r} dr = 2
         sym = lk.make_symbol("stable", a=0.5)
-        got = lk.mellin_M(sym, 1.0, 1.0 + 0j, 4)
+        got = lk.mellin_M(sym, 1.0, 1.0 + 0j)
         assert got.real == pytest.approx(2.0, rel=1e-9)
+
+    @pytest.mark.parametrize("kind,params", ALL_SYMBOLS)
+    def test_against_mpmath(self, kind, params):
+        # M_t(z) = -M_t^1(z)/z against 30-digit quadrature of
+        # int_0^inf r^(z-1) e^{-t eta(r)} dr
+        sym = lk.make_symbol(kind, **params)
+        t = 0.8
+        for z in (1.5 + 0j, 2.3 + 4j, 0.7 - 2j):
+            got = complex(lk.mellin_M(sym, t, z))
+            with mp.workdps(30):
+                ref = complex(mp.quad(
+                    lambda s: s ** (mp.mpc(z) - 1)
+                    * mp.exp(-t * closed_form(kind, params, s, mp.mpf)),
+                    [0, 1, 10, 100, mp.inf]))
+            assert abs(got - ref) <= 1e-13 * abs(ref), z
 
     def test_strip_violation(self):
         sym = lk.make_symbol("stable", a=0.5)
         with pytest.raises(lk.StripViolation):
-            lk.mellin_Mk(sym, 1.0, -1.0 + 0j, 4)
+            lk.mellin_Mk(sym, 1.0, -1.0 + 0j)
 
     def test_inversion_round_trip(self):
-        # (-1)^k/(2 pi i) int Gamma(z)/Gamma(z+k) M_t^k(z) r^-z dz = e^{-t eta(r)}
+        # -1/(2 pi i) int M_t^1(z)/z r^-z dz = e^{-t eta(r)}
         sym = lk.make_symbol("stable", a=1.3)
-        k = 4
         for r in (0.5, 1.0, 2.0):
             def f(z, r=r):
                 z = np.asarray(z, dtype=np.complex128)
-                return np.exp(lk.log_gamma(z) - lk.log_gamma(z + k)
-                              - z * math.log(r)) * lk.mellin_Mk(sym, 1.0, z, k)
+                return np.exp(-z * math.log(r)) * lk.mellin_Mk(sym, 1.0, z) / z
 
             big_t = lk.auto_truncation(f, 1.0, 1e-9)
             res = lk.vertical_line_integral(
                 f, lk.ContourSpec(1.0, big_t, nodes=256), tol=1e-10)
-            got = (-1.0) ** k * res.value.real
+            got = -res.value.real
             target = math.exp(-float(sym.eta(np.array([r]))[0]))
             assert got == pytest.approx(target, rel=1e-7)
 
 
 class TestGeneralKernel:
     def test_matches_stable_machinery(self):
-        sym = lk.make_symbol("stable", a=1.2)
-        spec = lk.KernelSpec(d=2, alpha=1.2, beta=0.7)
-        g = lk.general_kernel_mb(sym, 2, 0.7, 1.0, 3.0)
-        s = lk.stable_mb(spec, 3.0)
-        assert abs(g.value - s.value) / abs(s.value) < 1e-4
+        assert symbol_route_err() < 1e-10
+        g = lk.general_kernel_mb(lk.make_symbol("stable", a=1.2), 2, 0.7,
+                                 1.0, 3.0)
         assert g.diagnostics["imag_ratio"] < 1e-10
 
     def test_relativistic_against_oracle(self):
@@ -288,15 +236,8 @@ class TestGeneralKernel:
         o = lk.symbol_oracle(sym, 2, 0.5, 1.0, 4.0)
         assert abs(g.value - o.value) / abs(o.value) < 1e-4
 
-    def test_k_independence(self):
-        assert k_independence_err() < 1e-5
-
     def test_argument_validation(self):
         sym = lk.make_symbol("stable", a=1.2)
-        with pytest.raises(ValueError):
-            lk.general_kernel_mb(sym, 2, 0.7, 1.0, 3.0, k=3)
-        with pytest.raises(lk.OrderExceeded):
-            lk.general_kernel_mb(sym, 2, 0.7, 1.0, 3.0, k=14)
         with pytest.raises(lk.StripViolation):
             lk.general_kernel_mb(sym, 2, 0.7, 1.0, 3.0, abscissa=0.5)
         for r in (0.0, -1.0, math.nan, np.array([1.0, math.nan]), math.inf,
@@ -306,10 +247,41 @@ class TestGeneralKernel:
         with pytest.raises(ValueError):
             lk.general_kernel_mb(sym, 2, 0.7, 1.0, np.ones((2, 2)))
 
-    def test_default_derivative_order(self):
-        assert lk.default_derivative_order(2, 0.0) == 4
-        assert lk.default_derivative_order(2, 0.5) == 5
-        assert lk.default_derivative_order(3, 0.0) == 5
+
+class TestGeneralKernelAtOrigin:
+    @pytest.mark.parametrize("kind,params", ALL_SYMBOLS)
+    def test_against_mpmath(self, kind, params):
+        # (2 pi)^-d omega_{d-1} int_0^inf s^(d+beta-1) e^{-t eta(s)} ds
+        sym = lk.make_symbol(kind, **params)
+        for d, beta, t in ((2, 0.0, 1.0), (3, 0.5, 0.7)):
+            got = lk.general_kernel_at_origin(sym, d, beta, t)
+            with mp.workdps(30):
+                radial = mp.quad(
+                    lambda s: s ** (d + beta - 1)
+                    * mp.exp(-t * closed_form(kind, params, s, mp.mpf)),
+                    [0, 1, 10, 100, mp.inf])
+                ref = float(2 * mp.pi ** (mp.mpf(d) / 2) / mp.gamma(mp.mpf(d) / 2)
+                            * radial / (2 * mp.pi) ** d)
+            assert got.method == "mellin_origin"
+            assert abs(got.value - ref) <= 1e-13 * ref, (d, beta, t)
+            assert abs(got.value - ref) <= got.est_error, (d, beta, t)
+
+    @pytest.mark.parametrize("d,a,beta,t", [(2, 1.5, 0.0, 1.0),
+                                            (3, 0.7, 0.5, 2.0),
+                                            (4, 1.9, 1.3, 0.4)])
+    def test_stable_symbol_matches_origin_formula(self, d, a, beta, t):
+        got = lk.general_kernel_at_origin(lk.make_symbol("stable", a=a),
+                                          d, beta, t)
+        exact = lk.kernel_at_origin(lk.KernelSpec(d, a, beta, t))
+        assert got.value == pytest.approx(exact, rel=1e-14)
+
+    def test_small_r_approaches_origin(self):
+        # K(r) - K(0) = O(r^2) for a smooth radial kernel
+        sym = lk.make_symbol("relativistic", alpha=1.0, m=1.0)
+        origin = lk.general_kernel_at_origin(sym, 2, 0.0, 1.0).value
+        gaps = [abs(lk.general_kernel_mb(sym, 2, 0.0, 1.0, r).value - origin)
+                / r ** 2 for r in (1e-2, 1e-3)]
+        assert gaps[1] == pytest.approx(gaps[0], rel=0.05)
 
 
 class TestGeneralMBGrid:
@@ -360,8 +332,8 @@ class TestMellinGridPhases:
     @staticmethod
     def _grid(kind, params):
         sym = lk.make_symbol(kind, **params)
-        # the strip midpoint and default k of d = 2, beta = 0.5
-        return _MellinGrid(sym, 1.0, 5, 2.25, 64.0, tol=1e-9)
+        # the strip midpoint of d = 2, beta = 0.5
+        return _MellinGrid(sym, 1.0, 2.25, 64.0, tol=1e-9)
 
     @staticmethod
     def _dense(grid, v):
@@ -454,8 +426,8 @@ class TestMellinGridPhases:
         # w = 6; heads counted from its middle node, near w = -197, would
         # round the heights of the large nodes near w = 0 some 5x worse
         # than direct exps
-        grid = _MellinGrid(lk.make_symbol("stable", a=1.3), 1.0, 5, -1.2,
-                           64.0, tol=1e-9)
+        grid = _MellinGrid(lk.make_symbol("stable", a=1.3), 1.0, -1.2, 64.0,
+                           tol=1e-9)
         p, w = grid_nodes(grid)
         assert w[0] < -390.0 < 0.0 < w[-1] < 10.0
         a = np.arange(0.0, 65.0)
@@ -495,23 +467,21 @@ class TestMellinGridPhases:
 
 
 class TestMellinGridTrapezoid:
-    # M_t^k by one nested trapezoid on the whole log-line w = ln r
+    # M_t^1 by one nested trapezoid on the whole log-line w = ln r
 
     @pytest.mark.parametrize("a", [0.6, 1.3])
     @pytest.mark.parametrize("cap", [64.0, 256.0])
     def test_stable_closed_form_up_to_the_cap(self, a, cap):
-        # eta = r^a: M_t^k(z) = (-1)^k Gamma(z+k)/Gamma(z) Gamma(z/a)/a
-        # at t = 1.  The rule aliases first at the top of its cap, so
-        # every height of a level and its midpoints up to the cap is
-        # checked
+        # eta = r^a: M_t^1(z) = -z Gamma(z/a)/a at t = 1.  The rule
+        # aliases first at the top of its cap, so every height of a level
+        # and its midpoints up to the cap is checked
         sym = lk.make_symbol("stable", a=a)
-        k, c, n = 5, 2.25, int(4 * cap)
+        c, n = 2.25, int(4 * cap)
         for v in (np.arange(-n, n + 1, dtype=float) * 0.25,
                   (np.arange(-n, n, dtype=float) + 0.5) * 0.25):
             z = c + 1j * v
-            got = lk.mellin_Mk(sym, 1.0, z, k)
-            ref = (-1.0) ** k * np.exp(lk.log_gamma(z + k) - lk.log_gamma(z)
-                                       + lk.log_gamma(z / a)) / a
+            got = lk.mellin_Mk(sym, 1.0, z)
+            ref = -z * np.exp(lk.log_gamma(z / a)) / a
             assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("kind,params", TestMellinGridPhases.GRIDS,
@@ -522,9 +492,9 @@ class TestMellinGridTrapezoid:
         real = lk.scaled_exp_eta_derivative
         samples = []
 
-        def counting(sym, t, r, m):
+        def counting(sym, t, r):
             samples.append(np.log(r))
-            return real(sym, t, r, m)
+            return real(sym, t, r)
 
         monkeypatch.setattr("levykernel.radial_symbol."
                             "scaled_exp_eta_derivative", counting)
