@@ -7,22 +7,19 @@ oracle against which everything else is validated.
 """
 
 from .errors import (Approximation, DomainError, LevyKernelError, NoDecay,
-                     NonConvergent, ParityError, PoleHit, StripViolation)
-from .mellin import (ContourSpec, auto_truncation, line_plan,
-                     mellin_bessel_rhs, power_line_integral,
-                     vertical_line_integral)
+                     NonConvergent, ParityError, StripViolation)
+from .mellin import ContourSpec, mellin_bessel_rhs
 from .oracle import (bessel_zeros, hankel_oracle, normalization_check,
                      oscillatory_bessel_integral, stable_oracle,
                      stable_weight, symbol_oracle, symbol_weight)
 from .radial_symbol import (RadialSymbol, decay_slope, general_kernel_at_origin,
                             general_kernel_mb, general_leading_term,
                             general_strip, make_symbol, mellin_M, mellin_Mk,
-                            perturbed_leading_term, scaled_exp_eta_derivative,
-                            smoothstep_cutoff, sum_symbol_envelope,
-                            sum_symbol_envelope_check, symbol_registry,
-                            tail_integral)
-from .specfun import (bessel_j, bessel_j_derivative, gamma, gamma_residue,
-                      log_gamma, reciprocal_gamma, stirling_magnitude)
+                            perturbed_leading_term, smoothstep_cutoff,
+                            sum_symbol_envelope, sum_symbol_envelope_check,
+                            symbol_registry, tail_integral)
+from .specfun import (bessel_j, bessel_j_derivative, log_gamma,
+                      stirling_magnitude)
 from .stable_kernel import (KernelSpec, SeriesTerm, admissible_strip,
                             envelope_ratio, evaluate, gaussian_kernel,
                             kernel_at_origin, leading_term, poisson_kernel,

@@ -8,9 +8,7 @@ class Approximation:
     """A computed value with an a-posteriori error estimate.
 
     Every route returns one: ``method`` names the route and
-    ``diagnostics`` holds its counters.  A kernel value is real; the
-    value of a raw line integral (``method="line_integral"``) is the
-    complex integral itself.
+    ``diagnostics`` holds its counters.
     """
 
     value: float | complex
@@ -21,10 +19,6 @@ class Approximation:
 
 class LevyKernelError(Exception):
     """Base class for all numerical-evaluation errors raised here."""
-
-
-class PoleHit(LevyKernelError):
-    """Gamma function requested at (or within tolerance of) a pole."""
 
 
 class StripViolation(LevyKernelError):

@@ -11,23 +11,18 @@ values for a whole grid of r, refining each r as it would alone.  The
 one rule is the trapezoid with node doubling, exponentially accurate
 for analytic integrands that decay along the line (Trefethen and
 Weideman, SIAM Review 56, 2014); M_t^1 uses it too, on the log-line.
-Two entry points return ``Approximation``s with the complex integral as
-the value, ``method="line_integral"`` and the ``nodes_used`` and
-``tail_bound`` diagnostics.  They take a whole ``ContourSpec``
-(abscissa, height and node count): ``power_line_integral`` runs the
-engine on a fresh store per call, and ``vertical_line_integral`` runs
-the same levels on one vectorized integrand f, node by node, the
-reference the engine is tested against.  The limits are fixed, not
-options: a ladder from T = 16 to 4096, at least 2 * 64 + 1 nodes on a
-planned line's first level, and at most six node doublings after it.
+The limits are fixed, not options: a ladder from T = 16 to 4096, at
+least 2 * 64 + 1 nodes on a planned line's first level, and at most six
+node doublings after it.
 
 Callers assemble integrands from combined log-gamma ratios, so
 magnitudes stay representable on tall lines.  The engine exponentiates
 G once per node, scaled by its largest modulus; each r then costs one
 real scale r^(c - shift) and a sum of phases r^(i Im z).  Such sums,
-here and in M_t^1, come from ``_phase_sums``, in sqrt(N) blocks of the
-evenly spaced nodes: the line's heights, or M_t^1's log-radii.  Every
-set of samples, a ladder rung or a quadrature level, is one call of G.
+here and in M_t^1, come from ``_phase_table`` and ``_phase_apply``, in
+sqrt(N) blocks of the evenly spaced nodes: the line's heights, or
+M_t^1's log-radii.  Every set of samples, a ladder rung or a quadrature
+level, is one call of G.
 
 G never depends on r, so each kernel keeps its line in a store: log G
 itself, the plan, the tail estimate and per trapezoid level top, gross
@@ -53,14 +48,10 @@ from .specfun import log_gamma
 
 __all__ = [
     "ContourSpec",
-    "vertical_line_integral",
-    "power_line_integral",
-    "line_plan",
-    "auto_truncation",
     "mellin_bessel_rhs",
 ]
 
-# complex phases per row block of ``_phase_sums``: bounds the working set
+# complex phases per row block of ``_phase_apply``: bounds the working set
 # whatever the number of rows
 _BLOCK_ELEMS = 1 << 15
 _REFINEMENTS = 6  # node doublings after a plan's first trapezoid level
@@ -106,18 +97,6 @@ def _tail_estimate(m_half, m_top, half_height):
         return math.inf
     # int_T^inf m_top * (T/v)^p dv = m_top * T / (p - 1), both tails, /(2 pi)
     return m_top * half_height / (p - 1.0) / math.pi
-
-
-def _checked_tail(f, contour: ContourSpec) -> float:
-    """Tail estimate of ``f`` beyond the plan's height, after checking the
-    sampled decay precondition |f(c+iT)| < |f(c+iT/2)|."""
-    c, big_t = contour.abscissa, contour.half_height
-    m_half, m_top = _magnitudes(f, c, (0.5 * big_t, big_t))
-    if m_top >= m_half and m_top > 0.0:
-        raise NoDecay(
-            f"|f| fails to decay along the contour: |f(c+i{big_t})| = "
-            f"{m_top:.3e} >= |f(c+i{big_t / 2})| = {m_half:.3e}")
-    return _tail_estimate(m_half, m_top, big_t)
 
 
 def _level_grid(plan: ContourSpec, i):
@@ -182,19 +161,6 @@ def _refine(sums, n_rows, contour, tol):
         f"last change {last:.3e}")
 
 
-def _direct_sums(f, contour):
-    """Level sums of one integrand ``f``, formed node by node."""
-
-    def sums(level, rows):
-        fv = f(contour.abscissa + 1j * _heights(contour, level))
-        s = fv.sum()
-        if not level:
-            s -= 0.5 * (fv[0] + fv[-1])
-        return np.array([s]), np.array([np.abs(fv).sum()])
-
-    return sums
-
-
 def _row_blocks(v, heights, contract):
     """``contract`` of the phases exp(i v_j heights), by row blocks of v."""
     rows = max(1, _BLOCK_ELEMS // heights.size)
@@ -203,7 +169,19 @@ def _row_blocks(v, heights, contract):
 
 
 def _phase_table(p, w, step):
-    """``_phase_sums``' v-free part, read-only: (heights, table, heads)."""
+    """The v-free part, read-only (heights, table, heads), of the sums
+    sum_k p_k exp(i w_k v_j) for every v_j, the nodes w increasing,
+    spaced by ``step`` and reaching w >= 0: the node split of a
+    nonequispaced DFT (Dutt and Rokhlin) in ~sqrt(N) blocks.  Counting
+    from k0, the first node at or above w = 0, node k0 + m is
+    m = b*B + q with centred offsets -half <= q < B - half, and sits in
+    slot m + half - lo*B of a (heads, B) table, B = isqrt(N - 1) + 1.
+    Its phase is head b's, at height w_k0 + b*B*step, times offset q's,
+    so the rounding of a height grows with its distance from w = 0, as in
+    a direct exp.  ``_phase_apply`` gives each v_j heads + B exps of one
+    outer product, and forms its sum alone: its bits do not depend on
+    the rest of v.
+    """
     k0 = int(np.searchsorted(w, 0.0))
     width = math.isqrt(w.size - 1) + 1
     half = width // 2
@@ -220,7 +198,7 @@ def _phase_table(p, w, step):
 
 
 def _phase_apply(table, v):
-    """``_phase_sums``' per-v part, on a ``_phase_table``."""
+    """The sums of a ``_phase_table`` at each of ``v``."""
     heights, mat, heads = table
 
     def contract(ph):
@@ -228,44 +206,6 @@ def _phase_apply(table, v):
         return np.einsum("rb,rb->r", tails, ph[:, :heads])
 
     return _row_blocks(v, heights, contract)
-
-
-def _phase_sums(p, w, v, step):
-    """sum_k p_k exp(i w_k v_j) for every v_j, the nodes w increasing,
-    spaced by ``step`` and reaching w >= 0: the node split of a
-    nonequispaced DFT (Dutt and Rokhlin) in ~sqrt(N) blocks.  Counting
-    from k0, the first node at or above w = 0, node k0 + m is
-    m = b*B + q with centred offsets -half <= q < B - half, and sits in
-    slot m + half - lo*B of a (heads, B) table, B = isqrt(N - 1) + 1.
-    Its phase is head b's, at height w_k0 + b*B*step, times offset q's,
-    so the rounding of a height grows with its distance from w = 0, as in
-    a direct exp.  Each v_j takes heads + B exps of one outer product,
-    and its sum is formed alone: its bits do not depend on the rest of v.
-    """
-    return _phase_apply(_phase_table(p, w, step), v)
-
-
-def _line_result(value, tail, disc, used) -> Approximation:
-    return Approximation(value=complex(value), est_error=tail + float(disc),
-                         method="line_integral",
-                         diagnostics={"nodes_used": 2 + int(used),
-                                      "tail_bound": tail})
-
-
-def vertical_line_integral(f, contour: ContourSpec,
-                           tol: float = 1e-10) -> Approximation:
-    """(1/2*pi*i) * integral of f over the truncated vertical line.
-
-    Checks the sampled decay precondition |f(c+iT)| <= |f(c+iT/2)| and
-    refines the node count (doubling, at most six times) until the value
-    changes by less than ``tol`` relatively, else raises NonConvergent.
-    For integrands with f(conj z) = conj f(z) the imaginary part of the
-    result is at the rounding level.  The estimate is the tail estimate
-    plus the discretization estimate.
-    """
-    tail = _checked_tail(f, contour)
-    value, disc, used = _refine(_direct_sums(f, contour), 1, contour, tol)
-    return _line_result(value[0], tail, disc[0], used[0])
 
 
 class _Line:
@@ -305,9 +245,19 @@ class _Line:
 
 
 def _power_line(line: _Line, ln_r, shift, tol):
-    """Per-row arrays of ``power_line_integral`` on the store ``line``:
-    values, tail estimates, discretization estimates and node
-    counts."""
+    """(1/2 pi i) int_(c) exp(log_g(z) + (z - shift) ln r) dz on the
+    store ``line`` of log_g, for every entry of ``ln_r``: per-row values,
+    tail estimates, discretization estimates and node counts.
+
+    At node k the integrand is E_k rho e^(i v_k ln r), E_k the level's
+    scaled sample, v_k = Im z_k and rho = exp(top + (c - shift) ln r) one
+    real scale per r, so each r's sum of |f| is rho * gross and its sum
+    of f needs only the phases.  |r^(z - shift)| is r^(c - shift) at
+    every height, so each tail estimate is the line's times that.  Each
+    r keeps its own convergence test, rounding floor and error estimate,
+    and stops refining when it converges: every row equals that of a
+    one-element ``ln_r``.
+    """
     ln_r = np.asarray(ln_r, dtype=float).ravel()
     slope = line.plan.abscissa - shift
 
@@ -319,30 +269,6 @@ def _power_line(line: _Line, ln_r, shift, tol):
 
     value, disc, used = _refine(sums, ln_r.size, line.plan, tol)
     return value, line.tail * np.exp(slope * ln_r), disc, used
-
-
-def power_line_integral(log_g, ln_r, shift: float, contour: ContourSpec,
-                        tol: float = 1e-10) -> list[Approximation]:
-    """``vertical_line_integral`` of exp(log_g(z) + (z - shift) ln r) for
-    every entry of ``ln_r``, exponentiating log_g once per node.
-
-    On Re z = c = Re z_k the integrand at node k is E_k rho e^(i v_k ln r)
-    with E_k = exp(log_g(z_k) - L), L the largest Re log_g of the node
-    set, v_k = Im z_k, and rho = exp(L + (c - shift) ln r) one real scale
-    per r.  So each r's sum of |f| is rho * sum |E_k|, and its sum of f
-    needs only the phases, taken in sqrt(N) blocks on the trapezoid's
-    evenly spaced nodes.  log_g is sampled as given: no symmetry is
-    assumed.  The factor r^(z - shift) has modulus r^(c - shift) at
-    every height, so the decay check is made once on exp(log_g) and each
-    tail estimate is that of exp(log_g) times r^(c - shift).  Each r keeps
-    its own convergence test, rounding floor and error estimate, and
-    stops refining when it converges: every result equals that of a
-    one-element ``ln_r``.
-    """
-    tail = _checked_tail(lambda z: np.exp(log_g(z)), contour)
-    return [_line_result(v, float(tb), e, u)
-            for v, tb, e, u in zip(*_power_line(
-                _Line(log_g, contour, tail), ln_r, shift, tol))]
 
 
 def fold_conjugates(log_g):
@@ -366,8 +292,17 @@ def fold_conjugates(log_g):
 
 
 def _plan(log_g, strip, abscissa: float | None, tol: float):
-    """``line_plan``'s plan, and the tail estimate of exp(log_g) beyond
-    its height, read from the ladder's samples at T/2 and T."""
+    """The plan of a line integral of exp(log_g(z)) r^z over the
+    abscissa strip (lo, hi), for integrands with their nearest poles at
+    z = 0 and z = hi, and the tail estimate of exp(log_g) beyond its
+    height, read from the ladder's samples at T/2 and T.
+
+    No ``abscissa`` means the strip midpoint; a given one must lie inside
+    the strip.  The height is the ``_ladder``'s on exp(log_g) (target
+    tol * 1e-2), one log_g call per rung.  The node count is the larger
+    of 64 and the pole-aware floor.  |r^z| is r^c at every height, so
+    nothing here depends on r.
+    """
     lo, hi = strip
     c = 0.5 * (lo + hi) if abscissa is None else abscissa
     if not lo < c < hi:
@@ -380,21 +315,6 @@ def _plan(log_g, strip, abscissa: float | None, tol: float):
     nodes = max(_MIN_NODES, int(math.ceil(big_t / min(0.5, dist / 5.0))))
     return (ContourSpec(abscissa=c, half_height=big_t, nodes=nodes),
             _tail_estimate(m_half, m_top, big_t))
-
-
-def line_plan(log_g, strip, abscissa: float | None,
-              tol: float) -> ContourSpec:
-    """The full plan of a line integral of exp(log_g(z)) r^z over the
-    abscissa strip (lo, hi), for integrands with their nearest poles at
-    z = 0 and z = hi.  No ``abscissa`` means the strip midpoint; a given
-    one must lie inside the strip.
-
-    The height is the ``auto_truncation`` ladder's on exp(log_g) (target
-    tol * 1e-2), one log_g call per rung.  The node count is the larger
-    of 64 and the pole-aware floor.  |r^z| is r^c at every height, so
-    nothing here depends on r.
-    """
-    return _plan(log_g, strip, abscissa, tol)[0]
 
 
 def _radii(r):
@@ -418,8 +338,8 @@ def _contour_route(line: _Line, shift: float, rs, r_scale: float,
 
     r' = r_scale * r, on the store ``line`` of log_g, for ``rs`` from
     ``_radii``: 0-d (one Approximation back) or 1-D (a list, one per
-    point), one ``power_line_integral`` pass for the whole grid, read as
-    arrays.  The estimate is |scale| times that of the line integral.
+    point), one ``_power_line`` pass for the whole grid.  The estimate
+    is |scale| times that of the line integral.
     """
     plan = line.plan
     value, tail, disc, used = _power_line(
@@ -435,9 +355,9 @@ def _contour_route(line: _Line, shift: float, rs, r_scale: float,
     return out if rs.ndim else out[0]
 
 
-def auto_truncation(f, c: float, tol: float) -> float:
+def _ladder(f, c, tol):
     """Smallest T from the doubling ladder {16, 32, ..., 4096} with
-    |f(c + iT)| * T < tol * |f(c)|.
+    |f(c + iT)| * T < tol * |f(c)|, with |f| at T/2 and T.
 
     One f call samples the heights 0, T0/2 and T0 of the first rung;
     each later rung is one more call.  Raises DomainError if |f(c)| is
@@ -445,11 +365,6 @@ def auto_truncation(f, c: float, tol: float) -> float:
     magnitudes fail to decrease rung to rung, or if the ladder cap is
     reached.
     """
-    return _ladder(f, c, tol)[0]
-
-
-def _ladder(f, c, tol):
-    """``auto_truncation``'s T, with |f| at T/2 and T."""
     t = _LADDER_START
     f0, prev, m = _magnitudes(f, c, (0.0, 0.5 * t, t))
     if not (math.isfinite(f0) and f0 > 0.0):

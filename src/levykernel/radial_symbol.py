@@ -27,9 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle as _oracle
-from .errors import Approximation, NonConvergent, ParityError, StripViolation
-from .mellin import (_contour_route, _Line, _phase_apply, _phase_sums,
-                     _phase_table, _plan, _radii, fold_conjugates)
+from .errors import (Approximation, DomainError, NonConvergent, ParityError,
+                     StripViolation)
+from .mellin import (_contour_route, _Line, _phase_apply, _phase_table, _plan,
+                     _radii, fold_conjugates)
 from .specfun import log_gamma
 from .stable_kernel import _LINES_KEPT, _is_even_integer, _residues
 
@@ -37,7 +38,6 @@ __all__ = [
     "RadialSymbol",
     "make_symbol",
     "symbol_registry",
-    "scaled_exp_eta_derivative",
     "mellin_Mk",
     "mellin_M",
     "general_kernel_mb",
@@ -169,11 +169,9 @@ def make_symbol(kind: str, **params) -> RadialSymbol:
 # The continued Mellin transform M_t^1 on vertical lines.
 # ---------------------------------------------------------------------------
 
-def scaled_exp_eta_derivative(sym: RadialSymbol, t: float, r):
-    """r * D(exp(-t eta(r))) = -t (r D eta) exp(-t eta), vectorized;
-    r D eta = O(r^alpha) keeps it finite even at r = e^(-400)."""
-    r = np.asarray(r, dtype=float)
-    return -t * sym.scaled_deriv(r) * np.exp(-t * sym.eta(r))
+def _check_time(t):
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"t must be > 0 and finite, got {t}")
 
 
 class _MellinGrid:
@@ -185,8 +183,10 @@ class _MellinGrid:
     [-u0_end, u1_end] converges geometrically (Trefethen and Weideman,
     SIAM Review 56, 2014).  Its step starts at pi/max_imag and halves,
     each level adding only the midpoints, until three probe heights
-    settle.  Each value is the phase sum sum_w p e^{i w v} of
-    ``mellin._phase_sums``, p = h G(e^w) e^{cw}, from one table.
+    settle.  Each value is the phase sum sum_w p e^{i w v},
+    p = h G(e^w) e^{cw}, from one ``mellin._phase_table``.  G e^{cw} is
+    formed in log space, -sign(D) exp(log|t D| - t eta + c w) with
+    D = r D eta, so that no factor overflows where the product does not.
     """
 
     def __init__(self, sym, t, abscissa, max_imag, tol=1e-10):
@@ -202,18 +202,19 @@ class _MellinGrid:
         u1_end = self._find_u1(sym, t)
 
         def integrand(w):
-            g = scaled_exp_eta_derivative(sym, t, np.exp(w))
-            with np.errstate(over="ignore"):
-                f = g * np.exp(self.c * w)
-            f[~np.isfinite(f)] = 0.0
-            return f
+            r = np.exp(w)
+            d = sym.scaled_deriv(r)
+            # D = 0 (a massive term's q underflows at r = e^-400) reads 0
+            with np.errstate(divide="ignore"):
+                log_td = np.log(np.abs(t * d))
+            return -np.sign(d) * np.exp(log_td - t * sym.eta(r) + self.c * w)
 
         h = math.pi / self.max_imag
         n0, n1 = math.ceil(u0_end / h), math.ceil(u1_end / h)
         w = np.arange(-n0, n1 + 1, dtype=float) * h
         f = integrand(w)
         probes = np.array([0.0, 0.5 * self.max_imag, self.max_imag])
-        prev = _phase_sums(h * f, w, probes, h)
+        prev = _phase_apply(_phase_table(h * f, w, h), probes)
         for _ in range(8):
             # the levels nest: only the midpoints are new
             h *= 0.5
@@ -263,8 +264,10 @@ def mellin_Mk(sym: RadialSymbol, t: float, z, tol: float = 1e-10):
 
     Valid (and holomorphic) for Re z > -alpha_index.  Scalars or arrays
     with a common real part are accepted; they are read off the grid of
-    (symbol, t, Re z), kept in a bounded cache.
+    (symbol, t, Re z), kept in a bounded cache.  Raises DomainError
+    unless 0 < t < inf.
     """
+    _check_time(t)
     zz = np.atleast_1d(np.asarray(z, dtype=np.complex128))
     c = float(zz.real[0])
     if not np.all(zz.real == c):
@@ -299,7 +302,7 @@ def general_kernel_mb(sym: RadialSymbol, d: int, beta: float, t: float,
         M_t(z) = -M_t^1(z)/z  (``mellin_M``),
 
     with c in ((d+1)/2+beta, d+beta), ``abscissa`` or the strip midpoint;
-    ``mellin.line_plan`` picks the height and node count.  The inner
+    ``mellin._plan`` picks the height and node count.  The inner
     transform values come from a frozen vectorized grid sized to the
     largest |Im z| asked for.
 
@@ -309,8 +312,10 @@ def general_kernel_mb(sym: RadialSymbol, d: int, beta: float, t: float,
     node set serve the whole grid, and each r refines as it would alone.
     The samples are kept by ``_symbol_line``, per symbol value and
     (d, beta, t, tol, abscissa): G is sampled once per symbol and t,
-    and a later call at any r takes no inner transform value.
+    and a later call at any r takes no inner transform value.  Raises
+    DomainError unless 0 < t < inf.
     """
+    _check_time(t)
     rs = _radii(r)
     out = _contour_route(_symbol_line(sym, d, beta, t, tol, abscissa),
                          d + beta, rs, 1.0, math.pi ** (-0.5 * d), tol)
@@ -350,7 +355,9 @@ def general_kernel_at_origin(sym: RadialSymbol, d: int, beta: float,
 
     omega_{d-1} the area of the unit sphere: the m = 0 term of the right
     residue series, one ``mellin_M`` read at the kernel's inner tolerance.
+    Raises DomainError unless 0 < t < inf.
     """
+    _check_time(t)
     inner_tol = _inner_tol(tol)
     omega = 2.0 * math.pi ** (0.5 * d) / math.gamma(0.5 * d)
     value = (2.0 * math.pi) ** (-d) * omega * float(
@@ -411,7 +418,7 @@ def sum_symbol_envelope(d: int, a: float, b: float, t: float, r):
 
 
 def sum_symbol_envelope_check(d: int, a: float, b: float, t: float, r_grid,
-                              kernel_values=None, tol: float = 1e-9) -> dict:
+                              tol: float = 1e-9) -> dict:
     """Upper-bound check for the kernel of the two-power symbol r^a + r^b
     (0 < a < b < 2, beta = 0):
 
@@ -419,22 +426,21 @@ def sum_symbol_envelope_check(d: int, a: float, b: float, t: float, r_grid,
         K_t(r) <= C t^(-d/a) (1 + t^(-1/a) r)^(-(d+a))   for t >= 1.
 
     Returns the empirical constant (max ratio) over the grid.  Kernel
-    values default to ``symbol_oracle`` on ``sum_stable(a, b)``, and to
+    values come from ``symbol_oracle`` on ``sum_stable(a, b)``, and from
     ``general_kernel_at_origin`` at r = 0.
     """
     if not 0.0 < a < b < 2.0:
         raise ValueError("need 0 < a < b < 2")
     r_grid = np.asarray(r_grid, dtype=float)
-    if kernel_values is None:
-        sym = make_symbol("sum_stable", a=a, b=b)
-        kernel_values = np.array(
-            [_oracle.symbol_oracle(sym, d, 0.0, t, float(r), tol=tol).value
-             if r > 0 else general_kernel_at_origin(sym, d, 0.0, t, tol).value
-             for r in r_grid])
+    sym = make_symbol("sum_stable", a=a, b=b)
+    kernel_values = np.array(
+        [_oracle.symbol_oracle(sym, d, 0.0, t, float(r), tol=tol).value
+         if r > 0 else general_kernel_at_origin(sym, d, 0.0, t, tol).value
+         for r in r_grid])
     env = sum_symbol_envelope(d, a, b, t, r_grid)
-    ratios = np.asarray(kernel_values) / env
+    ratios = kernel_values / env
     finite = np.all(np.isfinite(ratios))
-    return {"holds": bool(finite and np.all(np.asarray(kernel_values) > 0)),
+    return {"holds": bool(finite and np.all(kernel_values > 0)),
             "max_ratio": float(np.max(ratios)),
             "min_ratio": float(np.min(ratios))}
 

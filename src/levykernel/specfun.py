@@ -1,14 +1,15 @@
-"""Complex gamma function, Bessel J, and Stirling magnitude estimates.
+"""Complex log-gamma, Bessel J, and Stirling magnitude estimates.
 
 Everything here is pure and re-entrant: no global mutable state, results
 depend only on the arguments.  Functions accept scalars or numpy arrays
 and follow numpy broadcasting; scalar input gives scalar output.
 
-The gamma evaluation uses a fixed-coefficient rational (Lanczos-type)
+``log_gamma`` uses a fixed-coefficient rational (Lanczos-type)
 approximation on Re z >= 1/2 and the reflection formula elsewhere.  The
 package calls it at the complex points of contour lines, where log space
 keeps quotients like Gamma(z/a)/Gamma(z/2) finite though the factors
 under/overflow, and in J_nu's series (whose bits feed the oracle's tables).
+Gamma itself is exp(log_gamma); no other gamma function is kept.
 Residues at real arguments use ``math.gamma``, and Gamma(z)/Gamma(z+k) is
 the rational 1/(z)_k.
 """
@@ -19,17 +20,11 @@ import math
 
 import numpy as np
 
-from .errors import PoleHit
-
 __all__ = [
     "log_gamma",
-    "gamma",
-    "gamma_residue",
-    "reciprocal_gamma",
     "stirling_magnitude",
     "bessel_j",
     "bessel_j_derivative",
-    "bessel_switch_point",
 ]
 
 _LOG_PI = math.log(math.pi)
@@ -60,13 +55,6 @@ _BESSEL_SERIES_END, _BESSEL_RECURRENCE_BASE = 12.0, 2.5
 
 def _as_complex(z):
     return np.asarray(z, dtype=np.complex128)
-
-
-def _near_nonpositive_integer(z):
-    """Boolean mask: z within ``POLE_TOL`` of one of 0, -1, -2, ..."""
-    z = _as_complex(z)
-    n = np.round(z.real)
-    return (n <= 0.5) & (np.abs(z - n) <= POLE_TOL)
 
 
 def _log_sin_pi(z):
@@ -112,7 +100,9 @@ def log_gamma(z):
     The imaginary part is a continuous branch of arg Gamma; in the
     reflected half-plane it may differ from the principal branch by a
     multiple of 2*pi, which leaves exp(log_gamma) and the real part
-    unaffected.  At the poles the real part is +inf.
+    unaffected.  At z = 0 the real part is +inf (numpy warns on the
+    log of zero); at z = -n, n >= 1, sin(pi z) rounds to about n 1e-16
+    rather than 0, so the real part is finite (about 37.8 at n = 1).
     """
     scalar = np.isscalar(z) or getattr(z, "ndim", 0) == 0
     z = _as_complex(z)
@@ -129,57 +119,6 @@ def log_gamma(z):
     if scalar:
         return complex(out[0])
     return out.reshape(z.shape)
-
-
-def gamma(z):
-    """Gamma(z) for complex z away from the poles 0, -1, -2, ...
-
-    Raises PoleHit if z lies within 1e-12 of a nonpositive integer.
-    """
-    scalar = np.isscalar(z) or getattr(z, "ndim", 0) == 0
-    zz = np.atleast_1d(_as_complex(z))
-    bad = _near_nonpositive_integer(zz)
-    if np.any(bad):
-        where = zz[bad][0]
-        raise PoleHit(f"gamma pole at z = {where}")
-    out = np.exp(log_gamma(zz))
-    if scalar:
-        return complex(out[0])
-    return out.reshape(np.shape(z))
-
-
-def gamma_residue(n: int) -> float:
-    """Residue of Gamma at z = -n, equal to (-1)^n / n!."""
-    if n < 0 or n != int(n):
-        raise ValueError("n must be a nonnegative integer")
-    n = int(n)
-    return (-1.0) ** n / math.factorial(n)
-
-
-def reciprocal_gamma(z):
-    """1/Gamma(z), entire; exactly 0 within 1e-12 of 0, -1, -2, ...
-
-    Uses 1/Gamma(z) = sin(pi z) Gamma(1-z) / pi on Re z < 0.5 so the
-    zeros come out clean, and a plain reciprocal elsewhere.
-    """
-    scalar = np.isscalar(z) or getattr(z, "ndim", 0) == 0
-    zz = np.atleast_1d(_as_complex(z))
-    out = np.empty(zz.shape, dtype=np.complex128)
-    zero = _near_nonpositive_integer(zz)
-    out[zero] = 0.0
-    right = ~zero & (zz.real >= 0.5)
-    if np.any(right):
-        out[right] = np.exp(-_log_gamma_right(zz[right]))
-    left = ~zero & (zz.real < 0.5)
-    if np.any(left):
-        zl = zz[left]
-        out[left] = np.exp(_log_sin_pi(zl) + _log_gamma_right(1.0 - zl) - _LOG_PI)
-    if scalar:
-        v = complex(out[0])
-        if isinstance(z, (int, float)) or (hasattr(z, "dtype") and np.isrealobj(z)):
-            return v.real
-        return v
-    return out.reshape(np.shape(z))
 
 
 def stirling_magnitude(u, v):

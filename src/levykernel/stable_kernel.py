@@ -173,7 +173,7 @@ def stable_mb(spec: KernelSpec, r, abscissa: float | None = None,
         G(z) = Gamma(z/a) Gamma((d+b-z)/2) 2^(b-z) / Gamma((z-b)/2),
 
     with c inside ((d-1)/2 + b, d + b): ``abscissa``, or the strip
-    midpoint.  ``mellin.line_plan`` picks the truncation height and node
+    midpoint.  ``mellin._plan`` picks the truncation height and node
     count from G.
 
     ``r`` is a scalar (one Approximation back) or a 1-D array (a list of

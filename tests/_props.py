@@ -1,5 +1,6 @@
 """Quantified property checks shared by the unit tests and the
-acceptance suite.  Each returns the measured worst-case error so the
+acceptance suite, and the references the contour engine is tested
+against.  Each check returns the measured worst-case error so the
 callers can assert against the documented tolerances."""
 
 import contextlib
@@ -8,6 +9,9 @@ import math
 import numpy as np
 
 import levykernel as lk
+from levykernel.errors import Approximation, NoDecay
+from levykernel.mellin import (ContourSpec, _heights, _magnitudes, _refine,
+                               _tail_estimate)
 
 POLE_CLEARANCE = 0.05
 
@@ -98,10 +102,64 @@ def grid_nodes(grid):
     return p[j], (j - mat.shape[1] // 2 + round(heights[0] / grid._h)) * grid._h
 
 
+def phase_sums(p, w, v, step):
+    """sum_k p_k exp(i w_k v_j) by the engine's node split:
+    ``mellin._phase_apply`` on the ``mellin._phase_table`` of p."""
+    return lk.mellin._phase_apply(lk.mellin._phase_table(p, w, step), v)
+
+
 def dense_phase_sums(p, w, v):
     """sum_k p_k exp(i w_k v_j), one exp per node and height, each v_j's
-    sum formed alone, in order: the reference for ``mellin._phase_sums``."""
+    sum formed alone, in order: the reference for ``phase_sums``."""
     return lk.mellin._row_blocks(v, w, lambda ph: np.einsum("rk,k->r", ph, p))
+
+
+def _checked_tail(f, contour: ContourSpec) -> float:
+    """Tail estimate of ``f`` beyond the plan's height, after checking the
+    sampled decay precondition |f(c+iT)| < |f(c+iT/2)|."""
+    c, big_t = contour.abscissa, contour.half_height
+    m_half, m_top = _magnitudes(f, c, (0.5 * big_t, big_t))
+    if m_top >= m_half and m_top > 0.0:
+        raise NoDecay(
+            f"|f| fails to decay along the contour: |f(c+i{big_t})| = "
+            f"{m_top:.3e} >= |f(c+i{big_t / 2})| = {m_half:.3e}")
+    return _tail_estimate(m_half, m_top, big_t)
+
+
+def _direct_sums(f, contour):
+    """Level sums of one integrand ``f``, formed node by node."""
+
+    def sums(level, rows):
+        fv = f(contour.abscissa + 1j * _heights(contour, level))
+        s = fv.sum()
+        if not level:
+            s -= 0.5 * (fv[0] + fv[-1])
+        return np.array([s]), np.array([np.abs(fv).sum()])
+
+    return sums
+
+
+def _line_result(value, tail, disc, used) -> Approximation:
+    return Approximation(value=complex(value), est_error=tail + float(disc),
+                         method="line_integral",
+                         diagnostics={"nodes_used": 2 + int(used),
+                                      "tail_bound": tail})
+
+
+def vertical_line_integral(f, contour: ContourSpec,
+                           tol: float = 1e-10) -> Approximation:
+    """(1/2*pi*i) * integral of f over the truncated vertical line.
+
+    Checks the sampled decay precondition |f(c+iT)| <= |f(c+iT/2)| and
+    refines the node count (doubling, at most six times) until the value
+    changes by less than ``tol`` relatively, else raises NonConvergent.
+    For integrands with f(conj z) = conj f(z) the imaginary part of the
+    result is at the rounding level.  The estimate is the tail estimate
+    plus the discretization estimate.
+    """
+    tail = _checked_tail(f, contour)
+    value, disc, used = _refine(_direct_sums(f, contour), 1, contour, tol)
+    return _line_result(value[0], tail, disc[0], used[0])
 
 
 def row_block_mismatches(call, grid, every=61):
@@ -113,9 +171,9 @@ def row_block_mismatches(call, grid, every=61):
     real = mellin._phase_apply
     calls = []
 
-    # the engine's calls only: radial_symbol binds the helper by name, and
-    # a warm grid builds no inner transform grid, whose convergence loop
-    # would reach it through ``_phase_sums``
+    # the engine's calls only: radial_symbol binds the helper by name, so
+    # its inner transform grids, which a warm grid does not build anyway,
+    # are not recorded
     def recording(table, v):
         calls.append((v.copy(), mellin._BLOCK_ELEMS // table[0].size))
         return real(table, v)

@@ -8,8 +8,10 @@ import pytest
 from scipy import optimize
 
 import levykernel as lk
+from levykernel.mellin import _ladder, _Line, _plan, _power_line
 
-from _props import contour_independence_spread, dense_phase_sums
+from _props import (_checked_tail, contour_independence_spread,
+                    dense_phase_sums, phase_sums, vertical_line_integral)
 
 
 def _gamma_times_power(r):
@@ -24,23 +26,23 @@ class TestVerticalLineIntegral:
     def test_exponential_at_one(self):
         # (1/2 pi i) int Gamma(z) 1^-z dz = e^-1
         f = _gamma_times_power(1.0)
-        res = lk.vertical_line_integral(f, lk.ContourSpec(1.0, 32.0), tol=1e-12)
+        res = vertical_line_integral(f, lk.ContourSpec(1.0, 32.0), tol=1e-12)
         assert res.value.real == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_exponential_at_two(self):
         f = _gamma_times_power(2.0)
-        res = lk.vertical_line_integral(f, lk.ContourSpec(1.0, 32.0), tol=1e-12)
+        res = vertical_line_integral(f, lk.ContourSpec(1.0, 32.0), tol=1e-12)
         assert res.value.real == pytest.approx(math.exp(-2.0), rel=1e-12)
 
     def test_conjugate_symmetry_gives_real_value(self):
         f = _gamma_times_power(1.7)
-        res = lk.vertical_line_integral(f, lk.ContourSpec(1.0, 32.0), tol=1e-12)
+        res = vertical_line_integral(f, lk.ContourSpec(1.0, 32.0), tol=1e-12)
         assert abs(res.value.imag) <= 1e-10 * abs(res.value)
 
     def test_no_decay_raises(self):
         f = lambda z: np.ones_like(np.asarray(z, dtype=np.complex128))
         with pytest.raises(lk.NoDecay):
-            lk.vertical_line_integral(f, lk.ContourSpec(1.0, 32.0))
+            vertical_line_integral(f, lk.ContourSpec(1.0, 32.0))
 
     def test_refinement_differences_shrink_monotonically(self):
         # trapezoid on an analytic decaying integrand: successive
@@ -75,31 +77,36 @@ class TestVerticalLineIntegral:
             lk.ContourSpec(1.0, 16.0, nodes=4)
 
 
+def _engine_rows(log_g, ln_r, shift, plan, tol):
+    """``_power_line`` on a fresh store of log_g, whose tail is that of
+    exp(log_g) after the decay check: per-row values, tail estimates,
+    discretization estimates and node counts."""
+    tail = _checked_tail(lambda z: np.exp(log_g(z)), plan)
+    return _power_line(_Line(log_g, plan, tail), ln_r, shift, tol)
+
+
 class TestPowerLineIntegral:
     # (1/2 pi i) int Gamma(z) x^-z dz = e^-x, as a batch over x
     X = np.array([0.5, 1.0, 1.3, 2.0, 7.0])
 
     def test_rows_equal_single_integrals(self):
         plan = lk.ContourSpec(1.0, 32.0, nodes=128)
-        rows = lk.power_line_integral(lk.log_gamma, -np.log(self.X), 0.0, plan,
-                                      tol=1e-12)
-        for x, row in zip(self.X, rows):
-            one = lk.vertical_line_integral(_gamma_times_power(x), plan,
-                                            tol=1e-12)
-            assert row.value.real == pytest.approx(math.exp(-x), rel=1e-11)
-            assert (row.diagnostics["nodes_used"]
-                    == one.diagnostics["nodes_used"])
-            assert row.value == pytest.approx(one.value, rel=1e-14)
-            assert row.diagnostics["tail_bound"] == pytest.approx(
-                one.diagnostics["tail_bound"], rel=1e-12)
+        rows = _engine_rows(lk.log_gamma, -np.log(self.X), 0.0, plan, 1e-12)
+        for x, value, tail, _, used in zip(self.X, *rows):
+            one = vertical_line_integral(_gamma_times_power(x), plan,
+                                         tol=1e-12)
+            assert value.real == pytest.approx(math.exp(-x), rel=1e-11)
+            assert 2 + used == one.diagnostics["nodes_used"]
+            assert value == pytest.approx(one.value, rel=1e-14)
+            assert tail == pytest.approx(one.diagnostics["tail_bound"],
+                                         rel=1e-12)
 
     def test_any_stalled_row_raises(self):
         # Gamma's pole at z = 0 sits 0.01 from the line: six node
         # doublings of the 129-node first level cannot resolve it
         plan = lk.ContourSpec(0.01, 32.0)
         with pytest.raises(lk.NonConvergent, match="after 8193 nodes"):
-            lk.power_line_integral(lk.log_gamma, -np.log(self.X), 0.0, plan,
-                                   tol=1e-12)
+            _engine_rows(lk.log_gamma, -np.log(self.X), 0.0, plan, 1e-12)
 
     # (d, alpha, beta) of the stable-sweep benchmark grids
     SWEEP_SPECS = [(2, 0.1, 0.0), (2, 1.5, 0.0), (2, 1.99, 0.7), (2, 0.8, 2.0),
@@ -117,25 +124,24 @@ class TestPowerLineIntegral:
         return log_g
 
     @staticmethod
-    def _agrees(row, log_g, ln_r, shift, plan, tol):
+    def _agrees(value, log_g, ln_r, shift, plan, tol):
         def f(z):
             return np.exp(log_g(z) + (z - shift) * ln_r)
 
-        one = lk.vertical_line_integral(f, plan, tol=tol)
-        return abs(row.value - one.value) <= (one.est_error
-                                              + 1e-14 * abs(one.value))
+        one = vertical_line_integral(f, plan, tol=tol)
+        return abs(value - one.value) <= (one.est_error
+                                          + 1e-14 * abs(one.value))
 
     @pytest.mark.parametrize("d,alpha,beta", SWEEP_SPECS)
     def test_kernel_lines_match_direct_integrals(self, d, alpha, beta):
         # each r's phases are summed in blocks; the direct per-node
         # integral of the same integrand is the reference
         log_g = self._stable_log_g(d, alpha, beta)
-        plan = lk.line_plan(log_g, lk.admissible_strip(d, beta), None, 1e-9)
+        plan = _plan(log_g, lk.admissible_strip(d, beta), None, 1e-9)[0]
         r = np.array([0.025, 0.05, 1.0, 60.0])
-        rows = lk.power_line_integral(log_g, np.log(r), d + beta, plan,
-                                      tol=1e-9)
-        for x, row in zip(np.log(r), rows):
-            assert self._agrees(row, log_g, x, d + beta, plan, 1e-9)
+        values = _engine_rows(log_g, np.log(r), d + beta, plan, 1e-9)[0]
+        for x, value in zip(np.log(r), values):
+            assert self._agrees(value, log_g, x, d + beta, plan, 1e-9)
 
     def test_no_symmetry_assumed(self):
         # exp(0.1 i z) breaks f(conj z) = conj f(z): an engine that
@@ -144,11 +150,10 @@ class TestPowerLineIntegral:
             return lk.log_gamma(z) + 0.1j * np.asarray(z)
 
         plan = lk.ContourSpec(1.0, 32.0, nodes=128)
-        rows = lk.power_line_integral(log_g, -np.log(self.X), 0.0, plan,
-                                      tol=1e-12)
-        for x, row in zip(self.X, rows):
-            assert self._agrees(row, log_g, -math.log(x), 0.0, plan, 1e-12)
-            assert abs(row.value.imag) > 1e-3 * abs(row.value)
+        values = _engine_rows(log_g, -np.log(self.X), 0.0, plan, 1e-12)[0]
+        for x, value in zip(self.X, values):
+            assert self._agrees(value, log_g, -math.log(x), 0.0, plan, 1e-12)
+            assert abs(value.imag) > 1e-3 * abs(value)
 
 
 def _count_log_gamma(monkeypatch, module):
@@ -439,20 +444,6 @@ class TestLineStore:
             assert all(np.array_equal(a, b) for a, b in zip(table[:2],
                                                             table1[:2]))
 
-    def test_public_integrals_sample_every_call(self):
-        # a caller's own log_g has no store: each call samples it afresh
-        calls = []
-
-        def log_g(z):
-            calls.append(np.size(z))
-            return lk.log_gamma(z)
-
-        plan = lk.ContourSpec(1.0, 32.0, nodes=128)
-        one = lk.power_line_integral(log_g, [0.0], 0.0, plan)
-        n = len(calls)
-        two = lk.power_line_integral(log_g, [0.0], 0.0, plan)
-        assert len(calls) == 2 * n and one[0].value == two[0].value
-
 
 class TestPhaseSums:
     # sum_k p_k exp(i w_k v_j) by the node split, on the engine's
@@ -462,7 +453,7 @@ class TestPhaseSums:
 
     @staticmethod
     def _check(p, w, v, step):
-        got = lk.mellin._phase_sums(p, w, v, step)
+        got = phase_sums(p, w, v, step)
         assert got.shape == v.shape
         err = np.max(np.abs(got - dense_phase_sums(p, w, v)))
         assert err <= 1e-13 * np.sum(np.abs(p))
@@ -485,7 +476,7 @@ class TestPhaseSums:
             full = self._check(p, w, x, h)
             # each query's sum is formed alone: its bits are batch-free
             for j in (0, 17, x.size - 1):
-                assert full[j] == lk.mellin._phase_sums(p, w, x[j:j + 1], h)[0]
+                assert full[j] == phase_sums(p, w, x[j:j + 1], h)[0]
 
     def test_sets_the_fold_used_to_normalise(self):
         # M_t^1 no longer folds its requests onto sorted distinct |v|: an
@@ -540,30 +531,28 @@ class TestLinePlan:
         return lk.log_gamma(z) + lk.log_gamma(3.0 - np.asarray(z))
 
     def test_default_plan(self):
-        plan = lk.line_plan(self.log_g, self.STRIP, None, 1e-9)
-        expected_t = lk.auto_truncation(lambda z: np.exp(self.log_g(z)),
-                                        2.0, 1e-11)
+        plan = _plan(self.log_g, self.STRIP, None, 1e-9)[0]
+        expected_t = _ladder(lambda z: np.exp(self.log_g(z)), 2.0, 1e-11)[0]
         assert (plan.abscissa, plan.half_height) == (2.0, expected_t)
         assert plan.nodes == max(64, math.ceil(expected_t / 0.2))
 
     def test_override_and_pole_aware_floor(self):
-        plan = lk.line_plan(self.log_g, self.STRIP, 2.9, 1e-9)
-        big_t = lk.auto_truncation(lambda z: np.exp(self.log_g(z)), 2.9,
-                                   1e-11)
+        plan = _plan(self.log_g, self.STRIP, 2.9, 1e-9)[0]
+        big_t = _ladder(lambda z: np.exp(self.log_g(z)), 2.9, 1e-11)[0]
         # the pole at z = 3 sits 0.1 from the line: h <= 0.1 / 5
         assert (plan.abscissa, plan.half_height) == (2.9, big_t)
         assert plan.nodes == math.ceil(big_t / 0.02) > 64
 
     def test_abscissa_only_override_climbs_the_ladder(self):
-        plan = lk.line_plan(self.log_g, self.STRIP, 1.5, 1e-9)
+        plan = _plan(self.log_g, self.STRIP, 1.5, 1e-9)[0]
         assert plan.abscissa == 1.5
-        assert plan.half_height == lk.auto_truncation(
-            lambda z: np.exp(self.log_g(z)), 1.5, 1e-11)
+        assert plan.half_height == _ladder(
+            lambda z: np.exp(self.log_g(z)), 1.5, 1e-11)[0]
 
     def test_abscissa_outside_strip(self):
         for c in (1.0, 3.5):
             with pytest.raises(lk.StripViolation):
-                lk.line_plan(self.log_g, self.STRIP, c, 1e-9)
+                _plan(self.log_g, self.STRIP, c, 1e-9)
 
 
 class TestAutoTruncation:
@@ -576,16 +565,16 @@ class TestAutoTruncation:
         expected = 2.0 ** math.ceil(math.log2(root))
         f = lambda z: np.exp(-math.pi * np.abs(np.asarray(z).imag) / 4.0) \
             * np.ones_like(np.asarray(z, dtype=np.complex128))
-        assert lk.auto_truncation(f, 1.0, tol) == expected == 64.0
+        assert _ladder(f, 1.0, tol)[0] == expected == 64.0
 
     def test_gamma_ladder_small(self):
         f = _gamma_times_power(1.0)
-        assert lk.auto_truncation(f, 1.0, 1e-10) <= 64.0
+        assert _ladder(f, 1.0, 1e-10)[0] <= 64.0
 
     def test_constant_integrand_no_decay(self):
         f = lambda z: np.ones_like(np.asarray(z, dtype=np.complex128))
         with pytest.raises(lk.NoDecay):
-            lk.auto_truncation(f, 1.0, 1e-10)
+            _ladder(f, 1.0, 1e-10)
 
 
 class TestMellinBesselRhs:

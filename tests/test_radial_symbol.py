@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -11,11 +12,12 @@ import pytest
 import sympy as sp
 
 import levykernel as lk
-from levykernel.mellin import _BLOCK_ELEMS, _phase_sums
+from levykernel.mellin import _BLOCK_ELEMS, _ladder
 from levykernel.radial_symbol import RadialSymbol, _MellinGrid
 
-from _props import (dense_phase_sums, grid_nodes, row_block_mismatches,
-                    symbol_route_err)
+from _props import (dense_phase_sums, grid_nodes, phase_sums,
+                    row_block_mismatches, symbol_route_err,
+                    vertical_line_integral)
 
 
 ALL_SYMBOLS = [
@@ -97,29 +99,27 @@ class TestSymbolValue:
         assert sym.terms == ((1.0, 0.0, 0.65),)
 
 
+def _scaled_exp_eta_derivative(sym, t, r):
+    """r D e^{-t eta(r)} = -t (r D eta) e^{-t eta}, as the inner Mellin
+    grid forms it (in log space there)."""
+    return -t * sym.scaled_deriv(r) * np.exp(-t * sym.eta(r))
+
+
 class TestExpEtaDerivative:
     def test_stable_closed_form(self):
         # r D e^{-t r^a} = -t a r^a e^{-t r^a}
         sym = lk.make_symbol("stable", a=1.3)
         r = np.array([0.7, 2.0])
-        got = lk.scaled_exp_eta_derivative(sym, 2.0, r)
+        got = _scaled_exp_eta_derivative(sym, 2.0, r)
         expected = -2.0 * 1.3 * r ** 1.3 * np.exp(-2.0 * r ** 1.3)
         assert np.allclose(got, expected, rtol=1e-14, atol=0.0)
-
-    def test_order_one_structure(self):
-        sym = lk.make_symbol("sum_stable", a=0.6, b=1.4)
-        r = np.array([1.7])
-        t = 0.9
-        got = lk.scaled_exp_eta_derivative(sym, t, r)[0]
-        expected = -t * sym.scaled_deriv(r)[0] * math.exp(-t * sym.eta(r)[0])
-        assert got == pytest.approx(expected, rel=1e-13)
 
     def test_quadratic_symbol_closed_form(self):
         # D e^{-r^2} = -2r e^{-r^2}; build the symbol directly
         sym = RadialSymbol(name="quad", params={}, terms=((1.0, 0.0, 1.0),),
                            alpha_index=1.99)
         r = np.array([0.5, 1.0, 3.0])
-        got = lk.scaled_exp_eta_derivative(sym, 1.0, r) / r
+        got = _scaled_exp_eta_derivative(sym, 1.0, r) / r
         assert np.allclose(got, -2.0 * r * np.exp(-r * r), rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("kind,params", ALL_SYMBOLS + [
@@ -136,7 +136,7 @@ class TestExpEtaDerivative:
 
                 ref = np.array([float(mp.mpf(x) * mp.diff(f, mp.mpf(x)))
                                 for x in r])
-            got = lk.scaled_exp_eta_derivative(sym, t, r)
+            got = _scaled_exp_eta_derivative(sym, t, r)
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), t
 
     @pytest.mark.parametrize("kind,params", ALL_SYMBOLS + [
@@ -145,7 +145,7 @@ class TestExpEtaDerivative:
         # the ends of the inner Mellin grid; a RuntimeWarning fails this
         sym = lk.make_symbol(kind, **params)
         r = np.array([math.exp(-400.0), math.exp(-100.0), 1e4])
-        assert np.all(np.isfinite(lk.scaled_exp_eta_derivative(sym, 1.0, r)))
+        assert np.all(np.isfinite(_scaled_exp_eta_derivative(sym, 1.0, r)))
 
 
 class TestMellinTransform:
@@ -215,8 +215,8 @@ class TestMellinTransform:
                 z = np.asarray(z, dtype=np.complex128)
                 return np.exp(-z * math.log(r)) * lk.mellin_Mk(sym, 1.0, z) / z
 
-            big_t = lk.auto_truncation(f, 1.0, 1e-9)
-            res = lk.vertical_line_integral(
+            big_t = _ladder(f, 1.0, 1e-9)[0]
+            res = vertical_line_integral(
                 f, lk.ContourSpec(1.0, big_t, nodes=256), tol=1e-10)
             got = -res.value.real
             target = math.exp(-float(sym.eta(np.array([r]))[0]))
@@ -248,6 +248,25 @@ class TestGeneralKernel:
             lk.general_kernel_mb(sym, 2, 0.7, 1.0, np.ones((2, 2)))
 
 
+@pytest.mark.parametrize("call", [
+    lambda sym, t: lk.general_kernel_mb(sym, 2, 0.5, t, 1.3),
+    lambda sym, t: lk.general_kernel_at_origin(sym, 2, 0.5, t),
+    lambda sym, t: lk.mellin_Mk(sym, t, 1.0 + 0j),
+    lambda sym, t: lk.mellin_M(sym, t, 1.0 + 0j),
+], ids=["general_kernel_mb", "general_kernel_at_origin", "mellin_Mk",
+        "mellin_M"])
+def test_time_is_checked_as_an_argument(monkeypatch, call):
+    # t is rejected before any inner Mellin grid is built
+    def no_grid(*args, **kwargs):
+        raise AssertionError("an inner grid was built")
+
+    monkeypatch.setattr(lk.radial_symbol, "_MellinGrid", no_grid)
+    sym = lk.make_symbol("relativistic", alpha=1.0, m=1.0)
+    for t in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(lk.DomainError, match="t must be > 0"):
+            call(sym, t)
+
+
 class TestGeneralKernelAtOrigin:
     @pytest.mark.parametrize("kind,params", ALL_SYMBOLS)
     def test_against_mpmath(self, kind, params):
@@ -274,6 +293,16 @@ class TestGeneralKernelAtOrigin:
                                           d, beta, t)
         exact = lk.kernel_at_origin(lk.KernelSpec(d, a, beta, t))
         assert got.value == pytest.approx(exact, rel=1e-14)
+
+    def test_integrand_in_log_space(self):
+        # alpha = 0.1, d = 10, beta = 4: M_t(14) ~ 1e233 comes from an
+        # integrand whose factor e^(14 w) alone overflows near its peak
+        sym = lk.make_symbol("stable", a=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = lk.general_kernel_at_origin(sym, 10, 4.0, 1.0)
+        exact = lk.kernel_at_origin(lk.KernelSpec(10, 0.1, 4.0))
+        assert abs(got.value - exact) <= 1e-12 * exact
 
     def test_small_r_approaches_origin(self):
         # K(r) - K(0) = O(r^2) for a smooth radial kernel
@@ -322,7 +351,7 @@ class TestGeneralMBGrid:
 
 
 class TestMellinGridPhases:
-    # the factorised phase sums (the node split of ``mellin._phase_sums``
+    # the factorised phase sums (the node split of ``mellin._phase_table``
     # on the grid's trapezoid nodes) must reproduce the dense phase matrix
     # on the node sets the contour levels request
     GRIDS = [("relativistic", {"alpha": 1.0, "m": 1.0}),
@@ -397,7 +426,7 @@ class TestMellinGridPhases:
 
         monkeypatch.setattr(np, "exp", counting)
         p, w = grid_nodes(grid)
-        _phase_sums(p, w, a, grid._h)
+        phase_sums(p, w, a, grid._h)
         assert 0 < count[0] <= a.size * (2 * math.isqrt(w.size) + 3)
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-16,
@@ -414,7 +443,7 @@ class TestMellinGridPhases:
             phase = np.multiply.outer(a.astype(np.longdouble),
                                       w.astype(np.longdouble))
             ref = np.cos(phase) @ weights + 1j * (np.sin(phase) @ weights)
-            got = _phase_sums(p, w, a, grid._h)
+            got = phase_sums(p, w, a, grid._h)
             err = float(np.max(np.abs(got - ref)))
             dense = float(np.max(np.abs(self._dense(grid, a) - ref)))
             assert err <= 1.5 * dense, name
@@ -435,7 +464,7 @@ class TestMellinGridPhases:
                                   w.astype(np.longdouble))
         weights = p.astype(np.longdouble)
         ref = np.cos(phase) @ weights + 1j * (np.sin(phase) @ weights)
-        got = _phase_sums(p, w, a, grid._h)
+        got = phase_sums(p, w, a, grid._h)
         err = float(np.max(np.abs(got - ref)))
         assert err <= 1.5 * float(np.max(np.abs(self._dense(grid, a) - ref)))
 
@@ -450,7 +479,7 @@ class TestMellinGridPhases:
         for a in (self._levels()["full"], np.linspace(-64.0, 64.0, 20001)):
             tracemalloc.start()
             try:
-                _phase_sums(p, w, a, grid._h)
+                phase_sums(p, w, a, grid._h)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -489,15 +518,14 @@ class TestMellinGridTrapezoid:
     def test_levels_nest(self, monkeypatch, kind, params):
         # each halving evaluates the integrand at the new midpoints only:
         # the samples taken over one build are the final nodes
-        real = lk.scaled_exp_eta_derivative
+        real = RadialSymbol.scaled_deriv
         samples = []
 
-        def counting(sym, t, r):
+        def counting(sym, r):
             samples.append(np.log(r))
-            return real(sym, t, r)
+            return real(sym, r)
 
-        monkeypatch.setattr("levykernel.radial_symbol."
-                            "scaled_exp_eta_derivative", counting)
+        monkeypatch.setattr(RadialSymbol, "scaled_deriv", counting)
         grid = TestMellinGridPhases._grid(kind, params)
         assert len(samples) >= 2
         # no node twice, and together the one grid of the final step

@@ -12,23 +12,22 @@ from levykernel.specfun import bessel_switch_point
 from _props import gamma_functional_equation_err, gamma_reflection_err
 
 
+def _gamma(z):
+    return np.exp(lk.log_gamma(z))
+
+
 class TestGamma:
     def test_gamma_one(self):
-        assert lk.gamma(1.0) == pytest.approx(1.0, rel=1e-14)
+        assert _gamma(1.0) == pytest.approx(1.0, rel=1e-14)
 
     def test_gamma_half(self):
-        assert lk.gamma(0.5).real == pytest.approx(math.sqrt(math.pi), rel=1e-14)
+        assert _gamma(0.5).real == pytest.approx(math.sqrt(math.pi), rel=1e-14)
 
     def test_magnitude_vs_stirling_on_the_line(self):
         # the leading Stirling magnitude is an independent check at 0.5+10i
         z = 0.5 + 10j
-        mag = abs(lk.gamma(z))
+        mag = abs(_gamma(z))
         assert mag == pytest.approx(lk.stirling_magnitude(0.5, 10.0), rel=0.01)
-
-    def test_pole_hit(self):
-        for bad in (0.0, -1.0, -2.0, -7.0 + 1e-13j):
-            with pytest.raises(lk.PoleHit):
-                lk.gamma(bad)
 
     def test_functional_equation_bulk(self):
         assert gamma_functional_equation_err() <= 1e-12
@@ -47,36 +46,37 @@ class TestGamma:
             assert log_modulus == pytest.approx(log_stirling, rel=1e-6)
 
 
-class TestGammaResidue:
-    @pytest.mark.parametrize("n,expected", [(0, 1.0), (1, -1.0), (3, -1.0 / 6.0)])
-    def test_values(self, n, expected):
-        assert lk.gamma_residue(n) == expected
+class TestLogGammaNearPoles:
+    # the kernels' lines may pass close to a pole of Gamma(z/a) or of the
+    # denominator Gamma((z-b)/2); the reflection branch must stay accurate
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_residue(self, n):
+        # eps Gamma(-n + eps) = (-1)^n/n! (1 + eps psi(n+1) + O(eps^2))
+        eps = 1e-7
+        psi = -np.euler_gamma + sum(1.0 / k for k in range(1, n + 1))
+        expected = (-1.0) ** n / math.factorial(n) * (1.0 + eps * psi)
+        got = eps * np.exp(lk.log_gamma(-n + eps))
+        assert got.real == pytest.approx(expected, rel=1e-8)
+        assert abs(got.imag) <= 1e-15
 
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            lk.gamma_residue(-1)
+    def test_reciprocal_at_one(self):
+        assert np.exp(-lk.log_gamma(1.0)) == pytest.approx(1.0, rel=1e-14)
 
-
-class TestReciprocalGamma:
-    def test_zeros_at_nonpositive_integers(self):
-        for n in range(0, 12):
-            assert lk.reciprocal_gamma(float(-n)) == 0.0
-
-    def test_one(self):
-        assert lk.reciprocal_gamma(1.0) == pytest.approx(1.0, rel=1e-14)
-
-    def test_minus_half(self):
+    def test_reciprocal_at_minus_half(self):
         # reflection gives Gamma(-1/2) = -2 sqrt(pi)
         expected = 1.0 / (-2.0 * math.sqrt(math.pi))
-        assert lk.reciprocal_gamma(-0.5) == pytest.approx(expected, rel=1e-13)
+        got = np.exp(-lk.log_gamma(-0.5))
+        assert got.real == pytest.approx(expected, rel=1e-13)
+        assert abs(got.imag) <= 1e-15
 
-    def test_continuity_through_small_poles(self):
-        # |1/Gamma| ~ n! * eps near -n, so the 1e-5 cap applies to n <= 3
+    def test_reciprocal_small_around_poles(self):
+        # |1/Gamma(-n + eps e^{i theta})| = n! eps (1 + O(eps))
         eps = 1e-6
         for n in range(0, 4):
             for theta in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False):
                 z = -n + eps * complex(math.cos(theta), math.sin(theta))
-                assert abs(lk.reciprocal_gamma(z)) <= 1e-5
+                got = abs(np.exp(-lk.log_gamma(z)))
+                assert got == pytest.approx(math.factorial(n) * eps, rel=1e-5)
 
 
 class TestStirlingMagnitude:
@@ -89,7 +89,7 @@ class TestStirlingMagnitude:
         assert lk.stirling_magnitude(1.0, 20.0) == pytest.approx(expected, rel=1e-14)
 
     def test_ratio_against_gamma(self):
-        ratio = abs(lk.gamma(0.5 + 50j)) / lk.stirling_magnitude(0.5, 50.0)
+        ratio = abs(_gamma(0.5 + 50j)) / lk.stirling_magnitude(0.5, 50.0)
         assert 0.99 <= ratio <= 1.01
 
 

@@ -163,7 +163,7 @@ class TestStableMBGrid:
     def test_grid_exponentiates_per_node_not_per_point(self, spec, monkeypatch):
         # a timing-free guard on the engine's work: G is exponentiated once
         # per node and each r takes only ~2 sqrt(N) phases per level in the
-        # node split of ``mellin._phase_sums``, far fewer complex exps than
+        # node split of ``mellin._phase_table``, far fewer complex exps than
         # the nodes all its points use
         real_exp = np.exp
         count = [0]
