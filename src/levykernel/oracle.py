@@ -9,10 +9,10 @@ and shares nothing with the contour-integral evaluators, so it serves as
 the ground truth they are judged against.  Two methods:
 
 * even d, ``symbol_oracle``, and ``hankel_oracle`` for any
-  caller-supplied weight: graded Gauss-Legendre panels up to the first
-  scaled Bessel zero, refined only where they carry mass, panel
-  integrals between consecutive zeros, and iterated-averaging (Euler-
-  transform) acceleration of the alternating panel sums;
+  caller-supplied weight: a tanh-sinh trapezoid rule up to the first
+  scaled Bessel zero (``_head``), panel integrals between consecutive
+  zeros, and iterated-averaging (Euler-transform) acceleration of the
+  alternating panel sums;
 * odd d in ``stable_oracle``: J_{d/2-1} is elementary, and the weight
   continues analytically off the real axis, so the integral is taken on
   a rotated ray where nothing oscillates (``_ray``), by an exponential-
@@ -20,14 +20,15 @@ the ground truth they are judged against.  Two methods:
   (d >= 5 at small r) the panels answer.
 
 No node depends on r in the argument x = r s (the 12-point nodes between
-zeros of J_nu, and j_{nu,1} u for the head's nodes u in [0, 1]), so one
+zeros of J_nu, and j_{nu,1} u for the head's nodes u in (0, 1)), so one
 read-only table per nu, ``_ZERO_TABLES``, holds the zeros and, per
 interval, the nodes x, their weights and J_nu(x), and J_nu at the head's
 nodes, grown lock-free in fixed units (1024 zeros or intervals, one head
-level) whose bits do not depend on the order of requests.  The head's
-unit nodes and weights per level are one more r-free table, shared by
-every nu.  A call then pays per node, not per numpy call: a batch of
-panels is one weight call at x / r, and the support radius one more.
+weight call) whose bits do not depend on the order of requests.  The
+head's unit nodes and weights, ``_HEAD_RULE``, are one more r-free table,
+shared by every nu.  A call then pays per node, not per numpy call: a
+batch of panels is one weight call at x / r, the head's first 321 nodes
+one more, and the support radius one more.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ __all__ = [
 
 _ZERO_BLOCK = 1024
 _gl = functools.cache(np.polynomial.legendre.leggauss)
-_PANEL_ORDER, _HEAD_ORDER, _HEAD_LEVELS = 12, 16, 9
+_PANEL_ORDER = 12
 _MAX_PANELS = 300_000  # panels between zeros before acceleration gives up
 _ACCEL_DEPTH = 12  # averaging columns ``_accelerate`` tries at most
 # row k: the weights C(k, j) / 2^k that give the last entry of averaging
@@ -69,8 +70,10 @@ _ZERO_TABLES: dict[float, dict[str, object]] = {}
 # and the decay that ends its first pass
 _RAY_ANGLE, _RAY_STEP, _RAY_LEVELS = 0.55, 0.125, 6
 _RAY_START, _RAY_END, _RAY_DECAY = -4.0, 64.0, 40.0
+# the head's tanh-sinh rule: the half range and first step in tau, the
+# levels at most, and the levels its first weight call takes
+_HEAD_TAU, _HEAD_STEP, _HEAD_LEVELS, _HEAD_FIRST = 5.0, 0.5, 9, 5
 _EPS = 2.0 ** -52
-_CHILDREN = np.arange(2)  # panel i of a head level has children 2i, 2i + 1
 
 
 def _gl_nodes(edges, order):
@@ -163,33 +166,33 @@ def _panel_rows(nu: float, start: int, stop: int) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
-@functools.cache
-def _unit_edges(level: int) -> np.ndarray:
-    """The head's edges on [0, 1] at level ``level``: 2^-k, k <= 100, at
-    level 0, and every panel of a level halved at the next, so panel i
-    has children 2i and 2i + 1 (read-only)."""
-    if level == 0:
-        edges = np.r_[0.0, 0.5 ** np.arange(100, -1, -1)]
-    else:
-        prev = _unit_edges(level - 1)
-        edges = np.empty(2 * prev.size - 1)
-        edges[::2], edges[1::2] = prev, 0.5 * (prev[1:] + prev[:-1])
-    return _read_only(edges)[0]
+def _head_rule(levels) -> tuple:
+    """Unit nodes u = 1/(1 + e^(-pi sinh tau)) of the head's tanh-sinh
+    ``levels``, level by level, and their weights h pi cosh tau u (1 - u)
+    at the last level's step h, 1 - u taken as 1/(1 + e^(pi sinh tau)).
+    Level 0 has every multiple of _HEAD_STEP on |tau| <= _HEAD_TAU; each
+    later level halves the step and adds its odd multiples."""
+    taus = []
+    for level in levels:
+        h = _HEAD_STEP * 0.5 ** level
+        n = round(_HEAD_TAU / h)
+        taus.append(h * (np.arange(-n, n + 1) if level == 0
+                         else np.arange(1 - n, n, 2)))
+    tau = np.concatenate(taus)
+    e = math.pi * np.sinh(tau)
+    u, v = 1.0 / (1.0 + np.exp(-e)), 1.0 / (1.0 + np.exp(e))
+    return _read_only(u, h * math.pi * np.cosh(tau) * u * v)
 
 
-@functools.cache
-def _head_nodes(level: int) -> tuple:
-    """The head's 16-point nodes u on [0, 1] at level ``level``, one row
-    per panel, and their weights (the rule's times the half widths)."""
-    u, halfw = _gl_nodes(_unit_edges(level), _HEAD_ORDER)
-    return _read_only(u, halfw[:, None] * _gl(_HEAD_ORDER)[1])
+# the head's weight calls: levels 0 .. _HEAD_FIRST - 1, then one each
+_HEAD_RULE = (_head_rule(range(_HEAD_FIRST)),) + tuple(
+    _head_rule((level,)) for level in range(_HEAD_FIRST, _HEAD_LEVELS))
 
 
-def _head_j(nu: float, level: int) -> np.ndarray:
-    """J_nu(j_{nu,1} u) at the head's 16-point nodes u of level ``level``."""
-    z1 = _zero_table(nu, 1)[0]
-    return _grow(nu, "head", level + 1, lambda j: bessel_j(
-        nu, z1 * _head_nodes(j)[0]))[level]
+def _arch_j(nu: float, call: int) -> np.ndarray:
+    """J_nu(j_{nu,1} u) at the head's unit nodes u of weight call ``call``."""
+    return _grow(nu, "head", call + 1, lambda j: bessel_j(
+        nu, _zero_table(nu, 1)[0] * _HEAD_RULE[j][0]))[call]
 
 
 def _accelerate(partial_sums: np.ndarray):
@@ -241,44 +244,33 @@ def _support_radius(weight, s_start: float):
     return float(probes[n + np.argmax(below)]) if below.any() else math.inf
 
 
-def _graded_head(weight, nu, scale, a, b, tol, tabled=False):
+def _head(weight, nu, scale, a, b, tol, tabled=False):
     """int_a^b J_nu(scale*s) w(s) ds on one Bessel arch (nu = scale = 0:
-    int_a^b w) by 16-point Gauss-Legendre panels with edges a + (b-a) 2^-k,
-    k <= 100, graded toward a, where s^p and s^(z-1) are not smooth.
+    int_a^b w) by the tanh-sinh trapezoid rule in s = a + (b-a) u, whose
+    nodes crowd double-exponentially to both ends, where s^p and s^(z-1)
+    are not smooth (Takahasi and Mori, Publ. RIMS 9, 1974).
 
-    From level 1 on only the live panels are halved: those whose mass,
-    the rule's sum of |J w|, exceeded eps |head| / n at the level before
-    (n its panel count).  A frozen panel keeps its sum, and twice its
-    mass joins the halving change, so the change still bounds what the
-    frozen panels miss.  Stops once the change is under tol/100 (or
-    1e-15) of the sum; returns (value, change, int |w|), the last from
-    level 0.  ``tabled`` (a = 0, b = j_{nu,1}/scale) reads the Bessel
-    values from nu's table.
+    The first weight call takes levels 0 .. _HEAD_FIRST - 1 of
+    ``_HEAD_RULE``, each later call the next level's new nodes.  Stops
+    once the change from the level before is under tol/100 (or 1e-15) of
+    the sum; returns (value, change, int |w|).  ``tabled`` (a = 0,
+    b = j_{nu,1}/scale) reads the Bessel values from nu's table.
     """
     span = b - a
-    value = math.nan
-    frozen_sum = frozen_mass = 0.0
-    rows = slice(None)
-    for level in range(_HEAD_LEVELS):
-        u, wu = _head_nodes(level)
-        s = a + span * u[rows]
-        wv = weight(s) * wu[rows]
-        jw = (_head_j(nu, level)[rows] if tabled else bessel_j(nu, scale * s)) * wv
-        sums = jw.sum(axis=1)
-        prev, value = value, frozen_sum + float(sums.sum())
-        change = abs(value - prev) + 2.0 * frozen_mass
-        if level == 0:
-            abs_w = float(np.abs(wv).sum())
-        elif change <= max(1e-2 * tol, 1e-15) * abs(value):
+    value = abs_w = 0.0
+    for call, (u, wu) in enumerate(_HEAD_RULE):
+        s = a + span * u
+        wv = weight(s) * wu
+        jw = (_arch_j(nu, call) if tabled else bessel_j(nu, scale * s)) * wv
+        # at twice the step, the first half of the first call's nodes
+        # gives the level before its last
+        prev = value if call else 2.0 * float(jw[:u.size // 2 + 1].sum())
+        value = 0.5 * value + float(jw.sum())
+        abs_w = 0.5 * abs_w + float(np.abs(wv).sum())
+        change = abs(value - prev)
+        if change <= max(1e-2 * tol, 1e-15) * abs(value):
             return span * value, span * change, span * abs_w
-        mass = np.abs(jw).sum(axis=1)
-        live = mass > _EPS * abs(value) / u.shape[0]
-        dead = ~live
-        frozen_sum += float(sums[dead].sum())
-        frozen_mass += float(mass[dead].sum())
-        idx = np.flatnonzero(live) if level == 0 else rows[live]
-        rows = (2 * idx[:, None] + _CHILDREN).ravel()
-    raise NonConvergent(f"graded head on [{a!r}, {b!r}] did not settle "
+    raise NonConvergent(f"tanh-sinh head on [{a!r}, {b!r}] did not settle "
                         f"(estimate {span * value!r}, last change "
                         f"{span * change:.3e})")
 
@@ -294,14 +286,16 @@ def oscillatory_bessel_integral(weight, nu: float, scale: float,
     the acceleration depth (at least 3).  Requires scale > 0 and a
     weight that takes and returns arrays and either decays (support
     detected) or leaves the panel sums alternating so acceleration
-    applies.  The support radius is probed by one weight call.  Panels
-    use the 12-point rule of nu's node table, whose nodes, weights and
-    Bessel values are stored in x = scale * s,
-    so a batch is one weight call at x / scale; from s_start = 0 no
-    ``bessel_j`` call is made once the table has grown far enough.
-    The estimate, a bound, adds the head's last halving change,
-    the acceleration error, the change between the last two batch ends
-    and eps_J int |w|, eps_J bounding the absolute error of ``bessel_j``:
+    applies.  The support radius is probed by one weight call, and the
+    head (``_head``) mostly settles in one more, so a warm call that
+    needs one batch of panels makes three.  Panels use the 12-point rule
+    of nu's node table, whose nodes, weights and Bessel values are
+    stored in x = scale * s, so a batch is one weight call at x / scale;
+    from s_start = 0 no ``bessel_j`` call is made once the table has
+    grown far enough.  The estimate, a bound, adds the head's last
+    halving change, the acceleration error, the change between the last
+    two batch ends and eps_J int |w|, eps_J bounding the absolute error
+    of ``bessel_j``:
     the rounding of its ascending series at the largest term, e^x /
     sqrt(2 pi x) at the series' end x (5-20x above the errors measured
     against mpmath for nu <= 4).
@@ -320,14 +314,14 @@ def oscillatory_bessel_integral(weight, nu: float, scale: float,
 
     # Non-oscillatory regime: the weight dies before the first Bessel arch.
     if np.isfinite(s_sup) and zs[0] / scale >= s_sup:
-        val, change, abs_w = _graded_head(weight, nu, scale, s_start, s_sup,
-                                          tol)
+        val, change, abs_w = _head(weight, nu, scale, s_start, s_sup, tol)
         return Approximation(value=val, est_error=change + eps_j * abs_w,
                              method="oracle",
                              diagnostics={"panels": 0, "depth": 3})
 
-    head_val, head_err, abs_w = _graded_head(
-        weight, nu, scale, s_start, zs[skip] / scale, tol, tabled=s_start == 0)
+    head_val, head_err, abs_w = _head(weight, nu, scale, s_start,
+                                      float(zs[skip]) / scale, tol,
+                                      tabled=s_start == 0)
 
     batch = 64
     panel_vals: list[np.ndarray] = []

@@ -355,6 +355,8 @@ def small_r_series(spec: KernelSpec, r: float) -> Approximation:
             term = res.coefficient * x ** res.n
             total += term
             abs_sum += abs(term)
+            if not math.isfinite(total):  # an infinite term or sum
+                raise OverflowError
             if res.n >= 1 and abs(term) <= _SMALL_R_TOL * max(abs(total), 1e-300):
                 break
         else:

@@ -33,7 +33,7 @@ oracle_value = lambda: levykernel.stable_oracle(
 if sys.argv[1] == "far-first":
     oracle.bessel_zeros(0.0, 1, offset=19999)
     oracle._panel_rows(0.0, 19990, 19999)[2]
-    oracle._head_j(0.0, 4)
+    oracle._arch_j(0.0, len(oracle._HEAD_RULE) - 1)
     value = oracle_value()
 else:
     value = oracle_value()
@@ -44,8 +44,8 @@ else:
         n *= 2
     oracle.bessel_zeros(0.0, 20000)
     oracle._panel_rows(0.0, 19990, 19999)[2]
-    for level in range(5):
-        oracle._head_j(0.0, level)
+    for call in range(len(oracle._HEAD_RULE)):
+        oracle._arch_j(0.0, call)
 table = oracle._ZERO_TABLES[0.0]
 digest = lambda arrays: [len(arrays), hashlib.sha256(
     b"".join(a.tobytes() for a in arrays)).hexdigest()]
@@ -118,7 +118,7 @@ class TestBesselZeros:
         # node values
         ref = lk.bessel_zeros(0.5, 7000)
         ref_panels = oracle._panel_rows(0.5, 0, 7000)[2]
-        ref_head = [oracle._head_j(0.5, level) for level in range(3)]
+        ref_head = [oracle._arch_j(0.5, call) for call in range(3)]
         monkeypatch.setattr(oracle, "_ZERO_TABLES", {})
         spans = [(700 * i, 300 + 500 * i) for i in range(6)]
         got = {}
@@ -127,7 +127,7 @@ class TestBesselZeros:
             offset, n = spans[i]
             got[i] = (lk.bessel_zeros(0.5, n, offset=offset),
                       oracle._panel_rows(0.5, offset, offset + n)[2],
-                      oracle._head_j(0.5, i % 3))
+                      oracle._arch_j(0.5, i % 3))
 
         threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
         interval = sys.getswitchinterval()
@@ -170,12 +170,18 @@ class TestNodeTable:
         assert np.array_equal(panels, lk.bessel_j(nu, _nodes(zeros, 12)))
         assert np.array_equal(oracle._panel_rows(nu, 1000, 2100)[2],
                               panels[1000:2100])
-        # the head's unit grid 2^-k, k <= 100, every panel halved per level
-        edges = np.unique(np.r_[0.0, 0.5 ** np.arange(100, -1, -1)])
-        for level in range(3):
-            assert np.array_equal(oracle._head_j(nu, level),
-                                  lk.bessel_j(nu, zeros[0] * _nodes(edges, 16)))
-            edges = np.unique(np.r_[edges, 0.5 * (edges[1:] + edges[:-1])])
+        # the head's tanh-sinh nodes u = 1/(1 + e^(-pi sinh tau)) on
+        # |tau| <= 5: level 0 at step 1/2, level k at the odd multiples
+        # of 2^-(k+1); its first call takes levels 0 .. 4, the next 5
+        taus = [0.5 * np.arange(-10, 11)] + [
+            2.0 ** -k * np.arange(1 - 5 * 2 ** k, 5 * 2 ** k, 2)
+            for k in range(2, 7)]
+        for call, tau in enumerate((np.concatenate(taus[:5]), taus[5])):
+            u = 1.0 / (1.0 + np.exp(-math.pi * np.sinh(tau)))
+            np.testing.assert_allclose(oracle._HEAD_RULE[call][0], u,
+                                       rtol=1e-15, atol=0.0)
+            assert np.array_equal(oracle._arch_j(nu, call), lk.bessel_j(
+                nu, zeros[0] * oracle._HEAD_RULE[call][0]))
 
     def test_warm_oscillatory_call_makes_no_bessel_call(self, monkeypatch):
         monkeypatch.setattr(oracle, "_ZERO_TABLES", {})
@@ -345,34 +351,24 @@ def test_weights_at_zero(weight, at_zero):
                                rtol=1e-15, atol=0.0)
 
 
-class TestGradedHead:
-    @pytest.mark.parametrize("b", [3.0, 100.0])
-    def test_refines_only_live_panels(self, b):
+class TestHead:
+    @pytest.mark.parametrize("b", [3.0, 100.0, 1e4])
+    def test_endpoint_singularity_within_change(self, b):
         # nu = scale = 0: int_0^b s^(-1/2) e^(-s) ds = sqrt(pi) erf(sqrt(b))
         calls = []
 
         def w(s):
-            calls.append((s, np.exp(-s) / np.sqrt(s)))
-            return calls[-1][1]
+            calls.append(s.size)
+            return np.exp(-s) / np.sqrt(s)
 
-        val, change, _ = oracle._graded_head(w, 0.0, 0.0, 0.0, b, 1e-13)
+        val, change, abs_w = oracle._head(w, 0.0, 0.0, 0.0, b, 1e-13)
         ref = math.sqrt(math.pi) * math.erf(math.sqrt(b))
         assert abs(val - ref) <= change + 2 * np.spacing(ref)
-        # each call evaluates whole panels of its level; from level 1 on
-        # exactly the children of the panels whose mass exceeded
-        # eps |head| / n at the level before
-        live = np.arange(101)
-        for level, (s, wv) in enumerate(calls):
-            u, wu = oracle._head_nodes(level)
-            rows = np.searchsorted(b * u[:, 0], s[:, 0])
-            assert np.array_equal(s, b * u[rows])
-            if level:
-                assert np.array_equal(rows, (2 * live[:, None] + [0, 1]).ravel())
-            mass = b * np.abs(wv * wu[rows]).sum(axis=1)
-            live = rows[mass > np.finfo(float).eps * abs(val) / u.shape[0]]
-        assert len(calls) >= 2
-        # past s = 50 the weight is below eps: that panel freezes
-        assert (calls[1][0].shape[0] < 202) == (b > 50.0)
+        assert abs_w == pytest.approx(ref, rel=1e-14)
+        # the first call takes levels 0 .. 4 (321 nodes), each later call
+        # one level's new nodes; on [0, 1e4] the mass sits in u < 0.005
+        assert calls == [u.size for u, _ in oracle._HEAD_RULE[:len(calls)]]
+        assert calls[0] == 321 and (len(calls) == 1) == (b < 1e3)
 
     @pytest.mark.parametrize("b", [0.05, 0.2, 3.0])
     def test_gaussian_hankel_closed_form(self, b):
@@ -438,9 +434,9 @@ def _one_batch_pool_calls():
     return calls
 
 
-def test_warm_one_batch_calls_make_four_weight_calls():
-    # one support probe (a 260-node weight call), head level 0, the live
-    # half of level 1 and one batch of 64 panels
+def test_warm_one_batch_calls_make_three_weight_calls():
+    # one support probe (a 260-node weight call), the head's first call
+    # (tanh-sinh levels 0 .. 4) and one batch of 64 panels
     seen = {}
     for name, call in _one_batch_pool_calls().items():
         if call().diagnostics["panels"] != 65:
@@ -450,7 +446,7 @@ def test_warm_one_batch_calls_make_four_weight_calls():
         seen[name] = counts
     assert len(seen) >= 30
     assert {name: c for name, c in seen.items()
-            if c["calls"] > 4 or c["probes"] != 1} == {}
+            if c["calls"] > 3 or c["probes"] != 1} == {}
 
 
 def test_est_error_bounds_frozen_references():

@@ -73,6 +73,11 @@ def test_every_route_returns_approximation(route):
     for res in results:
         assert isinstance(res, lk.Approximation)
         assert math.isfinite(res.est_error) and res.est_error >= 0.0
+        # Python floats, not numpy scalars (the contour line's value is
+        # complex)
+        assert type(res.est_error) is float
+        assert type(res.value) is (complex if route == "vertical_line_integral"
+                                   else float)
         assert res.method in METHODS
         assert isinstance(res.diagnostics, dict)
 

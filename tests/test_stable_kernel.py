@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 import warnings
@@ -386,6 +387,16 @@ class TestSmallRSeries:
         spec = lk.KernelSpec(d=2, alpha=1.0)
         got = lk.small_r_series(spec, 0.5).value
         assert got == pytest.approx(lk.poisson_kernel(2, 1.0, 0.5), rel=1e-8)
+
+    @pytest.mark.parametrize("r", [300.0, 1e4])
+    @pytest.mark.parametrize("route", [
+        lk.small_r_series, functools.partial(lk.evaluate, method="small-r")],
+        ids=["small_r_series", "evaluate"])
+    def test_infinite_sum_is_a_domain_error(self, route, r):
+        # the terms reach +-inf before they fall below tol: -inf at
+        # r = 300, +inf at 1e4 were returned as values
+        with pytest.raises(lk.DomainError, match="overflows"):
+            route(lk.KernelSpec(d=2, alpha=1.1, beta=2.0), r)
 
     def test_domain_guards(self):
         with pytest.raises(lk.DomainError):
