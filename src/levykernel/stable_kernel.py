@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle as _oracle
-from .errors import Approximation, DomainError
+from .errors import Approximation, DomainError, NonConvergent
 from .mellin import _contour_route, _Line, _plan, _radii, fold_conjugates
 from .specfun import POLE_TOL, log_gamma
 
@@ -53,11 +53,16 @@ _SERIES_MAX_TERMS = 40  # stable_series reads the poles n = 0 .. 40
 _SMALL_R_TOL, _SMALL_R_MAX_TERMS = 1e-16, 400
 # rounding of a series, per unit of sum |term|: each coefficient is good to
 # ~4.5 eps (``_residues``), plus the power and the running sum
-_SERIES_ROUNDING = 16.0 * 2.0 ** -52
+_EPS = 2.0 ** -52
+_SERIES_ROUNDING = 16.0 * _EPS
+# the residue series has converged once a kept term is this small
+# against its running sum: the remainder is below the last bit
+_CONVERGED = 2.0 ** -53
 # ``_kummer_series`` stops at a term this small against its sum, or here
 _KUMMER_TOL, _KUMMER_MAX_TERMS = 1e-17, 600
 _EVEN_TOL = 1e-9  # distance of beta/2 from an integer read as even beta
-# unit kernels (d, alpha, beta, tol, abscissa) whose contour samples are kept
+# unit kernels whose contour samples (per tol and abscissa) and whose
+# large-r residue terms are kept
 _LINES_KEPT = 64
 
 
@@ -234,6 +239,22 @@ def _residues(d: int, alpha: float, beta: float, family: str, limit: int):
             yield SeriesTerm(n, -2.0 * n, c, False)
 
 
+@functools.lru_cache(maxsize=_LINES_KEPT)
+def _large_r_terms(d, alpha, beta):
+    """The large-r terms n = 0 .. ``_SERIES_MAX_TERMS`` of the unit kernel
+    (d, alpha, beta), shared by every t and r: each coefficient costs two
+    gamma calls, which a call of ``stable_series`` would otherwise pay for
+    every pole it reads.  The tuple ends early at the first coefficient
+    whose gamma factor overflows a float."""
+    terms = []
+    try:
+        for term in _residues(d, alpha, beta, "left", _SERIES_MAX_TERMS + 1):
+            terms.append(term)
+    except OverflowError:
+        pass
+    return tuple(terms)
+
+
 def stable_series(spec: KernelSpec, r: float,
                   n_terms: int | None = None) -> Approximation:
     """Large-r residue expansion.  Terms decay like r^(-d-beta-n*alpha).
@@ -241,9 +262,16 @@ def stable_series(spec: KernelSpec, r: float,
     With ``n_terms`` given, keeps that many non-vanished terms (and sets
     a divergence flag if they grow before the count is reached);
     otherwise stops at the optimal truncation point, just before the
-    first term whose magnitude exceeds its predecessor.  The error
-    estimate is the magnitude of the first omitted non-vanished term plus
-    16 eps times the sum of the kept terms' magnitudes (rounding).
+    first term whose magnitude exceeds its predecessor, or as soon as a
+    kept term falls below 2^-53 of the running sum.  The ``converged``
+    diagnostic says a kept term fell that low before any term grew: the
+    remainder, of the size of the first omitted term, is then below the
+    last bit.  The error estimate is the magnitude of the first omitted
+    non-vanished term (the last kept one where the sum stops converged or
+    at the last pole read), plus the rounding: 16 eps times the sum of
+    the kept terms' magnitudes, and eps |t_n| (e_n |ln r'| + 1) per kept
+    term t_n = c_n r'^(-e_n), for the rounding of its exponent and of its
+    power.
     """
     if not 0.0 < spec.alpha < 2.0:
         raise DomainError("the residue expansion requires 0 < alpha < 2")
@@ -252,11 +280,13 @@ def stable_series(spec: KernelSpec, r: float,
     unit, rp, pref = scaling_reduce(spec, r)
     d, a, b = unit.d, unit.alpha, unit.beta
 
+    ln_r = abs(math.log(rp))
+    poles = _large_r_terms(d, a, b)
     terms: list[SeriesTerm] = []
     kept_values: list[float] = []
-    value = 0.0
-    divergence = False
-    for term in _residues(d, a, b, "left", _SERIES_MAX_TERMS + 1):
+    value = power_rounding = 0.0
+    divergence = converged = False
+    for term in poles:
         if term.vanished:
             terms.append(term)
             continue
@@ -269,15 +299,26 @@ def stable_series(spec: KernelSpec, r: float,
         terms.append(term)
         kept_values.append(tv)
         value += tv
+        if tv:  # a zero term carries no rounding (r' = inf: ln r' = inf)
+            power_rounding += abs(tv) * (term.exponent * ln_r + 1.0)
+        if not divergence and abs(tv) < _CONVERGED * abs(value):
+            converged = True
+            if n_terms is None:
+                next_term_value = tv
+                break
     else:
+        if len(poles) <= _SERIES_MAX_TERMS:
+            raise DomainError(f"the residue coefficient n = {len(poles)} "
+                              "overflows a float")
         next_term_value = kept_values[-1] if kept_values else 0.0
-    rounding = _SERIES_ROUNDING * sum(map(abs, kept_values))
+    rounding = (_SERIES_ROUNDING * sum(map(abs, kept_values))
+                + _EPS * power_rounding)
     return Approximation(
         value=pref * value,
         est_error=pref * (abs(next_term_value) + rounding),
         method="residue_series",
         diagnostics={"terms": terms, "terms_used": len(kept_values),
-                     "divergence_warning": divergence,
+                     "divergence_warning": divergence, "converged": converged,
                      "r_scaled": rp, "prefactor": pref})
 
 
@@ -297,7 +338,8 @@ def leading_term(spec: KernelSpec) -> SeriesTerm:
 
 def _kummer_series(a0: float, b0: float, x: float) -> float:
     """1F1(a0; b0; x) by direct summation; terminates when a0 is a
-    nonpositive integer (the cases used here)."""
+    nonpositive integer.  Raises NonConvergent when no term falls below
+    ``_KUMMER_TOL`` of the sum within ``_KUMMER_MAX_TERMS`` terms."""
     term = 1.0
     total = 1.0
     for m in range(_KUMMER_MAX_TERMS):
@@ -307,6 +349,10 @@ def _kummer_series(a0: float, b0: float, x: float) -> float:
         total += term
         if abs(term) <= _KUMMER_TOL * abs(total):
             break
+    else:
+        raise NonConvergent(f"1F1({a0}; {b0}; {x}) did not converge within "
+                            f"{_KUMMER_MAX_TERMS} terms "
+                            '(use method="oracle")')
     return total
 
 
@@ -344,6 +390,9 @@ def small_r_series(spec: KernelSpec, r: float) -> Approximation:
         #   = G((d+b)/2)/G(d/2) e^-x 1F1(-b/2; d/2; x)
         front = math.exp(math.lgamma(0.5 * (d + b)) - math.lgamma(0.5 * d))
         total = front * math.exp(-x) * _kummer_series(-0.5 * b, 0.5 * d, x)
+        if not math.isfinite(total):
+            raise DomainError(f"the factored small-r sum is not finite at "
+                              f"r' = {rp} " '(use method="oracle")')
         return Approximation(
             value=pref * base * total, est_error=abs(pref * base * total) * 1e-15,
             method="small_r_series",
@@ -382,8 +431,10 @@ def evaluate(spec: KernelSpec, r: float, method: str = "auto",
     """Evaluate one kernel by the requested route.
 
     ``auto`` picks a closed form when one exists, the small-r expansion
-    (or the oracle, when alpha < 1) for t^(-1/alpha) r < 1/2, and the
-    contour integral otherwise.  ``abscissa`` moves the contour's line
+    (or the oracle, when alpha < 1) for t^(-1/alpha) r < 1/2, and
+    otherwise the large-r residue series when it has converged to its
+    last bit (``stable_series``'s ``converged``) within ``tol``, else the
+    contour integral.  ``abscissa`` moves the contour's line
     (``stable_mb``); the other routes ignore it.  r must be finite and
     >= 0; ``auto`` answers r = 0 with ``kernel_at_origin``.
     """
@@ -420,6 +471,10 @@ def evaluate(spec: KernelSpec, r: float, method: str = "auto",
         if a >= 1.0:
             return small_r_series(spec, r)
         return _oracle.stable_oracle(spec, r, tol=min(tol, 1e-10))
+    series = stable_series(spec, r)
+    if (series.diagnostics["converged"]
+            and series.est_error <= tol * abs(series.value)):
+        return series
     return stable_mb(spec, r, abscissa=abscissa, tol=tol)
 
 

@@ -18,6 +18,9 @@ points to be exactly its ledger entries, to the same effect.  Rebuild
 the ledger from a run, never by hand:
 
     PYTHONPATH=src python tests/test_pool_ledger.py
+
+which prints the entries that leave the ledger on disk and those that
+come in before it rewrites the file.
 """
 
 import functools
@@ -185,8 +188,28 @@ def test_point_mix_warm_equals_cold(scale):
     assert [run(p) for p in points] == cold
 
 
+def ledger_diff(old, new):
+    """Lines naming the entries (key and checks missed) that leave ``old``,
+    '-', and that come into ``new``, '+': an entry whose checks change
+    does both."""
+    gone = sorted(old.items() - new.items())
+    come = sorted(new.items() - old.items())
+    return ([f"- {key}: {miss}" for key, miss in gone]
+            + [f"+ {key}: {miss}" for key, miss in come]
+            + [f"{len(gone)} entries leave, {len(come)} come in"])
+
+
+def test_ledger_diff_names_each_entry_that_moves():
+    old = {"a": "tol", "b": "bound", "c": "tol"}
+    new = {"a": "tol", "b": "tol+bound", "d": "bound"}
+    assert ledger_diff(old, new) == [
+        "- b: bound", "- c: tol", "+ b: tol+bound", "+ d: bound",
+        "2 entries leave, 2 come in"]
+
+
 if __name__ == "__main__":
     found = {key: miss for key in _INDEX if (miss := defect(key))}
+    print("\n".join(ledger_diff(LEDGER, found)))
     with open(LEDGER_PATH, "w", encoding="utf-8") as fh:
         json.dump(found, fh, indent=0, sort_keys=True)
         fh.write("\n")

@@ -273,6 +273,37 @@ class TestStableSeries:
         spec = lk.KernelSpec(d=2, alpha=1.9)
         approx = lk.stable_series(spec, 1.1, n_terms=12)
         assert approx.diagnostics["divergence_warning"]
+        assert not approx.diagnostics["converged"]
+
+    def test_early_stop_only_without_n_terms(self):
+        # at r = 1e6 the third kept term is below 2^-53 of the sum: the
+        # series stops there, converged; a term count is kept as asked
+        spec = lk.KernelSpec(d=2, alpha=1.5)
+        auto = lk.stable_series(spec, 1e6)
+        assert auto.diagnostics["converged"]
+        assert auto.diagnostics["terms_used"] == 3
+        for k in (1, 3, 12, 30):
+            fixed = lk.stable_series(spec, 1e6, n_terms=k)
+            kept = [t for t in fixed.diagnostics["terms"] if not t.vanished]
+            assert len(kept) == fixed.diagnostics["terms_used"] == k
+            assert fixed.diagnostics["converged"] == (k >= 3)
+
+    def test_overflowing_coefficient_is_a_domain_error(self):
+        # Gamma((d + beta + n alpha)/2) leaves the float range at n = 1
+        # here; it was a raw OverflowError
+        with pytest.raises(lk.DomainError, match="n = 1 overflows"):
+            lk.stable_series(lk.KernelSpec(d=2, alpha=1.5, beta=340.0), 50.0)
+
+    def test_far_field_value_within_estimate(self):
+        # evaluate routes r' = 1e6 to the converged series: the contour
+        # returned -1.712e-22 here, its sign flipped by cancellation
+        res = lk.evaluate(lk.KernelSpec(d=2, alpha=1.5), 1e6)
+        ref = 1.711671304067496e-22  # 40-digit mpmath, the point-mix pool's
+        assert res.method == "residue_series"
+        assert res.diagnostics["converged"]
+        assert abs(res.value - ref) <= 1e-13 * ref
+        assert abs(res.value - ref) <= res.est_error
+        assert res.est_error <= 1e-9 * ref
 
 
 class TestLeadingTerm:
@@ -450,6 +481,20 @@ class TestSmallRSeries:
         ref = lk.stable_oracle(spec, 1.5).value
         assert got == pytest.approx(ref, rel=1e-9)
 
+    def test_alpha2_factored_sum_fails_honestly(self):
+        # 1F1(-1/2; 3/2; (r/2)^2) settles within its 600 terms up to
+        # r = 40; at r = 50 the cut sum returned -3.00e-9 against -1.63e-8
+        spec = lk.KernelSpec(d=3, alpha=2.0, beta=1.0)
+        got = lk.small_r_series(spec, 40.0).value
+        ref = lk.stable_oracle(spec, 40.0).value
+        assert abs(got - ref) <= 1e-13 * abs(ref)
+        for r in (45.0, 50.0):
+            with pytest.raises(lk.NonConvergent, match="oracle"):
+                lk.small_r_series(spec, r)
+        # e^-x underflows to 0 and 1F1 overflows: the sum was NaN
+        with pytest.raises(lk.DomainError, match='method="oracle"'):
+            lk.small_r_series(lk.KernelSpec(d=2, alpha=2.0, beta=0.5), 300.0)
+
 
 class TestEvaluateRouting:
     def test_auto_routes(self):
@@ -458,6 +503,7 @@ class TestEvaluateRouting:
         assert lk.evaluate(lk.KernelSpec(d=2, alpha=1.5), 0.2).method == "small_r_series"
         assert lk.evaluate(lk.KernelSpec(d=2, alpha=0.7), 0.2).method == "oracle"
         assert lk.evaluate(lk.KernelSpec(d=2, alpha=1.5), 3.0).method == "mb_contour"
+        assert lk.evaluate(lk.KernelSpec(d=2, alpha=1.5), 30.0).method == "residue_series"
         assert lk.evaluate(lk.KernelSpec(d=2, alpha=1.5), 0.0).method == "closed_form"
 
     def test_closed_method_requires_closed_form(self):
