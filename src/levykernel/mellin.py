@@ -31,6 +31,12 @@ sampled and each table built once per unit spec or symbol value; a
 later call pays only its phases (``_phase_apply``).  Each r refines as
 alone, so a value does not depend on what the store held before.
 
+A scalar r is one row, and ``_refine`` runs its levels on Python
+numbers: numpy forms only its phase sum, its scale and, per level, the
+moduli that test convergence, as it would for one row of a grid.  Every
+other step is rounded as numpy rounds it, so a scalar call returns the
+bits of its grid row without a grid's per-call array work.
+
 All reductions run in a fixed order, so results are bit-reproducible.
 """
 
@@ -57,6 +63,7 @@ _BLOCK_ELEMS = 1 << 15
 _REFINEMENTS = 6  # node doublings after a plan's first trapezoid level
 _LADDER_START, _LADDER_CAP = 16.0, 4096.0  # first and last rung of the ladder
 _MIN_NODES = 64  # least ``nodes`` of a planned line (``ContourSpec``)
+_INV_2PI = 1.0 / (2.0 * math.pi)  # numpy's reciprocal in a division by 2 pi
 
 
 @dataclass(frozen=True)
@@ -120,7 +127,23 @@ def _refine(sums, n_rows, contour, tol):
     level (``_heights``).  A row stops refining once its change is within
     tol, or below the rounding floor of its cancelling sum.
     Returns per-row values, discretization estimates and node counts;
-    raises NonConvergent if any row fails to converge."""
+    raises NonConvergent if any row fails to converge.
+
+    ``n_rows=None`` asks for one row on Python numbers (``_refine_one``):
+    ``sums(level, None)`` gives its two sums as a complex and a float,
+    and the value, estimate and node count come back as a complex, a
+    float and an int, with the bits of a one-row array run.  ``sums``
+    still answers index arrays: a zero real part, whose sign alone the
+    two loops may round apart, is taken from the array loop.
+    """
+    if n_rows is None:
+        value, disc, used = _refine_one(sums, contour, tol)
+        if value.real:
+            return value, disc, used
+        # numpy may fuse a complex product's multiply and add (FMA), so an
+        # underflowed product can round to a zero of the other sign
+        value, disc, used = _refine(sums, 1, contour, tol)
+        return value.item(), disc.item(), used.item()
     value = np.empty(n_rows, dtype=np.complex128)
     disc = np.empty(n_rows)
     used = np.empty(n_rows, dtype=np.int64)
@@ -161,9 +184,43 @@ def _refine(sums, n_rows, contour, tol):
         f"last change {last:.3e}")
 
 
+def _refine_one(sums, contour, tol):
+    """The loop of ``_refine`` for one row, ``sums(level, None)``, on
+    Python numbers: each step rounds as numpy's does on one element,
+    up to the sign of an underflowed zero.  The complex moduli are
+    numpy's, one call per level (Python's abs rounds differently), and
+    the division by 2 pi is numpy's Smith quotient by a real,
+    (re + im 0, im - re 0) times 1/(2 pi), not Python's.
+    """
+    est = gross = None
+    n_used = 0
+    for level in range(_REFINEMENTS + 1):
+        m, h = _level_grid(contour, level)
+        s, a = sums(level, None)
+        n_used += 2 * m + (level == 0)
+        scale = 0.5 * h if level else h
+        s *= scale
+        new = complex((s.real + s.imag * 0.0) * _INV_2PI,
+                      (s.imag - s.real * 0.0) * _INV_2PI)
+        g = scale * a / (2.0 * math.pi)
+        if level:
+            new += 0.5 * est
+            g += 0.5 * gross
+            diff, mod = np.abs((new - est, new)).tolist()
+            floor = 5e-16 * g
+            if diff <= max(tol * mod, floor, 1e-300):
+                return new, max(diff, floor), n_used
+        est, gross = new, g
+    raise NonConvergent(
+        f"trapezoid refinement stalled after {n_used} nodes, "
+        f"last change {diff:.3e}")
+
+
 def _row_blocks(v, heights, contract):
     """``contract`` of the phases exp(i v_j heights), by row blocks of v."""
     rows = max(1, _BLOCK_ELEMS // heights.size)
+    if v.size <= rows:
+        return contract(np.exp(1j * np.multiply.outer(v, heights)))
     return np.concatenate([contract(np.exp(1j * np.multiply.outer(
         v[lo:lo + rows], heights))) for lo in range(0, v.size, rows)])
 
@@ -230,9 +287,9 @@ class _Line:
             return levels[i]
         v = _heights(self.plan, i)
         lg = self.log_g(self.plan.abscissa + 1j * v)
-        top = lg.real.max()
+        top = float(lg.real.max())
         e = np.exp(lg - top)
-        gross = np.abs(e).sum()
+        gross = float(np.abs(e).sum())
         if not i:
             e[0] *= 0.5
             e[-1] *= 0.5
@@ -247,7 +304,8 @@ class _Line:
 def _power_line(line: _Line, ln_r, shift, tol):
     """(1/2 pi i) int_(c) exp(log_g(z) + (z - shift) ln r) dz on the
     store ``line`` of log_g, for every entry of ``ln_r``: per-row values,
-    tail estimates, discretization estimates and node counts.
+    tail estimates, discretization estimates and node counts, or, for a
+    0-d ``ln_r``, one of each as Python numbers (``_refine``'s one row).
 
     At node k the integrand is E_k rho e^(i v_k ln r), E_k the level's
     scaled sample, v_k = Im z_k and rho = exp(top + (c - shift) ln r) one
@@ -256,18 +314,27 @@ def _power_line(line: _Line, ln_r, shift, tol):
     every height, so each tail estimate is the line's times that.  Each
     r keeps its own convergence test, rounding floor and error estimate,
     and stops refining when it converges: every row equals that of a
-    one-element ``ln_r``.
+    one-element ``ln_r``, and of a 0-d one.
     """
-    ln_r = np.asarray(ln_r, dtype=float).ravel()
     slope = line.plan.abscissa - shift
+    ln_r = np.asarray(ln_r, dtype=float)
+    one = ln_r.ndim == 0
+    ln_r = ln_r.ravel()
+    x0 = float(ln_r[0]) if one else None
 
     def sums(level, rows):
         top, gross, table = line.level(level)
+        if rows is None:
+            rho = float(np.exp(top + slope * x0))
+            return rho * _phase_apply(table, ln_r).item(), rho * gross
         x = ln_r[rows]
         rho = np.exp(top + slope * x)
         return rho * _phase_apply(table, x), rho * gross
 
-    value, disc, used = _refine(sums, ln_r.size, line.plan, tol)
+    value, disc, used = _refine(sums, None if one else ln_r.size, line.plan,
+                                tol)
+    if one:
+        return value, line.tail * float(np.exp(slope * x0)), disc, used
     return value, line.tail * np.exp(slope * ln_r), disc, used
 
 
@@ -318,14 +385,21 @@ def _plan(log_g, strip, abscissa: float | None, tol: float):
 
 
 def _radii(r):
-    """``r`` as a float array, 0-d or 1-d, after checking it is > 0 and
-    finite."""
-    rs = np.asarray(r, dtype=float)
-    if rs.ndim > 1:
-        raise ValueError("r must be a scalar or a 1-D array")
-    if not (rs > 0.0).all():
+    """``r`` as a float, or a 1-D float array, after checking it is > 0
+    and finite."""
+    if isinstance(r, float):
+        rs = float(r)
+        positive, finite = rs > 0.0, math.isfinite(rs)
+    else:
+        rs = np.asarray(r, dtype=float)
+        if rs.ndim > 1:
+            raise ValueError("r must be a scalar or a 1-D array")
+        positive, finite = (rs > 0.0).all(), np.isfinite(rs).all()
+        if not rs.ndim:
+            rs = float(rs)
+    if not positive:
         raise DomainError("r must be > 0")
-    if not np.isfinite(rs).all():
+    if not finite:
         raise DomainError("r must be finite")
     return rs
 
@@ -337,22 +411,29 @@ def _contour_route(line: _Line, shift: float, rs, r_scale: float,
         scale * Re (1/2 pi i) int_(c) exp(log_g(z)) r'^(z - shift) dz,
 
     r' = r_scale * r, on the store ``line`` of log_g, for ``rs`` from
-    ``_radii``: 0-d (one Approximation back) or 1-D (a list, one per
-    point), one ``_power_line`` pass for the whole grid.  The estimate
-    is |scale| times that of the line integral.
+    ``_radii``: a float (one Approximation back, from ``_refine``'s one
+    row) or a 1-D array (a list, one per point, from one ``_power_line``
+    pass for the whole grid).  The estimate is |scale| times that of the
+    line integral.
     """
     plan = line.plan
-    value, tail, disc, used = _power_line(
-        line, np.log(np.atleast_1d(rs) * r_scale), shift, tol)
-    mod = np.maximum(np.hypot(value.real, value.imag), 1e-300)
-    cols = (scale * value.real, abs(scale) * (tail + disc), 2 + used,
-            np.abs(value.imag) / mod)
+    value, tail, disc, used = _power_line(line, np.log(rs * r_scale), shift,
+                                          tol)
+    if isinstance(rs, float):
+        mod = max(float(np.hypot(value.real, value.imag)), 1e-300)
+        rows = [(scale * value.real, abs(scale) * (tail + disc), 2 + used,
+                 abs(value.imag) / mod)]
+    else:
+        mod = np.maximum(np.hypot(value.real, value.imag), 1e-300)
+        cols = (scale * value.real, abs(scale) * (tail + disc), 2 + used,
+                np.abs(value.imag) / mod)
+        rows = zip(*(a.tolist() for a in cols))
     out = [Approximation(
         value=v, est_error=e, method="mb_contour",
         diagnostics={"nodes_used": n, "truncation_height": plan.half_height,
                      "abscissa": plan.abscissa, "imag_ratio": q})
-        for v, e, n, q in zip(*(a.tolist() for a in cols))]
-    return out if rs.ndim else out[0]
+        for v, e, n, q in rows]
+    return out[0] if isinstance(rs, float) else out
 
 
 def _ladder(f, c, tol):

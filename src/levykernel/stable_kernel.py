@@ -62,7 +62,7 @@ _CONVERGED = 2.0 ** -53
 _KUMMER_TOL, _KUMMER_MAX_TERMS = 1e-17, 600
 _EVEN_TOL = 1e-9  # distance of beta/2 from an integer read as even beta
 # unit kernels whose contour samples (per tol and abscissa) and whose
-# large-r residue terms are kept
+# residue terms are kept
 _LINES_KEPT = 64
 
 
@@ -239,16 +239,20 @@ def _residues(d: int, alpha: float, beta: float, family: str, limit: int):
             yield SeriesTerm(n, -2.0 * n, c, False)
 
 
-@functools.lru_cache(maxsize=_LINES_KEPT)
-def _large_r_terms(d, alpha, beta):
-    """The large-r terms n = 0 .. ``_SERIES_MAX_TERMS`` of the unit kernel
-    (d, alpha, beta), shared by every t and r: each coefficient costs two
-    gamma calls, which a call of ``stable_series`` would otherwise pay for
-    every pole it reads.  The tuple ends early at the first coefficient
-    whose gamma factor overflows a float."""
+@functools.lru_cache(maxsize=2 * _LINES_KEPT)
+def _residue_terms(d, alpha, beta, family):
+    """The ``_residues`` of one family of the unit kernel (d, alpha,
+    beta), shared by every t and r: ``"left"``, the large-r terms
+    n = 0 .. ``_SERIES_MAX_TERMS``; ``"right"``, the small-r terms
+    m < ``_SMALL_R_MAX_TERMS``.  Each coefficient costs two gamma calls,
+    which a series call would otherwise pay for every pole it reads.
+    The tuple ends early at the first coefficient whose gamma factor
+    overflows a float.  The cache holds both families of
+    ``_LINES_KEPT`` unit specs."""
+    limit = _SERIES_MAX_TERMS + 1 if family == "left" else _SMALL_R_MAX_TERMS
     terms = []
     try:
-        for term in _residues(d, alpha, beta, "left", _SERIES_MAX_TERMS + 1):
+        for term in _residues(d, alpha, beta, family, limit):
             terms.append(term)
     except OverflowError:
         pass
@@ -281,7 +285,7 @@ def stable_series(spec: KernelSpec, r: float,
     d, a, b = unit.d, unit.alpha, unit.beta
 
     ln_r = abs(math.log(rp))
-    poles = _large_r_terms(d, a, b)
+    poles = _residue_terms(d, a, b, "left")
     terms: list[SeriesTerm] = []
     kept_values: list[float] = []
     value = power_rounding = 0.0
@@ -336,24 +340,29 @@ def leading_term(spec: KernelSpec) -> SeriesTerm:
     raise DomainError("no non-vanished residue found (is alpha = 2?)")
 
 
-def _kummer_series(a0: float, b0: float, x: float) -> float:
-    """1F1(a0; b0; x) by direct summation; terminates when a0 is a
-    nonpositive integer.  Raises NonConvergent when no term falls below
-    ``_KUMMER_TOL`` of the sum within ``_KUMMER_MAX_TERMS`` terms."""
+def _kummer_series(a0: float, b0: float, x: float):
+    """1F1(a0; b0; x) by direct summation, with the sums of |term_m| and
+    of m |term_m| over its terms, for its rounding and for its
+    sensitivity to x (x d/dx 1F1 = sum m term_m); terminates when a0 is
+    a nonpositive integer.  Raises NonConvergent when no term falls
+    below ``_KUMMER_TOL`` of the sum within ``_KUMMER_MAX_TERMS`` terms."""
     term = 1.0
-    total = 1.0
+    total = gross = 1.0
+    moment = 0.0
     for m in range(_KUMMER_MAX_TERMS):
         term *= (a0 + m) * x / ((b0 + m) * (m + 1.0))
         if term == 0.0:
             break
         total += term
+        gross += abs(term)
+        moment += (m + 1) * abs(term)
         if abs(term) <= _KUMMER_TOL * abs(total):
             break
     else:
         raise NonConvergent(f"1F1({a0}; {b0}; {x}) did not converge within "
                             f"{_KUMMER_MAX_TERMS} terms "
                             '(use method="oracle")')
-    return total
+    return total, gross, moment
 
 
 def _right_base(d: int, alpha: float) -> float:
@@ -372,7 +381,10 @@ def small_r_series(spec: KernelSpec, r: float) -> Approximation:
     diverges for alpha < 1 (DomainError; use the oracle there).  At
     alpha = 2 the sum is carried out in exponentially factored form, so
     no alternating cancellation occurs; for beta = 0 it collapses to
-    the Gaussian closed form.  r must be finite and >= 0.
+    the Gaussian closed form.  Its est_error is the rounding of that
+    form, (r'/2)^2 included; otherwise it is the last kept term plus
+    16 eps times the sum of |term|.  The coefficients are kept per unit
+    spec (``_residue_terms``).  r must be finite and >= 0.
     """
     if not 0.0 <= r < math.inf:
         raise DomainError(f"the small-r expansion needs 0 <= r < inf, got {r}")
@@ -388,19 +400,34 @@ def small_r_series(spec: KernelSpec, r: float) -> Approximation:
     if a == 2.0:
         # sum_m (-1)^m/m! G((d+b)/2+m)/G(d/2+m) x^m
         #   = G((d+b)/2)/G(d/2) e^-x 1F1(-b/2; d/2; x)
-        front = math.exp(math.lgamma(0.5 * (d + b)) - math.lgamma(0.5 * d))
-        total = front * math.exp(-x) * _kummer_series(-0.5 * b, 0.5 * d, x)
+        up, down = math.lgamma(0.5 * (d + b)), math.lgamma(0.5 * d)
+        kummer, gross, moment = _kummer_series(-0.5 * b, 0.5 * d, x)
+        outside = math.exp(up - down) * math.exp(-x)
+        total = outside * kummer
         if not math.isfinite(total):
             raise DomainError(f"the factored small-r sum is not finite at "
                               f"r' = {rp} " '(use method="oracle")')
+        # rounding, per eps: x = (r'/2)^2 is good to 1/2 (r' = r at
+        # t = 1), else to 7/2 (r' = t^(-1/2) r, two roundings, squared),
+        # which moves e^-x 1F1(x) by x + x d/dx ln 1F1 times that; the sum
+        # of 1F1 is good to 16 of its gross sum and 3 m per term m (a
+        # running product); each lgamma to its size, the exps, products
+        # and base to 6, and t's power to 1 + |(d + b)/2 ln t| / 2
+        x_rounding = 0.5 if spec.t == 1.0 else 3.5
+        power = 0.0 if spec.t == 1.0 else (
+            1.0 + 0.25 * (d + b) * abs(math.log(spec.t)))
+        est = abs(pref * base * outside) * _EPS * (
+            x_rounding * (x * abs(kummer) + moment)
+            + 16.0 * gross + 3.0 * moment
+            + (abs(up) + abs(down) + 6.0 + power) * abs(kummer))
         return Approximation(
-            value=pref * base * total, est_error=abs(pref * base * total) * 1e-15,
-            method="small_r_series",
+            value=pref * base * total, est_error=est, method="small_r_series",
             diagnostics={"terms_used": -1, "factored": True, "r_scaled": rp})
 
+    terms = _residue_terms(d, a, b, "right")
     total = abs_sum = 0.0
     try:
-        for res in _residues(d, a, b, "right", _SMALL_R_MAX_TERMS):
+        for res in terms:
             term = res.coefficient * x ** res.n
             total += term
             abs_sum += abs(term)
@@ -409,6 +436,8 @@ def small_r_series(spec: KernelSpec, r: float) -> Approximation:
             if res.n >= 1 and abs(term) <= _SMALL_R_TOL * max(abs(total), 1e-300):
                 break
         else:
+            if len(terms) < _SMALL_R_MAX_TERMS:  # the next one overflows
+                raise OverflowError
             raise DomainError("small-r expansion did not converge within "
                               f"{_SMALL_R_MAX_TERMS} terms (r' = {rp})")
     except OverflowError as exc:

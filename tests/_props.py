@@ -127,22 +127,26 @@ def _checked_tail(f, contour: ContourSpec) -> float:
 
 
 def _direct_sums(f, contour):
-    """Level sums of one integrand ``f``, formed node by node."""
+    """Level sums of one integrand ``f``, formed node by node, as Python
+    numbers for ``_refine``'s one row (``rows`` None), else as arrays."""
 
     def sums(level, rows):
         fv = f(contour.abscissa + 1j * _heights(contour, level))
         s = fv.sum()
         if not level:
             s -= 0.5 * (fv[0] + fv[-1])
-        return np.array([s]), np.array([np.abs(fv).sum()])
+        a = np.abs(fv).sum()
+        if rows is None:
+            return complex(s), float(a)
+        return np.array([s]), np.array([a])
 
     return sums
 
 
 def _line_result(value, tail, disc, used) -> Approximation:
-    return Approximation(value=complex(value), est_error=tail + float(disc),
+    return Approximation(value=value, est_error=tail + disc,
                          method="line_integral",
-                         diagnostics={"nodes_used": 2 + int(used),
+                         diagnostics={"nodes_used": 2 + used,
                                       "tail_bound": tail})
 
 
@@ -158,8 +162,8 @@ def vertical_line_integral(f, contour: ContourSpec,
     plus the discretization estimate.
     """
     tail = _checked_tail(f, contour)
-    value, disc, used = _refine(_direct_sums(f, contour), 1, contour, tol)
-    return _line_result(value[0], tail, disc[0], used[0])
+    value, disc, used = _refine(_direct_sums(f, contour), None, contour, tol)
+    return _line_result(value, tail, disc, used)
 
 
 def row_block_mismatches(call, grid, every=61):

@@ -1,0 +1,42 @@
+"""Per-layer timings of the contour engine, opt-in (pytest-benchmark):
+
+    PYTHONPATH=src python -m pytest tests/bench_engine.py
+
+The file name does not match ``test_*.py``, so the test suite does not
+collect it; name it on the command line.  Every timing is warm: a first
+call fills the kernel's line store, so a timed call pays only its phase
+sums and its refinement bookkeeping, the per-point cost of a contour
+value.  The scalar calls run ``mellin._refine``'s one-row loop, the grid
+its array loop.
+"""
+
+import numpy as np
+import pytest
+
+import levykernel as lk
+
+# (d, alpha, beta) of the README's warm-call timings, at r = 2
+STABLE_SPECS = [(2, 1.5, 0.7), (3, 0.5, 0.0), (10, 1.99, 2.0), (2, 0.1, 0.0)]
+
+
+@pytest.mark.parametrize("d,alpha,beta", STABLE_SPECS)
+def test_stable_mb_one_row(benchmark, d, alpha, beta):
+    spec = lk.KernelSpec(d, alpha, beta)
+    first = lk.stable_mb(spec, 2.0)
+    res = benchmark(lk.stable_mb, spec, 2.0)
+    assert res == first
+
+
+def test_general_kernel_mb_one_row(benchmark):
+    sym = lk.make_symbol("relativistic", alpha=1.0, m=1.0)
+    first = lk.general_kernel_mb(sym, 2, 0.5, 1.0, 2.0)
+    res = benchmark(lk.general_kernel_mb, sym, 2, 0.5, 1.0, 2.0)
+    assert res == first
+
+
+def test_stable_mb_grid_400(benchmark):
+    spec = lk.KernelSpec(2, 1.5, 0.0)
+    grid = np.geomspace(0.05, 30.0, 400)
+    first = lk.stable_mb(spec, grid)
+    res = benchmark(lk.stable_mb, spec, grid)
+    assert res == first

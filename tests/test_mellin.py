@@ -8,7 +8,8 @@ import pytest
 from scipy import optimize
 
 import levykernel as lk
-from levykernel.mellin import _ladder, _Line, _plan, _power_line
+from levykernel.mellin import (_REFINEMENTS, _ladder, _level_grid, _Line,
+                               _plan, _power_line, _refine)
 
 from _props import (_checked_tail, contour_independence_spread,
                     dense_phase_sums, phase_sums, vertical_line_integral)
@@ -154,6 +155,115 @@ class TestPowerLineIntegral:
         for x, value in zip(self.X, values):
             assert self._agrees(value, log_g, -math.log(x), 0.0, plan, 1e-12)
             assert abs(value.imag) > 1e-3 * abs(value)
+
+    def test_one_row_stall_raises_as_a_grid_row(self):
+        # the one-row loop stalls where a grid row does, with its message
+        plan = lk.ContourSpec(0.01, 32.0)
+        x = -math.log(1.3)
+        with pytest.raises(lk.NonConvergent, match="after 8193 nodes") as one:
+            _engine_rows(lk.log_gamma, x, 0.0, plan, 1e-12)
+        with pytest.raises(lk.NonConvergent) as row:
+            _engine_rows(lk.log_gamma, np.array([x]), 0.0, plan, 1e-12)
+        assert str(one.value) == str(row.value)
+
+    def test_one_row_equals_a_grid_row(self):
+        plan = lk.ContourSpec(1.0, 32.0, nodes=128)
+        rows = _engine_rows(lk.log_gamma, -np.log(self.X), 0.0, plan, 1e-12)
+        for i, x in enumerate(self.X):
+            one = _engine_rows(lk.log_gamma, -math.log(x), 0.0, plan, 1e-12)
+            assert list(map(type, one)) == [complex, float, float, int]
+            assert one == tuple(col[i] for col in rows)
+
+
+def _bits(value, disc, used):
+    value = complex(value)
+    return value.real.hex(), value.imag.hex(), float(disc).hex(), int(used)
+
+
+class TestOneRowBookkeeping:
+    """``_refine``'s one row runs on Python numbers, the array loop on
+    numpy arrays: on the same level sums both must give the same bits,
+    or the same stall."""
+
+    PLAN = lk.ContourSpec(1.0, 16.0, nodes=32)  # step 0.5 on level 0
+    TOL = 1e-9
+
+    @classmethod
+    def _draws(cls, n, seed):
+        """Level sums (s, a) of n rows that approach a value of any size,
+        denormal to huge, with errors shrinking at a random rate per
+        level, so rows converge on every level or stall; gross sums up
+        to ~1e4 times |S|, so the rounding floor decides some rows.  One
+        row in 40 takes its sums from +-0 and +-5e-324, where products
+        underflow."""
+        rng = np.random.default_rng(seed)
+        levels = _REFINEMENTS + 1
+        mag = 10.0 ** rng.uniform(-330.0, 300.0, n)
+        value = mag * np.exp(2j * np.pi * rng.random(n))
+        err = ((mag * 10.0 ** rng.uniform(-12.0, 0.0, n))[:, None]
+               * (10.0 ** -rng.uniform(0.5, 4.0, n))[:, None]
+               ** np.arange(levels)
+               * np.exp(2j * np.pi * rng.random((n, levels))))
+        est = value[:, None] + err
+        s = np.empty((n, levels), dtype=np.complex128)
+        for level in range(levels):
+            h = _level_grid(cls.PLAN, level)[1]
+            if level:
+                s[:, level] = ((est[:, level] - 0.5 * est[:, level - 1])
+                               * (2.0 * math.pi) / (0.5 * h))
+            else:
+                s[:, 0] = est[:, 0] * (2.0 * math.pi) / h
+        a = np.abs(s) * 10.0 ** rng.exponential(1.0, (n, levels))
+        tiny = rng.random(n) < 1 / 40
+        shape = (tiny.sum(), levels)
+        for part in (s.real, s.imag):
+            part[tiny] = rng.choice([0.0, -0.0, 5e-324, -5e-324], shape)
+        a[tiny] = rng.choice([0.0, 1.0], shape)
+        return s, a
+
+    def _one_row(self, s, a):
+        def sums(level, rows):
+            if rows is None:
+                return complex(s[level]), float(a[level])
+            return s[None, level], a[None, level]
+
+        try:
+            return _bits(*_refine(sums, None, self.PLAN, self.TOL))
+        except lk.NonConvergent as exc:
+            return str(exc)
+
+    def test_random_level_sums(self):
+        s, a = self._draws(10_000, 20261020)
+        one = [self._one_row(s[i], a[i]) for i in range(len(s))]
+        done = np.array([i for i, res in enumerate(one)
+                         if not isinstance(res, str)])
+        value, disc, used = _refine(
+            lambda level, rows: (s[done[rows], level], a[done[rows], level]),
+            done.size, self.PLAN, self.TOL)
+        assert [_bits(*row) for row in zip(value, disc, used)] == [
+            one[i] for i in done]
+        # converged on every level, stalled, and underflowed to zero
+        assert set(used.tolist()) == {(64 << k) + 1 for k in range(1, 7)}
+        assert 500 < len(one) - done.size < 2000
+        assert sum(res[0].endswith("0x0.0p+0") for res in one
+                   if not isinstance(res, str)) > 100
+        for i in sorted(set(range(len(one))) - set(done.tolist())):
+            with pytest.raises(lk.NonConvergent) as row:
+                _refine(lambda level, rows: (s[i, None, level],
+                                             a[i, None, level]),
+                        1, self.PLAN, self.TOL)
+            assert str(row.value) == one[i]
+
+    def test_underflowed_zero_takes_the_array_sign(self):
+        # -5e-324 halved rounds to a zero whose sign numpy's fused complex
+        # product and Python's plain one may set differently; the one row
+        # returns the array loop's bits
+        s = np.full(_REFINEMENTS + 1, complex(-5e-324, -5e-324))
+        a = np.ones(_REFINEMENTS + 1)
+        value, disc, used = _refine(
+            lambda level, rows: (s[None, level], a[None, level]), 1,
+            self.PLAN, self.TOL)
+        assert self._one_row(s, a) == _bits(value[0], disc[0], used[0])
 
 
 def _count_log_gamma(monkeypatch, module):

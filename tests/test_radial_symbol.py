@@ -342,6 +342,23 @@ class TestGeneralMBGrid:
             np.geomspace(0.3, 40.0, 1500))
         assert edges and not bad
 
+    @pytest.mark.parametrize("kind,params,d,beta,t", CASES,
+                             ids=[c[0] for c in CASES])
+    def test_one_row_at_moved_abscissa_equals_grid_rows(self, kind, params,
+                                                        d, beta, t):
+        # a scalar call runs the one-row loop on Python numbers; off the
+        # strip midpoint too, it returns the bits of its grid row
+        sym = lk.make_symbol(kind, **params)
+        lo, hi = lk.general_strip(d, beta)
+        c = lo + 0.8 * (hi - lo)
+        grid = np.geomspace(0.3, 40.0, 12)
+        batch = lk.general_kernel_mb(sym, d, beta, t, grid, abscissa=c)
+        assert batch[0].diagnostics["abscissa"] == c
+        for r, b in zip(grid, batch):
+            p = lk.general_kernel_mb(sym, d, beta, t, float(r), abscissa=c)
+            assert (p.value.hex(), p.est_error, p.diagnostics) == (
+                b.value.hex(), b.est_error, b.diagnostics)
+
     def test_shapes(self):
         sym = lk.make_symbol("stable", a=1.5)
         one = lk.general_kernel_mb(sym, 2, 0.5, 1.0, 2.0)

@@ -481,6 +481,28 @@ class TestSmallRSeries:
         ref = lk.stable_oracle(spec, 1.5).value
         assert got == pytest.approx(ref, rel=1e-9)
 
+    @pytest.mark.parametrize("d,beta,r", [(5, 2.0, 3.0), (5, 2.0, 6.0),
+                                          (2, 2.0, 3.0), (3, 0.5, 6.0),
+                                          (10, 3.3, 1.0)])
+    def test_alpha2_estimate_bounds_seeded_times(self, d, beta, r):
+        # the factored sum's est_error carries the rounding of
+        # x = (t^(-1/2) r / 2)^2 through e^-x 1F1(x), and that of the
+        # lgamma front factor and of t's power; 1e-15 |value| did not,
+        # missing by up to 5.5e-15 relative at d = 5, beta = 2
+        rng = np.random.default_rng(20261020 + d)
+        with mp.workdps(40):
+            for s in [1.0, *rng.uniform(0.5, 2.0, 19)]:
+                t, rs = float(s) ** 2, float(s) * r
+                got = lk.small_r_series(lk.KernelSpec(d, 2.0, beta, t), rs)
+                half_d, half_b = mp.mpf(d) / 2, mp.mpf(beta) / 2
+                x = mp.mpf(rs) ** 2 / (4 * mp.mpf(t))
+                ref = (mp.mpf(t) ** -(half_d + half_b)
+                       * mp.mpf(2) ** -d * mp.pi ** -half_d
+                       * mp.gamma(half_d + half_b) / mp.gamma(half_d)
+                       * mp.exp(-x) * mp.hyp1f1(-half_b, half_d, x))
+                assert abs(got.value - ref) <= got.est_error
+                assert got.est_error <= 1e-13 * abs(ref)
+
     def test_alpha2_factored_sum_fails_honestly(self):
         # 1F1(-1/2; 3/2; (r/2)^2) settles within its 600 terms up to
         # r = 40; at r = 50 the cut sum returned -3.00e-9 against -1.63e-8
