@@ -14,7 +14,7 @@ from .oracle import (bessel_zeros, hankel_oracle, normalization_check,
                      stable_weight, symbol_oracle, symbol_weight)
 from .radial_symbol import (RadialSymbol, decay_slope, general_kernel_at_origin,
                             general_kernel_mb, general_leading_term,
-                            general_strip, make_symbol, mellin_M, mellin_Mk,
+                            make_symbol, mellin_M, mellin_Mk,
                             perturbed_leading_term, smoothstep_cutoff,
                             sum_symbol_envelope, sum_symbol_envelope_check,
                             symbol_registry, tail_integral)

@@ -18,7 +18,7 @@ Exit codes: 0 success, 3 numeric failure (a JSON diagnostic on stdout),
 flag or method, --r, --r-min or --r-max negative or not finite, --points
 below 1, --log with --r-min <= 0, --tol not a finite number > 0, a
 stable-only method (series, small-r, closed) with --symbol, a malformed
---symbol, a kernel parameter out of range.
+--symbol, a kernel parameter out of range (--alpha on stable runs only).
 """
 
 from __future__ import annotations
@@ -96,19 +96,20 @@ def _parse_symbol(text):
 
 def _usage_error(args):
     """Resolve ``args.symbol`` and ``args.spec`` (a stable run's
-    ``KernelSpec``, else None); return the usage error found, or None."""
+    ``KernelSpec``, else None) of a run with kernel flags; return the
+    usage error found, or None."""
     text = getattr(args, "symbol", None)
     try:
         args.symbol = _parse_symbol(text) if text else None
     except (OSError, ValueError, TypeError) as exc:
         return f"symbol error: {exc}"
-    stable = (args.command != "symbols" and args.symbol is None
-              and getattr(args, "family", "stable") == "stable")
-    try:
-        args.spec = (KernelSpec(d=args.d, alpha=args.alpha, beta=args.beta,
-                                t=args.t) if stable else None)
+    stable = args.symbol is None and getattr(args, "family", "") != "sum"
+    try:  # --alpha enters no symbol's kernel
+        spec = KernelSpec(d=args.d, alpha=args.alpha if stable else 1.0,
+                          beta=args.beta, t=args.t)
     except ValueError as exc:
         return f"spec error: {exc}"
+    args.spec = spec if stable else None
     if getattr(args, "log", False) and args.r_min <= 0:
         return "usage error: --log needs --r-min > 0"
     methods = getattr(args, "method", [])
@@ -403,7 +404,7 @@ def _shared_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = _shared_parser()
     args = ap.parse_args(argv)
-    problem = _usage_error(args)
+    problem = None if args.command == "symbols" else _usage_error(args)
     if problem:
         ap.exit(2, problem + "\n")
     try:

@@ -629,7 +629,11 @@ def stable_oracle(spec, r: float, tol: float = 1e-11) -> Approximation:
 def symbol_oracle(sym, d: int, beta: float, t: float, r: float,
                   tol: float = 1e-11) -> Approximation:
     """Oracle value of the kernel of a general radial symbol, by
-    ``hankel_oracle``'s Bessel-zero panels at every d."""
+    ``hankel_oracle``'s Bessel-zero panels at every d.  Raises
+    DomainError unless d >= 2, 0 <= beta < inf and 0 < t < inf."""
+    from .stable_kernel import _check_kernel
+
+    _check_kernel(t, d, beta)
     return hankel_oracle(symbol_weight(sym, d, beta, t), d, r, tol=tol)
 
 

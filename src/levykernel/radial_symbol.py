@@ -27,12 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle as _oracle
-from .errors import (Approximation, DomainError, NonConvergent, ParityError,
-                     StripViolation)
+from .errors import Approximation, NonConvergent, ParityError, StripViolation
 from .mellin import (_contour_route, _Line, _phase_apply, _phase_table, _plan,
                      _radii, fold_conjugates)
 from .specfun import log_gamma
-from .stable_kernel import _LINES_KEPT, _is_even_integer, _residues
+from .stable_kernel import (_LINES_KEPT, _check_kernel, _is_even_integer,
+                            _residues, admissible_strip)
 
 __all__ = [
     "RadialSymbol",
@@ -46,7 +46,6 @@ __all__ = [
     "perturbed_leading_term",
     "sum_symbol_envelope",
     "sum_symbol_envelope_check",
-    "general_strip",
     "smoothstep_cutoff",
     "tail_integral",
     "decay_slope",
@@ -169,11 +168,6 @@ def make_symbol(kind: str, **params) -> RadialSymbol:
 # The continued Mellin transform M_t^1 on vertical lines.
 # ---------------------------------------------------------------------------
 
-def _check_time(t):
-    if not 0.0 < t < math.inf:
-        raise DomainError(f"t must be > 0 and finite, got {t}")
-
-
 class _MellinGrid:
     """Frozen quadrature grid for M_t^1(c + iv), |v| <= max_imag.
 
@@ -267,8 +261,10 @@ def mellin_Mk(sym: RadialSymbol, t: float, z, tol: float = 1e-10):
     (symbol, t, Re z), kept in a bounded cache.  Raises DomainError
     unless 0 < t < inf.
     """
-    _check_time(t)
+    _check_kernel(t)
     zz = np.atleast_1d(np.asarray(z, dtype=np.complex128))
+    if not zz.size:
+        return zz.reshape(np.shape(z))
     c = float(zz.real[0])
     if not np.all(zz.real == c):
         return np.array([complex(mellin_Mk(sym, t, zi, tol)) for zi in zz])
@@ -287,12 +283,6 @@ def mellin_M(sym: RadialSymbol, t: float, z, tol: float = 1e-10):
     return -mellin_Mk(sym, t, z, tol=tol) / np.asarray(z, dtype=np.complex128)
 
 
-def general_strip(d: int, beta: float):
-    """Contour strip for the general-symbol representation:
-    ((d+1)/2 + beta, d + beta)."""
-    return (0.5 * (d + 1) + beta, float(d) + beta)
-
-
 def general_kernel_mb(sym: RadialSymbol, d: int, beta: float, t: float,
                       r, abscissa: float | None = None, tol: float = 1e-7):
     """Kernel of a general radial symbol by the nested contour integral
@@ -301,10 +291,10 @@ def general_kernel_mb(sym: RadialSymbol, d: int, beta: float, t: float,
         G(z) = Gamma((d+beta-z)/2) 2^(beta-z) / Gamma((z-beta)/2) * M_t(z),
         M_t(z) = -M_t^1(z)/z  (``mellin_M``),
 
-    with c in ((d+1)/2+beta, d+beta), ``abscissa`` or the strip midpoint;
-    ``mellin._plan`` picks the height and node count.  The inner
-    transform values come from a frozen vectorized grid sized to the
-    largest |Im z| asked for.
+    with c in ((d-1)/2+beta, d+beta), ``admissible_strip`` as for
+    ``stable_mb``: ``abscissa`` or the strip midpoint; ``mellin._plan``
+    picks the height and node count.  The inner transform values come
+    from a frozen vectorized grid sized to the largest |Im z| asked for.
 
     ``r`` is a scalar or a 1-D array, as for ``stable_mb``: G, inner
     transform included, does not depend on r, and |r^(z-d-beta)| is
@@ -313,9 +303,9 @@ def general_kernel_mb(sym: RadialSymbol, d: int, beta: float, t: float,
     The samples are kept by ``_symbol_line``, per symbol value and
     (d, beta, t, tol, abscissa): G is sampled once per symbol and t,
     and a later call at any r takes no inner transform value.  Raises
-    DomainError unless 0 < t < inf.
+    DomainError outside ``KernelSpec``'s rule on d, beta and t.
     """
-    _check_time(t)
+    _check_kernel(t, d, beta)
     rs = _radii(r)
     out = _contour_route(_symbol_line(sym, d, beta, t, tol, abscissa),
                          d + beta, rs, 1.0, math.pi ** (-0.5 * d), tol)
@@ -344,7 +334,7 @@ def _symbol_line(sym, d, beta, t, tol, abscissa):
         return (down - over + (beta - z) * _LN2
                 + np.log(mellin_M(sym, t, z, inner_tol)))
 
-    return _Line(log_g, *_plan(log_g, general_strip(d, beta), abscissa, tol))
+    return _Line(log_g, *_plan(log_g, admissible_strip(d, beta), abscissa, tol))
 
 
 def general_kernel_at_origin(sym: RadialSymbol, d: int, beta: float,
@@ -355,9 +345,9 @@ def general_kernel_at_origin(sym: RadialSymbol, d: int, beta: float,
 
     omega_{d-1} the area of the unit sphere: the m = 0 term of the right
     residue series, one ``mellin_M`` read at the kernel's inner tolerance.
-    Raises DomainError unless 0 < t < inf.
+    Raises DomainError unless d >= 2, 0 <= beta < inf and 0 < t < inf.
     """
-    _check_time(t)
+    _check_kernel(t, d, beta)
     inner_tol = _inner_tol(tol)
     omega = 2.0 * math.pi ** (0.5 * d) / math.gamma(0.5 * d)
     value = (2.0 * math.pi) ** (-d) * omega * float(

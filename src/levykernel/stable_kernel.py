@@ -19,7 +19,9 @@ kernel(t, r) = t^(-(d+beta)/alpha) * kernel(1, t^(-1/alpha) r).
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -49,8 +51,8 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _SERIES_MAX_TERMS = 40  # stable_series reads the poles n = 0 .. 40
-# small_r_series stops at a term this small against its sum, or fails
-_SMALL_R_TOL, _SMALL_R_MAX_TERMS = 1e-16, 400
+# small_r_series stops at a term this small against its sum
+_SMALL_R_TOL = 1e-16
 # rounding of a series, per unit of sum |term|: each coefficient is good to
 # ~4.5 eps (``_residues``), plus the power and the running sum
 _EPS = 2.0 ** -52
@@ -76,14 +78,22 @@ class KernelSpec:
     t: float = 1.0
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ValueError("dimension d must be >= 2")
+        if not self.d >= 2:
+            raise ValueError(f"dimension d must be >= 2, got {self.d}")
         if not 0.0 < self.alpha <= 2.0:
             raise ValueError("alpha must lie in (0, 2]")
         if not 0.0 <= self.beta < math.inf:
-            raise ValueError("beta must be finite and >= 0")
+            raise ValueError(f"beta must be >= 0 and finite, got {self.beta}")
         if not 0.0 < self.t < math.inf:
-            raise ValueError("t must be finite and > 0")
+            raise ValueError(f"t must be > 0 and finite, got {self.t}")
+
+
+def _check_kernel(t, d=2, beta=0.0):
+    """``KernelSpec``'s d, beta and t rule for a symbol, as DomainError."""
+    try:
+        KernelSpec(d, 1.0, beta, t)
+    except ValueError as exc:
+        raise DomainError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -213,17 +223,17 @@ def _stable_line(d, alpha, beta, tol, abscissa):
                                tol))
 
 
-def _residues(d: int, alpha: float, beta: float, family: str, limit: int):
+def _residues(d: int, alpha: float, beta: float, family: str, limit: int | None):
     """One ``SeriesTerm`` per pole of G, the first ``limit`` poles of one
-    family, each (-1)^n/n! Gamma(up)/Gamma(down) at real arguments by
-    ``math.gamma``.  ``"left"``, z = -n*alpha: the large-r term at t = 1,
-    2^(beta+n*alpha) pi^(-d/2) included, zero where down = -(n*alpha+beta)/2
-    is within ``POLE_TOL`` of an integer.  ``"right"``, z = d+beta+2m:
-    coefficient * (r/2)^(2m), exponent -2m, without the factor
-    2^(1-d) pi^(-d/2) / alpha.  up >= down, so Gamma(up) leaves the float
-    range first and raises OverflowError."""
+    family (all of them for None), each (-1)^n/n! Gamma(up)/Gamma(down)
+    at real arguments by ``math.gamma``.  ``"left"``, z = -n*alpha: the
+    large-r term at t = 1, 2^(beta+n*alpha) pi^(-d/2) included, zero
+    where down = -(n*alpha+beta)/2 is within ``POLE_TOL`` of an integer.
+    ``"right"``, z = d+beta+2m: coefficient * (r/2)^(2m), exponent -2m,
+    without the factor 2^(1-d) pi^(-d/2) / alpha.  up >= down, so
+    Gamma(up) leaves the float range first and raises OverflowError."""
     left = family == "left"
-    for n in range(limit):
+    for n in itertools.count() if limit is None else range(limit):
         if left:
             up, down = 0.5 * (d + beta + n * alpha), -(n * alpha + beta) / 2.0
             if abs(down - round(down)) <= POLE_TOL:
@@ -243,19 +253,17 @@ def _residues(d: int, alpha: float, beta: float, family: str, limit: int):
 def _residue_terms(d, alpha, beta, family):
     """The ``_residues`` of one family of the unit kernel (d, alpha,
     beta), shared by every t and r: ``"left"``, the large-r terms
-    n = 0 .. ``_SERIES_MAX_TERMS``; ``"right"``, the small-r terms
-    m < ``_SMALL_R_MAX_TERMS``.  Each coefficient costs two gamma calls,
-    which a series call would otherwise pay for every pole it reads.
-    The tuple ends early at the first coefficient whose gamma factor
-    overflows a float.  The cache holds both families of
+    n = 0 .. ``_SERIES_MAX_TERMS``; ``"right"``, the small-r terms.
+    Each coefficient costs two gamma calls, which a series call would
+    otherwise pay for every pole it reads.  The tuple ends at the first
+    coefficient whose gamma factor overflows a float, by m = 171 on
+    the right, where up >= m + 1.  The cache holds both families of
     ``_LINES_KEPT`` unit specs."""
-    limit = _SERIES_MAX_TERMS + 1 if family == "left" else _SMALL_R_MAX_TERMS
+    limit = _SERIES_MAX_TERMS + 1 if family == "left" else None
     terms = []
-    try:
+    with contextlib.suppress(OverflowError):
         for term in _residues(d, alpha, beta, family, limit):
             terms.append(term)
-    except OverflowError:
-        pass
     return tuple(terms)
 
 
@@ -435,11 +443,8 @@ def small_r_series(spec: KernelSpec, r: float) -> Approximation:
                 raise OverflowError
             if res.n >= 1 and abs(term) <= _SMALL_R_TOL * max(abs(total), 1e-300):
                 break
-        else:
-            if len(terms) < _SMALL_R_MAX_TERMS:  # the next one overflows
-                raise OverflowError
-            raise DomainError("small-r expansion did not converge within "
-                              f"{_SMALL_R_MAX_TERMS} terms (r' = {rp})")
+        else:  # the next coefficient overflows
+            raise OverflowError
     except OverflowError as exc:
         raise DomainError(f"small-r expansion overflows at r' = {rp} "
                           "(use the contour route)") from exc

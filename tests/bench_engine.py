@@ -3,11 +3,13 @@
     PYTHONPATH=src python -m pytest tests/bench_engine.py
 
 The file name does not match ``test_*.py``, so the test suite does not
-collect it; name it on the command line.  Every timing is warm: a first
-call fills the kernel's line store, so a timed call pays only its phase
-sums and its refinement bookkeeping, the per-point cost of a contour
-value.  The scalar calls run ``mellin._refine``'s one-row loop, the grid
-its array loop.
+collect it; name it on the command line.  Every timing but the cold one
+is warm: a first call fills the kernel's line store, so a timed call pays
+only its phase sums and its refinement bookkeeping, the per-point cost of
+a contour value.  The cold ``general_kernel_mb`` clears the symbol's line
+store and inner grids before each round, so it also pays the plan, the
+samples of G and the inner Mellin grids behind them.  The scalar calls
+run ``mellin._refine``'s one-row loop, the grid its array loop.
 """
 
 import numpy as np
@@ -32,6 +34,20 @@ def test_general_kernel_mb_one_row(benchmark):
     first = lk.general_kernel_mb(sym, 2, 0.5, 1.0, 2.0)
     res = benchmark(lk.general_kernel_mb, sym, 2, 0.5, 1.0, 2.0)
     assert res == first
+
+
+def _clear_symbol_stores():
+    lk.radial_symbol._symbol_line.cache_clear()
+    lk.radial_symbol._grid_for.cache_clear()
+
+
+def test_general_kernel_mb_cold(benchmark):
+    sym = lk.make_symbol("relativistic", alpha=1.0, m=1.0)
+    args = (sym, 2, 0.5, 1.0, 2.0)
+    warm = lk.general_kernel_mb(*args)
+    res = benchmark.pedantic(lk.general_kernel_mb, args=args,
+                             setup=_clear_symbol_stores, rounds=20)
+    assert res == warm
 
 
 def test_stable_mb_grid_400(benchmark):

@@ -77,6 +77,31 @@ class TestEval:
         assert captured.out == ""
         assert captured.err.startswith("spec error: ")
 
+    @pytest.mark.parametrize("run", [
+        ["eval", "--r", "1", "--symbol", '{"kind":"stable","a":1.2}'],
+        ["sweep", "--points", "3", "--symbol", '{"kind":"stable","a":1.2}'],
+        ["compare", "--points", "3", "--symbol", '{"kind":"stable","a":1.2}'],
+        ["envelope", "--family", "sum", "--points", "3"]],
+        ids=["eval", "sweep", "compare", "envelope-sum"])
+    @pytest.mark.parametrize("flag,value", [
+        ("--d", "1"), ("--t", "0"), ("--t", "-1"), ("--t", "nan"),
+        ("--beta", "-0.5"), ("--beta", "inf")])
+    def test_kernel_flags_of_every_run_are_checked(self, capsys, run, flag,
+                                                   value):
+        # --d, --beta and --t follow the rule of KernelSpec on symbol and
+        # two-power envelope runs too
+        with pytest.raises(SystemExit) as exc:
+            main(run + [flag, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("spec error: ")
+
+    def test_alpha_is_ignored_in_symbol_runs(self, capsys):
+        code, out = run_cli(capsys, "eval", "--r", "1", "--alpha", "3",
+                            "--symbol", '{"kind":"stable","a":1.2}')
+        assert code == 0 and math.isfinite(json.loads(out)["value"])
+
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--d", "2", "--r", "1", "--method", "bogus"])

@@ -402,9 +402,10 @@ class TestHead:
         assert abs(val - rhs) <= err
 
     @pytest.mark.parametrize("d,a,b,t", [(2, 0.6, 1.4, 1.0), (3, 0.5, 1.5, 0.3),
-                                         (1, 0.3, 1.9, 4.0)])
+                                         (4, 0.3, 1.9, 4.0)])
     def test_sum_symbol_origin_against_mpmath(self, d, a, b, t):
-        # the r = 0 path of sum_symbol_envelope_check
+        # the r = 0 path of sum_symbol_envelope_check (d >= 2, as for every
+        # kernel)
         check = lk.sum_symbol_envelope_check(d, a, b, t, [0.0])
         k0 = check["max_ratio"] * lk.sum_symbol_envelope(d, a, b, t, 0.0)
         with mp.workdps(30):

@@ -248,23 +248,82 @@ class TestGeneralKernel:
             lk.general_kernel_mb(sym, 2, 0.7, 1.0, np.ones((2, 2)))
 
 
-@pytest.mark.parametrize("call", [
-    lambda sym, t: lk.general_kernel_mb(sym, 2, 0.5, t, 1.3),
-    lambda sym, t: lk.general_kernel_at_origin(sym, 2, 0.5, t),
-    lambda sym, t: lk.mellin_Mk(sym, t, 1.0 + 0j),
-    lambda sym, t: lk.mellin_M(sym, t, 1.0 + 0j),
-], ids=["general_kernel_mb", "general_kernel_at_origin", "mellin_Mk",
-        "mellin_M"])
-def test_time_is_checked_as_an_argument(monkeypatch, call):
-    # t is rejected before any inner Mellin grid is built
-    def no_grid(*args, **kwargs):
-        raise AssertionError("an inner grid was built")
+class TestSymbolStrip:
+    # the symbol line plans on the stable kernel's strip,
+    # admissible_strip(d, beta) = ((d-1)/2 + beta, d + beta), since M_t
+    # is continued by one integration by parts
 
-    monkeypatch.setattr(lk.radial_symbol, "_MellinGrid", no_grid)
+    def test_lower_band_is_accepted(self):
+        # c in ((d-1)/2 + beta, (d+1)/2 + beta], below the strip of the
+        # paper's k-fold continuation
+        sym, spec = lk.make_symbol("stable", a=1.2), lk.KernelSpec(2, 1.2, 0.7)
+        s = lk.stable_mb(spec, 3.0)
+        for c in (1.25, 1.7, 2.2):
+            g = lk.general_kernel_mb(sym, 2, 0.7, 1.0, 3.0, abscissa=c)
+            assert g.diagnostics["abscissa"] == c
+            assert abs(g.value - s.value) <= g.est_error + s.est_error, c
+
+    def test_outside_the_strip_raises(self):
+        sym = lk.make_symbol("relativistic", alpha=1.0, m=1.0)
+        for d, beta in ((2, 0.5), (5, 2.0)):
+            lo, hi = lk.admissible_strip(d, beta)
+            assert (lo, hi) == (0.5 * (d - 1) + beta, d + beta)
+            for c in (lo - 0.1, lo, hi, hi + 0.1):
+                with pytest.raises(lk.StripViolation):
+                    lk.general_kernel_mb(sym, d, beta, 1.0, 2.0, abscissa=c)
+
+    @pytest.mark.parametrize("kind,params", [
+        ("relativistic", {"alpha": 1.0, "m": 1.0}),
+        ("sum_stable", {"a": 0.6, "b": 1.4}),
+        ("perturbed", {"a": 0.8, "c": 1.0, "delta": 1.6})])
+    def test_k_fold_midpoint_agrees_with_the_default(self, kind, params):
+        # the default (3d-1)/4 + beta agrees with (3d+1)/4 + beta, the
+        # midpoint of the k-fold strip ((d+1)/2 + beta, d + beta)
+        sym = lk.make_symbol(kind, **params)
+        grid = np.array([0.3, 2.0, 15.0])
+        for d, beta in ((2, 0.5), (2, 2.0), (5, 0.5), (5, 2.0)):
+            new = lk.general_kernel_mb(sym, d, beta, 1.0, grid)
+            old = lk.general_kernel_mb(sym, d, beta, 1.0, grid,
+                                       abscissa=0.25 * (3 * d + 1) + beta)
+            assert new[0].diagnostics["abscissa"] == 0.25 * (3 * d - 1) + beta
+            for r, a, b in zip(grid, new, old):
+                assert abs(a.value - b.value) <= a.est_error + b.est_error, (
+                    d, beta, r)
+
+
+@pytest.mark.parametrize("call,kernel", [
+    (lambda sym, d, beta, t: lk.general_kernel_mb(sym, d, beta, t, 1.3), True),
+    (lambda sym, d, beta, t: lk.general_kernel_at_origin(sym, d, beta, t),
+     True),
+    (lambda sym, d, beta, t: lk.symbol_oracle(sym, d, beta, t, 1.0), True),
+    (lambda sym, d, beta, t, z=1.0 + 0j: lk.mellin_Mk(sym, t, z), False),
+    (lambda sym, d, beta, t, z=1.0 + 0j: lk.mellin_M(sym, t, z), False),
+], ids=["general_kernel_mb", "general_kernel_at_origin", "symbol_oracle",
+        "mellin_Mk", "mellin_M"])
+def test_time_is_checked_as_an_argument(monkeypatch, call, kernel):
+    # t, and a kernel's d and beta by the rule of KernelSpec, are rejected
+    # before any inner Mellin grid or oracle panel is built
+    def never(*args, **kwargs):
+        raise AssertionError("an inner grid or an oracle panel was built")
+
+    monkeypatch.setattr(lk.radial_symbol, "_MellinGrid", never)
+    monkeypatch.setattr(lk.oracle, "hankel_oracle", never)
     sym = lk.make_symbol("relativistic", alpha=1.0, m=1.0)
-    for t in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(lk.DomainError, match="t must be > 0"):
-            call(sym, t)
+    bad = [((2, 0.5, t), "t must be > 0") for t in
+           (0.0, -1.0, math.nan, math.inf)]
+    if kernel:
+        # d = 1 lies outside the rule, though its strip (beta, 1 + beta) is
+        # not empty
+        bad += [((d, 0.5, 1.0), "d must be >= 2") for d in (1, 0, math.nan)]
+        bad += [((2, beta, 1.0), "beta must be >= 0") for beta in
+                (-0.5, math.nan, math.inf, -math.inf)]
+    for args, message in bad:
+        with pytest.raises(lk.DomainError, match=message):
+            call(sym, *args)
+    if not kernel:
+        # an empty z takes no grid either
+        got = call(sym, 2, 0.5, 1.0, z=np.array([], dtype=complex))
+        assert got.shape == (0,) and got.dtype == np.complex128
 
 
 class TestGeneralKernelAtOrigin:
@@ -349,7 +408,7 @@ class TestGeneralMBGrid:
         # a scalar call runs the one-row loop on Python numbers; off the
         # strip midpoint too, it returns the bits of its grid row
         sym = lk.make_symbol(kind, **params)
-        lo, hi = lk.general_strip(d, beta)
+        lo, hi = lk.admissible_strip(d, beta)
         c = lo + 0.8 * (hi - lo)
         grid = np.geomspace(0.3, 40.0, 12)
         batch = lk.general_kernel_mb(sym, d, beta, t, grid, abscissa=c)
