@@ -170,7 +170,8 @@ def cmd_eval(args) -> int:
         ref = (symbol_oracle(sym, args.d, args.beta, args.t, args.r)
                if sym is not None else stable_oracle(args.spec, args.r))
         gap = abs(payload["value"] - ref.value) / max(abs(ref.value), 1e-300)
-        payload["verify"] = {"oracle_value": ref.value, "rel_gap": gap}
+        payload["verify"] = {"oracle_value": ref.value,
+                             "oracle_est_error": ref.est_error, "rel_gap": gap}
     _emit(args, _json_dumps(payload))
     return 0
 

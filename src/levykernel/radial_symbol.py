@@ -471,8 +471,10 @@ def tail_integral(sym: RadialSymbol, d: int, beta: float, t: float, r: float,
     for a cutoff psi that is 0 on s <= 1 and 1 on s >= 2.  With psi and
     eta providing n_parts derivatives, |E| decays at least like
     r^(-n_parts - 1/2); the built-in cutoff has n_parts + 1 vanishing
-    derivatives at the seam.
+    derivatives at the seam.  Raises DomainError outside ``KernelSpec``'s
+    rule on d, beta and t.
     """
+    _check_kernel(t, d, beta)
     if psi is None:
         psi = smoothstep_cutoff(n_parts + 1)
     p = 0.5 * d + beta
@@ -495,7 +497,9 @@ def decay_slope(sym: RadialSymbol, d: int, beta: float, t: float, r_grid,
                 n_parts: int = 4, psi=None) -> float:
     """Least-squares slope of log|E| against log r, fitted through the
     local envelope (window maxima of three samples per grid point) so
-    oscillation nulls of E do not poison the fit."""
+    oscillation nulls of E do not poison the fit.  Raises DomainError
+    outside ``KernelSpec``'s rule on d, beta and t."""
+    _check_kernel(t, d, beta)
     r_grid = np.asarray(r_grid, dtype=float)
     k = _ENVELOPE_WINDOW
     rr = np.geomspace(r_grid.min(), r_grid.max(), k * r_grid.size)

@@ -5,7 +5,8 @@ order beta >= 0 is the radial function whose Fourier transform is
 |xi|^beta exp(-t |xi|^alpha).  Four evaluation routes live here:
 
 * ``stable_mb``       -- inverse-Mellin (vertical line) contour integral;
-* ``stable_series``   -- large-r residue expansion (asymptotic series);
+* ``stable_series``   -- large-r residue expansion: asymptotic for
+                         alpha >= 1, convergent for alpha < 1;
 * ``small_r_series``  -- small-r expansion from right-shifted residues;
 * closed forms at alpha = 1 (Cauchy/Poisson) and alpha = 2 (Gaussian).
 
@@ -19,6 +20,7 @@ kernel(t, r) = t^(-(d+beta)/alpha) * kernel(1, t^(-1/alpha) r).
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import functools
 import itertools
@@ -50,7 +52,15 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-_SERIES_MAX_TERMS = 40  # stable_series reads the poles n = 0 .. 40
+_LNPI = math.log(math.pi)
+# the asymptotic (alpha >= 1) large-r series reads the poles n = 0 .. 40
+_SERIES_MAX_TERMS = 40
+# the convergent (alpha < 1) large-r series reads at most this many poles
+_CONVERGENT_POLES = 400
+# ``evaluate`` tries a convergent series whose terms peak at a pole
+# n <= _LEFT_HUMP (large r) or m <= _RIGHT_HUMP (small r)
+_LEFT_HUMP, _RIGHT_HUMP = 100, 120
+_TINY = 2.0 ** -1022  # the least normal float
 # small_r_series stops at a term this small against its sum
 _SMALL_R_TOL = 1e-16
 # rounding of a series, per unit of sum |term|: each coefficient is good to
@@ -228,43 +238,175 @@ def _residues(d: int, alpha: float, beta: float, family: str, limit: int | None)
     family (all of them for None), each (-1)^n/n! Gamma(up)/Gamma(down)
     at real arguments by ``math.gamma``.  ``"left"``, z = -n*alpha: the
     large-r term at t = 1, 2^(beta+n*alpha) pi^(-d/2) included, zero
-    where down = -(n*alpha+beta)/2 is within ``POLE_TOL`` of an integer.
-    ``"right"``, z = d+beta+2m: coefficient * (r/2)^(2m), exponent -2m,
-    without the factor 2^(1-d) pi^(-d/2) / alpha.  up >= down, so
-    Gamma(up) leaves the float range first and raises OverflowError."""
-    left = family == "left"
+    where down = -(n*alpha+beta)/2 is within ``POLE_TOL`` of an integer,
+    in log form past the float range (``_left_pole``).  ``"right"``,
+    z = d+beta+2m: coefficient * (r/2)^(2m), exponent -2m, without the
+    factor 2^(1-d) pi^(-d/2) / alpha; up >= down, so Gamma(up) leaves the
+    float range first and raises OverflowError."""
     for n in itertools.count() if limit is None else range(limit):
-        if left:
-            up, down = 0.5 * (d + beta + n * alpha), -(n * alpha + beta) / 2.0
-            if abs(down - round(down)) <= POLE_TOL:
-                yield SeriesTerm(n, d + beta + n * alpha, 0.0, True)
-                continue
-        else:
-            up, down = (d + beta + 2 * n) / alpha, 0.5 * d + n
+        if family == "left":
+            yield _left_pole(d, alpha, beta, n)[0]
+            continue
+        up, down = (d + beta + 2 * n) / alpha, 0.5 * d + n
         c = (-1) ** n / math.factorial(n) * math.gamma(up) / math.gamma(down)
-        if left:
-            yield SeriesTerm(n, d + beta + n * alpha, c * 2.0 ** (beta + n * alpha)
-                             * math.pi ** (-0.5 * d), False)
-        else:
-            yield SeriesTerm(n, -2.0 * n, c, False)
+        yield SeriesTerm(n, -2.0 * n, c, False)
+
+
+@functools.lru_cache(maxsize=_LINES_KEPT)
+def _right_terms(d, alpha, beta):
+    """The right ``_residues`` of the unit kernel (d, alpha, beta), the
+    small-r terms, shared by every t and r.  Each coefficient costs two
+    gamma calls, which a series call would otherwise pay for every pole
+    it reads.  The tuple ends at the first coefficient whose gamma factor
+    overflows a float, by m = 171, where up >= m + 1."""
+    terms = []
+    with contextlib.suppress(OverflowError):
+        for term in _residues(d, alpha, beta, "right", None):
+            terms.append(term)
+    return tuple(terms)
+
+
+def _left_pole(d, alpha, beta, n):
+    """The left pole n of ``_residues`` in two forms, as the tuple
+    (term, c, exponent, sign, ln|c|, rounding): the ``SeriesTerm``; its
+    float coefficient c, by ``math.gamma`` to ~4.5 eps, 0.0 where a factor
+    of it leaves the normal floats (n > 170 or a gamma overflow); its
+    exponent; and the coefficient sign * exp(ln|c|) in log form, from
+    ``math.lgamma``, with the rounding of ln|c| per eps (sign 0.0 where
+    the residue vanishes).  The term's coefficient is c, else the log form
+    (+-inf past the float range)."""
+    exponent = d + beta + n * alpha
+    up, down = 0.5 * (d + beta + n * alpha), -(n * alpha + beta) / 2.0
+    if abs(down - round(down)) <= POLE_TOL:
+        return (SeriesTerm(n, exponent, 0.0, True), 0.0, exponent, 0.0,
+                -math.inf, 0.0)
+    logs = (math.lgamma(up), -math.lgamma(n + 1.0), -math.lgamma(down),
+            (beta + n * alpha) * _LN2, -0.5 * d * _LNPI)
+    ln_c = sum(logs)
+    # Gamma(down) < 0 on (-2k-1, -2k)
+    sign = (-1.0) ** n * (-1.0 if math.floor(down) % 2 else 1.0)
+    c = 0.0
+    if n <= 170:  # 1/n! is a normal float
+        with contextlib.suppress(OverflowError):
+            g_down = math.gamma(down)
+            if abs(g_down) >= _TINY:
+                c = ((-1) ** n / math.factorial(n) * math.gamma(up) / g_down
+                     * 2.0 ** (beta + n * alpha) * math.pi ** (-0.5 * d))
+        if not _TINY <= abs(c) < math.inf:
+            c = 0.0
+    coefficient = c or (sign * math.exp(ln_c) if ln_c < 709.0
+                        else math.copysign(math.inf, sign))
+    return (SeriesTerm(n, exponent, coefficient, False), c, exponent, sign,
+            ln_c, 8.0 + 2.0 * sum(map(abs, logs)))
+
+
+@functools.lru_cache(maxsize=_LINES_KEPT)
+def _left_poles(d, alpha, beta):
+    """The ``_left_pole``s of the unit kernel (d, alpha, beta), shared by
+    every t and r; ``stable_series`` extends the list as it reads on."""
+    return []
+
+
+def _concave_majorant(values):
+    """The least concave majorant of the points (n, values[n]), as its
+    values at each n and its falls hull[n] - hull[n+1], nondecreasing."""
+    vertices = []
+    for i, v in enumerate(values):
+        while len(vertices) >= 2:
+            i1, i2 = vertices[-2], vertices[-1]
+            if ((values[i2] - values[i1]) * (i - i1)
+                    > (v - values[i1]) * (i2 - i1)):
+                break
+            vertices.pop()
+        vertices.append(i)
+    hull, falls = [values[0]], []
+    for i1, i2 in zip(vertices, vertices[1:]):
+        fall = (values[i1] - values[i2]) / (i2 - i1)
+        for i in range(i1 + 1, i2 + 1):
+            hull.append(values[i1] - fall * (i - i1))
+            falls.append(fall)
+    return hull, falls
 
 
 @functools.lru_cache(maxsize=2 * _LINES_KEPT)
-def _residue_terms(d, alpha, beta, family):
-    """The ``_residues`` of one family of the unit kernel (d, alpha,
-    beta), shared by every t and r: ``"left"``, the large-r terms
-    n = 0 .. ``_SERIES_MAX_TERMS``; ``"right"``, the small-r terms.
-    Each coefficient costs two gamma calls, which a series call would
-    otherwise pay for every pole it reads.  The tuple ends at the first
-    coefficient whose gamma factor overflows a float, by m = 171 on
-    the right, where up >= m + 1.  The cache holds both families of
-    ``_LINES_KEPT`` unit specs."""
-    limit = _SERIES_MAX_TERMS + 1 if family == "left" else None
-    terms = []
-    with contextlib.suppress(OverflowError):
-        for term in _residues(d, alpha, beta, family, limit):
-            terms.append(term)
-    return tuple(terms)
+def _envelope(d, alpha, beta, family):
+    """A concave bound on ln|coefficient| over one family's poles of the
+    unit kernel (d, alpha, beta), as (hull, falls, lead, hump_max): the
+    ``_concave_majorant`` of ``"left"``, the first ``_CONVERGENT_POLES``
+    coefficients with |1/Gamma(x)| <= Gamma(1-x)/pi, or ``"right"``,
+    ln Gamma((d+beta+2m)/alpha) - ln m! - ln Gamma(d/2+m) over
+    ``_right_terms``.  lead is ln of the leading value: the origin value
+    on the left (None when it overflows a float), the m = 0 term (without
+    ``_right_base``) on the right.  hump_max is the last pole a gated
+    series may peak at."""
+    if family == "left":
+        bounds = [math.lgamma(0.5 * (d + beta + n * alpha)) - math.lgamma(n + 1.0)
+                  + math.lgamma(1.0 + 0.5 * (n * alpha + beta))
+                  + (beta + n * alpha) * _LN2 - (0.5 * d + 1.0) * _LNPI
+                  for n in range(_CONVERGENT_POLES)]
+        try:
+            lead = math.log(kernel_at_origin(KernelSpec(d, alpha, beta)))
+        except OverflowError:
+            lead = None
+        hump_max = _LEFT_HUMP
+    else:
+        bounds = [math.lgamma((d + beta + 2 * m) / alpha) - math.lgamma(m + 1.0)
+                  - math.lgamma(0.5 * d + m)
+                  for m in range(len(_right_terms(d, alpha, beta)))]
+        lead = bounds[0]
+        hump_max = min(_RIGHT_HUMP, len(bounds) - 2)
+    return (*_concave_majorant(bounds), lead, hump_max)
+
+
+def _gate(d, alpha, beta, family, ln_rp, tol):
+    """Whether a convergent series of one family can meet tol at the
+    unit-time radius e^ln_rp, in O(1) from its ``_envelope``: the
+    envelope of ln|term| (slope -alpha ln r' in n on the left, ln (r'/2)^2
+    in m on the right) must peak at a pole up to hump_max, and 16 eps
+    times that peak must stay within tol/30 of the leading value.  On the
+    left its ratio must also fall below 1/2 within the poles it spans,
+    which ``_left_tail`` needs to stop the sum."""
+    hull, falls, lead, hump_max = _envelope(d, alpha, beta, family)
+    if lead is None or not tol > 0.0:
+        return False
+    if family == "left":
+        slope, shift = -alpha * ln_rp, -(d + beta) * ln_rp
+        if not falls[-2] > slope + _LN2:
+            return False
+    else:
+        slope, shift = 2.0 * (ln_rp - _LN2), 0.0
+    hump = bisect.bisect_left(falls, slope)
+    return hump <= hump_max and (hull[hump] + hump * slope + shift - lead
+                                 <= math.log(tol / (30.0 * _SERIES_ROUNDING)))
+
+
+def _left_tail(d, alpha, beta, n, ln_rp):
+    """A bound on sum_(k>n) |t_k| of the convergent (alpha < 1) large-r
+    series at t = 1, from its left ``_envelope`` b_k >= |t_k|: b_(n+1)/(1-q)
+    once the ratio q = b_(n+2)/b_(n+1), which the envelope's concavity
+    makes the largest ratio past n, is below 1/2; None before that."""
+    hull, falls, _, _ = _envelope(d, alpha, beta, "left")
+    k = n + 1
+    if k >= len(falls):
+        return None
+    ln_q = -alpha * ln_rp - falls[k]
+    if not ln_q < -_LN2:
+        return None
+    try:
+        return (math.exp(hull[k] - (d + beta + k * alpha) * ln_rp)
+                / (1.0 - math.exp(ln_q)))
+    except OverflowError:
+        return None
+
+
+def _log_term(n, sign, ln_c, exponent, ln_rp):
+    """The large-r term n, sign * exp(ln|c_n| - e_n ln r'), at t = 1;
+    DomainError past the float range."""
+    try:
+        return sign * math.exp(ln_c - exponent * ln_rp)
+    except OverflowError:
+        raise DomainError(f"the residue term n = {n} overflows a float "
+                          f"at r' = {math.exp(ln_rp)}") from None
 
 
 def stable_series(spec: KernelSpec, r: float,
@@ -272,18 +414,32 @@ def stable_series(spec: KernelSpec, r: float,
     """Large-r residue expansion.  Terms decay like r^(-d-beta-n*alpha).
 
     With ``n_terms`` given, keeps that many non-vanished terms (and sets
-    a divergence flag if they grow before the count is reached);
-    otherwise stops at the optimal truncation point, just before the
-    first term whose magnitude exceeds its predecessor, or as soon as a
-    kept term falls below 2^-53 of the running sum.  The ``converged``
-    diagnostic says a kept term fell that low before any term grew: the
-    remainder, of the size of the first omitted term, is then below the
-    last bit.  The error estimate is the magnitude of the first omitted
-    non-vanished term (the last kept one where the sum stops converged or
-    at the last pole read), plus the rounding: 16 eps times the sum of
-    the kept terms' magnitudes, and eps |t_n| (e_n |ln r'| + 1) per kept
-    term t_n = c_n r'^(-e_n), for the rounding of its exponent and of its
-    power.
+    a divergence flag if they grow before the count is reached).
+    Otherwise, for alpha >= 1, where the series is asymptotic, it stops
+    at the optimal truncation point, just before the first term whose
+    magnitude exceeds its predecessor, or as soon as a kept term falls
+    below 2^-53 of the running sum, reading the poles n = 0 .. 40.  The
+    ``converged`` diagnostic says a kept term fell that low before any
+    term grew: the remainder, of the size of the first omitted term, is
+    then below the last bit.  The error estimate is the magnitude of the
+    first omitted non-vanished term (the last kept one where the sum
+    stops converged or at the last pole read).
+
+    For 0 < alpha < 1 the series converges for every r' (its coefficients
+    decay like (n!)^(alpha-1)), and without ``n_terms`` it is summed past
+    its largest term, over up to 400 poles, until a kept term falls below
+    2^-53 of the sum where the terms' concave envelope (``_envelope``)
+    already falls by more than half per pole.  ``converged`` says that
+    happened, and the error estimate is then that envelope's geometric
+    tail bound (``_left_tail``).  Terms whose coefficient or power leaves
+    the float range are formed in log form, sign * exp(ln|c_n| - e_n ln r');
+    a term past the float range raises DomainError.
+
+    Both add the rounding: 16 eps times the sum of the kept terms'
+    magnitudes, and eps |t_n| (e_n |ln r'| + 1) per kept term
+    t_n = c_n r'^(-e_n), for the rounding of its exponent and of its
+    power, plus the rounding of ln|c_n| for a term in log form.
+    ``diagnostics["terms"]`` lists every pole read.
     """
     if not 0.0 < spec.alpha < 2.0:
         raise DomainError("the residue expansion requires 0 < alpha < 2")
@@ -292,44 +448,74 @@ def stable_series(spec: KernelSpec, r: float,
     unit, rp, pref = scaling_reduce(spec, r)
     d, a, b = unit.d, unit.alpha, unit.beta
 
-    ln_r = abs(math.log(rp))
-    poles = _residue_terms(d, a, b, "left")
+    ln_rp = math.log(rp)
+    ln_r = abs(ln_rp)
+    convergent = a < 1.0 and n_terms is None
+    if a >= 1.0:
+        limit = _SERIES_MAX_TERMS + 1
+    else:
+        limit = _CONVERGENT_POLES if convergent else None
+    poles = _left_poles(d, a, b)
     terms: list[SeriesTerm] = []
-    kept_values: list[float] = []
-    value = power_rounding = 0.0
+    value = gross = power_rounding = 0.0
+    used, last = 0, math.inf  # kept terms, |the last kept term|
     divergence = converged = False
-    for term in poles:
-        if term.vanished:
+    for n in itertools.count() if limit is None else range(limit):
+        if n == len(poles):
+            poles.extend(_left_pole(d, a, b, k)
+                         for k in range(n, n + _SERIES_MAX_TERMS + 1))
+        term, c, exponent, sign, ln_c, log_rounding = poles[n]
+        if not sign:  # a vanished residue
             terms.append(term)
             continue
-        tv = term.coefficient * rp ** (-term.exponent)
-        grew = bool(kept_values) and abs(tv) >= abs(kept_values[-1])
-        if grew if n_terms is None else len(kept_values) == n_terms:
-            next_term_value = tv
-            break
-        divergence |= grew
+        if c:
+            try:
+                tv = c * rp ** -exponent
+            except OverflowError:
+                tv = _log_term(n, sign, ln_c, exponent, ln_rp)
+                power_rounding += abs(tv) * log_rounding
+        elif a >= 1.0:
+            raise DomainError(f"the residue coefficient n = {n} "
+                              "overflows a float")
+        else:
+            tv = _log_term(n, sign, ln_c, exponent, ln_rp)
+            power_rounding += abs(tv) * log_rounding
+        at = abs(tv)
+        if not convergent:
+            grew = at >= last
+            if grew if n_terms is None else used == n_terms:
+                next_term_value = tv
+                break
+            divergence |= grew
+        last = at
+        used += 1
         terms.append(term)
-        kept_values.append(tv)
         value += tv
+        gross += at
         if tv:  # a zero term carries no rounding (r' = inf: ln r' = inf)
-            power_rounding += abs(tv) * (term.exponent * ln_r + 1.0)
-        if not divergence and abs(tv) < _CONVERGED * abs(value):
+            power_rounding += at * (exponent * ln_r + 1.0)
+        if not divergence and at < _CONVERGED * abs(value):
+            if convergent:
+                tail = _left_tail(d, a, b, n, ln_rp)
+                if tail is not None:
+                    converged = True
+                    next_term_value = tail
+                    break
+                continue
             converged = True
             if n_terms is None:
                 next_term_value = tv
                 break
     else:
-        if len(poles) <= _SERIES_MAX_TERMS:
-            raise DomainError(f"the residue coefficient n = {len(poles)} "
-                              "overflows a float")
-        next_term_value = kept_values[-1] if kept_values else 0.0
-    rounding = (_SERIES_ROUNDING * sum(map(abs, kept_values))
-                + _EPS * power_rounding)
+        next_term_value = 0.0 if last == math.inf else last
+    if not -math.inf < value < math.inf:
+        raise DomainError(f"the residue sum overflows a float at r' = {rp}")
+    rounding = _SERIES_ROUNDING * gross + _EPS * power_rounding
     return Approximation(
         value=pref * value,
         est_error=pref * (abs(next_term_value) + rounding),
         method="residue_series",
-        diagnostics={"terms": terms, "terms_used": len(kept_values),
+        diagnostics={"terms": terms, "terms_used": used,
                      "divergence_warning": divergence, "converged": converged,
                      "r_scaled": rp, "prefactor": pref})
 
@@ -392,7 +578,12 @@ def small_r_series(spec: KernelSpec, r: float) -> Approximation:
     the Gaussian closed form.  Its est_error is the rounding of that
     form, (r'/2)^2 included; otherwise it is the last kept term plus
     16 eps times the sum of |term|.  The coefficients are kept per unit
-    spec (``_residue_terms``).  r must be finite and >= 0.
+    spec (``_right_terms``).  r must be finite and >= 0.
+
+    At 1 < alpha < 2 ``evaluate`` also reads it past r' = 1/2, where its
+    gate (``_gate``) says the terms peak early and low enough to meet
+    tol: the terms grow to that peak and then fall, and the 16 eps sum
+    |term| of the estimate carries their cancellation.
     """
     if not 0.0 <= r < math.inf:
         raise DomainError(f"the small-r expansion needs 0 <= r < inf, got {r}")
@@ -432,7 +623,7 @@ def small_r_series(spec: KernelSpec, r: float) -> Approximation:
             value=pref * base * total, est_error=est, method="small_r_series",
             diagnostics={"terms_used": -1, "factored": True, "r_scaled": rp})
 
-    terms = _residue_terms(d, a, b, "right")
+    terms = _right_terms(d, a, b)
     total = abs_sum = 0.0
     try:
         for res in terms:
@@ -464,13 +655,21 @@ def evaluate(spec: KernelSpec, r: float, method: str = "auto",
              tol: float = 1e-9, abscissa: float | None = None) -> Approximation:
     """Evaluate one kernel by the requested route.
 
-    ``auto`` picks a closed form when one exists, the small-r expansion
-    (or the oracle, when alpha < 1) for t^(-1/alpha) r < 1/2, and
-    otherwise the large-r residue series when it has converged to its
-    last bit (``stable_series``'s ``converged``) within ``tol``, else the
-    contour integral.  ``abscissa`` moves the contour's line
-    (``stable_mb``); the other routes ignore it.  r must be finite and
-    >= 0; ``auto`` answers r = 0 with ``kernel_at_origin``.
+    ``auto`` answers r = 0 with ``kernel_at_origin`` and takes a closed
+    form when one exists (and the small-r sum at alpha = 2).  Otherwise,
+    with r' = t^(-1/alpha) r:
+
+    * 0 < alpha < 1: the large-r residue series, which converges there,
+      where an O(1) gate (``_gate``) says it can meet tol; else the
+      oracle for r' < 1/2 and the contour integral beyond;
+    * 1 <= alpha < 2: the small-r expansion for r' < 1/2; beyond, the
+      large-r series when it has converged to its last bit, then (for
+      alpha > 1, where it converges for every r') the gated small-r
+      expansion, else the contour integral.
+
+    A series is taken only when it has converged and its est_error meets
+    ``tol``.  ``abscissa`` moves the contour's line (``stable_mb``); the
+    other routes ignore it.  r must be finite and >= 0.
     """
     if not 0.0 <= r < math.inf:
         raise DomainError(f"r must be finite and >= 0, got {r}")
@@ -501,15 +700,42 @@ def evaluate(spec: KernelSpec, r: float, method: str = "auto",
         raise ValueError(f"unknown method {method!r}")
     if a == 2.0:
         return small_r_series(spec, r)
-    if scaling_reduce(spec, r)[1] < 0.5:
-        if a >= 1.0:
-            return small_r_series(spec, r)
-        return _oracle.stable_oracle(spec, r, tol=min(tol, 1e-10))
+    rp = scaling_reduce(spec, r)[1]
+    if a < 1.0:
+        series = _gated_series(spec, r, rp, tol, "left")
+        if series is not None:
+            return series
+        if rp < 0.5:
+            return _oracle.stable_oracle(spec, r, tol=min(tol, 1e-10))
+        return stable_mb(spec, r, abscissa=abscissa, tol=tol)
+    if rp < 0.5:
+        return small_r_series(spec, r)
     series = stable_series(spec, r)
     if (series.diagnostics["converged"]
             and series.est_error <= tol * abs(series.value)):
         return series
+    if a > 1.0:
+        series = _gated_series(spec, r, rp, tol, "right")
+        if series is not None:
+            return series
     return stable_mb(spec, r, abscissa=abscissa, tol=tol)
+
+
+def _gated_series(spec, r, rp, tol, family):
+    """The convergent series of one family at (spec, r), ``stable_series``
+    on the left and ``small_r_series`` on the right, where its ``_gate``
+    passes and it converges within tol; None otherwise, a DomainError of
+    the sum included."""
+    if not _gate(spec.d, spec.alpha, spec.beta, family, math.log(rp), tol):
+        return None
+    try:
+        series = (stable_series if family == "left" else small_r_series)(spec, r)
+    except DomainError:
+        return None
+    if (series.diagnostics.get("converged", True)
+            and series.est_error <= tol * abs(series.value)):
+        return series
+    return None
 
 
 def _fractional_envelope(spec: KernelSpec, r):

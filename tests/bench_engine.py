@@ -9,8 +9,11 @@ only its phase sums and its refinement bookkeeping, the per-point cost of
 a contour value.  The cold ``general_kernel_mb`` clears the symbol's line
 store and inner grids before each round, so it also pays the plan, the
 samples of G and the inner Mellin grids behind them.  The scalar calls
-run ``mellin._refine``'s one-row loop, the grid its array loop.
+run ``mellin._refine``'s one-row loop, the grid its array loop.  The
+residue-series timings are warm too: the pole tables and the gate's
+envelopes are kept per unit spec.
 """
+
 
 import numpy as np
 import pytest
@@ -56,3 +59,30 @@ def test_stable_mb_grid_400(benchmark):
     first = lk.stable_mb(spec, grid)
     res = benchmark(lk.stable_mb, spec, grid)
     assert res == first
+
+
+def test_convergent_left_series(benchmark):
+    # alpha < 1: summed past its largest term to its tail bound
+    spec = lk.KernelSpec(3, 0.5, 2.0)
+    first = lk.stable_series(spec, 0.3)
+    assert first.diagnostics["converged"]
+    res = benchmark(lk.stable_series, spec, 0.3)
+    assert res == first
+
+
+def test_right_series_past_half(benchmark):
+    # 1 < alpha < 2 at r' = 2, where evaluate takes the small-r series
+    spec = lk.KernelSpec(3, 1.5, 2.0)
+    first = lk.small_r_series(spec, 2.0)
+    assert lk.evaluate(spec, 2.0).method == "small_r_series"
+    res = benchmark(lk.small_r_series, spec, 2.0)
+    assert res == first
+
+
+def test_gate_rejection(benchmark):
+    # d = 3, alpha = 0.9, r' = 0.3: the gate turns the left series down
+    # (the point goes on to the oracle); what a rejected attempt costs
+    spec = lk.KernelSpec(3, 0.9, 0.0)
+    gated = lk.stable_kernel._gated_series
+    res = benchmark(gated, spec, 0.3, 0.3, 1e-9, "left")
+    assert res is None

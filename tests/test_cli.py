@@ -46,6 +46,21 @@ class TestEval:
         assert payload["est_error"] >= 0
         assert payload["verify"]["rel_gap"] < 1e-6
 
+    def test_verify_reports_the_oracle_estimate(self, capsys):
+        # at d = 2, alpha = 0.1, r = 5 the oracle's own est_error is large
+        # against its value, so rel_gap alone says little there
+        code, out = run_cli(capsys, "eval", "--d", "2", "--alpha", "0.1",
+                            "--r", "5", "--verify")
+        assert code == 0
+        verify = json.loads(out)["verify"]
+        assert set(verify) == {"oracle_value", "oracle_est_error", "rel_gap"}
+        ref = lk.stable_oracle(lk.KernelSpec(d=2, alpha=0.1), 5.0)
+        assert verify["oracle_value"] == ref.value
+        assert verify["oracle_est_error"] == ref.est_error > 0
+        code, out = run_cli(capsys, "eval", "--d", "2", "--alpha", "0.1",
+                            "--r", "5")
+        assert "verify" not in json.loads(out)
+
     @pytest.mark.parametrize("method", ["mb", "oracle"])
     def test_symbol_origin(self, capsys, method):
         # relativistic(1, 1) at d = 2, beta = 0, t = 1:

@@ -685,6 +685,21 @@ class TestCutoffAndTail:
                                psi=lambda s: np.zeros_like(np.asarray(s, float)))
         assert val == 0.0
 
+    @pytest.mark.parametrize("d,beta,t,message", [
+        (2, 0.0, 0.0, "t must be > 0"), (2, -0.5, 1.0, "beta must be >= 0"),
+        (1, 0.0, 1.0, "d must be >= 2")])
+    @pytest.mark.parametrize("call", [
+        lambda sym, d, beta, t: lk.tail_integral(sym, d, beta, t, 7.0),
+        lambda sym, d, beta, t: lk.decay_slope(sym, d, beta, t,
+                                               np.geomspace(20.0, 200.0, 4))],
+        ids=["tail_integral", "decay_slope"])
+    def test_kernel_arguments_are_checked(self, call, d, beta, t, message):
+        # t = 0 returned 0.109 and beta = -0.5 returned 0.0133; d = 1 raised
+        # an untyped ValueError from bessel_j (nu = -1/2)
+        sym = lk.make_symbol("stable", a=1.5)
+        with pytest.raises(lk.DomainError, match=message):
+            call(sym, d, beta, t)
+
     def test_decay_slope_meets_bound(self):
         sym = lk.make_symbol("stable", a=1.5)
         slope = lk.decay_slope(sym, 2, 0.0, 1.0,

@@ -524,7 +524,11 @@ class TestEvaluateRouting:
         assert lk.evaluate(lk.KernelSpec(d=2, alpha=1.0), 1.0).method == "closed_form"
         assert lk.evaluate(lk.KernelSpec(d=2, alpha=1.5), 0.2).method == "small_r_series"
         assert lk.evaluate(lk.KernelSpec(d=2, alpha=0.7), 0.2).method == "oracle"
-        assert lk.evaluate(lk.KernelSpec(d=2, alpha=1.5), 3.0).method == "mb_contour"
+        # at alpha > 1 the small-r series converges for every r': at r = 3
+        # it meets tol past the large-r series; at r = 5 its terms cancel
+        # too much and the contour answers
+        assert lk.evaluate(lk.KernelSpec(d=2, alpha=1.5), 3.0).method == "small_r_series"
+        assert lk.evaluate(lk.KernelSpec(d=2, alpha=1.5), 5.0).method == "mb_contour"
         assert lk.evaluate(lk.KernelSpec(d=2, alpha=1.5), 30.0).method == "residue_series"
         assert lk.evaluate(lk.KernelSpec(d=2, alpha=1.5), 0.0).method == "closed_form"
 
@@ -538,6 +542,183 @@ class TestEvaluateRouting:
             v = lk.evaluate(spec, r).value
             o = lk.stable_oracle(spec, r).value
             assert v == pytest.approx(o, rel=1e-7)
+
+
+def _left_series_mp(d, alpha, beta, t, r, dps=50):
+    """K(t, r) from the large-r residue series in mpmath, which converges
+    at alpha < 1, at the exact float arguments given."""
+    with mp.workdps(dps):
+        d, alpha, beta, t, r = map(mp.mpf, (d, alpha, beta, t, r))
+        rp = r * t ** (-1 / alpha)
+        total, peak, n = mp.mpf(0), mp.mpf(0), 0
+        while True:
+            term = ((-1) ** n / mp.factorial(n) * mp.gamma((d + beta + n * alpha) / 2)
+                    * mp.rgamma(-(n * alpha + beta) / 2) * 2 ** (beta + n * alpha)
+                    * mp.pi ** (-d / 2) * rp ** (-(d + beta + n * alpha)))
+            total += term
+            peak = max(peak, abs(term))
+            if n > 20 and abs(term) < peak and abs(term) < mp.mpf(10) ** -dps * abs(total):
+                return float(t ** (-(d + beta) / alpha) * total)
+            n += 1
+
+
+def _right_series_mp(d, alpha, beta, r, dps=60):
+    """K(1, r) from the small-r residue series in mpmath (alpha > 1)."""
+    with mp.workdps(dps):
+        d, alpha, beta, r = map(mp.mpf, (d, alpha, beta, r))
+        x, total, m = (r / 2) ** 2, mp.mpf(0), 0
+        while True:
+            term = ((-1) ** m / mp.factorial(m) * mp.gamma((d + beta + 2 * m) / alpha)
+                    / mp.gamma(d / 2 + m) * x ** m)
+            total += term
+            if m > 5 and abs(term) < mp.mpf(10) ** -dps * abs(total):
+                return float(2 ** (1 - d) * mp.pi ** (-d / 2) / alpha * total)
+            m += 1
+
+
+class TestConvergentSeries:
+    # evaluate("auto") draws whose contour or oracle value missed tol with
+    # an est_error that did not bound its error: +3.385e173, +7.05e106,
+    # +2.0747e5 (est 1.1e3 |K|) and +4.681e33 at alpha = 0.1, and -758.82185
+    # (est 7.46e-3, error 9.2e-3) at d = 8, alpha = 0.5, beta = 2.  The
+    # references are 90-digit sums of the left series at these floats.
+    DRAWS = [
+        ((10, 0.1, 2.082, 0.4303), 0.27539, 70690.58147756961037797709),
+        ((9, 0.1, 2.763, 1.6529), 1123.43, 6.436632343593687323593394e-37),
+        ((3, 0.1, 0.0, 0.7286), 0.026572, 155.5653662708856266225253),
+        ((5, 0.1, 2.0, 1.9916), 1230.16, -3.263473700954293634702801e-24),
+        ((8, 0.5, 2.0, 0.5), 0.4, -758.8126349344255602937591),
+    ]
+
+    @pytest.mark.parametrize("args,r,ref", DRAWS,
+                             ids=["10-0.1-2.082", "9-0.1-2.763", "3-0.1-0",
+                                  "5-0.1-2", "8-0.5-2"])
+    def test_frozen_defect_draws(self, args, r, ref):
+        got = lk.evaluate(lk.KernelSpec(*args), r)
+        assert got.method == "residue_series"
+        err = abs(got.value - ref)
+        assert err <= 1e-9 * abs(ref)
+        assert err <= got.est_error + 1e-15 * abs(ref)
+        assert got.est_error <= 1e-9 * abs(got.value)
+
+    def test_estimate_bounds_seeded_draws(self):
+        # the sum runs past its largest term; its est_error is the
+        # envelope's geometric tail plus the rounding
+        rng = np.random.default_rng(20261020)
+        for _ in range(12):
+            d = int(rng.integers(2, 11))
+            alpha, beta = float(rng.uniform(0.05, 0.95)), float(rng.choice([0.0, 0.7, 2.0]))
+            t, r = float(10 ** rng.uniform(-1, 1)), float(10 ** rng.uniform(-1, 2))
+            got = lk.stable_series(lk.KernelSpec(d, alpha, beta, t), r)
+            if not got.diagnostics["converged"]:
+                continue
+            ref = _left_series_mp(d, alpha, beta, t, r)
+            assert abs(got.value - ref) <= got.est_error + 1e-15 * abs(ref)
+
+    def test_tail_bound_covers_an_accidentally_small_term(self):
+        # at alpha = 0.5 + 1e-12 the residue n = 4 sits 2e-12 off a zero of
+        # 1/Gamma, just outside POLE_TOL: at r = 1000 its term falls below
+        # 2^-53 of the sum, and the sum stops there, 5.3e-8 off.  Its
+        # est_error was 2.1e-23 and evaluate returned it; the envelope's
+        # tail bound covers the next term, so evaluate moves on
+        spec, r = lk.KernelSpec(d=2, alpha=0.500000000001), 1000.0
+        ref = _left_series_mp(2, 0.500000000001, 0.0, 1.0, r)
+        got = lk.stable_series(spec, r)
+        assert got.diagnostics["converged"]
+        assert abs(got.value - ref) > 1e-8 * abs(ref)
+        assert abs(got.value - ref) <= got.est_error
+        auto = lk.evaluate(spec, r)
+        assert auto.method == "mb_contour"
+        assert abs(auto.value - ref) <= min(1e-9 * abs(ref), auto.est_error)
+
+    def test_sum_runs_on_until_the_envelope_halves(self):
+        # at alpha = 0.75 + 1e-12, r = 0.5 a term falls below 2^-53 of the
+        # sum at n = 48, where the envelope still shrinks by less than half
+        # per pole; the sum runs on to where it does, and meets tol
+        spec, r = lk.KernelSpec(d=2, alpha=0.750000000001), 0.5
+        ref = _left_series_mp(2, 0.750000000001, 0.0, 1.0, r)
+        got = lk.stable_series(spec, r)
+        assert got.diagnostics["converged"]
+        assert got.diagnostics["terms_used"] > 48
+        assert got.est_error <= 1e-9 * abs(got.value)
+        assert abs(got.value - ref) <= got.est_error + 1e-15 * abs(ref)
+
+    def test_every_pole_read_is_listed(self):
+        # normalization_check integrates the listed terms; at alpha = 0.5
+        # every 4th residue (beta = 0) vanishes and is listed too; at
+        # r = 0.1 the sum reads past the 41 poles of the asymptotic series
+        got = lk.stable_series(lk.KernelSpec(2, 0.5), 0.1)
+        poles = [term.n for term in got.diagnostics["terms"]]
+        assert got.diagnostics["converged"]
+        assert poles == list(range(len(poles))) and len(poles) > 41
+        assert [term.vanished for term in got.diagnostics["terms"]][::4] == \
+            [True] * len(poles[::4])
+
+    @pytest.mark.parametrize("d,alpha,beta", [(2, 0.5, 0.0), (3, 0.3, 0.7),
+                                              (10, 0.9, 2.0), (5, 0.1, 4.3)])
+    def test_log_form_matches_float_form(self, d, alpha, beta):
+        # a term whose coefficient or power leaves the float range is
+        # formed as sign * exp(ln|c_n| - e_n ln r'); where both forms
+        # exist they agree within the log form's rounding
+        for n in range(171):
+            term, c, exponent, sign, ln_c, rounding = \
+                lk.stable_kernel._left_pole(d, alpha, beta, n)
+            assert exponent == term.exponent == d + beta + n * alpha
+            if term.vanished:
+                assert sign == 0.0 and term.coefficient == 0.0
+                continue
+            log_form = lk.stable_kernel._log_term(n, sign, ln_c, exponent, 0.0)
+            if c:
+                assert term.coefficient == c
+                assert abs(log_form - c) <= 2.0 ** -52 * (rounding + 8.0) * abs(c)
+            else:
+                assert term.coefficient == log_form
+
+    @pytest.mark.parametrize("n_terms", [None, 300, 400])
+    @pytest.mark.parametrize("alpha", [0.3, 0.7, 0.9, 0.99])
+    def test_long_sums_raise_only_typed_errors(self, alpha, n_terms):
+        # at r' = 0.02 the terms pass 1e308 before they fall: the power
+        # r'^(-e_n) raised an untyped OverflowError once read past n = 40
+        spec = lk.KernelSpec(d=3, alpha=alpha, beta=0.7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                got = lk.stable_series(spec, 0.02, n_terms=n_terms)
+            except lk.DomainError as exc:
+                assert "overflows" in str(exc)
+                return
+        assert math.isfinite(got.value) and got.est_error >= 0.0
+        if n_terms is not None:
+            assert got.diagnostics["terms_used"] == n_terms
+
+    def test_gate_skips_a_hopeless_sum(self, monkeypatch):
+        # at d = 3, alpha = 0.9, r = 0.3 the terms' envelope does not fall
+        # by half per pole within the poles the sum may read, and at d = 2,
+        # alpha = 1.9, r = 40 the small-r terms peak past m = 120: the gate
+        # sends both points on without summing
+        def never(*args, **kwargs):
+            raise AssertionError("the series was summed")
+
+        spec = lk.KernelSpec(d=3, alpha=0.9)
+        monkeypatch.setattr(lk.stable_kernel, "stable_series", never)
+        assert lk.evaluate(spec, 0.3).method == "oracle"
+        monkeypatch.undo()
+        spec = lk.KernelSpec(d=2, alpha=1.9)
+        monkeypatch.setattr(lk.stable_kernel, "small_r_series", never)
+        assert lk.evaluate(spec, 40.0).method in ("residue_series", "mb_contour")
+
+    @pytest.mark.parametrize("d,alpha,beta,r", [
+        (2, 1.5, 0.0, 3.0), (10, 1.9, 0.0, 0.55), (3, 1.3, 1.3, 2.0),
+        (5, 1.5, 1.3, 2.0), (2, 1.99, 0.0, 2.0)])
+    def test_right_series_past_half(self, d, alpha, beta, r):
+        # at 1 < alpha < 2 the small-r series converges for every r':
+        # past r' = 1/2 evaluate takes it where it meets tol
+        got = lk.evaluate(lk.KernelSpec(d, alpha, beta), r)
+        assert got.method == "small_r_series"
+        ref = _right_series_mp(d, alpha, beta, r)
+        err = abs(got.value - ref)
+        assert err <= 1e-9 * abs(ref)
+        assert err <= got.est_error + 1e-15 * abs(ref)
 
 
 class TestEnvelopes:
