@@ -32,7 +32,7 @@ from .mellin import (_contour_route, _Line, _phase_apply, _phase_table, _plan,
                      _radii, fold_conjugates)
 from .specfun import log_gamma
 from .stable_kernel import (_LINES_KEPT, _check_kernel, _is_even_integer,
-                            _residues, admissible_strip)
+                            _left_pole, admissible_strip)
 
 __all__ = [
     "RadialSymbol",
@@ -373,7 +373,7 @@ def general_leading_term(sym: RadialSymbol, d: int, beta: float, t: float) -> di
         raise ParityError("beta in {0, 2, 4, ...}: the first residue "
                           "vanishes; use perturbed_leading_term")
     # the n = 0 left residue of the stable integrand; alpha does not enter
-    lead = next(_residues(d, sym.alpha_index, beta, "left", 1))
+    lead = _left_pole(d, sym.alpha_index, beta, 0)[0]
     return {"coefficient": lead.coefficient * math.exp(-t * sym.eta_at_zero),
             "exponent": lead.exponent}
 
@@ -389,7 +389,7 @@ def perturbed_leading_term(alpha: float, eta1_at_zero: float, d: int,
     if not _is_even_integer(beta):
         raise ParityError("beta not an even integer: use general_leading_term")
     # the n = 1 left residue of the stable integrand, from the -t r^alpha term
-    _, lead = _residues(d, alpha, beta, "left", 2)
+    lead = _left_pole(d, alpha, beta, 1)[0]
     return {"coefficient": lead.coefficient * (t * math.exp(-t * eta1_at_zero)),
             "exponent": lead.exponent}
 

@@ -268,18 +268,17 @@ def _right_terms(d, alpha, beta):
 
 def _left_pole(d, alpha, beta, n):
     """The left pole n of ``_residues`` in two forms, as the tuple
-    (term, c, exponent, sign, ln|c|, rounding): the ``SeriesTerm``; its
-    float coefficient c, by ``math.gamma`` to ~4.5 eps, 0.0 where a factor
-    of it leaves the normal floats (n > 170 or a gamma overflow); its
-    exponent; and the coefficient sign * exp(ln|c|) in log form, from
-    ``math.lgamma``, with the rounding of ln|c| per eps (sign 0.0 where
-    the residue vanishes).  The term's coefficient is c, else the log form
-    (+-inf past the float range)."""
+    (term, c, sign, ln|c|, rounding): the ``SeriesTerm``; its float
+    coefficient c, by ``math.gamma`` to ~4.5 eps, 0.0 where a factor of it
+    leaves the normal floats (n > 170 or a gamma overflow); and the
+    coefficient sign * exp(ln|c|) in log form, from ``math.lgamma``, with
+    the rounding of ln|c| per eps (sign 0.0 where the residue vanishes).
+    The term's coefficient is c, else the log form as a float: 0.0 below
+    the float range, +-inf above it."""
     exponent = d + beta + n * alpha
     up, down = 0.5 * (d + beta + n * alpha), -(n * alpha + beta) / 2.0
     if abs(down - round(down)) <= POLE_TOL:
-        return (SeriesTerm(n, exponent, 0.0, True), 0.0, exponent, 0.0,
-                -math.inf, 0.0)
+        return SeriesTerm(n, exponent, 0.0, True), 0.0, 0.0, -math.inf, 0.0
     logs = (math.lgamma(up), -math.lgamma(n + 1.0), -math.lgamma(down),
             (beta + n * alpha) * _LN2, -0.5 * d * _LNPI)
     ln_c = sum(logs)
@@ -296,15 +295,40 @@ def _left_pole(d, alpha, beta, n):
             c = 0.0
     coefficient = c or (sign * math.exp(ln_c) if ln_c < 709.0
                         else math.copysign(math.inf, sign))
-    return (SeriesTerm(n, exponent, coefficient, False), c, exponent, sign,
-            ln_c, 8.0 + 2.0 * sum(map(abs, logs)))
+    return (SeriesTerm(n, exponent, coefficient, False), c, sign, ln_c,
+            8.0 + 2.0 * sum(map(abs, logs)))
 
 
 @functools.lru_cache(maxsize=_LINES_KEPT)
 def _left_poles(d, alpha, beta):
-    """The ``_left_pole``s of the unit kernel (d, alpha, beta), shared by
-    every t and r; ``stable_series`` extends the list as it reads on."""
-    return []
+    """The unit kernel (d, alpha, beta)'s table of ``_left_pole``s, shared
+    by every t and r: one slot, holding the poles 0 .. n - 1 as a tuple
+    (``_more_left_poles`` grows it, up to ``_CONVERGENT_POLES``)."""
+    return [()]
+
+
+def _more_left_poles(d, alpha, beta, poles):
+    """The left poles of the unit kernel (d, alpha, beta) past the
+    ``poles`` 0 .. n - 1 read so far, up to pole n at least.  Below
+    ``_CONVERGENT_POLES`` they come from the shared ``_left_poles``,
+    grown a block of ``_SERIES_MAX_TERMS`` + 1 poles at a time: a grown
+    tuple replaces the stored one, which nothing changes, so a thread
+    that races another reads whole tables, and both build the same bits.
+    Past them (``n_terms`` at alpha < 1) they are the caller's own list."""
+    n = len(poles)
+    if n >= _CONVERGENT_POLES:
+        poles = poles if isinstance(poles, list) else list(poles)
+        poles.extend(_left_pole(d, alpha, beta, k)
+                     for k in range(n, n + _SERIES_MAX_TERMS + 1))
+        return poles
+    table = _left_poles(d, alpha, beta)
+    poles = table[0]
+    while len(poles) <= n:
+        k = len(poles)
+        poles += tuple(_left_pole(d, alpha, beta, j) for j in range(
+            k, min(k + _SERIES_MAX_TERMS + 1, _CONVERGENT_POLES)))
+        table[0] = poles
+    return poles
 
 
 def _concave_majorant(values):
@@ -333,12 +357,12 @@ def _envelope(d, alpha, beta, family):
     """A concave bound on ln|coefficient| over one family's poles of the
     unit kernel (d, alpha, beta), as (hull, falls, lead, hump_max): the
     ``_concave_majorant`` of ``"left"``, the first ``_CONVERGENT_POLES``
-    coefficients with |1/Gamma(x)| <= Gamma(1-x)/pi, or ``"right"``,
-    ln Gamma((d+beta+2m)/alpha) - ln m! - ln Gamma(d/2+m) over
-    ``_right_terms``.  lead is ln of the leading value: the origin value
-    on the left (None when it overflows a float), the m = 0 term (without
-    ``_right_base``) on the right.  hump_max is the last pole a gated
-    series may peak at."""
+    coefficients with |1/Gamma(x)| <= Gamma(1-x)/pi, or ``"right"``, the
+    ``_right_terms`` up to the first that underflows to 0.  lead is ln of
+    the leading value: the origin value on the left, the m = 0 term
+    (without ``_right_base``) on the right; None, which ``_gate`` skips,
+    when it overflows a float.  hump_max is the last pole a gated series
+    may peak at."""
     if family == "left":
         bounds = [math.lgamma(0.5 * (d + beta + n * alpha)) - math.lgamma(n + 1.0)
                   + math.lgamma(1.0 + 0.5 * (n * alpha + beta))
@@ -350,9 +374,11 @@ def _envelope(d, alpha, beta, family):
             lead = None
         hump_max = _LEFT_HUMP
     else:
-        bounds = [math.lgamma((d + beta + 2 * m) / alpha) - math.lgamma(m + 1.0)
-                  - math.lgamma(0.5 * d + m)
-                  for m in range(len(_right_terms(d, alpha, beta)))]
+        bounds = [math.log(abs(term.coefficient)) for term in
+                  itertools.takewhile(lambda term: term.coefficient,
+                                      _right_terms(d, alpha, beta))]
+        if not bounds:  # Gamma((d+beta)/alpha) overflows a float
+            return (), (), None, -1
         lead = bounds[0]
         hump_max = min(_RIGHT_HUMP, len(bounds) - 2)
     return (*_concave_majorant(bounds), lead, hump_max)
@@ -455,16 +481,16 @@ def stable_series(spec: KernelSpec, r: float,
         limit = _SERIES_MAX_TERMS + 1
     else:
         limit = _CONVERGENT_POLES if convergent else None
-    poles = _left_poles(d, a, b)
+    (poles,) = _left_poles(d, a, b)
     terms: list[SeriesTerm] = []
     value = gross = power_rounding = 0.0
     used, last = 0, math.inf  # kept terms, |the last kept term|
     divergence = converged = False
     for n in itertools.count() if limit is None else range(limit):
         if n == len(poles):
-            poles.extend(_left_pole(d, a, b, k)
-                         for k in range(n, n + _SERIES_MAX_TERMS + 1))
-        term, c, exponent, sign, ln_c, log_rounding = poles[n]
+            poles = _more_left_poles(d, a, b, poles)
+        term, c, sign, ln_c, log_rounding = poles[n]
+        exponent = term.exponent
         if not sign:  # a vanished residue
             terms.append(term)
             continue
@@ -528,7 +554,8 @@ def leading_term(spec: KernelSpec) -> SeriesTerm:
     """
     if not 0.0 < spec.alpha < 2.0:
         raise DomainError("leading term requires 0 < alpha < 2")
-    for term in _residues(spec.d, spec.alpha, spec.beta, "left", 64):
+    for n in range(64):
+        term = _left_pole(spec.d, spec.alpha, spec.beta, n)[0]
         if not term.vanished:
             return term
     raise DomainError("no non-vanished residue found (is alpha = 2?)")

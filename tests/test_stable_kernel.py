@@ -1,6 +1,7 @@
 import functools
 import math
 import sys
+import threading
 import warnings
 from fractions import Fraction
 
@@ -661,9 +662,10 @@ class TestConvergentSeries:
         # formed as sign * exp(ln|c_n| - e_n ln r'); where both forms
         # exist they agree within the log form's rounding
         for n in range(171):
-            term, c, exponent, sign, ln_c, rounding = \
+            term, c, sign, ln_c, rounding = \
                 lk.stable_kernel._left_pole(d, alpha, beta, n)
-            assert exponent == term.exponent == d + beta + n * alpha
+            exponent = term.exponent
+            assert exponent == d + beta + n * alpha
             if term.vanished:
                 assert sign == 0.0 and term.coefficient == 0.0
                 continue
@@ -691,6 +693,63 @@ class TestConvergentSeries:
         if n_terms is not None:
             assert got.diagnostics["terms_used"] == n_terms
 
+    def test_long_sums_keep_the_shared_table_bounded(self, monkeypatch):
+        # a sum asked for more poles than the convergent sum may read
+        # makes the poles past the table for itself: the table of a unit
+        # spec never holds more than _CONVERGENT_POLES of them
+        sk = lk.stable_kernel
+        monkeypatch.setattr(sk, "_CONVERGENT_POLES", 60)
+        sk._left_poles.cache_clear()
+        spec = lk.KernelSpec(d=3, alpha=0.5, beta=0.7)
+        got = lk.stable_series(spec, 5.0, n_terms=150)
+        assert got.diagnostics["terms_used"] == 150
+        assert [term.n for term in got.diagnostics["terms"]] == \
+            list(range(len(got.diagnostics["terms"])))
+        assert len(sk._left_poles(3, 0.5, 0.7)[0]) == 60
+        sk._left_poles.cache_clear()
+        fresh = [sk._left_pole(3, 0.5, 0.7, n)[0]
+                 for n in range(len(got.diagnostics["terms"]))]
+        assert got.diagnostics["terms"] == fresh
+
+    def test_concurrent_growth(self):
+        # the pole table takes no lock: threads that race on a cold table
+        # may build a block twice, with the same bits; each sums from whole
+        # tables, and so does every later call, which reads deeper poles
+        specs = [lk.KernelSpec(d, alpha, beta) for d in (2, 3)
+                 for alpha in (0.3, 0.6) for beta in (0.0, 0.7)]
+
+        def run():
+            return ([lk.stable_series(spec, r) for spec in specs for r in (0.05, 0.2)]
+                    + [lk.stable_series(spec, 5.0, n_terms=300) for spec in specs])
+
+        def key(approx):
+            return approx.value, approx.est_error, approx.diagnostics["terms"]
+
+        clear = lk.stable_kernel._left_poles.cache_clear
+        clear()
+        ref = [key(a) for a in run()]
+        interval = sys.getswitchinterval()
+        for _ in range(10):
+            clear()
+            start, got = threading.Barrier(4), {}
+
+            def work(i):
+                start.wait()
+                got[i] = run()
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            sys.setswitchinterval(1e-6)
+            try:
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
+            for approxes in [*got.values(), run()]:
+                assert [key(a) for a in approxes] == ref
+
     def test_gate_skips_a_hopeless_sum(self, monkeypatch):
         # at d = 3, alpha = 0.9, r = 0.3 the terms' envelope does not fall
         # by half per pole within the poles the sum may read, and at d = 2,
@@ -706,6 +765,20 @@ class TestConvergentSeries:
         spec = lk.KernelSpec(d=2, alpha=1.9)
         monkeypatch.setattr(lk.stable_kernel, "small_r_series", never)
         assert lk.evaluate(spec, 40.0).method in ("residue_series", "mb_contour")
+
+    def test_gate_skips_an_empty_right_table(self):
+        # at d = 190, alpha = 1.1 Gamma((d+beta)/alpha) overflows at m = 0,
+        # so no small-r term exists; the large-r series does not converge
+        # at r = 1, and the gate sends the point on to the contour (it
+        # raised IndexError reading the empty table)
+        spec = lk.KernelSpec(d=190, alpha=1.1, beta=0.5)
+        assert lk.stable_kernel._right_terms(190, 1.1, 0.5) == ()
+        assert not lk.stable_kernel._gate(190, 1.1, 0.5, "right", 0.0, 1e-9)
+        with pytest.raises(lk.DomainError):
+            lk.small_r_series(spec, 1.0)
+        got = lk.evaluate(spec, 1.0)
+        assert got.method == "mb_contour"
+        assert got.value == lk.stable_mb(spec, 1.0).value
 
     @pytest.mark.parametrize("d,alpha,beta,r", [
         (2, 1.5, 0.0, 3.0), (10, 1.9, 0.0, 0.55), (3, 1.3, 1.3, 2.0),
