@@ -64,6 +64,7 @@ _REFINEMENTS = 6  # node doublings after a plan's first trapezoid level
 _LADDER_START, _LADDER_CAP = 16.0, 4096.0  # first and last rung of the ladder
 _MIN_NODES = 64  # least ``nodes`` of a planned line (``ContourSpec``)
 _INV_2PI = 1.0 / (2.0 * math.pi)  # numpy's reciprocal in a division by 2 pi
+_EPS = 2.0 ** -52  # the spacing of floats at 1
 
 
 @dataclass(frozen=True)
@@ -120,30 +121,36 @@ def _heights(plan: ContourSpec, i):
         np.arange(-m, m + 1, dtype=float) * h)
 
 
-def _refine(sums, n_rows, contour, tol):
+def _refine(sums, n_rows, contour, tol, rounding):
     """Run the plan's trapezoid on ``n_rows`` integrands whose per-level
     sums come from ``sums(level, rows)``: per row of ``rows``, the sum of
     f (ends halved on level 0) and the sum of |f| over the nodes of that
     level (``_heights``).  A row stops refining once its change is within
-    tol, or below the rounding floor of its cancelling sum.
+    tol, or within 5e-16 of its gross sum g, the rounding of its
+    cancelling sum.  Its estimate is the larger of the two, plus the
+    rounding floor eps g (8 + w): 8 for the sums and products at a node,
+    and w, ``rounding`` (one per row, or one for all), for the rounding
+    of the samples themselves, per unit of g (``_power_line``).
     Returns per-row values, discretization estimates and node counts;
     raises NonConvergent if any row fails to converge.
 
     ``n_rows=None`` asks for one row on Python numbers (``_refine_one``):
     ``sums(level, None)`` gives its two sums as a complex and a float,
-    and the value, estimate and node count come back as a complex, a
-    float and an int, with the bits of a one-row array run.  ``sums``
-    still answers index arrays: a zero real part, whose sign alone the
-    two loops may round apart, is taken from the array loop.
+    ``rounding`` is a float, and the value, estimate and node count come
+    back as a complex, a float and an int, with the bits of a one-row
+    array run.  ``sums`` still answers index arrays: a zero real part,
+    whose sign alone the two loops may round apart, is taken from the
+    array loop.
     """
     if n_rows is None:
-        value, disc, used = _refine_one(sums, contour, tol)
+        value, disc, used = _refine_one(sums, contour, tol, rounding)
         if value.real:
             return value, disc, used
         # numpy may fuse a complex product's multiply and add (FMA), so an
         # underflowed product can round to a zero of the other sign
-        value, disc, used = _refine(sums, 1, contour, tol)
+        value, disc, used = _refine(sums, 1, contour, tol, rounding)
         return value.item(), disc.item(), used.item()
+    rounding = np.broadcast_to(rounding, n_rows)
     value = np.empty(n_rows, dtype=np.complex128)
     disc = np.empty(n_rows)
     used = np.empty(n_rows, dtype=np.int64)
@@ -171,7 +178,8 @@ def _refine(sums, n_rows, contour, tol):
             if done.any():
                 out = rows[done]
                 value[out] = new[done]
-                disc[out] = np.maximum(diff, floor)[done]
+                disc[out] = (np.maximum(diff, floor)[done]
+                             + _EPS * g[done] * (8.0 + rounding[out]))
                 used[out] = n_used
                 if out.size == rows.size:
                     return value, disc, used
@@ -184,13 +192,13 @@ def _refine(sums, n_rows, contour, tol):
         f"last change {last:.3e}")
 
 
-def _refine_one(sums, contour, tol):
-    """The loop of ``_refine`` for one row, ``sums(level, None)``, on
-    Python numbers: each step rounds as numpy's does on one element,
-    up to the sign of an underflowed zero.  The complex moduli are
-    numpy's, one call per level (Python's abs rounds differently), and
-    the division by 2 pi is numpy's Smith quotient by a real,
-    (re + im 0, im - re 0) times 1/(2 pi), not Python's.
+def _refine_one(sums, contour, tol, rounding):
+    """The loop of ``_refine`` for one row, ``sums(level, None)``, with
+    its floor ``rounding``, on Python numbers: each step rounds as numpy's
+    does on one element, up to the sign of an underflowed zero.  The
+    complex moduli are numpy's, one call per level (Python's abs rounds
+    differently), and the division by 2 pi is numpy's Smith quotient by
+    a real, (re + im 0, im - re 0) times 1/(2 pi), not Python's.
     """
     est = gross = None
     n_used = 0
@@ -209,7 +217,8 @@ def _refine_one(sums, contour, tol):
             diff, mod = np.abs((new - est, new)).tolist()
             floor = 5e-16 * g
             if diff <= max(tol * mod, floor, 1e-300):
-                return new, max(diff, floor), n_used
+                return (new, max(diff, floor) + _EPS * g * (8.0 + rounding),
+                        n_used)
         est, gross = new, g
     raise NonConvergent(
         f"trapezoid refinement stalled after {n_used} nodes, "
@@ -272,11 +281,18 @@ class _Line:
     the scaled samples |e| = |exp(log_g - top)|, and the ``_phase_table``
     of e, ends halved on level 0.  Levels are sampled on demand, in
     order, outside the lock, and kept read-only in an append-only tuple.
+
+    With level 0 the line keeps two means over its nodes, weighted by
+    |e|, for the rounding floor of ``_power_line``: ``moments`` = (the
+    mean of the summed moduli of log_g's parts, the mean |Im z|).
+    ``log_g(z, sizes=True)`` gives that sum beside log_g, from the same
+    samples.
     """
 
     def __init__(self, log_g, plan: ContourSpec, tail: float):
         self.log_g, self.plan, self.tail = log_g, plan, tail
         self._levels = ()
+        self.moments = None
         self._lock = threading.Lock()
 
     def level(self, i):
@@ -286,17 +302,26 @@ class _Line:
         if i < len(levels):
             return levels[i]
         v = _heights(self.plan, i)
-        lg = self.log_g(self.plan.abscissa + 1j * v)
+        z = self.plan.abscissa + 1j * v
+        if i:
+            lg = self.log_g(z)
+        else:
+            lg, size = self.log_g(z, sizes=True)
         top = float(lg.real.max())
         e = np.exp(lg - top)
-        gross = float(np.abs(e).sum())
+        mod = np.abs(e)
+        gross = float(mod.sum())
         if not i:
+            moments = (float((mod * size).sum()) / gross,
+                       float((mod * np.abs(v)).sum()) / gross)
             e[0] *= 0.5
             e[-1] *= 0.5
         stored = top, gross, _phase_table(e, v, _level_grid(self.plan, i)[1])
         with self._lock:
             # a racing call may have stored level i first, with these bits
             if len(self._levels) == i:
+                if not i:
+                    self.moments = moments
                 self._levels += (stored,)
         return stored
 
@@ -315,12 +340,29 @@ def _power_line(line: _Line, ln_r, shift, tol):
     r keeps its own convergence test, rounding floor and error estimate,
     and stops refining when it converges: every row equals that of a
     one-element ``ln_r``, and of a 0-d one.
+
+    The rounding floor of a row (``_refine``'s w) is the relative
+    rounding of its scaled samples, per eps: the parts of log_g, mean
+    ``moments[0]``, the phase v ln r, mean ``moments[1]`` |ln r|, and
+    the argument top + (c - shift) ln r of rho, at level 0's top.  Each
+    is an absolute error in the exponent of a sample, and so a relative
+    one in its size (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 3).
     """
     slope = line.plan.abscissa - shift
     ln_r = np.asarray(ln_r, dtype=float)
     one = ln_r.ndim == 0
     ln_r = ln_r.ravel()
     x0 = float(ln_r[0]) if one else None
+    rounding = 0.0
+    if ln_r.size:
+        top = line.level(0)[0]
+        size, height = line.moments
+        if one:
+            rounding = size + height * abs(x0) + abs(top + slope * x0)
+        else:
+            rounding = (size + height * np.abs(ln_r)
+                        + np.abs(top + slope * ln_r))
 
     def sums(level, rows):
         top, gross, table = line.level(level)
@@ -332,7 +374,7 @@ def _power_line(line: _Line, ln_r, shift, tol):
         return rho * _phase_apply(table, x), rho * gross
 
     value, disc, used = _refine(sums, None if one else ln_r.size, line.plan,
-                                tol)
+                                tol, rounding)
     if one:
         return value, line.tail * float(np.exp(slope * x0)), disc, used
     return value, line.tail * np.exp(slope * ln_r), disc, used
@@ -344,16 +386,22 @@ def fold_conjugates(log_g):
     A node set symmetric about Im z = 0 (z[::-1] == conj z, as every
     trapezoid level is) is sampled on its upper half only and mirrored,
     log_g(conj z) = conj log_g(z): half the gamma work, M_t^1's phase
-    sums included.  Other sets are sampled as given.
+    sums included.  Other sets are sampled as given.  With
+    ``sizes=True`` (``_Line``) the real sizes that log_g gives beside its
+    value, even in Im z, are mirrored too.
     """
 
-    def folded(z):
+    def folded(z, sizes=False):
         z = np.asarray(z, dtype=np.complex128)
         if z.ndim != 1 or not np.array_equal(z[::-1], z.conj()):
-            return log_g(z)
+            return log_g(z, sizes)
         half = z.size // 2
-        upper = log_g(z[half:].copy())
-        return np.concatenate((upper[::-1][:half].conj(), upper))
+        upper = log_g(z[half:].copy(), sizes)
+        if not sizes:
+            return np.concatenate((upper[::-1][:half].conj(), upper))
+        lg, size = upper
+        return (np.concatenate((lg[::-1][:half].conj(), lg)),
+                np.concatenate((size[::-1][:half], size)))
 
     return folded
 

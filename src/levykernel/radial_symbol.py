@@ -327,12 +327,15 @@ def _symbol_line(sym, d, beta, t, tol, abscissa):
     inner_tol = _inner_tol(tol)
 
     @fold_conjugates
-    def log_g(z):
+    def log_g(z, sizes=False):
         z = np.asarray(z, dtype=np.complex128)
         # the stable factor's two gamma factors come from one log_gamma call
         down, over = log_gamma(np.stack((0.5 * (d + beta - z), 0.5 * (z - beta))))
-        return (down - over + (beta - z) * _LN2
-                + np.log(mellin_M(sym, t, z, inner_tol)))
+        power, ln_m = (beta - z) * _LN2, np.log(mellin_M(sym, t, z, inner_tol))
+        lg = down - over + power + ln_m
+        if not sizes:
+            return lg
+        return lg, np.abs(down) + np.abs(over) + np.abs(power) + np.abs(ln_m)
 
     return _Line(log_g, *_plan(log_g, admissible_strip(d, beta), abscissa, tol))
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle as _oracle
-from .errors import Approximation, DomainError, NonConvergent
+from .errors import Approximation, DomainError, NoDecay, NonConvergent
 from .mellin import _contour_route, _Line, _plan, _radii, fold_conjugates
 from .specfun import POLE_TOL, log_gamma
 
@@ -177,14 +177,19 @@ def admissible_strip(d: int, beta: float):
 def _mb_log_factor(d, alpha, beta):
     """log of the r-independent part of the contour integrand:
     Gamma(z/a) Gamma((d+b-z)/2) 2^(b-z) / Gamma((z-b)/2), its three
-    gamma factors from one ``log_gamma`` call."""
+    gamma factors from one ``log_gamma`` call; with ``sizes``, also the
+    sum of its four logs' moduli (``mellin._Line``)."""
 
     @fold_conjugates
-    def log_g(z):
+    def log_g(z, sizes=False):
         z = np.asarray(z, dtype=np.complex128)
         up, down, over = log_gamma(np.stack(
             (z / alpha, 0.5 * (d + beta - z), 0.5 * (z - beta))))
-        return up + down - over + (beta - z) * _LN2
+        power = (beta - z) * _LN2
+        lg = up + down - over + power
+        if not sizes:
+            return lg
+        return lg, np.abs(up) + np.abs(down) + np.abs(over) + np.abs(power)
 
     return log_g
 
@@ -359,19 +364,19 @@ def _envelope(d, alpha, beta, family):
     ``_concave_majorant`` of ``"left"``, the first ``_CONVERGENT_POLES``
     coefficients with |1/Gamma(x)| <= Gamma(1-x)/pi, or ``"right"``, the
     ``_right_terms`` up to the first that underflows to 0.  lead is ln of
-    the leading value: the origin value on the left, the m = 0 term
-    (without ``_right_base``) on the right; None, which ``_gate`` skips,
-    when it overflows a float.  hump_max is the last pole a gated series
-    may peak at."""
+    the leading value: on the left the origin value, formed from lgamma,
+    as Gamma((d+beta)/alpha) may overflow a float where the kernel does
+    not; on the right the m = 0 term (without ``_right_base``), None,
+    which ``_gate`` skips, where it overflows.  hump_max is the last pole
+    a gated series may peak at."""
     if family == "left":
         bounds = [math.lgamma(0.5 * (d + beta + n * alpha)) - math.lgamma(n + 1.0)
                   + math.lgamma(1.0 + 0.5 * (n * alpha + beta))
                   + (beta + n * alpha) * _LN2 - (0.5 * d + 1.0) * _LNPI
                   for n in range(_CONVERGENT_POLES)]
-        try:
-            lead = math.log(kernel_at_origin(KernelSpec(d, alpha, beta)))
-        except OverflowError:
-            lead = None
+        # ln of the origin value, whose gamma factor may overflow a float
+        lead = (math.lgamma((d + beta) / alpha) - math.lgamma(0.5 * d)
+                + math.log(_right_base(d, alpha)))
         hump_max = _LEFT_HUMP
     else:
         bounds = [math.log(abs(term.coefficient)) for term in
@@ -688,15 +693,19 @@ def evaluate(spec: KernelSpec, r: float, method: str = "auto",
 
     * 0 < alpha < 1: the large-r residue series, which converges there,
       where an O(1) gate (``_gate``) says it can meet tol; else the
-      oracle for r' < 1/2 and the contour integral beyond;
+      contour integral.  For r' < 1/2 the contour is kept only when its
+      est_error meets tol, and the oracle answers where it does not, or
+      where the line raises NoDecay or NonConvergent;
     * 1 <= alpha < 2: the small-r expansion for r' < 1/2; beyond, the
       large-r series when it has converged to its last bit, then (for
       alpha > 1, where it converges for every r') the gated small-r
       expansion, else the contour integral.
 
     A series is taken only when it has converged and its est_error meets
-    ``tol``.  ``abscissa`` moves the contour's line (``stable_mb``); the
-    other routes ignore it.  r must be finite and >= 0.
+    ``tol``; the contour's est_error carries the rounding floor of its
+    line (``mellin._power_line``).  ``abscissa`` moves the contour's line
+    (``stable_mb``); the other routes ignore it.  r must be finite and
+    >= 0.
     """
     if not 0.0 <= r < math.inf:
         raise DomainError(f"r must be finite and >= 0, got {r}")
@@ -732,9 +741,13 @@ def evaluate(spec: KernelSpec, r: float, method: str = "auto",
         series = _gated_series(spec, r, rp, tol, "left")
         if series is not None:
             return series
-        if rp < 0.5:
-            return _oracle.stable_oracle(spec, r, tol=min(tol, 1e-10))
-        return stable_mb(spec, r, abscissa=abscissa, tol=tol)
+        if rp >= 0.5:
+            return stable_mb(spec, r, abscissa=abscissa, tol=tol)
+        with contextlib.suppress(NoDecay, NonConvergent):
+            line = stable_mb(spec, r, abscissa=abscissa, tol=tol)
+            if line.est_error <= tol * abs(line.value):
+                return line
+        return _oracle.stable_oracle(spec, r, tol=min(tol, 1e-10))
     if rp < 0.5:
         return small_r_series(spec, r)
     series = stable_series(spec, r)

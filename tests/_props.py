@@ -159,10 +159,12 @@ def vertical_line_integral(f, contour: ContourSpec,
     changes by less than ``tol`` relatively, else raises NonConvergent.
     For integrands with f(conj z) = conj f(z) the imaginary part of the
     result is at the rounding level.  The estimate is the tail estimate
-    plus the discretization estimate.
+    plus the discretization estimate, whose rounding floor counts only
+    the sums and products at a node (``_refine``'s w = 0).
     """
     tail = _checked_tail(f, contour)
-    value, disc, used = _refine(_direct_sums(f, contour), None, contour, tol)
+    value, disc, used = _refine(_direct_sums(f, contour), None, contour, tol,
+                                0.0)
     return _line_result(value, tail, disc, used)
 
 

@@ -81,8 +81,19 @@ def test_right_series_past_half(benchmark):
 
 def test_gate_rejection(benchmark):
     # d = 3, alpha = 0.9, r' = 0.3: the gate turns the left series down
-    # (the point goes on to the oracle); what a rejected attempt costs
+    # (the point goes on to the contour); what a rejected attempt costs
     spec = lk.KernelSpec(3, 0.9, 0.0)
     gated = lk.stable_kernel._gated_series
     res = benchmark(gated, spec, 0.3, 0.3, 1e-9, "left")
     assert res is None
+
+
+@pytest.mark.parametrize("method", ["auto", "oracle"])
+def test_near_field_auto_against_oracle(benchmark, method):
+    # d = 3, alpha = 0.9, r' = 0.3: past the gate's rejection, auto keeps
+    # the contour line, which meets tol; the oracle it fell back on before
+    spec = lk.KernelSpec(3, 0.9, 0.0)
+    first = lk.evaluate(spec, 0.3, method=method)
+    assert first.method == ("mb_contour" if method == "auto" else "oracle")
+    res = benchmark(lk.evaluate, spec, 0.3, method=method)
+    assert res == first

@@ -80,10 +80,16 @@ class TestVerticalLineIntegral:
 
 def _engine_rows(log_g, ln_r, shift, plan, tol):
     """``_power_line`` on a fresh store of log_g, whose tail is that of
-    exp(log_g) after the decay check: per-row values, tail estimates,
-    discretization estimates and node counts."""
+    exp(log_g) after the decay check, with |log_g| for the sizes of its
+    parts: per-row values, tail estimates, discretization estimates and
+    node counts."""
     tail = _checked_tail(lambda z: np.exp(log_g(z)), plan)
-    return _power_line(_Line(log_g, plan, tail), ln_r, shift, tol)
+
+    def sized(z, sizes=False):
+        lg = log_g(z)
+        return (lg, np.abs(lg)) if sizes else lg
+
+    return _power_line(_Line(sized, plan, tail), ln_r, shift, tol)
 
 
 class TestPowerLineIntegral:
@@ -221,25 +227,27 @@ class TestOneRowBookkeeping:
         a[tiny] = rng.choice([0.0, 1.0], shape)
         return s, a
 
-    def _one_row(self, s, a):
+    def _one_row(self, s, a, rounding=0.0):
         def sums(level, rows):
             if rows is None:
                 return complex(s[level]), float(a[level])
             return s[None, level], a[None, level]
 
         try:
-            return _bits(*_refine(sums, None, self.PLAN, self.TOL))
+            return _bits(*_refine(sums, None, self.PLAN, self.TOL, rounding))
         except lk.NonConvergent as exc:
             return str(exc)
 
     def test_random_level_sums(self):
+        # each row with its own rounding floor, as ``_power_line`` gives
         s, a = self._draws(10_000, 20261020)
-        one = [self._one_row(s[i], a[i]) for i in range(len(s))]
+        w = 10.0 ** np.random.default_rng(7).uniform(-1.0, 4.0, len(s))
+        one = [self._one_row(s[i], a[i], float(w[i])) for i in range(len(s))]
         done = np.array([i for i, res in enumerate(one)
                          if not isinstance(res, str)])
         value, disc, used = _refine(
             lambda level, rows: (s[done[rows], level], a[done[rows], level]),
-            done.size, self.PLAN, self.TOL)
+            done.size, self.PLAN, self.TOL, w[done])
         assert [_bits(*row) for row in zip(value, disc, used)] == [
             one[i] for i in done]
         # converged on every level, stalled, and underflowed to zero
@@ -251,7 +259,7 @@ class TestOneRowBookkeeping:
             with pytest.raises(lk.NonConvergent) as row:
                 _refine(lambda level, rows: (s[i, None, level],
                                              a[i, None, level]),
-                        1, self.PLAN, self.TOL)
+                        1, self.PLAN, self.TOL, 0.0)
             assert str(row.value) == one[i]
 
     def test_underflowed_zero_takes_the_array_sign(self):
@@ -262,7 +270,7 @@ class TestOneRowBookkeeping:
         a = np.ones(_REFINEMENTS + 1)
         value, disc, used = _refine(
             lambda level, rows: (s[None, level], a[None, level]), 1,
-            self.PLAN, self.TOL)
+            self.PLAN, self.TOL, 0.0)
         assert self._one_row(s, a) == _bits(value[0], disc[0], used[0])
 
 
@@ -338,16 +346,20 @@ class TestRememberPoints:
             assert res.diagnostics["nodes_used"] == 2 + sum(full)
 
     def test_folded_values_equal_direct_ones(self):
-        def log_g(z):
+        # the sizes of log_g's parts, for a line's rounding floor, too
+        def log_g(z, sizes=False):
             z = np.asarray(z)
-            return lk.log_gamma(z / 1.5) - lk.log_gamma(0.5 * z)
+            up, down = lk.log_gamma(z / 1.5), lk.log_gamma(0.5 * z)
+            return (up - down, np.abs(up) + np.abs(down)) if sizes else up - down
 
         wrapped = lk.mellin.fold_conjugates(log_g)
-        for v in (np.arange(-40, 41) * 0.3, (np.arange(-40, 40) + 0.5) * 0.3):
+        for v in (np.arange(-40, 41) * 0.3, (np.arange(-40, 40) + 0.5) * 0.3,
+                  np.arange(-3.0, 9.0)):
             z = 1.7 + 1j * v
             assert np.array_equal(wrapped(z), log_g(z))
-        lopsided = 1.7 + 1j * np.arange(-3.0, 9.0)
-        assert np.array_equal(wrapped(lopsided), log_g(lopsided))
+            for folded, direct in zip(wrapped(z, sizes=True),
+                                      log_g(z, sizes=True)):
+                assert np.array_equal(folded, direct)
 
 
 class TestLogGammaCalls:
@@ -548,6 +560,7 @@ class TestLineStore:
             lk.stable_mb(self.SPEC, r)
         serial = lk.stable_kernel._stable_line(3, 1.2, 0.7, 1e-9, None)
         assert len(line._levels) == len(serial._levels)
+        assert line.moments == serial.moments
         for (top, gross, table), (top1, gross1, table1) in zip(
                 line._levels, serial._levels):
             assert (top, gross, table[2]) == (top1, gross1, table1[2])

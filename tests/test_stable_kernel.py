@@ -106,14 +106,20 @@ class TestStableMB:
 
     @pytest.mark.parametrize("alpha", [0.01, 0.02])
     def test_overflowing_gamma_ratio_is_a_domain_error(self, alpha):
-        # at d = 10, Gamma(d/alpha) > 1e308: |G(c)| overflows, and so
-        # does the kernel itself; the error is typed and warns nothing
+        # at d = 10, Gamma(d/alpha) > 1e308: |G(c)| overflows, and the
+        # contour raises a typed error and warns nothing.  The kernel
+        # itself is finite (1.4425e-4 at alpha = 0.01), and evaluate takes
+        # the convergent series, whose gate reads the origin value in log
+        # form; it raised DomainError while the gate read it as a float
         spec = lk.KernelSpec(d=10, alpha=alpha)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for route in (lk.stable_mb, lk.evaluate):
-                with pytest.raises(lk.DomainError):
-                    route(spec, 1.0)
+            with pytest.raises(lk.DomainError):
+                lk.stable_mb(spec, 1.0)
+            got = lk.evaluate(spec, 1.0)
+        assert got.method == "residue_series"
+        ref = _left_series_mp(10, alpha, 0.0, 1.0, 1.0, dps=40)
+        assert abs(got.value - ref) <= got.est_error <= 1e-9 * abs(ref)
 
     @pytest.mark.parametrize("method", ["auto", "mb", "series"])
     @pytest.mark.parametrize("r", [0.0, 0.5, 5.0])
@@ -181,21 +187,28 @@ class TestStableMBGrid:
         nodes = sum(b.diagnostics["nodes_used"] for b in batch)
         assert count[0] <= 0.25 * nodes
 
-    def test_grid_matches_pointwise_cold_and_warm(self):
+    @pytest.mark.parametrize("spec,grid,moved", [
+        (lk.KernelSpec(d=3, alpha=1.2, beta=0.7, t=0.8),
+         np.geomspace(0.05, 30.0, 400), 3.2),
+        # the alpha < 1 near field, where evaluate keeps the line
+        (lk.KernelSpec(d=10, alpha=0.9, beta=1.3, t=1.7),
+         np.geomspace(0.01, 0.8, 200), 7.0)], ids=["3-1.2-0.7", "10-0.9-1.3"])
+    def test_grid_matches_pointwise_cold_and_warm(self, spec, grid, moved):
         # the line store holds G's samples: a grid on a cold store, scalar
         # calls that grow it in the reverse r order, and the grid again on
-        # the warm store all return the same bits, on the default line
-        # (c = 2.7, the strip midpoint) and on a moved one
-        spec = lk.KernelSpec(d=3, alpha=1.2, beta=0.7, t=0.8)
-        grid = np.geomspace(0.05, 30.0, 400)
-        for c in (None, 3.2):
+        # the warm store all return the same bits, est_error and its
+        # rounding floor included, on the default line (the strip
+        # midpoint) and on a moved one
+        lo, hi = lk.admissible_strip(spec.d, spec.beta)
+        for c in (None, moved):
             lk.stable_kernel._stable_line.cache_clear()
             cold = lk.stable_mb(spec, grid, abscissa=c)
             lk.stable_kernel._stable_line.cache_clear()
             scalar = [lk.stable_mb(spec, float(r), abscissa=c)
                       for r in grid[::-1]][::-1]
             warm = lk.stable_mb(spec, grid, abscissa=c)
-            assert cold[0].diagnostics["abscissa"] == (2.7 if c is None else c)
+            assert cold[0].diagnostics["abscissa"] == (
+                0.5 * (lo + hi) if c is None else c)
             for runs in zip(cold, scalar, warm):
                 assert len({(b.value, b.est_error, b.diagnostics["nodes_used"])
                             for b in runs}) == 1
@@ -524,7 +537,9 @@ class TestEvaluateRouting:
         assert lk.evaluate(lk.KernelSpec(d=2, alpha=2.0), 1.0).method == "closed_form"
         assert lk.evaluate(lk.KernelSpec(d=2, alpha=1.0), 1.0).method == "closed_form"
         assert lk.evaluate(lk.KernelSpec(d=2, alpha=1.5), 0.2).method == "small_r_series"
-        assert lk.evaluate(lk.KernelSpec(d=2, alpha=0.7), 0.2).method == "oracle"
+        # at alpha < 1, r' < 1/2 the contour line meets tol where the
+        # large-r series cannot
+        assert lk.evaluate(lk.KernelSpec(d=2, alpha=0.7), 0.2).method == "mb_contour"
         # at alpha > 1 the small-r series converges for every r': at r = 3
         # it meets tol past the large-r series; at r = 5 its terms cancel
         # too much and the contour answers
@@ -532,6 +547,65 @@ class TestEvaluateRouting:
         assert lk.evaluate(lk.KernelSpec(d=2, alpha=1.5), 5.0).method == "mb_contour"
         assert lk.evaluate(lk.KernelSpec(d=2, alpha=1.5), 30.0).method == "residue_series"
         assert lk.evaluate(lk.KernelSpec(d=2, alpha=1.5), 0.0).method == "closed_form"
+
+    @pytest.mark.parametrize("miss", ["tol", "NonConvergent", "NoDecay"])
+    def test_oracle_answers_a_contour_miss(self, monkeypatch, miss):
+        # at alpha < 1, r' < 1/2 the oracle still answers where the line
+        # misses tol or fails
+        spec, r = lk.KernelSpec(d=2, alpha=0.7), 0.2
+        line = lk.stable_mb(spec, r)
+
+        def missing(*args, **kwargs):
+            if miss == "tol":
+                return lk.Approximation(line.value, 1e-8 * abs(line.value),
+                                        "mb_contour", line.diagnostics)
+            raise getattr(lk, miss)("the line failed")
+
+        monkeypatch.setattr(lk.stable_kernel, "stable_mb", missing)
+        got = lk.evaluate(spec, r)
+        assert got.method == "oracle"
+        assert got.value == pytest.approx(line.value, rel=1e-9)
+
+    # the alpha < 1, r' < 1/2 points of the benchmark's point mix that the
+    # left series' gate turns down, as (d, alpha, beta, r, K(1, r)), K from
+    # the pool's multi-precision Mellin-Barnes references; each went to the
+    # oracle
+    NEAR_FIELD = [
+        (3, 0.5, 2.0, 0.02, 16331.685693599771),
+        (3, 0.5, 2.0, 0.1, 47.240256313850125),
+        (2, 0.5, 0.0, 0.02, 1.77351075866701),
+        (2, 0.7, 2.0, 0.02, 16.519173779410234),
+        (2, 0.7, 2.0, 0.1, 10.240141543900261),
+        (2, 0.7, 2.0, 0.3, 0.3465706921815937),
+        (3, 0.7, 2.0, 0.02, 66.47887947308747),
+        (3, 0.7, 2.0, 0.1, 38.53932030314126),
+        (3, 0.7, 2.0, 0.3, 2.1571035288357305),
+        (10, 0.9, 1.3, 0.02, 46.14289126607126),
+        (10, 0.9, 1.3, 0.1, 39.90720227805651),
+        (10, 0.9, 1.3, 0.3, 13.495181172967914),
+        (10, 0.9, 1.3, 0.45, 3.871851740976861),
+        (3, 0.9, 0.0, 0.02, 0.1561666421414548),
+        (3, 0.9, 0.0, 0.1, 0.15115686938124734),
+        (3, 0.9, 0.0, 0.3, 0.11792147698744523),
+        (3, 0.9, 0.0, 0.45, 0.08780995618536577),
+    ]
+
+    @pytest.mark.parametrize("d,alpha,beta,r,ref", NEAR_FIELD,
+                             ids=[f"{p[0]}-{p[1]}-{p[2]}-{p[3]}" for p in NEAR_FIELD])
+    def test_near_field_line_meets_tol(self, d, alpha, beta, r, ref):
+        # at t = 1 and at seeded scales s in (1/2, 2), t = s^alpha, where
+        # K(t, s r) = s^-(d+beta) K(1, r): the contour answers within tol,
+        # and its est_error, with its rounding floor, bounds the error
+        rng = np.random.default_rng(20261020)
+        scales = np.concatenate(([1.0], np.exp(rng.uniform(
+            math.log(0.5), math.log(2.0), 20))))
+        for s in scales.tolist():
+            got = lk.evaluate(lk.KernelSpec(d, alpha, beta, s ** alpha), s * r)
+            assert got.method == "mb_contour"
+            want = s ** -(d + beta) * ref
+            err = abs(got.value - want)
+            assert err <= 1e-9 * abs(want)
+            assert err <= got.est_error + 1e-15 * abs(want)
 
     def test_closed_method_requires_closed_form(self):
         with pytest.raises(lk.DomainError):
@@ -580,7 +654,9 @@ def _right_series_mp(d, alpha, beta, r, dps=60):
 class TestConvergentSeries:
     # evaluate("auto") draws whose contour or oracle value missed tol with
     # an est_error that did not bound its error: +3.385e173, +7.05e106,
-    # +2.0747e5 (est 1.1e3 |K|) and +4.681e33 at alpha = 0.1, and -758.82185
+    # +2.0747e5 (est 1.1e3 |K|) and +4.681e33 at alpha = 0.1, +2.580e-11
+    # (148 |K| off, est 2.6e-9 |K|) from the oracle at alpha = 0.058, where
+    # the gate read the origin value as an overflowing float, and -758.82185
     # (est 7.46e-3, error 9.2e-3) at d = 8, alpha = 0.5, beta = 2.  The
     # references are 90-digit sums of the left series at these floats.
     DRAWS = [
@@ -588,12 +664,13 @@ class TestConvergentSeries:
         ((9, 0.1, 2.763, 1.6529), 1123.43, 6.436632343593687323593394e-37),
         ((3, 0.1, 0.0, 0.7286), 0.026572, 155.5653662708856266225253),
         ((5, 0.1, 2.0, 1.9916), 1230.16, -3.263473700954293634702801e-24),
+        ((10, 0.058, 2.0, 3.71), 7.34, -1.746122491673752536435729e-13),
         ((8, 0.5, 2.0, 0.5), 0.4, -758.8126349344255602937591),
     ]
 
     @pytest.mark.parametrize("args,r,ref", DRAWS,
                              ids=["10-0.1-2.082", "9-0.1-2.763", "3-0.1-0",
-                                  "5-0.1-2", "8-0.5-2"])
+                                  "5-0.1-2", "10-0.058-2", "8-0.5-2"])
     def test_frozen_defect_draws(self, args, r, ref):
         got = lk.evaluate(lk.KernelSpec(*args), r)
         assert got.method == "residue_series"
@@ -601,6 +678,15 @@ class TestConvergentSeries:
         assert err <= 1e-9 * abs(ref)
         assert err <= got.est_error + 1e-15 * abs(ref)
         assert got.est_error <= 1e-9 * abs(got.value)
+
+    def test_contour_estimate_bounds_its_error(self):
+        # the midpoint line c = 7.75 at d = 8, alpha = 0.5, beta = 2,
+        # r' = 1.6 loses 9.2e-3 of -758.81 to the rounding of its samples;
+        # its est_error was 7.46e-3, and the rounding floor now covers it
+        (args, r, ref) = self.DRAWS[-1]
+        got = lk.stable_mb(lk.KernelSpec(*args), r)
+        err = abs(got.value - ref)
+        assert 9e-3 < err <= got.est_error
 
     def test_estimate_bounds_seeded_draws(self):
         # the sum runs past its largest term; its est_error is the
@@ -754,13 +840,13 @@ class TestConvergentSeries:
         # at d = 3, alpha = 0.9, r = 0.3 the terms' envelope does not fall
         # by half per pole within the poles the sum may read, and at d = 2,
         # alpha = 1.9, r = 40 the small-r terms peak past m = 120: the gate
-        # sends both points on without summing
+        # sends both points on without summing, the first to the contour
         def never(*args, **kwargs):
             raise AssertionError("the series was summed")
 
         spec = lk.KernelSpec(d=3, alpha=0.9)
         monkeypatch.setattr(lk.stable_kernel, "stable_series", never)
-        assert lk.evaluate(spec, 0.3).method == "oracle"
+        assert lk.evaluate(spec, 0.3).method == "mb_contour"
         monkeypatch.undo()
         spec = lk.KernelSpec(d=2, alpha=1.9)
         monkeypatch.setattr(lk.stable_kernel, "small_r_series", never)
