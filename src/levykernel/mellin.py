@@ -28,14 +28,18 @@ G never depends on r, so each kernel keeps its line in a store: log G
 itself, the plan, the tail estimate and per trapezoid level top, gross
 and the ``_phase_table`` of its scaled samples, grown on demand.  G is
 sampled and each table built once per unit spec or symbol value; a
-later call pays only its phases (``_phase_apply``).  Each r refines as
-alone, so a value does not depend on what the store held before.
+later call pays only its phases (``_phase_apply``, or ``_phase_one``
+for one r).  Each r refines as alone, so a value does not depend on
+what the store held before.
 
 A scalar r is one row, and ``_refine`` runs its levels on Python
 numbers: numpy forms only its phase sum, its scale and, per level, the
-moduli that test convergence, as it would for one row of a grid.  Every
-other step is rounded as numpy rounds it, so a scalar call returns the
-bits of its grid row without a grid's per-call array work.
+moduli that test convergence, as it would for one row of a grid.  The
+phase sum is ``_phase_one``'s: one exp of ln r times the table's stored
+i heights and the grid's two contractions, run by numpy's C einsum
+directly.  Every other step is rounded as numpy rounds it, so a scalar
+call returns the bits of its grid row without a grid's per-call array
+work.
 
 All reductions run in a fixed order, so results are bit-reproducible.
 """
@@ -51,6 +55,11 @@ import numpy as np
 from .errors import (Approximation, DomainError, NoDecay, NonConvergent,
                      StripViolation)
 from .specfun import log_gamma
+
+try:  # the C kernel that ``np.einsum(..., optimize=False)`` calls
+    from numpy._core.multiarray import c_einsum as _c_einsum
+except ImportError:  # numpy < 2
+    from numpy.core.multiarray import c_einsum as _c_einsum
 
 __all__ = [
     "ContourSpec",
@@ -235,10 +244,10 @@ def _row_blocks(v, heights, contract):
 
 
 def _phase_table(p, w, step):
-    """The v-free part, read-only (heights, table, heads), of the sums
-    sum_k p_k exp(i w_k v_j) for every v_j, the nodes w increasing,
-    spaced by ``step`` and reaching w >= 0: the node split of a
-    nonequispaced DFT (Dutt and Rokhlin) in ~sqrt(N) blocks.  Counting
+    """The v-free part, read-only (heights, table, heads, iheights), of
+    the sums sum_k p_k exp(i w_k v_j) for every v_j, the nodes w
+    increasing, spaced by ``step`` and reaching w >= 0: the node split of
+    a nonequispaced DFT (Dutt and Rokhlin) in ~sqrt(N) blocks.  Counting
     from k0, the first node at or above w = 0, node k0 + m is
     m = b*B + q with centred offsets -half <= q < B - half, and sits in
     slot m + half - lo*B of a (heads, B) table, B = isqrt(N - 1) + 1.
@@ -246,7 +255,8 @@ def _phase_table(p, w, step):
     so the rounding of a height grows with its distance from w = 0, as in
     a direct exp.  ``_phase_apply`` gives each v_j heads + B exps of one
     outer product, and forms its sum alone: its bits do not depend on
-    the rest of v.
+    the rest of v.  ``iheights`` = 1j * heights is kept for
+    ``_phase_one``, the sum at one float v.
     """
     k0 = int(np.searchsorted(w, 0.0))
     width = math.isqrt(w.size - 1) + 1
@@ -259,19 +269,38 @@ def _phase_table(p, w, step):
     heights = np.concatenate((
         w[k0] + (np.arange(lo, lo + heads) * width) * step,
         (np.arange(width) - half) * step))
-    mat.flags.writeable = heights.flags.writeable = False
-    return heights, mat, heads
+    iheights = 1j * heights
+    for a in (mat, heights, iheights):
+        a.flags.writeable = False
+    return heights, mat, heads, iheights
 
 
 def _phase_apply(table, v):
-    """The sums of a ``_phase_table`` at each of ``v``."""
-    heights, mat, heads = table
+    """The sums of a ``_phase_table`` at each of ``v``, by row blocks:
+    per block, the phases exp(i v_j heights) of one outer product, then
+    two contractions, the tails over the offsets and their sum over the
+    heads."""
+    heights, mat, heads, _ = table
 
     def contract(ph):
         tails = np.einsum("rq,bq->rb", ph[:, heads:], mat)
         return np.einsum("rb,rb->r", tails, ph[:, :heads])
 
     return _row_blocks(v, heights, contract)
+
+
+def _phase_one(table, x):
+    """The sum of a ``_phase_table`` at one float ``x``, as a complex:
+    the row of ``_phase_apply`` at v = [x], bit for bit, without its
+    array work.  The phases are one exp of x * iheights, whose imaginary
+    parts are the grid's x * heights and whose real parts are zeros, as
+    the grid's 1j * (x * heights) has; the two contractions are the
+    grid's, one row of them, through the C einsum behind ``np.einsum``.
+    """
+    _, mat, heads, iheights = table
+    ph = np.exp(x * iheights)
+    return _c_einsum("b,b->", _c_einsum("q,bq->b", ph[heads:], mat),
+                     ph[:heads]).item()
 
 
 class _Line:
@@ -368,7 +397,7 @@ def _power_line(line: _Line, ln_r, shift, tol):
         top, gross, table = line.level(level)
         if rows is None:
             rho = float(np.exp(top + slope * x0))
-            return rho * _phase_apply(table, ln_r).item(), rho * gross
+            return rho * _phase_one(table, x0), rho * gross
         x = ln_r[rows]
         rho = np.exp(top + slope * x)
         return rho * _phase_apply(table, x), rho * gross

@@ -449,22 +449,25 @@ def stable_series(spec: KernelSpec, r: float,
     Otherwise, for alpha >= 1, where the series is asymptotic, it stops
     at the optimal truncation point, just before the first term whose
     magnitude exceeds its predecessor, or as soon as a kept term falls
-    below 2^-53 of the running sum, reading the poles n = 0 .. 40.  The
-    ``converged`` diagnostic says a kept term fell that low before any
-    term grew: the remainder, of the size of the first omitted term, is
-    then below the last bit.  The error estimate is the magnitude of the
-    first omitted non-vanished term (the last kept one where the sum
-    stops converged or at the last pole read).
+    below 2^-53 of the running sum or underflows to zero (below the last
+    bit of any sum, a denormal or zero one included), reading the poles
+    n = 0 .. 40.  The ``converged`` diagnostic says a kept term fell
+    that low before any term grew: the remainder, of the size of the
+    first omitted term, is then below the last bit.  The error estimate
+    is the magnitude of the first omitted non-vanished term (the last
+    kept one where the sum stops converged or at the last pole read).
 
     For 0 < alpha < 1 the series converges for every r' (its coefficients
     decay like (n!)^(alpha-1)), and without ``n_terms`` it is summed past
     its largest term, over up to 400 poles, until a kept term falls below
-    2^-53 of the sum where the terms' concave envelope (``_envelope``)
-    already falls by more than half per pole.  ``converged`` says that
-    happened, and the error estimate is then that envelope's geometric
-    tail bound (``_left_tail``).  Terms whose coefficient or power leaves
-    the float range are formed in log form, sign * exp(ln|c_n| - e_n ln r');
-    a term past the float range raises DomainError.
+    2^-53 of the sum, or to zero, where the terms' concave envelope
+    (``_envelope``) already falls by more than half per pole.
+    ``converged`` says that happened, and the error estimate is then
+    that envelope's geometric tail bound (``_left_tail``).  Terms whose
+    coefficient or power leaves the float range, or whose float form
+    falls below the normal floats, are formed in log form,
+    sign * exp(ln|c_n| - e_n ln r'); a term past the float range raises
+    DomainError.
 
     Both add the rounding: 16 eps times the sum of the kept terms'
     magnitudes, and eps |t_n| (e_n |ln r'| + 1) per kept term
@@ -502,7 +505,11 @@ def stable_series(spec: KernelSpec, r: float,
         if c:
             try:
                 tv = c * rp ** -exponent
+                # below the normal floats its rounding is no longer relative
+                log_form = abs(tv) < _TINY
             except OverflowError:
+                log_form = True
+            if log_form:
                 tv = _log_term(n, sign, ln_c, exponent, ln_rp)
                 power_rounding += abs(tv) * log_rounding
         elif a >= 1.0:
@@ -525,7 +532,9 @@ def stable_series(spec: KernelSpec, r: float,
         gross += at
         if tv:  # a zero term carries no rounding (r' = inf: ln r' = inf)
             power_rounding += at * (exponent * ln_r + 1.0)
-        if not divergence and at < _CONVERGED * abs(value):
+        # a term that underflows to zero is below the last bit of any sum,
+        # whose own last bit may underflow (2^-53 of a denormal sum is 0)
+        if not divergence and (at < _CONVERGED * abs(value) or not at):
             if convergent:
                 tail = _left_tail(d, a, b, n, ln_rp)
                 if tail is not None:

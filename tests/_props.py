@@ -95,7 +95,7 @@ def grid_nodes(grid):
     its phase table (``mellin._phase_table``): slot j of the flattened
     (heads, B) table holds node heights[0] + (j - B//2) step.  The table's
     zero padding, and any zero weights at either end, are left out."""
-    heights, mat, _ = grid._table
+    heights, mat = grid._table[:2]
     p = mat.reshape(-1).real
     live = np.flatnonzero(p)
     j = np.arange(live[0], live[-1] + 1)

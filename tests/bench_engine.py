@@ -9,9 +9,10 @@ only its phase sums and its refinement bookkeeping, the per-point cost of
 a contour value.  The cold ``general_kernel_mb`` clears the symbol's line
 store and inner grids before each round, so it also pays the plan, the
 samples of G and the inner Mellin grids behind them.  The scalar calls
-run ``mellin._refine``'s one-row loop, the grid its array loop.  The
-residue-series timings are warm too: the pole tables and the gate's
-envelopes are kept per unit spec.
+run ``mellin._refine``'s one-row loop on ``mellin._phase_one``'s sums,
+the grid its array loop on ``mellin._phase_apply``'s; the one-row phase
+sum is also timed alone, by both.  The residue-series timings are warm
+too: the pole tables and the gate's envelopes are kept per unit spec.
 """
 
 
@@ -37,6 +38,22 @@ def test_general_kernel_mb_one_row(benchmark):
     first = lk.general_kernel_mb(sym, 2, 0.5, 1.0, 2.0)
     res = benchmark(lk.general_kernel_mb, sym, 2, 0.5, 1.0, 2.0)
     assert res == first
+
+
+@pytest.mark.parametrize("path", ["one", "grid"])
+def test_phase_sum_one_row(benchmark, path):
+    # the phase sum of one r on a warm level-0 table (d/alpha/beta =
+    # 2/1.5/0.7, r = 2): ``_phase_one`` against the grid path's
+    # ``_phase_apply`` on a one-element v, which a scalar call ran before
+    lk.stable_mb(lk.KernelSpec(2, 1.5, 0.7), 2.0)
+    table = lk.stable_kernel._stable_line(2, 1.5, 0.7, 1e-9, None).level(0)[2]
+    x = np.log(np.array([2.0]))
+    row = lk.mellin._phase_apply(table, x)[0]
+    if path == "one":
+        res = benchmark(lk.mellin._phase_one, table, float(x[0]))
+    else:
+        res = benchmark(lk.mellin._phase_apply, table, x)[0]
+    assert res == row
 
 
 def _clear_symbol_stores():

@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 import threading
@@ -564,8 +565,7 @@ class TestLineStore:
         for (top, gross, table), (top1, gross1, table1) in zip(
                 line._levels, serial._levels):
             assert (top, gross, table[2]) == (top1, gross1, table1[2])
-            assert all(np.array_equal(a, b) for a, b in zip(table[:2],
-                                                            table1[:2]))
+            assert all(np.array_equal(table[i], table1[i]) for i in (0, 1, 3))
 
 
 class TestPhaseSums:
@@ -643,6 +643,125 @@ class TestPhaseSums:
         lk.general_kernel_mb(lk.make_symbol("stable", a=1.2), 2, 0.5, 0.5,
                              1.3)
         assert min(seen.values()) >= 2
+
+
+def _hex(values):
+    """Bits of complex values, signs of zeros included."""
+    return np.asarray(values, dtype=np.complex128).view(np.uint64).tolist()
+
+
+class TestOneRowPhaseSum:
+    """``mellin._phase_one``, the phase sum of one float, against the row
+    of a ``_phase_apply`` grid call: the same bits, on random tables and
+    queries, and the path a warm scalar call takes."""
+
+    # queries of a zero or denormal ln r', where products underflow
+    SPECIAL_X = (0.0, -0.0, 5e-324, -5e-324)
+
+    @staticmethod
+    def _node_count(rng):
+        """1 to ~3000 nodes, half of them at N - 1 = k^2 + {-1, 0, 1},
+        where the block width B = isqrt(N - 1) + 1 steps up."""
+        if rng.random() < 0.5:
+            return int(round(10.0 ** rng.uniform(0.0, 3.5)))
+        return int(rng.integers(1, 55)) ** 2 + int(rng.integers(0, 3))
+
+    @staticmethod
+    def _nodes(rng, n):
+        """n nodes spaced by a random step h: a symmetric level 0 (2m + 1
+        nodes, one at w = 0), its midpoints (2m, none at w = 0) or a
+        one-sided M_t^1-style set reaching w >= 0."""
+        h = 10.0 ** rng.uniform(-2.5, 0.0)
+        kind = rng.integers(3)
+        if kind == 0:
+            m = n // 2
+            w = np.arange(-m, m + 1, dtype=float) * h
+        elif kind == 1:
+            m = max(1, n // 2)
+            w = (np.arange(-m, m, dtype=float) + 0.5) * h
+        else:
+            below = int(rng.integers(0, n))
+            w = np.arange(-below, n - below, dtype=float) * h
+        return w, h
+
+    @staticmethod
+    def _weights(rng, n):
+        """Moduli 1e-300 to 1e300, and exact zeros of either sign, whole
+        weights or one part of them."""
+        p = 10.0 ** rng.uniform(-300.0, 300.0, n) * np.exp(
+            2j * np.pi * rng.random(n))
+        zero = rng.random(n) < 0.1
+        p[zero] = rng.choice([0.0, -0.0], zero.sum()) + 1j * rng.choice(
+            [0.0, -0.0], zero.sum())
+        real = rng.random(n) < 0.05
+        p.imag[real] = 0.0
+        return p
+
+    def test_random_tables_match_grid_rows(self):
+        rng = np.random.default_rng(20261021)
+        pool = self._weights(rng, 1 << 17)  # each table takes a window
+        one, rows, cases = [], [], 0
+        for _ in range(10_000):
+            n = self._node_count(rng)
+            w, h = self._nodes(rng, n)
+            lo = int(rng.integers(0, pool.size - w.size))
+            table = lk.mellin._phase_table(pool[lo:lo + w.size], w, h)
+            # a special query and two ln r' for r' in 1e-300 .. 1e300
+            x = np.r_[rng.choice(self.SPECIAL_X),
+                      np.log(10.0 ** rng.uniform(-300.0, 300.0, 2))]
+            rows += lk.mellin._phase_apply(table, x).tolist()
+            one += [lk.mellin._phase_one(table, float(xj)) for xj in x]
+            cases += x.size
+        assert all(type(v) is complex for v in one)
+        assert cases >= 30_000
+        assert _hex(one) == _hex(rows)
+
+    @pytest.mark.parametrize("kernel", ["stable_mb", "general_kernel_mb"])
+    def test_scalar_at_unit_radius_matches_grid(self, kernel):
+        # r' = 1 exactly, where ln r' = 0.0 times each height is a zero
+        if kernel == "stable_mb":
+            calls = [functools.partial(lk.stable_mb, lk.KernelSpec(d, a, b))
+                     for d, a, b in ((2, 1.5, 0.7), (3, 0.5, 0.0),
+                                     (10, 1.99, 2.0), (3, 1.2, 0.0))]
+        else:
+            calls = [functools.partial(lk.general_kernel_mb, sym, 2, 0.5, 1.0)
+                     for sym in (_SYMBOL, lk.make_symbol(
+                         "relativistic", alpha=1.0, m=1.0))]
+        for call in calls:
+            one, (row,) = call(1.0), call(np.array([1.0]))
+            assert _hex([one.value, one.est_error]) == _hex(
+                [row.value, row.est_error])
+            assert one.diagnostics == row.diagnostics
+
+    @staticmethod
+    def _count_grid_path(monkeypatch):
+        counts = {"_row_blocks": 0, "einsum": 0}
+        real_blocks, real_einsum = lk.mellin._row_blocks, np.einsum
+
+        def blocks(*args):
+            counts["_row_blocks"] += 1
+            return real_blocks(*args)
+
+        def einsum(*args, **kwargs):
+            counts["einsum"] += 1
+            return real_einsum(*args, **kwargs)
+
+        monkeypatch.setattr(lk.mellin, "_row_blocks", blocks)
+        monkeypatch.setattr(np, "einsum", einsum)
+        return counts
+
+    @pytest.mark.parametrize("call", [
+        functools.partial(lk.stable_mb, lk.KernelSpec(2, 1.5, 0.7)),
+        functools.partial(lk.general_kernel_mb, _SYMBOL, 2, 0.5, 0.5),
+    ], ids=["stable_mb", "general_kernel_mb"])
+    def test_warm_scalar_takes_no_grid_path(self, monkeypatch, call):
+        grid = np.geomspace(0.05, 30.0, 400)
+        warm = call(2.0), call(grid)
+        counts = self._count_grid_path(monkeypatch)
+        assert call(2.0) == warm[0]
+        assert counts == {"_row_blocks": 0, "einsum": 0}
+        assert call(grid) == warm[1]
+        assert min(counts.values()) > 0
 
 
 class TestLinePlan:

@@ -618,6 +618,28 @@ class TestEvaluateRouting:
             o = lk.stable_oracle(spec, r).value
             assert v == pytest.approx(o, rel=1e-7)
 
+    @pytest.mark.parametrize("d,alpha,r", [(3, 1.2, 1e75), (3, 1.2, 1e80),
+                                           (3, 1.2, 1e100), (2, 0.7, 1e150)])
+    def test_series_whose_terms_underflow(self, d, alpha, r):
+        # |K| ~ |c_1| r^(-d-alpha) is below 1e-300: the series' terms
+        # underflow and 2^-53 of its denormal or zero sum is 0, so its stop
+        # test read 0 < 0 and evaluate fell to the contour, which returned
+        # 7.70e-84 at (3, 1.2, 1e75) with est_error 2.2e-90
+        got = lk.evaluate(lk.KernelSpec(d, alpha), r)
+        assert got.method == "residue_series"
+        assert got.diagnostics["converged"]
+        with mp.workdps(30):
+            # the leading terms n = 1 .. 4 at t = 1 (n = 0 vanishes at
+            # beta = 0); each is below 1e-90 of the one before
+            a, r_mp = mp.mpf(alpha), mp.mpf(r)
+            k = mp.fsum(
+                (-1) ** n / mp.factorial(n) * mp.gamma((d + n * a) / 2)
+                * mp.rgamma(-n * a / 2) * 2 ** (n * a) * mp.pi ** (-d / 2)
+                * r_mp ** -(d + n * a) for n in range(1, 5))
+            assert abs(k) < mp.mpf(10) ** -300
+            assert abs(mp.mpf(got.value) - k) <= (mp.mpf(got.est_error)
+                                                  + mp.mpf(2) ** -1074)
+
 
 def _left_series_mp(d, alpha, beta, t, r, dps=50):
     """K(t, r) from the large-r residue series in mpmath, which converges
