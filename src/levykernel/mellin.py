@@ -26,20 +26,24 @@ level, is one call of G.
 
 G never depends on r, so each kernel keeps its line in a store: log G
 itself, the plan, the tail estimate and per trapezoid level top, gross
-and the ``_phase_table`` of its scaled samples, grown on demand.  G is
+and the ``_phase_table`` of its scaled samples, grown on demand.  Levels
+0 and 1 have one node spacing; level 1's table takes level 0's width,
+and the store keeps the two as one pair table (``_pair_table``).  G is
 sampled and each table built once per unit spec or symbol value; a
-later call pays only its phases (``_phase_apply``, or ``_phase_one``
-for one r).  Each r refines as alone, so a value does not depend on
-what the store held before.
+later call pays only its phases (``_phase_apply`` for a grid).  Each r
+refines as alone, so a value does not depend on what the store held
+before.  A row stops only on levels that resolve its phase e^(i v ln r)
+(``_refine``'s aliasing guard).
 
-A scalar r is one row, and ``_refine`` runs its levels on Python
-numbers: numpy forms only its phase sum, its scale and, per level, the
-moduli that test convergence, as it would for one row of a grid.  The
-phase sum is ``_phase_one``'s: one exp of ln r times the table's stored
-i heights and the grid's two contractions, run by numpy's C einsum
-directly.  Every other step is rounded as numpy rounds it, so a scalar
-call returns the bits of its grid row without a grid's per-call array
-work.
+A scalar r is one row, and ``_power_one`` runs it on Python numbers:
+numpy forms only its phase sums, its scales and, per level, the moduli
+that test convergence, as it would for one row of a grid.  Levels 0
+and 1, where almost every value stops, come from one ``_phase_pair``:
+one exp of ln r times the pair's stored i heights, and the grid's
+contractions, run by numpy's C einsum directly; a later level is one
+``_phase_one`` of its own table.  Every other step is rounded as numpy
+rounds it, so a scalar call returns the bits of its grid row without a
+grid's per-call array work.
 
 All reductions run in a fixed order, so results are bit-reproducible.
 """
@@ -130,7 +134,7 @@ def _heights(plan: ContourSpec, i):
         np.arange(-m, m + 1, dtype=float) * h)
 
 
-def _refine(sums, n_rows, contour, tol, rounding):
+def _refine(sums, n_rows, contour, tol, rounding, freq):
     """Run the plan's trapezoid on ``n_rows`` integrands whose per-level
     sums come from ``sums(level, rows)``: per row of ``rows``, the sum of
     f (ends halved on level 0) and the sum of |f| over the nodes of that
@@ -140,25 +144,16 @@ def _refine(sums, n_rows, contour, tol, rounding):
     rounding floor eps g (8 + w): 8 for the sums and products at a node,
     and w, ``rounding`` (one per row, or one for all), for the rounding
     of the samples themselves, per unit of g (``_power_line``).
-    Returns per-row values, discretization estimates and node counts;
-    raises NonConvergent if any row fails to converge.
 
-    ``n_rows=None`` asks for one row on Python numbers (``_refine_one``):
-    ``sums(level, None)`` gives its two sums as a complex and a float,
-    ``rounding`` is a float, and the value, estimate and node count come
-    back as a complex, a float and an int, with the bits of a one-row
-    array run.  ``sums`` still answers index arrays: a zero real part,
-    whose sign alone the two loops may round apart, is taken from the
-    array loop.
+    ``freq`` (one per row, or one for all) is the row's phase frequency
+    |ln r'|: the estimate of level i, step h_i = h / 2^i, cannot resolve
+    e^(i v ln r') once h_i |ln r'| >= pi, and two aliased levels may
+    agree on a wrong value, so a row stops at level i only when
+    h_(i-1) |ln r'| < pi, h_(i-1) being the spacing of level i's new
+    midpoints.  Returns per-row values, discretization estimates and
+    node counts; raises NonConvergent if any row fails to converge.
+    ``_refine_one`` runs the same loop for one row on Python numbers.
     """
-    if n_rows is None:
-        value, disc, used = _refine_one(sums, contour, tol, rounding)
-        if value.real:
-            return value, disc, used
-        # numpy may fuse a complex product's multiply and add (FMA), so an
-        # underflowed product can round to a zero of the other sign
-        value, disc, used = _refine(sums, 1, contour, tol, rounding)
-        return value.item(), disc.item(), used.item()
     rounding = np.broadcast_to(rounding, n_rows)
     value = np.empty(n_rows, dtype=np.complex128)
     disc = np.empty(n_rows)
@@ -169,6 +164,7 @@ def _refine(sums, n_rows, contour, tol, rounding):
     last = math.inf
     if not n_rows:
         return value, disc, used
+    top_freq = np.asarray(freq).max()
     for level in range(_REFINEMENTS + 1):
         m, h = _level_grid(contour, level)
         s, a = sums(level, rows)
@@ -184,6 +180,8 @@ def _refine(sums, n_rows, contour, tol, rounding):
             floor = 5e-16 * g
             done = diff <= np.maximum(np.maximum(tol * np.abs(new), floor),
                                       1e-300)
+            if not h * top_freq < math.pi:  # a row may alias on this level
+                done &= h * np.broadcast_to(freq, n_rows)[rows] < math.pi
             if done.any():
                 out = rows[done]
                 value[out] = new[done]
@@ -201,13 +199,19 @@ def _refine(sums, n_rows, contour, tol, rounding):
         f"last change {last:.3e}")
 
 
-def _refine_one(sums, contour, tol, rounding):
-    """The loop of ``_refine`` for one row, ``sums(level, None)``, with
-    its floor ``rounding``, on Python numbers: each step rounds as numpy's
-    does on one element, up to the sign of an underflowed zero.  The
-    complex moduli are numpy's, one call per level (Python's abs rounds
-    differently), and the division by 2 pi is numpy's Smith quotient by
-    a real, (re + im 0, im - re 0) times 1/(2 pi), not Python's.
+def _refine_one(sums, contour, tol, rounding, freq):
+    """The loop of ``_refine`` for one row, on Python numbers:
+    ``sums(level, None)`` gives its two sums as a complex and a float,
+    ``rounding`` and ``freq`` are floats, and the value, estimate and
+    node count come back as a complex, a float and an int, with the bits
+    of a one-row array run.  Each step rounds as numpy's does on one
+    element, up to the sign of an underflowed zero.  The complex moduli
+    are numpy's, one call per level (Python's abs rounds differently),
+    and the division by 2 pi is numpy's Smith quotient by a real,
+    (re + im 0, im - re 0) times 1/(2 pi), not Python's.
+
+    ``sums`` still answers index arrays: a zero real part, whose sign
+    alone the two loops may round apart, is taken from the array loop.
     """
     est = gross = None
     n_used = 0
@@ -225,7 +229,14 @@ def _refine_one(sums, contour, tol, rounding):
             g += 0.5 * gross
             diff, mod = np.abs((new - est, new)).tolist()
             floor = 5e-16 * g
-            if diff <= max(tol * mod, floor, 1e-300):
+            if diff <= max(tol * mod, floor, 1e-300) and h * freq < math.pi:
+                if not new.real:
+                    # numpy may fuse a complex product's multiply and add
+                    # (FMA), so an underflowed product can round to a zero
+                    # of the other sign
+                    value, disc, used = _refine(sums, 1, contour, tol,
+                                                rounding, freq)
+                    return value.item(), disc.item(), used.item()
                 return (new, max(diff, floor) + _EPS * g * (8.0 + rounding),
                         n_used)
         est, gross = new, g
@@ -243,23 +254,26 @@ def _row_blocks(v, heights, contract):
         v[lo:lo + rows], heights))) for lo in range(0, v.size, rows)])
 
 
-def _phase_table(p, w, step):
+def _phase_table(p, w, step, width=None):
     """The v-free part, read-only (heights, table, heads, iheights), of
     the sums sum_k p_k exp(i w_k v_j) for every v_j, the nodes w
     increasing, spaced by ``step`` and reaching w >= 0: the node split of
     a nonequispaced DFT (Dutt and Rokhlin) in ~sqrt(N) blocks.  Counting
     from k0, the first node at or above w = 0, node k0 + m is
     m = b*B + q with centred offsets -half <= q < B - half, and sits in
-    slot m + half - lo*B of a (heads, B) table, B = isqrt(N - 1) + 1.
-    Its phase is head b's, at height w_k0 + b*B*step, times offset q's,
-    so the rounding of a height grows with its distance from w = 0, as in
-    a direct exp.  ``_phase_apply`` gives each v_j heads + B exps of one
-    outer product, and forms its sum alone: its bits do not depend on
-    the rest of v.  ``iheights`` = 1j * heights is kept for
-    ``_phase_one``, the sum at one float v.
+    slot m + half - lo*B of a (heads, B) table, B = ``width``, by default
+    isqrt(N - 1) + 1.  Its phase is head b's, at height w_k0 + b*B*step,
+    times offset q's, so the rounding of a height grows with its distance
+    from w = 0, as in a direct exp.  ``_phase_apply`` gives each v_j
+    heads + B exps of one outer product, and forms its sum alone: its
+    bits do not depend on the rest of v.  ``iheights`` = 1j * heights is
+    kept for ``_phase_one``, the sum at one float v.  Two tables of one
+    width and step share their offset heights (q - half) * step, so
+    ``_pair_table`` can join them.
     """
     k0 = int(np.searchsorted(w, 0.0))
-    width = math.isqrt(w.size - 1) + 1
+    if width is None:
+        width = math.isqrt(w.size - 1) + 1
     half = width // 2
     lo = (half - k0) // width
     heads = (w.size - 1 - k0 + half) // width - lo + 1
@@ -303,6 +317,37 @@ def _phase_one(table, x):
                      ph[:heads]).item()
 
 
+def _pair_table(zero, one):
+    """The pair table of two ``_phase_table`` s of one width and step,
+    trapezoid levels 0 and 1, and the two tables again, each with its
+    (heads, B) table now a row view of the pair's stack, so that the
+    store keeps those arrays once.  The pair, read-only, is (i times the
+    heights of level 0's heads, level 1's heads and the shared offsets,
+    the stacked tables (heads0 + heads1, B), heads0, heads1), for
+    ``_phase_pair``."""
+    (h0, m0, n0, i0), (h1, m1, n1, i1) = zero, one
+    mat = np.concatenate((m0, m1))
+    iheights = np.concatenate((i0[:n0], i1))
+    for a in (mat, iheights):
+        a.flags.writeable = False
+    return (h0, mat[:n0], n0, i0), (h1, mat[n0:], n1, i1), (
+        iheights, mat, n0, n1)
+
+
+def _phase_pair(pair, x):
+    """The sums of levels 0 and 1 at one float ``x``, as two complexes,
+    from their ``_pair_table``: the bits of ``_phase_one`` on each
+    level's table.  One exp of x * iheights gives both levels' heads and
+    their shared offsets, one contraction the tails of every head of the
+    stack, and one contraction per level their sum over its heads."""
+    iheights, mat, n0, n1 = pair
+    heads = n0 + n1
+    ph = np.exp(x * iheights)
+    tails = _c_einsum("q,bq->b", ph[heads:], mat)
+    return (_c_einsum("b,b->", tails[:n0], ph[:n0]).item(),
+            _c_einsum("b,b->", tails[n0:], ph[n0:heads]).item())
+
+
 class _Line:
     """The r-free samples of one contour: its log_g, its plan, the tail
     estimate of exp(log_g) beyond the plan's height, and per trapezoid
@@ -310,6 +355,11 @@ class _Line:
     the scaled samples |e| = |exp(log_g - top)|, and the ``_phase_table``
     of e, ends halved on level 0.  Levels are sampled on demand, in
     order, outside the lock, and kept read-only in an append-only tuple.
+
+    Level 1's table takes level 0's width, and level 1 is stored with
+    the ``_pair_table`` of both, in the same locked step that swaps
+    level 0's table for its view of the pair: a reader that finds level
+    1 finds the pair (``pair``).
 
     With level 0 the line keeps two means over its nodes, weighted by
     |e|, for the rounding floor of ``_power_line``: ``moments`` = (the
@@ -321,6 +371,7 @@ class _Line:
     def __init__(self, log_g, plan: ContourSpec, tail: float):
         self.log_g, self.plan, self.tail = log_g, plan, tail
         self._levels = ()
+        self._pair = None
         self.moments = None
         self._lock = threading.Lock()
 
@@ -330,6 +381,8 @@ class _Line:
         levels = self._levels
         if i < len(levels):
             return levels[i]
+        if i == 1:
+            base = self.level(0)
         v = _heights(self.plan, i)
         z = self.plan.abscissa + 1j * v
         if i:
@@ -345,30 +398,63 @@ class _Line:
                        float((mod * np.abs(v)).sum()) / gross)
             e[0] *= 0.5
             e[-1] *= 0.5
-        stored = top, gross, _phase_table(e, v, _level_grid(self.plan, i)[1])
+        step = _level_grid(self.plan, i)[1]
+        if i == 1:
+            zero, one, pair = _pair_table(
+                base[2], _phase_table(e, v, step, base[2][1].shape[1]))
+            stored = top, gross, one
+        else:
+            stored = top, gross, _phase_table(e, v, step)
         with self._lock:
             # a racing call may have stored level i first, with these bits
             if len(self._levels) == i:
                 if not i:
                     self.moments = moments
-                self._levels += (stored,)
+                if i == 1:
+                    self._pair = (base[0], base[1], zero), stored, pair
+                    self._levels = self._pair[:2]
+                else:
+                    self._levels += (stored,)
         return stored
+
+    def pair(self):
+        """(level 0, level 1, their ``_pair_table``), each level as
+        ``level`` gives it; both are sampled if the store lacks them."""
+        held = self._pair
+        if held is None:
+            self.level(1)
+            held = self._pair
+        return held
+
+
+def _line_sums(line: _Line, ln_r, slope):
+    """``_refine``'s sums(level, rows) for the rows of the 1-D ``ln_r``
+    on the store ``line``, with slope c - shift (``_power_line``)."""
+
+    def sums(level, rows):
+        top, gross, table = line.level(level)
+        x = ln_r[rows]
+        rho = np.exp(top + slope * x)
+        return rho * _phase_apply(table, x), rho * gross
+
+    return sums
 
 
 def _power_line(line: _Line, ln_r, shift, tol):
     """(1/2 pi i) int_(c) exp(log_g(z) + (z - shift) ln r) dz on the
-    store ``line`` of log_g, for every entry of ``ln_r``: per-row values,
-    tail estimates, discretization estimates and node counts, or, for a
-    0-d ``ln_r``, one of each as Python numbers (``_refine``'s one row).
+    store ``line`` of log_g, for every entry of the 1-D ``ln_r``: per-row
+    values, tail estimates, discretization estimates and node counts.  A
+    0-d ``ln_r`` is forwarded to ``_power_one``.
 
     At node k the integrand is E_k rho e^(i v_k ln r), E_k the level's
     scaled sample, v_k = Im z_k and rho = exp(top + (c - shift) ln r) one
     real scale per r, so each r's sum of |f| is rho * gross and its sum
     of f needs only the phases.  |r^(z - shift)| is r^(c - shift) at
     every height, so each tail estimate is the line's times that.  Each
-    r keeps its own convergence test, rounding floor and error estimate,
-    and stops refining when it converges: every row equals that of a
-    one-element ``ln_r``, and of a 0-d one.
+    r keeps its own convergence test, aliasing guard (frequency |ln r|),
+    rounding floor and error estimate, and stops refining when it
+    converges: every row equals that of a one-element ``ln_r``, and that
+    of ``_power_one``.
 
     The rounding floor of a row (``_refine``'s w) is the relative
     rounding of its scaled samples, per eps: the parts of log_g, mean
@@ -378,35 +464,51 @@ def _power_line(line: _Line, ln_r, shift, tol):
     one in its size (Higham, Accuracy and Stability of Numerical
     Algorithms, 2nd ed., ch. 3).
     """
-    slope = line.plan.abscissa - shift
     ln_r = np.asarray(ln_r, dtype=float)
-    one = ln_r.ndim == 0
-    ln_r = ln_r.ravel()
-    x0 = float(ln_r[0]) if one else None
+    if not ln_r.ndim:
+        return _power_one(line, float(ln_r), shift, tol)
+    slope = line.plan.abscissa - shift
+    freq = np.abs(ln_r)
     rounding = 0.0
     if ln_r.size:
         top = line.level(0)[0]
         size, height = line.moments
-        if one:
-            rounding = size + height * abs(x0) + abs(top + slope * x0)
-        else:
-            rounding = (size + height * np.abs(ln_r)
-                        + np.abs(top + slope * ln_r))
+        rounding = size + height * freq + np.abs(top + slope * ln_r)
+    value, disc, used = _refine(_line_sums(line, ln_r, slope), ln_r.size,
+                                line.plan, tol, rounding, freq)
+    return value, line.tail * np.exp(slope * ln_r), disc, used
+
+
+def _power_one(line: _Line, x: float, shift, tol):
+    """``_power_line`` for one float ln r = ``x``, as Python numbers: a
+    complex value, a float tail and discretization estimate and an int
+    node count, with the bits of a one-element grid.  Levels 0 and 1 come
+    from one ``_phase_pair``, and their scales rho and the tail's
+    r^(c - shift) from three scalar exps, which take less time than one
+    exp of the three as an array; ``_refine_one`` runs the loop, and a
+    level past 1 is one ``_phase_one``.  A zero real part is taken from
+    the array loop, as ``_refine_one`` says.
+    """
+    slope = line.plan.abscissa - shift
+    (top, gross0, _), (top1, gross1, _), pair = line.pair()
+    size, height = line.moments
+    arg = top + slope * x
+    rounding = size + height * abs(x) + abs(arg)
+    s0, s1 = _phase_pair(pair, x)
+    rho0, rho1 = float(np.exp(arg)), float(np.exp(top1 + slope * x))
+    head = (rho0 * s0, rho0 * gross0), (rho1 * s1, rho1 * gross1)
 
     def sums(level, rows):
+        if rows is not None:  # the array loop, for a zero real part
+            return _line_sums(line, np.array([x]), slope)(level, rows)
+        if level < 2:
+            return head[level]
         top, gross, table = line.level(level)
-        if rows is None:
-            rho = float(np.exp(top + slope * x0))
-            return rho * _phase_one(table, x0), rho * gross
-        x = ln_r[rows]
-        rho = np.exp(top + slope * x)
-        return rho * _phase_apply(table, x), rho * gross
+        rho = float(np.exp(top + slope * x))
+        return rho * _phase_one(table, x), rho * gross
 
-    value, disc, used = _refine(sums, None if one else ln_r.size, line.plan,
-                                tol, rounding)
-    if one:
-        return value, line.tail * float(np.exp(slope * x0)), disc, used
-    return value, line.tail * np.exp(slope * ln_r), disc, used
+    value, disc, used = _refine_one(sums, line.plan, tol, rounding, abs(x))
+    return value, line.tail * float(np.exp(slope * x)), disc, used
 
 
 def fold_conjugates(log_g):
@@ -488,29 +590,33 @@ def _contour_route(line: _Line, shift: float, rs, r_scale: float,
         scale * Re (1/2 pi i) int_(c) exp(log_g(z)) r'^(z - shift) dz,
 
     r' = r_scale * r, on the store ``line`` of log_g, for ``rs`` from
-    ``_radii``: a float (one Approximation back, from ``_refine``'s one
-    row) or a 1-D array (a list, one per point, from one ``_power_line``
-    pass for the whole grid).  The estimate is |scale| times that of the
-    line integral.
+    ``_radii``: a float (one Approximation back, from ``_power_one``) or
+    a 1-D array (a list, one per point, from one ``_power_line`` pass for
+    the whole grid).  The estimate is |scale| times that of the line
+    integral.
     """
     plan = line.plan
+    if isinstance(rs, float):
+        value, tail, disc, used = _power_one(
+            line, float(np.log(rs * r_scale)), shift, tol)
+        mod = max(float(np.hypot(value.real, value.imag)), 1e-300)
+        return Approximation(
+            value=scale * value.real, est_error=abs(scale) * (tail + disc),
+            method="mb_contour",
+            diagnostics={"nodes_used": 2 + used,
+                         "truncation_height": plan.half_height,
+                         "abscissa": plan.abscissa,
+                         "imag_ratio": abs(value.imag) / mod})
     value, tail, disc, used = _power_line(line, np.log(rs * r_scale), shift,
                                           tol)
-    if isinstance(rs, float):
-        mod = max(float(np.hypot(value.real, value.imag)), 1e-300)
-        rows = [(scale * value.real, abs(scale) * (tail + disc), 2 + used,
-                 abs(value.imag) / mod)]
-    else:
-        mod = np.maximum(np.hypot(value.real, value.imag), 1e-300)
-        cols = (scale * value.real, abs(scale) * (tail + disc), 2 + used,
-                np.abs(value.imag) / mod)
-        rows = zip(*(a.tolist() for a in cols))
-    out = [Approximation(
+    mod = np.maximum(np.hypot(value.real, value.imag), 1e-300)
+    cols = (scale * value.real, abs(scale) * (tail + disc), 2 + used,
+            np.abs(value.imag) / mod)
+    return [Approximation(
         value=v, est_error=e, method="mb_contour",
         diagnostics={"nodes_used": n, "truncation_height": plan.half_height,
                      "abscissa": plan.abscissa, "imag_ratio": q})
-        for v, e, n, q in rows]
-    return out[0] if isinstance(rs, float) else out
+        for v, e, n, q in zip(*(a.tolist() for a in cols))]
 
 
 def _ladder(f, c, tol):

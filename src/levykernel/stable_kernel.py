@@ -88,20 +88,26 @@ class KernelSpec:
     t: float = 1.0
 
     def __post_init__(self):
-        if not self.d >= 2:
-            raise ValueError(f"dimension d must be >= 2, got {self.d}")
-        if not 0.0 < self.alpha <= 2.0:
-            raise ValueError("alpha must lie in (0, 2]")
-        if not 0.0 <= self.beta < math.inf:
-            raise ValueError(f"beta must be >= 0 and finite, got {self.beta}")
-        if not 0.0 < self.t < math.inf:
-            raise ValueError(f"t must be > 0 and finite, got {self.t}")
+        _kernel_rule(self.d, self.alpha, self.beta, self.t)
+
+
+def _kernel_rule(d, alpha, beta, t):
+    """Raise ValueError unless d >= 2, 0 < alpha <= 2, 0 <= beta < inf
+    and 0 < t < inf: ``KernelSpec``'s rule, checked in that order."""
+    if not d >= 2:
+        raise ValueError(f"dimension d must be >= 2, got {d}")
+    if not 0.0 < alpha <= 2.0:
+        raise ValueError("alpha must lie in (0, 2]")
+    if not 0.0 <= beta < math.inf:
+        raise ValueError(f"beta must be >= 0 and finite, got {beta}")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"t must be > 0 and finite, got {t}")
 
 
 def _check_kernel(t, d=2, beta=0.0):
     """``KernelSpec``'s d, beta and t rule for a symbol, as DomainError."""
     try:
-        KernelSpec(d, 1.0, beta, t)
+        _kernel_rule(d, 1.0, beta, t)
     except ValueError as exc:
         raise DomainError(str(exc)) from None
 

@@ -10,8 +10,8 @@ import numpy as np
 
 import levykernel as lk
 from levykernel.errors import Approximation, NoDecay
-from levykernel.mellin import (ContourSpec, _heights, _magnitudes, _refine,
-                               _tail_estimate)
+from levykernel.mellin import (ContourSpec, _heights, _magnitudes,
+                               _refine_one, _tail_estimate)
 
 POLE_CLEARANCE = 0.05
 
@@ -128,7 +128,7 @@ def _checked_tail(f, contour: ContourSpec) -> float:
 
 def _direct_sums(f, contour):
     """Level sums of one integrand ``f``, formed node by node, as Python
-    numbers for ``_refine``'s one row (``rows`` None), else as arrays."""
+    numbers for ``_refine_one`` (``rows`` None), else as arrays."""
 
     def sums(level, rows):
         fv = f(contour.abscissa + 1j * _heights(contour, level))
@@ -160,11 +160,12 @@ def vertical_line_integral(f, contour: ContourSpec,
     For integrands with f(conj z) = conj f(z) the imaginary part of the
     result is at the rounding level.  The estimate is the tail estimate
     plus the discretization estimate, whose rounding floor counts only
-    the sums and products at a node (``_refine``'s w = 0).
+    the sums and products at a node (``_refine_one``'s w = 0), with no
+    aliasing guard (frequency 0).
     """
     tail = _checked_tail(f, contour)
-    value, disc, used = _refine(_direct_sums(f, contour), None, contour, tol,
-                                0.0)
+    value, disc, used = _refine_one(_direct_sums(f, contour), contour, tol,
+                                    0.0, 0.0)
     return _line_result(value, tail, disc, used)
 
 

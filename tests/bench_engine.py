@@ -9,9 +9,11 @@ only its phase sums and its refinement bookkeeping, the per-point cost of
 a contour value.  The cold ``general_kernel_mb`` clears the symbol's line
 store and inner grids before each round, so it also pays the plan, the
 samples of G and the inner Mellin grids behind them.  The scalar calls
-run ``mellin._refine``'s one-row loop on ``mellin._phase_one``'s sums,
-the grid its array loop on ``mellin._phase_apply``'s; the one-row phase
-sum is also timed alone, by both.  The residue-series timings are warm
+run ``mellin._power_one``: trapezoid levels 0 and 1 from one
+``mellin._phase_pair``, then ``mellin._refine_one``'s loop, with
+``mellin._phase_one`` past level 1; the grid runs ``mellin._refine``'s
+array loop on ``mellin._phase_apply``'s sums.  The phase sums of one row
+are also timed alone, by each path.  The residue-series timings are warm
 too: the pole tables and the gate's envelopes are kept per unit spec.
 """
 
@@ -40,20 +42,28 @@ def test_general_kernel_mb_one_row(benchmark):
     assert res == first
 
 
-@pytest.mark.parametrize("path", ["one", "grid"])
+@pytest.mark.parametrize("path", ["one", "grid", "pair", "two"])
 def test_phase_sum_one_row(benchmark, path):
-    # the phase sum of one r on a warm level-0 table (d/alpha/beta =
-    # 2/1.5/0.7, r = 2): ``_phase_one`` against the grid path's
-    # ``_phase_apply`` on a one-element v, which a scalar call ran before
+    # the phase sums of one r on a warm line (d/alpha/beta = 2/1.5/0.7,
+    # r = 2).  Level 0 alone: ``_phase_one`` against the grid path's
+    # ``_phase_apply`` on a one-element v.  Levels 0 and 1, the two every
+    # scalar value takes: ``_phase_pair`` on their pair table against two
+    # ``_phase_one`` calls on the level tables
     lk.stable_mb(lk.KernelSpec(2, 1.5, 0.7), 2.0)
-    table = lk.stable_kernel._stable_line(2, 1.5, 0.7, 1e-9, None).level(0)[2]
+    line = lk.stable_kernel._stable_line(2, 1.5, 0.7, 1e-9, None)
+    tables = [level[2] for level in line.pair()[:2]]
     x = np.log(np.array([2.0]))
-    row = lk.mellin._phase_apply(table, x)[0]
+    rows = [lk.mellin._phase_apply(table, x)[0] for table in tables]
     if path == "one":
-        res = benchmark(lk.mellin._phase_one, table, float(x[0]))
+        res = [benchmark(lk.mellin._phase_one, tables[0], float(x[0]))]
+    elif path == "grid":
+        res = [benchmark(lk.mellin._phase_apply, tables[0], x)[0]]
+    elif path == "pair":
+        res = benchmark(lk.mellin._phase_pair, line.pair()[2], float(x[0]))
     else:
-        res = benchmark(lk.mellin._phase_apply, table, x)[0]
-    assert res == row
+        res = benchmark(lambda: [lk.mellin._phase_one(table, float(x[0]))
+                                 for table in tables])
+    assert list(res) == rows[:len(res)]
 
 
 def _clear_symbol_stores():

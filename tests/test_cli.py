@@ -233,6 +233,23 @@ class TestSweep:
         assert [(m, v, e) for _r, _t, m, v, e in at_origin] == [
             (exact.method, exact.value, exact.est_error)] * 3
 
+    def test_mb_far_field_rows_bound_their_error(self, capsys):
+        # out to r = 1e30, where the trapezoid's first levels alias the
+        # phase of r^z: every contour row's est_error covers its distance
+        # from the converged large-r series
+        spec = lk.KernelSpec(d=2, alpha=1.5, beta=0.7)
+        code, out = run_cli(capsys, "sweep", "--d", "2", "--alpha", "1.5",
+                            "--beta", "0.7", "--r-min", "1e10", "--r-max",
+                            "1e30", "--points", "5", "--log", "--method",
+                            "mb")
+        assert code == 0
+        _, rows = parse_sweep_csv(out)
+        assert len(rows) == 5 and rows[-1][0] == 1e30
+        for r, _t, m, v, e in rows:
+            series = lk.stable_series(spec, r)
+            assert m == "mb_contour" and series.diagnostics["converged"]
+            assert abs(v - series.value) <= e + 1e-15 * abs(series.value)
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"
         code, _ = run_cli(capsys, "sweep", "--d", "2", "--alpha", "1.5",

@@ -10,7 +10,7 @@ from scipy import optimize
 
 import levykernel as lk
 from levykernel.mellin import (_REFINEMENTS, _ladder, _level_grid, _Line,
-                               _plan, _power_line, _refine)
+                               _plan, _power_line, _refine, _refine_one)
 
 from _props import (_checked_tail, contour_independence_spread,
                     dense_phase_sums, phase_sums, vertical_line_integral)
@@ -182,15 +182,39 @@ class TestPowerLineIntegral:
             assert one == tuple(col[i] for col in rows)
 
 
+class TestOneRowUnderflow:
+    def test_zero_value_takes_the_grid_row(self, monkeypatch):
+        # rho = exp(top + 101 ln r) underflows to 0 at ln r = -8, shift
+        # -100: a zero value, whose sign the array loop sets, so the one
+        # row takes its bits from a one-element grid
+        plan = lk.ContourSpec(1.0, 32.0, nodes=128)
+        (value,), *row = _engine_rows(lk.log_gamma, np.array([-8.0]), -100.0,
+                                      plan, 1e-12)
+        assert value == 0.0
+        calls = []
+        real = lk.mellin._phase_apply
+
+        def recording(*args):
+            calls.append(args[1].size)
+            return real(*args)
+
+        monkeypatch.setattr(lk.mellin, "_phase_apply", recording)
+        one = _engine_rows(lk.log_gamma, -8.0, -100.0, plan, 1e-12)
+        assert calls and set(calls) == {1}
+        assert list(map(type, one)) == [complex, float, float, int]
+        assert _hex([one[0]]) == _hex([value])
+        assert one[1:] == tuple(col[0] for col in row)
+
+
 def _bits(value, disc, used):
     value = complex(value)
     return value.real.hex(), value.imag.hex(), float(disc).hex(), int(used)
 
 
 class TestOneRowBookkeeping:
-    """``_refine``'s one row runs on Python numbers, the array loop on
-    numpy arrays: on the same level sums both must give the same bits,
-    or the same stall."""
+    """``_refine_one`` runs one row on Python numbers, ``_refine`` its
+    array loop on numpy arrays: on the same level sums both must give the
+    same bits, or the same stall."""
 
     PLAN = lk.ContourSpec(1.0, 16.0, nodes=32)  # step 0.5 on level 0
     TOL = 1e-9
@@ -228,40 +252,67 @@ class TestOneRowBookkeeping:
         a[tiny] = rng.choice([0.0, 1.0], shape)
         return s, a
 
-    def _one_row(self, s, a, rounding=0.0):
+    def _one_row(self, s, a, rounding=0.0, freq=0.0):
         def sums(level, rows):
             if rows is None:
                 return complex(s[level]), float(a[level])
             return s[None, level], a[None, level]
 
         try:
-            return _bits(*_refine(sums, None, self.PLAN, self.TOL, rounding))
+            return _bits(*_refine_one(sums, self.PLAN, self.TOL, rounding,
+                                      freq))
         except lk.NonConvergent as exc:
             return str(exc)
+
+    def _check_loops(self, s, a, w, f):
+        """Both loops on the rows (s, a), with rounding floors w and
+        frequencies f: the same bits, or the same stall.  Returns the one
+        row results and the array loop's node counts."""
+        one = [self._one_row(s[i], a[i], float(w[i]), float(f[i]))
+               for i in range(len(s))]
+        done = np.array([i for i, res in enumerate(one)
+                         if not isinstance(res, str)])
+        value, disc, used = _refine(
+            lambda level, rows: (s[done[rows], level], a[done[rows], level]),
+            done.size, self.PLAN, self.TOL, w[done], f[done])
+        assert [_bits(*row) for row in zip(value, disc, used)] == [
+            one[i] for i in done]
+        for i in sorted(set(range(len(one))) - set(done.tolist())):
+            with pytest.raises(lk.NonConvergent) as row:
+                _refine(lambda level, rows: (s[i, None, level],
+                                             a[i, None, level]),
+                        1, self.PLAN, self.TOL, 0.0, f[i])
+            assert str(row.value) == one[i]
+        return one, used
 
     def test_random_level_sums(self):
         # each row with its own rounding floor, as ``_power_line`` gives
         s, a = self._draws(10_000, 20261020)
         w = 10.0 ** np.random.default_rng(7).uniform(-1.0, 4.0, len(s))
-        one = [self._one_row(s[i], a[i], float(w[i])) for i in range(len(s))]
-        done = np.array([i for i, res in enumerate(one)
-                         if not isinstance(res, str)])
-        value, disc, used = _refine(
-            lambda level, rows: (s[done[rows], level], a[done[rows], level]),
-            done.size, self.PLAN, self.TOL, w[done])
-        assert [_bits(*row) for row in zip(value, disc, used)] == [
-            one[i] for i in done]
+        one, used = self._check_loops(s, a, w, np.zeros(len(s)))
         # converged on every level, stalled, and underflowed to zero
         assert set(used.tolist()) == {(64 << k) + 1 for k in range(1, 7)}
-        assert 500 < len(one) - done.size < 2000
+        assert 500 < len(one) - used.size < 2000
         assert sum(res[0].endswith("0x0.0p+0") for res in one
                    if not isinstance(res, str)) > 100
-        for i in sorted(set(range(len(one))) - set(done.tolist())):
-            with pytest.raises(lk.NonConvergent) as row:
-                _refine(lambda level, rows: (s[i, None, level],
-                                             a[i, None, level]),
-                        1, self.PLAN, self.TOL, 0.0)
-            assert str(row.value) == one[i]
+
+    def test_random_level_sums_behind_the_aliasing_guard(self):
+        # phase frequencies 0.1 to ~300 against level 0's step 0.5: a row
+        # may stop at level i only once h_(i-1) f < pi, h_(i-1) = 0.5 /
+        # 2^(i-1), so the guard holds rows back, and stalls every row
+        # with f >= 64 pi, which no level resolves
+        s, a = self._draws(4_000, 20261023)
+        w = 10.0 ** np.random.default_rng(8).uniform(-1.0, 4.0, len(s))
+        f = 10.0 ** np.random.default_rng(9).uniform(-1.0, 2.5, len(s))
+        one, used = self._check_loops(s, a, w, f)
+        free = [self._one_row(s[i], a[i], float(w[i])) for i in range(len(s))]
+        held = [(one[i], free[i]) for i in range(len(s)) if one[i] != free[i]]
+        assert len(held) > 500
+        # a held row stops later than it would unguarded, or stalls
+        for guarded, unguarded in held:
+            assert isinstance(guarded, str) or guarded[3] > unguarded[3]
+        assert all(isinstance(one[i], str)
+                   for i in np.flatnonzero(f >= 64.0 * math.pi))
 
     def test_underflowed_zero_takes_the_array_sign(self):
         # -5e-324 halved rounds to a zero whose sign numpy's fused complex
@@ -271,7 +322,7 @@ class TestOneRowBookkeeping:
         a = np.ones(_REFINEMENTS + 1)
         value, disc, used = _refine(
             lambda level, rows: (s[None, level], a[None, level]), 1,
-            self.PLAN, self.TOL, 0.0)
+            self.PLAN, self.TOL, 0.0, 0.0)
         assert self._one_row(s, a) == _bits(value[0], disc[0], used[0])
 
 
@@ -505,9 +556,9 @@ class TestLineStore:
         lk.radial_symbol._symbol_line.cache_clear()
         tables = []
         for mod in (lk.mellin, lk.radial_symbol):
-            def counting(p, w, step, real=mod._phase_table):
+            def counting(p, w, step, *width, real=mod._phase_table):
                 tables.append(w.size)
-                return real(p, w, step)
+                return real(p, w, step, *width)
 
             monkeypatch.setattr(mod, "_phase_table", counting)
         sizes = _count_log_gamma(monkeypatch, module)
@@ -566,6 +617,13 @@ class TestLineStore:
                 line._levels, serial._levels):
             assert (top, gross, table[2]) == (top1, gross1, table1[2])
             assert all(np.array_equal(table[i], table1[i]) for i in (0, 1, 3))
+        # and the pair of levels 0 and 1, stored with level 1, once
+        (*raced, pair), (*alone, pair1) = line._pair, serial._pair
+        assert raced == list(line._levels[:2])
+        assert alone == list(serial._levels[:2])
+        assert pair[2:] == pair1[2:]
+        assert all(np.array_equal(pair[i], pair1[i]) for i in (0, 1))
+        assert raced[0][2][1].base is pair[1] is raced[1][2][1].base
 
 
 class TestPhaseSums:
@@ -630,11 +688,11 @@ class TestPhaseSums:
         for module in seen:
             real = getattr(lk, module)._phase_table
 
-            def checking(p, w, step, module=module, real=real):
+            def checking(p, w, step, *width, module=module, real=real):
                 seen[module] += 1
                 assert np.allclose(np.diff(w), step, rtol=1e-12, atol=0.0)
                 assert np.min(np.abs(w)) <= 0.5 * step
-                return real(p, w, step)
+                return real(p, w, step, *width)
 
             monkeypatch.setattr(getattr(lk, module), "_phase_table", checking)
         spec = lk.KernelSpec(d=2, alpha=1.5, beta=0.7)
@@ -762,6 +820,94 @@ class TestOneRowPhaseSum:
         assert counts == {"_row_blocks": 0, "einsum": 0}
         assert call(grid) == warm[1]
         assert min(counts.values()) > 0
+
+
+class TestPairPhaseSum:
+    """``mellin._phase_pair``, the sums of trapezoid levels 0 and 1 at
+    one float from their ``_pair_table``, against the rows of
+    ``_phase_apply`` on the two level tables: the same bits, and the path
+    a warm scalar call takes."""
+
+    @staticmethod
+    def _half_count(rng):
+        """Half counts n, half of them with 2n = k^2 (8, 72, 128, ...),
+        where level 1's own width isqrt(2n - 1) + 1 differs from level
+        0's isqrt(2n) + 1."""
+        if rng.random() < 0.5:
+            return 2 * int(rng.integers(1, 40)) ** 2
+        return int(round(10.0 ** rng.uniform(0.0, 3.2)))
+
+    def test_random_pairs_match_grid_rows(self):
+        rng = np.random.default_rng(20261022)
+        pool = TestOneRowPhaseSum._weights(rng, 1 << 17)
+        pairs, rows, squares = [], [], 0
+        for _ in range(10_000):
+            n = self._half_count(rng)
+            squares += math.isqrt(2 * n) ** 2 == 2 * n
+            h = 10.0 ** rng.uniform(-2.5, 0.0)
+            w0 = np.arange(-n, n + 1, dtype=float) * h
+            w1 = (np.arange(-n, n, dtype=float) + 0.5) * h
+            lo = int(rng.integers(0, pool.size - 4 * n - 1))
+            zero = lk.mellin._phase_table(pool[lo:lo + w0.size], w0, h)
+            one = lk.mellin._phase_table(pool[lo + w0.size:lo + 4 * n + 1],
+                                         w1, h, zero[1].shape[1])
+            zero, one, pair = lk.mellin._pair_table(zero, one)
+            x = np.r_[rng.choice(TestOneRowPhaseSum.SPECIAL_X),
+                      np.log(10.0 ** rng.uniform(-300.0, 300.0, 2))]
+            rows += [v for level in zip(lk.mellin._phase_apply(zero, x),
+                                        lk.mellin._phase_apply(one, x))
+                     for v in level]
+            pairs += [v for xj in x
+                      for v in lk.mellin._phase_pair(pair, float(xj))]
+        assert all(type(v) is complex for v in pairs)
+        assert len(pairs) >= 60_000 and 3_000 < squares < 7_000
+        assert _hex(pairs) == _hex(rows)
+
+    @pytest.mark.usefixtures("cold_lines")
+    def test_store_keeps_the_tables_once(self):
+        # level 1 takes level 0's width; their (heads, B) tables are row
+        # views of the pair's stack; level 2 keeps a table of its own
+        lk.stable_mb(lk.KernelSpec(2, 0.1, 0.0), 2.0)
+        line = lk.stable_kernel._stable_line(2, 0.1, 0.0, 1e-9, None)
+        zero, one, (iheights, mat, n0, n1) = line.pair()
+        assert zero is line.level(0) and one is line.level(1)
+        assert zero[2][1].base is mat and one[2][1].base is mat
+        assert np.array_equal(np.concatenate((zero[2][1], one[2][1])), mat)
+        assert zero[2][1].shape[1] == one[2][1].shape[1] == mat.shape[1]
+        assert np.array_equal(iheights, np.r_[zero[2][3][:n0], one[2][3]])
+        assert not (mat.flags.writeable or iheights.flags.writeable)
+        assert not np.shares_memory(line.level(2)[2][1], mat)
+
+    @staticmethod
+    def _count_sums(monkeypatch):
+        counts = {"_phase_pair": 0, "_phase_one": 0}
+        for name in counts:
+            def counting(*args, name=name, real=getattr(lk.mellin, name)):
+                counts[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(lk.mellin, name, counting)
+        return counts
+
+    @pytest.mark.parametrize("call,line,levels", [
+        (functools.partial(lk.stable_mb, lk.KernelSpec(2, 1.5, 0.7), 2.0),
+         lambda: lk.stable_kernel._stable_line(2, 1.5, 0.7, 1e-9, None), 2),
+        (functools.partial(lk.general_kernel_mb, _SYMBOL, 2, 0.5, 0.5, 2.0),
+         lambda: lk.radial_symbol._symbol_line(_SYMBOL, 2, 0.5, 0.5, 1e-7,
+                                               None), 2),
+        (functools.partial(lk.stable_mb, lk.KernelSpec(2, 0.1, 0.0), 2.0),
+         lambda: lk.stable_kernel._stable_line(2, 0.1, 0.0, 1e-9, None), 3),
+    ], ids=["stable_mb", "general_kernel_mb", "stable_mb-3-levels"])
+    def test_warm_scalar_takes_one_pair(self, monkeypatch, call, line,
+                                        levels):
+        # levels 0 and 1 from one pair, each later level from one phase
+        # sum of its own table
+        warm = call()
+        n = line().plan.nodes
+        assert warm.diagnostics["nodes_used"] == 3 + (2 * n << (levels - 1))
+        counts = self._count_sums(monkeypatch)
+        assert call() == warm
+        assert counts == {"_phase_pair": 1, "_phase_one": levels - 2}
 
 
 class TestLinePlan:

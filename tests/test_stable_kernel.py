@@ -234,6 +234,47 @@ class TestStableMBGrid:
             lk.stable_mb(spec, np.ones((2, 2)))
 
 
+class TestAliasingGuard:
+    # the trapezoid estimate of step h cannot resolve e^(i v ln r') once
+    # h |ln r'| >= pi; two aliased levels may agree on a wrong value, as
+    # 2/1.5/0.7 at r = 1e30 did (h |ln r'| = 10.3): 4.19e-29 with
+    # est_error 1.2e-37 where the kernel is -1.16e-82.  A row stops at a
+    # level only once the level before it resolves its phase, so each
+    # value's est_error covers its error, or the line raises
+    POINTS = [((2, 1.5, 0.7), 1e30), ((2, 0.7, 0.0), 1e30),
+              ((3, 1.2, 0.0), 1e-250), ((3, 1.2, 0.0), 1e-300),
+              ((2, 1.5, 0.7), 1e-300)]
+
+    @staticmethod
+    def _reference(d, alpha, beta, r):
+        """The kernel at t = 1: a 40-digit mpmath sum of the large-r
+        series at alpha < 1, of the small-r one at small r, else the
+        converged float series."""
+        if alpha < 1.0:
+            return _left_series_mp(d, alpha, beta, 1.0, r, dps=40)
+        if r < 1.0:
+            return _right_series_mp(d, alpha, beta, r, dps=40)
+        series = lk.stable_series(lk.KernelSpec(d, alpha, beta), r)
+        assert series.diagnostics["converged"]
+        return series.value
+
+    @pytest.mark.parametrize("dab,r", POINTS, ids=repr)
+    def test_value_is_bounded_or_raises(self, dab, r):
+        spec = lk.KernelSpec(*dab)
+        try:
+            one = lk.stable_mb(spec, r)
+        except lk.NonConvergent as exc:
+            with pytest.raises(lk.NonConvergent) as row:
+                lk.stable_mb(spec, np.array([r]))
+            assert str(row.value) == str(exc)
+            return
+        (row,) = lk.stable_mb(spec, np.array([r]))
+        assert (row.value, row.est_error, row.diagnostics) == (
+            one.value, one.est_error, one.diagnostics)
+        ref = self._reference(*dab, r)
+        assert abs(one.value - ref) <= one.est_error + 1e-15 * abs(ref)
+
+
 class TestStableSeries:
     def test_coefficients_match_indicator_formula(self):
         # beta = 0 reduction: (1 - 1_Z(n a/2)) (-1)^n/n! G((d+na)/2) 2^(na) / G(-na/2)
